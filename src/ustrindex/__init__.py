@@ -16,7 +16,7 @@ from __future__ import annotations
 from .approx import Link, LinkIndex, RawLinks, approx_items, approx_query, build_links, partition_links
 from .container import IndexContainer, build_container, load_container, save_container
 from .datagen import GenConfig, generate, generate_collection, sample_world
-from .errors import CapacityError, ParseError, ThresholdError
+from .errors import CapacityError, ContainerError, ParseError, ThresholdError
 from .factorize import (
     MaximalFactor,
     TransformedText,
@@ -59,6 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
+    "ContainerError",
     "Correlation",
     "DocumentCollection",
     "GenConfig",

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ThresholdError
 from .factorize import TransformedText, prefix_probabilities
+from .qindex import _check_query
 from .textcore import TreeView, locus
 
 __all__ = [
@@ -191,10 +191,7 @@ def partition_links(raw: RawLinks, eps: float) -> LinkIndex:
 
 def approx_items(idx: LinkIndex, p: str, tau: float) -> list[tuple[int, float]]:
     """Stabbed (position, stored probability) pairs in ascending position order."""
-    if not p:
-        raise ValueError("pattern is empty")
-    if tau < idx.tau_min:
-        raise ThresholdError(tau, idx.tau_min)
+    _check_query(p, tau, idx.tau_min)
     node = locus(idx.tree, p)
     if node is None:
         return []

@@ -2,9 +2,12 @@
 
 The file is a zip archive holding ``manifest.json`` plus one ``.npy`` entry
 per stored array.  Probability tables are written verbatim, so a reopened
-index answers queries bit for bit like the one that was saved; derived
-structures that are cheap and deterministic to rebuild (suffix array, tree
-view, RMQ tables, annotations) are reconstructed from the stored text.
+index answers queries bit for bit like the one that was saved.  Loading
+rebuilds the suffix array, the RMQ tables and, for a listing index, the
+annotations; a substring index derives its annotations on its first query.
+The suffix-tree view is built only when the container holds approximate
+links.  A file that is not such an archive, or lacks a member, raises
+``ContainerError``.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import LinkIndex, build_links, partition_links
-from .factorize import MaximalFactor, TransformedText, build_annotations
+from .errors import ContainerError
+from .factorize import TransformedText, build_annotations
 from .listing import ListingConfig, ListingIndex, build_listing
 from .model import DocumentCollection, UncertainString
 from .qindex import IndexConfig, SubstringIndex, build
-from .textcore import TreeView, build_suffix_array, rmq_build
+from .textcore import TreeView, build_suffix_array, rmq_build  # noqa: F401 - perfbench wraps TreeView
 from .ustformat import parse_ust, serialize_ust
 
 __all__ = ["FORMAT_VERSION", "IndexContainer", "build_container", "load_container", "save_container"]
@@ -74,24 +78,6 @@ def build_container(
     if epsilon is not None:
         links = partition_links(build_links(sub.tt, sub.tree, tau_min), epsilon)
     return IndexContainer("substring", tau_min, substring=sub, links=links, epsilon=epsilon)
-
-
-def _rebuild_factor_table(
-    codes: np.ndarray, pos: np.ndarray, cum: np.ndarray
-) -> tuple[tuple[int, MaximalFactor], ...]:
-    """Recover factor boundaries from the stored text: runs between separators."""
-    table: list[tuple[int, MaximalFactor]] = []
-    lst = codes.tolist()
-    b: int | None = None
-    for i, c in enumerate(lst):
-        if c >= 0:
-            if b is None:
-                b = i
-        elif b is not None:
-            symbols = "".join(map(chr, lst[b:i]))
-            table.append((b + 1, MaximalFactor(int(pos[b]), symbols, float(cum[i - 1]))))
-            b = None
-    return tuple(table)
 
 
 def save_container(container: IndexContainer, path: str) -> None:
@@ -149,38 +135,46 @@ def save_container(container: IndexContainer, path: str) -> None:
 
 
 def load_container(path: str) -> IndexContainer:
-    with zipfile.ZipFile(path) as zf:
-        manifest = json.loads(zf.read("manifest.json"))
-        version = manifest.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported container version {version!r}")
-        arrays = {
-            name[: -len(".npy")]: np.load(io.BytesIO(zf.read(name)), allow_pickle=False)
-            for name in zf.namelist()
-            if name.endswith(".npy")
-        }
+    """Reopen a saved index; a file that is not a sound container raises ContainerError."""
+    try:
+        with zipfile.ZipFile(path) as zf:
+            manifest = json.loads(zf.read("manifest.json"))
+            arrays = {
+                name[: -len(".npy")]: np.load(io.BytesIO(zf.read(name)), allow_pickle=False)
+                for name in zf.namelist()
+                if name.endswith(".npy")
+            }
+        return _assemble(manifest, arrays)
+    except (zipfile.BadZipFile, json.JSONDecodeError, KeyError) as exc:
+        raise ContainerError(f"{path} is not a sound index container: {exc}") from exc
 
+
+def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
+    """Reopen the index a manifest and its arrays describe; a missing entry raises KeyError."""
+    if not isinstance(manifest, dict):
+        raise ContainerError("the container manifest is not a JSON object")
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ContainerError(f"unsupported container version {version!r}")
     kind = manifest["kind"]
     tau_min = float(manifest["tau_min"])
     docs = parse_ust(manifest["source"])
     codes, pos, cum = arrays["codes"], arrays["pos"], arrays["cum"]
-    table = _rebuild_factor_table(codes, pos, cum)
     saidx = build_suffix_array(codes)
-    tree = TreeView(saidx)
     m_short = int(manifest["m_short"])
+    short_tables = [
+        (arrays[f"short_{i}"], rmq_build(arrays[f"short_{i}"])) for i in range(1, m_short + 1)
+    ]
 
     if kind == "substring":
         (u,) = docs
-        tt = TransformedText(codes, pos, cum, tau_min, table, source=u)
-        short_tables = [
-            (arrays[f"short_{i}"], rmq_build(arrays[f"short_{i}"])) for i in range(1, m_short + 1)
-        ]
+        tt = TransformedText(codes, pos, cum, tau_min, source=u)
         long_tables = {
             int(d): (arrays[f"long_{d}"], rmq_build(arrays[f"long_{d}"]))
             for d in manifest["long_depths"]
         }
         idx = SubstringIndex(
-            u, tt, saidx, tree, tau_min, m_short, int(manifest["l_max"]), short_tables, long_tables
+            u, tt, saidx, tau_min, m_short, int(manifest["l_max"]), short_tables, long_tables
         )
         links = None
         epsilon = None
@@ -188,7 +182,7 @@ def load_container(path: str) -> IndexContainer:
             epsilon = float(manifest["epsilon"])
             links = LinkIndex(
                 tt=tt,
-                tree=tree,
+                tree=idx.tree,
                 tau_min=tau_min,
                 eps=epsilon,
                 origin=arrays["link_origin"],
@@ -201,24 +195,12 @@ def load_container(path: str) -> IndexContainer:
 
     if kind == "listing":
         collection = DocumentCollection(tuple(docs))
-        tt = TransformedText(codes, pos, cum, tau_min, table, source=None)
+        tt = TransformedText(codes, pos, cum, tau_min, source=None)
         doc_of = arrays["doc_of"]
         ann = build_annotations(tt, doc_lookup=lambda o: collection.docs[int(doc_of[o])])
-        short_tables = [
-            (arrays[f"short_{i}"], rmq_build(arrays[f"short_{i}"])) for i in range(1, m_short + 1)
-        ]
         lidx = ListingIndex(
-            collection,
-            manifest["metric"],
-            tau_min,
-            tt,
-            ann,
-            doc_of,
-            saidx,
-            tree,
-            m_short,
-            short_tables,
+            collection, manifest["metric"], tau_min, tt, ann, doc_of, saidx, m_short, short_tables
         )
         return IndexContainer("listing", tau_min, listing=lidx, metric=lidx.metric)
 
-    raise ValueError(f"unknown container kind {kind!r}")
+    raise ContainerError(f"unknown container kind {kind!r}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["CapacityError", "ParseError", "ThresholdError"]
+__all__ = ["CapacityError", "ContainerError", "ParseError", "ThresholdError"]
 
 
 class ParseError(Exception):
@@ -36,3 +36,7 @@ class CapacityError(RuntimeError):
     def __init__(self, message: str, cap: int | None = None):
         self.cap = cap
         super().__init__(message)
+
+
+class ContainerError(ValueError):
+    """An index file that is not a readable container, or lacks one of its parts."""

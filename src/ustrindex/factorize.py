@@ -180,15 +180,14 @@ class TransformedText:
 
     ``pos[i]`` maps a 0-based text offset to its original 1-based position (0
     at separators); ``cum[i]`` is the factor-prefix probability product ending
-    at ``i`` (-1 at separators).  ``factor_table`` pairs each factor with its
-    1-based text offset.
+    at ``i`` (-1 at separators).  Each factor is one separator-delimited run of
+    the text, so ``factor_table`` is derived from these arrays on demand.
     """
 
     codes: np.ndarray
     pos: np.ndarray
     cum: np.ndarray
     tau_min: float
-    factor_table: tuple[tuple[int, MaximalFactor], ...]
     source: UncertainString | None = None
 
     @property
@@ -200,9 +199,22 @@ class TransformedText:
         """Readable rendering; every separator prints as '$'."""
         return "".join(chr(c) if c >= 0 else "$" for c in self.codes.tolist())
 
+    def factor_runs(self) -> list[tuple[int, int]]:
+        """Half-open 0-based offsets ``(b, e)`` of every factor; its separator sits at ``e``."""
+        ends = np.flatnonzero(self.codes < 0).tolist()
+        return list(zip([0] + [e + 1 for e in ends[:-1]], ends))
+
+    @property
+    def factor_table(self) -> tuple[tuple[int, MaximalFactor], ...]:
+        """Each factor paired with its 1-based text offset."""
+        return tuple(
+            (b + 1, MaximalFactor(int(self.pos[b]), self.window_text(b, e - b), float(self.cum[e - 1])))
+            for b, e in self.factor_runs()
+        )
+
     @property
     def longest_factor(self) -> int:
-        return max((len(f.symbols) for _, f in self.factor_table), default=0)
+        return max((e - b for b, e in self.factor_runs()), default=0)
 
     def window_text(self, offset: int, length: int) -> str:
         """Decode ``length`` characters at 0-based ``offset`` (no separators allowed)."""
@@ -240,15 +252,16 @@ def build_annotations(
     fcorr = np.zeros(n, dtype=bool)
     events: dict[int, list[int]] = {}
 
-    for toff1, fac in tt.factor_table:
-        o0 = toff1 - 1
+    for o0, end in tt.factor_runs():
         doc = doc_lookup(o0)
         by_source = doc.by_source
-        L = len(fac.symbols)
+        start = int(tt.pos[o0])
+        L = end - o0
+        symbols = tt.window_text(o0, L)
         any_corr = False
-        for t, sym in enumerate(fac.symbols):
+        for t, sym in enumerate(symbols):
             x = o0 + t
-            q = fac.start + t
+            q = start + t
             eff[x] = L - t
             fstart[x] = o0
             corr = by_source.get((q, sym)) if by_source else None
@@ -258,11 +271,11 @@ def build_annotations(
             any_corr = True
             mult[x] = corr.marginal(doc.pr(corr.cond_pos, corr.cond_sym))
             j = corr.cond_pos
-            if j < q and j >= fac.start:
+            if j < q and j >= start:
                 thr[x] = (q - j) + 1
-                cond_char = fac.symbols[j - fac.start]
+                cond_char = symbols[j - start]
                 val_back[x] = corr.p_plus if cond_char == corr.cond_sym else corr.p_minus
-            elif j > q and j <= fac.start + L - 1:
+            elif j > q and j <= start + L - 1:
                 xc = x + (j - q)
                 for o in range(o0, x + 1):
                     events.setdefault(xc - o + 1, []).append(o)
@@ -315,7 +328,6 @@ def transform(u: UncertainString, tau_min: float, length_cap: int | None = None)
     codes: list[int] = []
     pos: list[int] = []
     cum: list[float] = []
-    table: list[tuple[int, MaximalFactor]] = []
     sep = 0
     for start in range(1, u.n + 1):
         for fac in sorted(maximal_factors(u, tau_min, start), key=lambda f: f.symbols):
@@ -325,7 +337,6 @@ def transform(u: UncertainString, tau_min: float, length_cap: int | None = None)
                     " (raise it via --cap / length_cap)",
                     cap=length_cap,
                 )
-            table.append((len(codes) + 1, fac))
             codes.extend(ord(c) for c in fac.symbols)
             pos.extend(range(start, start + len(fac.symbols)))
             cum.extend(prefix_probabilities(u, fac.symbols, start))
@@ -338,7 +349,6 @@ def transform(u: UncertainString, tau_min: float, length_cap: int | None = None)
         pos=np.asarray(pos, dtype=np.int64),
         cum=np.asarray(cum, dtype=np.float64),
         tau_min=tau_min,
-        factor_table=tuple(table),
         source=u,
     )
 

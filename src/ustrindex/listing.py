@@ -11,20 +11,20 @@ bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ThresholdError
 from .factorize import Annotations, TransformedText, build_annotations, depth_values, transform
 from .model import DocumentCollection, UncertainString, occurrence_probability, validate
-from .qindex import QueryStats, _rmq_collect, _window_probability
+from .qindex import QueryStats, _locate, _rmq_collect, _window_probability
 from .textcore import (
     RmqIndex,
     SuffixArrayIndex,
     TreeView,
     build_suffix_array,
     rmq_build,
-    suffix_range,
+    suffix_range,  # noqa: F401 - queries reach it via _locate; perfbench/tracer.py wraps this name
 )
 
 __all__ = [
@@ -97,9 +97,13 @@ class ListingIndex:
     ann: Annotations
     doc_of: np.ndarray
     saidx: SuffixArrayIndex
-    tree: TreeView
     m_short: int
     short_tables: list[tuple[np.ndarray, RmqIndex]] = field(repr=False)
+
+    @cached_property
+    def tree(self) -> TreeView:
+        """Suffix-tree view, built on first use; listing queries never read it."""
+        return TreeView(self.saidx)
 
 
 def _concatenate(parts: list[TransformedText], tau_min: float):
@@ -107,18 +111,14 @@ def _concatenate(parts: list[TransformedText], tau_min: float):
     pos: list[np.ndarray] = []
     cum: list[np.ndarray] = []
     doc_of: list[np.ndarray] = []
-    table = []
     sep_base = 0
-    off = 0
     for k, part in enumerate(parts):
         shifted = np.where(part.codes < 0, part.codes - sep_base, part.codes)
         codes.append(shifted)
         pos.append(part.pos)
         cum.append(part.cum)
         doc_of.append(np.full(part.n, k, dtype=np.int64))
-        table.extend((toff + off, fac) for toff, fac in part.factor_table)
-        sep_base += sum(1 for c in part.codes.tolist() if c < 0)
-        off += part.n
+        sep_base += int((part.codes < 0).sum())
     empty_i = np.zeros(0, dtype=np.int64)
     empty_f = np.zeros(0, dtype=np.float64)
     tt = TransformedText(
@@ -126,7 +126,6 @@ def _concatenate(parts: list[TransformedText], tau_min: float):
         pos=np.concatenate(pos) if pos else empty_i,
         cum=np.concatenate(cum) if cum else empty_f,
         tau_min=tau_min,
-        factor_table=tuple(table),
         source=None,
     )
     merged = np.concatenate(doc_of) if doc_of else empty_i
@@ -154,7 +153,6 @@ def build_listing(
     tt, doc_of = _concatenate(parts, tau_min)
     ann = build_annotations(tt, doc_lookup=lambda o: collection.docs[int(doc_of[o])])
     saidx = build_suffix_array(tt.codes)
-    tree = TreeView(saidx)
     n = tt.n
     m_short = cfg.m_short if cfg.m_short is not None else max(1, n.bit_length() - 1)
 
@@ -180,7 +178,7 @@ def build_listing(
         zeros = np.zeros(n, dtype=np.float64)
         short_tables.append((zeros, rmq_build(zeros)))
     return ListingIndex(
-        collection, metric, tau_min, tt, ann, doc_of, saidx, tree, m_short, short_tables
+        collection, metric, tau_min, tt, ann, doc_of, saidx, m_short, short_tables
     )
 
 
@@ -220,19 +218,13 @@ def _aggregate_depth(
 
 
 def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]], QueryStats]:
-    if not p:
-        raise ValueError("pattern is empty")
-    if tau < idx.tau_min:
-        raise ThresholdError(tau, idx.tau_min)
     stats = QueryStats()
     found: dict[int, float] = {}
-    m = len(p)
-    if idx.tt.n == 0:
-        return [], stats
-    rng = suffix_range(idx.saidx, p)
+    rng = _locate(idx.saidx, idx.tau_min, p, tau)
     if rng is None:
         return [], stats
     sp, ep = rng
+    m = len(p)
     sa = idx.saidx.sa
 
     if m <= idx.m_short:

@@ -191,23 +191,18 @@ def enumerate_worlds(u: UncertainString, floor: float = 0.0) -> list[tuple[str, 
         suffix_bound[q - 1] = best * suffix_bound[q]
 
     out: list[tuple[str, float]] = []
-    chars: list[str] = []
-
-    def walk(q: int, bound: float) -> None:
+    # depth-first; symbols are pushed in reverse so they pop in distribution order
+    stack = [(1, 1.0, "")]
+    while stack:
+        q, bound, world = stack.pop()
         if q > u.n:
-            world = "".join(chars)
             prob = occurrence_probability(u, world, 1)
             if prob > 0.0 and prob >= floor:
                 out.append((world, prob))
-            return
-        for sym in u.positions[q - 1]:
+            continue
+        for sym in reversed(u.positions[q - 1]):
             b = bound * _optimistic(u, q, sym)
-            if b * suffix_bound[q] < floor:
-                continue
-            chars.append(sym)
-            walk(q + 1, b)
-            chars.pop()
-
-    walk(1, 1.0)
+            if b * suffix_bound[q] >= floor:
+                stack.append((q + 1, b, world + sym))
     out.sort(key=lambda wp: wp[0])
     return out

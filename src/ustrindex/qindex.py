@@ -10,6 +10,7 @@ computes, which keeps threshold comparisons bitwise faithful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,12 +68,16 @@ class SubstringIndex:
     u: UncertainString
     tt: TransformedText
     saidx: SuffixArrayIndex
-    tree: TreeView
     tau_min: float
     m_short: int
     l_max: int
     short_tables: list[tuple[np.ndarray, RmqIndex]] = field(repr=False)
     long_tables: dict[int, tuple[np.ndarray, RmqIndex]] = field(repr=False)
+
+    @cached_property
+    def tree(self) -> TreeView:
+        """Suffix-tree view, built on first use; only approximate links read it."""
+        return TreeView(self.saidx)
 
 
 def _dedup_depth(values: np.ndarray, lcp: np.ndarray, orig: np.ndarray, depth: int, n_orig: int) -> np.ndarray:
@@ -99,7 +104,6 @@ def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None)
 
     tt = transform(u, tau_min, cfg.length_cap)
     saidx = build_suffix_array(tt.codes)
-    tree = TreeView(saidx)
     n = tt.n
     m_short = cfg.m_short if cfg.m_short is not None else max(1, n.bit_length() - 1)
     if m_short < 1:
@@ -128,7 +132,7 @@ def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None)
     while len(short_tables) < m_short:
         zeros = np.zeros(n, dtype=np.float64)
         short_tables.append((zeros, rmq_build(zeros)))
-    return SubstringIndex(u, tt, saidx, tree, tau_min, m_short, l_max, short_tables, long_tables)
+    return SubstringIndex(u, tt, saidx, tau_min, m_short, l_max, short_tables, long_tables)
 
 
 def _rmq_collect(rmq: RmqIndex, values: np.ndarray, sp: int, ep: int, tau: float, stats: QueryStats) -> list[int]:
@@ -167,20 +171,28 @@ def _window_probability(
     return occurrence_probability(u, p, int(tt.pos[o]))
 
 
-def _run(idx: SubstringIndex, p: str, tau: float) -> tuple[list[tuple[int, float]], QueryStats]:
+def _check_query(p: str, tau: float, tau_min: float) -> None:
+    """Reject an empty pattern and a threshold below the index floor."""
     if not p:
         raise ValueError("pattern is empty")
-    if tau < idx.tau_min:
-        raise ThresholdError(tau, idx.tau_min)
+    if tau < tau_min:
+        raise ThresholdError(tau, tau_min)
+
+
+def _locate(saidx: SuffixArrayIndex, tau_min: float, p: str, tau: float) -> tuple[int, int] | None:
+    """Check a query and return the slot range of ``p``; None if absent or the text is empty."""
+    _check_query(p, tau, tau_min)
+    return suffix_range(saidx, p)
+
+
+def _run(idx: SubstringIndex, p: str, tau: float) -> tuple[list[tuple[int, float]], QueryStats]:
     stats = QueryStats()
     items: list[tuple[int, float]] = []
-    m = len(p)
-    if idx.tt.n == 0:
-        return items, stats
-    rng = suffix_range(idx.saidx, p)
+    rng = _locate(idx.saidx, idx.tau_min, p, tau)
     if rng is None:
         return items, stats
     sp, ep = rng
+    m = len(p)
     sa = idx.saidx.sa
     tt = idx.tt
     ann = tt.annotations

@@ -123,6 +123,13 @@ def test_partition_links_needs_a_source(genome):
         partition_links(orphaned, 0.1)
 
 
+def test_links_build_the_tree_view_once(genome):
+    idx, ln = _linked(genome, 0.1, 0.05)
+    assert idx.__dict__["tree"] is ln.tree
+    approx_query(ln, "A", 0.1)
+    assert idx.tree is ln.tree
+
+
 def test_approx_query_guards(genome):
     _, ln = _linked(genome, 0.1, 0.05)
     with pytest.raises(ThresholdError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zipfile
 
 import pytest
 
@@ -119,6 +120,28 @@ def test_wrong_kind_and_missing_files_exit_two(genome_file, collection_file, tmp
     assert main(["approx", sub, "--pattern", "A", "--tau", "0.1"]) == 2
     assert "--epsilon" in capsys.readouterr().err
     assert main(["query", str(tmp_path / "nope.usi"), "--pattern", "A", "--tau", "0.1"]) == 2
+
+
+@pytest.mark.parametrize("damage", ["not a zip", "missing member", "manifest not json", "manifest not an object"])
+def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, capsys):
+    path = tmp_path / "g.usi"
+    main(["build", genome_file, "-o", str(path), "--tau-min", "0.1"])
+    with zipfile.ZipFile(path) as zf:
+        entries = {name: zf.read(name) for name in zf.namelist()}
+    if damage == "not a zip":
+        path.write_bytes(b"not a container")
+    else:
+        if damage == "missing member":
+            del entries["short_1.npy"]
+        else:
+            entries["manifest.json"] = b"{not json" if damage == "manifest not json" else b"[1]"
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, data in entries.items():
+                zf.writestr(name, data)
+    capsys.readouterr()
+    assert main(["query", str(path), "--pattern", "A", "--tau", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ustrindex import (
+    ContainerError,
     IndexContainer,
     approx_items,
     build_container,
@@ -92,19 +93,71 @@ def test_save_rejects_unknown_kind(tmp_path):
         save_container(IndexContainer("weird", 0.1), str(tmp_path / "w.usi"))
 
 
-def test_load_rejects_other_format_versions(genome, tmp_path):
-    path = str(tmp_path / "v.usi")
-    save_container(build_container([genome], 0.1), path)
+def _entries(path: str) -> dict[str, bytes]:
     with zipfile.ZipFile(path) as zf:
-        entries = {name: zf.read(name) for name in zf.namelist()}
-    manifest = json.loads(entries["manifest.json"])
-    manifest["format_version"] = 99
-    entries["manifest.json"] = json.dumps(manifest).encode()
+        return {name: zf.read(name) for name in zf.namelist()}
+
+
+def _rewrite(path: str, entries: dict[str, bytes]) -> None:
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w") as zf:
         for name, data in entries.items():
             zf.writestr(name, data)
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
+
+
+def test_load_rejects_other_format_versions(genome, tmp_path):
+    path = str(tmp_path / "v.usi")
+    save_container(build_container([genome], 0.1), path)
+    entries = _entries(path)
+    manifest = json.loads(entries["manifest.json"])
+    manifest["format_version"] = 99
+    entries["manifest.json"] = json.dumps(manifest).encode()
+    _rewrite(path, entries)
     with pytest.raises(ValueError, match="version"):
         load_container(path)
+
+
+def test_load_rejects_a_file_that_is_not_a_zip(tmp_path):
+    path = tmp_path / "junk.usi"
+    path.write_bytes(b"not a container")
+    with pytest.raises(ContainerError, match="not a sound index container"):
+        load_container(str(path))
+
+
+def test_load_rejects_a_container_missing_a_member(genome, tmp_path):
+    path = str(tmp_path / "m.usi")
+    save_container(build_container([genome], 0.1), path)
+    entries = _entries(path)
+    del entries["short_1.npy"]
+    _rewrite(path, entries)
+    with pytest.raises(ContainerError, match="short_1"):
+        load_container(path)
+
+
+@pytest.mark.parametrize("manifest", [b"{not json", b"[1]"])
+def test_load_rejects_a_manifest_that_is_not_a_json_object(manifest, genome, tmp_path):
+    path = str(tmp_path / "j.usi")
+    save_container(build_container([genome], 0.1), path)
+    entries = _entries(path)
+    entries["manifest.json"] = manifest
+    _rewrite(path, entries)
+    with pytest.raises(ContainerError):
+        load_container(path)
+
+
+def test_tree_view_is_built_only_for_links(genome, tmp_path):
+    plain = build_container([genome], 0.1)
+    assert "tree" not in plain.substring.__dict__
+    path = str(tmp_path / "p.usi")
+    save_container(plain, path)
+    back = load_container(path)
+    query_items(back.substring, "A", 0.1)
+    assert "tree" not in back.substring.__dict__
+
+    linked = build_container([genome], 0.1, epsilon=0.05)
+    assert "tree" in linked.substring.__dict__
+    save_container(linked, path)
+    back = load_container(path)
+    assert back.links.tree is back.substring.tree

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ustrindex import (
     CapacityError,
+    TransformedText,
     UncertainString,
     conservation_check,
     maximal_factors,
@@ -107,6 +109,13 @@ def test_transform_layout(worlds_example):
         assert fac.prob >= tt.tau_min
         assert codes[o + len(fac)] < 0
     assert tt.text.count("$") == len(tt.factor_table)
+
+
+def test_empty_text_has_no_factors():
+    empty = np.zeros(0, dtype=np.int64)
+    tt = TransformedText(empty, empty, np.zeros(0, dtype=np.float64), 0.5)
+    assert tt.longest_factor == 0
+    assert tt.factor_table == ()
 
 
 @settings(max_examples=40, deadline=None)

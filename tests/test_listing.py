@@ -20,6 +20,7 @@ from ustrindex import (
     oracle_relevance,
     relevance,
     sample_world,
+    transform,
 )
 
 from helpers import random_ustring
@@ -31,6 +32,18 @@ def test_worked_example_listing(collection):
     ((name, rel),) = list_items(idx, "BF", 0.1)
     assert name == "d1"
     assert rel == oracle_relevance(collection.docs[0], "BF", "max", floor=0.1)
+
+
+def test_collection_factor_table_shifts_each_document(collection):
+    idx = build_listing(collection, 0.1, "max")
+    assert "tree" not in idx.__dict__
+    want = []
+    off = 0
+    for d in collection.docs:
+        part = transform(d, 0.1)
+        want.extend((toff + off, fac) for toff, fac in part.factor_table)
+        off += part.n
+    assert idx.tt.factor_table == tuple(want)
 
 
 def test_listing_reports_in_collection_order(collection):

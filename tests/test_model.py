@@ -86,6 +86,11 @@ def test_world_enumeration_guard():
     assert len(some) == 2**13
 
 
+def test_world_enumeration_handles_long_deterministic_strings():
+    u = UncertainString("det", tuple({"ab"[q % 2]: 1.0} for q in range(3000)))
+    assert enumerate_worlds(u, 0.5) == [("ab" * 1500, 1.0)]
+
+
 def test_occurrence_probability_values(genome):
     assert occurrence_probability(genome, "AT", 7) == pytest.approx(0.12)
     assert occurrence_probability(genome, "AT", 9) == pytest.approx(0.5)

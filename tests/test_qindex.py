@@ -69,6 +69,12 @@ def test_deterministic_string_is_plain_substring_search():
     assert query(idx, "abd", 0.9) == []
 
 
+def test_build_leaves_the_tree_view_unbuilt(genome):
+    idx = build(genome, 0.1)
+    query(idx, "A", 0.1)
+    assert "tree" not in idx.__dict__
+
+
 @settings(max_examples=70, deadline=None)
 @given(st.integers(0, 10**6))
 def test_query_matches_oracle(seed):
