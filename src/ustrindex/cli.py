@@ -1,4 +1,4 @@
-"""Command-line surface: generate data, build indexes, query, verify, bench.
+"""Command-line surface: generate data, build indexes, query, verify.
 
 Results print one line per query: ascending whitespace-separated positions
 (or document names in collection order).  With ``--json`` each result becomes
@@ -9,13 +9,9 @@ below the index floor, 4 capacity guard, 5 verification mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import os
 import random
 import sys
-import tempfile
-import time
 
 from .approx import approx_items
 from .container import IndexContainer, build_container, load_container, save_container
@@ -225,74 +221,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_row(
-    axis: str, value: float, args: argparse.Namespace
-) -> tuple[float, float, float, float]:
-    n = args.n
-    theta, tau_min, tau, m = args.theta, args.tau_min, args.tau, args.m
-    if axis == "n":
-        n = int(value)
-    elif axis == "theta":
-        theta = value
-    elif axis == "tau_min":
-        tau_min = value
-    elif axis == "tau":
-        tau = value
-    elif axis == "m":
-        m = int(value)
-
-    rng = random.Random(args.seed)
-    corpus = "".join(rng.choice("abcdefgh") for _ in range(n))
-    u = generate(corpus, GenConfig(theta=theta, seed=args.seed), name="bench")
-
-    t0 = time.perf_counter()
-    idx = build(u, tau_min)
-    build_s = time.perf_counter() - t0
-
-    with tempfile.TemporaryDirectory() as tmp:
-        fname = os.path.join(tmp, "bench.usi")
-        save_container(IndexContainer("substring", tau_min, substring=idx), fname)
-        per_symbol = os.path.getsize(fname) / u.n
-
-    world = sample_world(u, rng)
-    patterns = []
-    for _ in range(args.queries):
-        s = rng.randint(0, max(0, len(world) - m))
-        patterns.append(world[s : s + m])
-
-    t0 = time.perf_counter()
-    outputs = 0
-    for p in patterns:
-        outputs += len(query_items(idx, p, tau))
-    elapsed = time.perf_counter() - t0
-    return build_s, elapsed / len(patterns), outputs / len(patterns), per_symbol
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    values = [float(v) for v in args.values.split(",")]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["axis", "value", "build_seconds", "mean_query_seconds", "mean_outputs", "bytes_per_symbol"]
-        )
-        for v in values:
-            build_s, q_s, outs, per_symbol = _bench_row(args.axis, v, args)
-            w.writerow([args.axis, f"{v:g}", f"{build_s:.6f}", f"{q_s:.9f}", f"{outs:.3f}", f"{per_symbol:.2f}"])
-            print(
-                f"{args.axis}={v:g}: build {build_s:.3f}s,"
-                f" query {q_s * 1e6:.1f}us, outputs {outs:.2f}, {per_symbol:.1f} B/symbol"
-            )
-    if args.gnuplot:
-        with open(args.gnuplot, "w", encoding="utf-8") as fh:
-            fh.write(
-                "set datafile separator ','\n"
-                f"set xlabel '{args.axis}'\n"
-                "set ylabel 'mean query seconds'\n"
-                f"plot '{args.out}' every ::1 using 2:4 with linespoints title 'query time'\n"
-            )
-    return 0
-
-
 def _add_query_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("index", help="index container file")
     sp.add_argument("--pattern", action="append", required=True, help="pattern (repeatable)")
@@ -347,19 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("bench", help="seeded micro-benchmark sweep, CSV output")
-    sp.add_argument("--axis", choices=("n", "tau", "tau_min", "m", "theta"), required=True)
-    sp.add_argument("--values", required=True, help="comma-separated axis values")
-    sp.add_argument("-o", "--out", required=True, help="CSV output file")
-    sp.add_argument("--gnuplot", help="also write a gnuplot script")
-    sp.add_argument("--n", type=int, default=2000, help="string length when not the axis")
-    sp.add_argument("--theta", type=float, default=0.2)
-    sp.add_argument("--tau-min", dest="tau_min", type=float, default=0.3)
-    sp.add_argument("--tau", type=float, default=0.3)
-    sp.add_argument("--m", type=int, default=4, help="pattern length when not the axis")
-    sp.add_argument("--queries", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_bench)
     return parser
 
 

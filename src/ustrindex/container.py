@@ -6,8 +6,8 @@ index answers queries bit for bit like the one that was saved.  Loading
 rebuilds the suffix array, the RMQ tables and, for a listing index, the
 annotations; a substring index derives its annotations on its first query.
 The suffix-tree view is built only when the container holds approximate
-links.  A file that is not such an archive, or lacks a member, raises
-``ContainerError``.
+links.  A file that is not such an archive, lacks a member, holds an
+unreadable member or an array of the wrong length raises ``ContainerError``.
 """
 
 from __future__ import annotations
@@ -145,8 +145,26 @@ def load_container(path: str) -> IndexContainer:
                 if name.endswith(".npy")
             }
         return _assemble(manifest, arrays)
-    except (zipfile.BadZipFile, json.JSONDecodeError, KeyError) as exc:
+    except (zipfile.BadZipFile, KeyError, ValueError) as exc:
         raise ContainerError(f"{path} is not a sound index container: {exc}") from exc
+
+
+def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int) -> None:
+    """Every stored array is one-dimensional with the length the index layout implies."""
+    n = arrays["codes"].size
+    want = {"codes": n, "pos": n, "cum": n}
+    want.update((f"short_{i}", n) for i in range(1, m_short + 1))
+    if manifest["kind"] == "listing":
+        want["doc_of"] = n
+    elif manifest["kind"] == "substring":
+        # one block maximum per d text slots, as ``qindex.build`` cuts them
+        want.update((f"long_{d}", len(range(0, n, int(d)))) for d in manifest["long_depths"])
+        if manifest["epsilon"] is not None:
+            k = arrays["link_origin"].size
+            want.update((f"link_{a}", k) for a in ("origin", "pos", "stored", "odepth", "tdepth"))
+    for name, length in want.items():
+        if arrays[name].shape != (length,):
+            raise ContainerError(f"array {name} has shape {arrays[name].shape}, expected ({length},)")
 
 
 def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
@@ -159,14 +177,17 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
     kind = manifest["kind"]
     tau_min = float(manifest["tau_min"])
     docs = parse_ust(manifest["source"])
+    m_short = int(manifest["m_short"])
+    _check_shapes(manifest, arrays, m_short)
     codes, pos, cum = arrays["codes"], arrays["pos"], arrays["cum"]
     saidx = build_suffix_array(codes)
-    m_short = int(manifest["m_short"])
     short_tables = [
         (arrays[f"short_{i}"], rmq_build(arrays[f"short_{i}"])) for i in range(1, m_short + 1)
     ]
 
     if kind == "substring":
+        if len(docs) != 1:
+            raise ContainerError(f"a substring container holds one source string, not {len(docs)}")
         (u,) = docs
         tt = TransformedText(codes, pos, cum, tau_min, source=u)
         long_tables = {

@@ -6,10 +6,13 @@ tau_min.  Concatenating every factor with unique separators yields a plain
 text whose substrings, mapped back through ``pos``, conserve exactly the
 pattern occurrences with probability >= tau_min.
 
-All probabilities attached to the text (``cum`` prefixes, per-depth window
-values) are left-to-right products of the same multiplicands
-``model.occurrence_probability`` uses, so threshold comparisons downstream
-agree bitwise with the model.
+One depth-first walk (``_windows``) enumerates the qualifying windows at a
+start, growing each by one character through ``_grow``, the single copy of
+the growth rule; the factors it flags maximal carry their own prefix
+products, which become ``cum``.  All probabilities attached to the text
+(``cum`` prefixes, per-depth window values) are left-to-right products of the
+same multiplicands ``model.occurrence_probability`` uses, so threshold
+comparisons downstream agree bitwise with the model.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,110 +51,104 @@ class MaximalFactor:
         return len(self.symbols)
 
 
-def _extend(
+def _grow(
     u: UncertainString,
     start: int,
-    chars: list[str],
+    q: int,
+    chars: Sequence[str],
+    sym: str,
     prob: float,
     bound: float,
-    sym: str,
-) -> tuple[float, float]:
-    """Exact and optimistic products after appending ``sym`` to the window."""
-    q = start + len(chars)
+    pending: frozenset[int],
+) -> tuple[float, float, frozenset[int]]:
+    """Grow the window at ``start`` by ``sym`` at position ``q``: the one growth rule.
+
+    ``chars[: q - start]`` spells the window so far, ``prob`` is its exact
+    product and ``bound`` an optimistic one.  ``pending`` holds the positions
+    right of the window that condition a character inside it; when ``sym``
+    lands on one, an earlier multiplicand changes and the product restarts in
+    ``occurrence_probability``'s left-to-right order.  Returns the three for
+    the grown window.
+    """
     by_source = u.by_source
     corr = by_source.get((q, sym)) if by_source else None
     if corr is None:
-        m = u.positions[q - 1].get(sym, 0.0)
-        mb = m
+        m = mb = u.positions[q - 1].get(sym, 0.0)
     elif start <= corr.cond_pos < q:
-        m = corr.p_plus if chars[corr.cond_pos - start] == corr.cond_sym else corr.p_minus
-        mb = m
+        m = mb = corr.p_plus if chars[corr.cond_pos - start] == corr.cond_sym else corr.p_minus
     else:
         m = corr.marginal(u.pr(corr.cond_pos, corr.cond_sym))
         mb = max(m, corr.p_plus, corr.p_minus)
-    if by_source and any(
-        (cr := by_source.get((start + t, c))) is not None and cr.cond_pos == q
-        for t, c in enumerate(chars)
-    ):
-        # the new character conditions an earlier one: restart the product
-        exact = occurrence_probability(u, "".join(chars) + sym, start)
+        if corr.cond_pos > q:
+            pending = pending | {corr.cond_pos}
+    if q in pending:
+        exact = occurrence_probability(u, "".join(chars[: q - start]) + sym, start)
     else:
         exact = prob * m
-    return exact, bound * mb
+    return exact, bound * mb, pending
 
 
-def maximal_factors(u: UncertainString, tau_min: float, start: int) -> set[MaximalFactor]:
-    """Every maximal factor aligned at ``start``.
+def _windows(u: UncertainString, tau_min: float, start: int) -> Iterator[tuple[str, list[float], bool]]:
+    """Every window at ``start`` whose probability reaches tau_min, depth first.
 
-    Depth-first enumeration; branches are cut once an optimistic completion
-    bound falls below tau_min, which on correlation-free strings is just the
-    running product.  Maximality is checked against the actual one-character
-    extensions, so it does not assume the product shrinks monotonically.
+    Yields ``(symbols, chain, maximal)``: ``chain[k]`` is the probability of
+    the first k+1 symbols, and ``maximal`` says that no one-character
+    extension qualifies.  A branch is cut once its optimistic bound falls
+    below tau_min, which on correlation-free strings is just the product;
+    maximality is checked against the actual extensions, so it does not assume
+    that the product shrinks as the window grows.
     """
-    if not 0.0 < tau_min <= 1.0:
-        raise ValueError(f"tau_min {tau_min!r} not in (0, 1]")
-    if not 1 <= start <= u.n:
-        raise ValueError(f"start {start} outside [1, {u.n}]")
-
-    out: set[MaximalFactor] = set()
     chars: list[str] = []
-    # frame: [exact, bound, child iterator, saw a qualifying extension]
-    frames: list[list] = [[1.0, 1.0, iter(u.positions[start - 1].items()), False]]
+    chain: list[float] = []
+    # frame: [bound, pending, child iterator, saw a qualifying extension]
+    frames: list[list] = [[1.0, frozenset(), iter(u.positions[start - 1]), False]]
     while frames:
         fr = frames[-1]
-        descended = False
-        for sym, _ in fr[2]:
-            exact, bound = _extend(u, start, chars, fr[0], fr[1], sym)
+        q = start + len(chars)
+        prob = chain[-1] if chain else 1.0
+        for sym in fr[2]:
+            exact, bound, pending = _grow(u, start, q, chars, sym, prob, fr[0], fr[1])
             if exact >= tau_min:
                 fr[3] = True
             if bound >= tau_min:
                 chars.append(sym)
-                q = start + len(chars)
-                nxt = iter(u.positions[q - 1].items()) if q <= u.n else iter(())
-                frames.append([exact, bound, nxt, False])
-                descended = True
+                chain.append(exact)
+                frames.append([bound, pending, iter(u.positions[q] if q < u.n else ()), False])
                 break
-        if descended:
-            continue
-        frames.pop()
-        if chars:
-            if fr[0] >= tau_min and not fr[3]:
-                out.add(MaximalFactor(start, "".join(chars), fr[0]))
-            chars.pop()
-    assert len(out) == len({f.symbols for f in out})
-    return out
+        else:
+            frames.pop()
+            if chars:
+                if chain[-1] >= tau_min:
+                    yield "".join(chars), chain[:], not fr[3]
+                chars.pop()
+                chain.pop()
+
+
+def maximal_factors(u: UncertainString, tau_min: float, start: int) -> set[MaximalFactor]:
+    """Every maximal factor aligned at ``start``: the windows ``_windows`` flags maximal."""
+    if not 0.0 < tau_min <= 1.0:
+        raise ValueError(f"tau_min {tau_min!r} not in (0, 1]")
+    if not 1 <= start <= u.n:
+        raise ValueError(f"start {start} outside [1, {u.n}]")
+    return {
+        MaximalFactor(start, symbols, chain[-1])
+        for symbols, chain, maximal in _windows(u, tau_min, start)
+        if maximal
+    }
 
 
 def prefix_probabilities(u: UncertainString, symbols: str, start: int) -> list[float]:
     """Occurrence probability of every prefix of ``symbols`` at ``start``.
 
-    Equals ``occurrence_probability(u, symbols[:k], start)`` bit for bit: the
-    product grows on the right, and when a newly added character is the
-    conditioner of an earlier one the affected prefix is recomputed from
-    scratch in the same left-to-right order.
+    Grows the window with ``_grow``, the rule the factor walk uses, so entry
+    k equals ``occurrence_probability(u, symbols[: k + 1], start)`` bit for bit.
     """
-    by_source = u.by_source
     probs: list[float] = []
-    running = 1.0
-    pending: set[int] = set()
-    for t, sym in enumerate(symbols):
-        q = start + t
-        if q in pending:
-            pending.discard(q)
-            running = occurrence_probability(u, symbols[: t + 1], start)
-        else:
-            corr = by_source.get((q, sym)) if by_source else None
-            if corr is None:
-                m = u.positions[q - 1].get(sym, 0.0)
-            elif start <= corr.cond_pos < q:
-                m = corr.p_plus if symbols[corr.cond_pos - start] == corr.cond_sym else corr.p_minus
-            else:
-                m = corr.marginal(u.pr(corr.cond_pos, corr.cond_sym))
-            running = running * m
-        corr = by_source.get((q, sym)) if by_source else None
-        if corr is not None and corr.cond_pos > q:
-            pending.add(corr.cond_pos)
-        probs.append(running)
+    prob = bound = 1.0
+    pending: frozenset[int] = frozenset()
+    for q, sym in enumerate(symbols, start):
+        prob, bound, pending = _grow(u, start, q, symbols, sym, prob, bound, pending)
+        probs.append(prob)
     return probs
 
 
@@ -330,16 +327,17 @@ def transform(u: UncertainString, tau_min: float, length_cap: int | None = None)
     cum: list[float] = []
     sep = 0
     for start in range(1, u.n + 1):
-        for fac in sorted(maximal_factors(u, tau_min, start), key=lambda f: f.symbols):
-            if len(codes) + len(fac.symbols) + 1 > length_cap:
+        windows = _windows(u, tau_min, start)
+        for symbols, chain in sorted((s, c) for s, c, maximal in windows if maximal):
+            if len(codes) + len(symbols) + 1 > length_cap:
                 raise CapacityError(
                     f"transformed text would exceed the length cap {length_cap}"
                     " (raise it via --cap / length_cap)",
                     cap=length_cap,
                 )
-            codes.extend(ord(c) for c in fac.symbols)
-            pos.extend(range(start, start + len(fac.symbols)))
-            cum.extend(prefix_probabilities(u, fac.symbols, start))
+            codes.extend(map(ord, symbols))
+            pos.extend(range(start, start + len(symbols)))
+            cum.extend(chain)
             sep += 1
             codes.append(-sep)
             pos.append(0)
@@ -353,57 +351,27 @@ def transform(u: UncertainString, tau_min: float, length_cap: int | None = None)
     )
 
 
-def _qualifying_windows(u: UncertainString, tau_min: float) -> Iterator[tuple[str, int, float]]:
-    """All (pattern, start, prob) with occurrence probability >= tau_min."""
-    for start in range(1, u.n + 1):
-        chars: list[str] = []
-        frames: list[list] = [[1.0, 1.0, iter(u.positions[start - 1].items())]]
-        while frames:
-            fr = frames[-1]
-            descended = False
-            for sym, _ in fr[2]:
-                exact, bound = _extend(u, start, chars, fr[0], fr[1], sym)
-                if bound >= tau_min:
-                    if exact >= tau_min:
-                        yield "".join(chars) + sym, start, exact
-                    chars.append(sym)
-                    q = start + len(chars)
-                    nxt = iter(u.positions[q - 1].items()) if q <= u.n else iter(())
-                    frames.append([exact, bound, nxt])
-                    descended = True
-                    break
-            if descended:
-                continue
-            frames.pop()
-            if chars:
-                chars.pop()
-
-
 def conservation_check(
     u: UncertainString, tau_min: float, tt: TransformedText
 ) -> tuple[str, int] | None:
     """Exhaustively verify the transform's conservation contract on a small string.
 
-    Returns None when every qualifying (pattern, start) appears in the text at
-    an offset mapping back to its start with the same window product, or the
-    first missing pair otherwise.
+    Returns None when every qualifying (pattern, start) is a prefix of a factor
+    aligned at that start, with the stored ``cum`` equal to the model's
+    ``occurrence_probability`` bit for bit; otherwise the first failing pair.
     """
     if u.n > 40:
         raise ValueError("exhaustive conservation check is limited to n <= 40")
     codes = tt.codes.tolist()
-    pos = tt.pos.tolist()
-    n = tt.n
-    for p, start, prob in _qualifying_windows(u, tau_min):
-        want = [ord(c) for c in p]
-        L = len(want)
-        found = False
-        for o in range(0, n - L + 1):
-            if pos[o] == start and codes[o : o + L] == want:
-                found = True
-                break
-        if not found:
-            return p, start
-        chain = prefix_probabilities(u, p, start)
-        if chain[-1] != prob:
-            return p, start
+    cum = tt.cum.tolist()
+    heads: dict[int, list[int]] = {}
+    for b, _ in tt.factor_runs():
+        heads.setdefault(int(tt.pos[b]), []).append(b)
+    for start in range(1, u.n + 1):
+        for p, _, _ in _windows(u, tau_min, start):
+            want = [ord(c) for c in p]
+            L = len(want)
+            o = next((b for b in heads.get(start, ()) if codes[b : b + L] == want), None)
+            if o is None or cum[o + L - 1] != occurrence_probability(u, p, start):
+                return p, start
     return None

@@ -155,6 +155,8 @@ def build_listing(
     saidx = build_suffix_array(tt.codes)
     n = tt.n
     m_short = cfg.m_short if cfg.m_short is not None else max(1, n.bit_length() - 1)
+    if m_short < 1:
+        raise ValueError("m_short must be at least 1")
 
     short_tables: list[tuple[np.ndarray, RmqIndex]] = []
     if n:

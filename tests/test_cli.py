@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import json
 import zipfile
 
+import numpy as np
 import pytest
 
 from ustrindex import parse_ust_file, write_ust_file
@@ -122,7 +124,9 @@ def test_wrong_kind_and_missing_files_exit_two(genome_file, collection_file, tmp
     assert main(["query", str(tmp_path / "nope.usi"), "--pattern", "A", "--tau", "0.1"]) == 2
 
 
-@pytest.mark.parametrize("damage", ["not a zip", "missing member", "manifest not json", "manifest not an object"])
+@pytest.mark.parametrize(
+    "damage", ["not a zip", "missing member", "manifest not json", "manifest not an object", "codes too short"]
+)
 def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, capsys):
     path = tmp_path / "g.usi"
     main(["build", genome_file, "-o", str(path), "--tau-min", "0.1"])
@@ -133,6 +137,10 @@ def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, ca
     else:
         if damage == "missing member":
             del entries["short_1.npy"]
+        elif damage == "codes too short":
+            buf = io.BytesIO()
+            np.save(buf, np.arange(3, dtype=np.int64))
+            entries["codes.npy"] = buf.getvalue()
         else:
             entries["manifest.json"] = b"{not json" if damage == "manifest not json" else b"[1]"
         with zipfile.ZipFile(path, "w") as zf:
@@ -140,7 +148,8 @@ def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, ca
                 zf.writestr(name, data)
     capsys.readouterr()
     assert main(["query", str(path), "--pattern", "A", "--tau", "0.1"]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
@@ -169,30 +178,3 @@ def test_verify_reports_mismatches(genome_file, capsys, monkeypatch):
     assert main(["verify", genome_file, "--tau-min", "0.1"]) == 5
     assert "mismatch" in capsys.readouterr().out
 
-
-def test_bench_writes_csv_and_gnuplot(tmp_path, capsys):
-    csv_path = tmp_path / "bench.csv"
-    plot_path = tmp_path / "bench.gp"
-    assert (
-        main(
-            [
-                "bench",
-                "--axis",
-                "n",
-                "--values",
-                "120,200",
-                "-o",
-                str(csv_path),
-                "--queries",
-                "5",
-                "--gnuplot",
-                str(plot_path),
-            ]
-        )
-        == 0
-    )
-    rows = csv_path.read_text().splitlines()
-    assert rows[0].startswith("axis,value,build_seconds")
-    assert len(rows) == 3 and rows[1].startswith("n,120")
-    assert "linespoints" in plot_path.read_text()
-    assert "n=120" in capsys.readouterr().out

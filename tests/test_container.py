@@ -12,6 +12,7 @@ import pytest
 
 from ustrindex import (
     ContainerError,
+    DocumentCollection,
     IndexContainer,
     approx_items,
     build_container,
@@ -20,6 +21,7 @@ from ustrindex import (
     query_items,
     sample_world,
     save_container,
+    serialize_ust,
 )
 
 
@@ -161,3 +163,54 @@ def test_tree_view_is_built_only_for_links(genome, tmp_path):
     save_container(linked, path)
     back = load_container(path)
     assert back.links.tree is back.substring.tree
+
+
+def test_load_rejects_a_truncated_array_member(genome, tmp_path):
+    path = str(tmp_path / "t.usi")
+    save_container(build_container([genome], 0.1), path)
+    entries = _entries(path)
+    entries["cum.npy"] = entries["cum.npy"][:20]
+    _rewrite(path, entries)
+    with pytest.raises(ContainerError, match="not a sound index container"):
+        load_container(path)
+
+
+def test_load_rejects_a_substring_manifest_with_two_sources(genome, correlated, tmp_path):
+    path = str(tmp_path / "s.usi")
+    save_container(build_container([genome], 0.1), path)
+    entries = _entries(path)
+    manifest = json.loads(entries["manifest.json"])
+    manifest["source"] = serialize_ust(DocumentCollection((genome, correlated)))
+    entries["manifest.json"] = json.dumps(manifest).encode()
+    _rewrite(path, entries)
+    with pytest.raises(ContainerError, match="one source string"):
+        load_container(path)
+
+
+@pytest.mark.parametrize(
+    "kind, member",
+    [
+        ("substring", "codes"),
+        ("substring", "pos"),
+        ("substring", "cum"),
+        ("substring", "short_2"),
+        ("substring", "long_3"),
+        ("substring", "link_tdepth"),
+        ("listing", "doc_of"),
+    ],
+)
+def test_load_rejects_an_array_of_the_wrong_length(kind, member, genome, collection, tmp_path):
+    path = str(tmp_path / "l.usi")
+    if kind == "substring":
+        container = build_container([genome], 0.1, epsilon=0.05, m_short=2)
+    else:
+        container = build_container(list(collection.docs), 0.1, metric="max")
+    save_container(container, path)
+    entries = _entries(path)
+    assert f"{member}.npy" in entries
+    buf = io.BytesIO()
+    np.save(buf, np.load(io.BytesIO(entries[f"{member}.npy"]))[:3])
+    entries[f"{member}.npy"] = buf.getvalue()
+    _rewrite(path, entries)
+    with pytest.raises(ContainerError, match="has shape"):
+        load_container(path)

@@ -111,6 +111,20 @@ def test_transform_layout(worlds_example):
     assert tt.text.count("$") == len(tt.factor_table)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_transform_cum_is_bitwise_occurrence(seed):
+    rng = random.Random(seed)
+    u = random_ustring(rng, n=rng.randint(2, 12), correlation_rate=0.3)
+    tau_min = rng.choice((0.15, 0.25, 0.4))
+    tt = transform(u, tau_min)
+    cum = tt.cum.tolist()
+    for b, e in tt.factor_runs():
+        start = int(tt.pos[b])
+        symbols = tt.window_text(b, e - b)
+        assert cum[b:e] == [occurrence_probability(u, symbols[: k + 1], start) for k in range(e - b)]
+
+
 def test_empty_text_has_no_factors():
     empty = np.zeros(0, dtype=np.int64)
     tt = TransformedText(empty, empty, np.zeros(0, dtype=np.float64), 0.5)

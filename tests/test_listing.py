@@ -68,6 +68,9 @@ def test_build_listing_validates_inputs(collection):
     broken = DocumentCollection((UncertainString("b", ({"a": 0.4},)),))
     with pytest.raises(ValueError, match="invalid document"):
         build_listing(broken, 0.1, "max")
+    for m_short in (0, -1):
+        with pytest.raises(ValueError, match="m_short must be at least 1"):
+            build_listing(collection, 0.1, "max", ListingConfig(m_short=m_short))
 
 
 def test_listing_query_guards(collection):
