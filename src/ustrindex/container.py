@@ -2,12 +2,16 @@
 
 The file is a zip archive holding ``manifest.json`` plus one ``.npy`` entry
 per stored array.  Probability tables are written verbatim, so a reopened
-index answers queries bit for bit like the one that was saved.  Loading
+index answers queries bit for bit like the one that was saved.  Format
+version 2 stores each short depth sparsely: ``short_i`` holds the values and
+``short_i_slots`` their slots (see ``textcore.SparseDepth``).  Loading
 rebuilds the suffix array, the RMQ tables and, for a listing index, the
-annotations; a substring index derives its annotations on its first query.
-The suffix-tree view is built only when the container holds approximate
-links.  A file that is not such an archive, lacks a member, holds an
-unreadable member or an array of the wrong length raises ``ContainerError``.
+annotations; a substring index derives its annotations on its first long
+query.  The suffix-tree view is built only when the container holds
+approximate links.  A file that is not such an archive, is of another
+version, lacks a member, holds an unreadable member, or an array whose
+dtype, length or contents do not fit the index raises ``ContainerError``
+before anything is built.
 """
 
 from __future__ import annotations
@@ -25,12 +29,15 @@ from .factorize import TransformedText, build_annotations
 from .listing import ListingConfig, ListingIndex, build_listing
 from .model import DocumentCollection, UncertainString
 from .qindex import IndexConfig, SubstringIndex, build
-from .textcore import TreeView, build_suffix_array, rmq_build  # noqa: F401 - perfbench wraps TreeView
+from .textcore import SparseDepth, TreeView, build_suffix_array, rmq_build  # noqa: F401 - perfbench wraps TreeView
 from .ustformat import parse_ust, serialize_ust
 
 __all__ = ["FORMAT_VERSION", "IndexContainer", "build_container", "load_container", "save_container"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+_MAX_CODE = 0x10FFFF  # the largest code point; separators are -1 down to -n
+_MAX_FLOAT = float(np.finfo(np.float64).max)
 
 
 @dataclass(eq=False)
@@ -98,8 +105,7 @@ def save_container(container: IndexContainer, path: str) -> None:
         manifest["l_max"] = idx.l_max
         manifest["long_depths"] = sorted(idx.long_tables)
         tt = idx.tt
-        for i, (values, _) in enumerate(idx.short_tables, start=1):
-            arrays[f"short_{i}"] = values
+        short_tables = idx.short_tables
         for depth, (pb, _) in idx.long_tables.items():
             arrays[f"long_{depth}"] = pb
     elif container.kind == "listing":
@@ -109,11 +115,13 @@ def save_container(container: IndexContainer, path: str) -> None:
         manifest["m_short"] = lidx.m_short
         tt = lidx.tt
         arrays["doc_of"] = lidx.doc_of
-        for i, (values, _) in enumerate(lidx.short_tables, start=1):
-            arrays[f"short_{i}"] = values
+        short_tables = lidx.short_tables
     else:
         raise ValueError(f"unknown container kind {container.kind!r}")
 
+    for i, (values, depth) in enumerate(short_tables, start=1):
+        arrays[f"short_{i}"] = values
+        arrays[f"short_{i}_slots"] = depth.slots
     arrays["codes"] = tt.codes
     arrays["pos"] = tt.pos
     arrays["cum"] = tt.cum
@@ -149,22 +157,65 @@ def load_container(path: str) -> IndexContainer:
         raise ContainerError(f"{path} is not a sound index container: {exc}") from exc
 
 
-def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int) -> None:
-    """Every stored array is one-dimensional with the length the index layout implies."""
-    n = arrays["codes"].size
+def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, docs) -> None:
+    """Every stored array has the dtype, length and contents the index layout implies.
+
+    Runs before anything is built, so a tampered array raises ContainerError
+    instead of a traceback or a silently wrong answer later.
+    """
+    codes = arrays["codes"]
+    n = codes.size
     want = {"codes": n, "pos": n, "cum": n}
-    want.update((f"short_{i}", n) for i in range(1, m_short + 1))
+    dtypes = {"codes": np.int64, "pos": np.int64, "cum": np.float64}
+    for i in range(1, m_short + 1):
+        k = arrays[f"short_{i}_slots"].size
+        want[f"short_{i}_slots"] = want[f"short_{i}"] = k
+        dtypes[f"short_{i}_slots"], dtypes[f"short_{i}"] = np.int32, np.float64
     if manifest["kind"] == "listing":
         want["doc_of"] = n
-    elif manifest["kind"] == "substring":
+        dtypes["doc_of"] = np.int64
+    else:
         # one block maximum per d text slots, as ``qindex.build`` cuts them
-        want.update((f"long_{d}", len(range(0, n, int(d)))) for d in manifest["long_depths"])
+        for d in manifest["long_depths"]:
+            want[f"long_{d}"] = len(range(0, n, int(d)))
+            dtypes[f"long_{d}"] = np.float64
         if manifest["epsilon"] is not None:
             k = arrays["link_origin"].size
             want.update((f"link_{a}", k) for a in ("origin", "pos", "stored", "odepth", "tdepth"))
+    for name, dtype in dtypes.items():
+        if arrays[name].dtype != dtype:
+            raise ContainerError(f"array {name} has dtype {arrays[name].dtype}, expected {np.dtype(dtype)}")
     for name, length in want.items():
         if arrays[name].shape != (length,):
             raise ContainerError(f"array {name} has shape {arrays[name].shape}, expected ({length},)")
+
+    def bad(name: str, what: str) -> ContainerError:
+        return ContainerError(f"array {name} holds {what}")
+
+    if n and (codes.min() < -n or codes.max() > _MAX_CODE):
+        raise bad("codes", "a code that no text holds")
+    sep = codes < 0
+    pos = arrays["pos"]
+    if np.any(pos[sep] != 0):
+        raise bad("pos", "a position at a separator")
+    if np.any(arrays["cum"][sep] != -1.0):
+        raise bad("cum", "a probability at a separator")
+    limit = max((d.n for d in docs), default=0)
+    if manifest["kind"] == "listing":
+        doc_of = arrays["doc_of"]
+        if n and (doc_of.min() < 0 or doc_of.max() >= len(docs)):
+            raise bad("doc_of", "a document number out of range")
+        limit = np.array([d.n for d in docs], dtype=np.int64)[doc_of[~sep]]
+    if np.any((pos[~sep] < 1) | (pos[~sep] > limit)):
+        raise bad("pos", "a position outside its source string")
+    # additive "or" scores of several occurrences may exceed 1
+    top = _MAX_FLOAT if manifest["kind"] == "listing" and manifest["metric"] == "or" else 1.0
+    for i in range(1, m_short + 1):
+        slots, values = arrays[f"short_{i}_slots"], arrays[f"short_{i}"]
+        if slots.size and (slots[0] < 1 or slots[-1] > n or np.any(slots[1:] <= slots[:-1])):
+            raise bad(f"short_{i}_slots", "slots that are not strictly increasing within [1, n]")
+        if not np.all((values > 0.0) & (values <= top)):
+            raise bad(f"short_{i}", f"a value outside (0, {top:g}] or NaN")
 
 
 def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
@@ -178,16 +229,19 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
     tau_min = float(manifest["tau_min"])
     docs = parse_ust(manifest["source"])
     m_short = int(manifest["m_short"])
-    _check_shapes(manifest, arrays, m_short)
+    if kind not in ("substring", "listing"):
+        raise ContainerError(f"unknown container kind {kind!r}")
+    if kind == "substring" and len(docs) != 1:
+        raise ContainerError(f"a substring container holds one source string, not {len(docs)}")
+    _check_shapes(manifest, arrays, m_short, docs)
     codes, pos, cum = arrays["codes"], arrays["pos"], arrays["cum"]
     saidx = build_suffix_array(codes)
     short_tables = [
-        (arrays[f"short_{i}"], rmq_build(arrays[f"short_{i}"])) for i in range(1, m_short + 1)
+        (arrays[f"short_{i}"], SparseDepth(arrays[f"short_{i}_slots"], rmq_build(arrays[f"short_{i}"])))
+        for i in range(1, m_short + 1)
     ]
 
     if kind == "substring":
-        if len(docs) != 1:
-            raise ContainerError(f"a substring container holds one source string, not {len(docs)}")
         (u,) = docs
         tt = TransformedText(codes, pos, cum, tau_min, source=u)
         long_tables = {
@@ -214,14 +268,11 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
             )
         return IndexContainer("substring", tau_min, substring=idx, links=links, epsilon=epsilon)
 
-    if kind == "listing":
-        collection = DocumentCollection(tuple(docs))
-        tt = TransformedText(codes, pos, cum, tau_min, source=None)
-        doc_of = arrays["doc_of"]
-        ann = build_annotations(tt, doc_lookup=lambda o: collection.docs[int(doc_of[o])])
-        lidx = ListingIndex(
-            collection, manifest["metric"], tau_min, tt, ann, doc_of, saidx, m_short, short_tables
-        )
-        return IndexContainer("listing", tau_min, listing=lidx, metric=lidx.metric)
-
-    raise ContainerError(f"unknown container kind {kind!r}")
+    collection = DocumentCollection(tuple(docs))
+    tt = TransformedText(codes, pos, cum, tau_min, source=None)
+    doc_of = arrays["doc_of"]
+    ann = build_annotations(tt, doc_lookup=lambda o: collection.docs[int(doc_of[o])])
+    lidx = ListingIndex(
+        collection, manifest["metric"], tau_min, tt, ann, doc_of, saidx, m_short, short_tables
+    )
+    return IndexContainer("listing", tau_min, listing=lidx, metric=lidx.metric)

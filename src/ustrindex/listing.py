@@ -1,8 +1,10 @@
 """Document listing over collections of uncertain strings (Problem 2).
 
 Per-document transforms are concatenated into one text (separators stay
-globally unique), and for every short depth a relevance array holds each
-document's aggregated score once per locus partition.  Aggregation visits a
+globally unique), and for every short depth a sparse table
+(``textcore.SparseDepth``) holds each document's aggregated score once per
+locus partition, at the partition's first slot of that document; queries
+report it block by block like short substring queries.  Aggregation visits a
 document's occurrences in ascending original position, which is also the
 order an exhaustive scan visits them, so scores match such a scan bit for
 bit.
@@ -17,9 +19,9 @@ import numpy as np
 
 from .factorize import Annotations, TransformedText, build_annotations, depth_values, transform
 from .model import DocumentCollection, UncertainString, occurrence_probability, validate
-from .qindex import QueryStats, _locate, _rmq_collect, _window_probability
+from .qindex import QueryStats, _locate, _window_probability
 from .textcore import (
-    RmqIndex,
+    SparseDepth,
     SuffixArrayIndex,
     TreeView,
     build_suffix_array,
@@ -98,7 +100,7 @@ class ListingIndex:
     doc_of: np.ndarray
     saidx: SuffixArrayIndex
     m_short: int
-    short_tables: list[tuple[np.ndarray, RmqIndex]] = field(repr=False)
+    short_tables: list[tuple[np.ndarray, SparseDepth]] = field(repr=False)
 
     @cached_property
     def tree(self) -> TreeView:
@@ -158,7 +160,7 @@ def build_listing(
     if m_short < 1:
         raise ValueError("m_short must be at least 1")
 
-    short_tables: list[tuple[np.ndarray, RmqIndex]] = []
+    short_tables: list[tuple[np.ndarray, SparseDepth]] = []
     if n:
         sa0 = saidx.sa - 1
         orig = tt.pos[sa0]
@@ -173,12 +175,11 @@ def build_listing(
         for i, v in zip(range(1, m_short + 1), depth_values(ann, window_value, m_short)):
             c = v[sa0].copy()
             c[c < tau_min] = 0.0
-            short_tables.append(
-                _aggregate_depth(c, saidx.lcp, slot_doc, orig, i, n_docs, max_orig, metric)
-            )
+            slots, scores = _aggregate_depth(c, saidx.lcp, slot_doc, orig, i, n_docs, max_orig, metric)
+            short_tables.append((scores, SparseDepth(slots, rmq_build(scores))))
     while len(short_tables) < m_short:
-        zeros = np.zeros(n, dtype=np.float64)
-        short_tables.append((zeros, rmq_build(zeros)))
+        empty = np.zeros(0, dtype=np.float64)
+        short_tables.append((empty, SparseDepth(np.zeros(0, dtype=np.int32), rmq_build(empty))))
     return ListingIndex(
         collection, metric, tau_min, tt, ann, doc_of, saidx, m_short, short_tables
     )
@@ -193,11 +194,15 @@ def _aggregate_depth(
     n_docs: int,
     max_orig: int,
     metric: str,
-) -> tuple[np.ndarray, RmqIndex]:
-    """Fold slot values into one per-document relevance entry per partition."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slots and scores of one per-document relevance entry per partition.
+
+    Each entry sits at the first slot of its (partition, document) group.
+    """
     pid = np.cumsum(lcp < depth)
-    valid = np.nonzero(c > 0.0)[0]
-    out = np.zeros_like(c)
+    valid = np.flatnonzero(c > 0.0)
+    heads: list[int] = []
+    scores: list[float] = []
     if valid.size:
         # drop same-occurrence duplicates (same partition, doc, original position)
         keys = (pid[valid] * np.int64(n_docs) + slot_doc[valid]) * np.int64(
@@ -214,9 +219,11 @@ def _aggregate_depth(
             while j < len(rows) and (pid[rows[j]], slot_doc[rows[j]]) == group_key:
                 j += 1
             chunk = rows[k:j]
-            out[chunk.min()] = _combine([float(c[s]) for s in chunk], metric)
+            heads.append(int(chunk.min()))
+            scores.append(_combine([float(c[s]) for s in chunk], metric))
             k = j
-    return out, rmq_build(out)
+    order = np.argsort(heads)
+    return np.asarray(heads, dtype=np.int32)[order] + 1, np.asarray(scores, dtype=np.float64)[order]
 
 
 def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]], QueryStats]:
@@ -230,10 +237,9 @@ def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]]
     sa = idx.saidx.sa
 
     if m <= idx.m_short:
-        values, rmq = idx.short_tables[m - 1]
-        for j in _rmq_collect(rmq, values, sp, ep, tau, stats):
-            o = sa[j - 1] - 1
-            found[int(idx.doc_of[o])] = float(values[j - 1])
+        values, depth = idx.short_tables[m - 1]
+        hits = depth.report(sp, ep, tau, stats)
+        found = dict(zip(idx.doc_of[sa[depth.slots[hits] - 1] - 1].tolist(), values[hits].tolist()))
     else:
         seen: set[tuple[int, int]] = set()
         per_doc: dict[int, list[tuple[int, float]]] = {}

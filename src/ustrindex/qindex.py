@@ -1,10 +1,13 @@
 """Threshold substring search over uncertain strings (Problem 1).
 
-Short patterns are answered by per-length value arrays with recursive
-range-max probing, long patterns by block maxima plus elementwise
-verification, so reported positions always carry their exact occurrence
-probability.  Every stored value is the same left-to-right product the model
-computes, which keeps threshold comparisons bitwise faithful.
+Short patterns are answered by one sparse table per length (the nonzero
+entries in slot order, see ``textcore.SparseDepth``), reported block by block
+with ``textcore.rmq_report``; long patterns by block maxima, reported the
+same way, plus elementwise verification.  So reported positions always carry
+their exact occurrence probability.  Every stored value is the same
+left-to-right product the model computes, which keeps threshold comparisons
+bitwise faithful.  A substring index builds its annotations on the first
+long query.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ from .factorize import Annotations, TransformedText, depth_values, transform
 from .model import UncertainString, occurrence_probability, validate
 from .textcore import (
     RmqIndex,
+    SparseDepth,
     SuffixArrayIndex,
     TreeView,
     build_suffix_array,
     rmq_build,
-    rmq_query,
+    rmq_report,
     suffix_range,
 )
 
@@ -50,6 +54,7 @@ class QueryStats:
     rmq_calls: int = 0
     block_scans: int = 0
     outputs: int = 0
+    slots_scanned: int = 0
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,7 @@ class SubstringIndex:
     tau_min: float
     m_short: int
     l_max: int
-    short_tables: list[tuple[np.ndarray, RmqIndex]] = field(repr=False)
+    short_tables: list[tuple[np.ndarray, SparseDepth]] = field(repr=False)
     long_tables: dict[int, tuple[np.ndarray, RmqIndex]] = field(repr=False)
 
     @cached_property
@@ -80,17 +85,15 @@ class SubstringIndex:
         return TreeView(self.saidx)
 
 
-def _dedup_depth(values: np.ndarray, lcp: np.ndarray, orig: np.ndarray, depth: int, n_orig: int) -> np.ndarray:
-    """Zero all but the leftmost slot of each original position per depth partition."""
+def _dedup_depth(
+    values: np.ndarray, lcp: np.ndarray, orig: np.ndarray, depth: int, n_orig: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slots and values of the leftmost slot of each original position per depth partition."""
     pid = np.cumsum(lcp < depth)
-    valid = np.nonzero(values > 0.0)[0]
-    out = np.zeros_like(values)
-    if valid.size:
-        keys = pid[valid] * np.int64(n_orig + 1) + orig[valid]
-        _, first = np.unique(keys, return_index=True)
-        keep = valid[first]
-        out[keep] = values[keep]
-    return out
+    valid = np.flatnonzero(values > 0.0)
+    _, first = np.unique(pid[valid] * np.int64(n_orig + 1) + orig[valid], return_index=True)
+    keep = np.sort(valid[first])
+    return (keep + 1).astype(np.int32), values[keep]
 
 
 def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None) -> SubstringIndex:
@@ -110,7 +113,7 @@ def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None)
         raise ValueError("m_short must be at least 1")
     l_max = cfg.l_max if cfg.l_max is not None else tt.longest_factor
 
-    short_tables: list[tuple[np.ndarray, RmqIndex]] = []
+    short_tables: list[tuple[np.ndarray, SparseDepth]] = []
     long_tables: dict[int, tuple[np.ndarray, RmqIndex]] = {}
     if n:
         ann = tt.annotations
@@ -124,33 +127,15 @@ def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None)
         for i, v in zip(range(1, top + 1), depth_values(ann, window_value, top)):
             c = v[sa0]
             if i <= m_short:
-                c = _dedup_depth(c, saidx.lcp, orig, i, u.n)
-                short_tables.append((c, rmq_build(c)))
+                slots, kept = _dedup_depth(c, saidx.lcp, orig, i, u.n)
+                short_tables.append((kept, SparseDepth(slots, rmq_build(kept))))
             else:
                 pb = np.maximum.reduceat(c, np.arange(0, n, i))
                 long_tables[i] = (pb, rmq_build(pb))
     while len(short_tables) < m_short:
-        zeros = np.zeros(n, dtype=np.float64)
-        short_tables.append((zeros, rmq_build(zeros)))
+        empty = np.zeros(0, dtype=np.float64)
+        short_tables.append((empty, SparseDepth(np.zeros(0, dtype=np.int32), rmq_build(empty))))
     return SubstringIndex(u, tt, saidx, tau_min, m_short, l_max, short_tables, long_tables)
-
-
-def _rmq_collect(rmq: RmqIndex, values: np.ndarray, sp: int, ep: int, tau: float, stats: QueryStats) -> list[int]:
-    """Slots in [sp, ep] with value >= tau, found by threshold-pruned max probes."""
-    hits: list[int] = []
-    todo = [(sp, ep)]
-    while todo:
-        l, r = todo.pop()
-        if l > r:
-            continue
-        stats.rmq_calls += 1
-        j = rmq_query(rmq, l, r)
-        if values[j - 1] < tau:
-            continue
-        hits.append(j)
-        todo.append((l, j - 1))
-        todo.append((j + 1, r))
-    return hits
 
 
 def _window_probability(
@@ -185,24 +170,29 @@ def _locate(saidx: SuffixArrayIndex, tau_min: float, p: str, tau: float) -> tupl
     return suffix_range(saidx, p)
 
 
-def _run(idx: SubstringIndex, p: str, tau: float) -> tuple[list[tuple[int, float]], QueryStats]:
+def _run(idx: SubstringIndex, p: str, tau: float) -> tuple[list[int], list[float], QueryStats]:
+    """Ascending qualifying positions, their probabilities, and the work counters."""
     stats = QueryStats()
-    items: list[tuple[int, float]] = []
     rng = _locate(idx.saidx, idx.tau_min, p, tau)
     if rng is None:
-        return items, stats
+        return [], [], stats
     sp, ep = rng
     m = len(p)
     sa = idx.saidx.sa
     tt = idx.tt
-    ann = tt.annotations
 
     if m <= idx.m_short:
-        values, rmq = idx.short_tables[m - 1]
-        for j in _rmq_collect(rmq, values, sp, ep, tau, stats):
-            o = sa[j - 1] - 1
-            items.append((int(tt.pos[o]), float(values[j - 1])))
+        values, depth = idx.short_tables[m - 1]
+        hits = depth.report(sp, ep, tau, stats)
+        found = tt.pos[sa[depth.slots[hits] - 1] - 1]
+        order = np.argsort(found)
+        found = found[order]
+        # a partition stores each original position once
+        assert np.all(found[1:] > found[:-1])
+        positions, probs = found.tolist(), values[hits[order]].tolist()
     else:
+        ann = tt.annotations
+        items: list[tuple[int, float]] = []
         seen: set[int] = set()
 
         def scan_slots(lo: int, hi: int) -> None:
@@ -234,27 +224,29 @@ def _run(idx: SubstringIndex, p: str, tau: float) -> tuple[list[tuple[int, float
                 if be > bhi:
                     stats.block_scans += 1
                     scan_slots(bhi * m + m + 1, ep)
-                for b in _rmq_collect(rmq, pb, blo + 1, bhi + 1, tau, stats):
+                for b in rmq_report(rmq, blo + 1, bhi + 1, tau, stats).tolist():
                     stats.block_scans += 1
                     scan_slots((b - 1) * m + 1, b * m)
+        items.sort()
+        assert len({i for i, _ in items}) == len(items)
+        positions, probs = [i for i, _ in items], [v for _, v in items]
 
-    items.sort()
-    stats.outputs = len(items)
-    assert len({i for i, _ in items}) == len(items)
-    return items, stats
+    stats.outputs = len(positions)
+    return positions, probs, stats
 
 
 def query_items(idx: SubstringIndex, p: str, tau: float) -> list[tuple[int, float]]:
     """Qualifying (position, probability) pairs in ascending position order."""
-    return _run(idx, p, tau)[0]
+    positions, probs, _ = _run(idx, p, tau)
+    return list(zip(positions, probs))
 
 
 def query(idx: SubstringIndex, p: str, tau: float) -> list[int]:
     """All original positions where ``p`` occurs with probability >= ``tau``, ascending."""
-    return [i for i, _ in _run(idx, p, tau)[0]]
+    return _run(idx, p, tau)[0]
 
 
 def query_with_stats(idx: SubstringIndex, p: str, tau: float) -> tuple[list[int], QueryStats]:
     """Like query, with the work counters of this call."""
-    items, stats = _run(idx, p, tau)
-    return [i for i, _ in items], stats
+    positions, _, stats = _run(idx, p, tau)
+    return positions, stats

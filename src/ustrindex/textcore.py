@@ -4,11 +4,16 @@ Text is a sequence of integer codes.  Alphabet characters map to their code
 points; separator sentinels are the negative integers, each occurring at most
 once, so they sort below every character and no common prefix ever spans one.
 Slots (positions in suffix-array order) and text positions are 1-based in the
-public API; ``sa[k - 1]`` is the suffix at slot ``k``.
+public API; ``sa[k - 1]`` is the suffix at slot ``k``.  Patterns are located
+by binary search over a byte encoding of the text, so comparisons run in C.
+``SparseDepth`` is the one format of a sparse short table: the nonzero
+entries of a per-length table in slot order, which ``rmq_report`` reports
+block by block.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -16,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "RmqIndex",
+    "SparseDepth",
     "SuffixArrayIndex",
     "TreeView",
     "build_suffix_array",
@@ -23,6 +29,7 @@ __all__ = [
     "locus",
     "rmq_build",
     "rmq_query",
+    "rmq_report",
     "suffix_range",
 ]
 
@@ -58,6 +65,36 @@ class SuffixArrayIndex:
     @property
     def n(self) -> int:
         return len(self.codes)
+
+    @cached_property
+    def byte_text(self) -> bytes:
+        """The codes as order-preserving big-endian 4-byte words, built on first search."""
+        return _byte_words(self.codes)
+
+    @cached_property
+    def sa_view(self) -> memoryview:
+        """0-based suffix starts in slot order, indexable without a list of n ints."""
+        return memoryview(self.sa - 1)
+
+
+# Shifts every code into uint32 so that separators (negative) sort below
+# letters (code points); codes must lie in [-_OFFSET, _OFFSET).
+_OFFSET = 1 << 31
+
+
+def _byte_words(codes: np.ndarray) -> bytes:
+    return (codes + _OFFSET).astype(">u4").tobytes()
+
+
+def _pattern_key(p) -> bytes | None:
+    """``p`` in the text's byte encoding; None when it holds a code no text holds."""
+    if isinstance(p, str):
+        # code points stay below 2**24, so adding _OFFSET only sets each word's top bit
+        key = bytearray(p.encode("utf-32-be", "surrogatepass"))
+        key[::4] = b"\x80" * len(p)
+        return bytes(key)
+    pattern = encode_pattern(p)
+    return None if pattern.max() >= _OFFSET else _byte_words(pattern)
 
 
 def build_suffix_array(text) -> SuffixArrayIndex:
@@ -106,48 +143,31 @@ def build_suffix_array(text) -> SuffixArrayIndex:
     return SuffixArrayIndex(codes, sa0 + 1, inv0 + 1, np.asarray(lcp, dtype=np.int64))
 
 
-def _compare_suffix(codes: np.ndarray, start: int, pattern: np.ndarray) -> int:
-    """-1, 0, 1 as the suffix at 0-based ``start`` sorts against ``pattern``.
-
-    0 means the pattern is a prefix of the suffix; a suffix that is a proper
-    prefix of the pattern sorts below it.
-    """
-    n = len(codes)
-    m = len(pattern)
-    for t in range(m):
-        if start + t >= n:
-            return -1
-        c = codes[start + t]
-        if c != pattern[t]:
-            return -1 if c < pattern[t] else 1
-    return 0
-
-
 def suffix_range(idx: SuffixArrayIndex, p) -> tuple[int, int] | None:
-    """Maximal slot range [sp, ep] of suffixes prefixed by ``p``; None when absent."""
-    pattern = encode_pattern(p)
-    if pattern.size == 0:
+    """Maximal slot range [sp, ep] of suffixes prefixed by ``p``; None when absent.
+
+    Binary search over bytes: a suffix's first ``len(p)`` codes, encoded as
+    order-preserving big-endian words, compare against the pattern's encoding
+    in C.  A suffix shorter than the pattern is a proper prefix of its key and
+    sorts below it.
+    """
+    if len(p) == 0:
         raise ValueError("pattern is empty")
-    n = idx.n
-    sa = idx.sa
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _compare_suffix(idx.codes, sa[mid] - 1, pattern) < 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    first = lo
-    hi = n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _compare_suffix(idx.codes, sa[mid] - 1, pattern) <= 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    if first == lo:
+    key = _pattern_key(p)
+    if key is None:
         return None
-    return first + 1, lo
+    width = len(key)
+    text = idx.byte_text
+    order = idx.sa_view
+
+    def prefix(s: int) -> bytes:
+        return text[4 * s : 4 * s + width]
+
+    first = bisect_left(order, key, key=prefix)
+    last = bisect_right(order, key, lo=first, key=prefix)
+    if first == last:
+        return None
+    return first + 1, last
 
 
 class TreeView:
@@ -322,9 +342,9 @@ def rmq_query(rmq: RmqIndex, l: int, r: int) -> int:
     l0, r0 = l - 1, r - 1
     bl, br = l0 // _BLOCK, r0 // _BLOCK
     if bl == br:
-        return l0 + int(np.argmax(v[l0 : r0 + 1])) + 1
+        return l0 + int(v[l0 : r0 + 1].argmax()) + 1
 
-    best = l0 + int(np.argmax(v[l0 : (bl + 1) * _BLOCK]))
+    best = l0 + int(v[l0 : (bl + 1) * _BLOCK].argmax())
     if br - bl > 1:
         level = (br - bl - 1).bit_length() - 1
         tab = rmq._table[level]
@@ -333,7 +353,66 @@ def rmq_query(rmq: RmqIndex, l: int, r: int) -> int:
         mid = a if (v[a], -a) >= (v[b], -b) else b
         if v[mid] > v[best]:
             best = mid
-    tail = br * _BLOCK + int(np.argmax(v[br * _BLOCK : r0 + 1]))
+    tail = br * _BLOCK + int(v[br * _BLOCK : r0 + 1].argmax())
     if v[tail] > v[best]:
         best = tail
     return best + 1
+
+
+def rmq_report(rmq: RmqIndex, l: int, r: int, tau: float, stats) -> np.ndarray:
+    """1-based indices in [l, r] whose value is at least ``tau``, ascending.
+
+    Threshold recursion on range maxima (Muthukrishnan's reporting scheme) at
+    block granularity: a probe whose maximum reaches ``tau`` reports the whole
+    block holding it, clipped to the range, with one vectorized comparison,
+    then both sides recurse.  Each such probe reports at least one index, so
+    probes stay within 2 * hits + 1.  ``stats.rmq_calls`` counts the probes
+    and ``stats.slots_scanned`` the entries compared inside blocks.
+    """
+    v = rmq.values
+    found: list[np.ndarray] = []
+    todo = [(l, r)]
+    while todo:
+        l, r = todo.pop()
+        if l > r:
+            continue
+        stats.rmq_calls += 1
+        if (l - 1) // _BLOCK == (r - 1) // _BLOCK:
+            # the range is its own clipped block: one comparison probes and reports
+            stats.slots_scanned += r - l + 1
+            hits = (v[l - 1 : r] >= tau).nonzero()[0]
+            if hits.size:
+                found.append(hits + l)
+            continue
+        j = rmq_query(rmq, l, r) - 1
+        if v[j] < tau:
+            continue
+        lo = max(l - 1, j - j % _BLOCK)
+        hi = min(r, j - j % _BLOCK + _BLOCK)
+        stats.slots_scanned += hi - lo
+        found.append((v[lo:hi] >= tau).nonzero()[0] + (lo + 1))
+        todo.append((l, lo))
+        todo.append((hi + 1, r))
+    if len(found) == 1:
+        return found[0]
+    found.sort(key=lambda hits: hits[0])
+    return np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
+
+
+@dataclass(eq=False)
+class SparseDepth:
+    """The nonzero entries of one short depth, in slot order.
+
+    ``slots`` holds strictly increasing 1-based suffix-array slots as
+    ``int32``; ``rmq`` is built over their values, one per slot.  A depth
+    without entries holds two empty arrays.
+    """
+
+    slots: np.ndarray
+    rmq: RmqIndex
+
+    def report(self, sp: int, ep: int, tau: float, stats) -> np.ndarray:
+        """0-based entry indices with a slot in [sp, ep] and a value of at least ``tau``."""
+        # entries before slot sp and before slot ep + 1; an int32 needle spares a cast of slots
+        l, r = self.slots.searchsorted(np.array((sp, ep + 1), dtype=np.int32)).tolist()
+        return rmq_report(self.rmq, l + 1, r, tau, stats) - 1

@@ -125,7 +125,8 @@ def test_wrong_kind_and_missing_files_exit_two(genome_file, collection_file, tmp
 
 
 @pytest.mark.parametrize(
-    "damage", ["not a zip", "missing member", "manifest not json", "manifest not an object", "codes too short"]
+    "damage",
+    ["not a zip", "missing member", "manifest not json", "manifest not an object", "codes too short", "short value NaN"],
 )
 def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, capsys):
     path = tmp_path / "g.usi"
@@ -141,6 +142,12 @@ def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, ca
             buf = io.BytesIO()
             np.save(buf, np.arange(3, dtype=np.int64))
             entries["codes.npy"] = buf.getvalue()
+        elif damage == "short value NaN":
+            values = np.load(io.BytesIO(entries["short_1.npy"]))
+            values[0] = np.nan
+            buf = io.BytesIO()
+            np.save(buf, values)
+            entries["short_1.npy"] = buf.getvalue()
         else:
             entries["manifest.json"] = b"{not json" if damage == "manifest not json" else b"[1]"
         with zipfile.ZipFile(path, "w") as zf:

@@ -214,3 +214,159 @@ def test_load_rejects_an_array_of_the_wrong_length(kind, member, genome, collect
     _rewrite(path, entries)
     with pytest.raises(ContainerError, match="has shape"):
         load_container(path)
+
+
+def _sparse_tables_are_sound(tables, n: int) -> None:
+    for values, depth in tables:
+        assert values.dtype == np.float64 and depth.slots.dtype == np.int32
+        assert values.shape == depth.slots.shape
+        assert np.all(values > 0.0)
+        assert np.all(np.diff(depth.slots) > 0)
+        assert depth.slots.size == 0 or 1 <= depth.slots[0] <= depth.slots[-1] <= n
+
+
+@pytest.mark.parametrize("kind", ["substring", "listing"])
+def test_short_tables_keep_only_nonzero_entries_in_slot_order(kind, genome, collection, tmp_path):
+    if kind == "substring":
+        container = build_container([genome], 0.1)
+    else:
+        container = build_container(list(collection.docs), 0.1, metric="or")
+    path = str(tmp_path / "sparse.usi")
+    save_container(container, path)
+    for c in (container, load_container(path)):
+        idx = c.substring or c.listing
+        _sparse_tables_are_sound(idx.short_tables, idx.tt.n)
+        assert sum(len(v) for v, _ in idx.short_tables) > 0
+
+
+def test_load_rejects_a_version_1_container(genome, tmp_path):
+    path = str(tmp_path / "v1.usi")
+    save_container(build_container([genome], 0.1), path)
+    entries = _entries(path)
+    manifest = json.loads(entries["manifest.json"])
+    manifest["format_version"] = 1
+    entries["manifest.json"] = json.dumps(manifest).encode()
+    _rewrite(path, entries)
+    with pytest.raises(ContainerError, match="unsupported container version 1"):
+        load_container(path)
+
+
+def _tampered(kind: str, member: str, change, genome, collection, tmp_path) -> str:
+    """A saved container of ``kind`` whose ``member`` array went through ``change``."""
+    path = str(tmp_path / "x.usi")
+    if kind == "substring":
+        container = build_container([genome], 0.1, m_short=2)
+    else:
+        container = build_container(list(collection.docs), 0.1, metric="max")
+    save_container(container, path)
+    entries = _entries(path)
+    buf = io.BytesIO()
+    np.save(buf, change(np.load(io.BytesIO(entries[f"{member}.npy"]))))
+    entries[f"{member}.npy"] = buf.getvalue()
+    _rewrite(path, entries)
+    return path
+
+
+def _set_first(mask, value):
+    """Set the entry at the first position ``mask(a)`` selects."""
+
+    def change(a):
+        a = a.copy()
+        a[np.flatnonzero(mask(a))[0]] = value
+        return a
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "kind, member, dtype",
+    [
+        ("substring", "codes", np.float64),
+        ("substring", "pos", np.int32),
+        ("substring", "cum", np.float32),
+        ("substring", "short_1", np.float32),
+        ("substring", "short_1_slots", np.int64),
+        ("substring", "long_3", np.float32),
+        ("listing", "doc_of", np.float64),
+    ],
+)
+def test_load_rejects_an_array_of_the_wrong_dtype(kind, member, dtype, genome, collection, tmp_path):
+    path = _tampered(kind, member, lambda a: a.astype(dtype), genome, collection, tmp_path)
+    with pytest.raises(ContainerError, match=f"array {member} has dtype"):
+        load_container(path)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda a: a[::-1].copy(),
+        lambda a: np.concatenate([a[:1], a[:-1]]),  # a repeated slot
+        _set_first(lambda a: a == a, 0),
+        _set_first(lambda a: a == a.max(), 10**6),
+    ],
+    ids=["reversed", "repeated", "zero", "past n"],
+)
+def test_load_rejects_slots_out_of_order_or_range(change, genome, collection, tmp_path):
+    path = _tampered("substring", "short_2_slots", change, genome, collection, tmp_path)
+    with pytest.raises(ContainerError, match="short_2_slots holds slots"):
+        load_container(path)
+
+
+def test_load_rejects_slots_and_values_of_different_lengths(genome, collection, tmp_path):
+    path = _tampered("substring", "short_2_slots", lambda a: a[:-1], genome, collection, tmp_path)
+    with pytest.raises(ContainerError, match="short_2 has shape"):
+        load_container(path)
+
+
+@pytest.mark.parametrize("kind", ["substring", "listing"])
+@pytest.mark.parametrize("bad", [0.0, -0.25, 1.5, np.nan])
+def test_load_rejects_a_short_value_outside_the_unit_interval(kind, bad, genome, collection, tmp_path):
+    path = _tampered(kind, "short_1", _set_first(lambda a: a == a, bad), genome, collection, tmp_path)
+    with pytest.raises(ContainerError, match="short_1 holds a value outside"):
+        load_container(path)
+
+
+def test_listing_or_scores_may_exceed_one_but_not_be_nan(collection, tmp_path):
+    path = str(tmp_path / "or.usi")
+    save_container(build_container(list(collection.docs), 0.1, metric="or"), path)
+    entries = _entries(path)
+    for bad, ok in ((1.5, True), (np.inf, False), (np.nan, False)):
+        buf = io.BytesIO()
+        np.save(buf, _set_first(lambda a: a == a, bad)(np.load(io.BytesIO(entries["short_1.npy"]))))
+        _rewrite(path, {**entries, "short_1.npy": buf.getvalue()})
+        if ok:
+            load_container(path)
+        else:
+            with pytest.raises(ContainerError, match="short_1 holds a value outside"):
+                load_container(path)
+
+
+@pytest.mark.parametrize(
+    "kind, member, change, what",
+    [
+        ("substring", "pos", lambda a: a[::-1].copy(), "a position at a separator"),
+        ("substring", "pos", _set_first(lambda a: a == 0, 5), "a position at a separator"),
+        ("substring", "cum", _set_first(lambda a: a == -1.0, 0.5), "a probability at a separator"),
+        ("substring", "pos", _set_first(lambda a: a > 0, 0), "a position outside its source"),
+        ("substring", "pos", _set_first(lambda a: a > 0, 12), "a position outside its source"),
+        ("listing", "pos", _set_first(lambda a: a > 0, 4), "a position outside its source"),
+        ("substring", "codes", _set_first(lambda a: a > 0, 0x110000), "a code that no text holds"),
+        ("listing", "doc_of", _set_first(lambda a: a == a, -1), "a document number out of range"),
+        ("listing", "doc_of", _set_first(lambda a: a == a, 3), "a document number out of range"),
+    ],
+    ids=[
+        "pos reversed",
+        "pos at a separator",
+        "cum at a separator",
+        "pos zero",
+        "pos past the string",
+        "pos past its document",
+        "codes past the code points",
+        "doc_of negative",
+        "doc_of past the documents",
+    ],
+)
+def test_load_rejects_tampered_text_arrays(kind, member, change, what, genome, collection, tmp_path):
+    path = _tampered(kind, member, change, genome, collection, tmp_path)
+    with pytest.raises(ContainerError, match=f"array {member} holds {what}"):
+        load_container(path)

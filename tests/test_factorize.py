@@ -80,10 +80,20 @@ def test_maximal_factors_match_brute_force(seed):
 @given(st.integers(0, 10**6))
 def test_prefix_probabilities_are_bitwise_occurrence(seed):
     rng = random.Random(seed)
-    u = random_ustring(rng, n=rng.randint(2, 10), correlation_rate=0.5)
-    start = rng.randint(1, u.n)
-    m = rng.randint(1, u.n - start + 1)
-    symbols = "".join(rng.choice(sorted(u.positions[start - 1 + t])) for t in range(m))
+    u = random_ustring(rng, n=rng.randint(3, 10), theta=0.8, correlation_rate=0.8)
+    forward = [c for c in u.correlations if c.src_pos < c.cond_pos]
+    fixed: dict[int, str] = {}
+    if forward and rng.random() < 0.9:
+        # the window spells a source and, to its right, the conditioner's
+        # cond_sym: growing onto the conditioner restarts the product
+        c = rng.choice(forward)
+        start = rng.randint(1, c.src_pos)
+        m = rng.randint(c.cond_pos, u.n) - start + 1
+        fixed = {c.src_pos: c.src_sym, c.cond_pos: c.cond_sym}
+    else:
+        start = rng.randint(1, u.n)
+        m = rng.randint(1, u.n - start + 1)
+    symbols = "".join(fixed.get(q) or rng.choice(sorted(u.positions[q - 1])) for q in range(start, start + m))
     chain = prefix_probabilities(u, symbols, start)
     assert chain == [occurrence_probability(u, symbols[: k + 1], start) for k in range(m)]
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ustrindex.qindex import QueryStats
 from ustrindex.textcore import (
     TreeView,
     build_suffix_array,
@@ -15,6 +16,7 @@ from ustrindex.textcore import (
     locus,
     rmq_build,
     rmq_query,
+    rmq_report,
     suffix_range,
 )
 
@@ -75,19 +77,29 @@ def test_suffix_range_matches_brute_force(seed):
         codes = [97]
     idx = build_suffix_array(codes)
     order = brute_suffix_order(codes)
-    for _ in range(8):
+    for _ in range(12):
         m = rng.randint(1, 5)
-        if rng.random() < 0.7 and len(codes) >= m:
+        draw = rng.random()
+        if draw < 0.5 and len(codes) >= m:
             s = rng.randrange(len(codes) - m + 1)
             pattern = codes[s : s + m]
             if any(c < 0 for c in pattern):
                 continue
+        elif draw < 0.65:
+            # a text suffix extended past the end, or longer than every suffix
+            s = rng.randrange(len(codes))
+            pattern = [c for c in codes[s:] if c >= 0] + [rng.choice((97, 98, 99))]
+            if rng.random() < 0.5:
+                pattern = [97] * (len(codes) + rng.randint(1, 3))
+        elif draw < 0.75:
+            # absent codes: below, between and far above the text's letters
+            pattern = [rng.choice((1, 100, 0x10FFFF, 2**31, 2**40)) for _ in range(m)]
         else:
             pattern = [rng.choice((97, 98, 99, 100)) for _ in range(m)]
         slots = [
             k + 1
             for k, i in enumerate(order)
-            if codes[i : i + m] == pattern
+            if codes[i : i + len(pattern)] == pattern
         ]
         rng_got = suffix_range(idx, pattern)
         if not slots:
@@ -188,3 +200,34 @@ def test_rmq_handles_empty_input():
     assert rmq.n == 0
     with pytest.raises(ValueError):
         rmq_query(rmq, 1, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_rmq_report_matches_a_vectorized_scan(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 400)
+    # sparse hits among many small values, with ties at the threshold
+    values = np.array(
+        [rng.choice((0.05, 0.1, 0.3, 0.3, 0.5, 1.0)) if rng.random() < 0.2 else 0.01 * rng.random() for _ in range(n)]
+    )
+    rmq = rmq_build(values)
+    for _ in range(12):
+        shape = rng.random()
+        if shape < 0.3:  # inside one 64-entry block
+            b = rng.randrange((n + 63) // 64)
+            l = rng.randint(64 * b + 1, min(n, 64 * b + 64))
+            r = rng.randint(l, min(n, 64 * b + 64))
+        elif shape < 0.4:  # empty
+            l = rng.randint(1, n + 1)
+            r = l - 1
+        else:  # across block edges as often as not
+            l = rng.randint(1, n)
+            r = rng.randint(l, n)
+        tau = rng.choice((0.1, 0.3, 0.5, 1.0, 2.0))  # all above the stored minimum
+        stats = QueryStats()
+        got = rmq_report(rmq, l, r, tau, stats)
+        want = l + np.flatnonzero(values[l - 1 : r] >= tau)
+        assert got.tolist() == want.tolist()
+        assert stats.rmq_calls <= 2 * len(want) + 1
+        assert stats.slots_scanned >= len(want)
