@@ -2,11 +2,13 @@
 
 Every original position d marks its suffix-tree leaves and the LCAs of
 d-marked leaf pairs; a link runs from each marked node to its nearest
-d-marked proper ancestor (the root stands in for every position).  Chains
-are cut so that the probabilities inside one segment span at most epsilon,
-and a query stabs the segments whose depth interval brackets the pattern
-length inside the locus subtree.  Reported positions match at probability
-at least tau - epsilon while nothing at or above tau is missed.
+d-marked proper ancestor (the root stands in for every position).  Nodes are
+LCP intervals of the suffix array (Abouelhoda, Kurtz & Ohlebusch 2004), and
+a link's origin is the slot of a d-leaf inside its node.  Chains are cut so
+that the probabilities inside one segment span at most epsilon, and a query
+stabs the segments whose depth interval brackets the pattern length inside
+the pattern's slot range.  Reported positions match at probability at least
+tau - epsilon while nothing at or above tau is missed.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorize import TransformedText, prefix_probabilities
-from .qindex import _check_query
-from .textcore import TreeView, locus
+from .qindex import _locate
+from .textcore import SuffixArrayIndex, locus  # noqa: F401 - locus is unused here; perfbench/tracer.py wraps this name
 
 __all__ = [
     "Link",
@@ -33,12 +35,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RawLink:
-    """One uncut link: a marked node, its position mark, and the depth interval."""
+    """One uncut link: a position mark, its depth interval, and the witness leaf's 0-based offset."""
 
-    origin_pre: int
     pos_id: int
     origin_depth: int
-    target_pre: int
     target_depth: int
     witness_off: int
 
@@ -49,7 +49,7 @@ class RawLinks:
 
     links: list[RawLink]
     tt: TransformedText
-    tree: TreeView
+    saidx: SuffixArrayIndex
     tau_min: float
 
 
@@ -57,11 +57,12 @@ class RawLinks:
 class Link:
     """A chain segment: prefixes of length target_depth+1 .. origin_depth.
 
-    ``stored_prob`` is the occurrence probability of the shallowest of those
-    prefixes at ``pos_id``, the largest value inside the segment.
+    ``origin`` is the slot of the witness leaf.  ``stored_prob`` is the
+    occurrence probability of the shallowest of those prefixes at ``pos_id``,
+    the largest value inside the segment.
     """
 
-    origin_pre: int
+    origin: int
     pos_id: int
     stored_prob: float
     origin_depth: int
@@ -70,10 +71,10 @@ class Link:
 
 @dataclass(eq=False)
 class LinkIndex:
-    """Chain segments in flat arrays ordered by origin preorder id."""
+    """Chain segments in flat arrays ordered by origin slot."""
 
     tt: TransformedText
-    tree: TreeView
+    saidx: SuffixArrayIndex
     tau_min: float
     eps: float
     origin: np.ndarray = field(repr=False)
@@ -92,55 +93,46 @@ class LinkIndex:
         ]
 
 
-def _lca(tree: TreeView, a: int, b: int) -> int:
-    """Lowest common ancestor of two nodes given in preorder (a <= b)."""
-    x = a
-    while tree.subtree_end[x] < b:
-        x = tree.parent[x]
-    return x
-
-
-def build_links(tt: TransformedText, tree: TreeView, tau_min: float) -> RawLinks:
+def build_links(tt: TransformedText, saidx: SuffixArrayIndex, tau_min: float) -> RawLinks:
     """Mark nodes per original position and link each mark to its nearest marked ancestor.
 
-    A leaf is marked with its mapped position; an internal node is marked d
-    exactly when it is the LCA of two d-marked leaves (LCAs of consecutive
-    d-leaves in slot order realize all of them).  Leaf origins are capped at
-    the window room before their separator.
+    The LCAs of consecutive d-leaves in slot order realize every marked
+    internal node.  With ``h_i`` the LCP of the i-th and (i+1)-th d-leaf, a
+    leaf links to depth ``max(h_{i-1}, h_i)``, capped at the window room
+    before its separator; the internal nodes form the Cartesian tree over
+    ``h``, each linking to the larger nearest smaller depth on either side (0,
+    the root, when none) with the left leaf of its leftmost pair as witness.
     """
-    ann = tt.annotations
-    sa = tree.saidx.sa
-    n = tt.n
-    marks: dict[tuple[int, int], int] = {}
-    by_pos: dict[int, list[tuple[int, int]]] = {}
-    for k in range(1, n + 1):
-        o = int(sa[k - 1]) - 1
-        d = int(tt.pos[o])
-        if d == 0:
-            continue
-        leaf = int(tree.leaf_pre[k - 1])
-        marks.setdefault((leaf, d), o)
-        by_pos.setdefault(d, []).append((leaf, o))
-    for d, rows in by_pos.items():
-        for (l1, o1), (l2, _) in zip(rows, rows[1:]):
-            marks.setdefault((_lca(tree, l1, l2), d), o1)
+    sa0 = saidx.sa - 1
+    slot_pos = tt.pos[sa0]
+    slots = np.flatnonzero(slot_pos) + 1
+    slots = slots[np.argsort(slot_pos[slots - 1], kind="stable")]  # by position, then slot
+    d_of = slot_pos[slots - 1]
+    # h[j]: LCP of leaves j and j + 1 of one position; -1 after a position's last leaf
+    h = np.full(slots.size, -1, dtype=np.int64)
+    bounds = np.flatnonzero(np.diff(d_of, prepend=-1, append=-1)).tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        s = slots[a:b]
+        h[a : b - 1] = np.minimum.reduceat(saidx.lcp[s[0] : s[-1]], s[:-1] - s[0])
+    witness = sa0[slots - 1]
+    d_l, w_l, hl = d_of.tolist(), witness.tolist(), h.tolist()
+    eff_l = tt.annotations.eff_len[witness].tolist()
 
     links: list[RawLink] = []
-    for (node, d), woff in sorted(marks.items()):
-        if node == 0:
-            continue
-        anc = int(tree.parent[node])
-        while anc > 0 and (anc, d) not in marks:
-            anc = int(tree.parent[anc])
-        t_depth = int(tree.depth[anc])
-        o_depth = int(tree.depth[node])
-        if tree.subtree_end[node] == node:
-            o_depth = min(o_depth, int(ann.eff_len[woff]))
-        if o_depth <= t_depth:
-            # nothing strictly inside; the ancestor's own link covers these depths
-            continue
-        links.append(RawLink(node, d, o_depth, anc, t_depth, woff))
-    return RawLinks(links, tt, tree, tau_min)
+    # first pairs of the open nodes, depths strictly increasing; a -1 closes a position's nodes
+    stack: list[int] = []
+    for j, v in enumerate(hl):
+        t = max(hl[j - 1] if j else -1, v, 0)
+        if eff_l[j] > t:
+            links.append(RawLink(d_l[j], eff_l[j], t, w_l[j]))
+        while stack and hl[stack[-1]] > v:
+            top = stack.pop()
+            if hl[top] > 0:
+                below = hl[stack[-1]] if stack else 0
+                links.append(RawLink(d_l[top], hl[top], max(below, v, 0), w_l[top]))
+        if not stack or hl[stack[-1]] < v:
+            stack.append(j)
+    return RawLinks(links, tt, saidx, tau_min)
 
 
 def partition_links(raw: RawLinks, eps: float) -> LinkIndex:
@@ -150,14 +142,14 @@ def partition_links(raw: RawLinks, eps: float) -> LinkIndex:
     u = raw.tt.source
     if u is None:
         raise ValueError("partitioning needs the transform's source string")
-    origin: list[int] = []
+    witness: list[int] = []
     pos_id: list[int] = []
     stored: list[float] = []
     o_depth: list[int] = []
     t_depth: list[int] = []
 
     def emit(rl: RawLink, prob: float, deep: int, shallow: int) -> None:
-        origin.append(rl.origin_pre)
+        witness.append(rl.witness_off)
         pos_id.append(rl.pos_id)
         stored.append(prob)
         o_depth.append(deep)
@@ -175,13 +167,14 @@ def partition_links(raw: RawLinks, eps: float) -> LinkIndex:
                 anchor = probs[ell - 1]
         emit(rl, probs[rl.target_depth], seg_deep, rl.target_depth)
 
-    order = np.argsort(np.asarray(origin, dtype=np.int64), kind="stable")
+    origin = raw.saidx.inverse_sa[np.asarray(witness, dtype=np.int64)]
+    order = np.argsort(origin, kind="stable")
     return LinkIndex(
         tt=raw.tt,
-        tree=raw.tree,
+        saidx=raw.saidx,
         tau_min=raw.tau_min,
         eps=eps,
-        origin=np.asarray(origin, dtype=np.int64)[order],
+        origin=origin[order],
         pos_id=np.asarray(pos_id, dtype=np.int64)[order],
         stored=np.asarray(stored, dtype=np.float64)[order],
         o_depth=np.asarray(o_depth, dtype=np.int64)[order],
@@ -190,22 +183,25 @@ def partition_links(raw: RawLinks, eps: float) -> LinkIndex:
 
 
 def approx_items(idx: LinkIndex, p: str, tau: float) -> list[tuple[int, float]]:
-    """Stabbed (position, stored probability) pairs in ascending position order."""
-    _check_query(p, tau, idx.tau_min)
-    node = locus(idx.tree, p)
-    if node is None:
+    """Stabbed (position, stored probability) pairs in ascending position order.
+
+    A node holding a slot of ``p``'s range lies in the locus subtree or is an
+    ancestor of the locus, shallower than ``len(p)``; the depth test drops it.
+    """
+    rng = _locate(idx.saidx, idx.tau_min, p, tau)
+    if rng is None:
+        return []
+    lo = idx.origin.searchsorted(rng[0])
+    hi = idx.origin.searchsorted(rng[1], side="right")
+    if lo == hi:
         return []
     m = len(p)
-    lo = int(np.searchsorted(idx.origin, node, side="left"))
-    hi = int(np.searchsorted(idx.origin, int(idx.tree.subtree_end[node]), side="right"))
-    best: dict[int, float] = {}
-    for t in range(lo, hi):
-        if idx.t_depth[t] < m <= idx.o_depth[t] and idx.stored[t] >= tau:
-            d = int(idx.pos_id[t])
-            v = float(idx.stored[t])
-            if d not in best or v > best[d]:
-                best[d] = v
-    return sorted(best.items())
+    stored = idx.stored[lo:hi]
+    hit = (idx.t_depth[lo:hi] < m) & (idx.o_depth[lo:hi] >= m) & (stored >= tau)
+    pos, val = idx.pos_id[lo:hi][hit], stored[hit]
+    order = np.lexsort((val, pos))
+    # values ascend within each position, so the dict keeps each position's largest
+    return list(dict(zip(pos[order].tolist(), val[order].tolist())).items())
 
 
 def approx_query(idx: LinkIndex, p: str, tau: float) -> list[int]:

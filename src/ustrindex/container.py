@@ -3,15 +3,15 @@
 The file is a zip archive holding ``manifest.json`` plus one ``.npy`` entry
 per stored array.  Probability tables are written verbatim, so a reopened
 index answers queries bit for bit like the one that was saved.  Format
-version 2 stores each short depth sparsely: ``short_i`` holds the values and
-``short_i_slots`` their slots (see ``textcore.SparseDepth``).  Loading
+version 3 stores each short depth sparsely: ``short_i`` holds the values and
+``short_i_slots`` their slots (see ``textcore.SparseDepth``); approximate
+links keep their origin as a suffix-array slot in ``link_origin``.  Loading
 rebuilds the suffix array, the RMQ tables and, for a listing index, the
 annotations; a substring index derives its annotations on its first long
-query.  The suffix-tree view is built only when the container holds
-approximate links.  A file that is not such an archive, is of another
-version, lacks a member, holds an unreadable member, or an array whose
-dtype, length or contents do not fit the index raises ``ContainerError``
-before anything is built.
+query.  A load builds neither the LCP array nor a suffix-tree view.  A file
+that is not such an archive, is of another version, lacks a member, holds an
+unreadable member, or an array whose dtype, length or contents do not fit
+the index raises ``ContainerError`` before anything is built.
 """
 
 from __future__ import annotations
@@ -34,10 +34,12 @@ from .ustformat import parse_ust, serialize_ust
 
 __all__ = ["FORMAT_VERSION", "IndexContainer", "build_container", "load_container", "save_container"]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _MAX_CODE = 0x10FFFF  # the largest code point; separators are -1 down to -n
 _MAX_FLOAT = float(np.finfo(np.float64).max)
+# member suffixes of the link arrays, in ``LinkIndex`` field order
+_LINK_ARRAYS = ("origin", "pos", "stored", "odepth", "tdepth")
 
 
 @dataclass(eq=False)
@@ -83,7 +85,7 @@ def build_container(
     sub = build(docs[0], tau_min, IndexConfig(m_short=m_short, l_max=l_max, length_cap=length_cap))
     links = None
     if epsilon is not None:
-        links = partition_links(build_links(sub.tt, sub.tree, tau_min), epsilon)
+        links = partition_links(build_links(sub.tt, sub.saidx, tau_min), epsilon)
     return IndexContainer("substring", tau_min, substring=sub, links=links, epsilon=epsilon)
 
 
@@ -127,11 +129,8 @@ def save_container(container: IndexContainer, path: str) -> None:
     arrays["cum"] = tt.cum
     if container.links is not None:
         ln = container.links
-        arrays["link_origin"] = ln.origin
-        arrays["link_pos"] = ln.pos_id
-        arrays["link_stored"] = ln.stored
-        arrays["link_odepth"] = ln.o_depth
-        arrays["link_tdepth"] = ln.t_depth
+        for a, arr in zip(_LINK_ARRAYS, (ln.origin, ln.pos_id, ln.stored, ln.o_depth, ln.t_depth)):
+            arrays[f"link_{a}"] = arr
 
     # stored uncompressed so file size reflects the structures themselves
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
@@ -181,7 +180,9 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, d
             dtypes[f"long_{d}"] = np.float64
         if manifest["epsilon"] is not None:
             k = arrays["link_origin"].size
-            want.update((f"link_{a}", k) for a in ("origin", "pos", "stored", "odepth", "tdepth"))
+            for a in _LINK_ARRAYS:
+                want[f"link_{a}"] = k
+                dtypes[f"link_{a}"] = np.float64 if a == "stored" else np.int64
     for name, dtype in dtypes.items():
         if arrays[name].dtype != dtype:
             raise ContainerError(f"array {name} has dtype {arrays[name].dtype}, expected {np.dtype(dtype)}")
@@ -216,6 +217,16 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, d
             raise bad(f"short_{i}_slots", "slots that are not strictly increasing within [1, n]")
         if not np.all((values > 0.0) & (values <= top)):
             raise bad(f"short_{i}", f"a value outside (0, {top:g}] or NaN")
+    if manifest["kind"] == "substring" and manifest["epsilon"] is not None:
+        origin = arrays["link_origin"]
+        if origin.size and (origin[0] < 1 or origin[-1] > n or np.any(origin[1:] < origin[:-1])):
+            raise bad("link_origin", "origins that are not non-decreasing within [1, n]")
+        if np.any((arrays["link_pos"] < 1) | (arrays["link_pos"] > limit)):
+            raise bad("link_pos", "a position outside its source string")
+        if np.any((arrays["link_tdepth"] < 0) | (arrays["link_tdepth"] >= arrays["link_odepth"])):
+            raise bad("link_tdepth", "a depth interval that is not 0 <= target < origin")
+        if not np.all((arrays["link_stored"] > 0.0) & (arrays["link_stored"] <= 1.0)):
+            raise bad("link_stored", "a value outside (0, 1] or NaN")
 
 
 def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
@@ -255,17 +266,7 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
         epsilon = None
         if manifest["epsilon"] is not None:
             epsilon = float(manifest["epsilon"])
-            links = LinkIndex(
-                tt=tt,
-                tree=idx.tree,
-                tau_min=tau_min,
-                eps=epsilon,
-                origin=arrays["link_origin"],
-                pos_id=arrays["link_pos"],
-                stored=arrays["link_stored"],
-                o_depth=arrays["link_odepth"],
-                t_depth=arrays["link_tdepth"],
-            )
+            links = LinkIndex(tt, saidx, tau_min, epsilon, *(arrays[f"link_{a}"] for a in _LINK_ARRAYS))
         return IndexContainer("substring", tau_min, substring=idx, links=links, epsilon=epsilon)
 
     collection = DocumentCollection(tuple(docs))

@@ -81,7 +81,7 @@ class SubstringIndex:
 
     @cached_property
     def tree(self) -> TreeView:
-        """Suffix-tree view, built on first use; only approximate links read it."""
+        """Suffix-tree view, built on first use; no query or link build reads it."""
         return TreeView(self.saidx)
 
 
@@ -156,17 +156,12 @@ def _window_probability(
     return occurrence_probability(u, p, int(tt.pos[o]))
 
 
-def _check_query(p: str, tau: float, tau_min: float) -> None:
-    """Reject an empty pattern and a threshold below the index floor."""
+def _locate(saidx: SuffixArrayIndex, tau_min: float, p: str, tau: float) -> tuple[int, int] | None:
+    """Reject an empty pattern or a threshold below the floor; else the slot range of ``p`` or None."""
     if not p:
         raise ValueError("pattern is empty")
     if tau < tau_min:
         raise ThresholdError(tau, tau_min)
-
-
-def _locate(saidx: SuffixArrayIndex, tau_min: float, p: str, tau: float) -> tuple[int, int] | None:
-    """Check a query and return the slot range of ``p``; None if absent or the text is empty."""
-    _check_query(p, tau, tau_min)
     return suffix_range(saidx, p)
 
 

@@ -6,6 +6,7 @@ once, so they sort below every character and no common prefix ever spans one.
 Slots (positions in suffix-array order) and text positions are 1-based in the
 public API; ``sa[k - 1]`` is the suffix at slot ``k``.  Patterns are located
 by binary search over a byte encoding of the text, so comparisons run in C.
+The LCP array is computed on first read, which only index builds do.
 ``SparseDepth`` is the one format of a sparse short table: the nonzero
 entries of a per-length table in slot order, which ``rmq_report`` reports
 block by block.
@@ -60,11 +61,33 @@ class SuffixArrayIndex:
     codes: np.ndarray
     sa: np.ndarray
     inverse_sa: np.ndarray
-    lcp: np.ndarray
 
     @property
     def n(self) -> int:
         return len(self.codes)
+
+    @cached_property
+    def lcp(self) -> np.ndarray:
+        """The LCP array by Kasai's algorithm, built on first read: builds read it, loads never do."""
+        n = self.n
+        # Kasai over plain lists; numpy scalar indexing is slower here.
+        lcp = [0] * n
+        text_l = self.codes.tolist()
+        sa_l = (self.sa - 1).tolist()
+        inv_l = (self.inverse_sa - 1).tolist()
+        h = 0
+        for i in range(n):
+            slot = inv_l[i]
+            if slot > 0:
+                j = sa_l[slot - 1]
+                while i + h < n and j + h < n and text_l[i + h] == text_l[j + h]:
+                    h += 1
+                lcp[slot] = h
+                if h:
+                    h -= 1
+            else:
+                h = 0
+        return np.asarray(lcp, dtype=np.int64)
 
     @cached_property
     def byte_text(self) -> bytes:
@@ -98,12 +121,12 @@ def _pattern_key(p) -> bytes | None:
 
 
 def build_suffix_array(text) -> SuffixArrayIndex:
-    """Sort all suffixes of ``text`` by prefix doubling and attach the LCP array."""
+    """Sort all suffixes of ``text`` by prefix doubling; the LCP array follows on first read."""
     codes = _encode_text(text)
     n = len(codes)
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return SuffixArrayIndex(codes, empty.copy(), empty.copy(), empty.copy())
+        return SuffixArrayIndex(codes, empty.copy(), empty.copy())
 
     rank = np.unique(codes, return_inverse=True)[1].astype(np.int64)
     order = np.argsort(rank, kind="stable")
@@ -119,28 +142,9 @@ def build_suffix_array(text) -> SuffixArrayIndex:
         rank = fresh
         k *= 2
 
-    sa0 = order
     inv0 = np.empty(n, dtype=np.int64)
-    inv0[sa0] = np.arange(n)
-
-    # Kasai over plain lists; numpy scalar indexing is slower here.
-    lcp = [0] * n
-    text_l = codes.tolist()
-    sa_l = sa0.tolist()
-    inv_l = inv0.tolist()
-    h = 0
-    for i in range(n):
-        slot = inv_l[i]
-        if slot > 0:
-            j = sa_l[slot - 1]
-            while i + h < n and j + h < n and text_l[i + h] == text_l[j + h]:
-                h += 1
-            lcp[slot] = h
-            if h:
-                h -= 1
-        else:
-            h = 0
-    return SuffixArrayIndex(codes, sa0 + 1, inv0 + 1, np.asarray(lcp, dtype=np.int64))
+    inv0[order] = np.arange(n)
+    return SuffixArrayIndex(codes, order + 1, inv0 + 1)
 
 
 def suffix_range(idx: SuffixArrayIndex, p) -> tuple[int, int] | None:
@@ -175,8 +179,8 @@ class TreeView:
 
     Nodes are identified by 0-based preorder id.  A node's subtree is the
     contiguous preorder interval [pre, subtree_end[pre]]; leaves carry their
-    full suffix length as string depth.  Built on demand; queries afterwards
-    are read-only.
+    full suffix length as string depth.  No index reads it: approximate
+    links work on LCP intervals of the suffix array instead.
     """
 
     def __init__(self, saidx: SuffixArrayIndex):

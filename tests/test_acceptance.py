@@ -206,16 +206,13 @@ def test_criterion_4_conservation(instances):
 
 def _max_segment_spread(u, idx, ln) -> float:
     """Largest within-segment probability spread, recomputed from witnesses."""
-    tt, tree, sa = idx.tt, idx.tree, idx.saidx.sa
+    tt, sa = idx.tt, idx.saidx.sa
     eff = tt.annotations.eff_len
     worst = 0.0
     for link in ln.links():
-        witness = next(
-            int(sa[k - 1]) - 1
-            for k in range(int(tree.sp[link.origin_pre]), int(tree.ep[link.origin_pre]) + 1)
-            if int(tt.pos[int(sa[k - 1]) - 1]) == link.pos_id
-            and int(eff[int(sa[k - 1]) - 1]) >= link.origin_depth
-        )
+        witness = int(sa[link.origin - 1]) - 1
+        assert int(tt.pos[witness]) == link.pos_id
+        assert int(eff[witness]) >= link.origin_depth
         probs = prefix_probabilities(u, tt.window_text(witness, link.origin_depth), link.pos_id)
         assert link.stored_prob == probs[link.target_depth]
         worst = max(worst, probs[link.target_depth] - probs[link.origin_depth - 1])
@@ -228,7 +225,7 @@ def test_criterion_5_approximate_sandwich(instances):
             rng = random.Random(7000 + j)
             sub = rng.sample(pats, 30) if len(pats) > 30 else pats
             idx = build(u, tau_min)
-            raw = build_links(idx.tt, idx.tree, tau_min)
+            raw = build_links(idx.tt, idx.saidx, tau_min)
 
             for eps in (0.01, 0.05, 0.2):
                 ln = partition_links(raw, eps)

@@ -21,12 +21,12 @@ from ustrindex import (
     sample_world,
 )
 
-from helpers import random_ustring
+from helpers import random_ustring, reference_link_marks
 
 
 def _linked(u, tau_min, eps):
     idx = build(u, tau_min)
-    return idx, partition_links(build_links(idx.tt, idx.tree, tau_min), eps)
+    return idx, partition_links(build_links(idx.tt, idx.saidx, tau_min), eps)
 
 
 def sample_patterns(u, rng, lengths=(1, 2, 3, 5)):
@@ -77,17 +77,14 @@ def test_segments_store_their_top_probability_and_stay_within_eps(seed):
     u = random_ustring(rng, n=rng.randint(3, 12), correlation_rate=0.4)
     eps = rng.choice((0.05, 0.2))
     idx, ln = _linked(u, 0.1, eps)
-    tt, tree, sa = idx.tt, idx.tree, idx.saidx.sa
+    tt, sa = idx.tt, idx.saidx.sa
     ann = tt.annotations
     assert len(ln) > 0
     for link in ln.links():
         assert 0 <= link.target_depth < link.origin_depth
-        witness = next(
-            int(sa[k - 1]) - 1
-            for k in range(int(tree.sp[link.origin_pre]), int(tree.ep[link.origin_pre]) + 1)
-            if int(tt.pos[int(sa[k - 1]) - 1]) == link.pos_id
-            and int(ann.eff_len[int(sa[k - 1]) - 1]) >= link.origin_depth
-        )
+        witness = int(sa[link.origin - 1]) - 1
+        assert int(tt.pos[witness]) == link.pos_id
+        assert int(ann.eff_len[witness]) >= link.origin_depth
         window = tt.window_text(witness, link.origin_depth)
         probs = prefix_probabilities(u, window, link.pos_id)
         assert link.stored_prob == probs[link.target_depth]
@@ -109,7 +106,7 @@ def test_stab_reports_each_position_once_ascending(seed):
 
 def test_partition_links_validates_epsilon(genome):
     idx = build(genome, 0.1)
-    raw = build_links(idx.tt, idx.tree, 0.1)
+    raw = build_links(idx.tt, idx.saidx, 0.1)
     for eps in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             partition_links(raw, eps)
@@ -117,17 +114,28 @@ def test_partition_links_validates_epsilon(genome):
 
 def test_partition_links_needs_a_source(genome):
     idx = build(genome, 0.1)
-    raw = build_links(idx.tt, idx.tree, 0.1)
-    orphaned = RawLinks(raw.links, replace(idx.tt, source=None), idx.tree, 0.1)
+    raw = build_links(idx.tt, idx.saidx, 0.1)
+    orphaned = RawLinks(raw.links, replace(idx.tt, source=None), idx.saidx, 0.1)
     with pytest.raises(ValueError, match="source"):
         partition_links(orphaned, 0.1)
 
 
-def test_links_build_the_tree_view_once(genome):
+def test_links_build_no_tree_view(genome):
     idx, ln = _linked(genome, 0.1, 0.05)
-    assert idx.__dict__["tree"] is ln.tree
     approx_query(ln, "A", 0.1)
-    assert idx.tree is ln.tree
+    assert "tree" not in idx.__dict__
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_link_marking_matches_the_suffix_tree_reference(seed):
+    rng = random.Random(seed)
+    u = random_ustring(rng, n=rng.randint(3, 30), correlation_rate=rng.choice((0.3, 0.6)))
+    tau_min = rng.choice((0.05, 0.15, 0.35))
+    idx = build(u, tau_min)
+    raw = build_links(idx.tt, idx.saidx, tau_min)
+    got = sorted((r.pos_id, r.origin_depth, r.target_depth, r.witness_off) for r in raw.links)
+    assert got == reference_link_marks(idx.tt, idx.saidx)
 
 
 def test_approx_query_guards(genome):

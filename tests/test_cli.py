@@ -126,11 +126,19 @@ def test_wrong_kind_and_missing_files_exit_two(genome_file, collection_file, tmp
 
 @pytest.mark.parametrize(
     "damage",
-    ["not a zip", "missing member", "manifest not json", "manifest not an object", "codes too short", "short value NaN"],
+    [
+        "not a zip",
+        "missing member",
+        "manifest not json",
+        "manifest not an object",
+        "codes too short",
+        "short value NaN",
+        "link origins reversed",
+    ],
 )
 def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, capsys):
     path = tmp_path / "g.usi"
-    main(["build", genome_file, "-o", str(path), "--tau-min", "0.1"])
+    main(["build", genome_file, "-o", str(path), "--tau-min", "0.1", "--epsilon", "0.05"])
     with zipfile.ZipFile(path) as zf:
         entries = {name: zf.read(name) for name in zf.namelist()}
     if damage == "not a zip":
@@ -148,16 +156,21 @@ def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, ca
             buf = io.BytesIO()
             np.save(buf, values)
             entries["short_1.npy"] = buf.getvalue()
+        elif damage == "link origins reversed":
+            buf = io.BytesIO()
+            np.save(buf, np.load(io.BytesIO(entries["link_origin.npy"]))[::-1])
+            entries["link_origin.npy"] = buf.getvalue()
         else:
             entries["manifest.json"] = b"{not json" if damage == "manifest not json" else b"[1]"
         with zipfile.ZipFile(path, "w") as zf:
             for name, data in entries.items():
                 zf.writestr(name, data)
     capsys.readouterr()
-    assert main(["query", str(path), "--pattern", "A", "--tau", "0.1"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for command in ("query", "approx"):
+        assert main([command, str(path), "--pattern", "A", "--tau", "0.1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

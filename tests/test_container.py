@@ -111,14 +111,16 @@ def _rewrite(path: str, entries: dict[str, bytes]) -> None:
 
 def test_load_rejects_other_format_versions(genome, tmp_path):
     path = str(tmp_path / "v.usi")
-    save_container(build_container([genome], 0.1), path)
+    save_container(build_container([genome], 0.1, epsilon=0.05), path)
     entries = _entries(path)
     manifest = json.loads(entries["manifest.json"])
-    manifest["format_version"] = 99
-    entries["manifest.json"] = json.dumps(manifest).encode()
-    _rewrite(path, entries)
-    with pytest.raises(ValueError, match="version"):
-        load_container(path)
+    # version 2 numbered link origins by suffix-tree preorder, not by slot
+    for version in (2, 99):
+        manifest["format_version"] = version
+        entries["manifest.json"] = json.dumps(manifest).encode()
+        _rewrite(path, entries)
+        with pytest.raises(ContainerError, match=f"unsupported container version {version}"):
+            load_container(path)
 
 
 def test_load_rejects_a_file_that_is_not_a_zip(tmp_path):
@@ -149,7 +151,7 @@ def test_load_rejects_a_manifest_that_is_not_a_json_object(manifest, genome, tmp
         load_container(path)
 
 
-def test_tree_view_is_built_only_for_links(genome, tmp_path):
+def test_no_tree_view_is_built_for_links(genome, tmp_path):
     plain = build_container([genome], 0.1)
     assert "tree" not in plain.substring.__dict__
     path = str(tmp_path / "p.usi")
@@ -159,10 +161,30 @@ def test_tree_view_is_built_only_for_links(genome, tmp_path):
     assert "tree" not in back.substring.__dict__
 
     linked = build_container([genome], 0.1, epsilon=0.05)
-    assert "tree" in linked.substring.__dict__
+    assert "tree" not in linked.substring.__dict__
     save_container(linked, path)
     back = load_container(path)
-    assert back.links.tree is back.substring.tree
+    approx_items(back.links, "A", 0.1)
+    assert "tree" not in back.substring.__dict__
+
+
+@pytest.mark.parametrize("kind", ["substring", "listing", "links"])
+def test_a_loaded_index_answers_without_the_lcp_array(kind, genome, collection, tmp_path):
+    path = str(tmp_path / "lcp.usi")
+    if kind == "listing":
+        container = build_container(list(collection.docs), 0.1, metric="or")
+    else:
+        container = build_container([genome], 0.1, epsilon=0.05 if kind == "links" else None)
+    save_container(container, path)
+    back = load_container(path)
+    for p in ("A", "AT", "BF", "TTAGA"):
+        if kind == "listing":
+            assert list_items(back.listing, p, 0.1) == list_items(container.listing, p, 0.1)
+        elif kind == "links":
+            assert approx_items(back.links, p, 0.1) == approx_items(container.links, p, 0.1)
+        else:
+            assert query_items(back.substring, p, 0.1) == query_items(container.substring, p, 0.1)
+    assert "lcp" not in (back.substring or back.listing).saidx.__dict__
 
 
 def test_load_rejects_a_truncated_array_member(genome, tmp_path):
@@ -252,10 +274,15 @@ def test_load_rejects_a_version_1_container(genome, tmp_path):
 
 
 def _tampered(kind: str, member: str, change, genome, collection, tmp_path) -> str:
-    """A saved container of ``kind`` whose ``member`` array went through ``change``."""
+    """A saved container of ``kind`` whose ``member`` array went through ``change``.
+
+    ``links`` is a substring container with approximate links.
+    """
     path = str(tmp_path / "x.usi")
     if kind == "substring":
         container = build_container([genome], 0.1, m_short=2)
+    elif kind == "links":
+        container = build_container([genome], 0.1, epsilon=0.05, m_short=2)
     else:
         container = build_container(list(collection.docs), 0.1, metric="max")
     save_container(container, path)
@@ -288,6 +315,11 @@ def _set_first(mask, value):
         ("substring", "short_1_slots", np.int64),
         ("substring", "long_3", np.float32),
         ("listing", "doc_of", np.float64),
+        ("links", "link_origin", np.int32),
+        ("links", "link_pos", np.float64),
+        ("links", "link_stored", np.float32),
+        ("links", "link_odepth", np.int32),
+        ("links", "link_tdepth", np.uint64),
     ],
 )
 def test_load_rejects_an_array_of_the_wrong_dtype(kind, member, dtype, genome, collection, tmp_path):
@@ -368,5 +400,38 @@ def test_listing_or_scores_may_exceed_one_but_not_be_nan(collection, tmp_path):
 )
 def test_load_rejects_tampered_text_arrays(kind, member, change, what, genome, collection, tmp_path):
     path = _tampered(kind, member, change, genome, collection, tmp_path)
+    with pytest.raises(ContainerError, match=f"array {member} holds {what}"):
+        load_container(path)
+
+
+@pytest.mark.parametrize(
+    "member, change, what",
+    [
+        ("link_origin", lambda a: a[::-1].copy(), "origins that are not non-decreasing"),
+        ("link_origin", _set_first(lambda a: a == a, 0), "origins that are not non-decreasing"),
+        ("link_origin", _set_first(lambda a: a == a.max(), 10**6), "origins that are not non-decreasing"),
+        ("link_pos", lambda a: a + 10**6, "a position outside its source"),
+        ("link_pos", _set_first(lambda a: a == a, 0), "a position outside its source"),
+        ("link_tdepth", _set_first(lambda a: a == a, -1), "a depth interval"),
+        ("link_tdepth", lambda a: a + 10**6, "a depth interval"),
+        ("link_stored", _set_first(lambda a: a == a, 0.0), "a value outside"),
+        ("link_stored", _set_first(lambda a: a == a, 1.5), "a value outside"),
+        ("link_stored", lambda a: np.where(np.arange(a.size) % 2 == 0, np.nan, a), "a value outside"),
+    ],
+    ids=[
+        "origin reversed",
+        "origin zero",
+        "origin past n",
+        "pos shifted past the string",
+        "pos zero",
+        "tdepth negative",
+        "tdepth not below odepth",
+        "stored zero",
+        "stored above one",
+        "stored NaN",
+    ],
+)
+def test_load_rejects_tampered_link_arrays(member, change, what, genome, collection, tmp_path):
+    path = _tampered("links", member, change, genome, collection, tmp_path)
     with pytest.raises(ContainerError, match=f"array {member} holds {what}"):
         load_container(path)
