@@ -6,12 +6,13 @@ index answers queries bit for bit like the one that was saved.  Format
 version 3 stores each short depth sparsely: ``short_i`` holds the values and
 ``short_i_slots`` their slots (see ``textcore.SparseDepth``); approximate
 links keep their origin as a suffix-array slot in ``link_origin``.  Loading
-rebuilds the suffix array, the RMQ tables and, for a listing index, the
-annotations; a substring index derives its annotations on its first long
-query.  A load builds neither the LCP array nor a suffix-tree view.  A file
-that is not such an archive, is of another version, lacks a member, holds an
-unreadable member, or an array whose dtype, length or contents do not fit
-the index raises ``ContainerError`` before anything is built.
+rebuilds the suffix array and the RMQ tables; either index kind derives its
+annotations on its first long query.  A load builds neither the LCP array
+nor a suffix-tree view.  A file that is not such an archive, is of another
+version, lacks a member, holds an unreadable member, a manifest whose
+``tau_min`` or ``epsilon`` lies outside (0, 1] or whose listing metric is
+unknown, or an array whose dtype, length or contents do not fit the index
+raises ``ContainerError`` before anything is built.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 
 from .approx import LinkIndex, build_links, partition_links
 from .errors import ContainerError
-from .factorize import TransformedText, build_annotations
-from .listing import ListingConfig, ListingIndex, build_listing
+from .factorize import TransformedText
+from .listing import METRICS, ListingConfig, ListingIndex, build_listing
 from .model import DocumentCollection, UncertainString
 from .qindex import IndexConfig, SubstringIndex, build
 from .textcore import SparseDepth, TreeView, build_suffix_array, rmq_build  # noqa: F401 - perfbench wraps TreeView
@@ -242,6 +243,11 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
     m_short = int(manifest["m_short"])
     if kind not in ("substring", "listing"):
         raise ContainerError(f"unknown container kind {kind!r}")
+    for name in ("tau_min", "epsilon"):
+        if manifest[name] is not None and not 0.0 < float(manifest[name]) <= 1.0:
+            raise ContainerError(f"manifest {name} {manifest[name]!r} is not in (0, 1]")
+    if kind == "listing" and manifest["metric"] not in METRICS:
+        raise ContainerError(f"manifest metric {manifest['metric']!r} is not one of {', '.join(METRICS)}")
     if kind == "substring" and len(docs) != 1:
         raise ContainerError(f"a substring container holds one source string, not {len(docs)}")
     _check_shapes(manifest, arrays, m_short, docs)
@@ -271,9 +277,7 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
 
     collection = DocumentCollection(tuple(docs))
     tt = TransformedText(codes, pos, cum, tau_min, source=None)
-    doc_of = arrays["doc_of"]
-    ann = build_annotations(tt, doc_lookup=lambda o: collection.docs[int(doc_of[o])])
     lidx = ListingIndex(
-        collection, manifest["metric"], tau_min, tt, ann, doc_of, saidx, m_short, short_tables
+        collection, manifest["metric"], tau_min, tt, arrays["doc_of"], saidx, m_short, short_tables
     )
     return IndexContainer("listing", tau_min, listing=lidx, metric=lidx.metric)

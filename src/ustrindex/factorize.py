@@ -286,18 +286,17 @@ def depth_values(
     window_value: Callable[[int, int], float],
     max_depth: int,
 ) -> Iterator[np.ndarray]:
-    """Yield V_1, V_2, ... where V_i[o] is the window product at offset ``o``, length ``i``.
+    """Yield V_1 .. V_max_depth where V_i[o] is the window product at offset ``o``, length ``i``.
 
-    Entries are 0 where the window would cross a separator.  ``window_value``
-    recomputes a single window exactly when a forward conditioner enters it.
+    Entries are 0 where the window would cross a separator, so every depth
+    past the text length yields all zeros.  ``window_value`` recomputes a
+    single window exactly when a forward conditioner enters it.
     """
     n = len(ann.mult)
     v = np.where(ann.eff_len >= 1, ann.mult, 0.0)
     yield v
     for i in range(2, max_depth + 1):
-        keep = n - i + 1
-        if keep <= 0:
-            return
+        keep = max(n - i + 1, 0)
         prev = v
         v = np.zeros(n, dtype=np.float64)
         tail = slice(i - 1, None)

@@ -4,10 +4,13 @@ Per-document transforms are concatenated into one text (separators stay
 globally unique), and for every short depth a sparse table
 (``textcore.SparseDepth``) holds each document's aggregated score once per
 locus partition, at the partition's first slot of that document; queries
-report it block by block like short substring queries.  Aggregation visits a
-document's occurrences in ascending original position, which is also the
+report it block by block like short substring queries.  The tables come from
+``qindex._group_depth``, the grouping the substring index uses, keyed by
+document instead of original position.  Aggregation (``qindex._fold``) visits
+a document's occurrences in ascending original position, which is also the
 order an exhaustive scan visits them, so scores match such a scan bit for
-bit.
+bit.  Annotations are built by a build, or by a loaded index's first long
+query.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .factorize import Annotations, TransformedText, build_annotations, depth_values, transform
 from .model import DocumentCollection, UncertainString, occurrence_probability, validate
-from .qindex import QueryStats, _locate, _window_probability
+from .qindex import QueryStats, _fold, _group_depth, _locate, _window_probability
 from .textcore import (
     SparseDepth,
     SuffixArrayIndex,
@@ -42,28 +45,6 @@ __all__ = [
 METRICS = ("max", "or", "orx")
 
 
-def _combine(values: list[float], metric: str) -> float:
-    """Fold per-occurrence probabilities (already in ascending position order)."""
-    if not values:
-        return 0.0
-    if metric == "max":
-        return max(values)
-    if metric == "or":
-        # single occurrence: the OR of one event is the event itself
-        if len(values) == 1:
-            return values[0]
-        s = 0.0
-        prod = 1.0
-        for v in values:
-            s += v
-            prod *= v
-        return s - prod
-    comp = 1.0
-    for v in values:
-        comp *= 1.0 - v
-    return 1.0 - comp
-
-
 def relevance(d: UncertainString, p: str, metric: str) -> float:
     """Full-support relevance of one document: every positive occurrence counts.
 
@@ -79,7 +60,9 @@ def relevance(d: UncertainString, p: str, metric: str) -> float:
         v = occurrence_probability(d, p, i)
         if v > 0.0:
             values.append(v)
-    return _combine(values, metric)
+    if not values:
+        return 0.0
+    return float(_fold(np.array(values), np.zeros(1, dtype=np.intp), metric)[0])
 
 
 @dataclass(frozen=True)
@@ -96,11 +79,18 @@ class ListingIndex:
     metric: str
     tau_min: float
     tt: TransformedText
-    ann: Annotations
     doc_of: np.ndarray
     saidx: SuffixArrayIndex
     m_short: int
     short_tables: list[tuple[np.ndarray, SparseDepth]] = field(repr=False)
+
+    @cached_property
+    def ann(self) -> Annotations:
+        """Per-document annotations, built on first use.
+
+        The build reads them; a loaded index builds them on its first long query.
+        """
+        return build_annotations(self.tt, doc_lookup=lambda o: self.collection.docs[int(self.doc_of[o])])
 
     @cached_property
     def tree(self) -> TreeView:
@@ -153,77 +143,29 @@ def build_listing(
 
     parts = [transform(d, tau_min, cfg.length_cap) for d in collection.docs]
     tt, doc_of = _concatenate(parts, tau_min)
-    ann = build_annotations(tt, doc_lookup=lambda o: collection.docs[int(doc_of[o])])
     saidx = build_suffix_array(tt.codes)
     n = tt.n
     m_short = cfg.m_short if cfg.m_short is not None else max(1, n.bit_length() - 1)
     if m_short < 1:
         raise ValueError("m_short must be at least 1")
 
-    short_tables: list[tuple[np.ndarray, SparseDepth]] = []
-    if n:
-        sa0 = saidx.sa - 1
-        orig = tt.pos[sa0]
-        slot_doc = doc_of[sa0]
-        max_orig = max(d.n for d in collection.docs)
+    # the index comes first so that the annotations this build reads stay cached on it
+    idx = ListingIndex(collection, metric, tau_min, tt, doc_of, saidx, m_short, [])
+    sa0 = saidx.sa - 1
+    slot_doc = doc_of[sa0]
+    # one occurrence key per (document, original position), ordered by document first
+    occ = slot_doc * np.int64(max((d.n for d in collection.docs), default=0) + 1) + tt.pos[sa0]
 
-        def window_value(o: int, i: int) -> float:
-            d = collection.docs[int(doc_of[o])]
-            return occurrence_probability(d, tt.window_text(o, i), int(tt.pos[o]))
+    def window_value(o: int, i: int) -> float:
+        d = collection.docs[int(doc_of[o])]
+        return occurrence_probability(d, tt.window_text(o, i), int(tt.pos[o]))
 
-        n_docs = len(collection.docs)
-        for i, v in zip(range(1, m_short + 1), depth_values(ann, window_value, m_short)):
-            c = v[sa0].copy()
-            c[c < tau_min] = 0.0
-            slots, scores = _aggregate_depth(c, saidx.lcp, slot_doc, orig, i, n_docs, max_orig, metric)
-            short_tables.append((scores, SparseDepth(slots, rmq_build(scores))))
-    while len(short_tables) < m_short:
-        empty = np.zeros(0, dtype=np.float64)
-        short_tables.append((empty, SparseDepth(np.zeros(0, dtype=np.int32), rmq_build(empty))))
-    return ListingIndex(
-        collection, metric, tau_min, tt, ann, doc_of, saidx, m_short, short_tables
-    )
-
-
-def _aggregate_depth(
-    c: np.ndarray,
-    lcp: np.ndarray,
-    slot_doc: np.ndarray,
-    orig: np.ndarray,
-    depth: int,
-    n_docs: int,
-    max_orig: int,
-    metric: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Slots and scores of one per-document relevance entry per partition.
-
-    Each entry sits at the first slot of its (partition, document) group.
-    """
-    pid = np.cumsum(lcp < depth)
-    valid = np.flatnonzero(c > 0.0)
-    heads: list[int] = []
-    scores: list[float] = []
-    if valid.size:
-        # drop same-occurrence duplicates (same partition, doc, original position)
-        keys = (pid[valid] * np.int64(n_docs) + slot_doc[valid]) * np.int64(
-            max_orig + 1
-        ) + orig[valid]
-        _, first = np.unique(keys, return_index=True)
-        slots = np.sort(valid[first])
-        order = np.lexsort((orig[slots], slot_doc[slots], pid[slots]))
-        rows = slots[order]
-        k = 0
-        while k < len(rows):
-            j = k
-            group_key = (pid[rows[k]], slot_doc[rows[k]])
-            while j < len(rows) and (pid[rows[j]], slot_doc[rows[j]]) == group_key:
-                j += 1
-            chunk = rows[k:j]
-            heads.append(int(chunk.min()))
-            scores.append(_combine([float(c[s]) for s in chunk], metric))
-            k = j
-    order = np.argsort(heads)
-    return np.asarray(heads, dtype=np.int32)[order] + 1, np.asarray(scores, dtype=np.float64)[order]
+    for i, v in zip(range(1, m_short + 1), depth_values(idx.ann, window_value, m_short)):
+        c = v[sa0]
+        c[c < tau_min] = 0.0
+        slots, scores = _group_depth(c, saidx.lcp, i, occ, slot_doc, metric)
+        idx.short_tables.append((scores, SparseDepth(slots, rmq_build(scores))))
+    return idx
 
 
 def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]], QueryStats]:
@@ -242,7 +184,7 @@ def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]]
         found = dict(zip(idx.doc_of[sa[depth.slots[hits] - 1] - 1].tolist(), values[hits].tolist()))
     else:
         seen: set[tuple[int, int]] = set()
-        per_doc: dict[int, list[tuple[int, float]]] = {}
+        occurrences: list[tuple[int, int, float]] = []
         for j in range(sp, ep + 1):
             o = sa[j - 1] - 1
             k = int(idx.doc_of[o])
@@ -253,12 +195,13 @@ def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]]
             d = idx.collection.docs[k]
             v = _window_probability(idx.tt, idx.ann, d, o, p, idx.tau_min)
             if v >= idx.tau_min:
-                per_doc.setdefault(k, []).append((orig, v))
-        for k, pairs in per_doc.items():
-            pairs.sort()
-            score = _combine([v for _, v in pairs], idx.metric)
-            if score >= tau:
-                found[k] = score
+                occurrences.append((k, orig, v))
+        occurrences.sort()
+        docs = [k for k, _, _ in occurrences]
+        starts = [r for r, k in enumerate(docs) if r == 0 or k != docs[r - 1]]
+        values = np.array([v for _, _, v in occurrences])
+        scores = _fold(values, np.array(starts, dtype=np.intp), idx.metric).tolist()
+        found = {docs[r]: score for r, score in zip(starts, scores) if score >= tau}
 
     items = [(idx.collection.docs[k].name, found[k]) for k in sorted(found)]
     stats.outputs = len(items)

@@ -8,10 +8,16 @@ their exact occurrence probability.  Every stored value is the same
 left-to-right product the model computes, which keeps threshold comparisons
 bitwise faithful.  A substring index builds its annotations on the first
 long query.
+
+``_group_depth`` builds the short tables of both index kinds: one entry per
+(locus partition, key) at the partition's first slot of that key, where the
+key is an original position here and a document in ``listing``, whose
+several occurrences ``_fold`` combines into one score.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -85,15 +91,62 @@ class SubstringIndex:
         return TreeView(self.saidx)
 
 
-def _dedup_depth(
-    values: np.ndarray, lcp: np.ndarray, orig: np.ndarray, depth: int, n_orig: int
+def _group_depth(
+    c: np.ndarray, lcp: np.ndarray, depth: int, occ: np.ndarray, group: np.ndarray, metric: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Slots and values of the leftmost slot of each original position per depth partition."""
+    """Slots and folded values of one entry per (depth partition, group), at the group's first slot.
+
+    ``c`` holds a value per slot (0 for none), ``occ`` names the occurrence a
+    slot stands for and ``group`` the key it is reported under; ``occ`` must
+    order by group first and by original position within a group.  Repeated
+    occurrences in a partition are dropped by one ``np.unique`` over the
+    (partition, occurrence) key, whose sorted order already lines each group
+    up in ascending original position for ``_fold``.
+    """
     pid = np.cumsum(lcp < depth)
-    valid = np.flatnonzero(values > 0.0)
-    _, first = np.unique(pid[valid] * np.int64(n_orig + 1) + orig[valid], return_index=True)
-    keep = np.sort(valid[first])
-    return (keep + 1).astype(np.int32), values[keep]
+    valid = np.flatnonzero(c > 0.0)
+    span = np.int64(occ.max(initial=0)) + 1
+    _, first = np.unique(pid[valid] * span + occ[valid], return_index=True)
+    rows = valid[first]
+    p, g = pid[rows], group[rows]
+    head = np.ones(rows.size, dtype=bool)
+    head[1:] = (p[1:] != p[:-1]) | (g[1:] != g[:-1])
+    starts = np.flatnonzero(head)
+    first_slot = np.minimum.reduceat(rows, starts)
+    order = np.argsort(first_slot)
+    return (first_slot[order] + 1).astype(np.int32), _fold(c[rows], starts, metric)[order]
+
+
+def _fold(values: np.ndarray, starts: np.ndarray, metric: str) -> np.ndarray:
+    """Fold each group ``values[starts[k]:starts[k + 1]]`` left to right into one score.
+
+    ``max`` keeps the largest; ``or`` is the sum minus the product (a single
+    occurrence keeps its own value); ``orx`` is one minus the product of the
+    complements.  The additive folds take one numpy step per occurrence rank,
+    across all groups that long, so each score is the same sequence of float
+    operations a scalar loop makes.
+    """
+    if metric == "max":
+        return np.maximum.reduceat(values, starts)
+    if metric not in ("or", "orx"):
+        raise ValueError(f"unknown metric {metric!r}")
+    sizes = np.diff(starts, append=values.size)
+    by_size = np.argsort(-sizes, kind="stable")
+    total = np.zeros(starts.size)
+    prod = np.ones(starts.size)
+    # live[r]: how many groups hold more than r occurrences, a prefix of by_size
+    live = starts.size - np.cumsum(np.bincount(sizes))[:-1]
+    for r, k in enumerate(live.tolist()):
+        at = by_size[:k]
+        v = values[starts[at] + r]
+        if metric == "or":
+            total[at] += v
+            prod[at] *= v
+        else:
+            prod[at] *= 1.0 - v
+    if metric == "orx":
+        return 1.0 - prod
+    return np.where(sizes == 1, total, total - prod)
 
 
 def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None) -> SubstringIndex:
@@ -115,26 +168,21 @@ def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None)
 
     short_tables: list[tuple[np.ndarray, SparseDepth]] = []
     long_tables: dict[int, tuple[np.ndarray, RmqIndex]] = {}
-    if n:
-        ann = tt.annotations
-        sa0 = saidx.sa - 1
-        orig = tt.pos[sa0]
+    sa0 = saidx.sa - 1
+    orig = tt.pos[sa0]
 
-        def window_value(o: int, i: int) -> float:
-            return occurrence_probability(u, tt.window_text(o, i), int(tt.pos[o]))
+    def window_value(o: int, i: int) -> float:
+        return occurrence_probability(u, tt.window_text(o, i), int(tt.pos[o]))
 
-        top = max(m_short, min(l_max, tt.longest_factor))
-        for i, v in zip(range(1, top + 1), depth_values(ann, window_value, top)):
-            c = v[sa0]
-            if i <= m_short:
-                slots, kept = _dedup_depth(c, saidx.lcp, orig, i, u.n)
-                short_tables.append((kept, SparseDepth(slots, rmq_build(kept))))
-            else:
-                pb = np.maximum.reduceat(c, np.arange(0, n, i))
-                long_tables[i] = (pb, rmq_build(pb))
-    while len(short_tables) < m_short:
-        empty = np.zeros(0, dtype=np.float64)
-        short_tables.append((empty, SparseDepth(np.zeros(0, dtype=np.int32), rmq_build(empty))))
+    top = max(m_short, min(l_max, tt.longest_factor))
+    for i, v in zip(range(1, top + 1), depth_values(tt.annotations, window_value, top)):
+        c = v[sa0]
+        if i <= m_short:
+            slots, kept = _group_depth(c, saidx.lcp, i, orig, orig, "max")
+            short_tables.append((kept, SparseDepth(slots, rmq_build(kept))))
+        else:
+            pb = np.maximum.reduceat(c, np.arange(0, n, i))
+            long_tables[i] = (pb, rmq_build(pb))
     return SubstringIndex(u, tt, saidx, tau_min, m_short, l_max, short_tables, long_tables)
 
 
@@ -157,9 +205,11 @@ def _window_probability(
 
 
 def _locate(saidx: SuffixArrayIndex, tau_min: float, p: str, tau: float) -> tuple[int, int] | None:
-    """Reject an empty pattern or a threshold below the floor; else the slot range of ``p`` or None."""
+    """Reject an empty pattern, a NaN threshold or one below the floor; else ``p``'s slot range or None."""
     if not p:
         raise ValueError("pattern is empty")
+    if math.isnan(tau):
+        raise ValueError("threshold tau is NaN")
     if tau < tau_min:
         raise ThresholdError(tau, tau_min)
     return suffix_range(saidx, p)

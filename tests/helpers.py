@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import random
 
-from ustrindex import UncertainString
+import numpy as np
+
+from ustrindex import UncertainString, occurrence_probability
+from ustrindex.factorize import depth_values
 from ustrindex.textcore import TreeView
 from ustrindex.datagen import _inject_correlations
 
@@ -78,3 +81,77 @@ def reference_link_marks(tt, saidx) -> list[tuple[int, int, int, int]]:
         if o_depth > tree.depth[anc]:
             out.append((d, o_depth, int(tree.depth[anc]), woff))
     return sorted(out)
+
+
+def slot_depth_values(tt, ann, saidx, doc_at, depths: int) -> list:
+    """Window values of depths 1..depths in suffix-array slot order, as the builders compute them."""
+
+    def window_value(o: int, i: int) -> float:
+        return occurrence_probability(doc_at(o), tt.window_text(o, i), int(tt.pos[o]))
+
+    sa0 = saidx.sa - 1
+    return [v[sa0] for v in depth_values(ann, window_value, depths)]
+
+
+def reference_dedup_depth(values, lcp, orig, depth: int, n_orig: int):
+    """Slots and values of the leftmost slot of each original position per depth partition.
+
+    The substring builder's grouping before it shared one with listing.
+    """
+    pid = np.cumsum(lcp < depth)
+    valid = np.flatnonzero(values > 0.0)
+    _, first = np.unique(pid[valid] * np.int64(n_orig + 1) + orig[valid], return_index=True)
+    keep = np.sort(valid[first])
+    return (keep + 1).astype(np.int32), values[keep]
+
+
+def reference_combine(values: list[float], metric: str) -> float:
+    """Fold per-occurrence probabilities (already in ascending position order), one at a time."""
+    if not values:
+        return 0.0
+    if metric == "max":
+        return max(values)
+    if metric == "or":
+        if len(values) == 1:
+            return values[0]
+        s = 0.0
+        prod = 1.0
+        for v in values:
+            s += v
+            prod *= v
+        return s - prod
+    comp = 1.0
+    for v in values:
+        comp *= 1.0 - v
+    return 1.0 - comp
+
+
+def reference_aggregate_depth(c, lcp, slot_doc, orig, depth: int, n_docs: int, max_orig: int, metric: str):
+    """Slots and scores of one per-document relevance entry per partition, group by group in Python.
+
+    The listing builder's grouping before it shared one with the substring
+    index; each entry sits at the first slot of its (partition, document) group.
+    """
+    pid = np.cumsum(lcp < depth)
+    valid = np.flatnonzero(c > 0.0)
+    heads: list[int] = []
+    scores: list[float] = []
+    if valid.size:
+        # drop same-occurrence duplicates (same partition, doc, original position)
+        keys = (pid[valid] * np.int64(n_docs) + slot_doc[valid]) * np.int64(max_orig + 1) + orig[valid]
+        _, first = np.unique(keys, return_index=True)
+        slots = np.sort(valid[first])
+        order = np.lexsort((orig[slots], slot_doc[slots], pid[slots]))
+        rows = slots[order]
+        k = 0
+        while k < len(rows):
+            j = k
+            group_key = (pid[rows[k]], slot_doc[rows[k]])
+            while j < len(rows) and (pid[rows[j]], slot_doc[rows[j]]) == group_key:
+                j += 1
+            chunk = rows[k:j]
+            heads.append(int(chunk.min()))
+            scores.append(reference_combine([float(c[s]) for s in chunk], metric))
+            k = j
+    order = np.argsort(heads)
+    return np.asarray(heads, dtype=np.int32)[order] + 1, np.asarray(scores, dtype=np.float64)[order]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
@@ -144,4 +145,6 @@ def test_approx_query_guards(genome):
         approx_query(ln, "AT", 0.05)
     with pytest.raises(ValueError):
         approx_query(ln, "", 0.5)
+    with pytest.raises(ValueError, match="NaN"):
+        approx_items(ln, "AT", math.nan)
     assert approx_query(ln, "ZZ", 0.5) == []

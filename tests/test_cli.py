@@ -124,6 +124,36 @@ def test_wrong_kind_and_missing_files_exit_two(genome_file, collection_file, tmp
     assert main(["query", str(tmp_path / "nope.usi"), "--pattern", "A", "--tau", "0.1"]) == 2
 
 
+def test_nan_threshold_exits_two(genome_file, collection_file, tmp_path, capsys):
+    sub = str(tmp_path / "s.usi")
+    coll = str(tmp_path / "c.usi")
+    main(["build", genome_file, "-o", sub, "--tau-min", "0.1", "--epsilon", "0.05"])
+    main(["build", collection_file, "-o", coll, "--tau-min", "0.1"])
+    capsys.readouterr()
+    for command, path in (("query", sub), ("approx", sub), ("list", coll)):
+        assert main([command, path, "--pattern", "A", "--tau", "nan"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "NaN" in err
+
+
+@pytest.mark.parametrize("field, value", [("metric", "bogus"), ("tau_min", "nan"), ("epsilon", "0.0")])
+def test_tampered_listing_manifest_exits_two(field, value, collection_file, tmp_path, capsys):
+    path = tmp_path / "c.usi"
+    main(["build", collection_file, "-o", str(path), "--tau-min", "0.1", "--metric", "max"])
+    with zipfile.ZipFile(path) as zf:
+        entries = {name: zf.read(name) for name in zf.namelist()}
+    manifest = json.loads(entries["manifest.json"])
+    manifest[field] = value
+    entries["manifest.json"] = json.dumps(manifest).encode()
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in entries.items():
+            zf.writestr(name, data)
+    capsys.readouterr()
+    assert main(["list", str(path), "--pattern", "BF", "--tau", "0.1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"manifest {field}" in err
+
+
 @pytest.mark.parametrize(
     "damage",
     [

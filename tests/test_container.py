@@ -13,9 +13,14 @@ import pytest
 from ustrindex import (
     ContainerError,
     DocumentCollection,
+    IndexConfig,
     IndexContainer,
+    ListingConfig,
+    UncertainString,
     approx_items,
+    build,
     build_container,
+    build_listing,
     list_items,
     load_container,
     query_items,
@@ -149,6 +154,64 @@ def test_load_rejects_a_manifest_that_is_not_a_json_object(manifest, genome, tmp
     _rewrite(path, entries)
     with pytest.raises(ContainerError):
         load_container(path)
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("links", "tau_min", "nan"),
+        ("links", "tau_min", "0.0"),
+        ("links", "tau_min", "-1.0"),
+        ("links", "epsilon", "nan"),
+        ("links", "epsilon", "0.0"),
+        ("links", "epsilon", "5.0"),
+        ("listing", "tau_min", "1.5"),
+        ("listing", "metric", "bogus"),
+        ("listing", "metric", None),
+    ],
+)
+def test_load_rejects_a_manifest_threshold_or_metric_out_of_range(
+    kind, field, value, genome, collection, tmp_path
+):
+    path = str(tmp_path / "m.usi")
+    if kind == "links":
+        container = build_container([genome], 0.1, epsilon=0.05)
+    else:
+        container = build_container(list(collection.docs), 0.1, metric="max")
+    save_container(container, path)
+    entries = _entries(path)
+    manifest = json.loads(entries["manifest.json"])
+    manifest[field] = value
+    entries["manifest.json"] = json.dumps(manifest).encode()
+    _rewrite(path, entries)
+    with pytest.raises(ContainerError, match=f"manifest {field}"):
+        load_container(path)
+
+
+@pytest.mark.parametrize("kind", ["substring", "listing", "links"])
+def test_an_empty_transformed_text_round_trips_and_answers_nothing(kind, tmp_path):
+    # every window of two even positions is below tau_min 0.9, so no factor survives
+    u = UncertainString("flat", ({"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5}))
+    if kind == "substring":
+        container = IndexContainer("substring", 0.9, substring=build(u, 0.9, IndexConfig(m_short=3)))
+    elif kind == "listing":
+        lidx = build_listing(DocumentCollection((u,)), 0.9, "or", ListingConfig(m_short=3))
+        container = IndexContainer("listing", 0.9, listing=lidx, metric="or")
+    else:
+        container = build_container([u], 0.9, epsilon=0.05, m_short=3)
+    path = str(tmp_path / "empty.usi")
+    save_container(container, path)
+    for c in (container, load_container(path)):
+        idx = c.substring or c.listing
+        assert idx.tt.n == 0 and idx.m_short == 3
+        assert [(v.size, d.slots.size) for v, d in idx.short_tables] == [(0, 0)] * 3
+        for p in ("a", "ab", "aba", "abab"):
+            if kind == "listing":
+                assert list_items(c.listing, p, 0.9) == []
+            else:
+                assert query_items(c.substring, p, 0.9) == []
+            if kind == "links":
+                assert approx_items(c.links, p, 0.9) == []
 
 
 def test_no_tree_view_is_built_for_links(genome, tmp_path):

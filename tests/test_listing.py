@@ -2,28 +2,37 @@
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ustrindex import (
+    METRICS,
     DocumentCollection,
     ListingConfig,
     ThresholdError,
     UncertainString,
+    build_container,
     build_listing,
     list_docs,
     list_items,
     list_with_stats,
+    load_container,
     oracle_list,
     oracle_relevance,
     relevance,
     sample_world,
+    save_container,
     transform,
 )
 
-from helpers import random_ustring
+from ustrindex.qindex import _fold
+
+from helpers import reference_aggregate_depth, random_ustring, slot_depth_values
 
 
 def test_worked_example_listing(collection):
@@ -79,6 +88,8 @@ def test_listing_query_guards(collection):
         list_docs(idx, "A", 0.05)
     with pytest.raises(ValueError):
         list_docs(idx, "", 0.5)
+    with pytest.raises(ValueError, match="NaN"):
+        list_items(idx, "A", math.nan)
 
 
 def test_listing_matches_oracle_on_fixture(collection):
@@ -126,3 +137,53 @@ def test_list_with_stats_counts_outputs(collection):
     idx = build_listing(collection, 0.1, "max")
     names, stats = list_with_stats(idx, "A", 0.1)
     assert stats.outputs == len(names) == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_group_depth_matches_the_loop_reference(seed):
+    rng = random.Random(seed)
+    # a deterministic document repeats "a" and "ab", so some groups hold many occurrences
+    docs = [UncertainString("rep", tuple({ch: 1.0} for ch in "abaabab"))]
+    docs += [
+        random_ustring(rng, n=rng.randint(3, 12), alphabet="abc", correlation_rate=0.3, name=f"d{k}")
+        for k in range(rng.randint(1, 3))
+    ]
+    collection = DocumentCollection(tuple(docs))
+    tau_min = rng.choice((0.1, 0.2))
+    sizes: set[int] = set()
+    for metric in METRICS:
+        idx = build_listing(collection, tau_min, metric)
+        sa0 = idx.saidx.sa - 1
+        slot_doc, orig = idx.doc_of[sa0], idx.tt.pos[sa0]
+        depths = slot_depth_values(
+            idx.tt, idx.ann, idx.saidx, lambda o: docs[int(idx.doc_of[o])], idx.m_short
+        )
+        for i, (c, (values, depth)) in enumerate(zip(depths, idx.short_tables), start=1):
+            c = np.where(c < tau_min, 0.0, c)
+            want_slots, want_values = reference_aggregate_depth(
+                c, idx.saidx.lcp, slot_doc, orig, i, len(docs), max(d.n for d in docs), metric
+            )
+            assert np.array_equal(depth.slots, want_slots)
+            assert values.tobytes() == want_values.tobytes()
+            pid = np.cumsum(idx.saidx.lcp < i)
+            kept = {(pid[s], slot_doc[s], orig[s]) for s in np.flatnonzero(c > 0.0).tolist()}
+            sizes.update(min(size, 2) for size in Counter((p, k) for p, k, _ in kept).values())
+    assert sizes == {1, 2}
+    with pytest.raises(ValueError, match="unknown metric"):
+        _fold(np.array([0.5]), np.array([0]), "sum")
+
+
+def test_a_loaded_listing_index_builds_annotations_on_its_first_long_query(collection, tmp_path):
+    built = build_container(list(collection.docs), 0.1, metric="or", m_short=1)
+    path = str(tmp_path / "c.usi")
+    save_container(built, path)
+    idx = load_container(path).listing
+    for p in ("A", "B", "Z"):
+        assert list_items(idx, p, 0.1) == list_items(built.listing, p, 0.1)
+    assert "ann" not in idx.__dict__
+    items = list_items(idx, "AB", 0.1)
+    assert "ann" in idx.__dict__
+    assert [name for name, _ in items] == ["d1", "d2"]
+    assert set(name for name, _ in items) == oracle_list(collection, "AB", 0.1, "or", floor=0.1)
+    assert items == list_items(built.listing, "AB", 0.1)

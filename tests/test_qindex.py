@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,7 @@ from ustrindex import (
     sample_world,
 )
 
-from helpers import random_ustring
+from helpers import random_ustring, reference_dedup_depth, slot_depth_values
 
 
 def test_worked_example_queries(genome):
@@ -54,6 +56,8 @@ def test_query_guards(genome):
     assert exc.value.tau == 0.05 and exc.value.tau_min == 0.1
     with pytest.raises(ValueError):
         query(idx, "", 0.5)
+    with pytest.raises(ValueError, match="NaN"):
+        query_items(idx, "AT", math.nan)
 
 
 def test_deterministic_string_is_plain_substring_search():
@@ -117,3 +121,17 @@ def test_short_queries_stay_within_the_probe_budget(seed):
         assert stats.outputs == len(positions)
         assert stats.rmq_calls <= 2 * len(positions) + 1
         assert sorted(set(positions)) == positions
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_substring_tables_match_the_dedup_reference(seed):
+    rng = random.Random(seed)
+    u = random_ustring(rng, n=rng.randint(3, 24), alphabet="abc", correlation_rate=0.3)
+    idx = build(u, rng.choice((0.1, 0.2, 0.3)), rng.choice((None, IndexConfig(m_short=6))))
+    depths = slot_depth_values(idx.tt, idx.tt.annotations, idx.saidx, lambda _o: u, idx.m_short)
+    orig = idx.tt.pos[idx.saidx.sa - 1]
+    for i, (c, (values, depth)) in enumerate(zip(depths, idx.short_tables), start=1):
+        want_slots, want_values = reference_dedup_depth(c, idx.saidx.lcp, orig, i, u.n)
+        assert np.array_equal(depth.slots, want_slots)
+        assert values.tobytes() == want_values.tobytes()
