@@ -9,10 +9,11 @@ links keep their origin as a suffix-array slot in ``link_origin``.  Loading
 rebuilds the suffix array and the RMQ tables; either index kind derives its
 annotations on its first long query.  A load builds neither the LCP array
 nor a suffix-tree view.  A file that is not such an archive, is of another
-version, lacks a member, holds an unreadable member, a manifest whose
-``tau_min`` or ``epsilon`` lies outside (0, 1] or whose listing metric is
-unknown, or an array whose dtype, length or contents do not fit the index
-raises ``ContainerError`` before anything is built.
+version, lacks a member, holds an unreadable member, a manifest with a field
+of the wrong JSON type, whose ``tau_min`` or ``epsilon`` lies outside (0, 1]
+or whose listing metric is unknown, or an array whose dtype, length or
+contents do not fit the index raises ``ContainerError`` before anything is
+built.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, d
     else:
         # one block maximum per d text slots, as ``qindex.build`` cuts them
         for d in manifest["long_depths"]:
-            want[f"long_{d}"] = len(range(0, n, int(d)))
+            want[f"long_{d}"] = len(range(0, n, d))
             dtypes[f"long_{d}"] = np.float64
         if manifest["epsilon"] is not None:
             k = arrays["link_origin"].size
@@ -218,6 +219,10 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, d
             raise bad(f"short_{i}_slots", "slots that are not strictly increasing within [1, n]")
         if not np.all((values > 0.0) & (values <= top)):
             raise bad(f"short_{i}", f"a value outside (0, {top:g}] or NaN")
+    for d in manifest["long_depths"] if manifest["kind"] == "substring" else ():
+        # a block with no factor-start value keeps 0
+        if not np.all((arrays[f"long_{d}"] >= 0.0) & (arrays[f"long_{d}"] <= 1.0)):
+            raise bad(f"long_{d}", "a value outside [0, 1] or NaN")
     if manifest["kind"] == "substring" and manifest["epsilon"] is not None:
         origin = arrays["link_origin"]
         if origin.size and (origin[0] < 1 or origin[-1] > n or np.any(origin[1:] < origin[:-1])):
@@ -230,6 +235,14 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, d
             raise bad("link_stored", "a value outside (0, 1] or NaN")
 
 
+def _field(manifest: dict, name: str, *types: type):
+    """``manifest[name]`` if it is of one of ``types``; a JSON boolean is none of them."""
+    value = manifest[name]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ContainerError(f"manifest {name} {value!r} is of the wrong type")
+    return value
+
+
 def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
     """Reopen the index a manifest and its arrays describe; a missing entry raises KeyError."""
     if not isinstance(manifest, dict):
@@ -237,12 +250,17 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise ContainerError(f"unsupported container version {version!r}")
-    kind = manifest["kind"]
-    tau_min = float(manifest["tau_min"])
-    docs = parse_ust(manifest["source"])
-    m_short = int(manifest["m_short"])
+    kind = _field(manifest, "kind", str)
     if kind not in ("substring", "listing"):
         raise ContainerError(f"unknown container kind {kind!r}")
+    tau_min = float(_field(manifest, "tau_min", str, int, float))
+    _field(manifest, "epsilon", str, int, float, type(None))
+    docs = parse_ust(_field(manifest, "source", str))
+    m_short = _field(manifest, "m_short", int)
+    if kind == "substring":
+        _field(manifest, "l_max", int)
+        if not all(type(d) is int for d in _field(manifest, "long_depths", list)):
+            raise ContainerError(f"manifest long_depths {manifest['long_depths']!r} holds a non-integer")
     for name in ("tau_min", "epsilon"):
         if manifest[name] is not None and not 0.0 < float(manifest[name]) <= 1.0:
             raise ContainerError(f"manifest {name} {manifest[name]!r} is not in (0, 1]")
@@ -262,11 +280,11 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
         (u,) = docs
         tt = TransformedText(codes, pos, cum, tau_min, source=u)
         long_tables = {
-            int(d): (arrays[f"long_{d}"], rmq_build(arrays[f"long_{d}"]))
+            d: (arrays[f"long_{d}"], rmq_build(arrays[f"long_{d}"]))
             for d in manifest["long_depths"]
         }
         idx = SubstringIndex(
-            u, tt, saidx, tau_min, m_short, int(manifest["l_max"]), short_tables, long_tables
+            u, tt, saidx, tau_min, m_short, manifest["l_max"], short_tables, long_tables
         )
         links = None
         epsilon = None

@@ -9,10 +9,11 @@ pattern occurrences with probability >= tau_min.
 One depth-first walk (``_windows``) enumerates the qualifying windows at a
 start, growing each by one character through ``_grow``, the single copy of
 the growth rule; the factors it flags maximal carry their own prefix
-products, which become ``cum``.  All probabilities attached to the text
-(``cum`` prefixes, per-depth window values) are left-to-right products of the
+products, which become ``cum``.  Those are left-to-right products of the
 same multiplicands ``model.occurrence_probability`` uses, so threshold
-comparisons downstream agree bitwise with the model.
+comparisons downstream agree bitwise with the model; the index tables read
+them straight from ``cum`` at the factor starts.  ``build_annotations`` adds
+only per-offset facts about the factor runs, for long queries and links.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,7 +37,7 @@ __all__ = [
     "transform",
 ]
 
-_NEVER = 1 << 60
+_CODES = 0x110000  # code points lie below this
 
 
 @dataclass(frozen=True)
@@ -154,21 +155,17 @@ def prefix_probabilities(u: UncertainString, symbols: str, start: int) -> list[f
 
 @dataclass(eq=False)
 class Annotations:
-    """Per-offset multiplicand tables driving vectorized window products.
+    """Per-offset facts about each factor, read by long queries and link marking.
 
-    ``mult`` is each character's contribution with no in-window conditioning;
-    backward conditioning switches it to ``val_back`` for windows long enough
-    (``thr_back``); forward conditioning is handled by recompute events keyed
-    by window length in ``fwd_events``.
+    ``eff_len[o]`` is the room from offset ``o`` to its factor's separator,
+    ``fstart[o]`` the factor's first offset, and ``factor_corr[o]`` says that a
+    correlation keys on some character of the factor.  A separator has
+    ``eff_len`` 0, is its own ``fstart`` and is never ``factor_corr``.
     """
 
-    mult: np.ndarray
     eff_len: np.ndarray
     fstart: np.ndarray
-    thr_back: np.ndarray
-    val_back: np.ndarray
     factor_corr: np.ndarray
-    fwd_events: dict[int, list[int]]
 
 
 @dataclass(eq=False)
@@ -196,22 +193,27 @@ class TransformedText:
         """Readable rendering; every separator prints as '$'."""
         return "".join(chr(c) if c >= 0 else "$" for c in self.codes.tolist())
 
-    def factor_runs(self) -> list[tuple[int, int]]:
-        """Half-open 0-based offsets ``(b, e)`` of every factor; its separator sits at ``e``."""
-        ends = np.flatnonzero(self.codes < 0).tolist()
-        return list(zip([0] + [e + 1 for e in ends[:-1]], ends))
+    def factor_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """0-based ``starts`` and ``ends`` of the factors.
+
+        Factor k spans ``starts[k]:ends[k]``; its separator sits at ``ends[k]``.
+        """
+        ends = np.flatnonzero(self.codes < 0)
+        return np.concatenate(([0], ends[:-1] + 1))[: ends.size], ends
 
     @property
     def factor_table(self) -> tuple[tuple[int, MaximalFactor], ...]:
         """Each factor paired with its 1-based text offset."""
+        starts, ends = self.factor_runs()
         return tuple(
             (b + 1, MaximalFactor(int(self.pos[b]), self.window_text(b, e - b), float(self.cum[e - 1])))
-            for b, e in self.factor_runs()
+            for b, e in zip(starts.tolist(), ends.tolist())
         )
 
     @property
     def longest_factor(self) -> int:
-        return max((e - b for b, e in self.factor_runs()), default=0)
+        starts, ends = self.factor_runs()
+        return int((ends - starts).max(initial=0))
 
     def window_text(self, offset: int, length: int) -> str:
         """Decode ``length`` characters at 0-based ``offset`` (no separators allowed)."""
@@ -222,91 +224,34 @@ class TransformedText:
     def annotations(self) -> Annotations:
         if self.source is None:
             raise ValueError("annotations need the source string; collections concatenate per-document ones")
-        return build_annotations(self, self.source)
+        return build_annotations(self, (self.source,))
 
 
 def build_annotations(
-    tt: TransformedText,
-    u: UncertainString | None = None,
-    doc_lookup: Callable[[int], UncertainString] | None = None,
+    tt: TransformedText, docs: Sequence[UncertainString], doc_of: np.ndarray | None = None
 ) -> Annotations:
-    """Derive the per-offset tables from a transform and its source string(s).
+    """Derive the per-offset tables from a transform's factor runs and its source string(s).
 
-    For a concatenated collection, ``doc_lookup`` maps a factor's text offset
-    to the owning document; otherwise ``u`` owns every factor.
+    ``doc_of[o]`` numbers the document of ``docs`` that owns offset ``o``;
+    without it ``docs[0]`` owns every factor.
     """
-    if doc_lookup is None:
-        if u is None:
-            raise ValueError("either u or doc_lookup is required")
-        src = u
-        doc_lookup = lambda _o: src
     n = tt.n
-    mult = np.zeros(n, dtype=np.float64)
+    starts, ends = tt.factor_runs()
+    sep = tt.codes < 0
+    fid = np.cumsum(sep) - sep  # each offset's factor; offsets past the last separator have none
+    own = ~sep & (fid < ends.size)
+    x = np.arange(n, dtype=np.int64)
+    fstart = x.copy()
+    fstart[own] = starts[fid[own]]
     eff = np.zeros(n, dtype=np.int64)
-    fstart = np.arange(n, dtype=np.int64)
-    thr = np.full(n, _NEVER, dtype=np.int64)
-    val_back = np.zeros(n, dtype=np.float64)
-    fcorr = np.zeros(n, dtype=bool)
-    events: dict[int, list[int]] = {}
-
-    for o0, end in tt.factor_runs():
-        doc = doc_lookup(o0)
-        by_source = doc.by_source
-        start = int(tt.pos[o0])
-        L = end - o0
-        symbols = tt.window_text(o0, L)
-        any_corr = False
-        for t, sym in enumerate(symbols):
-            x = o0 + t
-            q = start + t
-            eff[x] = L - t
-            fstart[x] = o0
-            corr = by_source.get((q, sym)) if by_source else None
-            if corr is None:
-                mult[x] = doc.positions[q - 1].get(sym, 0.0)
-                continue
-            any_corr = True
-            mult[x] = corr.marginal(doc.pr(corr.cond_pos, corr.cond_sym))
-            j = corr.cond_pos
-            if j < q and j >= start:
-                thr[x] = (q - j) + 1
-                cond_char = symbols[j - start]
-                val_back[x] = corr.p_plus if cond_char == corr.cond_sym else corr.p_minus
-            elif j > q and j <= start + L - 1:
-                xc = x + (j - q)
-                for o in range(o0, x + 1):
-                    events.setdefault(xc - o + 1, []).append(o)
-        if any_corr:
-            fcorr[o0 : o0 + L] = True
-    return Annotations(mult, eff, fstart, thr, val_back, fcorr, events)
-
-
-def depth_values(
-    ann: Annotations,
-    window_value: Callable[[int, int], float],
-    max_depth: int,
-) -> Iterator[np.ndarray]:
-    """Yield V_1 .. V_max_depth where V_i[o] is the window product at offset ``o``, length ``i``.
-
-    Entries are 0 where the window would cross a separator, so every depth
-    past the text length yields all zeros.  ``window_value`` recomputes a
-    single window exactly when a forward conditioner enters it.
-    """
-    n = len(ann.mult)
-    v = np.where(ann.eff_len >= 1, ann.mult, 0.0)
-    yield v
-    for i in range(2, max_depth + 1):
-        keep = max(n - i + 1, 0)
-        prev = v
-        v = np.zeros(n, dtype=np.float64)
-        tail = slice(i - 1, None)
-        m = np.where(ann.thr_back[tail] <= i, ann.val_back[tail], ann.mult[tail])
-        v[:keep] = prev[:keep] * m
-        v[ann.eff_len < i] = 0.0
-        for o in ann.fwd_events.get(i, ()):
-            if o < keep and ann.eff_len[o] >= i:
-                v[o] = window_value(o, i)
-        yield v
+    eff[own] = ends[fid[own]] - x[own]
+    # one int64 key per (document, position, code), for the text and for every correlated source
+    span = np.int64(max((d.n for d in docs), default=0) + 1)
+    doc = np.zeros(n, dtype=np.int64) if doc_of is None else doc_of
+    src = [(k * span + q) * _CODES + ord(sym) for k, d in enumerate(docs) for q, sym in d.by_source if 0 < q < span]
+    hit = own & np.isin((doc * span + tt.pos) * _CODES + tt.codes, np.array(src, dtype=np.int64))
+    fcorr = own & np.bincount(fid[hit], minlength=ends.size + 1).astype(bool)[fid]
+    return Annotations(eff, fstart, fcorr)
 
 
 def transform(u: UncertainString, tau_min: float, length_cap: int | None = None) -> TransformedText:
@@ -364,7 +309,7 @@ def conservation_check(
     codes = tt.codes.tolist()
     cum = tt.cum.tolist()
     heads: dict[int, list[int]] = {}
-    for b, _ in tt.factor_runs():
+    for b in tt.factor_runs()[0].tolist():
         heads.setdefault(int(tt.pos[b]), []).append(b)
     for start in range(1, u.n + 1):
         for p, _, _ in _windows(u, tau_min, start):

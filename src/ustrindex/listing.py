@@ -9,8 +9,9 @@ report it block by block like short substring queries.  The tables come from
 document instead of original position.  Aggregation (``qindex._fold``) visits
 a document's occurrences in ascending original position, which is also the
 order an exhaustive scan visits them, so scores match such a scan bit for
-bit.  Annotations are built by a build, or by a loaded index's first long
-query.
+bit.  The rows are the factor-start windows of ``qindex._factor_rows``, whose
+values are the per-document transforms' own ``cum`` prefixes.  Annotations
+are built by the first long query.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .factorize import Annotations, TransformedText, build_annotations, depth_values, transform
+from .factorize import Annotations, TransformedText, build_annotations, transform
 from .model import DocumentCollection, UncertainString, occurrence_probability, validate
-from .qindex import QueryStats, _fold, _group_depth, _locate, _window_probability
+from .qindex import QueryStats, _factor_rows, _fold, _group_depth, _locate, _window_probability
 from .textcore import (
     SparseDepth,
     SuffixArrayIndex,
@@ -86,11 +87,8 @@ class ListingIndex:
 
     @cached_property
     def ann(self) -> Annotations:
-        """Per-document annotations, built on first use.
-
-        The build reads them; a loaded index builds them on its first long query.
-        """
-        return build_annotations(self.tt, doc_lookup=lambda o: self.collection.docs[int(self.doc_of[o])])
+        """Per-document annotations, built on the first long query."""
+        return build_annotations(self.tt, self.collection.docs, self.doc_of)
 
     @cached_property
     def tree(self) -> TreeView:
@@ -149,23 +147,14 @@ def build_listing(
     if m_short < 1:
         raise ValueError("m_short must be at least 1")
 
-    # the index comes first so that the annotations this build reads stay cached on it
-    idx = ListingIndex(collection, metric, tau_min, tt, doc_of, saidx, m_short, [])
-    sa0 = saidx.sa - 1
-    slot_doc = doc_of[sa0]
+    short_tables: list[tuple[np.ndarray, SparseDepth]] = []
     # one occurrence key per (document, original position), ordered by document first
-    occ = slot_doc * np.int64(max((d.n for d in collection.docs), default=0) + 1) + tt.pos[sa0]
-
-    def window_value(o: int, i: int) -> float:
-        d = collection.docs[int(doc_of[o])]
-        return occurrence_probability(d, tt.window_text(o, i), int(tt.pos[o]))
-
-    for i, v in zip(range(1, m_short + 1), depth_values(idx.ann, window_value, m_short)):
-        c = v[sa0]
-        c[c < tau_min] = 0.0
-        slots, scores = _group_depth(c, saidx.lcp, i, occ, slot_doc, metric)
-        idx.short_tables.append((scores, SparseDepth(slots, rmq_build(scores))))
-    return idx
+    span = np.int64(max((d.n for d in collection.docs), default=0) + 1)
+    for i, (slots, starts, values) in enumerate(_factor_rows(tt, saidx, tau_min, m_short), start=1):
+        doc = doc_of[starts]
+        kept_slots, scores = _group_depth(slots, values, saidx.lcp, i, doc * span + tt.pos[starts], doc, metric)
+        short_tables.append((scores, SparseDepth(kept_slots, rmq_build(scores))))
+    return ListingIndex(collection, metric, tau_min, tt, doc_of, saidx, m_short, short_tables)
 
 
 def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]], QueryStats]:

@@ -4,27 +4,30 @@ Short patterns are answered by one sparse table per length (the nonzero
 entries in slot order, see ``textcore.SparseDepth``), reported block by block
 with ``textcore.rmq_report``; long patterns by block maxima, reported the
 same way, plus elementwise verification.  So reported positions always carry
-their exact occurrence probability.  Every stored value is the same
-left-to-right product the model computes, which keeps threshold comparisons
-bitwise faithful.  A substring index builds its annotations on the first
-long query.
+their exact occurrence probability.  Every stored value is a factor's own
+``cum`` prefix, the same left-to-right product the model computes, which
+keeps threshold comparisons bitwise faithful.  A substring index builds its
+annotations on the first long query.
 
-``_group_depth`` builds the short tables of both index kinds: one entry per
-(locus partition, key) at the partition's first slot of that key, where the
-key is an original position here and a document in ``listing``, whose
-several occurrences ``_fold`` combines into one score.
+``_factor_rows`` lists, per depth, the factor-start windows reaching tau_min,
+and ``_group_depth`` builds the short tables of both index kinds from them:
+one entry per (locus partition, key) at the first factor-start slot of that
+key in the partition, where the key is an original position here and a
+document in ``listing``, whose several occurrences ``_fold`` combines into
+one score.  A long table keeps the block maxima of the same rows.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ThresholdError
-from .factorize import Annotations, TransformedText, depth_values, transform
+from .factorize import Annotations, TransformedText, transform
 from .model import UncertainString, occurrence_probability, validate
 from .textcore import (
     RmqIndex,
@@ -91,30 +94,57 @@ class SubstringIndex:
         return TreeView(self.saidx)
 
 
+def _factor_rows(
+    tt: TransformedText, saidx: SuffixArrayIndex, tau_min: float, top: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield, per depth 1..top, the factor-start windows of that length reaching tau_min.
+
+    Each depth gives ascending 0-based slots, the factor starts at them and
+    their ``cum`` values.  Every (pattern, position) pair at or above tau_min
+    is a prefix of a maximal factor aligned there, with ``cum`` its exact
+    probability, so these rows hold every such pair and its value, inside the
+    locus partition of any other offset that spells it.
+    """
+    starts, ends = tt.factor_runs()
+    slots = saidx.inverse_sa[starts] - 1
+    order = np.argsort(slots)
+    slots, starts, room = slots[order], starts[order], (ends - starts)[order]
+    for i in range(1, top + 1):
+        live = room >= i
+        values = tt.cum[starts[live] + i - 1]
+        keep = values >= tau_min
+        yield slots[live][keep], starts[live][keep], values[keep]
+
+
 def _group_depth(
-    c: np.ndarray, lcp: np.ndarray, depth: int, occ: np.ndarray, group: np.ndarray, metric: str
+    slots: np.ndarray,
+    values: np.ndarray,
+    lcp: np.ndarray,
+    depth: int,
+    occ: np.ndarray,
+    group: np.ndarray,
+    metric: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Slots and folded values of one entry per (depth partition, group), at the group's first slot.
 
-    ``c`` holds a value per slot (0 for none), ``occ`` names the occurrence a
-    slot stands for and ``group`` the key it is reported under; ``occ`` must
-    order by group first and by original position within a group.  Repeated
-    occurrences in a partition are dropped by one ``np.unique`` over the
-    (partition, occurrence) key, whose sorted order already lines each group
-    up in ascending original position for ``_fold``.
+    ``slots`` are the rows' ascending 0-based slots and ``values`` their
+    values; ``occ`` names the occurrence a row stands for and ``group`` the key
+    it is reported under, and ``occ`` must order by group first and by
+    original position within a group.  Repeated occurrences in a partition are
+    dropped by one ``np.unique`` over the (partition, occurrence) key, whose
+    sorted order already lines each group up in ascending original position
+    for ``_fold``.
     """
-    pid = np.cumsum(lcp < depth)
-    valid = np.flatnonzero(c > 0.0)
+    pid = np.cumsum(lcp < depth)[slots]
     span = np.int64(occ.max(initial=0)) + 1
-    _, first = np.unique(pid[valid] * span + occ[valid], return_index=True)
-    rows = valid[first]
-    p, g = pid[rows], group[rows]
-    head = np.ones(rows.size, dtype=bool)
+    _, first = np.unique(pid * span + occ, return_index=True)
+    p, g = pid[first], group[first]
+    head = np.ones(first.size, dtype=bool)
     head[1:] = (p[1:] != p[:-1]) | (g[1:] != g[:-1])
     starts = np.flatnonzero(head)
-    first_slot = np.minimum.reduceat(rows, starts)
+    first_slot = np.minimum.reduceat(slots[first], starts)
     order = np.argsort(first_slot)
-    return (first_slot[order] + 1).astype(np.int32), _fold(c[rows], starts, metric)[order]
+    return (first_slot[order] + 1).astype(np.int32), _fold(values[first], starts, metric)[order]
 
 
 def _fold(values: np.ndarray, starts: np.ndarray, metric: str) -> np.ndarray:
@@ -168,20 +198,15 @@ def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None)
 
     short_tables: list[tuple[np.ndarray, SparseDepth]] = []
     long_tables: dict[int, tuple[np.ndarray, RmqIndex]] = {}
-    sa0 = saidx.sa - 1
-    orig = tt.pos[sa0]
-
-    def window_value(o: int, i: int) -> float:
-        return occurrence_probability(u, tt.window_text(o, i), int(tt.pos[o]))
-
     top = max(m_short, min(l_max, tt.longest_factor))
-    for i, v in zip(range(1, top + 1), depth_values(tt.annotations, window_value, top)):
-        c = v[sa0]
+    for i, (slots, starts, values) in enumerate(_factor_rows(tt, saidx, tau_min, top), start=1):
         if i <= m_short:
-            slots, kept = _group_depth(c, saidx.lcp, i, orig, orig, "max")
-            short_tables.append((kept, SparseDepth(slots, rmq_build(kept))))
+            orig = tt.pos[starts]
+            kept_slots, kept = _group_depth(slots, values, saidx.lcp, i, orig, orig, "max")
+            short_tables.append((kept, SparseDepth(kept_slots, rmq_build(kept))))
         else:
-            pb = np.maximum.reduceat(c, np.arange(0, n, i))
+            pb = np.zeros(-(-n // i))
+            np.maximum.at(pb, slots // i, values)
             long_tables[i] = (pb, rmq_build(pb))
     return SubstringIndex(u, tt, saidx, tau_min, m_short, l_max, short_tables, long_tables)
 

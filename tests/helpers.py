@@ -7,7 +7,6 @@ import random
 import numpy as np
 
 from ustrindex import UncertainString, occurrence_probability
-from ustrindex.factorize import depth_values
 from ustrindex.textcore import TreeView
 from ustrindex.datagen import _inject_correlations
 
@@ -83,14 +82,28 @@ def reference_link_marks(tt, saidx) -> list[tuple[int, int, int, int]]:
     return sorted(out)
 
 
-def slot_depth_values(tt, ann, saidx, doc_at, depths: int) -> list:
-    """Window values of depths 1..depths in suffix-array slot order, as the builders compute them."""
+def slot_depth_values(tt, saidx, doc_at, depths: int) -> list:
+    """Window values of depths 1..depths in suffix-array slot order, by brute force.
 
-    def window_value(o: int, i: int) -> float:
-        return occurrence_probability(doc_at(o), tt.window_text(o, i), int(tt.pos[o]))
+    One ``occurrence_probability`` call per window that stays inside its
+    factor; a window that reaches a separator or the text's end is 0.
+    """
+    codes = tt.codes.tolist()
+    sa0 = (saidx.sa - 1).tolist()
+    out = []
+    for i in range(1, depths + 1):
+        v = np.zeros(len(sa0))
+        for k, o in enumerate(sa0):
+            if o + i <= len(codes) and min(codes[o : o + i]) >= 0:
+                v[k] = occurrence_probability(doc_at(o), tt.window_text(o, i), int(tt.pos[o]))
+        out.append(v)
+    return out
 
-    sa0 = saidx.sa - 1
-    return [v[sa0] for v in depth_values(ann, window_value, depths)]
+
+def partition_entries(slots, values, lcp, depth: int, key_of_slot) -> list[tuple[int, int, bytes]]:
+    """(locus partition, key, value bytes) of each table entry at 1-based ``slots``."""
+    pid = np.cumsum(lcp < depth)
+    return [(int(pid[s - 1]), int(key_of_slot[s - 1]), v.tobytes()) for s, v in zip(slots.tolist(), values)]
 
 
 def reference_dedup_depth(values, lcp, orig, depth: int, n_orig: int):

@@ -161,6 +161,7 @@ def test_tampered_listing_manifest_exits_two(field, value, collection_file, tmp_
         "missing member",
         "manifest not json",
         "manifest not an object",
+        "manifest tau_min a list",
         "codes too short",
         "short value NaN",
         "link origins reversed",
@@ -190,6 +191,10 @@ def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, ca
             buf = io.BytesIO()
             np.save(buf, np.load(io.BytesIO(entries["link_origin.npy"]))[::-1])
             entries["link_origin.npy"] = buf.getvalue()
+        elif damage == "manifest tau_min a list":
+            manifest = json.loads(entries["manifest.json"])
+            manifest["tau_min"] = [1]
+            entries["manifest.json"] = json.dumps(manifest).encode()
         else:
             entries["manifest.json"] = b"{not json" if damage == "manifest not json" else b"[1]"
         with zipfile.ZipFile(path, "w") as zf:

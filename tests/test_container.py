@@ -188,6 +188,30 @@ def test_load_rejects_a_manifest_threshold_or_metric_out_of_range(
         load_container(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tau_min", [1]),
+        ("m_short", None),
+        ("long_depths", 3),
+        ("source", 5),
+        ("epsilon", [0.05]),
+        ("l_max", "7"),
+        ("long_depths", ["3"]),
+    ],
+)
+def test_load_rejects_a_manifest_field_of_the_wrong_type(field, value, genome, tmp_path):
+    path = str(tmp_path / "t.usi")
+    save_container(build_container([genome], 0.1, epsilon=0.05, m_short=2), path)
+    entries = _entries(path)
+    manifest = json.loads(entries["manifest.json"])
+    manifest[field] = value
+    entries["manifest.json"] = json.dumps(manifest).encode()
+    _rewrite(path, entries)
+    with pytest.raises(ContainerError, match=f"manifest {field}"):
+        load_container(path)
+
+
 @pytest.mark.parametrize("kind", ["substring", "listing", "links"])
 def test_an_empty_transformed_text_round_trips_and_answers_nothing(kind, tmp_path):
     # every window of two even positions is below tau_min 0.9, so no factor survives
@@ -418,6 +442,13 @@ def test_load_rejects_slots_and_values_of_different_lengths(genome, collection, 
 def test_load_rejects_a_short_value_outside_the_unit_interval(kind, bad, genome, collection, tmp_path):
     path = _tampered(kind, "short_1", _set_first(lambda a: a == a, bad), genome, collection, tmp_path)
     with pytest.raises(ContainerError, match="short_1 holds a value outside"):
+        load_container(path)
+
+
+@pytest.mark.parametrize("bad", [-0.25, 1.5, np.nan])
+def test_load_rejects_a_long_value_outside_the_unit_interval(bad, genome, collection, tmp_path):
+    path = _tampered("substring", "long_3", _set_first(lambda a: a == a, bad), genome, collection, tmp_path)
+    with pytest.raises(ContainerError, match="long_3 holds a value outside"):
         load_container(path)
 
 

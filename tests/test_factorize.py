@@ -10,15 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from ustrindex import (
     CapacityError,
+    DocumentCollection,
     TransformedText,
     UncertainString,
+    build_listing,
     conservation_check,
     maximal_factors,
     occurrence_probability,
     prefix_probabilities,
     transform,
 )
-from ustrindex.factorize import build_annotations, depth_values
 
 from helpers import random_ustring
 
@@ -129,7 +130,7 @@ def test_transform_cum_is_bitwise_occurrence(seed):
     tau_min = rng.choice((0.15, 0.25, 0.4))
     tt = transform(u, tau_min)
     cum = tt.cum.tolist()
-    for b, e in tt.factor_runs():
+    for b, e in zip(*tt.factor_runs()):
         start = int(tt.pos[b])
         symbols = tt.window_text(b, e - b)
         assert cum[b:e] == [occurrence_probability(u, symbols[: k + 1], start) for k in range(e - b)]
@@ -164,26 +165,39 @@ def test_transform_capacity_guard(genome):
     assert "length cap" in str(exc.value)
 
 
+def _loop_annotations(tt: TransformedText, doc_at) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``eff_len``, ``fstart`` and ``factor_corr`` by one pass over every factor character."""
+    eff = np.zeros(tt.n, dtype=np.int64)
+    fstart = np.arange(tt.n, dtype=np.int64)
+    fcorr = np.zeros(tt.n, dtype=bool)
+    for b, e in zip(*tt.factor_runs()):
+        by_source = doc_at(b).by_source
+        for x in range(b, e):
+            eff[x], fstart[x] = e - x, b
+            if (int(tt.pos[x]), chr(tt.codes[x])) in by_source:
+                fcorr[b:e] = True
+    return eff, fstart, fcorr
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
-def test_depth_values_match_window_products(seed):
+def test_annotations_match_a_per_character_loop(seed):
     rng = random.Random(seed)
-    u = random_ustring(rng, n=rng.randint(2, 10), correlation_rate=0.5)
-    tt = transform(u, 0.2)
-    if tt.n == 0:
-        return
-    ann = build_annotations(tt, u)
-
-    def window_value(o: int, i: int) -> float:
-        return occurrence_probability(u, tt.window_text(o, i), int(tt.pos[o]))
-
-    top = tt.longest_factor
-    for i, v in zip(range(1, top + 1), depth_values(ann, window_value, top)):
-        for o in range(tt.n - i + 1):
-            if ann.eff_len[o] >= i:
-                assert v[o] == window_value(o, i)
-            else:
-                assert v[o] == 0.0
+    docs = [
+        random_ustring(rng, n=rng.randint(2, 10), alphabet="ab", correlation_rate=0.5, name=f"d{k}")
+        for k in range(rng.randint(1, 3))
+    ]
+    # an uncorrelated copy repeats every correlated (position, symbol) key of the first document
+    docs.append(UncertainString("copy", docs[0].positions))
+    lidx = build_listing(DocumentCollection(tuple(docs)), 0.2)
+    single = transform(docs[0], 0.2)
+    for ann, want in (
+        (lidx.ann, _loop_annotations(lidx.tt, lambda o: docs[int(lidx.doc_of[o])])),
+        (single.annotations, _loop_annotations(single, lambda _o: docs[0])),
+    ):
+        assert np.array_equal(ann.eff_len, want[0])
+        assert np.array_equal(ann.fstart, want[1])
+        assert np.array_equal(ann.factor_corr, want[2])
 
 
 @settings(max_examples=25, deadline=None)

@@ -32,7 +32,7 @@ from ustrindex import (
 
 from ustrindex.qindex import _fold
 
-from helpers import reference_aggregate_depth, random_ustring, slot_depth_values
+from helpers import partition_entries, reference_aggregate_depth, random_ustring, slot_depth_values
 
 
 def test_worked_example_listing(collection):
@@ -156,17 +156,15 @@ def test_group_depth_matches_the_loop_reference(seed):
         idx = build_listing(collection, tau_min, metric)
         sa0 = idx.saidx.sa - 1
         slot_doc, orig = idx.doc_of[sa0], idx.tt.pos[sa0]
-        depths = slot_depth_values(
-            idx.tt, idx.ann, idx.saidx, lambda o: docs[int(idx.doc_of[o])], idx.m_short
-        )
+        lcp = idx.saidx.lcp
+        depths = slot_depth_values(idx.tt, idx.saidx, lambda o: docs[int(idx.doc_of[o])], idx.m_short)
         for i, (c, (values, depth)) in enumerate(zip(depths, idx.short_tables), start=1):
             c = np.where(c < tau_min, 0.0, c)
-            want_slots, want_values = reference_aggregate_depth(
-                c, idx.saidx.lcp, slot_doc, orig, i, len(docs), max(d.n for d in docs), metric
-            )
-            assert np.array_equal(depth.slots, want_slots)
-            assert values.tobytes() == want_values.tobytes()
-            pid = np.cumsum(idx.saidx.lcp < i)
+            got = partition_entries(depth.slots, values, lcp, i, slot_doc)
+            assert len({(p, k) for p, k, _ in got}) == len(got)
+            want = reference_aggregate_depth(c, lcp, slot_doc, orig, i, len(docs), max(d.n for d in docs), metric)
+            assert set(got) == set(partition_entries(*want, lcp, i, slot_doc))
+            pid = np.cumsum(lcp < i)
             kept = {(pid[s], slot_doc[s], orig[s]) for s in np.flatnonzero(c > 0.0).tolist()}
             sizes.update(min(size, 2) for size in Counter((p, k) for p, k, _ in kept).values())
     assert sizes == {1, 2}

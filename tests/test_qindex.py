@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -10,11 +11,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ustrindex import (
+    METRICS,
+    Correlation,
+    DocumentCollection,
     IndexConfig,
     ThresholdError,
     UncertainString,
     build,
+    build_listing,
+    list_items,
     occurrence_probability,
+    oracle_list,
+    oracle_relevance,
     oracle_search,
     query,
     query_items,
@@ -22,7 +30,7 @@ from ustrindex import (
     sample_world,
 )
 
-from helpers import random_ustring, reference_dedup_depth, slot_depth_values
+from helpers import partition_entries, random_ustring, reference_dedup_depth, slot_depth_values
 
 
 def test_worked_example_queries(genome):
@@ -129,9 +137,45 @@ def test_substring_tables_match_the_dedup_reference(seed):
     rng = random.Random(seed)
     u = random_ustring(rng, n=rng.randint(3, 24), alphabet="abc", correlation_rate=0.3)
     idx = build(u, rng.choice((0.1, 0.2, 0.3)), rng.choice((None, IndexConfig(m_short=6))))
-    depths = slot_depth_values(idx.tt, idx.tt.annotations, idx.saidx, lambda _o: u, idx.m_short)
+    depths = slot_depth_values(idx.tt, idx.saidx, lambda _o: u, idx.m_short)
     orig = idx.tt.pos[idx.saidx.sa - 1]
+    lcp = idx.saidx.lcp
     for i, (c, (values, depth)) in enumerate(zip(depths, idx.short_tables), start=1):
-        want_slots, want_values = reference_dedup_depth(c, idx.saidx.lcp, orig, i, u.n)
-        assert np.array_equal(depth.slots, want_slots)
-        assert values.tobytes() == want_values.tobytes()
+        c = np.where(c < idx.tau_min, 0.0, c)
+        got = partition_entries(depth.slots, values, lcp, i, orig)
+        assert len({(p, k) for p, k, _ in got}) == len(got)
+        want = partition_entries(*reference_dedup_depth(c, lcp, orig, i, u.n), lcp, i, orig)
+        assert set(got) == set(want)
+
+
+def test_a_non_monotone_string_stores_nothing_below_tau_min():
+    # "a" at 1 and "c" at 2 condition on each other: "a" alone has 0.1, "ac" has 1
+    u = UncertainString(
+        "nm",
+        ({"a": 0.5, "b": 0.5}, {"c": 0.1, "d": 0.9}, {"e": 1.0}),
+        (Correlation(1, "a", 2, "c", 1.0, 0.0), Correlation(2, "c", 1, "a", 1.0, 0.0)),
+    )
+    assert occurrence_probability(u, "a", 1) == pytest.approx(0.1)
+    idx = build(u, 0.3)
+    listings = [build_listing(DocumentCollection((u,)), 0.3, metric) for metric in METRICS]
+    for values, _ in idx.short_tables + [t for lidx in listings for t in lidx.short_tables]:
+        assert np.all(values >= 0.3)
+    patterns = ["".join(w) for m in (1, 2, 3) for w in itertools.product("abcde", repeat=m)]
+    for p in patterns:
+        for tau in (0.3, 0.45, 0.9):
+            items = query_items(idx, p, tau)
+            assert [i for i, _ in items] == sorted(oracle_search(u, p, tau))
+            assert all(v == occurrence_probability(u, p, i) for i, v in items)
+            for lidx in listings:
+                got = list_items(lidx, p, tau)
+                assert {name for name, _ in got} == oracle_list(lidx.collection, p, tau, lidx.metric, floor=0.3)
+                assert all(rel == oracle_relevance(u, p, lidx.metric, floor=0.3) for _, rel in got)
+
+
+def test_builds_leave_the_annotations_unbuilt(genome, collection):
+    idx = build(genome, 0.1, IndexConfig(m_short=1))
+    assert "annotations" not in idx.tt.__dict__
+    lidx = build_listing(collection, 0.1, "or")
+    assert "ann" not in lidx.__dict__
+    assert query(idx, "ATA", 0.1) == sorted(oracle_search(genome, "ATA", 0.1))
+    assert "annotations" in idx.tt.__dict__
