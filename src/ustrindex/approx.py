@@ -116,15 +116,15 @@ def build_links(tt: TransformedText, saidx: SuffixArrayIndex, tau_min: float) ->
         h[a : b - 1] = np.minimum.reduceat(saidx.lcp[s[0] : s[-1]], s[:-1] - s[0])
     witness = sa0[slots - 1]
     d_l, w_l, hl = d_of.tolist(), witness.tolist(), h.tolist()
-    eff_l = tt.annotations.eff_len[witness].tolist()
+    room_l = tt.room(witness).tolist()
 
     links: list[RawLink] = []
     # first pairs of the open nodes, depths strictly increasing; a -1 closes a position's nodes
     stack: list[int] = []
     for j, v in enumerate(hl):
         t = max(hl[j - 1] if j else -1, v, 0)
-        if eff_l[j] > t:
-            links.append(RawLink(d_l[j], eff_l[j], t, w_l[j]))
+        if room_l[j] > t:
+            links.append(RawLink(d_l[j], room_l[j], t, w_l[j]))
         while stack and hl[stack[-1]] > v:
             top = stack.pop()
             if hl[top] > 0:

@@ -6,9 +6,9 @@ index answers queries bit for bit like the one that was saved.  Format
 version 3 stores each short depth sparsely: ``short_i`` holds the values and
 ``short_i_slots`` their slots (see ``textcore.SparseDepth``); approximate
 links keep their origin as a suffix-array slot in ``link_origin``.  Loading
-rebuilds the suffix array and the RMQ tables; either index kind derives its
-annotations on its first long query.  A load builds neither the LCP array
-nor a suffix-tree view.  A file that is not such an archive, is of another
+rebuilds the suffix array and the RMQ tables, and long queries read the
+stored ``cum`` directly.  A load builds neither the LCP array nor a
+suffix-tree view.  A file that is not such an archive, is of another
 version, lacks a member, holds an unreadable member, a manifest with a field
 of the wrong JSON type, whose ``tau_min`` or ``epsilon`` lies outside (0, 1]
 or whose listing metric is unknown, or an array whose dtype, length or
@@ -201,8 +201,11 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, d
     pos = arrays["pos"]
     if np.any(pos[sep] != 0):
         raise bad("pos", "a position at a separator")
-    if np.any(arrays["cum"][sep] != -1.0):
+    cum = arrays["cum"]
+    if np.any(cum[sep] != -1.0):
         raise bad("cum", "a probability at a separator")
+    if not np.all(sep | ((cum >= 0.0) & (cum <= 1.0))):
+        raise bad("cum", "a probability outside [0, 1] or NaN at a letter")
     limit = max((d.n for d in docs), default=0)
     if manifest["kind"] == "listing":
         doc_of = arrays["doc_of"]

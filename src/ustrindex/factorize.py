@@ -11,16 +11,15 @@ start, growing each by one character through ``_grow``, the single copy of
 the growth rule; the factors it flags maximal carry their own prefix
 products, which become ``cum``.  Those are left-to-right products of the
 same multiplicands ``model.occurrence_probability`` uses, so threshold
-comparisons downstream agree bitwise with the model; the index tables read
-them straight from ``cum`` at the factor starts.  ``build_annotations`` adds
-only per-offset facts about the factor runs, for long queries and links.
+comparisons downstream agree bitwise with the model; the index tables and
+the long queries of both index kinds read them straight from ``cum`` at the
+factor starts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,8 +35,6 @@ __all__ = [
     "prefix_probabilities",
     "transform",
 ]
-
-_CODES = 0x110000  # code points lie below this
 
 
 @dataclass(frozen=True)
@@ -154,23 +151,8 @@ def prefix_probabilities(u: UncertainString, symbols: str, start: int) -> list[f
 
 
 @dataclass(eq=False)
-class Annotations:
-    """Per-offset facts about each factor, read by long queries and link marking.
-
-    ``eff_len[o]`` is the room from offset ``o`` to its factor's separator,
-    ``fstart[o]`` the factor's first offset, and ``factor_corr[o]`` says that a
-    correlation keys on some character of the factor.  A separator has
-    ``eff_len`` 0, is its own ``fstart`` and is never ``factor_corr``.
-    """
-
-    eff_len: np.ndarray
-    fstart: np.ndarray
-    factor_corr: np.ndarray
-
-
-@dataclass(eq=False)
 class TransformedText:
-    """Concatenated maximal factors with position and probability annotations.
+    """Concatenated maximal factors with their original positions and prefix probabilities.
 
     ``pos[i]`` maps a 0-based text offset to its original 1-based position (0
     at separators); ``cum[i]`` is the factor-prefix probability product ending
@@ -220,38 +202,10 @@ class TransformedText:
         chunk = self.codes[offset : offset + length].tolist()
         return "".join(map(chr, chunk))
 
-    @cached_property
-    def annotations(self) -> Annotations:
-        if self.source is None:
-            raise ValueError("annotations need the source string; collections concatenate per-document ones")
-        return build_annotations(self, (self.source,))
-
-
-def build_annotations(
-    tt: TransformedText, docs: Sequence[UncertainString], doc_of: np.ndarray | None = None
-) -> Annotations:
-    """Derive the per-offset tables from a transform's factor runs and its source string(s).
-
-    ``doc_of[o]`` numbers the document of ``docs`` that owns offset ``o``;
-    without it ``docs[0]`` owns every factor.
-    """
-    n = tt.n
-    starts, ends = tt.factor_runs()
-    sep = tt.codes < 0
-    fid = np.cumsum(sep) - sep  # each offset's factor; offsets past the last separator have none
-    own = ~sep & (fid < ends.size)
-    x = np.arange(n, dtype=np.int64)
-    fstart = x.copy()
-    fstart[own] = starts[fid[own]]
-    eff = np.zeros(n, dtype=np.int64)
-    eff[own] = ends[fid[own]] - x[own]
-    # one int64 key per (document, position, code), for the text and for every correlated source
-    span = np.int64(max((d.n for d in docs), default=0) + 1)
-    doc = np.zeros(n, dtype=np.int64) if doc_of is None else doc_of
-    src = [(k * span + q) * _CODES + ord(sym) for k, d in enumerate(docs) for q, sym in d.by_source if 0 < q < span]
-    hit = own & np.isin((doc * span + tt.pos) * _CODES + tt.codes, np.array(src, dtype=np.int64))
-    fcorr = own & np.bincount(fid[hit], minlength=ends.size + 1).astype(bool)[fid]
-    return Annotations(eff, fstart, fcorr)
+    def room(self, offsets: np.ndarray) -> np.ndarray:
+        """Characters from each 0-based offset to its factor's separator; 0 at a separator."""
+        ends = self.factor_runs()[1]
+        return ends[np.searchsorted(ends, offsets)] - offsets
 
 
 def transform(u: UncertainString, tau_min: float, length_cap: int | None = None) -> TransformedText:

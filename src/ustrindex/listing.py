@@ -10,8 +10,9 @@ document instead of original position.  Aggregation (``qindex._fold``) visits
 a document's occurrences in ascending original position, which is also the
 order an exhaustive scan visits them, so scores match such a scan bit for
 bit.  The rows are the factor-start windows of ``qindex._factor_rows``, whose
-values are the per-document transforms' own ``cum`` prefixes.  Annotations
-are built by the first long query.
+values are the per-document transforms' own ``cum`` prefixes.  A long query
+reads the same values at the factor starts of its slot range
+(``qindex._factor_hits``) and groups them the same way, by document.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .factorize import Annotations, TransformedText, build_annotations, transform
+from .factorize import TransformedText, transform
 from .model import DocumentCollection, UncertainString, occurrence_probability, validate
-from .qindex import QueryStats, _factor_rows, _fold, _group_depth, _locate, _window_probability
+from .qindex import QueryStats, _factor_hits, _factor_rows, _fold, _group_depth, _locate
 from .textcore import (
     SparseDepth,
     SuffixArrayIndex,
@@ -84,11 +85,6 @@ class ListingIndex:
     saidx: SuffixArrayIndex
     m_short: int
     short_tables: list[tuple[np.ndarray, SparseDepth]] = field(repr=False)
-
-    @cached_property
-    def ann(self) -> Annotations:
-        """Per-document annotations, built on the first long query."""
-        return build_annotations(self.tt, self.collection.docs, self.doc_of)
 
     @cached_property
     def tree(self) -> TreeView:
@@ -172,25 +168,15 @@ def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]]
         hits = depth.report(sp, ep, tau, stats)
         found = dict(zip(idx.doc_of[sa[depth.slots[hits] - 1] - 1].tolist(), values[hits].tolist()))
     else:
-        seen: set[tuple[int, int]] = set()
-        occurrences: list[tuple[int, int, float]] = []
-        for j in range(sp, ep + 1):
-            o = sa[j - 1] - 1
-            k = int(idx.doc_of[o])
-            orig = int(idx.tt.pos[o])
-            if (k, orig) in seen:
-                continue
-            seen.add((k, orig))
-            d = idx.collection.docs[k]
-            v = _window_probability(idx.tt, idx.ann, d, o, p, idx.tau_min)
-            if v >= idx.tau_min:
-                occurrences.append((k, orig, v))
-        occurrences.sort()
-        docs = [k for k, _, _ in occurrences]
-        starts = [r for r, k in enumerate(docs) if r == 0 or k != docs[r - 1]]
-        values = np.array([v for _, _, v in occurrences])
-        scores = _fold(values, np.array(starts, dtype=np.intp), idx.metric).tolist()
-        found = {docs[r]: score for r, score in zip(starts, scores) if score >= tau}
+        off, values = _factor_hits(idx.tt, sa, [(sp, ep)], m, idx.tau_min)
+        doc, orig = idx.doc_of[off], idx.tt.pos[off]
+        # ascending (document, position) order, which _fold needs
+        _, first = np.unique(doc * (orig.max(initial=0) + 1) + orig, return_index=True)
+        doc = doc[first]
+        starts = np.flatnonzero(np.diff(doc, prepend=-1))
+        scores = _fold(values[first], starts, idx.metric)
+        keep = scores >= tau
+        found = dict(zip(doc[starts[keep]].tolist(), scores[keep].tolist()))
 
     items = [(idx.collection.docs[k].name, found[k]) for k in sorted(found)]
     stats.outputs = len(items)

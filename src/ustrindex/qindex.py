@@ -3,11 +3,11 @@
 Short patterns are answered by one sparse table per length (the nonzero
 entries in slot order, see ``textcore.SparseDepth``), reported block by block
 with ``textcore.rmq_report``; long patterns by block maxima, reported the
-same way, plus elementwise verification.  So reported positions always carry
-their exact occurrence probability.  Every stored value is a factor's own
-``cum`` prefix, the same left-to-right product the model computes, which
-keeps threshold comparisons bitwise faithful.  A substring index builds its
-annotations on the first long query.
+same way, whose slots ``_factor_hits`` reads at the factor starts.  So
+reported positions always carry their exact occurrence probability.  Every
+stored or read value is a factor's own ``cum`` prefix, the same left-to-right
+product the model computes, which keeps threshold comparisons bitwise
+faithful.
 
 ``_factor_rows`` lists, per depth, the factor-start windows reaching tau_min,
 and ``_group_depth`` builds the short tables of both index kinds from them:
@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ThresholdError
-from .factorize import Annotations, TransformedText, transform
-from .model import UncertainString, occurrence_probability, validate
+from .factorize import TransformedText, transform
+from .model import UncertainString, validate
 from .textcore import (
     RmqIndex,
     SparseDepth,
@@ -49,11 +49,6 @@ __all__ = [
     "query_items",
     "query_with_stats",
 ]
-
-# Cumulative-product ratios agree with the exact in-order product to a few
-# ulps per factor character; candidates within this band are re-verified, so
-# the shortcut can only cut windows that are clearly below threshold.
-_RATIO_SLACK = 1.0 - 1e-9
 
 
 @dataclass
@@ -211,22 +206,22 @@ def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None)
     return SubstringIndex(u, tt, saidx, tau_min, m_short, l_max, short_tables, long_tables)
 
 
-def _window_probability(
-    tt: TransformedText, ann: Annotations, u: UncertainString, o: int, p: str, floor: float
-) -> float:
-    """Exact occurrence probability of ``p`` at text offset ``o``, or 0 below ``floor``.
+def _factor_hits(
+    tt: TransformedText, sa: np.ndarray, ranges: list[tuple[int, int]], m: int, floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factor starts in the slot ranges ``[lo, hi]`` of a length-``m`` pattern, and their values.
 
-    Correlation-free factors are pre-screened by a cumulative-product ratio
-    with slack before the exact recomputation.
+    Every slot in the ranges spells the pattern, so a factor start there has
+    room for it and ``cum`` at its m-th character is the pattern's exact
+    probability at that position; by conservation each position reaching
+    tau_min has such a start in the pattern's range.  Keeps values >= ``floor``.
     """
-    m = len(p)
-    if ann.eff_len[o] < m:
-        return 0.0
-    if not ann.factor_corr[o]:
-        denom = tt.cum[o - 1] if o > ann.fstart[o] else 1.0
-        if tt.cum[o + m - 1] < floor * denom * _RATIO_SLACK:
-            return 0.0
-    return occurrence_probability(u, p, int(tt.pos[o]))
+    pieces = [sa[lo - 1 : hi] for lo, hi in ranges]
+    off = np.concatenate(pieces) - 1 if pieces else np.zeros(0, dtype=np.int64)
+    off = off[(off == 0) | (tt.codes[off - 1] < 0)]
+    values = tt.cum[off + m - 1]
+    keep = values >= floor
+    return off[keep], values[keep]
 
 
 def _locate(saidx: SuffixArrayIndex, tau_min: float, p: str, tau: float) -> tuple[int, int] | None:
@@ -261,45 +256,27 @@ def _run(idx: SubstringIndex, p: str, tau: float) -> tuple[list[int], list[float
         assert np.all(found[1:] > found[:-1])
         positions, probs = found.tolist(), values[hits[order]].tolist()
     else:
-        ann = tt.annotations
-        items: list[tuple[int, float]] = []
-        seen: set[int] = set()
-
-        def scan_slots(lo: int, hi: int) -> None:
-            for j in range(lo, hi + 1):
-                o = sa[j - 1] - 1
-                orig = int(tt.pos[o])
-                if orig in seen:
-                    continue
-                seen.add(orig)
-                v = _window_probability(tt, ann, idx.u, o, p, tau)
-                if v >= tau:
-                    items.append((orig, v))
-
         table = idx.long_tables.get(m) if m <= idx.l_max else None
-        if table is None:
-            scan_slots(sp, ep)
-        else:
-            pb, rmq = table
+        ranges = [(sp, ep)]
+        if table is not None:
+            _, rmq = table
             bs, be = (sp - 1) // m, (ep - 1) // m
             blo = bs if sp == bs * m + 1 else bs + 1
             bhi = be if ep == (be + 1) * m else be - 1
             if blo > bhi:
                 stats.block_scans += 1
-                scan_slots(sp, ep)
             else:
+                ranges = []
                 if bs < blo:
-                    stats.block_scans += 1
-                    scan_slots(sp, blo * m)
+                    ranges.append((sp, blo * m))
                 if be > bhi:
-                    stats.block_scans += 1
-                    scan_slots(bhi * m + m + 1, ep)
-                for b in rmq_report(rmq, blo + 1, bhi + 1, tau, stats).tolist():
-                    stats.block_scans += 1
-                    scan_slots((b - 1) * m + 1, b * m)
-        items.sort()
-        assert len({i for i, _ in items}) == len(items)
-        positions, probs = [i for i, _ in items], [v for _, v in items]
+                    ranges.append((bhi * m + m + 1, ep))
+                blocks = rmq_report(rmq, blo + 1, bhi + 1, tau, stats).tolist()
+                ranges += [((b - 1) * m + 1, b * m) for b in blocks]
+                stats.block_scans += len(ranges)
+        off, values = _factor_hits(tt, sa, ranges, m, tau)
+        found, first = np.unique(tt.pos[off], return_index=True)
+        positions, probs = found.tolist(), values[first].tolist()
 
     stats.outputs = len(positions)
     return positions, probs, stats

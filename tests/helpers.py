@@ -51,7 +51,7 @@ def reference_link_marks(tt, saidx) -> list[tuple[int, int, int, int]]:
     pair.
     """
     tree = TreeView(saidx)
-    eff_len = tt.annotations.eff_len
+    room = tt.room(np.arange(tt.n))
     marks: dict[tuple[int, int], int] = {}
     by_pos: dict[int, list[tuple[int, int]]] = {}
     for k in range(1, saidx.n + 1):
@@ -76,7 +76,7 @@ def reference_link_marks(tt, saidx) -> list[tuple[int, int, int, int]]:
             anc = int(tree.parent[anc])
         o_depth = int(tree.depth[node])
         if tree.subtree_end[node] == node:
-            o_depth = min(o_depth, int(eff_len[woff]))
+            o_depth = min(o_depth, int(room[woff]))
         if o_depth > tree.depth[anc]:
             out.append((d, o_depth, int(tree.depth[anc]), woff))
     return sorted(out)

@@ -207,12 +207,12 @@ def test_criterion_4_conservation(instances):
 def _max_segment_spread(u, idx, ln) -> float:
     """Largest within-segment probability spread, recomputed from witnesses."""
     tt, sa = idx.tt, idx.saidx.sa
-    eff = tt.annotations.eff_len
+    room = tt.room(sa - 1)  # in slot order
     worst = 0.0
     for link in ln.links():
         witness = int(sa[link.origin - 1]) - 1
         assert int(tt.pos[witness]) == link.pos_id
-        assert int(eff[witness]) >= link.origin_depth
+        assert int(room[link.origin - 1]) >= link.origin_depth
         probs = prefix_probabilities(u, tt.window_text(witness, link.origin_depth), link.pos_id)
         assert link.stored_prob == probs[link.target_depth]
         worst = max(worst, probs[link.target_depth] - probs[link.origin_depth - 1])

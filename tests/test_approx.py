@@ -79,13 +79,13 @@ def test_segments_store_their_top_probability_and_stay_within_eps(seed):
     eps = rng.choice((0.05, 0.2))
     idx, ln = _linked(u, 0.1, eps)
     tt, sa = idx.tt, idx.saidx.sa
-    ann = tt.annotations
+    room = tt.room(sa - 1)  # in slot order
     assert len(ln) > 0
     for link in ln.links():
         assert 0 <= link.target_depth < link.origin_depth
         witness = int(sa[link.origin - 1]) - 1
         assert int(tt.pos[witness]) == link.pos_id
-        assert int(ann.eff_len[witness]) >= link.origin_depth
+        assert int(room[link.origin - 1]) >= link.origin_depth
         window = tt.window_text(witness, link.origin_depth)
         probs = prefix_probabilities(u, window, link.pos_id)
         assert link.stored_prob == probs[link.target_depth]

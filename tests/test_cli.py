@@ -164,6 +164,7 @@ def test_tampered_listing_manifest_exits_two(field, value, collection_file, tmp_
         "manifest tau_min a list",
         "codes too short",
         "short value NaN",
+        "cum NaN",
         "link origins reversed",
     ],
 )
@@ -181,12 +182,13 @@ def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, ca
             buf = io.BytesIO()
             np.save(buf, np.arange(3, dtype=np.int64))
             entries["codes.npy"] = buf.getvalue()
-        elif damage == "short value NaN":
-            values = np.load(io.BytesIO(entries["short_1.npy"]))
+        elif damage in ("short value NaN", "cum NaN"):
+            member = "short_1.npy" if damage == "short value NaN" else "cum.npy"
+            values = np.load(io.BytesIO(entries[member]))
             values[0] = np.nan
             buf = io.BytesIO()
             np.save(buf, values)
-            entries["short_1.npy"] = buf.getvalue()
+            entries[member] = buf.getvalue()
         elif damage == "link origins reversed":
             buf = io.BytesIO()
             np.save(buf, np.load(io.BytesIO(entries["link_origin.npy"]))[::-1])

@@ -473,6 +473,9 @@ def test_listing_or_scores_may_exceed_one_but_not_be_nan(collection, tmp_path):
         ("substring", "pos", lambda a: a[::-1].copy(), "a position at a separator"),
         ("substring", "pos", _set_first(lambda a: a == 0, 5), "a position at a separator"),
         ("substring", "cum", _set_first(lambda a: a == -1.0, 0.5), "a probability at a separator"),
+        ("substring", "cum", _set_first(lambda a: a > 0, np.nan), "a probability outside"),
+        ("listing", "cum", _set_first(lambda a: a > 0, 1.5), "a probability outside"),
+        ("substring", "cum", _set_first(lambda a: a > 0, -0.25), "a probability outside"),
         ("substring", "pos", _set_first(lambda a: a > 0, 0), "a position outside its source"),
         ("substring", "pos", _set_first(lambda a: a > 0, 12), "a position outside its source"),
         ("listing", "pos", _set_first(lambda a: a > 0, 4), "a position outside its source"),
@@ -484,6 +487,9 @@ def test_listing_or_scores_may_exceed_one_but_not_be_nan(collection, tmp_path):
         "pos reversed",
         "pos at a separator",
         "cum at a separator",
+        "cum NaN at a letter",
+        "cum above 1",
+        "cum negative",
         "pos zero",
         "pos past the string",
         "pos past its document",

@@ -1,4 +1,4 @@
-"""Maximal factors, the transform, its annotations, and the conservation check."""
+"""Maximal factors, the transform, its factor runs, and the conservation check."""
 
 from __future__ import annotations
 
@@ -165,39 +165,26 @@ def test_transform_capacity_guard(genome):
     assert "length cap" in str(exc.value)
 
 
-def _loop_annotations(tt: TransformedText, doc_at) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``eff_len``, ``fstart`` and ``factor_corr`` by one pass over every factor character."""
-    eff = np.zeros(tt.n, dtype=np.int64)
-    fstart = np.arange(tt.n, dtype=np.int64)
-    fcorr = np.zeros(tt.n, dtype=bool)
+def _loop_room(tt: TransformedText) -> np.ndarray:
+    """Room to the separator at every offset, by one pass over every factor character."""
+    room = np.zeros(tt.n, dtype=np.int64)
     for b, e in zip(*tt.factor_runs()):
-        by_source = doc_at(b).by_source
         for x in range(b, e):
-            eff[x], fstart[x] = e - x, b
-            if (int(tt.pos[x]), chr(tt.codes[x])) in by_source:
-                fcorr[b:e] = True
-    return eff, fstart, fcorr
+            room[x] = e - x
+    return room
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
-def test_annotations_match_a_per_character_loop(seed):
+def test_room_matches_a_per_character_loop(seed):
     rng = random.Random(seed)
     docs = [
         random_ustring(rng, n=rng.randint(2, 10), alphabet="ab", correlation_rate=0.5, name=f"d{k}")
         for k in range(rng.randint(1, 3))
     ]
-    # an uncorrelated copy repeats every correlated (position, symbol) key of the first document
-    docs.append(UncertainString("copy", docs[0].positions))
     lidx = build_listing(DocumentCollection(tuple(docs)), 0.2)
-    single = transform(docs[0], 0.2)
-    for ann, want in (
-        (lidx.ann, _loop_annotations(lidx.tt, lambda o: docs[int(lidx.doc_of[o])])),
-        (single.annotations, _loop_annotations(single, lambda _o: docs[0])),
-    ):
-        assert np.array_equal(ann.eff_len, want[0])
-        assert np.array_equal(ann.fstart, want[1])
-        assert np.array_equal(ann.factor_corr, want[2])
+    for tt in (lidx.tt, transform(docs[0], 0.2)):
+        assert np.array_equal(tt.room(np.arange(tt.n)), _loop_room(tt))
 
 
 @settings(max_examples=25, deadline=None)

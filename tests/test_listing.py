@@ -170,18 +170,3 @@ def test_group_depth_matches_the_loop_reference(seed):
     assert sizes == {1, 2}
     with pytest.raises(ValueError, match="unknown metric"):
         _fold(np.array([0.5]), np.array([0]), "sum")
-
-
-def test_a_loaded_listing_index_builds_annotations_on_its_first_long_query(collection, tmp_path):
-    built = build_container(list(collection.docs), 0.1, metric="or", m_short=1)
-    path = str(tmp_path / "c.usi")
-    save_container(built, path)
-    idx = load_container(path).listing
-    for p in ("A", "B", "Z"):
-        assert list_items(idx, p, 0.1) == list_items(built.listing, p, 0.1)
-    assert "ann" not in idx.__dict__
-    items = list_items(idx, "AB", 0.1)
-    assert "ann" in idx.__dict__
-    assert [name for name, _ in items] == ["d1", "d2"]
-    assert set(name for name, _ in items) == oracle_list(collection, "AB", 0.1, "or", floor=0.1)
-    assert items == list_items(built.listing, "AB", 0.1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -15,11 +16,14 @@ from ustrindex import (
     Correlation,
     DocumentCollection,
     IndexConfig,
+    ListingConfig,
     ThresholdError,
     UncertainString,
     build,
+    build_container,
     build_listing,
     list_items,
+    load_container,
     occurrence_probability,
     oracle_list,
     oracle_relevance,
@@ -28,6 +32,7 @@ from ustrindex import (
     query_items,
     query_with_stats,
     sample_world,
+    save_container,
 )
 
 from helpers import partition_entries, random_ustring, reference_dedup_depth, slot_depth_values
@@ -156,26 +161,62 @@ def test_a_non_monotone_string_stores_nothing_below_tau_min():
         (Correlation(1, "a", 2, "c", 1.0, 0.0), Correlation(2, "c", 1, "a", 1.0, 0.0)),
     )
     assert occurrence_probability(u, "a", 1) == pytest.approx(0.1)
-    idx = build(u, 0.3)
-    listings = [build_listing(DocumentCollection((u,)), 0.3, metric) for metric in METRICS]
-    for values, _ in idx.short_tables + [t for lidx in listings for t in lidx.short_tables]:
-        assert np.all(values >= 0.3)
+    # m_short=1 sends lengths 2 and 3 down the long paths, past windows inside a factor below tau_min
+    indexes = [build(u, 0.3), build(u, 0.3, IndexConfig(m_short=1))]
+    listings = [
+        build_listing(DocumentCollection((u,)), 0.3, metric, ListingConfig(m_short=m_short))
+        for metric in METRICS
+        for m_short in (None, 1)
+    ]
+    for index in indexes + listings:
+        for values, _ in index.short_tables:
+            assert np.all(values >= 0.3)
     patterns = ["".join(w) for m in (1, 2, 3) for w in itertools.product("abcde", repeat=m)]
     for p in patterns:
         for tau in (0.3, 0.45, 0.9):
-            items = query_items(idx, p, tau)
-            assert [i for i, _ in items] == sorted(oracle_search(u, p, tau))
-            assert all(v == occurrence_probability(u, p, i) for i, v in items)
+            for idx in indexes:
+                items = query_items(idx, p, tau)
+                assert [i for i, _ in items] == sorted(oracle_search(u, p, tau))
+                assert all(v == occurrence_probability(u, p, i) for i, v in items)
             for lidx in listings:
                 got = list_items(lidx, p, tau)
                 assert {name for name, _ in got} == oracle_list(lidx.collection, p, tau, lidx.metric, floor=0.3)
                 assert all(rel == oracle_relevance(u, p, lidx.metric, floor=0.3) for _, rel in got)
 
 
-def test_builds_leave_the_annotations_unbuilt(genome, collection):
-    idx = build(genome, 0.1, IndexConfig(m_short=1))
-    assert "annotations" not in idx.tt.__dict__
-    lidx = build_listing(collection, 0.1, "or")
-    assert "ann" not in lidx.__dict__
-    assert query(idx, "ATA", 0.1) == sorted(oracle_search(genome, "ATA", 0.1))
-    assert "annotations" in idx.tt.__dict__
+def test_long_queries_of_built_and_loaded_indexes_never_recompute_a_probability(
+    genome, correlated, collection, tmp_path, monkeypatch
+):
+    # m_short=1 sends every longer pattern down the long paths, which read the stored cum
+    built = [build_container([u], 0.1, m_short=1) for u in (genome, correlated)]
+    built += [build_container(list(collection.docs), 0.1, metric=metric, m_short=1) for metric in METRICS]
+    cases = []
+    for k, container in enumerate(built):
+        path = str(tmp_path / f"{k}.usi")
+        save_container(container, path)
+        idx = container.substring or container.listing
+        runs = idx.tt.text.split("$")
+        patterns = {r[b : b + m] for r in runs for m in (2, 3, 4) for b in range(len(r) - m + 1)} | {"ZZ"}
+        for p, tau in itertools.product(sorted(patterns), (0.1, 0.25)):
+            if container.substring:
+                u = idx.u
+                want = [(i, occurrence_probability(u, p, i)) for i in sorted(oracle_search(u, p, tau))]
+            else:
+                names = oracle_list(idx.collection, p, tau, idx.metric, floor=0.1)
+                docs = [d for d in idx.collection.docs if d.name in names]
+                want = [(d.name, oracle_relevance(d, p, idx.metric, floor=0.1)) for d in docs]
+            cases.append((path, container, p, tau, want))
+    assert sum(bool(want) for *_, want in cases) > 50
+
+    def refuse(*_args):
+        raise AssertionError("a query recomputed an occurrence probability")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ustrindex" and hasattr(module, "occurrence_probability"):
+            monkeypatch.setattr(module, "occurrence_probability", refuse)
+    loaded = {path: load_container(path) for path, *_ in cases}
+    for path, container, p, tau, want in cases:
+        for c in (container, loaded[path]):
+            got = query_items(c.substring, p, tau) if c.substring else list_items(c.listing, p, tau)
+            assert got == want, (p, tau)
+
