@@ -3,11 +3,16 @@
 The file is a zip archive holding ``manifest.json`` plus one ``.npy`` entry
 per stored array.  Probability tables are written verbatim, so a reopened
 index answers queries bit for bit like the one that was saved.  Format
-version 3 stores each short depth sparsely: ``short_i`` holds the values and
+version 4 stores each short depth sparsely: ``short_i`` holds the values and
 ``short_i_slots`` their slots (see ``textcore.SparseDepth``); approximate
-links keep their origin as a suffix-array slot in ``link_origin``.  Loading
-rebuilds the suffix array and the RMQ tables, and long queries read the
-stored ``cum`` directly.  A load builds neither the LCP array nor a
+links keep their origin as a suffix-array slot in ``link_origin``.  Of the
+text it stores only what cannot be derived: ``codes`` and the suffix array
+``sa`` as ``int32``, ``cum``, one start per factor in ``pos`` and, for
+listing, one factor count per document in ``doc_factors``.  Loading never
+sorts: it accepts ``sa`` after the linear check of
+``textcore.check_suffix_array``, rebuilds the per-code positions (and
+documents) from the factor runs and builds the RMQ tables; long queries read
+the stored ``cum`` directly.  A load builds neither the LCP array nor a
 suffix-tree view.  A file that is not such an archive, is of another
 version, lacks a member, holds an unreadable member, a manifest with a field
 of the wrong JSON type, whose ``tau_min`` or ``epsilon`` lies outside (0, 1]
@@ -31,12 +36,18 @@ from .factorize import TransformedText
 from .listing import METRICS, ListingConfig, ListingIndex, build_listing
 from .model import DocumentCollection, UncertainString
 from .qindex import IndexConfig, SubstringIndex, build
-from .textcore import SparseDepth, TreeView, build_suffix_array, rmq_build  # noqa: F401 - perfbench wraps TreeView
+from .textcore import (  # noqa: F401 - perfbench wraps TreeView and build_suffix_array
+    SparseDepth,
+    TreeView,
+    build_suffix_array,
+    check_suffix_array,
+    rmq_build,
+)
 from .ustformat import parse_ust, serialize_ust
 
 __all__ = ["FORMAT_VERSION", "IndexContainer", "build_container", "load_container", "save_container"]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _MAX_CODE = 0x10FFFF  # the largest code point; separators are -1 down to -n
 _MAX_FLOAT = float(np.finfo(np.float64).max)
@@ -108,7 +119,7 @@ def save_container(container: IndexContainer, path: str) -> None:
         manifest["m_short"] = idx.m_short
         manifest["l_max"] = idx.l_max
         manifest["long_depths"] = sorted(idx.long_tables)
-        tt = idx.tt
+        tt, saidx = idx.tt, idx.saidx
         short_tables = idx.short_tables
         for depth, (pb, _) in idx.long_tables.items():
             arrays[f"long_{depth}"] = pb
@@ -117,17 +128,22 @@ def save_container(container: IndexContainer, path: str) -> None:
         assert lidx is not None
         manifest["source"] = serialize_ust(lidx.collection)
         manifest["m_short"] = lidx.m_short
-        tt = lidx.tt
-        arrays["doc_of"] = lidx.doc_of
+        tt, saidx = lidx.tt, lidx.saidx
+        # documents are concatenated in order, so a count per document places every factor
+        factor_doc = lidx.doc_of[tt.factor_runs()[0]]
+        arrays["doc_factors"] = np.bincount(factor_doc, minlength=len(lidx.collection.docs))
         short_tables = lidx.short_tables
     else:
         raise ValueError(f"unknown container kind {container.kind!r}")
 
+    if tt.n > np.iinfo(np.int32).max:
+        raise ValueError(f"a transformed text of {tt.n} codes does not fit the int32 members")
     for i, (values, depth) in enumerate(short_tables, start=1):
         arrays[f"short_{i}"] = values
         arrays[f"short_{i}_slots"] = depth.slots
-    arrays["codes"] = tt.codes
-    arrays["pos"] = tt.pos
+    arrays["codes"] = tt.codes.astype(np.int32)
+    arrays["sa"] = saidx.sa.astype(np.int32)
+    arrays["pos"] = tt.pos[tt.factor_runs()[0]]
     arrays["cum"] = tt.cum
     if container.links is not None:
         ln = container.links
@@ -158,36 +174,39 @@ def load_container(path: str) -> IndexContainer:
         raise ContainerError(f"{path} is not a sound index container: {exc}") from exc
 
 
-def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, docs) -> None:
+def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, docs) -> tuple[np.ndarray, np.ndarray]:
     """Every stored array has the dtype, length and contents the index layout implies.
 
     Runs before anything is built, so a tampered array raises ContainerError
-    instead of a traceback or a silently wrong answer later.
+    instead of a traceback or a silently wrong answer later.  Returns each
+    factor's 0-based text offset and its document number.
     """
-    codes = arrays["codes"]
-    n = codes.size
-    want = {"codes": n, "pos": n, "cum": n}
-    dtypes = {"codes": np.int64, "pos": np.int64, "cum": np.float64}
-    for i in range(1, m_short + 1):
-        k = arrays[f"short_{i}_slots"].size
-        want[f"short_{i}_slots"] = want[f"short_{i}"] = k
-        dtypes[f"short_{i}_slots"], dtypes[f"short_{i}"] = np.int32, np.float64
-    if manifest["kind"] == "listing":
-        want["doc_of"] = n
-        dtypes["doc_of"] = np.int64
+    listing = manifest["kind"] == "listing"
+    short = [f"short_{i}" for i in range(1, m_short + 1)]
+    dtypes = {"codes": np.int32, "sa": np.int32, "pos": np.int64, "cum": np.float64}
+    dtypes |= {name: np.float64 for name in short} | {f"{name}_slots": np.int32 for name in short}
+    if listing:
+        dtypes["doc_factors"] = np.int64
     else:
-        # one block maximum per d text slots, as ``qindex.build`` cuts them
-        for d in manifest["long_depths"]:
-            want[f"long_{d}"] = len(range(0, n, d))
-            dtypes[f"long_{d}"] = np.float64
+        dtypes |= {f"long_{d}": np.float64 for d in manifest["long_depths"]}
         if manifest["epsilon"] is not None:
-            k = arrays["link_origin"].size
-            for a in _LINK_ARRAYS:
-                want[f"link_{a}"] = k
-                dtypes[f"link_{a}"] = np.float64 if a == "stored" else np.int64
+            dtypes |= {f"link_{a}": np.float64 if a == "stored" else np.int64 for a in _LINK_ARRAYS}
     for name, dtype in dtypes.items():
         if arrays[name].dtype != dtype:
             raise ContainerError(f"array {name} has dtype {arrays[name].dtype}, expected {np.dtype(dtype)}")
+
+    codes = arrays["codes"]
+    n = codes.size
+    ends = np.flatnonzero(codes < 0)
+    want = {"codes": n, "sa": n, "cum": n, "pos": ends.size}
+    want |= {name: arrays[f"{name}_slots"].size for name in short}
+    if listing:
+        want["doc_factors"] = len(docs)
+    else:
+        # one block maximum per d text slots, as ``qindex.build`` cuts them
+        want |= {f"long_{d}": len(range(0, n, d)) for d in manifest["long_depths"]}
+        if manifest["epsilon"] is not None:
+            want |= {f"link_{a}": arrays["link_origin"].size for a in _LINK_ARRAYS}
     for name, length in want.items():
         if arrays[name].shape != (length,):
             raise ContainerError(f"array {name} has shape {arrays[name].shape}, expected ({length},)")
@@ -195,47 +214,50 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, d
     def bad(name: str, what: str) -> ContainerError:
         return ContainerError(f"array {name} holds {what}")
 
-    if n and (codes.min() < -n or codes.max() > _MAX_CODE):
+    if n and codes.max() > _MAX_CODE:
         raise bad("codes", "a code that no text holds")
+    starts = np.concatenate(([0], ends[:-1] + 1))[: ends.size]
+    if n and (codes[-1] >= 0 or np.any(codes[ends] != -1 - np.arange(ends.size)) or np.any(ends <= starts)):
+        raise bad("codes", "separators that are not -1, -2, ... in text order, each ending a nonempty factor")
     sep = codes < 0
-    pos = arrays["pos"]
-    if np.any(pos[sep] != 0):
-        raise bad("pos", "a position at a separator")
     cum = arrays["cum"]
     if np.any(cum[sep] != -1.0):
         raise bad("cum", "a probability at a separator")
     if not np.all(sep | ((cum >= 0.0) & (cum <= 1.0))):
         raise bad("cum", "a probability outside [0, 1] or NaN at a letter")
-    limit = max((d.n for d in docs), default=0)
-    if manifest["kind"] == "listing":
-        doc_of = arrays["doc_of"]
-        if n and (doc_of.min() < 0 or doc_of.max() >= len(docs)):
-            raise bad("doc_of", "a document number out of range")
-        limit = np.array([d.n for d in docs], dtype=np.int64)[doc_of[~sep]]
-    if np.any((pos[~sep] < 1) | (pos[~sep] > limit)):
-        raise bad("pos", "a position outside its source string")
+    counts = arrays["doc_factors"] if listing else np.array([ends.size])
+    if np.any((counts < 0) | (counts > ends.size)) or counts.sum() != ends.size:
+        raise bad("doc_factors", "factor counts that are negative or do not sum to the factors")
+    doc = np.repeat(np.arange(len(docs)), counts)
+    # a factor's run must fit its document: start in [1, n_doc - run length + 1]
+    first, last = arrays["pos"], np.array([d.n for d in docs], dtype=np.int64)[doc] - (ends - starts) + 1
+    if np.any((np.diff(first) < 0) & (np.diff(doc) == 0)):
+        raise bad("pos", "factor starts that decrease within a document")
+    if np.any((first < 1) | (first > last)):
+        raise bad("pos", "a factor start outside its source string")
     # additive "or" scores of several occurrences may exceed 1
-    top = _MAX_FLOAT if manifest["kind"] == "listing" and manifest["metric"] == "or" else 1.0
-    for i in range(1, m_short + 1):
-        slots, values = arrays[f"short_{i}_slots"], arrays[f"short_{i}"]
+    top = _MAX_FLOAT if listing and manifest["metric"] == "or" else 1.0
+    for name in short:
+        slots, values = arrays[f"{name}_slots"], arrays[name]
         if slots.size and (slots[0] < 1 or slots[-1] > n or np.any(slots[1:] <= slots[:-1])):
-            raise bad(f"short_{i}_slots", "slots that are not strictly increasing within [1, n]")
+            raise bad(f"{name}_slots", "slots that are not strictly increasing within [1, n]")
         if not np.all((values > 0.0) & (values <= top)):
-            raise bad(f"short_{i}", f"a value outside (0, {top:g}] or NaN")
-    for d in manifest["long_depths"] if manifest["kind"] == "substring" else ():
+            raise bad(name, f"a value outside (0, {top:g}] or NaN")
+    for d in () if listing else manifest["long_depths"]:
         # a block with no factor-start value keeps 0
         if not np.all((arrays[f"long_{d}"] >= 0.0) & (arrays[f"long_{d}"] <= 1.0)):
             raise bad(f"long_{d}", "a value outside [0, 1] or NaN")
-    if manifest["kind"] == "substring" and manifest["epsilon"] is not None:
+    if not listing and manifest["epsilon"] is not None:
         origin = arrays["link_origin"]
         if origin.size and (origin[0] < 1 or origin[-1] > n or np.any(origin[1:] < origin[:-1])):
             raise bad("link_origin", "origins that are not non-decreasing within [1, n]")
-        if np.any((arrays["link_pos"] < 1) | (arrays["link_pos"] > limit)):
+        if np.any((arrays["link_pos"] < 1) | (arrays["link_pos"] > docs[0].n)):
             raise bad("link_pos", "a position outside its source string")
         if np.any((arrays["link_tdepth"] < 0) | (arrays["link_tdepth"] >= arrays["link_odepth"])):
             raise bad("link_tdepth", "a depth interval that is not 0 <= target < origin")
         if not np.all((arrays["link_stored"] > 0.0) & (arrays["link_stored"] <= 1.0)):
             raise bad("link_stored", "a value outside (0, 1] or NaN")
+    return starts, doc
 
 
 def _field(manifest: dict, name: str, *types: type):
@@ -271,9 +293,14 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
         raise ContainerError(f"manifest metric {manifest['metric']!r} is not one of {', '.join(METRICS)}")
     if kind == "substring" and len(docs) != 1:
         raise ContainerError(f"a substring container holds one source string, not {len(docs)}")
-    _check_shapes(manifest, arrays, m_short, docs)
-    codes, pos, cum = arrays["codes"], arrays["pos"], arrays["cum"]
-    saidx = build_suffix_array(codes)
+    starts, doc = _check_shapes(manifest, arrays, m_short, docs)
+    # widened, so a loaded index holds the dtypes a built one does
+    codes, cum = arrays["codes"].astype(np.int64), arrays["cum"]
+    saidx = check_suffix_array(codes, arrays["sa"].astype(np.int64))
+    # each factor run and its separator: positions count up from the factor's start, 0 at the separator
+    width = np.diff(starts, append=codes.size)
+    pos = np.arange(codes.size) - np.repeat(starts - arrays["pos"], width)
+    pos[codes < 0] = 0
     short_tables = [
         (arrays[f"short_{i}"], SparseDepth(arrays[f"short_{i}_slots"], rmq_build(arrays[f"short_{i}"])))
         for i in range(1, m_short + 1)
@@ -299,6 +326,6 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
     collection = DocumentCollection(tuple(docs))
     tt = TransformedText(codes, pos, cum, tau_min, source=None)
     lidx = ListingIndex(
-        collection, manifest["metric"], tau_min, tt, arrays["doc_of"], saidx, m_short, short_tables
+        collection, manifest["metric"], tau_min, tt, np.repeat(doc, width), saidx, m_short, short_tables
     )
     return IndexContainer("listing", tau_min, listing=lidx, metric=lidx.metric)

@@ -130,7 +130,11 @@ def _group_depth(
     sorted order already lines each group up in ascending original position
     for ``_fold``.
     """
-    pid = np.cumsum(lcp < depth)[slots]
+    # partition ids of the rows only: a row opens a partition when an lcp
+    # between it and the row before falls below depth
+    pid = np.zeros(slots.size, dtype=np.int64)
+    if slots.size > 1:
+        pid[1:] = np.cumsum(np.minimum.reduceat(lcp[: slots[-1] + 1], slots[:-1] + 1) < depth)
     span = np.int64(occ.max(initial=0)) + 1
     _, first = np.unique(pid * span + occ, return_index=True)
     p, g = pid[first], group[first]

@@ -6,7 +6,10 @@ once, so they sort below every character and no common prefix ever spans one.
 Slots (positions in suffix-array order) and text positions are 1-based in the
 public API; ``sa[k - 1]`` is the suffix at slot ``k``.  Patterns are located
 by binary search over a byte encoding of the text, so comparisons run in C.
-The LCP array is computed on first read, which only index builds do.
+Builds sort the suffixes by prefix doubling (``build_suffix_array``); loads
+never sort, they accept a stored suffix array after the linear check of
+``check_suffix_array``.  The LCP array is computed on first read, which only
+index builds do.
 ``SparseDepth`` is the one format of a sparse short table: the nonzero
 entries of a per-length table in slot order, which ``rmq_report`` reports
 block by block.
@@ -20,12 +23,15 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ContainerError
+
 __all__ = [
     "RmqIndex",
     "SparseDepth",
     "SuffixArrayIndex",
     "TreeView",
     "build_suffix_array",
+    "check_suffix_array",
     "encode_pattern",
     "locus",
     "rmq_build",
@@ -145,6 +151,30 @@ def build_suffix_array(text) -> SuffixArrayIndex:
     inv0 = np.empty(n, dtype=np.int64)
     inv0[order] = np.arange(n)
     return SuffixArrayIndex(codes, order + 1, inv0 + 1)
+
+
+def check_suffix_array(codes: np.ndarray, sa: np.ndarray) -> SuffixArrayIndex:
+    """Accept ``sa`` as the suffix array of ``codes`` in linear time, or raise ContainerError.
+
+    The check of Burkhardt and Kärkkäinen (CPM 2003): ``sa`` must be a
+    permutation of 1..n, and every two consecutive slots holding suffixes a
+    and b must satisfy ``(codes[a], rank[a + 1]) < (codes[b], rank[b + 1])``,
+    where ``rank`` is the slot ``sa`` gives a suffix and the empty suffix past
+    the end ranks -1.  Only the true suffix array passes, so a stored one
+    needs no checksum.  Both arrays are int64.
+    """
+    n = codes.size
+    if sa.shape != (n,) or (n and (sa.min() < 1 or sa.max() > n)):
+        raise ContainerError(f"the stored suffix array is not a permutation of 1..{n}")
+    # rank[i]: 0-based slot of the suffix at 0-based offset i; rank[n] = -1 for the empty suffix
+    rank = np.full(n + 1, -1, dtype=np.int64)
+    rank[sa - 1] = np.arange(n)
+    if np.any(rank[:n] < 0):
+        raise ContainerError(f"the stored suffix array is not a permutation of 1..{n}")
+    head, after = codes[sa - 1], rank[sa]
+    if np.any((head[1:] < head[:-1]) | ((head[1:] == head[:-1]) & (after[1:] <= after[:-1]))):
+        raise ContainerError("the stored suffix array does not sort the suffixes of the text")
+    return SuffixArrayIndex(codes, sa, rank[:n] + 1)
 
 
 def suffix_range(idx: SuffixArrayIndex, p) -> tuple[int, int] | None:

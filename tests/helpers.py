@@ -41,6 +41,11 @@ def random_ustring(
     return UncertainString(name, tuple(positions), corrs)
 
 
+def reference_suffix_order(codes: list[int]) -> list[int]:
+    """0-based suffix starts of ``codes`` in sorted order, by comparing the suffixes as lists."""
+    return sorted(range(len(codes)), key=lambda i: codes[i:])
+
+
 def reference_link_marks(tt, saidx) -> list[tuple[int, int, int, int]]:
     """Sorted (position, origin depth, target depth, witness) of every raw link.
 

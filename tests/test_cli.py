@@ -166,6 +166,7 @@ def test_tampered_listing_manifest_exits_two(field, value, collection_file, tmp_
         "short value NaN",
         "cum NaN",
         "link origins reversed",
+        "sa swapped",
     ],
 )
 def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, capsys):
@@ -193,6 +194,12 @@ def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, ca
             buf = io.BytesIO()
             np.save(buf, np.load(io.BytesIO(entries["link_origin.npy"]))[::-1])
             entries["link_origin.npy"] = buf.getvalue()
+        elif damage == "sa swapped":
+            sa = np.load(io.BytesIO(entries["sa.npy"]))
+            sa[[0, 1]] = sa[[1, 0]]
+            buf = io.BytesIO()
+            np.save(buf, sa)
+            entries["sa.npy"] = buf.getvalue()
         elif damage == "manifest tau_min a list":
             manifest = json.loads(entries["manifest.json"])
             manifest["tau_min"] = [1]

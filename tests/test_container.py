@@ -10,6 +10,8 @@ import zipfile
 import numpy as np
 import pytest
 
+from ustrindex import container as container_module
+from ustrindex import textcore
 from ustrindex import (
     ContainerError,
     DocumentCollection,
@@ -119,8 +121,9 @@ def test_load_rejects_other_format_versions(genome, tmp_path):
     save_container(build_container([genome], 0.1, epsilon=0.05), path)
     entries = _entries(path)
     manifest = json.loads(entries["manifest.json"])
-    # version 2 numbered link origins by suffix-tree preorder, not by slot
-    for version in (2, 99):
+    # version 2 numbered link origins by suffix-tree preorder, not by slot;
+    # version 3 stored pos per code and no suffix array
+    for version in (2, 3, 99):
         manifest["format_version"] = version
         entries["manifest.json"] = json.dumps(manifest).encode()
         _rewrite(path, entries)
@@ -305,7 +308,8 @@ def test_load_rejects_a_substring_manifest_with_two_sources(genome, correlated, 
         ("substring", "short_2"),
         ("substring", "long_3"),
         ("substring", "link_tdepth"),
-        ("listing", "doc_of"),
+        ("substring", "sa"),
+        ("listing", "doc_factors"),
     ],
 )
 def test_load_rejects_an_array_of_the_wrong_length(kind, member, genome, collection, tmp_path):
@@ -318,7 +322,7 @@ def test_load_rejects_an_array_of_the_wrong_length(kind, member, genome, collect
     entries = _entries(path)
     assert f"{member}.npy" in entries
     buf = io.BytesIO()
-    np.save(buf, np.load(io.BytesIO(entries[f"{member}.npy"]))[:3])
+    np.save(buf, np.load(io.BytesIO(entries[f"{member}.npy"]))[:-1])
     entries[f"{member}.npy"] = buf.getvalue()
     _rewrite(path, entries)
     with pytest.raises(ContainerError, match="has shape"):
@@ -396,12 +400,14 @@ def _set_first(mask, value):
     "kind, member, dtype",
     [
         ("substring", "codes", np.float64),
+        ("substring", "codes", np.int64),
+        ("substring", "sa", np.int64),
         ("substring", "pos", np.int32),
         ("substring", "cum", np.float32),
         ("substring", "short_1", np.float32),
         ("substring", "short_1_slots", np.int64),
         ("substring", "long_3", np.float32),
-        ("listing", "doc_of", np.float64),
+        ("listing", "doc_factors", np.float64),
         ("links", "link_origin", np.int32),
         ("links", "link_pos", np.float64),
         ("links", "link_stored", np.float32),
@@ -467,35 +473,54 @@ def test_listing_or_scores_may_exceed_one_but_not_be_nan(collection, tmp_path):
                 load_container(path)
 
 
+def _empty_first_factor(a):
+    """Move the first separator to the front, leaving an empty first factor."""
+    e = np.flatnonzero(a < 0)[0]
+    return np.concatenate([a[e : e + 1], a[:e], a[e + 1 :]])
+
+
+def _swap_first_separators(a):
+    a = a.copy()
+    i, j = np.flatnonzero(a < 0)[:2]
+    a[i], a[j] = a[j], a[i]
+    return a
+
+
 @pytest.mark.parametrize(
     "kind, member, change, what",
     [
-        ("substring", "pos", lambda a: a[::-1].copy(), "a position at a separator"),
-        ("substring", "pos", _set_first(lambda a: a == 0, 5), "a position at a separator"),
+        ("substring", "pos", lambda a: a[::-1].copy(), "factor starts that decrease within a document"),
         ("substring", "cum", _set_first(lambda a: a == -1.0, 0.5), "a probability at a separator"),
         ("substring", "cum", _set_first(lambda a: a > 0, np.nan), "a probability outside"),
         ("listing", "cum", _set_first(lambda a: a > 0, 1.5), "a probability outside"),
         ("substring", "cum", _set_first(lambda a: a > 0, -0.25), "a probability outside"),
-        ("substring", "pos", _set_first(lambda a: a > 0, 0), "a position outside its source"),
-        ("substring", "pos", _set_first(lambda a: a > 0, 12), "a position outside its source"),
-        ("listing", "pos", _set_first(lambda a: a > 0, 4), "a position outside its source"),
+        ("substring", "pos", _set_first(lambda a: a > 0, 0), "a factor start outside its source"),
+        ("substring", "pos", lambda a: a + 1, "a factor start outside its source"),
+        ("substring", "pos", lambda a: np.full_like(a, 11), "a factor start outside its source"),
+        ("listing", "pos", lambda a: a + 3, "a factor start outside its source"),
         ("substring", "codes", _set_first(lambda a: a > 0, 0x110000), "a code that no text holds"),
-        ("listing", "doc_of", _set_first(lambda a: a == a, -1), "a document number out of range"),
-        ("listing", "doc_of", _set_first(lambda a: a == a, 3), "a document number out of range"),
+        ("substring", "codes", lambda a: np.roll(a, -1), "separators that are not"),
+        ("substring", "codes", _swap_first_separators, "separators that are not"),
+        ("listing", "codes", _empty_first_factor, "separators that are not"),
+        ("listing", "doc_factors", _set_first(lambda a: a == a, -1), "factor counts that are negative"),
+        ("listing", "doc_factors", lambda a: a + 1, "factor counts that are negative or do not sum"),
     ],
     ids=[
         "pos reversed",
-        "pos at a separator",
         "cum at a separator",
         "cum NaN at a letter",
         "cum above 1",
         "cum negative",
         "pos zero",
         "pos past the string",
+        "pos run overrunning the string",
         "pos past its document",
         "codes past the code points",
-        "doc_of negative",
-        "doc_of past the documents",
+        "codes without a trailing separator",
+        "codes separators out of order",
+        "codes with an empty factor",
+        "doc_factors negative",
+        "doc_factors not summing to the factors",
     ],
 )
 def test_load_rejects_tampered_text_arrays(kind, member, change, what, genome, collection, tmp_path):
@@ -535,3 +560,56 @@ def test_load_rejects_tampered_link_arrays(member, change, what, genome, collect
     path = _tampered("links", member, change, genome, collection, tmp_path)
     with pytest.raises(ContainerError, match=f"array {member} holds {what}"):
         load_container(path)
+
+
+@pytest.mark.parametrize(
+    "kind, change",
+    [
+        ("substring", lambda a: np.concatenate([a[1::-1], a[2:]])),
+        ("links", lambda a: np.roll(a, 1)),
+        ("substring", _set_first(lambda a: a == a.max(), 10**6)),
+        ("substring", _set_first(lambda a: a == a.min(), 0)),
+        ("listing", lambda a: np.concatenate([a[:1], a[:-1]])),
+        ("listing", lambda a: np.concatenate([a[:-2], a[:-3:-1]])),
+    ],
+    ids=["swapped", "rotated", "past n", "zero", "duplicated", "last two swapped"],
+)
+def test_load_rejects_a_tampered_suffix_array(kind, change, genome, collection, tmp_path):
+    path = _tampered(kind, "sa", change, genome, collection, tmp_path)
+    with pytest.raises(ContainerError, match="stored suffix array"):
+        load_container(path)
+
+
+@pytest.mark.parametrize("kind", ["substring", "links", "listing", "empty"])
+def test_a_load_never_sorts_suffixes(kind, genome, collection, tmp_path, monkeypatch):
+    if kind == "listing":
+        container = build_container(list(collection.docs), 0.1, metric="or")
+    elif kind == "empty":
+        # every window of two even positions is below tau_min 0.9, so no factor survives
+        u = UncertainString("flat", ({"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5}))
+        container = build_container([u], 0.9, epsilon=0.05, m_short=3)
+    else:
+        container = build_container([genome], 0.1, epsilon=0.05 if kind == "links" else None)
+    path = str(tmp_path / "sorted.usi")
+    save_container(container, path)
+
+    def no_sorting(text):
+        raise AssertionError("a load sorted the suffixes")
+
+    for module in (textcore, container_module):
+        monkeypatch.setattr(module, "build_suffix_array", no_sorting)
+    back = load_container(path)
+    for p in ("A", "AT", "BF", "TTAGA", "a", "ab"):
+        if kind == "listing":
+            assert list_items(back.listing, p, 0.1) == list_items(container.listing, p, 0.1)
+        else:
+            tau = 0.9 if kind == "empty" else 0.1
+            assert query_items(back.substring, p, tau) == query_items(container.substring, p, tau)
+            if container.links is not None:
+                assert approx_items(back.links, p, tau) == approx_items(container.links, p, tau)
+    idx, built = back.substring or back.listing, container.substring or container.listing
+    assert np.array_equal(idx.saidx.sa, built.saidx.sa) and np.array_equal(idx.saidx.inverse_sa, built.saidx.inverse_sa)
+    assert idx.tt.codes.dtype == idx.saidx.sa.dtype == np.int64
+    assert np.array_equal(idx.tt.pos, built.tt.pos)
+    if kind == "listing":
+        assert np.array_equal(back.listing.doc_of, container.listing.doc_of)

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ustrindex import ContainerError
 from ustrindex.qindex import QueryStats
 from ustrindex.textcore import (
     TreeView,
     build_suffix_array,
+    check_suffix_array,
     encode_pattern,
     locus,
     rmq_build,
@@ -19,6 +21,8 @@ from ustrindex.textcore import (
     rmq_report,
     suffix_range,
 )
+
+from helpers import reference_suffix_order
 
 
 def random_codes(rng: random.Random, max_len: int = 60) -> list[int]:
@@ -35,10 +39,6 @@ def random_codes(rng: random.Random, max_len: int = 60) -> list[int]:
     return out
 
 
-def brute_suffix_order(codes: list[int]) -> list[int]:
-    return sorted(range(len(codes)), key=lambda i: codes[i:])
-
-
 def common_prefix(a: list[int], b: list[int]) -> int:
     h = 0
     while h < len(a) and h < len(b) and a[h] == b[h]:
@@ -52,7 +52,7 @@ def test_suffix_array_and_lcp_match_brute_force(seed):
     rng = random.Random(seed)
     codes = random_codes(rng)
     idx = build_suffix_array(codes)
-    order = brute_suffix_order(codes)
+    order = reference_suffix_order(codes)
     assert idx.sa.tolist() == [i + 1 for i in order]
     assert idx.inverse_sa[idx.sa - 1].tolist() == list(range(1, len(codes) + 1))
     want_lcp = [
@@ -66,6 +66,55 @@ def test_suffix_array_handles_empty_text():
     idx = build_suffix_array([])
     assert idx.n == 0
     assert idx.sa.tolist() == []
+    empty = np.zeros(0, dtype=np.int64)
+    checked = check_suffix_array(empty, empty)
+    assert checked.n == 0 and checked.sa.tolist() == checked.inverse_sa.tolist() == []
+    with pytest.raises(ContainerError, match="not a permutation"):
+        check_suffix_array(empty, np.ones(1, dtype=np.int64))
+
+
+def separator_text(rng: random.Random) -> list[int]:
+    """A random separator text, or a repetitive one: runs of one short unit repeated."""
+    if rng.random() < 0.5:
+        return random_codes(rng)
+    unit = [rng.choice((97, 98)) for _ in range(rng.randint(1, 3))]
+    out: list[int] = []
+    for k in range(rng.randint(1, 4)):
+        out += unit * rng.randint(1, 12) + [-(k + 1)]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_check_suffix_array_accepts_the_suffix_array_and_nothing_else(seed):
+    rng = random.Random(seed)
+    codes = np.asarray(separator_text(rng), dtype=np.int64)
+    n = codes.size
+    sa = build_suffix_array(codes).sa
+    idx = check_suffix_array(codes, sa)
+    assert idx.sa.tolist() == [i + 1 for i in reference_suffix_order(codes.tolist())]
+    assert idx.inverse_sa[idx.sa - 1].tolist() == list(range(1, n + 1))
+
+    def swapped(i: int, j: int) -> np.ndarray:
+        out = sa.copy()
+        out[[i, j]] = out[[j, i]]
+        return out
+
+    bad = [swapped(k, k + 1) for k in range(n - 1)]
+    if n > 1:
+        bad += [swapped(*rng.sample(range(n), 2)) for _ in range(5)]
+        bad.append(np.roll(sa, 1))
+        duplicated = sa.copy()
+        i, j = rng.sample(range(n), 2)
+        duplicated[i] = sa[j]
+        bad.append(duplicated)
+    if n:
+        out_of_range = sa.copy()
+        out_of_range[rng.randrange(n)] = rng.choice((0, -1, n + 1))
+        bad.append(out_of_range)
+    for wrong in bad:
+        with pytest.raises(ContainerError, match="stored suffix array"):
+            check_suffix_array(codes, wrong)
 
 
 @settings(max_examples=100, deadline=None)
@@ -76,7 +125,7 @@ def test_suffix_range_matches_brute_force(seed):
     if not codes:
         codes = [97]
     idx = build_suffix_array(codes)
-    order = brute_suffix_order(codes)
+    order = reference_suffix_order(codes)
     for _ in range(12):
         m = rng.randint(1, 5)
         draw = rng.random()
