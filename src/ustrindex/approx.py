@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .factorize import TransformedText, prefix_probabilities
+from .factorize import TransformedText, batch_prefix_probabilities
 from .qindex import _locate
 from .textcore import SuffixArrayIndex, locus  # noqa: F401 - locus is unused here; perfbench/tracer.py wraps this name
 
@@ -115,23 +115,28 @@ def build_links(tt: TransformedText, saidx: SuffixArrayIndex, tau_min: float) ->
         s = slots[a:b]
         h[a : b - 1] = np.minimum.reduceat(saidx.lcp[s[0] : s[-1]], s[:-1] - s[0])
     witness = sa0[slots - 1]
-    d_l, w_l, hl = d_of.tolist(), witness.tolist(), h.tolist()
-    room_l = tt.room(witness).tolist()
+    hl, room_l = h.tolist(), tt.room(witness).tolist()
 
-    links: list[RawLink] = []
+    # (leaf, origin depth, target depth) of each link; the leaf gives its position and witness
+    marks: list[tuple[int, int, int]] = []
     # first pairs of the open nodes, depths strictly increasing; a -1 closes a position's nodes
     stack: list[int] = []
     for j, v in enumerate(hl):
         t = max(hl[j - 1] if j else -1, v, 0)
         if room_l[j] > t:
-            links.append(RawLink(d_l[j], room_l[j], t, w_l[j]))
+            marks.append((j, room_l[j], t))
         while stack and hl[stack[-1]] > v:
             top = stack.pop()
             if hl[top] > 0:
                 below = hl[stack[-1]] if stack else 0
-                links.append(RawLink(d_l[top], hl[top], max(below, v, 0), w_l[top]))
+                marks.append((top, hl[top], max(below, v, 0)))
         if not stack or hl[stack[-1]] < v:
             stack.append(j)
+    leaf = np.array([j for j, _, _ in marks], dtype=np.int64)
+    links = [
+        RawLink(d, origin, target, w)
+        for d, w, (_, origin, target) in zip(d_of[leaf].tolist(), witness[leaf].tolist(), marks)
+    ]
     return RawLinks(links, tt, saidx, tau_min)
 
 
@@ -155,9 +160,14 @@ def partition_links(raw: RawLinks, eps: float) -> LinkIndex:
         o_depth.append(deep)
         t_depth.append(shallow)
 
+    # the prefix probabilities of every link's window, back to back, from one frontier
+    cols = np.array([(rl.pos_id, rl.witness_off, rl.origin_depth) for rl in raw.links], dtype=np.int64)
+    cols = cols.reshape(-1, 3).T
+    flat = batch_prefix_probabilities(u, cols[0], raw.tt.codes, cols[1], cols[2])
+    base = 0
     for rl in raw.links:
-        window = raw.tt.window_text(rl.witness_off, rl.origin_depth)
-        probs = prefix_probabilities(u, window, rl.pos_id)
+        probs = flat[base : base + rl.origin_depth].tolist()
+        base += rl.origin_depth
         seg_deep = rl.origin_depth
         anchor = probs[seg_deep - 1]
         for ell in range(rl.origin_depth - 1, rl.target_depth, -1):

@@ -130,8 +130,7 @@ def save_container(container: IndexContainer, path: str) -> None:
         manifest["m_short"] = lidx.m_short
         tt, saidx = lidx.tt, lidx.saidx
         # documents are concatenated in order, so a count per document places every factor
-        factor_doc = lidx.doc_of[tt.factor_runs()[0]]
-        arrays["doc_factors"] = np.bincount(factor_doc, minlength=len(lidx.collection.docs))
+        arrays["doc_factors"] = tt.doc_factors
         short_tables = lidx.short_tables
     else:
         raise ValueError(f"unknown container kind {container.kind!r}")
@@ -324,7 +323,7 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
         return IndexContainer("substring", tau_min, substring=idx, links=links, epsilon=epsilon)
 
     collection = DocumentCollection(tuple(docs))
-    tt = TransformedText(codes, pos, cum, tau_min, source=None)
+    tt = TransformedText(codes, pos, cum, tau_min, doc_factors=arrays["doc_factors"])
     lidx = ListingIndex(
         collection, manifest["metric"], tau_min, tt, np.repeat(doc, width), saidx, m_short, short_tables
     )

@@ -6,35 +6,42 @@ tau_min.  Concatenating every factor with unique separators yields a plain
 text whose substrings, mapped back through ``pos``, conserve exactly the
 pattern occurrences with probability >= tau_min.
 
-One depth-first walk (``_windows``) enumerates the qualifying windows at a
-start, growing each by one character through ``_grow``, the single copy of
-the growth rule; the factors it flags maximal carry their own prefix
-products, which become ``cum``.  Those are left-to-right products of the
-same multiplicands ``model.occurrence_probability`` uses, so threshold
-comparisons downstream agree bitwise with the model; the index tables and
-the long queries of both index kinds read them straight from ``cum`` at the
-factor starts.
+The windows grow level-synchronously: ``_levels`` holds, for one window
+length k at a time, the windows of every start whose optimistic bound still
+reaches tau_min, as ``(start, path, chain, bound)`` rows, and extends all of
+them by one character in a few numpy steps.  ``_extend`` is the single copy of
+the growth rule; ``prefix_probabilities`` drives it along given symbols
+instead of along every alternative.  A window's ``chain`` holds its prefix
+products, which become ``cum`` for the maximal ones.  Those are
+left-to-right products of the same multiplicands
+``model.occurrence_probability`` uses, so threshold comparisons downstream
+agree bitwise with the model; the index tables and the long queries of both
+index kinds read them straight from ``cum`` at the factor starts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapacityError
-from .model import UncertainString, occurrence_probability
+from .model import Correlation, DocumentCollection, UncertainString, occurrence_probability
 
 __all__ = [
     "MaximalFactor",
     "TransformedText",
+    "batch_prefix_probabilities",
     "conservation_check",
     "maximal_factors",
     "prefix_probabilities",
     "transform",
 ]
+
+# Symbol codes are code points, below 2**21: (position, code) packs into one int64 key.
+_CODE_BITS = 21
 
 
 @dataclass(frozen=True)
@@ -49,105 +56,241 @@ class MaximalFactor:
         return len(self.symbols)
 
 
-def _grow(
+@dataclass(frozen=True)
+class _Alternatives:
+    """Every position's alternatives, sorted by code, as flat arrays.
+
+    Position q owns the alternatives ``first[q - lo] : first[q - lo + 1]``;
+    ``key`` packs each one's position and code, ascending.  ``m`` is an
+    alternative's multiplicand unless its conditioner lies inside the window
+    (the base probability, or a correlated one's marginal) and ``mb`` the
+    largest it takes under any window.  A correlated alternative names its
+    conditioner in ``cond`` and ``cond_code`` (``cond`` is 0 without one), with
+    ``p_plus`` and ``p_minus``.  The ``fwd_*`` arrays list the correlations
+    conditioned right of their source, by conditioner position.  A trailing
+    sentinel (multiplicands 0, no conditioner) stands for a symbol absent at
+    its position.
+    """
+
+    first: np.ndarray
+    key: np.ndarray
+    code: np.ndarray
+    m: np.ndarray
+    mb: np.ndarray
+    cond: np.ndarray
+    cond_code: np.ndarray
+    p_plus: np.ndarray
+    p_minus: np.ndarray
+    fwd_cond: np.ndarray
+    fwd_src: np.ndarray
+    fwd_code: np.ndarray
+
+    def lookup(self, q: np.ndarray, code: np.ndarray) -> np.ndarray:
+        """The alternative spelling ``code`` at position ``q``; the sentinel where there is none."""
+        want = q << _CODE_BITS | code
+        at = self.key.searchsorted(want)  # the sentinel's key is above every other
+        return np.where(self.key[at] == want, at, self.key.size - 1)
+
+
+def _alternatives(u: UncertainString, lo: int = 1, hi: int | None = None) -> _Alternatives:
+    """The alternatives of positions ``lo..hi`` (default all of them)."""
+    first = [0]
+    rows: list[tuple] = []
+    fwd: list[tuple[int, int, int]] = []
+    for q in range(lo, (u.n if hi is None else hi) + 1):
+        dist = u.positions[q - 1]
+        for sym in sorted(dist):
+            key = q << _CODE_BITS | ord(sym)
+            c = u.by_source.get((q, sym))
+            if c is None:
+                rows.append((key, dist[sym], dist[sym], 0, 0, 0.0, 0.0))
+                continue
+            marginal = c.marginal(u.pr(c.cond_pos, c.cond_sym))
+            bound = max(marginal, c.p_plus, c.p_minus)
+            rows.append((key, marginal, bound, c.cond_pos, ord(c.cond_sym), c.p_plus, c.p_minus))
+            if c.cond_pos > q:
+                fwd.append((c.cond_pos, q, ord(sym)))
+        first.append(len(rows))
+    rows.append((1 << 62, 0.0, 0.0, 0, 0, 0.0, 0.0))
+    key, m, mb, cond, cond_code, p_plus, p_minus = (np.array(col) for col in zip(*rows))
+    fwd_cond, fwd_src, fwd_code = np.array(sorted(fwd), dtype=np.int64).reshape(-1, 3).T
+    return _Alternatives(
+        np.array(first), key, (key & ((1 << _CODE_BITS) - 1)).astype(np.int32), m, mb,
+        cond, cond_code, p_plus, p_minus, fwd_cond, fwd_src, fwd_code,
+    )
+
+
+def _extend(
     u: UncertainString,
-    start: int,
-    q: int,
-    chars: Sequence[str],
-    sym: str,
-    prob: float,
-    bound: float,
-    pending: frozenset[int],
-) -> tuple[float, float, frozenset[int]]:
-    """Grow the window at ``start`` by ``sym`` at position ``q``: the one growth rule.
+    alts: _Alternatives,
+    start: np.ndarray,
+    path: np.ndarray,
+    prob: np.ndarray,
+    bound: np.ndarray,
+    parent: np.ndarray,
+    alt: np.ndarray,
+    code: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grow windows by one character each: the one growth rule.
 
-    ``chars[: q - start]`` spells the window so far, ``prob`` is its exact
-    product and ``bound`` an optimistic one.  ``pending`` holds the positions
-    right of the window that condition a character inside it; when ``sym``
-    lands on one, an earlier multiplicand changes and the product restarts in
-    ``occurrence_probability``'s left-to-right order.  Returns the three for
-    the grown window.
+    Row r of ``start``, ``path``, ``prob`` and ``bound`` is a window: its
+    start, its codes (k columns), its exact product and an optimistic one.
+    Child i appends ``code[i]``, alternative ``alt[i]``, to window
+    ``parent[i]``, at position q = start + k.  Its multiplicand is, by case:
+
+    - uncorrelated: the base probability;
+    - conditioner inside the window: ``p_plus`` or ``p_minus``, by the
+      window's character there;
+    - conditioner outside: the marginal, with ``max(marginal, p_plus,
+      p_minus)`` in the bound;
+    - q conditions a character already in the window: that earlier
+      multiplicand changes, so the child restarts in
+      ``occurrence_probability``'s left-to-right order.
+
+    Returns the children's exact and optimistic products.
     """
-    by_source = u.by_source
-    corr = by_source.get((q, sym)) if by_source else None
-    if corr is None:
-        m = mb = u.positions[q - 1].get(sym, 0.0)
-    elif start <= corr.cond_pos < q:
-        m = mb = corr.p_plus if chars[corr.cond_pos - start] == corr.cond_sym else corr.p_minus
-    else:
-        m = corr.marginal(u.pr(corr.cond_pos, corr.cond_sym))
-        mb = max(m, corr.p_plus, corr.p_minus)
-        if corr.cond_pos > q:
-            pending = pending | {corr.cond_pos}
-    if q in pending:
-        exact = occurrence_probability(u, "".join(chars[: q - start]) + sym, start)
-    else:
-        exact = prob * m
-    return exact, bound * mb, pending
+    s = start[parent]
+    q = s + path.shape[1]
+    m, mb, cond = alts.m[alt], alts.mb[alt], alts.cond[alt]
+    near = np.flatnonzero((cond >= s) & (cond < q))
+    if near.size:
+        a = alt[near]
+        spelled = path[parent[near], cond[near] - s[near]] == alts.cond_code[a]
+        m[near] = mb[near] = np.where(spelled, alts.p_plus[a], alts.p_minus[a])
+    exact = prob[parent] * m
+
+    lo, hi = alts.fwd_cond.searchsorted(q), alts.fwd_cond.searchsorted(q, side="right")
+    waiting = np.flatnonzero(hi > lo)
+    if waiting.size:
+        # every (child, correlation conditioned at q) pair; the child restarts
+        # when its window holds that correlation's source
+        span = (hi - lo)[waiting]
+        child = np.repeat(waiting, span)
+        f = np.arange(child.size) + np.repeat(lo[waiting] - (np.cumsum(span) - span), span)
+        off = alts.fwd_src[f] - s[child]
+        inside = off >= 0
+        child, f, off = child[inside], f[inside], off[inside]
+        child = np.unique(child[path[parent[child], off] == alts.fwd_code[f]])
+        for i in child.tolist():
+            window = "".join(map(chr, path[parent[i]].tolist())) + chr(code[i])
+            exact[i] = occurrence_probability(u, window, int(s[i]))
+    return exact, bound[parent] * mb
 
 
-def _windows(u: UncertainString, tau_min: float, start: int) -> Iterator[tuple[str, list[float], bool]]:
-    """Every window at ``start`` whose probability reaches tau_min, depth first.
+class _Level(NamedTuple):
+    """The windows of one length k whose optimistic bound reaches tau_min.
 
-    Yields ``(symbols, chain, maximal)``: ``chain[k]`` is the probability of
-    the first k+1 symbols, and ``maximal`` says that no one-character
-    extension qualifies.  A branch is cut once its optimistic bound falls
-    below tau_min, which on correlation-free strings is just the product;
-    maximality is checked against the actual extensions, so it does not assume
-    that the product shrinks as the window grows.
+    Row r extends row ``parent[r]`` of the level above (at level 1, the
+    index of its start).  Rows come sorted by (start, codes).
     """
-    chars: list[str] = []
-    chain: list[float] = []
-    # frame: [bound, pending, child iterator, saw a qualifying extension]
-    frames: list[list] = [[1.0, frozenset(), iter(u.positions[start - 1]), False]]
-    while frames:
-        fr = frames[-1]
-        q = start + len(chars)
-        prob = chain[-1] if chain else 1.0
-        for sym in fr[2]:
-            exact, bound, pending = _grow(u, start, q, chars, sym, prob, fr[0], fr[1])
-            if exact >= tau_min:
-                fr[3] = True
-            if bound >= tau_min:
-                chars.append(sym)
-                chain.append(exact)
-                frames.append([bound, pending, iter(u.positions[q] if q < u.n else ()), False])
-                break
-        else:
-            frames.pop()
-            if chars:
-                if chain[-1] >= tau_min:
-                    yield "".join(chars), chain[:], not fr[3]
-                chars.pop()
-                chain.pop()
+
+    parent: np.ndarray
+    start: np.ndarray
+    path: np.ndarray  # codes, k columns
+    chain: np.ndarray  # chain[:, j]: probability of the first j + 1 codes
+    maximal: np.ndarray  # reaches tau_min and no one-character extension does
+
+
+def _levels(
+    u: UncertainString, tau_min: float, starts: np.ndarray, last: np.ndarray | None = None
+) -> Iterator[_Level]:
+    """Levels 1, 2, ... of the windows at ``starts``, each grown from the last in one step.
+
+    A window at ``starts[r]`` ends at ``last[r]`` at the latest (default n).
+    It is kept while its optimistic bound reaches tau_min, which on
+    correlation-free strings is just its product; maximality is checked
+    against the actual extensions, so it does not assume that the product
+    shrinks as the window grows.
+    """
+    alts = _alternatives(u)
+    count = np.append(np.diff(alts.first), 0)  # alternatives per position; none past the end
+    start = np.asarray(starts, dtype=np.int64)
+    last = np.full(start.size, u.n) if last is None else last
+    parent = np.arange(start.size)
+    path = np.zeros((start.size, 0), dtype=np.int32)
+    chain = np.zeros((start.size, 0))
+    prob = bound = np.ones(start.size)
+    while start.size:
+        k = path.shape[1]
+        q = start + k
+        n_kids = np.where(q <= last, count[q - 1], 0)
+        kid_parent = np.repeat(np.arange(start.size), n_kids)
+        alt = np.arange(kid_parent.size) + np.repeat(alts.first[q - 1] - (np.cumsum(n_kids) - n_kids), n_kids)
+        code = alts.code[alt]
+        exact, grown = _extend(u, alts, start, path, prob, bound, kid_parent, alt, code)
+        if k:
+            extends = np.zeros(start.size, dtype=bool)
+            extends[kid_parent[exact >= tau_min]] = True
+            yield _Level(parent, start, path, chain, (prob >= tau_min) & ~extends)
+        keep = np.flatnonzero(grown >= tau_min)
+        parent = kid_parent[keep]
+        start, last = start[parent], last[parent]
+        path = np.concatenate((path[parent], code[keep, None]), axis=1)
+        chain = np.concatenate((chain[parent], exact[keep, None]), axis=1)
+        prob, bound = exact[keep], grown[keep]
+
+
+def _check_tau_min(tau_min: float) -> None:
+    if not 0.0 < tau_min <= 1.0:
+        raise ValueError(f"tau_min {tau_min!r} not in (0, 1]")
+
+
+def _spell(codes: np.ndarray) -> str:
+    return "".join(map(chr, codes.tolist()))
 
 
 def maximal_factors(u: UncertainString, tau_min: float, start: int) -> set[MaximalFactor]:
-    """Every maximal factor aligned at ``start``: the windows ``_windows`` flags maximal."""
-    if not 0.0 < tau_min <= 1.0:
-        raise ValueError(f"tau_min {tau_min!r} not in (0, 1]")
+    """Every maximal factor aligned at ``start``: the rows ``_levels`` flags maximal."""
+    _check_tau_min(tau_min)
     if not 1 <= start <= u.n:
         raise ValueError(f"start {start} outside [1, {u.n}]")
     return {
-        MaximalFactor(start, symbols, chain[-1])
-        for symbols, chain, maximal in _windows(u, tau_min, start)
-        if maximal
+        MaximalFactor(start, _spell(level.path[r]), float(level.chain[r, -1]))
+        for level in _levels(u, tau_min, np.array([start]))
+        for r in np.flatnonzero(level.maximal).tolist()
     }
+
+
+def batch_prefix_probabilities(
+    u: UncertainString, starts: np.ndarray, codes: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Occurrence probability of every prefix of many windows, in one frontier.
+
+    Window r spells ``codes[offsets[r] : offsets[r] + lengths[r]]`` at
+    ``starts[r]``.  Returns the windows' prefix probabilities back to back,
+    ``lengths[r]`` values for window r, each equal bit for bit to
+    ``occurrence_probability`` of that prefix.
+    """
+    starts, offsets, lengths = (np.asarray(a, dtype=np.int64) for a in (starts, offsets, lengths))
+    ends, live = starts + lengths - 1, lengths > 0
+    if np.any(live & ((starts < 1) | (ends > u.n))):
+        raise ValueError(f"a window lies outside the string of length {u.n}")
+    alts = _alternatives(u, int(starts[live].min(initial=1)), int(ends[live].max(initial=0)))
+    out = np.empty(int(lengths.sum()))
+    # longest first, so the windows still growing at step k are the first rows
+    order = np.argsort(-lengths, kind="stable")
+    start, offsets, base = starts[order], offsets[order], (np.cumsum(lengths) - lengths)[order]
+    growing = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
+    path = np.zeros((start.size, 0), dtype=np.int32)
+    prob = bound = np.ones(start.size)
+    for k, rows in enumerate(growing.tolist()):
+        start, offsets, base, path = start[:rows], offsets[:rows], base[:rows], path[:rows]
+        code = codes[offsets + k].astype(np.int32)
+        alt = alts.lookup(start + k, code)
+        prob, bound = _extend(u, alts, start, path, prob[:rows], bound[:rows], np.arange(rows), alt, code)
+        out[base + k] = prob
+        path = np.concatenate((path, code[:, None]), axis=1)
+    return out
 
 
 def prefix_probabilities(u: UncertainString, symbols: str, start: int) -> list[float]:
     """Occurrence probability of every prefix of ``symbols`` at ``start``.
 
-    Grows the window with ``_grow``, the rule the factor walk uses, so entry
-    k equals ``occurrence_probability(u, symbols[: k + 1], start)`` bit for bit.
+    Grows the window with ``_extend``, the rule the transform uses, so entry k
+    equals ``occurrence_probability(u, symbols[: k + 1], start)`` bit for bit.
     """
-    probs: list[float] = []
-    prob = bound = 1.0
-    pending: frozenset[int] = frozenset()
-    for q, sym in enumerate(symbols, start):
-        prob, bound, pending = _grow(u, start, q, symbols, sym, prob, bound, pending)
-        probs.append(prob)
-    return probs
+    codes = np.fromiter(map(ord, symbols), dtype=np.int64, count=len(symbols))
+    return batch_prefix_probabilities(u, [start], codes, [0], [len(symbols)]).tolist()
 
 
 @dataclass(eq=False)
@@ -157,7 +300,8 @@ class TransformedText:
     ``pos[i]`` maps a 0-based text offset to its original 1-based position (0
     at separators); ``cum[i]`` is the factor-prefix probability product ending
     at ``i`` (-1 at separators).  Each factor is one separator-delimited run of
-    the text, so ``factor_table`` is derived from these arrays on demand.
+    the text, so ``factor_table`` is derived from these arrays on demand.  A
+    collection's text counts the factors of each document in ``doc_factors``.
     """
 
     codes: np.ndarray
@@ -165,6 +309,7 @@ class TransformedText:
     cum: np.ndarray
     tau_min: float
     source: UncertainString | None = None
+    doc_factors: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -199,8 +344,7 @@ class TransformedText:
 
     def window_text(self, offset: int, length: int) -> str:
         """Decode ``length`` characters at 0-based ``offset`` (no separators allowed)."""
-        chunk = self.codes[offset : offset + length].tolist()
-        return "".join(map(chr, chunk))
+        return _spell(self.codes[offset : offset + length])
 
     def room(self, offsets: np.ndarray) -> np.ndarray:
         """Characters from each 0-based offset to its factor's separator; 0 at a separator."""
@@ -208,45 +352,112 @@ class TransformedText:
         return ends[np.searchsorted(ends, offsets)] - offsets
 
 
-def transform(u: UncertainString, tau_min: float, length_cap: int | None = None) -> TransformedText:
+def _factor_order(parents: list[np.ndarray], maximal: list[np.ndarray], starts: int) -> list[np.ndarray]:
+    """Per level, the rank of each maximal row among all of them by (start, codes).
+
+    Each level's rows are sorted by (start, codes) and every row sits under
+    its parent, so the rows form one trie per start and the order wanted is
+    their preorder.  One pass deep to shallow counts the maximal rows under
+    each row; one pass shallow to deep counts those ahead of it.
+    """
+    if not maximal:
+        return []
+    # under[k][r]: maximal rows in the subtree of row r of level k + 1
+    under = [is_max.astype(np.int64) for is_max in maximal]
+    for k in reversed(range(len(under) - 1)):
+        under[k] += np.bincount(parents[k + 1], under[k + 1], under[k].size).astype(np.int64)
+    roots = np.bincount(parents[0], under[0], starts).astype(np.int64)
+    ahead = np.cumsum(roots) - roots
+    own = np.zeros(starts, dtype=np.int64)  # a start is no factor
+    ranks = []
+    for parent, is_max, sub in zip(parents, maximal, under):
+        elder = np.cumsum(sub) - sub
+        # ahead of a row: all ahead of its parent, the parent itself, and its elder siblings' subtrees
+        ahead = (ahead + own)[parent] + elder - elder[parent.searchsorted(parent)]
+        own = is_max.astype(np.int64)
+        ranks.append(ahead[is_max])
+    return ranks
+
+
+def _joined(docs: Sequence[UncertainString]) -> UncertainString:
+    """The documents back to back as one string, each correlation moved with its document."""
+    positions: list[dict[str, float]] = []
+    corrs: list[Correlation] = []
+    for d in docs:
+        shift = len(positions)
+        corrs.extend(replace(c, src_pos=c.src_pos + shift, cond_pos=c.cond_pos + shift) for c in d.correlations)
+        positions.extend(d.positions)
+    return UncertainString("joined", tuple(positions), tuple(corrs))
+
+
+def transform(
+    u: UncertainString | DocumentCollection, tau_min: float, length_cap: int | None = None
+) -> TransformedText:
     """Concatenate all maximal factors of ``u`` into a separator-delimited text.
 
     Every pattern occurrence with probability >= tau_min survives as a plain
-    substring at an offset mapping back to its original position.  The total
-    length is guarded by ``length_cap`` (default 64 * n / tau_min^2).
-    """
-    if not 0.0 < tau_min <= 1.0:
-        raise ValueError(f"tau_min {tau_min!r} not in (0, 1]")
-    if length_cap is None:
-        length_cap = math.ceil(64 * u.n / (tau_min * tau_min))
+    substring at an offset mapping back to its original position.  Factors
+    follow in (start, symbols) order, and separator k ends the k-th.  A
+    collection's documents follow one another in one frontier: ``pos`` counts
+    within each document and ``doc_factors`` holds each one's factor count.
 
-    codes: list[int] = []
-    pos: list[int] = []
-    cum: list[float] = []
-    sep = 0
-    for start in range(1, u.n + 1):
-        windows = _windows(u, tau_min, start)
-        for symbols, chain in sorted((s, c) for s, c, maximal in windows if maximal):
-            if len(codes) + len(symbols) + 1 > length_cap:
-                raise CapacityError(
-                    f"transformed text would exceed the length cap {length_cap}"
-                    " (raise it via --cap / length_cap)",
-                    cap=length_cap,
-                )
-            codes.extend(map(ord, symbols))
-            pos.extend(range(start, start + len(symbols)))
-            cum.extend(chain)
-            sep += 1
-            codes.append(-sep)
-            pos.append(0)
-            cum.append(-1.0)
-    return TransformedText(
-        codes=np.asarray(codes, dtype=np.int64),
-        pos=np.asarray(pos, dtype=np.int64),
-        cum=np.asarray(cum, dtype=np.float64),
-        tau_min=tau_min,
-        source=u,
+    Each document's text is guarded by ``length_cap`` (default 64 * n /
+    tau_min^2), checked level by level: each window reaching tau_min at level
+    k leads to its own factor of length at least k, so a text outgrows its cap
+    as soon as the factors found so far plus k + 1 codes per such window do.
+    """
+    _check_tau_min(tau_min)
+    docs = u.docs if isinstance(u, DocumentCollection) else (u,)
+    sizes = np.array([d.n for d in docs], dtype=np.int64)
+    first = np.cumsum(sizes) - sizes  # positions ahead of each document
+    caps = np.array(
+        [math.ceil(64 * d.n / (tau_min * tau_min)) if length_cap is None else length_cap for d in docs],
+        dtype=np.int64,
     )
+    doc_at = np.repeat(np.arange(len(docs)), sizes)  # document of each position
+    whole = docs[0] if len(docs) == 1 else _joined(docs)
+
+    parents: list[np.ndarray] = []
+    maximal: list[np.ndarray] = []
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    total = factors = np.zeros(len(docs), dtype=np.int64)
+    starts = np.arange(1, whole.n + 1)
+    for k, level in enumerate(_levels(whole, tau_min, starts, (first + sizes)[doc_at]), start=1):
+        doc = doc_at[level.start - 1]
+        reach = total + np.bincount(doc[level.chain[:, -1] >= tau_min], minlength=len(docs)) * (k + 1)
+        over = np.flatnonzero(reach > caps)
+        if over.size:
+            raise CapacityError(
+                f"transformed text would exceed the length cap {caps[over[0]]}"
+                " (raise it via --cap / length_cap)",
+                cap=int(caps[over[0]]),
+            )
+        rows = np.flatnonzero(level.maximal)
+        per_doc = np.bincount(doc[rows], minlength=len(docs))
+        total, factors = total + per_doc * (k + 1), factors + per_doc
+        parents.append(level.parent)
+        maximal.append(level.maximal)
+        found.append((level.start[rows] - first[doc[rows]], level.path[rows], level.chain[rows]))
+
+    ranks = _factor_order(parents, maximal, whole.n)
+    lens = np.zeros(int(factors.sum()), dtype=np.int64)
+    for k, rank in enumerate(ranks, start=1):
+        lens[rank] = k
+    ends = np.cumsum(lens + 1) - 1
+    heads = ends - lens
+    n = int(total.sum())
+    codes = np.empty(n, dtype=np.int64)
+    pos = np.zeros(n, dtype=np.int64)
+    cum = np.full(n, -1.0)
+    codes[ends] = -1 - np.arange(lens.size)
+    for k, (rank, (start, path, chain)) in enumerate(zip(ranks, found), start=1):
+        at = heads[rank, None] + np.arange(k)
+        codes[at] = path
+        pos[at] = start[:, None] + np.arange(k)
+        cum[at] = chain
+    if isinstance(u, DocumentCollection):
+        return TransformedText(codes, pos, cum, tau_min, doc_factors=factors)
+    return TransformedText(codes, pos, cum, tau_min, source=u)
 
 
 def conservation_check(
@@ -256,7 +467,7 @@ def conservation_check(
 
     Returns None when every qualifying (pattern, start) is a prefix of a factor
     aligned at that start, with the stored ``cum`` equal to the model's
-    ``occurrence_probability`` bit for bit; otherwise the first failing pair.
+    ``occurrence_probability`` bit for bit; otherwise a failing pair, shortest first.
     """
     if u.n > 40:
         raise ValueError("exhaustive conservation check is limited to n <= 40")
@@ -265,11 +476,13 @@ def conservation_check(
     heads: dict[int, list[int]] = {}
     for b in tt.factor_runs()[0].tolist():
         heads.setdefault(int(tt.pos[b]), []).append(b)
-    for start in range(1, u.n + 1):
-        for p, _, _ in _windows(u, tau_min, start):
-            want = [ord(c) for c in p]
+    for level in _levels(u, tau_min, np.arange(1, u.n + 1)):
+        for r in np.flatnonzero(level.chain[:, -1] >= tau_min).tolist():
+            want = level.path[r].tolist()
+            start = int(level.start[r])
             L = len(want)
             o = next((b for b in heads.get(start, ()) if codes[b : b + L] == want), None)
+            p = _spell(level.path[r])
             if o is None or cum[o + L - 1] != occurrence_probability(u, p, start):
                 return p, start
     return None

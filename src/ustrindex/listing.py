@@ -1,18 +1,19 @@
 """Document listing over collections of uncertain strings (Problem 2).
 
-Per-document transforms are concatenated into one text (separators stay
-globally unique), and for every short depth a sparse table
-(``textcore.SparseDepth``) holds each document's aggregated score once per
-locus partition, at the partition's first slot of that document; queries
-report it block by block like short substring queries.  The tables come from
-``qindex._group_depth``, the grouping the substring index uses, keyed by
-document instead of original position.  Aggregation (``qindex._fold``) visits
-a document's occurrences in ascending original position, which is also the
-order an exhaustive scan visits them, so scores match such a scan bit for
-bit.  The rows are the factor-start windows of ``qindex._factor_rows``, whose
-values are the per-document transforms' own ``cum`` prefixes.  A long query
-reads the same values at the factor starts of its slot range
-(``qindex._factor_hits``) and groups them the same way, by document.
+One transform covers the whole collection: the documents' factors follow
+one another in one text (separators stay globally unique), and for every
+short depth a sparse table (``textcore.SparseDepth``) holds each document's
+aggregated score once per locus partition, at the partition's first slot of
+that document; queries report it block by block like short substring
+queries.  The tables come from ``qindex._group_depth``, the grouping the
+substring index uses, keyed by document instead of original position.
+Aggregation (``qindex._fold``) visits a document's occurrences in ascending
+original position, which is also the order an exhaustive scan visits them,
+so scores match such a scan bit for bit.  The rows are the factor-start
+windows of ``qindex._factor_rows``, whose values are the documents' own
+``cum`` prefixes.  A long query reads the same values at the factor starts
+of its slot range (``qindex._factor_hits``) and groups them the same way, by
+document.
 """
 
 from __future__ import annotations
@@ -92,32 +93,6 @@ class ListingIndex:
         return TreeView(self.saidx)
 
 
-def _concatenate(parts: list[TransformedText], tau_min: float):
-    codes: list[np.ndarray] = []
-    pos: list[np.ndarray] = []
-    cum: list[np.ndarray] = []
-    doc_of: list[np.ndarray] = []
-    sep_base = 0
-    for k, part in enumerate(parts):
-        shifted = np.where(part.codes < 0, part.codes - sep_base, part.codes)
-        codes.append(shifted)
-        pos.append(part.pos)
-        cum.append(part.cum)
-        doc_of.append(np.full(part.n, k, dtype=np.int64))
-        sep_base += int((part.codes < 0).sum())
-    empty_i = np.zeros(0, dtype=np.int64)
-    empty_f = np.zeros(0, dtype=np.float64)
-    tt = TransformedText(
-        codes=np.concatenate(codes) if codes else empty_i,
-        pos=np.concatenate(pos) if pos else empty_i,
-        cum=np.concatenate(cum) if cum else empty_f,
-        tau_min=tau_min,
-        source=None,
-    )
-    merged = np.concatenate(doc_of) if doc_of else empty_i
-    return tt, merged
-
-
 def build_listing(
     collection: DocumentCollection,
     tau_min: float,
@@ -135,8 +110,9 @@ def build_listing(
             raise ValueError(f"invalid document {d.name!r}: " + "; ".join(problems))
     cfg = config or ListingConfig()
 
-    parts = [transform(d, tau_min, cfg.length_cap) for d in collection.docs]
-    tt, doc_of = _concatenate(parts, tau_min)
+    tt = transform(collection, tau_min, cfg.length_cap)
+    starts, ends = tt.factor_runs()
+    doc_of = np.repeat(np.repeat(np.arange(len(collection)), tt.doc_factors), ends - starts + 1)
     saidx = build_suffix_array(tt.codes)
     n = tt.n
     m_short = cfg.m_short if cfg.m_short is not None else max(1, n.bit_length() - 1)

@@ -6,10 +6,11 @@ once, so they sort below every character and no common prefix ever spans one.
 Slots (positions in suffix-array order) and text positions are 1-based in the
 public API; ``sa[k - 1]`` is the suffix at slot ``k``.  Patterns are located
 by binary search over a byte encoding of the text, so comparisons run in C.
-Builds sort the suffixes by prefix doubling (``build_suffix_array``); loads
-never sort, they accept a stored suffix array after the linear check of
-``check_suffix_array``.  The LCP array is computed on first read, which only
-index builds do.
+Builds sort the suffixes by prefix doubling (``build_suffix_array``), and
+the ranks of its rounds give the LCP array by binary lifting in the same
+pass; loads never sort, they accept a stored suffix array after the linear
+check of ``check_suffix_array``, and only a read of its ``lcp`` reruns the
+pass (no load or query reads it).
 ``SparseDepth`` is the one format of a sparse short table: the nonzero
 entries of a per-length table in slot order, which ``rmq_report`` reports
 block by block.
@@ -67,33 +68,18 @@ class SuffixArrayIndex:
     codes: np.ndarray
     sa: np.ndarray
     inverse_sa: np.ndarray
+    _lcp: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.codes)
 
-    @cached_property
+    @property
     def lcp(self) -> np.ndarray:
-        """The LCP array by Kasai's algorithm, built on first read: builds read it, loads never do."""
-        n = self.n
-        # Kasai over plain lists; numpy scalar indexing is slower here.
-        lcp = [0] * n
-        text_l = self.codes.tolist()
-        sa_l = (self.sa - 1).tolist()
-        inv_l = (self.inverse_sa - 1).tolist()
-        h = 0
-        for i in range(n):
-            slot = inv_l[i]
-            if slot > 0:
-                j = sa_l[slot - 1]
-                while i + h < n and j + h < n and text_l[i + h] == text_l[j + h]:
-                    h += 1
-                lcp[slot] = h
-                if h:
-                    h -= 1
-            else:
-                h = 0
-        return np.asarray(lcp, dtype=np.int64)
+        """The LCP array, from the sorting pass; a checked suffix array reruns it on first read."""
+        if self._lcp is None:
+            self._lcp = _prefix_doubling(self.codes)[2]
+        return self._lcp
 
     @cached_property
     def byte_text(self) -> bytes:
@@ -126,31 +112,55 @@ def _pattern_key(p) -> bytes | None:
     return None if pattern.max() >= _OFFSET else _byte_words(pattern)
 
 
+# Slots per step of the LCP lift: bounds its n-sized temporaries.
+_LIFT_BLOCK = 1 << 15
+
+
+def _prefix_doubling(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0-based suffix order, slot of every suffix, and LCP array of ``codes``.
+
+    Manber and Myers: round j ranks every suffix by its first 2^j codes, one
+    ``argsort`` of ``rank * (n + 1) + rank of the suffix 2^j further``, until
+    all ranks differ.  Each round's ranks are kept (int32, with -1 for the
+    empty suffix), and the LCP of two suffixes a and b is then lifted top
+    down: add 2^j while ``rank_j[a + h] == rank_j[b + h]``, in O(n log L) for a
+    longest common prefix L.
+    """
+    n = codes.size
+    # rank[i]: rank of suffix i by its first 2^j codes in round j; rank[n] = -1, the empty suffix
+    rank = np.append(np.unique(codes, return_inverse=True)[1], -1).astype(np.int32)
+    order = np.argsort(rank[:n])
+    ranks: list[np.ndarray] = []
+    while rank.max() < n - 1:
+        ranks.append(rank)
+        k = 1 << (len(ranks) - 1)
+        key = rank[:n].astype(np.int64)
+        key *= n + 1
+        key[: n - k] += rank[k:n]
+        key[: n - k] += 1
+        order = np.argsort(key)
+        key = key[order]
+        rank = np.empty(n + 1, dtype=np.int32)
+        rank[n] = -1
+        rank[order[0]] = 0
+        rank[order[1:]] = np.cumsum(key[1:] != key[:-1], dtype=np.int32)
+        del key  # the last round's key goes before the lift starts
+
+    lcp = np.zeros(n, dtype=np.int64)
+    for lo in range(1, n, _LIFT_BLOCK):
+        hi = min(lo + _LIFT_BLOCK, n)
+        a, b = order[lo - 1 : hi - 1], order[lo:hi]
+        h = lcp[lo:hi]
+        for j in reversed(range(len(ranks))):
+            h += (ranks[j][a + h] == ranks[j][b + h]) << j
+    return order, rank[:n].astype(np.int64), lcp
+
+
 def build_suffix_array(text) -> SuffixArrayIndex:
-    """Sort all suffixes of ``text`` by prefix doubling; the LCP array follows on first read."""
+    """Sort all suffixes of ``text`` by prefix doubling, which yields the LCP array too."""
     codes = _encode_text(text)
-    n = len(codes)
-    if n == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return SuffixArrayIndex(codes, empty.copy(), empty.copy())
-
-    rank = np.unique(codes, return_inverse=True)[1].astype(np.int64)
-    order = np.argsort(rank, kind="stable")
-    k = 1
-    while rank[order[-1]] != n - 1:
-        second = np.zeros(n, dtype=np.int64)
-        second[: n - k] = rank[k:] + 1
-        order = np.lexsort((second, rank))
-        changed = (rank[order[1:]] != rank[order[:-1]]) | (second[order[1:]] != second[order[:-1]])
-        fresh = np.empty(n, dtype=np.int64)
-        fresh[order[0]] = 0
-        fresh[order[1:]] = np.cumsum(changed)
-        rank = fresh
-        k *= 2
-
-    inv0 = np.empty(n, dtype=np.int64)
-    inv0[order] = np.arange(n)
-    return SuffixArrayIndex(codes, order + 1, inv0 + 1)
+    order, rank, lcp = _prefix_doubling(codes)
+    return SuffixArrayIndex(codes, order + 1, rank + 1, lcp)
 
 
 def check_suffix_array(codes: np.ndarray, sa: np.ndarray) -> SuffixArrayIndex:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from ustrindex import UncertainString, occurrence_probability
+from ustrindex import CapacityError, TransformedText, UncertainString, occurrence_probability
 from ustrindex.textcore import TreeView
 from ustrindex.datagen import _inject_correlations
 
@@ -173,3 +175,119 @@ def reference_aggregate_depth(c, lcp, slot_doc, orig, depth: int, n_docs: int, m
             k = j
     order = np.argsort(heads)
     return np.asarray(heads, dtype=np.int32)[order] + 1, np.asarray(scores, dtype=np.float64)[order]
+
+
+def _grow(
+    u: UncertainString,
+    start: int,
+    q: int,
+    chars: Sequence[str],
+    sym: str,
+    prob: float,
+    bound: float,
+    pending: frozenset[int],
+) -> tuple[float, float, frozenset[int]]:
+    """Grow the window at ``start`` by ``sym`` at position ``q``: the walker's growth rule.
+
+    ``chars[: q - start]`` spells the window so far, ``prob`` is its exact
+    product and ``bound`` an optimistic one.  ``pending`` holds the positions
+    right of the window that condition a character inside it; when ``sym``
+    lands on one, an earlier multiplicand changes and the product restarts in
+    ``occurrence_probability``'s left-to-right order.  Returns the three for
+    the grown window.
+    """
+    by_source = u.by_source
+    corr = by_source.get((q, sym)) if by_source else None
+    if corr is None:
+        m = mb = u.positions[q - 1].get(sym, 0.0)
+    elif start <= corr.cond_pos < q:
+        m = mb = corr.p_plus if chars[corr.cond_pos - start] == corr.cond_sym else corr.p_minus
+    else:
+        m = corr.marginal(u.pr(corr.cond_pos, corr.cond_sym))
+        mb = max(m, corr.p_plus, corr.p_minus)
+        if corr.cond_pos > q:
+            pending = pending | {corr.cond_pos}
+    if q in pending:
+        exact = occurrence_probability(u, "".join(chars[: q - start]) + sym, start)
+    else:
+        exact = prob * m
+    return exact, bound * mb, pending
+
+
+def _windows(u: UncertainString, tau_min: float, start: int) -> Iterator[tuple[str, list[float], bool]]:
+    """Every window at ``start`` whose probability reaches tau_min, depth first.
+
+    Yields ``(symbols, chain, maximal)``: ``chain[k]`` is the probability of
+    the first k+1 symbols, and ``maximal`` says that no one-character
+    extension qualifies.  A branch is cut once its optimistic bound falls
+    below tau_min, which on correlation-free strings is just the product;
+    maximality is checked against the actual extensions, so it does not assume
+    that the product shrinks as the window grows.
+    """
+    chars: list[str] = []
+    chain: list[float] = []
+    # frame: [bound, pending, child iterator, saw a qualifying extension]
+    frames: list[list] = [[1.0, frozenset(), iter(u.positions[start - 1]), False]]
+    while frames:
+        fr = frames[-1]
+        q = start + len(chars)
+        prob = chain[-1] if chain else 1.0
+        for sym in fr[2]:
+            exact, bound, pending = _grow(u, start, q, chars, sym, prob, fr[0], fr[1])
+            if exact >= tau_min:
+                fr[3] = True
+            if bound >= tau_min:
+                chars.append(sym)
+                chain.append(exact)
+                frames.append([bound, pending, iter(u.positions[q] if q < u.n else ()), False])
+                break
+        else:
+            frames.pop()
+            if chars:
+                if chain[-1] >= tau_min:
+                    yield "".join(chars), chain[:], not fr[3]
+                chars.pop()
+                chain.pop()
+
+
+def reference_transform(u: UncertainString, tau_min: float, length_cap: int | None = None) -> TransformedText:
+    """The depth-first transform the level-synchronous one replaced, kept as its reference.
+
+    Concatenates all maximal factors of ``u`` into a separator-delimited text.
+
+    Every pattern occurrence with probability >= tau_min survives as a plain
+    substring at an offset mapping back to its original position.  The total
+    length is guarded by ``length_cap`` (default 64 * n / tau_min^2).
+    """
+    if not 0.0 < tau_min <= 1.0:
+        raise ValueError(f"tau_min {tau_min!r} not in (0, 1]")
+    if length_cap is None:
+        length_cap = math.ceil(64 * u.n / (tau_min * tau_min))
+
+    codes: list[int] = []
+    pos: list[int] = []
+    cum: list[float] = []
+    sep = 0
+    for start in range(1, u.n + 1):
+        windows = _windows(u, tau_min, start)
+        for symbols, chain in sorted((s, c) for s, c, maximal in windows if maximal):
+            if len(codes) + len(symbols) + 1 > length_cap:
+                raise CapacityError(
+                    f"transformed text would exceed the length cap {length_cap}"
+                    " (raise it via --cap / length_cap)",
+                    cap=length_cap,
+                )
+            codes.extend(map(ord, symbols))
+            pos.extend(range(start, start + len(symbols)))
+            cum.extend(chain)
+            sep += 1
+            codes.append(-sep)
+            pos.append(0)
+            cum.append(-1.0)
+    return TransformedText(
+        codes=np.asarray(codes, dtype=np.int64),
+        pos=np.asarray(pos, dtype=np.int64),
+        cum=np.asarray(cum, dtype=np.float64),
+        tau_min=tau_min,
+        source=u,
+    )

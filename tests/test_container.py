@@ -241,6 +241,26 @@ def test_an_empty_transformed_text_round_trips_and_answers_nothing(kind, tmp_pat
                 assert approx_items(c.links, p, 0.9) == []
 
 
+@pytest.mark.parametrize("kind", ["substring", "listing", "links"])
+def test_a_string_without_factors_builds_saves_loads_and_answers_nothing(kind, tmp_path):
+    # three even positions under the default config: no window reaches tau_min 0.9
+    u = UncertainString("even", tuple({"a": 0.5, "b": 0.5} for _ in range(3)))
+    container = build_container(
+        [u], 0.9, epsilon=0.05 if kind == "links" else None, metric="or" if kind == "listing" else None
+    )
+    path = str(tmp_path / "none.usi")
+    save_container(container, path)
+    for c in (container, load_container(path)):
+        assert (c.substring or c.listing).tt.n == 0
+        for p in ("a", "ab", "aba", "abab"):
+            if kind == "listing":
+                assert list_items(c.listing, p, 0.9) == []
+            else:
+                assert query_items(c.substring, p, 0.9) == []
+            if kind == "links":
+                assert approx_items(c.links, p, 0.9) == []
+
+
 def test_no_tree_view_is_built_for_links(genome, tmp_path):
     plain = build_container([genome], 0.1)
     assert "tree" not in plain.substring.__dict__

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ustrindex import (
     CapacityError,
+    Correlation,
     DocumentCollection,
     TransformedText,
     UncertainString,
@@ -21,7 +22,7 @@ from ustrindex import (
     transform,
 )
 
-from helpers import random_ustring
+from helpers import random_ustring, reference_transform
 
 
 def brute_maximal_factors(u: UncertainString, tau_min: float, start: int) -> set[tuple[str, float]]:
@@ -163,6 +164,95 @@ def test_transform_capacity_guard(genome):
         transform(genome, 0.15, length_cap=3)
     assert exc.value.cap == 3
     assert "length cap" in str(exc.value)
+
+
+# "a" at 1 and "c" at 2 condition on each other: "a" alone has 0.1, "ac" has 1
+NON_MONOTONE = UncertainString(
+    "nm",
+    ({"a": 0.5, "b": 0.5}, {"c": 0.1, "d": 0.9}, {"e": 1.0}),
+    (Correlation(1, "a", 2, "c", 1.0, 0.0), Correlation(2, "c", 1, "a", 1.0, 0.0)),
+)
+
+
+def _same_arrays(got: TransformedText, want: TransformedText) -> bool:
+    return all(
+        getattr(got, k).dtype == getattr(want, k).dtype and getattr(got, k).tobytes() == getattr(want, k).tobytes()
+        for k in ("codes", "pos", "cum")
+    )
+
+
+TAU_MINS = (0.05, 0.1, 0.2, 0.3, 0.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_transform_is_byte_identical_to_the_depth_first_walker(seed):
+    rng = random.Random(seed)
+    u = random_ustring(rng, n=rng.randint(1, 16), theta=rng.random(), correlation_rate=rng.random() * 0.8)
+    for tau_min in TAU_MINS:
+        assert _same_arrays(transform(u, tau_min), reference_transform(u, tau_min)), tau_min
+
+
+@pytest.mark.parametrize("tau_min", TAU_MINS)
+def test_a_non_monotone_transform_is_byte_identical_to_the_walker(tau_min):
+    assert _same_arrays(transform(NON_MONOTONE, tau_min), reference_transform(NON_MONOTONE, tau_min))
+
+
+@pytest.mark.parametrize("correlation_rate", [0.0, 0.6])
+def test_the_length_cap_admits_exactly_the_text_length(correlation_rate):
+    rng = random.Random(7)
+    u = random_ustring(rng, n=30, theta=0.6, correlation_rate=correlation_rate)
+    assert bool(u.correlations) == (correlation_rate > 0)
+    N = transform(u, 0.1).n
+    assert _same_arrays(transform(u, 0.1, length_cap=N), transform(u, 0.1))
+    with pytest.raises(CapacityError) as exc:
+        transform(u, 0.1, length_cap=N - 1)
+    assert exc.value.cap == N - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_a_collection_transforms_like_its_documents_one_after_another(seed):
+    rng = random.Random(seed)
+    docs = [
+        random_ustring(rng, n=rng.randint(1, 10), theta=0.7, correlation_rate=rng.random() * 0.8, name=f"d{k}")
+        for k in range(rng.randint(1, 4))
+    ]
+    tau_min = rng.choice(TAU_MINS)
+    tt = transform(DocumentCollection(tuple(docs)), tau_min)
+    parts = [reference_transform(d, tau_min) for d in docs]
+    counts = [int((part.codes < 0).sum()) for part in parts]
+    assert tt.doc_factors.tolist() == counts
+    # each document's separators continue the numbering of the documents before it
+    shifts = np.cumsum([0] + counts)
+    want = TransformedText(
+        np.concatenate([np.where(p.codes < 0, p.codes - k, p.codes) for p, k in zip(parts, shifts)]),
+        np.concatenate([p.pos for p in parts]),
+        np.concatenate([p.cum for p in parts]),
+        tau_min,
+    )
+    assert _same_arrays(tt, want)
+
+
+def test_each_document_of_a_collection_has_its_own_cap():
+    rng = random.Random(3)
+    small, big = (random_ustring(rng, n=n, theta=0.6, correlation_rate=0.5, name=f"d{n}") for n in (4, 30))
+    N = transform(big, 0.1).n
+    assert transform(small, 0.1).n < N
+    collection = DocumentCollection((small, big))
+    assert transform(collection, 0.1, length_cap=N).n > N
+    with pytest.raises(CapacityError) as exc:
+        transform(collection, 0.1, length_cap=N - 1)
+    assert exc.value.cap == N - 1
+
+
+def test_prefix_probabilities_are_zero_from_an_absent_symbol_on(genome):
+    start = 5
+    present = "".join(sorted(genome.positions[q - 1])[0] for q in range(start, start + 3))
+    absent = next(c for c in "xyz" if c not in genome.positions[start])
+    probs = prefix_probabilities(genome, present[0] + absent + present[2], start)
+    assert probs[0] == occurrence_probability(genome, present[0], start) > 0.0
+    assert probs[1:] == [0.0, 0.0]
 
 
 def _loop_room(tt: TransformedText) -> np.ndarray:

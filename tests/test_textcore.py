@@ -50,7 +50,7 @@ def common_prefix(a: list[int], b: list[int]) -> int:
 @given(st.integers(0, 10**6))
 def test_suffix_array_and_lcp_match_brute_force(seed):
     rng = random.Random(seed)
-    codes = random_codes(rng)
+    codes = separator_text(rng)
     idx = build_suffix_array(codes)
     order = reference_suffix_order(codes)
     assert idx.sa.tolist() == [i + 1 for i in order]
@@ -60,6 +60,24 @@ def test_suffix_array_and_lcp_match_brute_force(seed):
         for k in range(len(codes))
     ]
     assert idx.lcp.tolist() == want_lcp
+
+
+def test_lcp_of_one_long_periodic_factor():
+    # the text of a single 3,000-symbol factor "abab...ab": adjacent suffixes share up to 2,998 codes
+    codes = np.array([97, 98] * 1500 + [-1])
+    idx = build_suffix_array(codes)
+    order = (idx.sa - 1).tolist()
+    # "$" first, then the "a" suffixes and the "b" suffixes, each from shortest to longest
+    assert order == [3000] + list(range(2998, -1, -2)) + list(range(2999, 0, -2))
+    want = [0] * codes.size
+    for k in range(1, codes.size):
+        a, b = codes[order[k - 1] :], codes[order[k] :]
+        m = min(a.size, b.size)
+        want[k] = int(np.argmin(np.append(a[:m] == b[:m], False)))
+    assert idx.lcp.tolist() == want
+    assert max(want) == 2998
+    # a checked array reruns the same pass for its LCP
+    assert check_suffix_array(codes, idx.sa).lcp.tolist() == want
 
 
 def test_suffix_array_handles_empty_text():
