@@ -173,12 +173,12 @@ def load_container(path: str) -> IndexContainer:
         raise ContainerError(f"{path} is not a sound index container: {exc}") from exc
 
 
-def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, docs) -> tuple[np.ndarray, np.ndarray]:
+def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, docs) -> np.ndarray:
     """Every stored array has the dtype, length and contents the index layout implies.
 
     Runs before anything is built, so a tampered array raises ContainerError
     instead of a traceback or a silently wrong answer later.  Returns each
-    factor's 0-based text offset and its document number.
+    factor's 0-based text offset.
     """
     listing = manifest["kind"] == "listing"
     short = [f"short_{i}" for i in range(1, m_short + 1)]
@@ -256,7 +256,7 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, d
             raise bad("link_tdepth", "a depth interval that is not 0 <= target < origin")
         if not np.all((arrays["link_stored"] > 0.0) & (arrays["link_stored"] <= 1.0)):
             raise bad("link_stored", "a value outside (0, 1] or NaN")
-    return starts, doc
+    return starts
 
 
 def _field(manifest: dict, name: str, *types: type):
@@ -292,7 +292,7 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
         raise ContainerError(f"manifest metric {manifest['metric']!r} is not one of {', '.join(METRICS)}")
     if kind == "substring" and len(docs) != 1:
         raise ContainerError(f"a substring container holds one source string, not {len(docs)}")
-    starts, doc = _check_shapes(manifest, arrays, m_short, docs)
+    starts = _check_shapes(manifest, arrays, m_short, docs)
     # widened, so a loaded index holds the dtypes a built one does
     codes, cum = arrays["codes"].astype(np.int64), arrays["cum"]
     saidx = check_suffix_array(codes, arrays["sa"].astype(np.int64))
@@ -325,6 +325,6 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
     collection = DocumentCollection(tuple(docs))
     tt = TransformedText(codes, pos, cum, tau_min, doc_factors=arrays["doc_factors"])
     lidx = ListingIndex(
-        collection, manifest["metric"], tau_min, tt, np.repeat(doc, width), saidx, m_short, short_tables
+        collection, manifest["metric"], tau_min, tt, tt.doc_of(), saidx, m_short, short_tables
     )
     return IndexContainer("listing", tau_min, listing=lidx, metric=lidx.metric)

@@ -8,12 +8,14 @@ pattern occurrences with probability >= tau_min.
 
 The windows grow level-synchronously: ``_levels`` holds, for one window
 length k at a time, the windows of every start whose optimistic bound still
-reaches tau_min, as ``(start, path, chain, bound)`` rows, and extends all of
-them by one character in a few numpy steps.  ``_extend`` is the single copy of
-the growth rule; ``prefix_probabilities`` drives it along given symbols
-instead of along every alternative.  A window's ``chain`` holds its prefix
-products, which become ``cum`` for the maximal ones.  Those are
-left-to-right products of the same multiplicands
+reaches tau_min, as ``(start, code, prob, bound)`` rows, and extends all of
+them by one character in a few numpy steps.  Each row keeps only its last
+code and a link to the window it extends (``_Trie``), so a level costs its
+row count, not its rows times k.  ``_extend`` is the single copy of the
+growth rule; ``prefix_probabilities`` drives it along given symbols instead
+of along every alternative.  The ``prob`` of a maximal window's ancestors
+become its ``cum``.  Those are left-to-right products of the same
+multiplicands
 ``model.occurrence_probability`` uses, so threshold comparisons downstream
 agree bitwise with the model; the index tables and the long queries of both
 index kinds read them straight from ``cum`` at the factor starts.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,11 +122,47 @@ def _alternatives(u: UncertainString, lo: int = 1, hi: int | None = None) -> _Al
     )
 
 
+class _Trie:
+    """Windows grown one character per level, linked to the windows they extend.
+
+    Row r of level k (windows of length k + 1) appends ``code[k][r]`` to row
+    ``parent[k][r]`` of level k - 1; level 0's parents index the starts.
+    """
+
+    def __init__(self) -> None:
+        self.parent: list[np.ndarray] = []
+        self.code: list[np.ndarray] = []
+
+    def add(self, parent: np.ndarray, code: np.ndarray) -> None:
+        self.parent.append(parent)
+        self.code.append(code)
+
+    def code_at(self, rows: np.ndarray, off: np.ndarray) -> np.ndarray:
+        """The code at 0-based offset ``off[i]`` of window ``rows[i]`` of the deepest level.
+
+        Walks up the parent links no further than the smallest offset.
+        """
+        out = np.empty(rows.size, dtype=np.int32)
+        for k in range(len(self.code) - 1, int(off.min(initial=len(self.code))) - 1, -1):
+            here = off == k
+            out[here] = self.code[k][rows[here]]
+            rows = self.parent[k][rows]
+        return out
+
+    def spell(self, rows: np.ndarray) -> np.ndarray:
+        """The codes of windows ``rows`` of the deepest level, one row each."""
+        out = np.empty((rows.size, len(self.code)), dtype=np.int32)
+        for k in reversed(range(len(self.code))):
+            out[:, k] = self.code[k][rows]
+            rows = self.parent[k][rows]
+        return out
+
+
 def _extend(
     u: UncertainString,
     alts: _Alternatives,
+    trie: _Trie,
     start: np.ndarray,
-    path: np.ndarray,
     prob: np.ndarray,
     bound: np.ndarray,
     parent: np.ndarray,
@@ -133,10 +171,11 @@ def _extend(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grow windows by one character each: the one growth rule.
 
-    Row r of ``start``, ``path``, ``prob`` and ``bound`` is a window: its
-    start, its codes (k columns), its exact product and an optimistic one.
-    Child i appends ``code[i]``, alternative ``alt[i]``, to window
-    ``parent[i]``, at position q = start + k.  Its multiplicand is, by case:
+    Row r of ``start``, ``prob`` and ``bound`` is window r of the deepest
+    level of ``trie``, of length k: its start, its exact product and an
+    optimistic one.  Child i appends ``code[i]``, alternative ``alt[i]``, to
+    window ``parent[i]``, at position q = start + k.  Its multiplicand is, by
+    case:
 
     - uncorrelated: the base probability;
     - conditioner inside the window: ``p_plus`` or ``p_minus``, by the
@@ -150,12 +189,12 @@ def _extend(
     Returns the children's exact and optimistic products.
     """
     s = start[parent]
-    q = s + path.shape[1]
+    q = s + len(trie.code)
     m, mb, cond = alts.m[alt], alts.mb[alt], alts.cond[alt]
     near = np.flatnonzero((cond >= s) & (cond < q))
     if near.size:
         a = alt[near]
-        spelled = path[parent[near], cond[near] - s[near]] == alts.cond_code[a]
+        spelled = trie.code_at(parent[near], cond[near] - s[near]) == alts.cond_code[a]
         m[near] = mb[near] = np.where(spelled, alts.p_plus[a], alts.p_minus[a])
     exact = prob[parent] * m
 
@@ -170,29 +209,32 @@ def _extend(
         off = alts.fwd_src[f] - s[child]
         inside = off >= 0
         child, f, off = child[inside], f[inside], off[inside]
-        child = np.unique(child[path[parent[child], off] == alts.fwd_code[f]])
-        for i in child.tolist():
-            window = "".join(map(chr, path[parent[i]].tolist())) + chr(code[i])
-            exact[i] = occurrence_probability(u, window, int(s[i]))
+        child = np.unique(child[trie.code_at(parent[child], off) == alts.fwd_code[f]])
+        for i, window in zip(child.tolist(), trie.spell(parent[child]).tolist()):
+            exact[i] = occurrence_probability(u, "".join(map(chr, window)) + chr(code[i]), int(s[i]))
     return exact, bound[parent] * mb
 
 
 class _Level(NamedTuple):
     """The windows of one length k whose optimistic bound reaches tau_min.
 
-    Row r extends row ``parent[r]`` of the level above (at level 1, the
-    index of its start).  Rows come sorted by (start, codes).
+    Row r appends ``code[r]`` to row ``parent[r]`` of the level above (at
+    level 1, to the index of its start).  Rows come sorted by (start, codes).
     """
 
     parent: np.ndarray
     start: np.ndarray
-    path: np.ndarray  # codes, k columns
-    chain: np.ndarray  # chain[:, j]: probability of the first j + 1 codes
+    code: np.ndarray  # the window's last code
+    prob: np.ndarray  # the window's occurrence probability
     maximal: np.ndarray  # reaches tau_min and no one-character extension does
 
 
 def _levels(
-    u: UncertainString, tau_min: float, starts: np.ndarray, last: np.ndarray | None = None
+    u: UncertainString,
+    tau_min: float,
+    starts: np.ndarray,
+    last: np.ndarray | None = None,
+    halt: Callable[[_Level], np.ndarray] | None = None,
 ) -> Iterator[_Level]:
     """Levels 1, 2, ... of the windows at ``starts``, each grown from the last in one step.
 
@@ -200,33 +242,36 @@ def _levels(
     It is kept while its optimistic bound reaches tau_min, which on
     correlation-free strings is just its product; maximality is checked
     against the actual extensions, so it does not assume that the product
-    shrinks as the window grows.
+    shrinks as the window grows.  ``halt``, when given, flags the rows of each
+    level that grow no further once the level has been consumed.
     """
     alts = _alternatives(u)
     count = np.append(np.diff(alts.first), 0)  # alternatives per position; none past the end
     start = np.asarray(starts, dtype=np.int64)
     last = np.full(start.size, u.n) if last is None else last
+    trie = _Trie()
     parent = np.arange(start.size)
-    path = np.zeros((start.size, 0), dtype=np.int32)
-    chain = np.zeros((start.size, 0))
     prob = bound = np.ones(start.size)
     while start.size:
-        k = path.shape[1]
+        k = len(trie.code)
         q = start + k
         n_kids = np.where(q <= last, count[q - 1], 0)
-        kid_parent = np.repeat(np.arange(start.size), n_kids)
+        kid_parent = np.repeat(np.arange(start.size, dtype=np.int32), n_kids)
         alt = np.arange(kid_parent.size) + np.repeat(alts.first[q - 1] - (np.cumsum(n_kids) - n_kids), n_kids)
         code = alts.code[alt]
-        exact, grown = _extend(u, alts, start, path, prob, bound, kid_parent, alt, code)
+        exact, grown = _extend(u, alts, trie, start, prob, bound, kid_parent, alt, code)
+        grow = grown >= tau_min
         if k:
             extends = np.zeros(start.size, dtype=bool)
             extends[kid_parent[exact >= tau_min]] = True
-            yield _Level(parent, start, path, chain, (prob >= tau_min) & ~extends)
-        keep = np.flatnonzero(grown >= tau_min)
+            level = _Level(parent, start, trie.code[-1], prob, (prob >= tau_min) & ~extends)
+            yield level
+            if halt is not None:
+                grow &= ~halt(level)[kid_parent]
+        keep = np.flatnonzero(grow)
         parent = kid_parent[keep]
+        trie.add(parent, code[keep])
         start, last = start[parent], last[parent]
-        path = np.concatenate((path[parent], code[keep, None]), axis=1)
-        chain = np.concatenate((chain[parent], exact[keep, None]), axis=1)
         prob, bound = exact[keep], grown[keep]
 
 
@@ -244,11 +289,14 @@ def maximal_factors(u: UncertainString, tau_min: float, start: int) -> set[Maxim
     _check_tau_min(tau_min)
     if not 1 <= start <= u.n:
         raise ValueError(f"start {start} outside [1, {u.n}]")
-    return {
-        MaximalFactor(start, _spell(level.path[r]), float(level.chain[r, -1]))
-        for level in _levels(u, tau_min, np.array([start]))
-        for r in np.flatnonzero(level.maximal).tolist()
-    }
+    found = set()
+    words = [""]
+    for level in _levels(u, tau_min, np.array([start])):
+        words = [words[p] + chr(c) for p, c in zip(level.parent.tolist(), level.code.tolist())]
+        found.update(
+            MaximalFactor(start, words[r], float(level.prob[r])) for r in np.flatnonzero(level.maximal).tolist()
+        )
+    return found
 
 
 def batch_prefix_probabilities(
@@ -271,15 +319,16 @@ def batch_prefix_probabilities(
     order = np.argsort(-lengths, kind="stable")
     start, offsets, base = starts[order], offsets[order], (np.cumsum(lengths) - lengths)[order]
     growing = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
-    path = np.zeros((start.size, 0), dtype=np.int32)
+    trie = _Trie()
     prob = bound = np.ones(start.size)
     for k, rows in enumerate(growing.tolist()):
-        start, offsets, base, path = start[:rows], offsets[:rows], base[:rows], path[:rows]
+        start, offsets, base = start[:rows], offsets[:rows], base[:rows]
         code = codes[offsets + k].astype(np.int32)
         alt = alts.lookup(start + k, code)
-        prob, bound = _extend(u, alts, start, path, prob[:rows], bound[:rows], np.arange(rows), alt, code)
+        same = np.arange(rows)
+        prob, bound = _extend(u, alts, trie, start, prob[:rows], bound[:rows], same, alt, code)
         out[base + k] = prob
-        path = np.concatenate((path, code[:, None]), axis=1)
+        trie.add(same, code)
     return out
 
 
@@ -327,6 +376,12 @@ class TransformedText:
         """
         ends = np.flatnonzero(self.codes < 0)
         return np.concatenate(([0], ends[:-1] + 1))[: ends.size], ends
+
+    def doc_of(self) -> np.ndarray:
+        """The document of every text offset, a separator's being its factor's; all 0 for one string."""
+        starts, ends = self.factor_runs()
+        counts = [ends.size] if self.doc_factors is None else self.doc_factors
+        return np.repeat(np.repeat(np.arange(len(counts)), counts), ends - starts + 1)
 
     @property
     def factor_table(self) -> tuple[tuple[int, MaximalFactor], ...]:
@@ -405,6 +460,8 @@ def transform(
     tau_min^2), checked level by level: each window reaching tau_min at level
     k leads to its own factor of length at least k, so a text outgrows its cap
     as soon as the factors found so far plus k + 1 codes per such window do.
+    Such a document grows no further, and a collection reports the first of
+    them in document order, as if its documents were transformed one by one.
     """
     _check_tau_min(tau_min)
     docs = u.docs if isinstance(u, DocumentCollection) else (u,)
@@ -419,25 +476,31 @@ def transform(
 
     parents: list[np.ndarray] = []
     maximal: list[np.ndarray] = []
-    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    last_codes: list[np.ndarray] = []
+    probs: list[np.ndarray] = []
     total = factors = np.zeros(len(docs), dtype=np.int64)
-    starts = np.arange(1, whole.n + 1)
-    for k, level in enumerate(_levels(whole, tau_min, starts, (first + sizes)[doc_at]), start=1):
+    over = np.zeros(len(docs), dtype=bool)  # documents whose text outgrows their cap; they grow no further
+    levels = _levels(
+        whole, tau_min, np.arange(1, whole.n + 1), (first + sizes)[doc_at], lambda level: over[doc_at[level.start - 1]]
+    )
+    for k, level in enumerate(levels, start=1):
         doc = doc_at[level.start - 1]
-        reach = total + np.bincount(doc[level.chain[:, -1] >= tau_min], minlength=len(docs)) * (k + 1)
-        over = np.flatnonzero(reach > caps)
-        if over.size:
-            raise CapacityError(
-                f"transformed text would exceed the length cap {caps[over[0]]}"
-                " (raise it via --cap / length_cap)",
-                cap=int(caps[over[0]]),
-            )
+        over |= total + np.bincount(doc[level.prob >= tau_min], minlength=len(docs)) * (k + 1) > caps
+        # report the first overflowing document once no document ahead of it still grows
+        if over.any() and over.argmax() < doc[~over[doc]].min(initial=len(docs)):
+            break
         rows = np.flatnonzero(level.maximal)
         per_doc = np.bincount(doc[rows], minlength=len(docs))
         total, factors = total + per_doc * (k + 1), factors + per_doc
         parents.append(level.parent)
         maximal.append(level.maximal)
-        found.append((level.start[rows] - first[doc[rows]], level.path[rows], level.chain[rows]))
+        last_codes.append(level.code)
+        probs.append(level.prob)
+    if over.any():
+        cap = int(caps[over.argmax()])
+        raise CapacityError(
+            f"transformed text would exceed the length cap {cap} (raise it via --cap / length_cap)", cap=cap
+        )
 
     ranks = _factor_order(parents, maximal, whole.n)
     lens = np.zeros(int(factors.sum()), dtype=np.int64)
@@ -447,14 +510,22 @@ def transform(
     heads = ends - lens
     n = int(total.sum())
     codes = np.empty(n, dtype=np.int64)
-    pos = np.zeros(n, dtype=np.int64)
     cum = np.full(n, -1.0)
     codes[ends] = -1 - np.arange(lens.size)
-    for k, (rank, (start, path, chain)) in enumerate(zip(ranks, found), start=1):
-        at = heads[rank, None] + np.arange(k)
-        codes[at] = path
-        pos[at] = start[:, None] + np.arange(k)
-        cum[at] = chain
+    # deep to shallow: every factor of length >= k is spelled at its ancestor on level k
+    fac = row = np.zeros(0, dtype=np.int64)
+    for k in reversed(range(len(ranks))):
+        fac = np.concatenate((fac, ranks[k]))
+        row = np.concatenate((row, np.flatnonzero(maximal[k])))
+        at = heads[fac] + k
+        codes[at] = last_codes[k][row]
+        cum[at] = probs[k][row]
+        row = parents[k][row]
+    start = np.empty(lens.size, dtype=np.int64)
+    start[fac] = row + 1  # the level-1 parents index the starts 1..n
+    start -= first[doc_at[start - 1]]
+    pos = np.repeat(start - heads, lens + 1) + np.arange(n)
+    pos[ends] = 0
     if isinstance(u, DocumentCollection):
         return TransformedText(codes, pos, cum, tau_min, doc_factors=factors)
     return TransformedText(codes, pos, cum, tau_min, source=u)
@@ -476,13 +547,14 @@ def conservation_check(
     heads: dict[int, list[int]] = {}
     for b in tt.factor_runs()[0].tolist():
         heads.setdefault(int(tt.pos[b]), []).append(b)
+    words = [""] * u.n
     for level in _levels(u, tau_min, np.arange(1, u.n + 1)):
-        for r in np.flatnonzero(level.chain[:, -1] >= tau_min).tolist():
-            want = level.path[r].tolist()
-            start = int(level.start[r])
+        words = [words[p] + chr(c) for p, c in zip(level.parent.tolist(), level.code.tolist())]
+        for r in np.flatnonzero(level.prob >= tau_min).tolist():
+            p, start = words[r], int(level.start[r])
+            want = list(map(ord, p))
             L = len(want)
             o = next((b for b in heads.get(start, ()) if codes[b : b + L] == want), None)
-            p = _spell(level.path[r])
             if o is None or cum[o + L - 1] != occurrence_probability(u, p, start):
                 return p, start
     return None

@@ -111,8 +111,7 @@ def build_listing(
     cfg = config or ListingConfig()
 
     tt = transform(collection, tau_min, cfg.length_cap)
-    starts, ends = tt.factor_runs()
-    doc_of = np.repeat(np.repeat(np.arange(len(collection)), tt.doc_factors), ends - starts + 1)
+    doc_of = tt.doc_of()
     saidx = build_suffix_array(tt.codes)
     n = tt.n
     m_short = cfg.m_short if cfg.m_short is not None else max(1, n.bit_length() - 1)

@@ -246,6 +246,20 @@ def test_each_document_of_a_collection_has_its_own_cap():
     assert exc.value.cap == N - 1
 
 
+def test_a_collection_reports_its_first_overflowing_document_under_default_caps():
+    # at tau_min 1 a deterministic document of length n makes n(n + 3)/2 codes against a
+    # default cap of 64n; the longer second document outgrows its cap at a shorter window
+    # length than the first, yet the first is the one reported, as document by document
+    docs = tuple(UncertainString(f"d{n}", tuple({c: 1.0} for c in "ab" * (n // 2))) for n in (200, 1000))
+    for d in docs:
+        with pytest.raises(CapacityError) as exc:
+            transform(d, 1.0)
+        assert exc.value.cap == 64 * d.n
+    with pytest.raises(CapacityError) as exc:
+        transform(DocumentCollection(docs), 1.0)
+    assert exc.value.cap == 64 * 200
+
+
 def test_prefix_probabilities_are_zero_from_an_absent_symbol_on(genome):
     start = 5
     present = "".join(sorted(genome.positions[q - 1])[0] for q in range(start, start + 3))

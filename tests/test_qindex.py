@@ -88,17 +88,18 @@ def test_deterministic_string_is_plain_substring_search():
 
 def test_a_long_periodic_string_builds_and_answers():
     # every start of a deterministic string holds one factor, the rest of the string, so
-    # n = 300 makes a 45,450-code text in which adjacent suffixes share up to 299 codes
-    n = 300
+    # n = 3,000 makes a 4,504,500-code text, above the default cap, in which adjacent
+    # suffixes share up to 2,999 codes: an LCP costing O(n * max lcp) would not finish
+    n = 3000
     s = "ab" * (n // 2)
-    idx = build(UncertainString("abab", tuple({c: 1.0} for c in s)), 0.5)
-    assert idx.tt.n == n * (n + 1) // 2 + n
+    text = n * (n + 1) // 2 + n
+    idx = build(UncertainString("abab", tuple({c: 1.0} for c in s)), 0.5, IndexConfig(length_cap=text))
+    assert idx.tt.n == text
     assert int(idx.saidx.lcp.max()) == n - 1
     for m in (1, 2, 7, idx.m_short + 1, 100, n - 1, n):
         for p in (s[:m], s[1 : m + 1]):
             want = [i + 1 for i in range(n - len(p) + 1) if s.startswith(p, i)]
             assert query(idx, p, 1.0) == want
-
 
 
 def test_build_leaves_the_tree_view_unbuilt(genome):
