@@ -3,12 +3,12 @@
 Every original position d marks its suffix-tree leaves and the LCAs of
 d-marked leaf pairs; a link runs from each marked node to its nearest
 d-marked proper ancestor (the root stands in for every position).  Nodes are
-LCP intervals of the suffix array (Abouelhoda, Kurtz & Ohlebusch 2004), and
-a link's origin is the slot of a d-leaf inside its node.  Chains are cut so
-that the probabilities inside one segment span at most epsilon, and a query
-stabs the segments whose depth interval brackets the pattern length inside
-the pattern's slot range.  Reported positions match at probability at least
-tau - epsilon while nothing at or above tau is missed.
+LCP intervals (Abouelhoda, Kurtz & Ohlebusch 2004), found as nearest smaller
+values, and a link's origin is the slot of a d-leaf inside its node.  Chains
+are cut over ``cum`` slices so that the probabilities inside one segment span
+at most epsilon; a query stabs the segments whose depth interval brackets the
+pattern length inside the pattern's slot range.  Reported positions match at
+probability at least tau - epsilon while nothing at or above tau is missed.
 """
 
 from __future__ import annotations
@@ -45,12 +45,20 @@ class RawLink:
 
 @dataclass(eq=False)
 class RawLinks:
-    """Uncut links plus the structures needed to partition and query them."""
+    """Uncut links in flat arrays, plus the structures needed to partition and query them."""
 
-    links: list[RawLink]
     tt: TransformedText
     saidx: SuffixArrayIndex
     tau_min: float
+    pos_id: np.ndarray = field(repr=False)
+    o_depth: np.ndarray = field(repr=False)
+    t_depth: np.ndarray = field(repr=False)
+    witness_off: np.ndarray = field(repr=False)
+    factor_off: np.ndarray = field(repr=False)  # a factor start among the node's d-leaves; -1 when none
+
+    def links(self) -> list[RawLink]:
+        cols = (self.pos_id, self.o_depth, self.t_depth, self.witness_off)
+        return [RawLink(*row) for row in zip(*(c.tolist() for c in cols))]
 
 
 @dataclass(frozen=True)
@@ -87,109 +95,101 @@ class LinkIndex:
         return len(self.origin)
 
     def links(self) -> list[Link]:
-        return [
-            Link(int(a), int(b), float(c), int(d), int(e))
-            for a, b, c, d, e in zip(self.origin, self.pos_id, self.stored, self.o_depth, self.t_depth)
-        ]
+        cols = (self.origin, self.pos_id, self.stored, self.o_depth, self.t_depth)
+        return [Link(*row) for row in zip(*(c.tolist() for c in cols))]
+
+
+def _nearest_smaller(h: np.ndarray, pair: np.ndarray, reach: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per index in ``pair``, the nearest index left with ``h`` at most ``h[pair]`` (-1: none), and right below it."""
+    table = [h.astype(np.int32)]  # a sparse min-table for binary lifting
+    for k in range(1, reach.bit_length()):  # both answers lie within reach of their index
+        table.append(np.minimum(table[-1][: -(1 << k - 1)], table[-1][1 << k - 1 :]))
+    v, left, right = table[0][pair], pair.astype(np.int32), pair.astype(np.int32) + 1
+    for k in reversed(range(len(table))):
+        w, m = np.int32(1 << k), table[k]
+        left -= w * ((left >= w) & (m[np.maximum(left - w, 0)] > v))
+        right += w * ((right < m.size) & (m[np.minimum(right, m.size - 1)] >= v))
+    return left - 1, right
 
 
 def build_links(tt: TransformedText, saidx: SuffixArrayIndex, tau_min: float) -> RawLinks:
     """Mark nodes per original position and link each mark to its nearest marked ancestor.
 
-    The LCAs of consecutive d-leaves in slot order realize every marked
-    internal node.  With ``h_i`` the LCP of the i-th and (i+1)-th d-leaf, a
-    leaf links to depth ``max(h_{i-1}, h_i)``, capped at the window room
-    before its separator; the internal nodes form the Cartesian tree over
-    ``h``, each linking to the larger nearest smaller depth on either side (0,
-    the root, when none) with the left leaf of its leftmost pair as witness.
+    With ``h_i`` the LCP of the i-th and (i+1)-th d-leaf in slot order, a leaf
+    links to depth ``max(h_{i-1}, h_i)``, capped at the room before its
+    separator.  The internal nodes, the Cartesian tree over ``h`` (nearest
+    smaller values; Berkman, Schieber & Vishkin 1993), start at each pair whose
+    nearest left pair at most as deep is shallower and link to the larger
+    nearest smaller depth on either side (0 when none), the left leaf of their
+    leftmost pair the witness.  Each link names a factor start among its
+    node's d-leaves, whose ``cum`` holds its values.
     """
-    sa0 = saidx.sa - 1
-    slot_pos = tt.pos[sa0]
+    slot_pos = tt.pos[saidx.sa - 1]
     slots = np.flatnonzero(slot_pos) + 1
     slots = slots[np.argsort(slot_pos[slots - 1], kind="stable")]  # by position, then slot
     d_of = slot_pos[slots - 1]
     # h[j]: LCP of leaves j and j + 1 of one position; -1 after a position's last leaf
     h = np.full(slots.size, -1, dtype=np.int64)
-    bounds = np.flatnonzero(np.diff(d_of, prepend=-1, append=-1)).tolist()
-    for a, b in zip(bounds, bounds[1:]):
+    bounds = np.flatnonzero(np.diff(d_of, prepend=-1, append=-1))
+    for a, b in zip(bounds.tolist(), bounds[1:].tolist()):
         s = slots[a:b]
         h[a : b - 1] = np.minimum.reduceat(saidx.lcp[s[0] : s[-1]], s[:-1] - s[0])
-    witness = sa0[slots - 1]
-    hl, room_l = h.tolist(), tt.room(witness).tolist()
-
-    # (leaf, origin depth, target depth) of each link; the leaf gives its position and witness
-    marks: list[tuple[int, int, int]] = []
-    # first pairs of the open nodes, depths strictly increasing; a -1 closes a position's nodes
-    stack: list[int] = []
-    for j, v in enumerate(hl):
-        t = max(hl[j - 1] if j else -1, v, 0)
-        if room_l[j] > t:
-            marks.append((j, room_l[j], t))
-        while stack and hl[stack[-1]] > v:
-            top = stack.pop()
-            if hl[top] > 0:
-                below = hl[stack[-1]] if stack else 0
-                marks.append((top, hl[top], max(below, v, 0)))
-        if not stack or hl[stack[-1]] < v:
-            stack.append(j)
-    leaf = np.array([j for j, _, _ in marks], dtype=np.int64)
-    links = [
-        RawLink(d, origin, target, w)
-        for d, w, (_, origin, target) in zip(d_of[leaf].tolist(), witness[leaf].tolist(), marks)
-    ]
-    return RawLinks(links, tt, saidx, tau_min)
+    # h ends in -1, so index -1 reads as no pair: h[j - 1] at j = 0, and h[prev] when nothing is left
+    pair = np.flatnonzero(h > 0)
+    prev, close = _nearest_smaller(h, pair, int(np.diff(bounds).max(initial=0)))
+    head = h[prev] < h[pair]
+    pair, prev, close = pair[head], prev[head], close[head]
+    witness = saidx.sa[slots - 1] - 1
+    room = tt.room(witness)
+    leaf_t = np.maximum(np.maximum(np.roll(h, 1), h), 0)
+    leaf = np.flatnonzero(room > leaf_t)
+    # a mark's d-leaves are lo..hi, and its link is emitted when index hi closes it
+    mark, lo, hi = (np.concatenate(a) for a in ((leaf, pair), (leaf, prev + 1), (leaf, close)))
+    o_depth = np.concatenate((room[leaf], h[pair]))
+    t_depth = np.concatenate((leaf_t[leaf], np.maximum(np.maximum(h[prev], h[close]), 0)))
+    order = np.lexsort((-o_depth, np.arange(mark.size) >= leaf.size, hi))  # a stack's order: leaf, then deeper
+    # the first factor-start d-leaf at or after lo, unless it lies past hi
+    starts = np.flatnonzero((witness == 0) | (tt.codes[witness - 1] < 0))
+    first = np.append(starts, slots.size)[np.searchsorted(starts, lo[order])]
+    factor_off = np.where(first <= hi[order], np.append(witness, -1)[first], -1)
+    mark = mark[order]
+    return RawLinks(tt, saidx, tau_min, d_of[mark], o_depth[order], t_depth[order], witness[mark], factor_off)
 
 
 def partition_links(raw: RawLinks, eps: float) -> LinkIndex:
-    """Cut each raw link into segments whose inside probabilities span at most ``eps``."""
+    """Cut each raw link into segments whose inside probabilities span at most ``eps``.
+
+    A link reads its values from ``cum`` at its factor start, or from the
+    growth rule when it has none (possible only on correlated input).
+    """
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"epsilon {eps!r} not in (0, 1]")
-    u = raw.tt.source
-    if u is None:
+    if raw.tt.source is None:
         raise ValueError("partitioning needs the transform's source string")
-    witness: list[int] = []
-    pos_id: list[int] = []
-    stored: list[float] = []
-    o_depth: list[int] = []
-    t_depth: list[int] = []
-
-    def emit(rl: RawLink, prob: float, deep: int, shallow: int) -> None:
-        witness.append(rl.witness_off)
-        pos_id.append(rl.pos_id)
-        stored.append(prob)
-        o_depth.append(deep)
-        t_depth.append(shallow)
-
-    # the prefix probabilities of every link's window, back to back, from one frontier
-    cols = np.array([(rl.pos_id, rl.witness_off, rl.origin_depth) for rl in raw.links], dtype=np.int64)
-    cols = cols.reshape(-1, 3).T
-    flat = batch_prefix_probabilities(u, cols[0], raw.tt.codes, cols[1], cols[2])
-    base = 0
-    for rl in raw.links:
-        probs = flat[base : base + rl.origin_depth].tolist()
-        base += rl.origin_depth
-        seg_deep = rl.origin_depth
-        anchor = probs[seg_deep - 1]
-        for ell in range(rl.origin_depth - 1, rl.target_depth, -1):
-            if probs[ell - 1] - anchor > eps:
-                emit(rl, probs[ell], seg_deep, ell)
-                seg_deep = ell
-                anchor = probs[ell - 1]
-        emit(rl, probs[rl.target_depth], seg_deep, rl.target_depth)
-
-    origin = raw.saidx.inverse_sa[np.asarray(witness, dtype=np.int64)]
-    order = np.argsort(origin, kind="stable")
-    return LinkIndex(
-        tt=raw.tt,
-        saidx=raw.saidx,
-        tau_min=raw.tau_min,
-        eps=eps,
-        origin=origin[order],
-        pos_id=np.asarray(pos_id, dtype=np.int64)[order],
-        stored=np.asarray(stored, dtype=np.float64)[order],
-        o_depth=np.asarray(o_depth, dtype=np.int64)[order],
-        t_depth=np.asarray(t_depth, dtype=np.int64)[order],
-    )
+    deep, shallow, lost = raw.o_depth, raw.t_depth, raw.factor_off < 0
+    span = deep - shallow
+    flat = batch_prefix_probabilities(raw.tt.source, raw.pos_id[lost], raw.tt.codes, raw.witness_off[lost], deep[lost])
+    start = raw.factor_off + shallow
+    start[lost] = raw.tt.n + np.cumsum(deep[lost]) - span[lost]  # flat follows cum
+    # probs[ell] of link r, for shallow <= ell < deep, at vals[base[r] + ell - shallow[r]]
+    base = np.cumsum(span) - span
+    vals = np.concatenate((raw.tt.cum, flat))[np.repeat(start - base, span) + np.arange(span.sum())]
+    # the cut rule deep to shallow, step k testing ell = deep - 1 - k; longest first, so open links lead
+    rows = np.argsort(-span, kind="stable")
+    last, top = (base + span - 1)[rows], deep[rows] - 1  # vals index of probs[deep - 1]
+    anchor, seg_deep = vals[last], top + 1
+    segs = []  # (link, deep, shallow, vals index of the stored value)
+    for k, n in enumerate(np.searchsorted(-span[rows], -np.arange(2, span.max(initial=1) + 1), "right").tolist()):
+        above = vals[last[:n] - 1 - k]  # probs[ell - 1]
+        cut = np.flatnonzero(above - anchor[:n] > eps)
+        segs.append((rows[cut], seg_deep[cut], top[cut] - k, last[cut] - k))
+        seg_deep[cut], anchor[cut] = top[cut] - k, above[cut]
+    segs.append((rows, seg_deep, shallow[rows], base[rows]))
+    link, o_depth, t_depth, at = (np.concatenate(a) for a in zip(*segs))
+    origin = raw.saidx.inverse_sa[raw.witness_off[link]]
+    order = np.lexsort((-o_depth, link, origin))
+    cols = (origin, raw.pos_id[link], vals[at], o_depth, t_depth)
+    return LinkIndex(raw.tt, raw.saidx, raw.tau_min, eps, *(c[order] for c in cols))
 
 
 def approx_items(idx: LinkIndex, p: str, tau: float) -> list[tuple[int, float]]:

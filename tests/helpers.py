@@ -9,6 +9,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ustrindex import CapacityError, TransformedText, UncertainString, occurrence_probability
+from ustrindex.factorize import batch_prefix_probabilities
 from ustrindex.textcore import TreeView
 from ustrindex.datagen import _inject_correlations
 
@@ -87,6 +88,121 @@ def reference_link_marks(tt, saidx) -> list[tuple[int, int, int, int]]:
         if o_depth > tree.depth[anc]:
             out.append((d, o_depth, int(tree.depth[anc]), woff))
     return sorted(out)
+
+
+def reference_build_links(tt, saidx) -> list[tuple[int, int, int, int, int]]:
+    """(position, origin depth, target depth, witness, factor start) of every raw link, in link order.
+
+    The scalar marking ``build_links`` replaced: one left-to-right stack pass
+    over ``h``, the LCPs of consecutive d-leaves (-1 after a position's last
+    leaf), emitting a leaf mark before the Cartesian-tree nodes that index
+    closes, deepest first.  The factor start of a link is the first d-leaf in
+    slot order that starts a factor and spells the link's origin-depth string.
+    """
+    sa0 = saidx.sa - 1
+    slot_pos = tt.pos[sa0]
+    slots = np.flatnonzero(slot_pos) + 1
+    slots = slots[np.argsort(slot_pos[slots - 1], kind="stable")]
+    d_of = slot_pos[slots - 1].tolist()
+    lcp = saidx.lcp.tolist()
+    slot_l = slots.tolist()
+    hl = [-1] * len(slot_l)
+    for j in range(len(slot_l) - 1):
+        if d_of[j] == d_of[j + 1]:
+            hl[j] = min(lcp[slot_l[j] : slot_l[j + 1]])
+    witness = sa0[slots - 1].tolist()
+    room_l = tt.room(sa0[slots - 1]).tolist()
+
+    marks: list[tuple[int, int, int]] = []
+    # first pairs of the open nodes, depths strictly increasing; a -1 closes a position's nodes
+    stack: list[int] = []
+    for j, v in enumerate(hl):
+        t = max(hl[j - 1] if j else -1, v, 0)
+        if room_l[j] > t:
+            marks.append((j, room_l[j], t))
+        while stack and hl[stack[-1]] > v:
+            top = stack.pop()
+            if hl[top] > 0:
+                below = hl[stack[-1]] if stack else 0
+                marks.append((top, hl[top], max(below, v, 0)))
+        if not stack or hl[stack[-1]] < v:
+            stack.append(j)
+
+    codes = tt.codes.tolist()
+    starts: dict[int, list[int]] = {}
+    for b, d in zip(witness, d_of):
+        if b == 0 or codes[b - 1] < 0:
+            starts.setdefault(d, []).append(b)
+    out = []
+    for j, origin, target in marks:
+        d, w = d_of[j], witness[j]
+        spelled = codes[w : w + origin]
+        factor = next((b for b in starts.get(d, ()) if codes[b : b + origin] == spelled), -1)
+        out.append((d, origin, target, w, factor))
+    return out
+
+
+def reference_partition_links(raw, eps: float) -> tuple[np.ndarray, ...]:
+    """``LinkIndex`` arrays (origin, pos_id, stored, o_depth, t_depth) from the scalar cut rule.
+
+    Every link's window comes from the growth rule at its witness; each
+    link is cut in Python, deep to shallow, and the segments are ordered by
+    origin slot, stably.
+    """
+    u = raw.tt.source
+    flat = batch_prefix_probabilities(u, raw.pos_id, raw.tt.codes, raw.witness_off, raw.o_depth)
+    witness, pos_id, stored, o_depth, t_depth = [], [], [], [], []
+
+    def emit(rl, prob: float, deep: int, shallow: int) -> None:
+        witness.append(rl.witness_off)
+        pos_id.append(rl.pos_id)
+        stored.append(prob)
+        o_depth.append(deep)
+        t_depth.append(shallow)
+
+    base = 0
+    for rl in raw.links():
+        probs = flat[base : base + rl.origin_depth].tolist()
+        base += rl.origin_depth
+        seg_deep = rl.origin_depth
+        anchor = probs[seg_deep - 1]
+        for ell in range(rl.origin_depth - 1, rl.target_depth, -1):
+            if probs[ell - 1] - anchor > eps:
+                emit(rl, probs[ell], seg_deep, ell)
+                seg_deep = ell
+                anchor = probs[ell - 1]
+        emit(rl, probs[rl.target_depth], seg_deep, rl.target_depth)
+
+    origin = raw.saidx.inverse_sa[np.asarray(witness, dtype=np.int64)]
+    order = np.argsort(origin, kind="stable")
+    return (
+        origin[order],
+        np.asarray(pos_id, dtype=np.int64)[order],
+        np.asarray(stored, dtype=np.float64)[order],
+        np.asarray(o_depth, dtype=np.int64)[order],
+        np.asarray(t_depth, dtype=np.int64)[order],
+    )
+
+
+def max_segment_spread(u: UncertainString, idx, ln) -> float:
+    """Largest within-segment probability spread of a ``LinkIndex``, recomputed at the witnesses.
+
+    One ``batch_prefix_probabilities`` call, the growth rule, yields every
+    segment's window at its witness leaf.  Asserts on the way that each
+    witness belongs to the segment's position and has room for its origin
+    depth, that the depths are ordered, and that each segment stores the
+    probability of its shallowest prefix bit for bit.
+    """
+    tt, sa = idx.tt, idx.saidx.sa
+    witness = sa[ln.origin - 1] - 1
+    assert np.array_equal(tt.pos[witness], ln.pos_id)
+    assert np.all(tt.room(witness) >= ln.o_depth)
+    assert np.all((0 <= ln.t_depth) & (ln.t_depth < ln.o_depth))
+    probs = batch_prefix_probabilities(u, ln.pos_id, tt.codes, witness, ln.o_depth)
+    base = np.cumsum(ln.o_depth) - ln.o_depth
+    top, bottom = probs[base + ln.t_depth], probs[base + ln.o_depth - 1]
+    assert ln.stored.tobytes() == top.tobytes()
+    return float((top - bottom).max(initial=0.0))
 
 
 def slot_depth_values(tt, saidx, doc_at, depths: int) -> list:

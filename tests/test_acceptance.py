@@ -35,7 +35,6 @@ from ustrindex import (
     oracle_relevance,
     oracle_search,
     partition_links,
-    prefix_probabilities,
     query,
     query_items,
     query_with_stats,
@@ -43,6 +42,8 @@ from ustrindex import (
     save_container,
     transform,
 )
+
+from helpers import max_segment_spread
 
 
 @contextmanager
@@ -204,21 +205,6 @@ def test_criterion_4_conservation(instances):
         assert checked > 0
 
 
-def _max_segment_spread(u, idx, ln) -> float:
-    """Largest within-segment probability spread, recomputed from witnesses."""
-    tt, sa = idx.tt, idx.saidx.sa
-    room = tt.room(sa - 1)  # in slot order
-    worst = 0.0
-    for link in ln.links():
-        witness = int(sa[link.origin - 1]) - 1
-        assert int(tt.pos[witness]) == link.pos_id
-        assert int(room[link.origin - 1]) >= link.origin_depth
-        probs = prefix_probabilities(u, tt.window_text(witness, link.origin_depth), link.pos_id)
-        assert link.stored_prob == probs[link.target_depth]
-        worst = max(worst, probs[link.target_depth] - probs[link.origin_depth - 1])
-    return worst
-
-
 def test_criterion_5_approximate_sandwich(instances):
     with criterion(5, budget=300.0):
         for j, (u, tau_min, pats) in enumerate(instances[::2]):
@@ -230,7 +216,7 @@ def test_criterion_5_approximate_sandwich(instances):
             for eps in (0.01, 0.05, 0.2):
                 ln = partition_links(raw, eps)
                 if j % 5 == 0:
-                    assert _max_segment_spread(u, idx, ln) <= eps + 1e-12
+                    assert max_segment_spread(u, idx, ln) <= eps + 1e-12
                 for p in sub:
                     for tau in tau_grid(tau_min):
                         got = set(approx_query(ln, p, tau))

@@ -6,23 +6,31 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ustrindex import (
-    RawLinks,
     ThresholdError,
+    UncertainString,
     approx_items,
     approx_query,
     build,
     build_links,
     oracle_search,
     partition_links,
-    prefix_probabilities,
     sample_world,
 )
 
-from helpers import random_ustring, reference_link_marks
+from helpers import (
+    max_segment_spread,
+    random_ustring,
+    reference_build_links,
+    reference_link_marks,
+    reference_partition_links,
+)
+
+LINK_ARRAYS = ("origin", "pos_id", "stored", "o_depth", "t_depth")
 
 
 def _linked(u, tau_min, eps):
@@ -78,18 +86,8 @@ def test_segments_store_their_top_probability_and_stay_within_eps(seed):
     u = random_ustring(rng, n=rng.randint(3, 12), correlation_rate=0.4)
     eps = rng.choice((0.05, 0.2))
     idx, ln = _linked(u, 0.1, eps)
-    tt, sa = idx.tt, idx.saidx.sa
-    room = tt.room(sa - 1)  # in slot order
     assert len(ln) > 0
-    for link in ln.links():
-        assert 0 <= link.target_depth < link.origin_depth
-        witness = int(sa[link.origin - 1]) - 1
-        assert int(tt.pos[witness]) == link.pos_id
-        assert int(room[link.origin - 1]) >= link.origin_depth
-        window = tt.window_text(witness, link.origin_depth)
-        probs = prefix_probabilities(u, window, link.pos_id)
-        assert link.stored_prob == probs[link.target_depth]
-        assert probs[link.target_depth] - probs[link.origin_depth - 1] <= eps + 1e-12
+    assert max_segment_spread(u, idx, ln) <= eps + 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -116,7 +114,7 @@ def test_partition_links_validates_epsilon(genome):
 def test_partition_links_needs_a_source(genome):
     idx = build(genome, 0.1)
     raw = build_links(idx.tt, idx.saidx, 0.1)
-    orphaned = RawLinks(raw.links, replace(idx.tt, source=None), idx.saidx, 0.1)
+    orphaned = replace(raw, tt=replace(idx.tt, source=None))
     with pytest.raises(ValueError, match="source"):
         partition_links(orphaned, 0.1)
 
@@ -135,8 +133,81 @@ def test_link_marking_matches_the_suffix_tree_reference(seed):
     tau_min = rng.choice((0.05, 0.15, 0.35))
     idx = build(u, tau_min)
     raw = build_links(idx.tt, idx.saidx, tau_min)
-    got = sorted((r.pos_id, r.origin_depth, r.target_depth, r.witness_off) for r in raw.links)
+    got = sorted((r.pos_id, r.origin_depth, r.target_depth, r.witness_off) for r in raw.links())
     assert got == reference_link_marks(idx.tt, idx.saidx)
+
+
+def _assert_links_match_references(idx, raw, eps_values) -> None:
+    got = list(zip(*(a.tolist() for a in (raw.pos_id, raw.o_depth, raw.t_depth, raw.witness_off, raw.factor_off))))
+    assert got == reference_build_links(idx.tt, idx.saidx)
+    assert all(a.dtype == np.int64 for a in (raw.pos_id, raw.o_depth, raw.t_depth, raw.witness_off, raw.factor_off))
+    for eps in eps_values:
+        ln = partition_links(raw, eps)
+        for name, want in zip(LINK_ARRAYS, reference_partition_links(raw, eps)):
+            have = getattr(ln, name)
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), (name, eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_vectorized_links_match_the_scalar_references(seed):
+    rng = random.Random(seed)
+    u = random_ustring(rng, n=rng.randint(3, 30), correlation_rate=rng.choice((0.3, 0.6)))
+    tau_min = rng.choice((0.05, 0.15, 0.35))
+    idx = build(u, tau_min)
+    _assert_links_match_references(idx, build_links(idx.tt, idx.saidx, tau_min), (1e-9, 0.01, 0.05, 0.2))
+
+
+@pytest.mark.parametrize("lost", ["every third", "all"])
+def test_links_without_a_factor_start_read_the_growth_rule(lost):
+    u = random_ustring(random.Random(5), n=24, correlation_rate=0.6)
+    idx = build(u, 0.05)
+    raw = build_links(idx.tt, idx.saidx, 0.05)
+    assert np.all(raw.factor_off >= 0)
+    mask = np.arange(raw.pos_id.size) % 3 == 0 if lost == "every third" else np.ones(raw.pos_id.size, dtype=bool)
+    orphaned = replace(raw, factor_off=np.where(mask, -1, raw.factor_off))
+    for eps in (1e-9, 0.05, 0.2):
+        want, got = partition_links(raw, eps), partition_links(orphaned, eps)
+        for name in LINK_ARRAYS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (name, eps)
+
+
+SPREAD = {"a": 0.1, **{c: 0.15 for c in "bcdefg"}}  # every symbol below tau_min 0.2
+EDGE_STRINGS = {
+    # one leaf in all: text "a$"
+    "single symbol": UncertainString("one", ({"a": 1.0},)),
+    # every start holds one factor, the rest of the string; position 1 has a single leaf
+    "deterministic": UncertainString("det", tuple({c: 1.0} for c in "abaabab")),
+    # no window crosses positions 3 and 6, which have no leaf; positions 1 and 4 have one leaf each
+    "single-leaf positions": UncertainString("gaps", ({"a": 1.0}, {"b": 1.0}, SPREAD, {"c": 1.0}, {"d": 1.0}, SPREAD)),
+    # position 1's one link spans prefix values 1.0 and 0.5, exactly epsilon 0.5 apart: no cut
+    "spread of exactly epsilon": UncertainString("half", ({"a": 1.0}, {"a": 0.5, **{c: 0.1 for c in "bcdef"}})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_STRINGS))
+def test_link_marking_edge_cases(name):
+    u = EDGE_STRINGS[name]
+    idx = build(u, 0.2)
+    raw = build_links(idx.tt, idx.saidx, 0.2)
+    assert raw.pos_id.size > 0
+    assert sorted((r.pos_id, r.origin_depth, r.target_depth, r.witness_off) for r in raw.links()) == (
+        reference_link_marks(idx.tt, idx.saidx)
+    )
+    _assert_links_match_references(idx, raw, (1e-9, 0.05, 0.5, 1.0))
+
+
+def test_a_text_without_factors_gives_typed_empty_links():
+    # no symbol reaches tau_min, so the text is empty and nothing is marked
+    u = UncertainString("flat", ({"a": 0.3, "b": 0.3, "c": 0.4},) * 3)
+    idx = build(u, 0.5)
+    raw = build_links(idx.tt, idx.saidx, 0.5)
+    assert idx.tt.n == 0 and raw.pos_id.size == 0 and raw.links() == []
+    _assert_links_match_references(idx, raw, (0.05,))
+    ln = partition_links(raw, 0.05)
+    assert len(ln) == 0
+    assert [getattr(ln, a).dtype for a in LINK_ARRAYS] == [np.int64, np.int64, np.float64, np.int64, np.int64]
+    assert approx_query(ln, "a", 0.5) == []
 
 
 def test_approx_query_guards(genome):
