@@ -201,13 +201,15 @@ def approx_items(idx: LinkIndex, p: str, tau: float) -> list[tuple[int, float]]:
     rng = _locate(idx.saidx, idx.tau_min, p, tau)
     if rng is None:
         return []
-    lo = idx.origin.searchsorted(rng[0])
-    hi = idx.origin.searchsorted(rng[1], side="right")
+    # links with an origin in [sp, ep]
+    lo, hi = idx.origin.searchsorted((rng[0], rng[1] + 1)).tolist()
     if lo == hi:
         return []
     m = len(p)
     stored = idx.stored[lo:hi]
-    hit = (idx.t_depth[lo:hi] < m) & (idx.o_depth[lo:hi] >= m) & (stored >= tau)
+    hit = ((idx.t_depth[lo:hi] < m) & (idx.o_depth[lo:hi] >= m) & (stored >= tau)).nonzero()[0]
+    if not hit.size:
+        return []
     pos, val = idx.pos_id[lo:hi][hit], stored[hit]
     order = np.lexsort((val, pos))
     # values ascend within each position, so the dict keeps each position's largest

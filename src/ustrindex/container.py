@@ -11,8 +11,9 @@ text it stores only what cannot be derived: ``codes`` and the suffix array
 listing, one factor count per document in ``doc_factors``.  Loading never
 sorts: it accepts ``sa`` after the linear check of
 ``textcore.check_suffix_array``, rebuilds the per-code positions (and
-documents) from the factor runs and builds the RMQ tables; long queries read
-the stored ``cum`` directly.  A load builds neither the LCP array nor a
+documents) from the factor runs, labels each short entry with the position
+(or document) at its slot and builds the RMQ tables; long queries read the
+stored ``cum`` directly.  A load builds neither the LCP array nor a
 suffix-tree view.  A file that is not such an archive, is of another
 version, lacks a member, holds an unreadable member, a manifest with a field
 of the wrong JSON type, whose ``tau_min`` or ``epsilon`` lies outside (0, 1]
@@ -300,20 +301,23 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
     width = np.diff(starts, append=codes.size)
     pos = np.arange(codes.size) - np.repeat(starts - arrays["pos"], width)
     pos[codes < 0] = 0
-    short_tables = [
-        (arrays[f"short_{i}"], SparseDepth(arrays[f"short_{i}_slots"], rmq_build(arrays[f"short_{i}"])))
-        for i in range(1, m_short + 1)
-    ]
+    text_of = {"source": docs[0]} if kind == "substring" else {"doc_factors": arrays["doc_factors"]}
+    tt = TransformedText(codes, pos, cum, tau_min, **text_of)
+    # an entry reports the original position (or document) of the offset at its slot
+    owner = pos if kind == "substring" else tt.doc_of()
+    short_tables = []
+    for i in range(1, m_short + 1):
+        values, slots = arrays[f"short_{i}"], arrays[f"short_{i}_slots"]
+        labels = owner[saidx.sa[slots - 1] - 1].astype(np.int32)
+        short_tables.append((values, SparseDepth(slots, rmq_build(values), labels)))
 
     if kind == "substring":
-        (u,) = docs
-        tt = TransformedText(codes, pos, cum, tau_min, source=u)
         long_tables = {
             d: (arrays[f"long_{d}"], rmq_build(arrays[f"long_{d}"]))
             for d in manifest["long_depths"]
         }
         idx = SubstringIndex(
-            u, tt, saidx, tau_min, m_short, manifest["l_max"], short_tables, long_tables
+            docs[0], tt, saidx, tau_min, m_short, manifest["l_max"], short_tables, long_tables
         )
         links = None
         epsilon = None
@@ -323,8 +327,5 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
         return IndexContainer("substring", tau_min, substring=idx, links=links, epsilon=epsilon)
 
     collection = DocumentCollection(tuple(docs))
-    tt = TransformedText(codes, pos, cum, tau_min, doc_factors=arrays["doc_factors"])
-    lidx = ListingIndex(
-        collection, manifest["metric"], tau_min, tt, tt.doc_of(), saidx, m_short, short_tables
-    )
+    lidx = ListingIndex(collection, manifest["metric"], tau_min, tt, owner, saidx, m_short, short_tables)
     return IndexContainer("listing", tau_min, listing=lidx, metric=lidx.metric)

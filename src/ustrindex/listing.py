@@ -123,14 +123,14 @@ def build_listing(
     span = np.int64(max((d.n for d in collection.docs), default=0) + 1)
     for i, (slots, starts, values) in enumerate(_factor_rows(tt, saidx, tau_min, m_short), start=1):
         doc = doc_of[starts]
-        kept_slots, scores = _group_depth(slots, values, saidx.lcp, i, doc * span + tt.pos[starts], doc, metric)
-        short_tables.append((scores, SparseDepth(kept_slots, rmq_build(scores))))
+        occ = doc * span + tt.pos[starts]
+        kept_slots, scores, labels = _group_depth(slots, values, saidx.lcp, i, occ, doc, metric)
+        short_tables.append((scores, SparseDepth(kept_slots, rmq_build(scores), labels)))
     return ListingIndex(collection, metric, tau_min, tt, doc_of, saidx, m_short, short_tables)
 
 
 def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]], QueryStats]:
     stats = QueryStats()
-    found: dict[int, float] = {}
     rng = _locate(idx.saidx, idx.tau_min, p, tau)
     if rng is None:
         return [], stats
@@ -141,7 +141,9 @@ def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]]
     if m <= idx.m_short:
         values, depth = idx.short_tables[m - 1]
         hits = depth.report(sp, ep, tau, stats)
-        found = dict(zip(idx.doc_of[sa[depth.slots[hits] - 1] - 1].tolist(), values[hits].tolist()))
+        if not hits.size:
+            return [], stats
+        found = dict(zip(depth.labels[hits].tolist(), values[hits].tolist()))
     else:
         off, values = _factor_hits(idx.tt, sa, [(sp, ep)], m, idx.tau_min)
         doc, orig = idx.doc_of[off], idx.tt.pos[off]

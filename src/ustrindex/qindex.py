@@ -119,8 +119,8 @@ def _group_depth(
     occ: np.ndarray,
     group: np.ndarray,
     metric: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Slots and folded values of one entry per (depth partition, group), at the group's first slot.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slots, folded values and groups of one entry per (depth partition, group), at the group's first slot.
 
     ``slots`` are the rows' ascending 0-based slots and ``values`` their
     values; ``occ`` names the occurrence a row stands for and ``group`` the key
@@ -143,7 +143,8 @@ def _group_depth(
     starts = np.flatnonzero(head)
     first_slot = np.minimum.reduceat(slots[first], starts)
     order = np.argsort(first_slot)
-    return (first_slot[order] + 1).astype(np.int32), _fold(values[first], starts, metric)[order]
+    kept = (first_slot[order] + 1).astype(np.int32)
+    return kept, _fold(values[first], starts, metric)[order], g[starts][order].astype(np.int32)
 
 
 def _fold(values: np.ndarray, starts: np.ndarray, metric: str) -> np.ndarray:
@@ -201,8 +202,8 @@ def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None)
     for i, (slots, starts, values) in enumerate(_factor_rows(tt, saidx, tau_min, top), start=1):
         if i <= m_short:
             orig = tt.pos[starts]
-            kept_slots, kept = _group_depth(slots, values, saidx.lcp, i, orig, orig, "max")
-            short_tables.append((kept, SparseDepth(kept_slots, rmq_build(kept))))
+            kept_slots, kept, labels = _group_depth(slots, values, saidx.lcp, i, orig, orig, "max")
+            short_tables.append((kept, SparseDepth(kept_slots, rmq_build(kept), labels)))
         else:
             pb = np.zeros(-(-n // i))
             np.maximum.at(pb, slots // i, values)
@@ -253,12 +254,15 @@ def _run(idx: SubstringIndex, p: str, tau: float) -> tuple[list[int], list[float
     if m <= idx.m_short:
         values, depth = idx.short_tables[m - 1]
         hits = depth.report(sp, ep, tau, stats)
-        found = tt.pos[sa[depth.slots[hits] - 1] - 1]
-        order = np.argsort(found)
-        found = found[order]
-        # a partition stores each original position once
-        assert np.all(found[1:] > found[:-1])
-        positions, probs = found.tolist(), values[hits[order]].tolist()
+        if not hits.size:
+            return [], [], stats
+        found = depth.labels[hits]
+        if hits.size > 1:
+            order = np.argsort(found)
+            hits, found = hits[order], found[order]
+            # a partition stores each original position once
+            assert (found[1:] > found[:-1]).all()
+        positions, probs = found.tolist(), values[hits].tolist()
     else:
         table = idx.long_tables.get(m) if m <= idx.l_max else None
         ranges = [(sp, ep)]

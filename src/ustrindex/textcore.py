@@ -5,7 +5,9 @@ points; separator sentinels are the negative integers, each occurring at most
 once, so they sort below every character and no common prefix ever spans one.
 Slots (positions in suffix-array order) and text positions are 1-based in the
 public API; ``sa[k - 1]`` is the suffix at slot ``k``.  Patterns are located
-by binary search over a byte encoding of the text, so comparisons run in C.
+by one ``searchsorted`` over the packed first letters of every ``_SAMPLE``-th
+suffix (a prefix table, after Manber and Myers), then inside one sample gap by
+binary search over a byte encoding of the text, so comparisons run in C.
 Builds sort the suffixes by prefix doubling (``build_suffix_array``), and
 the ranks of its rounds give the LCP array by binary lifting in the same
 pass; loads never sort, they accept a stored suffix array after the linear
@@ -13,7 +15,7 @@ check of ``check_suffix_array``, and only a read of its ``lcp`` reruns the
 pass (no load or query reads it).
 ``SparseDepth`` is the one format of a sparse short table: the nonzero
 entries of a per-length table in slot order, which ``rmq_report`` reports
-block by block.
+block by block, each with the label a query reports it under.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "TreeView",
     "build_suffix_array",
     "check_suffix_array",
-    "encode_pattern",
     "locus",
     "rmq_build",
     "rmq_query",
@@ -46,14 +47,6 @@ def _encode_text(text) -> np.ndarray:
     if isinstance(text, str):
         return np.fromiter((ord(c) for c in text), dtype=np.int64, count=len(text))
     return np.asarray(text, dtype=np.int64)
-
-
-def encode_pattern(p) -> np.ndarray:
-    """Pattern characters as code points; separators are not encodable."""
-    codes = _encode_text(p)
-    if codes.size and codes.min() < 0:
-        raise ValueError("patterns cannot contain separator codes")
-    return codes
 
 
 @dataclass(eq=False)
@@ -87,10 +80,44 @@ class SuffixArrayIndex:
         return _byte_words(self.codes)
 
     @cached_property
-    def sa_view(self) -> memoryview:
-        """0-based suffix starts in slot order, indexable without a list of n ints."""
-        return memoryview(self.sa - 1)
+    def byte_starts(self) -> memoryview:
+        """Each slot's suffix start in ``byte_text``, indexable without a list of n ints."""
+        return memoryview(4 * (self.sa - 1))
 
+    @cached_property
+    def prefix_keys(self) -> tuple[np.ndarray, dict[int, int], int]:
+        """Packed first letters of every ``_SAMPLE``-th suffix, each letter's rank, and the bits per rank.
+
+        Built on first search.  A letter packs as its 1-based rank among the
+        text's letters (code points) in ``bits = (number of letters).bit_length()``
+        bits, ``64 // bits`` to a ``uint64``; a separator, the end of the text
+        and all after them pack as 0, so keys ascend with their slots.
+        """
+        top, seps = int(self.codes.max(initial=-1)), -int(self.codes.min(initial=0))
+        # separators index the last ``seps`` entries, which stay unranked (0)
+        present = np.zeros(top + 1 + seps, dtype=bool)
+        present[self.codes] = True
+        sigma = int(present[: top + 1].sum())
+        bits = max(sigma, 1).bit_length()
+        lut = np.zeros(top + 1 + seps, dtype=np.min_scalar_type(sigma))
+        np.cumsum(present[: top + 1], out=lut[: top + 1])
+        # rank[i]: the rank of the code at offset i; 0 at a separator and past the end
+        rank = np.zeros(self.n + 64 // bits, dtype=lut.dtype)
+        np.take(lut, self.codes, out=rank[: self.n])
+        at = self.sa[::_SAMPLE] - 1
+        keys = np.zeros(at.size, dtype=np.uint64)
+        live = np.ones(at.size, dtype=bool)
+        for _ in range(64 // bits):
+            r = rank[at]
+            live &= r > 0
+            r *= live
+            keys <<= np.uint64(bits)
+            keys |= r
+            at += 1
+        return keys, dict(zip(np.flatnonzero(present[: top + 1]).tolist(), range(1, sigma + 1))), bits
+
+
+_SAMPLE = 16  # slots per packed prefix key: each end of a range is bisected inside one such gap
 
 # Shifts every code into uint32 so that separators (negative) sort below
 # letters (code points); codes must lie in [-_OFFSET, _OFFSET).
@@ -99,17 +126,6 @@ _OFFSET = 1 << 31
 
 def _byte_words(codes: np.ndarray) -> bytes:
     return (codes + _OFFSET).astype(">u4").tobytes()
-
-
-def _pattern_key(p) -> bytes | None:
-    """``p`` in the text's byte encoding; None when it holds a code no text holds."""
-    if isinstance(p, str):
-        # code points stay below 2**24, so adding _OFFSET only sets each word's top bit
-        key = bytearray(p.encode("utf-32-be", "surrogatepass"))
-        key[::4] = b"\x80" * len(p)
-        return bytes(key)
-    pattern = encode_pattern(p)
-    return None if pattern.max() >= _OFFSET else _byte_words(pattern)
 
 
 # Slots per step of the LCP lift: bounds its n-sized temporaries.
@@ -190,25 +206,53 @@ def check_suffix_array(codes: np.ndarray, sa: np.ndarray) -> SuffixArrayIndex:
 def suffix_range(idx: SuffixArrayIndex, p) -> tuple[int, int] | None:
     """Maximal slot range [sp, ep] of suffixes prefixed by ``p``; None when absent.
 
-    Binary search over bytes: a suffix's first ``len(p)`` codes, encoded as
-    order-preserving big-endian words, compare against the pattern's encoding
-    in C.  A suffix shorter than the pattern is a proper prefix of its key and
-    sorts below it.
+    One ``searchsorted`` of ``p``'s first letters over ``idx.prefix_keys``
+    narrows each end of the range to one gap of ``_SAMPLE`` slots (a ``p``
+    longer than a key, to the slots whose keys equal its first letters).
+    Binary search over bytes finishes there: a suffix's first ``len(p)``
+    codes, as order-preserving big-endian words, compare against ``p``'s in C,
+    and a suffix shorter than ``p`` is a proper prefix of its key, so below it.
     """
     if len(p) == 0:
         raise ValueError("pattern is empty")
-    key = _pattern_key(p)
-    if key is None:
-        return None
+    keys, rank_of, bits = idx.prefix_keys
+    per = 64 // bits
+    if isinstance(p, str):
+        codes = list(map(ord, p[:per]))  # later letters need no rank: no suffix holds one the text lacks
+    else:
+        codes = [int(c) for c in p]
+        if min(codes) < 0:
+            raise ValueError("patterns cannot contain separator codes")
+    ranks = list(map(rank_of.get, codes))
+    if None in ranks:
+        return None  # a letter that the text does not hold
+    head = 0
+    for r in ranks[:per]:
+        head = head << bits | r
+    free = bits * max(per - len(p), 0)
+    # keys in [head << free, ((head + 1) << free) - 1] start with the pattern's first letters
+    bounds = np.array(((head << free) - 1, ((head + 1) << free) - 1), dtype=np.uint64)
+    i, j = keys.searchsorted(bounds, "right").tolist()
+    # the first such slot lies in the gap (i - 1, i] of samples, the first slot past them in (j - 1, j]
+    lo, hi = max((i - 1) * _SAMPLE + 1, 0), min(j * _SAMPLE, idx.n)
+    # keys that spell the whole pattern bound each end to its own gap
+    first_hi, last_lo = (min(i * _SAMPLE, idx.n), (j - 1) * _SAMPLE + 1) if len(p) <= per else (hi, 0)
+
+    if isinstance(p, str):
+        # code points stay below 2**24, so adding _OFFSET only sets each word's top bit
+        key = bytearray(p.encode("utf-32-be", "surrogatepass"))
+        key[::4] = b"\x80" * len(p)
+        key = bytes(key)
+    else:
+        key = _byte_words(np.array(codes, dtype=np.int64))
     width = len(key)
     text = idx.byte_text
-    order = idx.sa_view
 
-    def prefix(s: int) -> bytes:
-        return text[4 * s : 4 * s + width]
+    def prefix(b: int) -> bytes:
+        return text[b : b + width]
 
-    first = bisect_left(order, key, key=prefix)
-    last = bisect_right(order, key, lo=first, key=prefix)
+    first = bisect_left(idx.byte_starts, key, lo, first_hi, key=prefix)
+    last = bisect_right(idx.byte_starts, key, max(first, last_lo), hi, key=prefix)
     if first == last:
         return None
     return first + 1, last
@@ -448,12 +492,15 @@ class SparseDepth:
     """The nonzero entries of one short depth, in slot order.
 
     ``slots`` holds strictly increasing 1-based suffix-array slots as
-    ``int32``; ``rmq`` is built over their values, one per slot.  A depth
-    without entries holds two empty arrays.
+    ``int32``; ``rmq`` is built over their values, one per slot.  ``labels``
+    (``int32``) names what each entry reports: the original position
+    (substring index) or the document (listing index) of the text offset at
+    its slot.  A depth without entries holds empty arrays.
     """
 
     slots: np.ndarray
     rmq: RmqIndex
+    labels: np.ndarray
 
     def report(self, sp: int, ep: int, tau: float, stats) -> np.ndarray:
         """0-based entry indices with a slot in [sp, ep] and a value of at least ``tau``."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ustrindex import (
+    Correlation,
     ThresholdError,
     UncertainString,
     approx_items,
@@ -19,7 +21,9 @@ from ustrindex import (
     build_links,
     oracle_search,
     partition_links,
+    query,
     sample_world,
+    validate,
 )
 
 from helpers import (
@@ -170,6 +174,40 @@ def test_links_without_a_factor_start_read_the_growth_rule(lost):
         want, got = partition_links(raw, eps), partition_links(orphaned, eps)
         for name in LINK_ARRAYS:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (name, eps)
+
+
+def test_a_window_below_its_factor_links_without_a_factor_start():
+    """A correlated window inside a factor can be less likely than the factor.
+
+    ``cs`` at 2 holds 0.9 (c given x, s given c), but ``s`` at 3 alone takes
+    the marginal over c's base probability, 0.2, below tau_min 0.5: the link
+    of that leaf has no factor start, and partitioning reads it through the
+    growth rule.
+    """
+    u = UncertainString(
+        "chain",
+        ({"x": 1.0}, {"c": 0.2, "d": 0.8}, {"s": 0.5, "t": 0.5}),
+        (Correlation(2, "c", 1, "x", 0.9, 0.1), Correlation(3, "s", 2, "c", 1.0, 0.0)),
+    )
+    assert validate(u) == []
+    idx = build(u, 0.5)
+    raw = build_links(idx.tt, idx.saidx, 0.5)
+    lost = np.flatnonzero(raw.factor_off == -1)
+    assert lost.size == 1
+    (k,) = lost
+    assert (raw.pos_id[k], raw.o_depth[k], raw.t_depth[k]) == (3, 1, 0)
+    exact = partition_links(raw, 1e-9)
+    at = np.flatnonzero(exact.origin == idx.saidx.inverse_sa[raw.witness_off[k]])
+    assert exact.stored[at].tolist() == [0.2] and exact.pos_id[at].tolist() == [3]
+    patterns = ["".join(w) for m in (1, 2, 3) for w in itertools.product("cdstx", repeat=m)]
+    for eps in (1e-9, 0.05, 0.3):
+        ln = partition_links(raw, eps)
+        for p in patterns:
+            for tau in (0.5, 0.7, 0.9):
+                want = oracle_search(u, p, tau)
+                assert set(query(idx, p, tau)) == want
+                got = set(approx_query(ln, p, tau))
+                assert want <= got <= oracle_search(u, p, tau - eps)
 
 
 SPREAD = {"a": 0.1, **{c: 0.15 for c in "bcdefg"}}  # every symbol below tau_min 0.2

@@ -15,6 +15,7 @@ from ustrindex import textcore
 from ustrindex import (
     ContainerError,
     DocumentCollection,
+    GenConfig,
     IndexConfig,
     IndexContainer,
     ListingConfig,
@@ -23,9 +24,13 @@ from ustrindex import (
     build,
     build_container,
     build_listing,
+    generate,
+    generate_collection,
     list_items,
+    list_with_stats,
     load_container,
     query_items,
+    query_with_stats,
     sample_world,
     save_container,
     serialize_ust,
@@ -372,6 +377,41 @@ def test_short_tables_keep_only_nonzero_entries_in_slot_order(kind, genome, coll
         idx = c.substring or c.listing
         _sparse_tables_are_sound(idx.short_tables, idx.tt.n)
         assert sum(len(v) for v, _ in idx.short_tables) > 0
+
+
+@pytest.mark.parametrize("kind", ["substring", "listing"])
+def test_labels_and_work_counters_survive_the_round_trip(kind, tmp_path):
+    """Each short entry is labelled with what its slot reports, and a reopened
+    index answers every short window of a world alike, counters included."""
+    corpus = "".join(random.Random(5).choice("abcdefgh") for _ in range(400))
+    if kind == "substring":
+        docs = [generate(corpus, GenConfig(theta=0.3, seed=5))]
+        ask = lambda idx, p, tau: (query_items(idx, p, tau), query_with_stats(idx, p, tau)[1])
+    else:
+        docs = list(generate_collection(corpus, GenConfig(theta=0.3, seed=5), 6).docs)
+        ask = lambda idx, p, tau: (list_items(idx, p, tau), list_with_stats(idx, p, tau)[1])
+    container = build_container(docs, 0.2, metric=None if kind == "substring" else "or")
+    path = str(tmp_path / "labels.usi")
+    save_container(container, path)
+    built, loaded = (c.substring or c.listing for c in (container, load_container(path)))
+    for idx in (built, loaded):
+        owner = idx.tt.pos if kind == "substring" else idx.doc_of
+        for _, depth in idx.short_tables:
+            assert depth.labels.dtype == np.int32
+            assert np.array_equal(depth.labels, owner[idx.saidx.sa[depth.slots - 1] - 1])
+    rng = random.Random(6)
+    asked = answered = 0
+    for d in docs:
+        w = sample_world(d, rng)
+        for m in range(1, built.m_short + 1):
+            for p in {w[s : s + m] for s in range(len(w) - m + 1)}:
+                for tau in (0.2, 0.5):
+                    items, stats = ask(built, p, tau)
+                    assert ask(loaded, p, tau) == (items, stats)
+                    assert stats.outputs == len(items) and stats.rmq_calls <= 2 * len(items) + 1
+                    asked += 1
+                    answered += len(items) > 1
+    assert answered >= 10 and asked - answered >= 10  # both the sort of several hits and the short paths run
 
 
 def test_load_rejects_a_version_1_container(genome, tmp_path):

@@ -14,7 +14,6 @@ from ustrindex.textcore import (
     TreeView,
     build_suffix_array,
     check_suffix_array,
-    encode_pattern,
     locus,
     rmq_build,
     rmq_query,
@@ -160,7 +159,7 @@ def test_suffix_range_matches_brute_force(seed):
                 pattern = [97] * (len(codes) + rng.randint(1, 3))
         elif draw < 0.75:
             # absent codes: below, between and far above the text's letters
-            pattern = [rng.choice((1, 100, 0x10FFFF, 2**31, 2**40)) for _ in range(m)]
+            pattern = [rng.choice((1, 100, 0x10FFFF, 2**31, 2**40, 2**63, 2**70)) for _ in range(m)]
         else:
             pattern = [rng.choice((97, 98, 99, 100)) for _ in range(m)]
         slots = [
@@ -176,12 +175,65 @@ def test_suffix_range_matches_brute_force(seed):
             assert slots == list(range(slots[0], slots[-1] + 1))
 
 
+def gap_text(rng: random.Random, letters: list[int]) -> list[int]:
+    """Codes over ``letters`` with separators and long one-letter runs, of a length around the sample step."""
+    n = rng.choice((rng.randint(1, 15), 16, 17, 31, 32, 33, rng.randint(34, 600)))
+    out: list[int] = []
+    while len(out) < n:
+        draw = rng.random()
+        if draw < 0.1:
+            out.append(-1 - sum(c < 0 for c in out))
+        elif draw < 0.4:
+            out += [rng.choice(letters)] * rng.randint(2, 90)
+        else:
+            out += [rng.choice(letters) for _ in range(rng.randint(1, 20))]
+    return out[:n]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from((2, 8, 40)))
+def test_suffix_range_matches_brute_force_across_sample_gaps(seed, sigma):
+    """Ranges wider than a gap of sampled keys, and patterns past the packed width, against brute force."""
+    rng = random.Random(seed)
+    letters = sorted(rng.sample(range(0x10FFFF + 1), sigma)) if sigma > 15 else [97 + k for k in range(sigma)]
+    codes = gap_text(rng, letters)
+    idx = build_suffix_array(codes)
+    order = reference_suffix_order(codes)
+    per = 64 // sigma.bit_length()  # letters packed into one key
+    for _ in range(30):
+        m = rng.randint(1, 2 * per + 3)
+        draw = rng.random()
+        if draw < 0.5:
+            # a text window, cut at its first separator
+            s = rng.randrange(len(codes))
+            pattern = codes[s : s + m]
+            if pattern[0] < 0:
+                continue
+            pattern = pattern[: next((k for k, c in enumerate(pattern) if c < 0), len(pattern))]
+        elif draw < 0.7:
+            # a run of a letter the text repeats, which many suffixes share beyond one key, then maybe
+            # another letter; most often about as long as a key
+            m = rng.choice((m, per, per + 1, per + 2))
+            pattern = [rng.choice([c for c in codes if c >= 0] or letters)] * (m - 1) + [rng.choice(letters)]
+        elif draw < 0.8:
+            # a letter that the text does not hold, at any place
+            pattern = [rng.choice(letters) for _ in range(m)]
+            pattern[rng.randrange(m)] = rng.choice((letters[-1] + 1, 2**31, 2**63, 2**70))
+        else:
+            pattern = [rng.choice(letters) for _ in range(m)]
+        slots = [k + 1 for k, i in enumerate(order) if codes[i : i + len(pattern)] == pattern]
+        got = suffix_range(idx, pattern)
+        assert got == ((slots[0], slots[-1]) if slots else None), (codes, pattern)
+        if all(c < 0x110000 for c in pattern):
+            assert suffix_range(idx, "".join(map(chr, pattern))) == got
+
+
 def test_suffix_range_rejects_bad_patterns():
     idx = build_suffix_array("abab")
     with pytest.raises(ValueError):
         suffix_range(idx, "")
-    with pytest.raises(ValueError):
-        encode_pattern([-1])
+    with pytest.raises(ValueError, match="separator"):
+        suffix_range(idx, [97, -1])
 
 
 @settings(max_examples=60, deadline=None)
