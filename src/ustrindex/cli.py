@@ -62,7 +62,6 @@ def cmd_build(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         metric=args.metric,
         m_short=args.m_short,
-        l_max=args.l_max,
         length_cap=args.cap,
     )
     save_container(container, args.out)
@@ -252,7 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", type=float, help="also build approximate links with this epsilon")
     sp.add_argument("--metric", choices=("max", "or", "orx"), help="build a listing index with this relevance metric")
     sp.add_argument("--m-short", type=int, help="short-pattern cutoff override")
-    sp.add_argument("--l-max", type=int, help="largest precomputed long-pattern length")
     sp.add_argument("--cap", type=int, help="transformed-text length cap")
     sp.set_defaults(func=cmd_build)
 

@@ -3,7 +3,7 @@
 The file is a zip archive holding ``manifest.json`` plus one ``.npy`` entry
 per stored array.  Probability tables are written verbatim, so a reopened
 index answers queries bit for bit like the one that was saved.  Format
-version 4 stores each short depth sparsely: ``short_i`` holds the values and
+version 5 stores each short depth sparsely: ``short_i`` holds the values and
 ``short_i_slots`` their slots (see ``textcore.SparseDepth``); approximate
 links keep their origin as a suffix-array slot in ``link_origin``.  Of the
 text it stores only what cannot be derived: ``codes`` and the suffix array
@@ -13,13 +13,14 @@ sorts: it accepts ``sa`` after the linear check of
 ``textcore.check_suffix_array``, rebuilds the per-code positions (and
 documents) from the factor runs, labels each short entry with the position
 (or document) at its slot and builds the RMQ tables; long queries read the
-stored ``cum`` directly.  A load builds neither the LCP array nor a
-suffix-tree view.  A file that is not such an archive, is of another
-version, lacks a member, holds an unreadable member, a manifest with a field
-of the wrong JSON type, whose ``tau_min`` or ``epsilon`` lies outside (0, 1]
-or whose listing metric is unknown, or an array whose dtype, length or
-contents do not fit the index raises ``ContainerError`` before anything is
-built.
+stored ``cum`` directly.  No long table is stored: a substring index builds
+one per depth the first time a query reads it.  A load builds neither the LCP
+array nor a suffix-tree view.  A file that is not such an archive, is of
+another version, lacks a member, holds an unreadable member, a manifest with
+a field of the wrong JSON type, an ``m_short`` below 1 or above the member
+count, a ``tau_min`` or ``epsilon`` outside (0, 1] or an unknown listing
+metric, or an array whose dtype, length or contents do not fit the index
+raises ``ContainerError`` before anything is built.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .ustformat import parse_ust, serialize_ust
 
 __all__ = ["FORMAT_VERSION", "IndexContainer", "build_container", "load_container", "save_container"]
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _MAX_CODE = 0x10FFFF  # the largest code point; separators are -1 down to -n
 _MAX_FLOAT = float(np.finfo(np.float64).max)
@@ -75,7 +76,6 @@ def build_container(
     epsilon: float | None = None,
     metric: str | None = None,
     m_short: int | None = None,
-    l_max: int | None = None,
     length_cap: int | None = None,
 ) -> IndexContainer:
     """Build the right kind of index for ``docs``.
@@ -96,7 +96,7 @@ def build_container(
             ListingConfig(m_short=m_short, length_cap=length_cap),
         )
         return IndexContainer("listing", tau_min, listing=idx, metric=idx.metric)
-    sub = build(docs[0], tau_min, IndexConfig(m_short=m_short, l_max=l_max, length_cap=length_cap))
+    sub = build(docs[0], tau_min, IndexConfig(m_short=m_short, length_cap=length_cap))
     links = None
     if epsilon is not None:
         links = partition_links(build_links(sub.tt, sub.saidx, tau_min), epsilon)
@@ -118,12 +118,8 @@ def save_container(container: IndexContainer, path: str) -> None:
         assert idx is not None
         manifest["source"] = serialize_ust(idx.u)
         manifest["m_short"] = idx.m_short
-        manifest["l_max"] = idx.l_max
-        manifest["long_depths"] = sorted(idx.long_tables)
         tt, saidx = idx.tt, idx.saidx
         short_tables = idx.short_tables
-        for depth, (pb, _) in idx.long_tables.items():
-            arrays[f"long_{depth}"] = pb
     elif container.kind == "listing":
         lidx = container.listing
         assert lidx is not None
@@ -187,10 +183,8 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, d
     dtypes |= {name: np.float64 for name in short} | {f"{name}_slots": np.int32 for name in short}
     if listing:
         dtypes["doc_factors"] = np.int64
-    else:
-        dtypes |= {f"long_{d}": np.float64 for d in manifest["long_depths"]}
-        if manifest["epsilon"] is not None:
-            dtypes |= {f"link_{a}": np.float64 if a == "stored" else np.int64 for a in _LINK_ARRAYS}
+    elif manifest["epsilon"] is not None:
+        dtypes |= {f"link_{a}": np.float64 if a == "stored" else np.int64 for a in _LINK_ARRAYS}
     for name, dtype in dtypes.items():
         if arrays[name].dtype != dtype:
             raise ContainerError(f"array {name} has dtype {arrays[name].dtype}, expected {np.dtype(dtype)}")
@@ -202,11 +196,8 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, d
     want |= {name: arrays[f"{name}_slots"].size for name in short}
     if listing:
         want["doc_factors"] = len(docs)
-    else:
-        # one block maximum per d text slots, as ``qindex.build`` cuts them
-        want |= {f"long_{d}": len(range(0, n, d)) for d in manifest["long_depths"]}
-        if manifest["epsilon"] is not None:
-            want |= {f"link_{a}": arrays["link_origin"].size for a in _LINK_ARRAYS}
+    elif manifest["epsilon"] is not None:
+        want |= {f"link_{a}": arrays["link_origin"].size for a in _LINK_ARRAYS}
     for name, length in want.items():
         if arrays[name].shape != (length,):
             raise ContainerError(f"array {name} has shape {arrays[name].shape}, expected ({length},)")
@@ -243,10 +234,6 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, d
             raise bad(f"{name}_slots", "slots that are not strictly increasing within [1, n]")
         if not np.all((values > 0.0) & (values <= top)):
             raise bad(name, f"a value outside (0, {top:g}] or NaN")
-    for d in () if listing else manifest["long_depths"]:
-        # a block with no factor-start value keeps 0
-        if not np.all((arrays[f"long_{d}"] >= 0.0) & (arrays[f"long_{d}"] <= 1.0)):
-            raise bad(f"long_{d}", "a value outside [0, 1] or NaN")
     if not listing and manifest["epsilon"] is not None:
         origin = arrays["link_origin"]
         if origin.size and (origin[0] < 1 or origin[-1] > n or np.any(origin[1:] < origin[:-1])):
@@ -282,10 +269,9 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
     _field(manifest, "epsilon", str, int, float, type(None))
     docs = parse_ust(_field(manifest, "source", str))
     m_short = _field(manifest, "m_short", int)
-    if kind == "substring":
-        _field(manifest, "l_max", int)
-        if not all(type(d) is int for d in _field(manifest, "long_depths", list)):
-            raise ContainerError(f"manifest long_depths {manifest['long_depths']!r} holds a non-integer")
+    # two members per short depth, so a larger m_short cannot be sound; checked before any name is built
+    if not 1 <= m_short <= len(arrays):
+        raise ContainerError(f"manifest m_short {m_short} is not in [1, {len(arrays)}]")
     for name in ("tau_min", "epsilon"):
         if manifest[name] is not None and not 0.0 < float(manifest[name]) <= 1.0:
             raise ContainerError(f"manifest {name} {manifest[name]!r} is not in (0, 1]")
@@ -312,13 +298,7 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
         short_tables.append((values, SparseDepth(slots, rmq_build(values), labels)))
 
     if kind == "substring":
-        long_tables = {
-            d: (arrays[f"long_{d}"], rmq_build(arrays[f"long_{d}"]))
-            for d in manifest["long_depths"]
-        }
-        idx = SubstringIndex(
-            docs[0], tt, saidx, tau_min, m_short, manifest["l_max"], short_tables, long_tables
-        )
+        idx = SubstringIndex(docs[0], tt, saidx, tau_min, m_short, short_tables)
         links = None
         epsilon = None
         if manifest["epsilon"] is not None:

@@ -12,7 +12,8 @@ original position, which is also the order an exhaustive scan visits them,
 so scores match such a scan bit for bit.  The rows are the factor-start
 windows of ``qindex._factor_rows``, whose values are the documents' own
 ``cum`` prefixes.  A long query reads the same values at the factor starts
-of its slot range (``qindex._factor_hits``) and groups them the same way, by
+of its whole slot range (``qindex._factor_hits``), with no block maxima to
+prune it as in the substring index, and groups them the same way, by
 document.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .factorize import TransformedText, transform
 from .model import DocumentCollection, UncertainString, occurrence_probability, validate
-from .qindex import QueryStats, _factor_hits, _factor_rows, _fold, _group_depth, _locate
+from .qindex import QueryStats, _factor_hits, _factor_rows, _fold, _group_depth, _locate, _sorted_factors
 from .textcore import (
     SparseDepth,
     SuffixArrayIndex,
@@ -121,7 +122,9 @@ def build_listing(
     short_tables: list[tuple[np.ndarray, SparseDepth]] = []
     # one occurrence key per (document, original position), ordered by document first
     span = np.int64(max((d.n for d in collection.docs), default=0) + 1)
-    for i, (slots, starts, values) in enumerate(_factor_rows(tt, saidx, tau_min, m_short), start=1):
+    factors = _sorted_factors(tt, saidx)
+    for i in range(1, m_short + 1):
+        slots, starts, values = _factor_rows(factors, tt.cum, tau_min, i)
         doc = doc_of[starts]
         occ = doc * span + tt.pos[starts]
         kept_slots, scores, labels = _group_depth(slots, values, saidx.lcp, i, occ, doc, metric)

@@ -14,13 +14,13 @@ and ``_group_depth`` builds the short tables of both index kinds from them:
 one entry per (locus partition, key) at the first factor-start slot of that
 key in the partition, where the key is an original position here and a
 document in ``listing``, whose several occurrences ``_fold`` combines into
-one score.  A long table keeps the block maxima of the same rows.
+one score.  A long table keeps the block maxima of the same rows; it is built
+for one depth the first time a query of that length covers a whole block.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -66,49 +66,76 @@ class IndexConfig:
     """Build-time overrides; None picks the documented defaults."""
 
     m_short: int | None = None
-    l_max: int | None = None
     length_cap: int | None = None
 
 
 @dataclass(eq=False)
 class SubstringIndex:
-    """Immutable search index over one uncertain string."""
+    """Search index over one uncertain string.
+
+    Its answers never change, but it caches what queries build on first use:
+    the long table of a depth in ``long_tables``, and the factor starts in
+    slot order that such a table is built from.
+    """
 
     u: UncertainString
     tt: TransformedText
     saidx: SuffixArrayIndex
     tau_min: float
     m_short: int
-    l_max: int
     short_tables: list[tuple[np.ndarray, SparseDepth]] = field(repr=False)
-    long_tables: dict[int, tuple[np.ndarray, RmqIndex]] = field(repr=False)
+    long_tables: dict[int, tuple[np.ndarray, RmqIndex]] = field(default_factory=dict, repr=False)
+
+    @property
+    def l_max(self) -> int:
+        """The longest pattern that can occur: the longest factor."""
+        return self.tt.longest_factor
+
+    @cached_property
+    def sorted_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The factor starts in slot order, as ``_sorted_factors`` gives them."""
+        return _sorted_factors(self.tt, self.saidx)
 
     @cached_property
     def tree(self) -> TreeView:
         """Suffix-tree view, built on first use; no query or link build reads it."""
         return TreeView(self.saidx)
 
+    def long_table(self, m: int) -> tuple[np.ndarray, RmqIndex]:
+        """Depth ``m``'s block maxima, one per ``m`` slots, and their RMQ; built on first call."""
+        table = self.long_tables.get(m)
+        if table is None:
+            slots, _, values = _factor_rows(self.sorted_factors, self.tt.cum, self.tau_min, m)
+            pb = np.zeros(-(-self.tt.n // m))
+            np.maximum.at(pb, slots // m, values)
+            table = self.long_tables[m] = (pb, rmq_build(pb))
+        return table
 
-def _factor_rows(
-    tt: TransformedText, saidx: SuffixArrayIndex, tau_min: float, top: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield, per depth 1..top, the factor-start windows of that length reaching tau_min.
 
-    Each depth gives ascending 0-based slots, the factor starts at them and
-    their ``cum`` values.  Every (pattern, position) pair at or above tau_min
-    is a prefix of a maximal factor aligned there, with ``cum`` its exact
-    probability, so these rows hold every such pair and its value, inside the
-    locus partition of any other offset that spells it.
-    """
+def _sorted_factors(tt: TransformedText, saidx: SuffixArrayIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending 0-based slots of the factor starts, the starts at them and their run lengths."""
     starts, ends = tt.factor_runs()
     slots = saidx.inverse_sa[starts] - 1
     order = np.argsort(slots)
-    slots, starts, room = slots[order], starts[order], (ends - starts)[order]
-    for i in range(1, top + 1):
-        live = room >= i
-        values = tt.cum[starts[live] + i - 1]
-        keep = values >= tau_min
-        yield slots[live][keep], starts[live][keep], values[keep]
+    return slots[order], starts[order], (ends - starts)[order]
+
+
+def _factor_rows(
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray], cum: np.ndarray, tau_min: float, i: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factor-start windows of length ``i`` reaching tau_min, from ``_sorted_factors``.
+
+    Gives ascending 0-based slots, the factor starts at them and their ``cum``
+    values.  Every (pattern, position) pair at or above tau_min is a prefix of
+    a maximal factor aligned there, with ``cum`` its exact probability, so
+    these rows hold every such pair and its value, inside the locus partition
+    of any other offset that spells it.
+    """
+    slots, starts, room = factors
+    live = room >= i
+    values = cum[starts[live] + i - 1]
+    keep = values >= tau_min
+    return slots[live][keep], starts[live][keep], values[keep]
 
 
 def _group_depth(
@@ -190,25 +217,17 @@ def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None)
 
     tt = transform(u, tau_min, cfg.length_cap)
     saidx = build_suffix_array(tt.codes)
-    n = tt.n
-    m_short = cfg.m_short if cfg.m_short is not None else max(1, n.bit_length() - 1)
+    m_short = cfg.m_short if cfg.m_short is not None else max(1, tt.n.bit_length() - 1)
     if m_short < 1:
         raise ValueError("m_short must be at least 1")
-    l_max = cfg.l_max if cfg.l_max is not None else tt.longest_factor
 
-    short_tables: list[tuple[np.ndarray, SparseDepth]] = []
-    long_tables: dict[int, tuple[np.ndarray, RmqIndex]] = {}
-    top = max(m_short, min(l_max, tt.longest_factor))
-    for i, (slots, starts, values) in enumerate(_factor_rows(tt, saidx, tau_min, top), start=1):
-        if i <= m_short:
-            orig = tt.pos[starts]
-            kept_slots, kept, labels = _group_depth(slots, values, saidx.lcp, i, orig, orig, "max")
-            short_tables.append((kept, SparseDepth(kept_slots, rmq_build(kept), labels)))
-        else:
-            pb = np.zeros(-(-n // i))
-            np.maximum.at(pb, slots // i, values)
-            long_tables[i] = (pb, rmq_build(pb))
-    return SubstringIndex(u, tt, saidx, tau_min, m_short, l_max, short_tables, long_tables)
+    idx = SubstringIndex(u, tt, saidx, tau_min, m_short, [])
+    for i in range(1, m_short + 1):
+        slots, starts, values = _factor_rows(idx.sorted_factors, tt.cum, tau_min, i)
+        orig = tt.pos[starts]
+        kept_slots, kept, labels = _group_depth(slots, values, saidx.lcp, i, orig, orig, "max")
+        idx.short_tables.append((kept, SparseDepth(kept_slots, rmq_build(kept), labels)))
+    return idx
 
 
 def _factor_hits(
@@ -264,24 +283,22 @@ def _run(idx: SubstringIndex, p: str, tau: float) -> tuple[list[int], list[float
             assert (found[1:] > found[:-1]).all()
         positions, probs = found.tolist(), values[hits].tolist()
     else:
-        table = idx.long_tables.get(m) if m <= idx.l_max else None
-        ranges = [(sp, ep)]
-        if table is not None:
-            _, rmq = table
-            bs, be = (sp - 1) // m, (ep - 1) // m
-            blo = bs if sp == bs * m + 1 else bs + 1
-            bhi = be if ep == (be + 1) * m else be - 1
-            if blo > bhi:
-                stats.block_scans += 1
-            else:
-                ranges = []
-                if bs < blo:
-                    ranges.append((sp, blo * m))
-                if be > bhi:
-                    ranges.append((bhi * m + m + 1, ep))
-                blocks = rmq_report(rmq, blo + 1, bhi + 1, tau, stats).tolist()
-                ranges += [((b - 1) * m + 1, b * m) for b in blocks]
-                stats.block_scans += len(ranges)
+        bs, be = (sp - 1) // m, (ep - 1) // m
+        blo = bs if sp == bs * m + 1 else bs + 1
+        bhi = be if ep == (be + 1) * m else be - 1
+        if blo > bhi:
+            ranges = [(sp, ep)]
+            stats.block_scans += 1
+        else:
+            ranges = []
+            if bs < blo:
+                ranges.append((sp, blo * m))
+            if be > bhi:
+                ranges.append((bhi * m + m + 1, ep))
+            _, rmq = idx.long_table(m)
+            blocks = rmq_report(rmq, blo + 1, bhi + 1, tau, stats).tolist()
+            ranges += [((b - 1) * m + 1, b * m) for b in blocks]
+            stats.block_scans += len(ranges)
         off, values = _factor_hits(tt, sa, ranges, m, tau)
         found, first = np.unique(tt.pos[off], return_index=True)
         positions, probs = found.tolist(), values[first].tolist()

@@ -241,6 +241,28 @@ def reference_dedup_depth(values, lcp, orig, depth: int, n_orig: int):
     return (keep + 1).astype(np.int32), values[keep]
 
 
+def reference_long_tables(tt, saidx, tau_min: float, m_short: int) -> dict[int, np.ndarray]:
+    """Block maxima of every depth m_short < i <= the longest factor, all built at once.
+
+    The eager loop of the substring build before long tables were built on
+    first read: per depth, the factor-start windows reaching tau_min, folded
+    into one maximum per i slots by ``np.maximum.at``.
+    """
+    starts, ends = tt.factor_runs()
+    slots = saidx.inverse_sa[starts] - 1
+    order = np.argsort(slots)
+    slots, starts, room = slots[order], starts[order], (ends - starts)[order]
+    tables = {}
+    for i in range(m_short + 1, tt.longest_factor + 1):
+        live = room >= i
+        values = tt.cum[starts[live] + i - 1]
+        keep = values >= tau_min
+        pb = np.zeros(-(-tt.n // i))
+        np.maximum.at(pb, slots[live][keep] // i, values[keep])
+        tables[i] = pb
+    return tables
+
+
 def reference_combine(values: list[float], metric: str) -> float:
     """Fold per-occurrence probabilities (already in ascending position order), one at a time."""
     if not values:

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ustrindex import (
     DocumentCollection,
     IndexConfig,
     ListingConfig,
+    QueryStats,
     ThresholdError,
     UncertainString,
     build,
@@ -35,7 +37,13 @@ from ustrindex import (
     save_container,
 )
 
-from helpers import partition_entries, random_ustring, reference_dedup_depth, slot_depth_values
+from helpers import (
+    partition_entries,
+    random_ustring,
+    reference_dedup_depth,
+    reference_long_tables,
+    slot_depth_values,
+)
 
 
 def test_worked_example_queries(genome):
@@ -114,9 +122,7 @@ def test_query_matches_oracle(seed):
     rng = random.Random(seed)
     u = random_ustring(rng, n=rng.randint(4, 18), correlation_rate=0.3)
     tau_min = rng.choice((0.1, 0.2, 0.3))
-    config = rng.choice(
-        (None, IndexConfig(m_short=1), IndexConfig(m_short=2, l_max=6), IndexConfig(l_max=3))
-    )
+    config = rng.choice((None, IndexConfig(m_short=1), IndexConfig(m_short=2)))
     idx = build(u, tau_min, config)
 
     w = sample_world(u, rng)
@@ -167,6 +173,56 @@ def test_substring_tables_match_the_dedup_reference(seed):
         assert len({(p, k) for p, k, _ in got}) == len(got)
         want = partition_entries(*reference_dedup_depth(c, lcp, orig, i, u.n), lcp, i, orig)
         assert set(got) == set(want)
+
+
+def _long_tables_match_the_eager_reference(container, path: str) -> None:
+    """Every long table a built and a loaded index make equals the eager loop's, bit for bit."""
+    save_container(container, path)
+    built = container.substring
+    want = reference_long_tables(built.tt, built.saidx, built.tau_min, built.m_short)
+    assert sorted(want) == list(range(built.m_short + 1, built.l_max + 1))
+    for idx in (built, load_container(path).substring):
+        for m, pb in want.items():
+            got, rmq = idx.long_table(m)
+            assert got.dtype == pb.dtype and got.tobytes() == pb.tobytes()
+            assert idx.long_tables[m][1] is rmq
+        assert sorted(idx.long_tables) == sorted(want)
+
+
+def test_long_tables_on_demand_match_the_eager_reference(genome, correlated, tmp_path):
+    for k, u in enumerate((genome, correlated)):
+        container = build_container([u], 0.1, m_short=1)
+        assert container.substring.l_max > 2
+        _long_tables_match_the_eager_reference(container, str(tmp_path / f"{k}.usi"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_long_tables_on_demand_match_the_eager_reference_on_random_strings(seed):
+    rng = random.Random(seed)
+    u = random_ustring(rng, n=rng.randint(3, 24), alphabet="abc", correlation_rate=0.3)
+    container = build_container([u], rng.choice((0.1, 0.2, 0.3)), m_short=rng.choice((None, 1, 2)))
+    with tempfile.TemporaryDirectory() as tmp:
+        _long_tables_match_the_eager_reference(container, f"{tmp}/r.usi")
+
+
+def test_a_long_table_is_built_only_when_a_query_reads_it(genome, tmp_path):
+    path = str(tmp_path / "g.usi")
+    container = build_container([genome], 0.1, m_short=1)
+    save_container(container, path)
+    for idx in (container.substring, load_container(path).substring):
+        assert idx.long_tables == {}
+        # each of these slot ranges fits inside one block of its length, which no table can prune
+        for p in ("AIA", "FFPQ", "PSFPT", "QPP", "TATA"):
+            assert query_with_stats(idx, p, 0.1)[1].block_scans == 1
+        assert idx.long_tables == {}
+        # the range of "FP" covers whole blocks of two slots; counters as when every table was stored
+        want = QueryStats(rmq_calls=2, block_scans=6, outputs=1, slots_scanned=9)
+        assert query_with_stats(idx, "FP", 0.1) == ([3], want)
+        assert list(idx.long_tables) == [2]
+        want = QueryStats(rmq_calls=1, block_scans=5, outputs=1, slots_scanned=3)
+        assert query_with_stats(idx, "PQP", 0.3) == ([4], want)
+        assert sorted(idx.long_tables) == [2, 3]
 
 
 def test_a_non_monotone_string_stores_nothing_below_tau_min():

@@ -1,9 +1,12 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and its container table names the members."""
 
 from __future__ import annotations
 
 import re
+import zipfile
 from pathlib import Path
+
+from ustrindex import build_container, save_container
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +17,30 @@ def test_readme_python_blocks_run_in_order():
     namespace: dict[str, object] = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def _documented_members() -> list[str]:
+    """The names in the first column of the README's ``.usi`` member table."""
+    table = re.search(r"^\| Member \| dtype \|.*?\n\n", README.read_text(encoding="utf-8"), re.S | re.M)
+    assert table is not None
+    rows = table.group(0).strip().splitlines()[2:]
+    return [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+
+
+def test_readme_member_table_names_every_saved_member_and_nothing_else(genome, collection, tmp_path):
+    # ``short_i`` stands for one member per short depth i
+    documented = {
+        name: re.compile(re.sub(r"_i(?=_|$)", "_[0-9]+", name) + r"\.npy") for name in _documented_members()
+    }
+    containers = [build_container([genome], 0.1, epsilon=0.05), build_container(list(collection.docs), 0.1, metric="or")]
+    saved = set()
+    for k, container in enumerate(containers):
+        path = str(tmp_path / f"{k}.usi")
+        save_container(container, path)
+        with zipfile.ZipFile(path) as zf:
+            saved |= set(zf.namelist()) - {"manifest.json"}
+    assert saved
+    for member in sorted(saved):
+        assert any(p.fullmatch(member) for p in documented.values()), f"{member} is not in the README table"
+    for name, p in documented.items():
+        assert any(p.fullmatch(member) for member in saved), f"the README table names {name}, which no container holds"
