@@ -186,7 +186,9 @@ def partition_links(raw: RawLinks, eps: float) -> LinkIndex:
         seg_deep[cut], anchor[cut] = top[cut] - k, above[cut]
     segs.append((rows, seg_deep, shallow[rows], base[rows]))
     link, o_depth, t_depth, at = (np.concatenate(a) for a in zip(*segs))
-    origin = raw.saidx.inverse_sa[raw.witness_off[link]]
+    slot_of = np.empty_like(raw.saidx.sa)  # each 0-based text offset's 1-based slot
+    slot_of[raw.saidx.sa - 1] = np.arange(1, raw.saidx.n + 1)
+    origin = slot_of[raw.witness_off[link]]
     order = np.lexsort((-o_depth, link, origin))
     cols = (origin, raw.pos_id[link], vals[at], o_depth, t_depth)
     return LinkIndex(raw.tt, raw.saidx, raw.tau_min, eps, *(c[order] for c in cols))

@@ -11,10 +11,10 @@ Aggregation (``qindex._fold``) visits a document's occurrences in ascending
 original position, which is also the order an exhaustive scan visits them,
 so scores match such a scan bit for bit.  The rows are the factor-start
 windows of ``qindex._factor_rows``, whose values are the documents' own
-``cum`` prefixes.  A long query reads the same values at the factor starts
-of its whole slot range (``qindex._factor_hits``), with no block maxima to
-prune it as in the substring index, and groups them the same way, by
-document.
+``cum`` prefixes.  A long query reads the same values at the slot-sorted
+factor starts of its whole slot range (``qindex._collect``, the collect the
+substring index uses), with no block maxima to prune it as in the substring
+index, and groups them the same way, by document.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .factorize import TransformedText, transform
 from .model import DocumentCollection, UncertainString, occurrence_probability, validate
-from .qindex import QueryStats, _factor_hits, _factor_rows, _fold, _group_depth, _locate, _sorted_factors
+from .qindex import QueryStats, _collect, _factor_rows, _FactorStarts, _fold, _group_depth, _locate
 from .textcore import (
     SparseDepth,
     SuffixArrayIndex,
@@ -76,8 +76,8 @@ class ListingConfig:
 
 
 @dataclass(eq=False)
-class ListingIndex:
-    """Immutable listing index over a document collection."""
+class ListingIndex(_FactorStarts):
+    """Listing index over a document collection; its answers never change."""
 
     collection: DocumentCollection
     metric: str
@@ -119,17 +119,16 @@ def build_listing(
     if m_short < 1:
         raise ValueError("m_short must be at least 1")
 
-    short_tables: list[tuple[np.ndarray, SparseDepth]] = []
+    idx = ListingIndex(collection, metric, tau_min, tt, doc_of, saidx, m_short, [])
     # one occurrence key per (document, original position), ordered by document first
     span = np.int64(max((d.n for d in collection.docs), default=0) + 1)
-    factors = _sorted_factors(tt, saidx)
     for i in range(1, m_short + 1):
-        slots, starts, values = _factor_rows(factors, tt.cum, tau_min, i)
+        slots, starts, values = _factor_rows(idx, i)
         doc = doc_of[starts]
         occ = doc * span + tt.pos[starts]
         kept_slots, scores, labels = _group_depth(slots, values, saidx.lcp, i, occ, doc, metric)
-        short_tables.append((scores, SparseDepth(kept_slots, rmq_build(scores), labels)))
-    return ListingIndex(collection, metric, tau_min, tt, doc_of, saidx, m_short, short_tables)
+        idx.short_tables.append((scores, SparseDepth(kept_slots, rmq_build(scores), labels)))
+    return idx
 
 
 def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]], QueryStats]:
@@ -139,7 +138,6 @@ def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]]
         return [], stats
     sp, ep = rng
     m = len(p)
-    sa = idx.saidx.sa
 
     if m <= idx.m_short:
         values, depth = idx.short_tables[m - 1]
@@ -148,15 +146,12 @@ def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]]
             return [], stats
         found = dict(zip(depth.labels[hits].tolist(), values[hits].tolist()))
     else:
-        off, values = _factor_hits(idx.tt, sa, [(sp, ep)], m, idx.tau_min)
-        doc, orig = idx.doc_of[off], idx.tt.pos[off]
+        hits = _collect(idx, [(sp, ep)], m, idx.tau_min, lambda s: (idx.doc_of.item(s), idx.tt.pos.item(s)))
         # ascending (document, position) order, which _fold needs
-        _, first = np.unique(doc * (orig.max(initial=0) + 1) + orig, return_index=True)
-        doc = doc[first]
-        starts = np.flatnonzero(np.diff(doc, prepend=-1))
-        scores = _fold(values[first], starts, idx.metric)
-        keep = scores >= tau
-        found = dict(zip(doc[starts[keep]].tolist(), scores[keep].tolist()))
+        occ = sorted(hits)
+        starts = [k for k, (d, _) in enumerate(occ) if not k or d != occ[k - 1][0]]
+        scores = _fold(np.array([hits[o] for o in occ]), np.array(starts, dtype=np.intp), idx.metric).tolist()
+        found = {occ[k][0]: v for k, v in zip(starts, scores) if v >= tau}
 
     items = [(idx.collection.docs[k].name, found[k]) for k in sorted(found)]
     stats.outputs = len(items)

@@ -3,8 +3,8 @@
 Short patterns are answered by one sparse table per length (the nonzero
 entries in slot order, see ``textcore.SparseDepth``), reported block by block
 with ``textcore.rmq_report``; long patterns by block maxima, reported the
-same way, whose slots ``_factor_hits`` reads at the factor starts.  So
-reported positions always carry their exact occurrence probability.  Every
+same way, whose ranges ``_collect`` reads at the slot-sorted factor starts.
+So reported positions always carry their exact occurrence probability.  Every
 stored or read value is a factor's own ``cum`` prefix, the same left-to-right
 product the model computes, which keeps threshold comparisons bitwise
 faithful.
@@ -21,6 +21,7 @@ for one depth the first time a query of that length covers a whole block.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -69,13 +70,21 @@ class IndexConfig:
     length_cap: int | None = None
 
 
+class _FactorStarts:
+    """For an index with ``tt`` and ``saidx``: its factor starts in slot order, sorted on first use."""
+
+    @cached_property
+    def sorted_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _sorted_factors(self.tt, self.saidx)
+
+
 @dataclass(eq=False)
-class SubstringIndex:
+class SubstringIndex(_FactorStarts):
     """Search index over one uncertain string.
 
     Its answers never change, but it caches what queries build on first use:
     the long table of a depth in ``long_tables``, and the factor starts in
-    slot order that such a table is built from.
+    slot order that long queries and such tables read.
     """
 
     u: UncertainString
@@ -92,11 +101,6 @@ class SubstringIndex:
         return self.tt.longest_factor
 
     @cached_property
-    def sorted_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The factor starts in slot order, as ``_sorted_factors`` gives them."""
-        return _sorted_factors(self.tt, self.saidx)
-
-    @cached_property
     def tree(self) -> TreeView:
         """Suffix-tree view, built on first use; no query or link build reads it."""
         return TreeView(self.saidx)
@@ -105,7 +109,7 @@ class SubstringIndex:
         """Depth ``m``'s block maxima, one per ``m`` slots, and their RMQ; built on first call."""
         table = self.long_tables.get(m)
         if table is None:
-            slots, _, values = _factor_rows(self.sorted_factors, self.tt.cum, self.tau_min, m)
+            slots, _, values = _factor_rows(self, m)
             pb = np.zeros(-(-self.tt.n // m))
             np.maximum.at(pb, slots // m, values)
             table = self.long_tables[m] = (pb, rmq_build(pb))
@@ -115,15 +119,14 @@ class SubstringIndex:
 def _sorted_factors(tt: TransformedText, saidx: SuffixArrayIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascending 0-based slots of the factor starts, the starts at them and their run lengths."""
     starts, ends = tt.factor_runs()
-    slots = saidx.inverse_sa[starts] - 1
-    order = np.argsort(slots)
-    return slots[order], starts[order], (ends - starts)[order]
+    room = np.zeros(tt.n + 1, dtype=np.int32)  # room[b + 1]: the run length of a factor starting at offset b, else 0
+    room[starts + 1] = ends - starts
+    slots = np.flatnonzero(room[saidx.sa])  # factors are nonempty
+    return slots, saidx.sa[slots] - 1, room[saidx.sa[slots]]
 
 
-def _factor_rows(
-    factors: tuple[np.ndarray, np.ndarray, np.ndarray], cum: np.ndarray, tau_min: float, i: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The factor-start windows of length ``i`` reaching tau_min, from ``_sorted_factors``.
+def _factor_rows(idx, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factor-start windows of length ``i`` reaching the index's tau_min, from ``sorted_factors``.
 
     Gives ascending 0-based slots, the factor starts at them and their ``cum``
     values.  Every (pattern, position) pair at or above tau_min is a prefix of
@@ -131,10 +134,10 @@ def _factor_rows(
     these rows hold every such pair and its value, inside the locus partition
     of any other offset that spells it.
     """
-    slots, starts, room = factors
+    slots, starts, room = idx.sorted_factors
     live = room >= i
-    values = cum[starts[live] + i - 1]
-    keep = values >= tau_min
+    values = idx.tt.cum[starts[live] + i - 1]
+    keep = values >= idx.tau_min
     return slots[live][keep], starts[live][keep], values[keep]
 
 
@@ -223,29 +226,32 @@ def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None)
 
     idx = SubstringIndex(u, tt, saidx, tau_min, m_short, [])
     for i in range(1, m_short + 1):
-        slots, starts, values = _factor_rows(idx.sorted_factors, tt.cum, tau_min, i)
+        slots, starts, values = _factor_rows(idx, i)
         orig = tt.pos[starts]
         kept_slots, kept, labels = _group_depth(slots, values, saidx.lcp, i, orig, orig, "max")
         idx.short_tables.append((kept, SparseDepth(kept_slots, rmq_build(kept), labels)))
     return idx
 
 
-def _factor_hits(
-    tt: TransformedText, sa: np.ndarray, ranges: list[tuple[int, int]], m: int, floor: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Factor starts in the slot ranges ``[lo, hi]`` of a length-``m`` pattern, and their values.
+def _collect(idx, ranges: list[tuple[int, int]], m: int, floor: float, key) -> dict:
+    """The first value >= ``floor`` per ``key(start)`` over the factor starts in the slot ranges ``[lo, hi]``.
 
-    Every slot in the ranges spells the pattern, so a factor start there has
-    room for it and ``cum`` at its m-th character is the pattern's exact
-    probability at that position; by conservation each position reaching
-    tau_min has such a start in the pattern's range.  Keeps values >= ``floor``.
+    One bisection per range end in ``idx.sorted_factors``, then a plain loop
+    over the few starts between, range by range in the order given.  A factor
+    start in the ranges has room for the length-``m`` pattern, and ``cum`` at
+    its m-th character is the pattern's exact probability there; by
+    conservation each position reaching tau_min has such a start in the range.
     """
-    pieces = [sa[lo - 1 : hi] for lo, hi in ranges]
-    off = np.concatenate(pieces) - 1 if pieces else np.zeros(0, dtype=np.int64)
-    off = off[(off == 0) | (tt.codes[off - 1] < 0)]
-    values = tt.cum[off + m - 1]
-    keep = values >= floor
-    return off[keep], values[keep]
+    slots, starts, _ = idx.sorted_factors
+    at, cum = memoryview(slots), idx.tt.cum
+    found: dict = {}
+    for lo, hi in ranges:
+        a = bisect_left(at, lo - 1)
+        for s in starts[a : bisect_left(at, hi, a)].tolist():
+            v = cum.item(s + m - 1)
+            if v >= floor:
+                found.setdefault(key(s), v)
+    return found
 
 
 def _locate(saidx: SuffixArrayIndex, tau_min: float, p: str, tau: float) -> tuple[int, int] | None:
@@ -267,8 +273,6 @@ def _run(idx: SubstringIndex, p: str, tau: float) -> tuple[list[int], list[float
         return [], [], stats
     sp, ep = rng
     m = len(p)
-    sa = idx.saidx.sa
-    tt = idx.tt
 
     if m <= idx.m_short:
         values, depth = idx.short_tables[m - 1]
@@ -299,9 +303,9 @@ def _run(idx: SubstringIndex, p: str, tau: float) -> tuple[list[int], list[float
             blocks = rmq_report(rmq, blo + 1, bhi + 1, tau, stats).tolist()
             ranges += [((b - 1) * m + 1, b * m) for b in blocks]
             stats.block_scans += len(ranges)
-        off, values = _factor_hits(tt, sa, ranges, m, tau)
-        found, first = np.unique(tt.pos[off], return_index=True)
-        positions, probs = found.tolist(), values[first].tolist()
+        found = _collect(idx, ranges, m, tau, idx.tt.pos.item)
+        positions = sorted(found)
+        probs = [found[k] for k in positions]
 
     stats.outputs = len(positions)
     return positions, probs, stats

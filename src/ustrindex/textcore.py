@@ -53,14 +53,13 @@ def _encode_text(text) -> np.ndarray:
 class SuffixArrayIndex:
     """Sorted suffixes of an integer-coded text with LCP information.
 
-    ``sa`` holds 1-based text positions in suffix order, ``inverse_sa`` maps a
-    text position to its slot, and ``lcp[k - 1]`` is the common-prefix length
-    of the suffixes at slots ``k - 1`` and ``k`` (``lcp[0] == 0``).
+    ``sa`` holds 1-based text positions in suffix order, and ``lcp[k - 1]``
+    is the common-prefix length of the suffixes at slots ``k - 1`` and ``k``
+    (``lcp[0] == 0``).
     """
 
     codes: np.ndarray
     sa: np.ndarray
-    inverse_sa: np.ndarray
     _lcp: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -71,7 +70,7 @@ class SuffixArrayIndex:
     def lcp(self) -> np.ndarray:
         """The LCP array, from the sorting pass; a checked suffix array reruns it on first read."""
         if self._lcp is None:
-            self._lcp = _prefix_doubling(self.codes)[2]
+            self._lcp = _prefix_doubling(self.codes)[1]
         return self._lcp
 
     @cached_property
@@ -81,8 +80,8 @@ class SuffixArrayIndex:
 
     @cached_property
     def byte_starts(self) -> memoryview:
-        """Each slot's suffix start in ``byte_text``, indexable without a list of n ints."""
-        return memoryview(4 * (self.sa - 1))
+        """Each slot's suffix start in ``byte_text``, narrowest unsigned; indexable without a list of n ints."""
+        return memoryview((4 * (self.sa - 1)).astype(np.min_scalar_type(4 * self.n)))
 
     @cached_property
     def prefix_keys(self) -> tuple[np.ndarray, dict[int, int], int]:
@@ -132,8 +131,8 @@ def _byte_words(codes: np.ndarray) -> bytes:
 _LIFT_BLOCK = 1 << 15
 
 
-def _prefix_doubling(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """0-based suffix order, slot of every suffix, and LCP array of ``codes``.
+def _prefix_doubling(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0-based suffix order and LCP array of ``codes``.
 
     Manber and Myers: round j ranks every suffix by its first 2^j codes, one
     ``argsort`` of ``rank * (n + 1) + rank of the suffix 2^j further``, until
@@ -169,14 +168,14 @@ def _prefix_doubling(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
         h = lcp[lo:hi]
         for j in reversed(range(len(ranks))):
             h += (ranks[j][a + h] == ranks[j][b + h]) << j
-    return order, rank[:n].astype(np.int64), lcp
+    return order, lcp
 
 
 def build_suffix_array(text) -> SuffixArrayIndex:
     """Sort all suffixes of ``text`` by prefix doubling, which yields the LCP array too."""
     codes = _encode_text(text)
-    order, rank, lcp = _prefix_doubling(codes)
-    return SuffixArrayIndex(codes, order + 1, rank + 1, lcp)
+    order, lcp = _prefix_doubling(codes)
+    return SuffixArrayIndex(codes, order + 1, lcp)
 
 
 def check_suffix_array(codes: np.ndarray, sa: np.ndarray) -> SuffixArrayIndex:
@@ -200,7 +199,7 @@ def check_suffix_array(codes: np.ndarray, sa: np.ndarray) -> SuffixArrayIndex:
     head, after = codes[sa - 1], rank[sa]
     if np.any((head[1:] < head[:-1]) | ((head[1:] == head[:-1]) & (after[1:] <= after[:-1]))):
         raise ContainerError("the stored suffix array does not sort the suffixes of the text")
-    return SuffixArrayIndex(codes, sa, rank[:n] + 1)
+    return SuffixArrayIndex(codes, sa)
 
 
 def suffix_range(idx: SuffixArrayIndex, p) -> tuple[int, int] | None:

@@ -8,9 +8,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ustrindex import CapacityError, TransformedText, UncertainString, occurrence_probability
+from ustrindex import CapacityError, QueryStats, TransformedText, UncertainString, occurrence_probability
 from ustrindex.factorize import batch_prefix_probabilities
-from ustrindex.textcore import TreeView
+from ustrindex.qindex import _fold
+from ustrindex.textcore import TreeView, rmq_report, suffix_range
 from ustrindex.datagen import _inject_correlations
 
 
@@ -42,6 +43,11 @@ def random_ustring(
             positions.append({rng.choice(alphabet): 1.0})
     corrs = _inject_correlations(rng, positions, correlation_rate) if correlation_rate > 0 else ()
     return UncertainString(name, tuple(positions), corrs)
+
+
+def slot_of(saidx) -> np.ndarray:
+    """Each 0-based text offset's 1-based slot: the inverse suffix array."""
+    return np.argsort(saidx.sa) + 1
 
 
 def reference_suffix_order(codes: list[int]) -> list[int]:
@@ -173,7 +179,7 @@ def reference_partition_links(raw, eps: float) -> tuple[np.ndarray, ...]:
                 anchor = probs[ell - 1]
         emit(rl, probs[rl.target_depth], seg_deep, rl.target_depth)
 
-    origin = raw.saidx.inverse_sa[np.asarray(witness, dtype=np.int64)]
+    origin = slot_of(raw.saidx)[np.asarray(witness, dtype=np.int64)]
     order = np.argsort(origin, kind="stable")
     return (
         origin[order],
@@ -249,7 +255,7 @@ def reference_long_tables(tt, saidx, tau_min: float, m_short: int) -> dict[int, 
     into one maximum per i slots by ``np.maximum.at``.
     """
     starts, ends = tt.factor_runs()
-    slots = saidx.inverse_sa[starts] - 1
+    slots = slot_of(saidx)[starts] - 1
     order = np.argsort(slots)
     slots, starts, room = slots[order], starts[order], (ends - starts)[order]
     tables = {}
@@ -261,6 +267,72 @@ def reference_long_tables(tt, saidx, tau_min: float, m_short: int) -> dict[int, 
         np.maximum.at(pb, slots[live][keep] // i, values[keep])
         tables[i] = pb
     return tables
+
+
+def reference_factor_hits(tt, sa, ranges: list[tuple[int, int]], m: int, floor: float):
+    """Factor starts in the slot ranges ``[lo, hi]`` of a length-``m`` pattern, and their values >= ``floor``.
+
+    The long-query scan before queries read the slot-sorted factor starts:
+    every suffix-array slot of the ranges in order, kept where the offset
+    follows a separator or opens the text.
+    """
+    pieces = [sa[lo - 1 : hi] for lo, hi in ranges]
+    off = np.concatenate(pieces) - 1 if pieces else np.zeros(0, dtype=np.int64)
+    off = off[(off == 0) | (tt.codes[off - 1] < 0)]
+    values = tt.cum[off + m - 1]
+    keep = values >= floor
+    return off[keep], values[keep]
+
+
+def reference_long_query(idx, p: str, tau: float):
+    """A long substring query through ``reference_factor_hits``: items, stats, the slot ranges read and the path.
+
+    The ranges are the partial end blocks, then the blocks ``rmq_report``
+    finds ("blocks+ends", or "blocks" without partial ends), or the whole
+    range when no block lies inside it ("scan"); repeated positions keep their
+    first value, as ``np.unique(return_index=True)`` does.
+    """
+    stats = QueryStats()
+    rng = suffix_range(idx.saidx, p)
+    if rng is None:
+        return [], stats, [], None
+    sp, ep = rng
+    m = len(p)
+    assert m > idx.m_short
+    bs, be = (sp - 1) // m, (ep - 1) // m
+    blo = bs if sp == bs * m + 1 else bs + 1
+    bhi = be if ep == (be + 1) * m else be - 1
+    if blo > bhi:
+        ranges, path = [(sp, ep)], "scan"
+    else:
+        ranges = []
+        if bs < blo:
+            ranges.append((sp, blo * m))
+        if be > bhi:
+            ranges.append((bhi * m + m + 1, ep))
+        path = "blocks+ends" if ranges else "blocks"
+        _, rmq = idx.long_table(m)
+        ranges += [((b - 1) * m + 1, b * m) for b in rmq_report(rmq, blo + 1, bhi + 1, tau, stats).tolist()]
+    stats.block_scans += len(ranges)
+    off, values = reference_factor_hits(idx.tt, idx.saidx.sa, ranges, m, tau)
+    found, first = np.unique(idx.tt.pos[off], return_index=True)
+    stats.outputs = found.size
+    return list(zip(found.tolist(), values[first].tolist())), stats, ranges, path
+
+
+def reference_long_listing(idx, p: str, tau: float) -> list[tuple[str, float]]:
+    """A long listing query through ``reference_factor_hits`` over the pattern's whole slot range."""
+    rng = suffix_range(idx.saidx, p)
+    if rng is None:
+        return []
+    off, values = reference_factor_hits(idx.tt, idx.saidx.sa, [rng], len(p), idx.tau_min)
+    doc, orig = idx.doc_of[off], idx.tt.pos[off]
+    _, first = np.unique(doc * (orig.max(initial=0) + 1) + orig, return_index=True)
+    doc = doc[first]
+    starts = np.flatnonzero(np.diff(doc, prepend=-1))
+    scores = _fold(values[first], starts, idx.metric)
+    keep = scores >= tau
+    return [(idx.collection.docs[d].name, v) for d, v in zip(doc[starts[keep]].tolist(), scores[keep].tolist())]
 
 
 def reference_combine(values: list[float], metric: str) -> float:

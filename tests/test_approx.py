@@ -32,6 +32,7 @@ from helpers import (
     reference_build_links,
     reference_link_marks,
     reference_partition_links,
+    slot_of,
 )
 
 LINK_ARRAYS = ("origin", "pos_id", "stored", "o_depth", "t_depth")
@@ -197,7 +198,7 @@ def test_a_window_below_its_factor_links_without_a_factor_start():
     (k,) = lost
     assert (raw.pos_id[k], raw.o_depth[k], raw.t_depth[k]) == (3, 1, 0)
     exact = partition_links(raw, 1e-9)
-    at = np.flatnonzero(exact.origin == idx.saidx.inverse_sa[raw.witness_off[k]])
+    at = np.flatnonzero(exact.origin == slot_of(idx.saidx)[raw.witness_off[k]])
     assert exact.stored[at].tolist() == [0.2] and exact.pos_id[at].tolist() == [3]
     patterns = ["".join(w) for m in (1, 2, 3) for w in itertools.product("cdstx", repeat=m)]
     for eps in (1e-9, 0.05, 0.3):
