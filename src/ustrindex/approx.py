@@ -13,12 +13,14 @@ probability at least tau - epsilon while nothing at or above tau is missed.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .factorize import TransformedText, batch_prefix_probabilities
-from .qindex import _locate
+from .qindex import _FEW, _locate
 from .textcore import SuffixArrayIndex, locus  # noqa: F401 - locus is unused here; perfbench/tracer.py wraps this name
 
 __all__ = [
@@ -97,6 +99,11 @@ class LinkIndex:
     def links(self) -> list[Link]:
         cols = (self.origin, self.pos_id, self.stored, self.o_depth, self.t_depth)
         return [Link(*row) for row in zip(*(c.tolist() for c in cols))]
+
+    @cached_property
+    def views(self) -> tuple[memoryview, ...]:
+        """``memoryview``s of the five arrays, in field order, which queries index one link at a time."""
+        return tuple(map(memoryview, (self.origin, self.pos_id, self.stored, self.o_depth, self.t_depth)))
 
 
 def _nearest_smaller(h: np.ndarray, pair: np.ndarray, reach: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,23 +206,26 @@ def approx_items(idx: LinkIndex, p: str, tau: float) -> list[tuple[int, float]]:
 
     A node holding a slot of ``p``'s range lies in the locus subtree or is an
     ancestor of the locus, shallower than ``len(p)``; the depth test drops it.
+    ``bisect`` finds the links with an origin in the range; a few are tested
+    one by one, many by numpy.
     """
     rng = _locate(idx.saidx, idx.tau_min, p, tau)
     if rng is None:
         return []
-    # links with an origin in [sp, ep]
-    lo, hi = idx.origin.searchsorted((rng[0], rng[1] + 1)).tolist()
-    if lo == hi:
-        return []
+    origin, pos_id, stored, o_depth, t_depth = idx.views
+    lo, hi = bisect_left(origin, rng[0]), bisect_right(origin, rng[1])
     m = len(p)
-    stored = idx.stored[lo:hi]
-    hit = ((idx.t_depth[lo:hi] < m) & (idx.o_depth[lo:hi] >= m) & (stored >= tau)).nonzero()[0]
-    if not hit.size:
-        return []
-    pos, val = idx.pos_id[lo:hi][hit], stored[hit]
-    order = np.lexsort((val, pos))
-    # values ascend within each position, so the dict keeps each position's largest
-    return list(dict(zip(pos[order].tolist(), val[order].tolist())).items())
+    # hits sorted by position, then value, so the dict keeps each position's largest
+    if hi - lo <= _FEW:
+        hits = [(pos_id[k], stored[k]) for k in range(lo, hi) if t_depth[k] < m <= o_depth[k] and stored[k] >= tau]
+        hits.sort()
+    else:
+        val = idx.stored[lo:hi]
+        hit = ((idx.t_depth[lo:hi] < m) & (idx.o_depth[lo:hi] >= m) & (val >= tau)).nonzero()[0]
+        pos, val = idx.pos_id[lo:hi][hit], val[hit]
+        order = np.lexsort((val, pos))
+        hits = zip(pos[order].tolist(), val[order].tolist())
+    return list(dict(hits).items())
 
 
 def approx_query(idx: LinkIndex, p: str, tau: float) -> list[int]:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .factorize import TransformedText, transform
 from .model import DocumentCollection, UncertainString, occurrence_probability, validate
-from .qindex import QueryStats, _collect, _factor_rows, _FactorStarts, _fold, _group_depth, _locate
+from .qindex import _FEW, QueryStats, _collect, _factor_rows, _FactorStarts, _fold, _group_depth, _locate
 from .textcore import (
     SparseDepth,
     SuffixArrayIndex,
@@ -142,9 +142,11 @@ def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]]
     if m <= idx.m_short:
         values, depth = idx.short_tables[m - 1]
         hits = depth.report(sp, ep, tau, stats)
-        if not hits.size:
-            return [], stats
-        found = dict(zip(depth.labels[hits].tolist(), values[hits].tolist()))
+        if len(hits) > _FEW:
+            found = dict(zip(depth.labels[hits].tolist(), values[hits].tolist()))
+        else:
+            _, vals, labels = depth.views
+            found = {labels[k]: vals[k] for k in hits}
     else:
         hits = _collect(idx, [(sp, ep)], m, idx.tau_min, lambda s: (idx.doc_of.item(s), idx.tt.pos.item(s)))
         # ascending (document, position) order, which _fold needs

@@ -265,6 +265,9 @@ def _locate(saidx: SuffixArrayIndex, tau_min: float, p: str, tau: float) -> tupl
     return suffix_range(saidx, p)
 
 
+_FEW = 32  # more hits (or links) are read by numpy, fewer one by one: about where the costs cross
+
+
 def _run(idx: SubstringIndex, p: str, tau: float) -> tuple[list[int], list[float], QueryStats]:
     """Ascending qualifying positions, their probabilities, and the work counters."""
     stats = QueryStats()
@@ -277,15 +280,18 @@ def _run(idx: SubstringIndex, p: str, tau: float) -> tuple[list[int], list[float
     if m <= idx.m_short:
         values, depth = idx.short_tables[m - 1]
         hits = depth.report(sp, ep, tau, stats)
-        if not hits.size:
-            return [], [], stats
-        found = depth.labels[hits]
-        if hits.size > 1:
+        if len(hits) > _FEW:
+            found = depth.labels[hits]
             order = np.argsort(found)
-            hits, found = hits[order], found[order]
+            found = found[order]
             # a partition stores each original position once
             assert (found[1:] > found[:-1]).all()
-        positions, probs = found.tolist(), values[hits].tolist()
+            positions, probs = found.tolist(), values[hits][order].tolist()
+        else:
+            _, vals, labels = depth.views
+            found = dict(sorted([(labels[k], vals[k]) for k in hits]))
+            assert len(found) == len(hits)
+            positions, probs = list(found), list(found.values())
     else:
         bs, be = (sp - 1) // m, (ep - 1) // m
         blo = bs if sp == bs * m + 1 else bs + 1

@@ -5,9 +5,10 @@ points; separator sentinels are the negative integers, each occurring at most
 once, so they sort below every character and no common prefix ever spans one.
 Slots (positions in suffix-array order) and text positions are 1-based in the
 public API; ``sa[k - 1]`` is the suffix at slot ``k``.  Patterns are located
-by one ``searchsorted`` over the packed first letters of every ``_SAMPLE``-th
-suffix (a prefix table, after Manber and Myers), then inside one sample gap by
-binary search over a byte encoding of the text, so comparisons run in C.
+by ``bisect`` over a ``memoryview`` of each slot's packed first letters (a
+prefix table, after Manber and Myers); a pattern longer than those letters
+is then bisected inside their range over a byte encoding of the text.  All
+comparisons run in C, and a str pattern makes no numpy call.
 Builds sort the suffixes by prefix doubling (``build_suffix_array``), and
 the ranks of its rounds give the LCP array by binary lifting in the same
 pass; loads never sort, they accept a stored suffix array after the linear
@@ -15,7 +16,8 @@ check of ``check_suffix_array``, and only a read of its ``lcp`` reruns the
 pass (no load or query reads it).
 ``SparseDepth`` is the one format of a sparse short table: the nonzero
 entries of a per-length table in slot order, which ``rmq_report`` reports
-block by block, each with the label a query reports it under.
+block by block, each with the label a query reports it under; a range inside
+one block is compared entry by entry in a plain loop.
 """
 
 from __future__ import annotations
@@ -84,13 +86,16 @@ class SuffixArrayIndex:
         return memoryview((4 * (self.sa - 1)).astype(np.min_scalar_type(4 * self.n)))
 
     @cached_property
-    def prefix_keys(self) -> tuple[np.ndarray, dict[int, int], int]:
-        """Packed first letters of every ``_SAMPLE``-th suffix, each letter's rank, and the bits per rank.
+    def prefix_keys(self) -> tuple[memoryview, dict, int]:
+        """Each slot's packed first letters (a ``memoryview`` for ``bisect``), each letter's rank, bits per rank.
 
         Built on first search.  A letter packs as its 1-based rank among the
         text's letters (code points) in ``bits = (number of letters).bit_length()``
-        bits, ``64 // bits`` to a ``uint64``; a separator, the end of the text
-        and all after them pack as 0, so keys ascend with their slots.
+        bits, ``32 // bits`` to a ``uint32``, first letter highest; a separator
+        and the end of the text pack as 0.  Letters past a separator stay, so
+        keys ascend with their slots only up to their first 0; but a pattern
+        has no 0, so bisection compares it with any key by then.  Ranks are
+        keyed by code, and by character too below 0x110000.
         """
         top, seps = int(self.codes.max(initial=-1)), -int(self.codes.min(initial=0))
         # separators index the last ``seps`` entries, which stay unranked (0)
@@ -98,25 +103,22 @@ class SuffixArrayIndex:
         present[self.codes] = True
         sigma = int(present[: top + 1].sum())
         bits = max(sigma, 1).bit_length()
-        lut = np.zeros(top + 1 + seps, dtype=np.min_scalar_type(sigma))
+        per = 32 // bits
+        lut = np.zeros(top + 1 + seps, dtype=np.uint32)
         np.cumsum(present[: top + 1], out=lut[: top + 1])
-        # rank[i]: the rank of the code at offset i; 0 at a separator and past the end
-        rank = np.zeros(self.n + 64 // bits, dtype=lut.dtype)
-        np.take(lut, self.codes, out=rank[: self.n])
-        at = self.sa[::_SAMPLE] - 1
-        keys = np.zeros(at.size, dtype=np.uint64)
-        live = np.ones(at.size, dtype=bool)
-        for _ in range(64 // bits):
-            r = rank[at]
-            live &= r > 0
-            r *= live
-            keys <<= np.uint64(bits)
-            keys |= r
-            at += 1
-        return keys, dict(zip(np.flatnonzero(present[: top + 1]).tolist(), range(1, sigma + 1))), bits
+        # key[i]: the ranks of the w letters from offset i, 0 at a separator and past the end (enough
+        # past it that each doubling step's shorter result keeps n entries)
+        key = np.zeros(self.n + 2 * per, dtype=np.uint32)
+        np.take(lut, self.codes, out=key[: self.n])
+        w = 1
+        while w < per:
+            step = min(w, per - w)  # the first ``step`` letters of the key w letters further
+            key = key[: key.size - w] << np.uint32(bits * step) | key[w:] >> np.uint32(bits * (w - step))
+            w += step
+        rank_of = dict(zip(np.flatnonzero(present[: top + 1]).tolist(), range(1, sigma + 1)))
+        rank_of |= {chr(c): r for c, r in rank_of.items() if c < 0x110000}
+        return memoryview(key[self.sa - 1]), rank_of, bits
 
-
-_SAMPLE = 16  # slots per packed prefix key: each end of a range is bisected inside one such gap
 
 # Shifts every code into uint32 so that separators (negative) sort below
 # letters (code points); codes must lie in [-_OFFSET, _OFFSET).
@@ -205,53 +207,48 @@ def check_suffix_array(codes: np.ndarray, sa: np.ndarray) -> SuffixArrayIndex:
 def suffix_range(idx: SuffixArrayIndex, p) -> tuple[int, int] | None:
     """Maximal slot range [sp, ep] of suffixes prefixed by ``p``; None when absent.
 
-    One ``searchsorted`` of ``p``'s first letters over ``idx.prefix_keys``
-    narrows each end of the range to one gap of ``_SAMPLE`` slots (a ``p``
-    longer than a key, to the slots whose keys equal its first letters).
-    Binary search over bytes finishes there: a suffix's first ``len(p)``
-    codes, as order-preserving big-endian words, compare against ``p``'s in C,
-    and a suffix shorter than ``p`` is a proper prefix of its key, so below it.
+    Two ``bisect`` calls over the slots' packed keys (``idx.prefix_keys``)
+    find the slots whose keys start with ``p``'s first letters, which is the
+    answer for a ``p`` no longer than a key.  A longer ``p`` is bisected
+    further inside that range over bytes: a suffix's first ``len(p)`` codes,
+    as order-preserving big-endian words, compare against ``p``'s in C, and a
+    suffix shorter than ``p`` is a proper prefix of its key, so below it.
     """
-    if len(p) == 0:
-        raise ValueError("pattern is empty")
     keys, rank_of, bits = idx.prefix_keys
-    per = 64 // bits
-    if isinstance(p, str):
-        codes = list(map(ord, p[:per]))  # later letters need no rank: no suffix holds one the text lacks
-    else:
-        codes = [int(c) for c in p]
-        if min(codes) < 0:
+    m = len(p)
+    if not m:
+        raise ValueError("pattern is empty")
+    if not isinstance(p, str):
+        p = [int(c) for c in p]
+        if min(p) < 0:
             raise ValueError("patterns cannot contain separator codes")
-    ranks = list(map(rank_of.get, codes))
-    if None in ranks:
+        if not all(c in rank_of for c in p):
+            return None  # a code that the text does not hold; so every code fits its byte word
+    per, head = 32 // bits, 0
+    try:
+        for c in p[:per]:  # a str's later letters need no rank: no suffix holds one the text lacks
+            head = head << bits | rank_of[c]
+    except KeyError:
         return None  # a letter that the text does not hold
-    head = 0
-    for r in ranks[:per]:
-        head = head << bits | r
-    free = bits * max(per - len(p), 0)
+    free = bits * (per - m) if m < per else 0
     # keys in [head << free, ((head + 1) << free) - 1] start with the pattern's first letters
-    bounds = np.array(((head << free) - 1, ((head + 1) << free) - 1), dtype=np.uint64)
-    i, j = keys.searchsorted(bounds, "right").tolist()
-    # the first such slot lies in the gap (i - 1, i] of samples, the first slot past them in (j - 1, j]
-    lo, hi = max((i - 1) * _SAMPLE + 1, 0), min(j * _SAMPLE, idx.n)
-    # keys that spell the whole pattern bound each end to its own gap
-    first_hi, last_lo = (min(i * _SAMPLE, idx.n), (j - 1) * _SAMPLE + 1) if len(p) <= per else (hi, 0)
+    first = bisect_left(keys, head << free)
+    last = bisect_right(keys, ((head + 1) << free) - 1, first)
+    if m > per and first < last:
+        if isinstance(p, str):
+            # code points stay below 2**24, so adding _OFFSET only sets each word's top bit
+            key = bytearray(p.encode("utf-32-be", "surrogatepass"))
+            key[::4] = b"\x80" * m
+            key = bytes(key)
+        else:
+            key = _byte_words(np.array(p, dtype=np.int64))
+        text, width, starts = idx.byte_text, 4 * m, idx.byte_starts
 
-    if isinstance(p, str):
-        # code points stay below 2**24, so adding _OFFSET only sets each word's top bit
-        key = bytearray(p.encode("utf-32-be", "surrogatepass"))
-        key[::4] = b"\x80" * len(p)
-        key = bytes(key)
-    else:
-        key = _byte_words(np.array(codes, dtype=np.int64))
-    width = len(key)
-    text = idx.byte_text
+        def prefix(b: int) -> bytes:
+            return text[b : b + width]
 
-    def prefix(b: int) -> bytes:
-        return text[b : b + width]
-
-    first = bisect_left(idx.byte_starts, key, lo, first_hi, key=prefix)
-    last = bisect_right(idx.byte_starts, key, max(first, last_lo), hi, key=prefix)
+        first = bisect_left(starts, key, first, last, key=prefix)
+        last = bisect_right(starts, key, first, last, key=prefix)
     if first == last:
         return None
     return first + 1, last
@@ -501,8 +498,25 @@ class SparseDepth:
     rmq: RmqIndex
     labels: np.ndarray
 
-    def report(self, sp: int, ep: int, tau: float, stats) -> np.ndarray:
-        """0-based entry indices with a slot in [sp, ep] and a value of at least ``tau``."""
-        # entries before slot sp and before slot ep + 1; an int32 needle spares a cast of slots
-        l, r = self.slots.searchsorted(np.array((sp, ep + 1), dtype=np.int32)).tolist()
-        return rmq_report(self.rmq, l + 1, r, tau, stats) - 1
+    @cached_property
+    def views(self) -> tuple[memoryview, memoryview, memoryview]:
+        """``memoryview``s of the slots, values and labels, which queries index one entry at a time."""
+        return memoryview(self.slots), memoryview(self.rmq.values), memoryview(self.labels)
+
+    def report(self, sp: int, ep: int, tau: float, stats) -> list[int] | np.ndarray:
+        """0-based indices of the entries with a slot in [sp, ep] and a value of at least ``tau``, ascending.
+
+        Entries bounded by ``bisect`` inside one ``_BLOCK``-entry block make
+        ``rmq_report``'s one-block probe as a plain loop, with the same counts,
+        and come back as a list; wider ranges go to ``rmq_report``, an array.
+        """
+        slots, values, _ = self.views
+        l = bisect_left(slots, sp)
+        r = bisect_right(slots, ep, l)  # the entries in range are l .. r - 1
+        if l == r:
+            return []
+        if l // _BLOCK != (r - 1) // _BLOCK:
+            return rmq_report(self.rmq, l + 1, r, tau, stats) - 1
+        stats.rmq_calls += 1
+        stats.slots_scanned += r - l
+        return [k for k in range(l, r) if values[k] >= tau]

@@ -50,6 +50,13 @@ def slot_of(saidx) -> np.ndarray:
     return np.argsort(saidx.sa) + 1
 
 
+def reference_report(depth, sp: int, ep: int, tau: float, stats) -> np.ndarray:
+    """``SparseDepth.report`` by numpy alone: an ``int32`` needle, ``searchsorted`` and ``rmq_report``."""
+    # entries before slot sp and before slot ep + 1; an int32 needle spares a cast of slots
+    l, r = depth.slots.searchsorted(np.array((sp, ep + 1), dtype=np.int32)).tolist()
+    return rmq_report(depth.rmq, l + 1, r, tau, stats) - 1
+
+
 def reference_suffix_order(codes: list[int]) -> list[int]:
     """0-based suffix starts of ``codes`` in sorted order, by comparing the suffixes as lists."""
     return sorted(range(len(codes)), key=lambda i: codes[i:])

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ustrindex import ContainerError
 from ustrindex.qindex import QueryStats
 from ustrindex.textcore import (
+    SparseDepth,
     TreeView,
     build_suffix_array,
     check_suffix_array,
@@ -21,7 +22,7 @@ from ustrindex.textcore import (
     suffix_range,
 )
 
-from helpers import reference_suffix_order
+from helpers import reference_report, reference_suffix_order
 
 
 def random_codes(rng: random.Random, max_len: int = 60) -> list[int]:
@@ -191,13 +192,13 @@ def gap_text(rng: random.Random, letters: list[int]) -> list[int]:
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from((2, 8, 40)))
 def test_suffix_range_matches_brute_force_across_sample_gaps(seed, sigma):
-    """Ranges wider than a gap of sampled keys, and patterns past the packed width, against brute force."""
+    """Wide ranges, and patterns about as long as a packed key or longer, against brute force."""
     rng = random.Random(seed)
     letters = sorted(rng.sample(range(0x10FFFF + 1), sigma)) if sigma > 15 else [97 + k for k in range(sigma)]
     codes = gap_text(rng, letters)
     idx = build_suffix_array(codes)
     order = reference_suffix_order(codes)
-    per = 64 // sigma.bit_length()  # letters packed into one key
+    per = 32 // sigma.bit_length()  # letters packed into one key
     for _ in range(30):
         m = rng.randint(1, 2 * per + 3)
         draw = rng.random()
@@ -232,6 +233,46 @@ def test_suffix_range_rejects_bad_patterns():
         suffix_range(idx, "")
     with pytest.raises(ValueError, match="separator"):
         suffix_range(idx, [97, -1])
+
+
+def key_text() -> list[int]:
+    """Eight letters (so eight to a key), a run longer than two keys, and separators."""
+    return [97 + k % 8 for k in range(40)] + [-1] + [97] * 20 + [98, -2] + [97 + (3 * k) % 8 for k in range(30)]
+
+
+def brute_range(codes: list[int], order: list[int], pattern: list[int]) -> tuple[int, int] | None:
+    slots = [k + 1 for k, i in enumerate(order) if codes[i : i + len(pattern)] == pattern]
+    return (slots[0], slots[-1]) if slots else None
+
+
+def test_suffix_range_edge_cases_around_one_key():
+    codes = key_text()
+    idx = build_suffix_array(codes)
+    order = reference_suffix_order(codes)
+    per = 32 // idx.prefix_keys[2]
+    assert per == 8
+    # codes no text holds, after the first key's letters or alone, are absent and overflow nothing
+    assert suffix_range(idx, [97] * 20 + [2**70]) is None
+    assert suffix_range(idx, [97] * (per + 1) + [2**31]) is None
+    assert suffix_range(idx, [2**63]) is None
+    for bad in ([-1], [97, -2], [97] * (per + 2) + [-1]):
+        with pytest.raises(ValueError, match="separator"):
+            suffix_range(idx, bad)
+    # a letter the text lacks, at the first letter, the key's last, just past the key and further on
+    window = "".join(map(chr, codes[:20]))
+    for at in (0, per - 1, per, per + 5):
+        assert suffix_range(idx, window[:at] + "z" + window[at + 1 :]) is None
+        assert suffix_range(idx, window[:at] + "z") is None
+    # every text window exactly one key long, and one letter shorter or longer, as codes and as str
+    for m in (per - 1, per, per + 1):
+        for s in range(len(codes) - m + 1):
+            pattern = codes[s : s + m]
+            if min(pattern) < 0:
+                continue
+            want = brute_range(codes, order, pattern)
+            assert want is not None
+            assert suffix_range(idx, pattern) == want
+            assert suffix_range(idx, "".join(map(chr, pattern))) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -348,3 +389,50 @@ def test_rmq_report_matches_a_vectorized_scan(seed):
         assert got.tolist() == want.tolist()
         assert stats.rmq_calls <= 2 * len(want) + 1
         assert stats.slots_scanned >= len(want)
+
+
+def random_depth(rng: random.Random, n: int) -> SparseDepth:
+    """A short table of ``n`` entries at strictly increasing slots with gaps, values as in the rmq tests."""
+    slots = np.cumsum([rng.randint(1, 3) for _ in range(n)], dtype=np.int64).astype(np.int32)
+    values = np.array(
+        [rng.choice((0.05, 0.1, 0.3, 0.3, 0.5, 1.0)) if rng.random() < 0.2 else 0.01 * rng.random() for _ in range(n)]
+    )
+    return SparseDepth(slots, rmq_build(values), np.arange(n, dtype=np.int32))
+
+
+def report_ranges(rng: random.Random, slots: list[int]) -> list[tuple[int, int]]:
+    """Slot ranges [sp, ep] of every shape ``report`` tells apart."""
+    n = len(slots)
+    last = slots[-1] if n else 0
+    out = [(1, last + 3), (last + 1, last + 4)]  # all of the table; past the last slot
+    if not n:
+        return out
+    out += [(1, slots[0] - 1), (slots[0] - 1, slots[0] - 1)]  # before the first slot (maybe empty)
+    b = rng.randrange((n + 63) // 64)
+    lo, hi = 64 * b, min(n, 64 * b + 64) - 1
+    l = rng.randint(lo, hi)
+    r = rng.randint(l, hi)
+    out.append((slots[l], slots[r]))  # inside one 64-entry block, on entry slots
+    out.append((slots[l] - rng.randint(0, 1), slots[r] + rng.randint(0, 1)))  # maybe between slots
+    out.append((slots[l], slots[hi]))  # ending exactly on a block edge
+    if b:
+        out.append((slots[rng.randint(0, lo - 1)], slots[hi]))  # from an earlier block to that edge
+        out.append((slots[lo - 1], slots[lo]))  # across one block edge
+    out.append((slots[rng.randint(0, n - 1) // 3], slots[-1]))  # many blocks
+    out.append((slots[rng.randrange(n)] + 1, slots[rng.randrange(n)]))  # maybe empty between slots
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from((0, 1, 5, 63, 64, 65, 128, 300)))
+def test_sparse_depth_report_counts_like_the_searchsorted_reference(seed, n):
+    """The bisect and one-block loop of ``report`` return the entries and counters the numpy form does."""
+    rng = random.Random(seed)
+    depth = random_depth(rng, n)
+    for sp, ep in report_ranges(rng, depth.slots.tolist()):
+        for tau in (0.1, 0.3, 1.0, 2.0):
+            got_stats, want_stats = QueryStats(), QueryStats()
+            got = depth.report(sp, ep, tau, got_stats)
+            want = reference_report(depth, sp, ep, tau, want_stats)
+            assert list(got) == want.tolist(), (sp, ep, tau)
+            assert got_stats == want_stats, (sp, ep, tau)
