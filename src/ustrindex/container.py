@@ -1,26 +1,23 @@
 """Self-describing on-disk container for built indexes.
 
 The file is a zip archive holding ``manifest.json`` plus one ``.npy`` entry
-per stored array.  Probability tables are written verbatim, so a reopened
-index answers queries bit for bit like the one that was saved.  Format
-version 5 stores each short depth sparsely: ``short_i`` holds the values and
-``short_i_slots`` their slots (see ``textcore.SparseDepth``); approximate
-links keep their origin as a suffix-array slot in ``link_origin``.  Of the
-text it stores only what cannot be derived: ``codes`` and the suffix array
-``sa`` as ``int32``, ``cum``, one start per factor in ``pos`` and, for
-listing, one factor count per document in ``doc_factors``.  Loading never
+per stored array.  Format version 6 stores only what a load cannot derive
+cheaply: ``codes`` and the suffix array ``sa`` as ``int32``, ``cum``, one
+start per factor in ``pos`` and, for listing, one factor count per document
+in ``doc_factors``; approximate links keep their origin as a suffix-array
+slot in ``link_origin``.  No table is stored: both index kinds build a short
+table, and a substring index a long one, per length the first time a query
+reads it, from ``cum`` at the slot-sorted factor starts, so a reopened index
+answers queries bit for bit like the one that was saved.  Loading never
 sorts: it accepts ``sa`` after the linear check of
-``textcore.check_suffix_array``, rebuilds the per-code positions (and
-documents) from the factor runs, labels each short entry with the position
-(or document) at its slot and builds the RMQ tables; long queries read the
-stored ``cum`` directly.  No long table is stored: a substring index builds
-one per depth the first time a query reads it.  A load builds neither the LCP
-array nor a suffix-tree view.  A file that is not such an archive, is of
-another version, lacks a member, holds an unreadable member, a manifest with
-a field of the wrong JSON type, an ``m_short`` below 1 or above the member
-count, a ``tau_min`` or ``epsilon`` outside (0, 1] or an unknown listing
-metric, or an array whose dtype, length or contents do not fit the index
-raises ``ContainerError`` before anything is built.
+``textcore.check_suffix_array`` and rebuilds the per-code positions (and
+documents) from the factor runs.  A load builds no table, no LCP array and no
+suffix-tree view.  A file that is not such an archive, is of another
+version, lacks a member, holds an unreadable member, a manifest with a field
+of the wrong JSON type, an ``m_short`` below 1 or above the stored text
+length (at least 1), a ``tau_min`` or ``epsilon`` outside (0, 1] or an
+unknown listing metric, or an array whose dtype, length or contents do not
+fit the index raises ``ContainerError`` before anything is built.
 """
 
 from __future__ import annotations
@@ -38,8 +35,7 @@ from .factorize import TransformedText
 from .listing import METRICS, ListingConfig, ListingIndex, build_listing
 from .model import DocumentCollection, UncertainString
 from .qindex import IndexConfig, SubstringIndex, build
-from .textcore import (  # noqa: F401 - perfbench wraps TreeView and build_suffix_array
-    SparseDepth,
+from .textcore import (  # noqa: F401 - perfbench wraps TreeView, build_suffix_array and rmq_build
     TreeView,
     build_suffix_array,
     check_suffix_array,
@@ -49,10 +45,9 @@ from .ustformat import parse_ust, serialize_ust
 
 __all__ = ["FORMAT_VERSION", "IndexContainer", "build_container", "load_container", "save_container"]
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _MAX_CODE = 0x10FFFF  # the largest code point; separators are -1 down to -n
-_MAX_FLOAT = float(np.finfo(np.float64).max)
 # member suffixes of the link arrays, in ``LinkIndex`` field order
 _LINK_ARRAYS = ("origin", "pos", "stored", "odepth", "tdepth")
 
@@ -119,7 +114,6 @@ def save_container(container: IndexContainer, path: str) -> None:
         manifest["source"] = serialize_ust(idx.u)
         manifest["m_short"] = idx.m_short
         tt, saidx = idx.tt, idx.saidx
-        short_tables = idx.short_tables
     elif container.kind == "listing":
         lidx = container.listing
         assert lidx is not None
@@ -128,15 +122,11 @@ def save_container(container: IndexContainer, path: str) -> None:
         tt, saidx = lidx.tt, lidx.saidx
         # documents are concatenated in order, so a count per document places every factor
         arrays["doc_factors"] = tt.doc_factors
-        short_tables = lidx.short_tables
     else:
         raise ValueError(f"unknown container kind {container.kind!r}")
 
     if tt.n > np.iinfo(np.int32).max:
         raise ValueError(f"a transformed text of {tt.n} codes does not fit the int32 members")
-    for i, (values, depth) in enumerate(short_tables, start=1):
-        arrays[f"short_{i}"] = values
-        arrays[f"short_{i}_slots"] = depth.slots
     arrays["codes"] = tt.codes.astype(np.int32)
     arrays["sa"] = saidx.sa.astype(np.int32)
     arrays["pos"] = tt.pos[tt.factor_runs()[0]]
@@ -170,7 +160,7 @@ def load_container(path: str) -> IndexContainer:
         raise ContainerError(f"{path} is not a sound index container: {exc}") from exc
 
 
-def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, docs) -> np.ndarray:
+def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], docs) -> np.ndarray:
     """Every stored array has the dtype, length and contents the index layout implies.
 
     Runs before anything is built, so a tampered array raises ContainerError
@@ -178,9 +168,7 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, d
     factor's 0-based text offset.
     """
     listing = manifest["kind"] == "listing"
-    short = [f"short_{i}" for i in range(1, m_short + 1)]
     dtypes = {"codes": np.int32, "sa": np.int32, "pos": np.int64, "cum": np.float64}
-    dtypes |= {name: np.float64 for name in short} | {f"{name}_slots": np.int32 for name in short}
     if listing:
         dtypes["doc_factors"] = np.int64
     elif manifest["epsilon"] is not None:
@@ -193,7 +181,6 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, d
     n = codes.size
     ends = np.flatnonzero(codes < 0)
     want = {"codes": n, "sa": n, "cum": n, "pos": ends.size}
-    want |= {name: arrays[f"{name}_slots"].size for name in short}
     if listing:
         want["doc_factors"] = len(docs)
     elif manifest["epsilon"] is not None:
@@ -226,14 +213,6 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], m_short: int, d
         raise bad("pos", "factor starts that decrease within a document")
     if np.any((first < 1) | (first > last)):
         raise bad("pos", "a factor start outside its source string")
-    # additive "or" scores of several occurrences may exceed 1
-    top = _MAX_FLOAT if listing and manifest["metric"] == "or" else 1.0
-    for name in short:
-        slots, values = arrays[f"{name}_slots"], arrays[name]
-        if slots.size and (slots[0] < 1 or slots[-1] > n or np.any(slots[1:] <= slots[:-1])):
-            raise bad(f"{name}_slots", "slots that are not strictly increasing within [1, n]")
-        if not np.all((values > 0.0) & (values <= top)):
-            raise bad(name, f"a value outside (0, {top:g}] or NaN")
     if not listing and manifest["epsilon"] is not None:
         origin = arrays["link_origin"]
         if origin.size and (origin[0] < 1 or origin[-1] > n or np.any(origin[1:] < origin[:-1])):
@@ -269,9 +248,10 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
     _field(manifest, "epsilon", str, int, float, type(None))
     docs = parse_ust(_field(manifest, "source", str))
     m_short = _field(manifest, "m_short", int)
-    # two members per short depth, so a larger m_short cannot be sound; checked before any name is built
-    if not 1 <= m_short <= len(arrays):
-        raise ContainerError(f"manifest m_short {m_short} is not in [1, {len(arrays)}]")
+    # a build takes no deeper tables than the text has codes (see qindex._pick_m_short)
+    top = max(1, arrays["codes"].size)
+    if not 1 <= m_short <= top:
+        raise ContainerError(f"manifest m_short {m_short} is not in [1, {top}]")
     for name in ("tau_min", "epsilon"):
         if manifest[name] is not None and not 0.0 < float(manifest[name]) <= 1.0:
             raise ContainerError(f"manifest {name} {manifest[name]!r} is not in (0, 1]")
@@ -279,7 +259,7 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
         raise ContainerError(f"manifest metric {manifest['metric']!r} is not one of {', '.join(METRICS)}")
     if kind == "substring" and len(docs) != 1:
         raise ContainerError(f"a substring container holds one source string, not {len(docs)}")
-    starts = _check_shapes(manifest, arrays, m_short, docs)
+    starts = _check_shapes(manifest, arrays, docs)
     # widened, so a loaded index holds the dtypes a built one does
     codes, cum = arrays["codes"].astype(np.int64), arrays["cum"]
     saidx = check_suffix_array(codes, arrays["sa"].astype(np.int64))
@@ -289,16 +269,9 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
     pos[codes < 0] = 0
     text_of = {"source": docs[0]} if kind == "substring" else {"doc_factors": arrays["doc_factors"]}
     tt = TransformedText(codes, pos, cum, tau_min, **text_of)
-    # an entry reports the original position (or document) of the offset at its slot
-    owner = pos if kind == "substring" else tt.doc_of()
-    short_tables = []
-    for i in range(1, m_short + 1):
-        values, slots = arrays[f"short_{i}"], arrays[f"short_{i}_slots"]
-        labels = owner[saidx.sa[slots - 1] - 1].astype(np.int32)
-        short_tables.append((values, SparseDepth(slots, rmq_build(values), labels)))
 
     if kind == "substring":
-        idx = SubstringIndex(docs[0], tt, saidx, tau_min, m_short, short_tables)
+        idx = SubstringIndex(docs[0], tt, saidx, tau_min, m_short)
         links = None
         epsilon = None
         if manifest["epsilon"] is not None:
@@ -307,5 +280,5 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
         return IndexContainer("substring", tau_min, substring=idx, links=links, epsilon=epsilon)
 
     collection = DocumentCollection(tuple(docs))
-    lidx = ListingIndex(collection, manifest["metric"], tau_min, tt, owner, saidx, m_short, short_tables)
+    lidx = ListingIndex(collection, manifest["metric"], tau_min, tt, tt.doc_of(), saidx, m_short)
     return IndexContainer("listing", tau_min, listing=lidx, metric=lidx.metric)

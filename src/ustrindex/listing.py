@@ -5,34 +5,35 @@ one another in one text (separators stay globally unique), and for every
 short depth a sparse table (``textcore.SparseDepth``) holds each document's
 aggregated score once per locus partition, at the partition's first slot of
 that document; queries report it block by block like short substring
-queries.  The tables come from ``qindex._group_depth``, the grouping the
-substring index uses, keyed by document instead of original position.
-Aggregation (``qindex._fold``) visits a document's occurrences in ascending
-original position, which is also the order an exhaustive scan visits them,
-so scores match such a scan bit for bit.  The rows are the factor-start
-windows of ``qindex._factor_rows``, whose values are the documents' own
-``cum`` prefixes.  A long query reads the same values at the slot-sorted
-factor starts of its whole slot range (``qindex._collect``, the collect the
-substring index uses), with no block maxima to prune it as in the substring
-index, and groups them the same way, by document.
+queries.  A depth's table is built the first time a query of that length
+reads it, by the one builder the substring index uses
+(``qindex._FactorStarts.short_table``), keyed by document instead of
+original position.  Aggregation (``qindex._fold``) visits a document's
+occurrences in ascending original position, which is also the order an
+exhaustive scan visits them, so scores match such a scan bit for bit.  The
+rows are the factor-start windows of ``qindex._factor_rows``, whose values
+are the documents' own ``cum`` prefixes.  A long query reads the same values
+at the slot-sorted factor starts of its whole slot range
+(``qindex._collect``, the collect the substring index uses), with no block
+maxima to prune it as in the substring index, and groups them the same way,
+by document.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .factorize import TransformedText, transform
 from .model import DocumentCollection, UncertainString, occurrence_probability, validate
-from .qindex import _FEW, QueryStats, _collect, _factor_rows, _FactorStarts, _fold, _group_depth, _locate
+from .qindex import _FEW, QueryStats, _collect, _FactorStarts, _fold, _locate, _pick_m_short
 from .textcore import (
-    SparseDepth,
     SuffixArrayIndex,
     TreeView,
     build_suffix_array,
-    rmq_build,
+    rmq_build,  # noqa: F401 - tables reach it via qindex; perfbench/tracer.py wraps this name
     suffix_range,  # noqa: F401 - queries reach it via _locate; perfbench/tracer.py wraps this name
 )
 
@@ -77,7 +78,11 @@ class ListingConfig:
 
 @dataclass(eq=False)
 class ListingIndex(_FactorStarts):
-    """Listing index over a document collection; its answers never change."""
+    """Listing index over a document collection; its answers never change.
+
+    Like ``qindex.SubstringIndex``, it builds the short table of a depth and
+    the factor starts in slot order on first use, and keeps them.
+    """
 
     collection: DocumentCollection
     metric: str
@@ -86,12 +91,17 @@ class ListingIndex(_FactorStarts):
     doc_of: np.ndarray
     saidx: SuffixArrayIndex
     m_short: int
-    short_tables: list[tuple[np.ndarray, SparseDepth]] = field(repr=False)
 
     @cached_property
     def tree(self) -> TreeView:
         """Suffix-tree view, built on first use; listing queries never read it."""
         return TreeView(self.saidx)
+
+    def _short_keys(self, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
+        """Each row is one (document, original position) occurrence, ordered by document first."""
+        doc = self.doc_of[starts]
+        span = np.int64(max((d.n for d in self.collection.docs), default=0) + 1)
+        return doc * span + self.tt.pos[starts], doc, self.metric
 
 
 def build_listing(
@@ -112,23 +122,8 @@ def build_listing(
     cfg = config or ListingConfig()
 
     tt = transform(collection, tau_min, cfg.length_cap)
-    doc_of = tt.doc_of()
-    saidx = build_suffix_array(tt.codes)
-    n = tt.n
-    m_short = cfg.m_short if cfg.m_short is not None else max(1, n.bit_length() - 1)
-    if m_short < 1:
-        raise ValueError("m_short must be at least 1")
-
-    idx = ListingIndex(collection, metric, tau_min, tt, doc_of, saidx, m_short, [])
-    # one occurrence key per (document, original position), ordered by document first
-    span = np.int64(max((d.n for d in collection.docs), default=0) + 1)
-    for i in range(1, m_short + 1):
-        slots, starts, values = _factor_rows(idx, i)
-        doc = doc_of[starts]
-        occ = doc * span + tt.pos[starts]
-        kept_slots, scores, labels = _group_depth(slots, values, saidx.lcp, i, occ, doc, metric)
-        idx.short_tables.append((scores, SparseDepth(kept_slots, rmq_build(scores), labels)))
-    return idx
+    m_short = _pick_m_short(cfg.m_short, tt.n)
+    return ListingIndex(collection, metric, tau_min, tt, tt.doc_of(), build_suffix_array(tt.codes), m_short)
 
 
 def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]], QueryStats]:
@@ -140,7 +135,7 @@ def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]]
     m = len(p)
 
     if m <= idx.m_short:
-        values, depth = idx.short_tables[m - 1]
+        values, depth = idx._short[m - 1] or idx.short_table(m)
         hits = depth.report(sp, ep, tau, stats)
         if len(hits) > _FEW:
             found = dict(zip(depth.labels[hits].tolist(), values[hits].tolist()))

@@ -5,17 +5,17 @@ entries in slot order, see ``textcore.SparseDepth``), reported block by block
 with ``textcore.rmq_report``; long patterns by block maxima, reported the
 same way, whose ranges ``_collect`` reads at the slot-sorted factor starts.
 So reported positions always carry their exact occurrence probability.  Every
-stored or read value is a factor's own ``cum`` prefix, the same left-to-right
-product the model computes, which keeps threshold comparisons bitwise
-faithful.
+table value is a factor's own ``cum`` prefix, the same left-to-right product
+the model computes, which keeps threshold comparisons bitwise faithful.
 
-``_factor_rows`` lists, per depth, the factor-start windows reaching tau_min,
-and ``_group_depth`` builds the short tables of both index kinds from them:
-one entry per (locus partition, key) at the first factor-start slot of that
-key in the partition, where the key is an original position here and a
-document in ``listing``, whose several occurrences ``_fold`` combines into
-one score.  A long table keeps the block maxima of the same rows; it is built
-for one depth the first time a query of that length covers a whole block.
+A table is built for one length the first time a query of that length reads
+it.  ``_factor_rows`` lists, per depth, the factor-start windows reaching
+tau_min, and ``_group_depth`` makes the short tables of both index kinds from
+them (``_FactorStarts.short_table``): one entry per (locus partition, key) at
+the first factor-start slot of that key in the partition, where the key is an
+original position here and a document in ``listing``, whose several
+occurrences ``_fold`` combines into one score.  A long table keeps the block
+maxima of the same rows; its first query covers a whole block.
 """
 
 from __future__ import annotations
@@ -71,11 +71,32 @@ class IndexConfig:
 
 
 class _FactorStarts:
-    """For an index with ``tt`` and ``saidx``: its factor starts in slot order, sorted on first use."""
+    """What an index with ``tt``, ``saidx``, ``tau_min`` and ``m_short`` builds on first use and keeps.
+
+    Its factor starts in slot order, and each depth's short table in ``_short`` (None until read).
+    """
+
+    def __post_init__(self) -> None:
+        self._short: list[tuple[np.ndarray, SparseDepth] | None] = [None] * self.m_short
 
     @cached_property
     def sorted_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _sorted_factors(self.tt, self.saidx)
+
+    def short_table(self, i: int) -> tuple[np.ndarray, SparseDepth]:
+        """Depth ``i``'s entry values and their ``SparseDepth``; built on first call."""
+        table = self._short[i - 1]
+        if table is None:
+            slots, starts, values = _factor_rows(self, i)
+            occ, group, metric = self._short_keys(starts)
+            kept_slots, kept, labels = _group_depth(self.tt.codes, slots, starts, values, i, occ, group, metric)
+            table = self._short[i - 1] = (kept, SparseDepth(kept_slots, rmq_build(kept), labels))
+        return table
+
+    @property
+    def short_tables(self) -> list[tuple[np.ndarray, SparseDepth]]:
+        """Every short depth's table in depth order, building those no query has read."""
+        return [self.short_table(i) for i in range(1, self.m_short + 1)]
 
 
 @dataclass(eq=False)
@@ -83,8 +104,8 @@ class SubstringIndex(_FactorStarts):
     """Search index over one uncertain string.
 
     Its answers never change, but it caches what queries build on first use:
-    the long table of a depth in ``long_tables``, and the factor starts in
-    slot order that long queries and such tables read.
+    the short and the long table of a depth, and the factor starts in slot
+    order that long queries and both kinds of table read.
     """
 
     u: UncertainString
@@ -92,7 +113,6 @@ class SubstringIndex(_FactorStarts):
     saidx: SuffixArrayIndex
     tau_min: float
     m_short: int
-    short_tables: list[tuple[np.ndarray, SparseDepth]] = field(repr=False)
     long_tables: dict[int, tuple[np.ndarray, RmqIndex]] = field(default_factory=dict, repr=False)
 
     @property
@@ -104,6 +124,11 @@ class SubstringIndex(_FactorStarts):
     def tree(self) -> TreeView:
         """Suffix-tree view, built on first use; no query or link build reads it."""
         return TreeView(self.saidx)
+
+    def _short_keys(self, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
+        """Each row is one occurrence, reported under its original position; a partition keeps the largest."""
+        orig = self.tt.pos[starts]
+        return orig, orig, "max"
 
     def long_table(self, m: int) -> tuple[np.ndarray, RmqIndex]:
         """Depth ``m``'s block maxima, one per ``m`` slots, and their RMQ; built on first call."""
@@ -142,29 +167,24 @@ def _factor_rows(idx, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _group_depth(
-    slots: np.ndarray,
-    values: np.ndarray,
-    lcp: np.ndarray,
-    depth: int,
-    occ: np.ndarray,
-    group: np.ndarray,
-    metric: str,
+    codes: np.ndarray, slots: np.ndarray, starts: np.ndarray, values: np.ndarray, depth: int, occ, group, metric: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slots, folded values and groups of one entry per (depth partition, group), at the group's first slot.
 
-    ``slots`` are the rows' ascending 0-based slots and ``values`` their
-    values; ``occ`` names the occurrence a row stands for and ``group`` the key
-    it is reported under, and ``occ`` must order by group first and by
-    original position within a group.  Repeated occurrences in a partition are
-    dropped by one ``np.unique`` over the (partition, occurrence) key, whose
-    sorted order already lines each group up in ascending original position
-    for ``_fold``.
+    ``slots`` are the rows' ascending 0-based slots, ``starts`` the factor
+    starts at them and ``values`` their values; ``occ`` names the occurrence
+    a row stands for and ``group`` the key it is reported under, and ``occ``
+    must order by group first and by original position within a group.
+    Repeated occurrences in a partition are dropped by one ``np.unique`` over
+    the (partition, occurrence) key, whose sorted order already lines each
+    group up in ascending original position for ``_fold``.
     """
-    # partition ids of the rows only: a row opens a partition when an lcp
-    # between it and the row before falls below depth
-    pid = np.zeros(slots.size, dtype=np.int64)
-    if slots.size > 1:
-        pid[1:] = np.cumsum(np.minimum.reduceat(lcp[: slots[-1] + 1], slots[:-1] + 1) < depth)
+    # a row opens a partition when its first depth codes differ from the row
+    # before it; every row has room for depth letters, so no read leaves its factor
+    opens = np.zeros(slots.size, dtype=bool)
+    for t in range(depth):
+        opens[1:] |= codes[starts[1:] + t] != codes[starts[:-1] + t]
+    pid = np.cumsum(opens)
     span = np.int64(occ.max(initial=0)) + 1
     _, first = np.unique(pid * span + occ, return_index=True)
     p, g = pid[first], group[first]
@@ -219,18 +239,17 @@ def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None)
     cfg = config or IndexConfig()
 
     tt = transform(u, tau_min, cfg.length_cap)
-    saidx = build_suffix_array(tt.codes)
-    m_short = cfg.m_short if cfg.m_short is not None else max(1, tt.n.bit_length() - 1)
+    m_short = _pick_m_short(cfg.m_short, tt.n)
+    return SubstringIndex(u, tt, build_suffix_array(tt.codes), tau_min, m_short)
+
+
+def _pick_m_short(m_short: int | None, n: int) -> int:
+    """The short-table depth for ``n`` codes, the default for None; never above ``max(1, n)``: no pattern is longer."""
+    if m_short is None:
+        return max(1, n.bit_length() - 1)
     if m_short < 1:
         raise ValueError("m_short must be at least 1")
-
-    idx = SubstringIndex(u, tt, saidx, tau_min, m_short, [])
-    for i in range(1, m_short + 1):
-        slots, starts, values = _factor_rows(idx, i)
-        orig = tt.pos[starts]
-        kept_slots, kept, labels = _group_depth(slots, values, saidx.lcp, i, orig, orig, "max")
-        idx.short_tables.append((kept, SparseDepth(kept_slots, rmq_build(kept), labels)))
-    return idx
+    return min(m_short, max(1, n))
 
 
 def _collect(idx, ranges: list[tuple[int, int]], m: int, floor: float, key) -> dict:
@@ -278,7 +297,7 @@ def _run(idx: SubstringIndex, p: str, tau: float) -> tuple[list[int], list[float
     m = len(p)
 
     if m <= idx.m_short:
-        values, depth = idx.short_tables[m - 1]
+        values, depth = idx._short[m - 1] or idx.short_table(m)
         hits = depth.report(sp, ep, tau, stats)
         if len(hits) > _FEW:
             found = depth.labels[hits]

@@ -491,7 +491,9 @@ class SparseDepth:
     ``int32``; ``rmq`` is built over their values, one per slot.  ``labels``
     (``int32``) names what each entry reports: the original position
     (substring index) or the document (listing index) of the text offset at
-    its slot.  A depth without entries holds empty arrays.
+    its slot.  A depth without entries holds empty arrays.  Nothing of it is
+    stored: ``qindex._FactorStarts.short_table`` builds it the first time a
+    query of its length reads it.
     """
 
     slots: np.ndarray

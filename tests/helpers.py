@@ -254,6 +254,14 @@ def reference_dedup_depth(values, lcp, orig, depth: int, n_orig: int):
     return (keep + 1).astype(np.int32), values[keep]
 
 
+def _reference_factor_starts(tt, saidx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending 0-based slots of the factor starts, the starts and their run lengths, via the inverse suffix array."""
+    starts, ends = tt.factor_runs()
+    slots = slot_of(saidx)[starts] - 1
+    order = np.argsort(slots)
+    return slots[order], starts[order], (ends - starts)[order]
+
+
 def reference_long_tables(tt, saidx, tau_min: float, m_short: int) -> dict[int, np.ndarray]:
     """Block maxima of every depth m_short < i <= the longest factor, all built at once.
 
@@ -261,10 +269,7 @@ def reference_long_tables(tt, saidx, tau_min: float, m_short: int) -> dict[int, 
     first read: per depth, the factor-start windows reaching tau_min, folded
     into one maximum per i slots by ``np.maximum.at``.
     """
-    starts, ends = tt.factor_runs()
-    slots = slot_of(saidx)[starts] - 1
-    order = np.argsort(slots)
-    slots, starts, room = slots[order], starts[order], (ends - starts)[order]
+    slots, starts, room = _reference_factor_starts(tt, saidx)
     tables = {}
     for i in range(m_short + 1, tt.longest_factor + 1):
         live = room >= i
@@ -274,6 +279,58 @@ def reference_long_tables(tt, saidx, tau_min: float, m_short: int) -> dict[int, 
         np.maximum.at(pb, slots[live][keep] // i, values[keep])
         tables[i] = pb
     return tables
+
+
+def reference_short_tables(idx) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Values, slots and labels of every short depth 1..m_short of either index kind, all built at once.
+
+    The eager loop of both builds before short tables were built on first
+    read: per depth, the factor-start windows reaching tau_min in slot order;
+    a row opens a partition when an LCP between it and the row before falls
+    below the depth; one entry per (partition, key) at the key's first slot,
+    its occurrences folded in ascending original position.  The key is the
+    original position (substring, metric ``max``) or the document (listing).
+    """
+    tt, lcp = idx.tt, idx.saidx.lcp
+    all_slots, all_starts, room = _reference_factor_starts(tt, idx.saidx)
+    listing = hasattr(idx, "doc_of")
+    span = np.int64(max((d.n for d in idx.collection.docs), default=0) + 1) if listing else None
+    tables = []
+    for i in range(1, idx.m_short + 1):
+        live = room >= i
+        values = tt.cum[all_starts[live] + i - 1]
+        keep = values >= idx.tau_min
+        slots, starts, values = all_slots[live][keep], all_starts[live][keep], values[keep]
+        if listing:
+            group = idx.doc_of[starts]
+            occ, metric = group * span + tt.pos[starts], idx.metric
+        else:
+            occ = group = tt.pos[starts]
+            metric = "max"
+        pid = np.zeros(slots.size, dtype=np.int64)
+        if slots.size > 1:
+            pid[1:] = np.cumsum(np.minimum.reduceat(lcp[: slots[-1] + 1], slots[:-1] + 1) < i)
+        _, first = np.unique(pid * (np.int64(occ.max(initial=0)) + 1) + occ, return_index=True)
+        p, g = pid[first], group[first]
+        head = np.ones(first.size, dtype=bool)
+        head[1:] = (p[1:] != p[:-1]) | (g[1:] != g[:-1])
+        heads = np.flatnonzero(head)
+        first_slot = np.minimum.reduceat(slots[first], heads)
+        order = np.argsort(first_slot)
+        kept = (first_slot[order] + 1).astype(np.int32)
+        tables.append((_fold(values[first], heads, metric)[order], kept, g[heads][order].astype(np.int32)))
+    return tables
+
+
+def check_short_tables(idx) -> None:
+    """Every short depth of ``idx`` equals ``reference_short_tables``' bit for bit, values, slots and labels."""
+    want = reference_short_tables(idx)
+    assert len(idx.short_tables) == len(want) == idx.m_short
+    for (values, depth), (w_values, w_slots, w_labels) in zip(idx.short_tables, want):
+        assert values.dtype == np.float64 and values.tobytes() == w_values.tobytes()
+        assert depth.slots.dtype == np.int32 and np.array_equal(depth.slots, w_slots)
+        assert depth.labels.dtype == np.int32 and np.array_equal(depth.labels, w_labels)
+        assert depth.rmq.values is values
 
 
 def reference_factor_hits(tt, sa, ranges: list[tuple[int, int]], m: int, floor: float):

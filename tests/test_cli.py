@@ -163,7 +163,7 @@ def test_tampered_listing_manifest_exits_two(field, value, collection_file, tmp_
         "manifest not an object",
         "manifest tau_min a list",
         "codes too short",
-        "short value NaN",
+        "link value NaN",
         "cum NaN",
         "link origins reversed",
         "sa swapped",
@@ -178,13 +178,13 @@ def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, ca
         path.write_bytes(b"not a container")
     else:
         if damage == "missing member":
-            del entries["short_1.npy"]
+            del entries["cum.npy"]
         elif damage == "codes too short":
             buf = io.BytesIO()
             np.save(buf, np.arange(3, dtype=np.int64))
             entries["codes.npy"] = buf.getvalue()
-        elif damage in ("short value NaN", "cum NaN"):
-            member = "short_1.npy" if damage == "short value NaN" else "cum.npy"
+        elif damage in ("link value NaN", "cum NaN"):
+            member = "link_stored.npy" if damage == "link value NaN" else "cum.npy"
             values = np.load(io.BytesIO(entries[member]))
             values[0] = np.nan
             buf = io.BytesIO()

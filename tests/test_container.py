@@ -37,6 +37,8 @@ from ustrindex import (
     serialize_ust,
 )
 
+from helpers import check_short_tables
+
 
 def patterns_for(u, seed: int) -> list[str]:
     rng = random.Random(seed)
@@ -140,6 +142,25 @@ def test_load_rejects_other_format_versions(genome, tmp_path):
             load_container(path)
 
 
+def test_load_rejects_a_version_5_container_with_stored_short_tables(genome, tmp_path):
+    path = str(tmp_path / "v5.usi")
+    container = build_container([genome], 0.1, m_short=2)
+    save_container(container, path)
+    entries = _entries(path)
+    manifest = json.loads(entries["manifest.json"])
+    manifest["format_version"] = 5
+    entries["manifest.json"] = json.dumps(manifest).encode()
+    # version 5 stored each short depth's values and slots
+    for i, (values, depth) in enumerate(container.substring.short_tables, start=1):
+        for name, arr in ((f"short_{i}", values), (f"short_{i}_slots", depth.slots)):
+            buf = io.BytesIO()
+            np.save(buf, arr)
+            entries[f"{name}.npy"] = buf.getvalue()
+    _rewrite(path, entries)
+    with pytest.raises(ContainerError, match="unsupported container version 5"):
+        load_container(path)
+
+
 def test_load_rejects_a_file_that_is_not_a_zip(tmp_path):
     path = tmp_path / "junk.usi"
     path.write_bytes(b"not a container")
@@ -151,9 +172,9 @@ def test_load_rejects_a_container_missing_a_member(genome, tmp_path):
     path = str(tmp_path / "m.usi")
     save_container(build_container([genome], 0.1), path)
     entries = _entries(path)
-    del entries["short_1.npy"]
+    del entries["cum.npy"]
     _rewrite(path, entries)
-    with pytest.raises(ContainerError, match="short_1"):
+    with pytest.raises(ContainerError, match="cum"):
         load_container(path)
 
 
@@ -244,6 +265,24 @@ def test_load_rejects_a_manifest_m_short_out_of_range_at_once(kind, m_short, gen
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("kind", ["substring", "listing"])
+def test_m_short_is_bounded_by_the_text_length(kind, genome, collection, tmp_path):
+    container = build_container([genome] if kind == "substring" else list(collection.docs), 0.1, m_short=10**6)
+    n = (container.substring or container.listing).tt.n
+    path = str(tmp_path / "b.usi")
+    save_container(container, path)
+    # a build lowers the override to the text length, so the container it writes loads
+    for c in (container, load_container(path)):
+        assert (c.substring or c.listing).m_short == n
+    entries = _entries(path)
+    manifest = json.loads(entries["manifest.json"])
+    manifest["m_short"] = n + 1
+    entries["manifest.json"] = json.dumps(manifest).encode()
+    _rewrite(path, entries)
+    with pytest.raises(ContainerError, match=rf"manifest m_short {n + 1} is not in \[1, {n}\]"):
+        load_container(path)
+
+
 @pytest.mark.parametrize("kind", ["substring", "listing", "links"])
 def test_an_empty_transformed_text_round_trips_and_answers_nothing(kind, tmp_path):
     # every window of two even positions is below tau_min 0.9, so no factor survives
@@ -259,8 +298,9 @@ def test_an_empty_transformed_text_round_trips_and_answers_nothing(kind, tmp_pat
     save_container(container, path)
     for c in (container, load_container(path)):
         idx = c.substring or c.listing
-        assert idx.tt.n == 0 and idx.m_short == 3
-        assert [(v.size, d.slots.size) for v, d in idx.short_tables] == [(0, 0)] * 3
+        # no table is deeper than the text has codes, or 1
+        assert idx.tt.n == 0 and idx.m_short == 1
+        assert [(v.size, d.slots.size) for v, d in idx.short_tables] == [(0, 0)]
         for p in ("a", "ab", "aba", "abab"):
             if kind == "listing":
                 assert list_items(c.listing, p, 0.9) == []
@@ -356,7 +396,7 @@ def test_load_rejects_a_substring_manifest_with_two_sources(genome, correlated, 
         ("substring", "codes"),
         ("substring", "pos"),
         ("substring", "cum"),
-        ("substring", "short_2"),
+        ("listing", "pos"),
         ("substring", "link_tdepth"),
         ("substring", "sa"),
         ("listing", "doc_factors"),
@@ -489,8 +529,8 @@ def _set_first(mask, value):
         ("substring", "sa", np.int64),
         ("substring", "pos", np.int32),
         ("substring", "cum", np.float32),
-        ("substring", "short_1", np.float32),
-        ("substring", "short_1_slots", np.int64),
+        ("listing", "cum", np.float32),
+        ("listing", "pos", np.int32),
         ("listing", "doc_factors", np.float64),
         ("links", "link_origin", np.int32),
         ("links", "link_pos", np.float64),
@@ -506,48 +546,61 @@ def test_load_rejects_an_array_of_the_wrong_dtype(kind, member, dtype, genome, c
 
 
 @pytest.mark.parametrize(
-    "change",
+    "change, what",
     [
-        lambda a: a[::-1].copy(),
-        lambda a: np.concatenate([a[:1], a[:-1]]),  # a repeated slot
-        _set_first(lambda a: a == a, 0),
-        _set_first(lambda a: a == a.max(), 10**6),
+        (lambda a: a[::-1].copy(), "does not sort the suffixes"),
+        (lambda a: np.concatenate([a[:1], a[:-1]]), "is not a permutation"),  # a repeated offset
+        (_set_first(lambda a: a == a, 0), "is not a permutation"),
+        (_set_first(lambda a: a == a.max(), 10**6), "is not a permutation"),
     ],
     ids=["reversed", "repeated", "zero", "past n"],
 )
-def test_load_rejects_slots_out_of_order_or_range(change, genome, collection, tmp_path):
-    path = _tampered("substring", "short_2_slots", change, genome, collection, tmp_path)
-    with pytest.raises(ContainerError, match="short_2_slots holds slots"):
+def test_load_rejects_slots_out_of_order_or_range(change, what, genome, collection, tmp_path):
+    # a short table's slots are the ranks ``sa`` gives the factor starts, so a
+    # suffix array that puts slots out of order or range is rejected before any table is built
+    path = _tampered("substring", "sa", change, genome, collection, tmp_path)
+    with pytest.raises(ContainerError, match=f"the stored suffix array {what}"):
         load_container(path)
 
 
-def test_load_rejects_slots_and_values_of_different_lengths(genome, collection, tmp_path):
-    path = _tampered("substring", "short_2_slots", lambda a: a[:-1], genome, collection, tmp_path)
-    with pytest.raises(ContainerError, match="short_2 has shape"):
-        load_container(path)
+@pytest.mark.parametrize("kind", ["substring", "listing-max", "listing-or", "listing-orx"])
+def test_short_tables_of_a_built_and_a_loaded_index_equal_the_eager_reference(kind, genome, collection, tmp_path):
+    if kind == "substring":
+        container = build_container([genome], 0.1, epsilon=0.05)
+    else:
+        container = build_container(list(collection.docs), 0.05, metric=kind.split("-")[1])
+    path = str(tmp_path / "ref.usi")
+    save_container(container, path)
+    for c in (container, load_container(path)):
+        check_short_tables(c.substring or c.listing)
 
 
 @pytest.mark.parametrize("kind", ["substring", "listing"])
-@pytest.mark.parametrize("bad", [0.0, -0.25, 1.5, np.nan])
-def test_load_rejects_a_short_value_outside_the_unit_interval(kind, bad, genome, collection, tmp_path):
-    path = _tampered(kind, "short_1", _set_first(lambda a: a == a, bad), genome, collection, tmp_path)
-    with pytest.raises(ContainerError, match="short_1 holds a value outside"):
+@pytest.mark.parametrize("bad", [-0.25, 1.5, np.inf, np.nan])
+def test_load_rejects_a_factor_start_cum_outside_the_unit_interval(kind, bad, genome, collection, tmp_path):
+    # cum at the text's first offset is the first factor's depth-1 value, which a short table reads
+    path = _tampered(kind, "cum", _set_first(lambda a: a == a, bad), genome, collection, tmp_path)
+    with pytest.raises(ContainerError, match="array cum holds a probability outside"):
         load_container(path)
 
 
-def test_listing_or_scores_may_exceed_one_but_not_be_nan(collection, tmp_path):
+def test_listing_or_scores_may_exceed_one_but_not_be_nan(tmp_path):
+    # four certain "a"s: the "or" score of "a" folds four occurrences of 1.0 into 4 - 1 = 3
+    docs = [UncertainString("aaaa", tuple({"a": 1.0} for _ in range(4))), UncertainString("b", ({"b": 1.0},))]
+    container = build_container(docs, 0.1, metric="or")
     path = str(tmp_path / "or.usi")
-    save_container(build_container(list(collection.docs), 0.1, metric="or"), path)
+    save_container(container, path)
+    for c in (container, load_container(path)):
+        values, _ = c.listing.short_table(1)
+        assert values.max() > 1.0
+        assert list_items(c.listing, "a", 0.5) == [("aaaa", 3.0)]
     entries = _entries(path)
-    for bad, ok in ((1.5, True), (np.inf, False), (np.nan, False)):
+    for bad in (np.inf, np.nan):
         buf = io.BytesIO()
-        np.save(buf, _set_first(lambda a: a == a, bad)(np.load(io.BytesIO(entries["short_1.npy"]))))
-        _rewrite(path, {**entries, "short_1.npy": buf.getvalue()})
-        if ok:
+        np.save(buf, _set_first(lambda a: a == a, bad)(np.load(io.BytesIO(entries["cum.npy"]))))
+        _rewrite(path, {**entries, "cum.npy": buf.getvalue()})
+        with pytest.raises(ContainerError, match="array cum holds a probability outside"):
             load_container(path)
-        else:
-            with pytest.raises(ContainerError, match="short_1 holds a value outside"):
-                load_container(path)
 
 
 def _empty_first_factor(a):

@@ -37,8 +37,12 @@ from ustrindex import (
     save_container,
 )
 
+from ustrindex import qindex
+
 from helpers import (
+    check_short_tables,
     partition_entries,
+    random_distribution,
     random_ustring,
     reference_dedup_depth,
     reference_long_tables,
@@ -223,6 +227,73 @@ def test_a_long_table_is_built_only_when_a_query_reads_it(genome, tmp_path):
         want = QueryStats(rmq_calls=1, block_scans=5, outputs=1, slots_scanned=3)
         assert query_with_stats(idx, "PQP", 0.3) == ([4], want)
         assert sorted(idx.long_tables) == [2, 3]
+
+
+@pytest.mark.parametrize("kind", ["substring", "listing"])
+def test_neither_a_build_nor_a_load_builds_a_short_table(kind, genome, collection, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(qindex, "_group_depth", lambda *args: calls.append(args[4]))
+    docs = [genome] if kind == "substring" else list(collection.docs)
+    path = str(tmp_path / "n.usi")
+    container = build_container(docs, 0.1)
+    save_container(container, path)
+    for c in (container, load_container(path)):
+        idx = c.substring or c.listing
+        assert idx._short == [None] * idx.m_short
+    assert calls == []
+
+
+def test_a_short_query_builds_its_depth_once_and_no_other(genome, collection, tmp_path, monkeypatch):
+    calls = []
+    inner = qindex._group_depth
+
+    def counted(*args):
+        calls.append(args[4])  # the depth
+        return inner(*args)
+
+    monkeypatch.setattr(qindex, "_group_depth", counted)
+    for k, docs in enumerate(([genome], list(collection.docs))):
+        path = str(tmp_path / f"{k}.usi")
+        save_container(build_container(docs, 0.1, m_short=3), path)
+        loaded = load_container(path)
+        idx = loaded.substring or loaded.listing
+        runs = idx.tt.text.split("$")
+        patterns = sorted({r[b : b + 2] for r in runs for b in range(len(r) - 1)})
+        for q in range(100):
+            p = patterns[q % len(patterns)]
+            if loaded.substring is not None:
+                query_with_stats(idx, p, 0.1)
+            else:
+                list_items(idx, p, 0.1)
+        assert calls == [2]
+        assert [t is not None for t in idx._short] == [False, True, False]
+        calls.clear()
+
+
+def _one_letter_runs(rng: random.Random, name: str) -> UncertainString:
+    """Runs of one letter, mostly certain, so that many factor starts share long prefixes."""
+    positions: list[dict[str, float]] = []
+    for _ in range(rng.randint(1, 4)):
+        letter = rng.choice("ab")
+        for _ in range(rng.randint(1, 12)):
+            positions.append({letter: 1.0} if rng.random() < 0.8 else random_distribution(rng, "ab", 2))
+    return UncertainString(name, tuple(positions))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_short_tables_on_demand_match_the_eager_reference_on_long_runs(seed):
+    rng = random.Random(seed)
+    docs = [_one_letter_runs(rng, f"d{k}") for k in range(3)]
+    tau_min = rng.choice((0.1, 0.2, 0.3))
+    m_short = rng.choice((None, 1, 2))
+    containers = [build_container(docs[:1], tau_min, m_short=m_short)]
+    containers += [build_container(docs, tau_min, metric=metric, m_short=m_short) for metric in METRICS]
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, container in enumerate(containers):
+            save_container(container, f"{tmp}/{k}.usi")
+            for c in (container, load_container(f"{tmp}/{k}.usi")):
+                check_short_tables(c.substring or c.listing)
 
 
 def test_a_non_monotone_string_stores_nothing_below_tau_min():
