@@ -1,39 +1,53 @@
 """Self-describing on-disk container for built indexes.
 
 The file is a zip archive holding ``manifest.json`` plus one ``.npy`` entry
-per stored array.  Format version 6 stores only what a load cannot derive
+per stored array.  Format version 7 stores only what a load cannot derive
 cheaply: ``codes`` and the suffix array ``sa`` as ``int32``, ``cum``, one
 start per factor in ``pos`` and, for listing, one factor count per document
 in ``doc_factors``; approximate links keep their origin as a suffix-array
-slot in ``link_origin``.  No table is stored: both index kinds build a short
-table, and a substring index a long one, per length the first time a query
-reads it, from ``cum`` at the slot-sorted factor starts, so a reopened index
-answers queries bit for bit like the one that was saved.  Loading never
-sorts: it accepts ``sa`` after the linear check of
+slot in ``link_origin``.  The manifest holds the source UST text and, in
+``documents``, each document's name and length in collection order, and
+``digests`` the SHA-256 of every ``.npy`` member, of the source and of the
+other manifest fields.  No table is stored: both index kinds build a short table, and a
+substring index a long one, per length the first time a query reads it,
+from ``cum`` at the slot-sorted factor starts, so a reopened index answers
+queries bit for bit like the one that was saved.
+
+A load never parses the source: queries and the load checks read only the
+names and lengths, and the text is parsed, once, the first time something
+reads the strings (``SubstringIndex.u``, ``ListingIndex.collection`` or
+``TransformedText.source``).  A source that does not parse, or whose names
+and lengths differ from ``documents``, raises ``ContainerError`` then.
+Loading never sorts: it accepts ``sa`` after the linear check of
 ``textcore.check_suffix_array`` and rebuilds the per-code positions (and
 documents) from the factor runs.  A load builds no table, no LCP array and no
 suffix-tree view.  A file that is not such an archive, is of another
 version, lacks a member, holds an unreadable member, a manifest with a field
 of the wrong JSON type, an ``m_short`` below 1 or above the stored text
-length (at least 1), a ``tau_min`` or ``epsilon`` outside (0, 1] or an
-unknown listing metric, or an array whose dtype, length or contents do not
-fit the index raises ``ContainerError`` before anything is built.
+length (at least 1), a ``tau_min`` or ``epsilon`` outside (0, 1], an
+unknown listing metric or ``documents`` that repeat a name or hold a length
+below 1, or an array whose dtype, length or contents do not fit the index
+raises ``ContainerError`` before anything is built; so does a member or
+manifest field that differs from its digest, checked after the rest so that
+a damaged member is named by what is wrong with it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import zipfile
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .approx import LinkIndex, build_links, partition_links
-from .errors import ContainerError
+from .errors import ContainerError, ParseError
 from .factorize import TransformedText
 from .listing import METRICS, ListingConfig, ListingIndex, build_listing
-from .model import DocumentCollection, UncertainString
+from .model import DocumentCollection, Documents, UncertainString
 from .qindex import IndexConfig, SubstringIndex, build
 from .textcore import (  # noqa: F401 - perfbench wraps TreeView, build_suffix_array and rmq_build
     TreeView,
@@ -45,7 +59,7 @@ from .ustformat import parse_ust, serialize_ust
 
 __all__ = ["FORMAT_VERSION", "IndexContainer", "build_container", "load_container", "save_container"]
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 _MAX_CODE = 0x10FFFF  # the largest code point; separators are -1 down to -n
 # member suffixes of the link arrays, in ``LinkIndex`` field order
@@ -111,19 +125,21 @@ def save_container(container: IndexContainer, path: str) -> None:
     if container.kind == "substring":
         idx = container.substring
         assert idx is not None
-        manifest["source"] = serialize_ust(idx.u)
         manifest["m_short"] = idx.m_short
         tt, saidx = idx.tt, idx.saidx
     elif container.kind == "listing":
         lidx = container.listing
         assert lidx is not None
-        manifest["source"] = serialize_ust(lidx.collection)
         manifest["m_short"] = lidx.m_short
         tt, saidx = lidx.tt, lidx.saidx
         # documents are concatenated in order, so a count per document places every factor
         arrays["doc_factors"] = tt.doc_factors
     else:
         raise ValueError(f"unknown container kind {container.kind!r}")
+    docs = tt.documents
+    manifest["documents"] = [[name, n] for name, n in zip(docs.names, docs.lengths)]
+    # a loaded index keeps the text it was read from, so saving it again parses nothing
+    manifest["source"] = serialize_ust(docs.strings) if docs.text is None else docs.text
 
     if tt.n > np.iinfo(np.int32).max:
         raise ValueError(f"a transformed text of {tt.n} codes does not fit the int32 members")
@@ -136,13 +152,31 @@ def save_container(container: IndexContainer, path: str) -> None:
         for a, arr in zip(_LINK_ARRAYS, (ln.origin, ln.pos_id, ln.stored, ln.o_depth, ln.t_depth)):
             arrays[f"link_{a}"] = arr
 
+    members = {}
     # stored uncompressed so file size reflects the structures themselves
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
-        zf.writestr("manifest.json", json.dumps(manifest, indent=2))
         for name, arr in arrays.items():
             buf = io.BytesIO()
             np.save(buf, arr, allow_pickle=False)
+            members[f"{name}.npy"] = _sha256(buf.getvalue())
             zf.writestr(f"{name}.npy", buf.getvalue())
+        # last, since it records the members' digests
+        manifest["digests"] = _digests(manifest, members)
+        zf.writestr("manifest.json", json.dumps(manifest, indent=2))
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _digests(manifest: dict, members: dict[str, str]) -> dict[str, str]:
+    """The members' SHA-256 plus that of the stored source and of every other manifest field but the digests."""
+    fields = {k: v for k, v in manifest.items() if k not in ("source", "digests")}
+    return {
+        **members,
+        "source": _sha256(manifest["source"].encode()),
+        "manifest": _sha256(json.dumps(fields, sort_keys=True).encode()),
+    }
 
 
 def load_container(path: str) -> IndexContainer:
@@ -150,22 +184,24 @@ def load_container(path: str) -> IndexContainer:
     try:
         with zipfile.ZipFile(path) as zf:
             manifest = json.loads(zf.read("manifest.json"))
-            arrays = {
-                name[: -len(".npy")]: np.load(io.BytesIO(zf.read(name)), allow_pickle=False)
-                for name in zf.namelist()
-                if name.endswith(".npy")
-            }
-        return _assemble(manifest, arrays)
+            arrays, members = {}, {}
+            for name in zf.namelist():
+                if name.endswith(".npy"):
+                    # one member's bytes at a time, so a load holds no second copy of the arrays
+                    data = zf.read(name)
+                    members[name] = _sha256(data)
+                    arrays[name[: -len(".npy")]] = np.load(io.BytesIO(data), allow_pickle=False)
+        return _assemble(manifest, arrays, members)
     except (zipfile.BadZipFile, KeyError, ValueError) as exc:
         raise ContainerError(f"{path} is not a sound index container: {exc}") from exc
 
 
-def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], docs) -> np.ndarray:
+def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], lengths: list[int]) -> np.ndarray:
     """Every stored array has the dtype, length and contents the index layout implies.
 
     Runs before anything is built, so a tampered array raises ContainerError
-    instead of a traceback or a silently wrong answer later.  Returns each
-    factor's 0-based text offset.
+    instead of a traceback or a silently wrong answer later.  ``lengths`` are
+    the documents' lengths.  Returns each factor's 0-based text offset.
     """
     listing = manifest["kind"] == "listing"
     dtypes = {"codes": np.int32, "sa": np.int32, "pos": np.int64, "cum": np.float64}
@@ -182,7 +218,7 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], docs) -> np.nda
     ends = np.flatnonzero(codes < 0)
     want = {"codes": n, "sa": n, "cum": n, "pos": ends.size}
     if listing:
-        want["doc_factors"] = len(docs)
+        want["doc_factors"] = len(lengths)
     elif manifest["epsilon"] is not None:
         want |= {f"link_{a}": arrays["link_origin"].size for a in _LINK_ARRAYS}
     for name, length in want.items():
@@ -206,9 +242,9 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], docs) -> np.nda
     counts = arrays["doc_factors"] if listing else np.array([ends.size])
     if np.any((counts < 0) | (counts > ends.size)) or counts.sum() != ends.size:
         raise bad("doc_factors", "factor counts that are negative or do not sum to the factors")
-    doc = np.repeat(np.arange(len(docs)), counts)
+    doc = np.repeat(np.arange(len(lengths)), counts)
     # a factor's run must fit its document: start in [1, n_doc - run length + 1]
-    first, last = arrays["pos"], np.array([d.n for d in docs], dtype=np.int64)[doc] - (ends - starts) + 1
+    first, last = arrays["pos"], np.array(lengths, dtype=np.int64)[doc] - (ends - starts) + 1
     if np.any((np.diff(first) < 0) & (np.diff(doc) == 0)):
         raise bad("pos", "factor starts that decrease within a document")
     if np.any((first < 1) | (first > last)):
@@ -217,7 +253,7 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], docs) -> np.nda
         origin = arrays["link_origin"]
         if origin.size and (origin[0] < 1 or origin[-1] > n or np.any(origin[1:] < origin[:-1])):
             raise bad("link_origin", "origins that are not non-decreasing within [1, n]")
-        if np.any((arrays["link_pos"] < 1) | (arrays["link_pos"] > docs[0].n)):
+        if np.any((arrays["link_pos"] < 1) | (arrays["link_pos"] > lengths[0])):
             raise bad("link_pos", "a position outside its source string")
         if np.any((arrays["link_tdepth"] < 0) | (arrays["link_tdepth"] >= arrays["link_odepth"])):
             raise bad("link_tdepth", "a depth interval that is not 0 <= target < origin")
@@ -234,8 +270,50 @@ def _field(manifest: dict, name: str, *types: type):
     return value
 
 
-def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
-    """Reopen the index a manifest and its arrays describe; a missing entry raises KeyError."""
+def _documents(manifest: dict, kind: str) -> tuple[list[str], list[int]]:
+    """The names and lengths the ``documents`` pairs hold: each name once, each length at least 1."""
+    pairs = _field(manifest, "documents", list)
+    if not all(isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and type(p[1]) is int for p in pairs):
+        raise ContainerError("manifest documents holds an entry that is not a [name, length] pair")
+    names, lengths = [p[0] for p in pairs], [p[1] for p in pairs]
+    if len(set(names)) != len(names):
+        raise ContainerError("manifest documents names a document twice")
+    if not all(n >= 1 for n in lengths):
+        raise ContainerError("manifest documents holds a length below 1")
+    if kind == "substring" and len(pairs) != 1:
+        raise ContainerError(f"a substring container holds one source string, not {len(pairs)}")
+    if not pairs:
+        raise ContainerError("manifest documents names no document")
+    return names, lengths
+
+
+def _check_digests(manifest: dict, members: dict[str, str]) -> None:
+    """The manifest records the digest of each member, of the source and of its other fields."""
+    want = _field(manifest, "digests", dict)
+    found = _digests(manifest, members)
+    for name in sorted(want.keys() | found.keys()):
+        if name not in want:
+            raise ContainerError(f"member {name} has no digest")
+        if want[name] != found.get(name):
+            raise ContainerError(f"{name} does not match its digest")
+
+
+def _parse_source(text: str, names: list[str], lengths: list[int]) -> list[UncertainString]:
+    """The documents of a loaded index, parsed from its stored UST ``text`` on first read."""
+    try:
+        docs = parse_ust(text)
+    except ParseError as exc:
+        raise ContainerError(f"the stored source does not parse: {exc}") from exc
+    if [d.name for d in docs] != names or [d.n for d in docs] != lengths:
+        raise ContainerError("the stored source does not hold the documents the manifest names")
+    return docs
+
+
+def _assemble(manifest: dict, arrays: dict[str, np.ndarray], members: dict[str, str]) -> IndexContainer:
+    """Reopen the index a manifest and its arrays describe; a missing entry raises KeyError.
+
+    ``members`` maps each ``.npy`` member's name to its SHA-256.
+    """
     if not isinstance(manifest, dict):
         raise ContainerError("the container manifest is not a JSON object")
     version = manifest.get("format_version")
@@ -246,7 +324,7 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
         raise ContainerError(f"unknown container kind {kind!r}")
     tau_min = float(_field(manifest, "tau_min", str, int, float))
     _field(manifest, "epsilon", str, int, float, type(None))
-    docs = parse_ust(_field(manifest, "source", str))
+    source = _field(manifest, "source", str)
     m_short = _field(manifest, "m_short", int)
     # a build takes no deeper tables than the text has codes (see qindex._pick_m_short)
     top = max(1, arrays["codes"].size)
@@ -257,21 +335,21 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
             raise ContainerError(f"manifest {name} {manifest[name]!r} is not in (0, 1]")
     if kind == "listing" and manifest["metric"] not in METRICS:
         raise ContainerError(f"manifest metric {manifest['metric']!r} is not one of {', '.join(METRICS)}")
-    if kind == "substring" and len(docs) != 1:
-        raise ContainerError(f"a substring container holds one source string, not {len(docs)}")
-    starts = _check_shapes(manifest, arrays, docs)
+    names, lengths = _documents(manifest, kind)
+    starts = _check_shapes(manifest, arrays, lengths)
     # widened, so a loaded index holds the dtypes a built one does
     codes, cum = arrays["codes"].astype(np.int64), arrays["cum"]
     saidx = check_suffix_array(codes, arrays["sa"].astype(np.int64))
+    _check_digests(manifest, members)
     # each factor run and its separator: positions count up from the factor's start, 0 at the separator
     width = np.diff(starts, append=codes.size)
     pos = np.arange(codes.size) - np.repeat(starts - arrays["pos"], width)
     pos[codes < 0] = 0
-    text_of = {"source": docs[0]} if kind == "substring" else {"doc_factors": arrays["doc_factors"]}
-    tt = TransformedText(codes, pos, cum, tau_min, **text_of)
+    docs = Documents(names, lengths, partial(_parse_source, source, names, lengths), text=source)
+    tt = TransformedText(codes, pos, cum, tau_min, docs, arrays["doc_factors"] if kind == "listing" else None)
 
     if kind == "substring":
-        idx = SubstringIndex(docs[0], tt, saidx, tau_min, m_short)
+        idx = SubstringIndex(tt, saidx, tau_min, m_short)
         links = None
         epsilon = None
         if manifest["epsilon"] is not None:
@@ -279,6 +357,5 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray]) -> IndexContainer:
             links = LinkIndex(tt, saidx, tau_min, epsilon, *(arrays[f"link_{a}"] for a in _LINK_ARRAYS))
         return IndexContainer("substring", tau_min, substring=idx, links=links, epsilon=epsilon)
 
-    collection = DocumentCollection(tuple(docs))
-    lidx = ListingIndex(collection, manifest["metric"], tau_min, tt, tt.doc_of(), saidx, m_short)
+    lidx = ListingIndex(manifest["metric"], tau_min, tt, tt.doc_of(), saidx, m_short)
     return IndexContainer("listing", tau_min, listing=lidx, metric=lidx.metric)

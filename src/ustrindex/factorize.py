@@ -30,7 +30,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapacityError
-from .model import Correlation, DocumentCollection, UncertainString, occurrence_probability
+from .model import Correlation, DocumentCollection, Documents, UncertainString, occurrence_probability
 
 __all__ = [
     "MaximalFactor",
@@ -351,18 +351,26 @@ class TransformedText:
     at ``i`` (-1 at separators).  Each factor is one separator-delimited run of
     the text, so ``factor_table`` is derived from these arrays on demand.  A
     collection's text counts the factors of each document in ``doc_factors``.
+    ``documents`` names the strings the text was made from.
     """
 
     codes: np.ndarray
     pos: np.ndarray
     cum: np.ndarray
     tau_min: float
-    source: UncertainString | None = None
+    documents: Documents | None = None
     doc_factors: np.ndarray | None = None
 
     @property
     def n(self) -> int:
         return len(self.codes)
+
+    @property
+    def source(self) -> UncertainString | None:
+        """The one string a single-string text was made from, read on first use; None for a collection's."""
+        if self.documents is None or self.doc_factors is not None:
+            return None
+        return self.documents.strings[0]
 
     @property
     def text(self) -> str:
@@ -526,9 +534,9 @@ def transform(
     start -= first[doc_at[start - 1]]
     pos = np.repeat(start - heads, lens + 1) + np.arange(n)
     pos[ends] = 0
-    if isinstance(u, DocumentCollection):
-        return TransformedText(codes, pos, cum, tau_min, doc_factors=factors)
-    return TransformedText(codes, pos, cum, tau_min, source=u)
+    return TransformedText(
+        codes, pos, cum, tau_min, Documents.of(docs), factors if isinstance(u, DocumentCollection) else None
+    )
 
 
 def conservation_check(

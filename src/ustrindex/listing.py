@@ -81,16 +81,21 @@ class ListingIndex(_FactorStarts):
     """Listing index over a document collection; its answers never change.
 
     Like ``qindex.SubstringIndex``, it builds the short table of a depth and
-    the factor starts in slot order on first use, and keeps them.
+    the factor starts in slot order on first use, and keeps them.  Queries
+    read only the documents' names and lengths from ``tt.documents``.
     """
 
-    collection: DocumentCollection
     metric: str
     tau_min: float
     tt: TransformedText
     doc_of: np.ndarray
     saidx: SuffixArrayIndex
     m_short: int
+
+    @cached_property
+    def collection(self) -> DocumentCollection:
+        """The indexed documents; a loaded index parses them on first read."""
+        return DocumentCollection(self.tt.documents.strings)
 
     @cached_property
     def tree(self) -> TreeView:
@@ -100,7 +105,7 @@ class ListingIndex(_FactorStarts):
     def _short_keys(self, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
         """Each row is one (document, original position) occurrence, ordered by document first."""
         doc = self.doc_of[starts]
-        span = np.int64(max((d.n for d in self.collection.docs), default=0) + 1)
+        span = np.int64(max(self.tt.documents.lengths, default=0) + 1)
         return doc * span + self.tt.pos[starts], doc, self.metric
 
 
@@ -123,7 +128,7 @@ def build_listing(
 
     tt = transform(collection, tau_min, cfg.length_cap)
     m_short = _pick_m_short(cfg.m_short, tt.n)
-    return ListingIndex(collection, metric, tau_min, tt, tt.doc_of(), build_suffix_array(tt.codes), m_short)
+    return ListingIndex(metric, tau_min, tt, tt.doc_of(), build_suffix_array(tt.codes), m_short)
 
 
 def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]], QueryStats]:
@@ -150,7 +155,8 @@ def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]]
         scores = _fold(np.array([hits[o] for o in occ]), np.array(starts, dtype=np.intp), idx.metric).tolist()
         found = {occ[k][0]: v for k, v in zip(starts, scores) if v >= tau}
 
-    items = [(idx.collection.docs[k].name, found[k]) for k in sorted(found)]
+    names = idx.tt.documents.names
+    items = [(names[k], found[k]) for k in sorted(found)]
     stats.outputs = len(items)
     return items, stats
 

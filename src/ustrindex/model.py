@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, Sequence
 
 from .errors import CapacityError
 
 __all__ = [
     "Correlation",
     "DocumentCollection",
+    "Documents",
     "UncertainString",
     "enumerate_worlds",
     "occurrence_probability",
@@ -94,6 +96,36 @@ class DocumentCollection:
 
     def __len__(self) -> int:
         return len(self.docs)
+
+
+class Documents:
+    """The strings an index was made from: names and lengths at hand, the strings on first read.
+
+    A built index holds the strings themselves (``Documents.of``).  A loaded
+    one holds the stored UST ``text`` and ``read``, which parses it the first
+    time ``strings`` is read; no query reads more than names and lengths.
+    """
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        lengths: Sequence[int],
+        read: Callable[[], Sequence[UncertainString]],
+        text: str | None = None,
+    ):
+        self.names = tuple(names)
+        self.lengths = tuple(lengths)
+        self.text = text
+        self._read = read
+
+    @classmethod
+    def of(cls, strings: Sequence[UncertainString]) -> Documents:
+        strings = tuple(strings)
+        return cls([u.name for u in strings], [u.n for u in strings], lambda: strings)
+
+    @cached_property
+    def strings(self) -> tuple[UncertainString, ...]:
+        return tuple(self._read())
 
 
 def validate(u: UncertainString) -> list[str]:

@@ -108,12 +108,16 @@ class SubstringIndex(_FactorStarts):
     order that long queries and both kinds of table read.
     """
 
-    u: UncertainString
     tt: TransformedText
     saidx: SuffixArrayIndex
     tau_min: float
     m_short: int
     long_tables: dict[int, tuple[np.ndarray, RmqIndex]] = field(default_factory=dict, repr=False)
+
+    @property
+    def u(self) -> UncertainString:
+        """The indexed string; no query reads it, and a loaded index parses it on first read."""
+        return self.tt.source
 
     @property
     def l_max(self) -> int:
@@ -240,7 +244,7 @@ def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None)
 
     tt = transform(u, tau_min, cfg.length_cap)
     m_short = _pick_m_short(cfg.m_short, tt.n)
-    return SubstringIndex(u, tt, build_suffix_array(tt.codes), tau_min, m_short)
+    return SubstringIndex(tt, build_suffix_array(tt.codes), tau_min, m_short)
 
 
 def _pick_m_short(m_short: int | None, n: int) -> int:

@@ -10,6 +10,7 @@ import numpy as np
 
 from ustrindex import CapacityError, QueryStats, TransformedText, UncertainString, occurrence_probability
 from ustrindex.factorize import batch_prefix_probabilities
+from ustrindex.model import Documents
 from ustrindex.qindex import _fold
 from ustrindex.textcore import TreeView, rmq_report, suffix_range
 from ustrindex.datagen import _inject_correlations
@@ -563,5 +564,5 @@ def reference_transform(u: UncertainString, tau_min: float, length_cap: int | No
         pos=np.asarray(pos, dtype=np.int64),
         cum=np.asarray(cum, dtype=np.float64),
         tau_min=tau_min,
-        source=u,
+        documents=Documents.of((u,)),
     )

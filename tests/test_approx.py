@@ -119,7 +119,7 @@ def test_partition_links_validates_epsilon(genome):
 def test_partition_links_needs_a_source(genome):
     idx = build(genome, 0.1)
     raw = build_links(idx.tt, idx.saidx, 0.1)
-    orphaned = replace(raw, tt=replace(idx.tt, source=None))
+    orphaned = replace(raw, tt=replace(idx.tt, documents=None))
     with pytest.raises(ValueError, match="source"):
         partition_links(orphaned, 0.1)
 

@@ -162,6 +162,7 @@ def test_tampered_listing_manifest_exits_two(field, value, collection_file, tmp_
         "manifest not json",
         "manifest not an object",
         "manifest tau_min a list",
+        "manifest documents a string",
         "codes too short",
         "link value NaN",
         "cum NaN",
@@ -200,9 +201,9 @@ def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, ca
             buf = io.BytesIO()
             np.save(buf, sa)
             entries["sa.npy"] = buf.getvalue()
-        elif damage == "manifest tau_min a list":
+        elif damage in ("manifest tau_min a list", "manifest documents a string"):
             manifest = json.loads(entries["manifest.json"])
-            manifest["tau_min"] = [1]
+            manifest |= {"tau_min": [1]} if "tau_min" in damage else {"documents": "genome"}
             entries["manifest.json"] = json.dumps(manifest).encode()
         else:
             entries["manifest.json"] = b"{not json" if damage == "manifest not json" else b"[1]"

@@ -7,6 +7,7 @@ import json
 import random
 import time
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,12 +25,14 @@ from ustrindex import (
     approx_items,
     build,
     build_container,
+    build_links,
     build_listing,
     generate,
     generate_collection,
     list_items,
     list_with_stats,
     load_container,
+    partition_links,
     query_items,
     query_with_stats,
     sample_world,
@@ -58,7 +61,10 @@ def test_substring_round_trip_answers_identically(genome, tmp_path):
     assert back.tau_min == 0.1 and back.epsilon == 0.05
     # long tables are built on first read, so nothing about them is stored
     manifest = json.loads(_entries(path)["manifest.json"])
-    assert set(manifest) == {"format_version", "kind", "tau_min", "epsilon", "metric", "source", "m_short"}
+    assert set(manifest) == {
+        "format_version", "kind", "tau_min", "epsilon", "metric", "m_short", "documents", "source", "digests"
+    }
+    assert manifest["documents"] == [[genome.name, genome.n]]
     a, b = container.substring, back.substring
     assert b.tt.factor_table == a.tt.factor_table
     assert b.m_short == a.m_short and b.l_max == a.l_max
@@ -384,6 +390,7 @@ def test_load_rejects_a_substring_manifest_with_two_sources(genome, correlated, 
     entries = _entries(path)
     manifest = json.loads(entries["manifest.json"])
     manifest["source"] = serialize_ust(DocumentCollection((genome, correlated)))
+    manifest["documents"] = [[d.name, d.n] for d in (genome, correlated)]
     entries["manifest.json"] = json.dumps(manifest).encode()
     _rewrite(path, entries)
     with pytest.raises(ContainerError, match="one source string"):
@@ -743,3 +750,205 @@ def test_a_load_never_sorts_suffixes(kind, genome, collection, tmp_path, monkeyp
     assert np.array_equal(idx.tt.pos, built.tt.pos)
     if kind == "listing":
         assert np.array_equal(back.listing.doc_of, container.listing.doc_of)
+
+
+def _resealed(entries: dict[str, bytes]) -> dict[str, bytes]:
+    """``entries`` with the manifest's digests rewritten to fit them, as a tamperer who knows the format would."""
+    manifest = json.loads(entries["manifest.json"])
+    members = {name: container_module._sha256(data) for name, data in entries.items() if name.endswith(".npy")}
+    manifest["digests"] = container_module._digests(manifest, members)
+    return {**entries, "manifest.json": json.dumps(manifest).encode()}
+
+
+def _lower_first_factor_start(a):
+    """Move one factor start a position left, keeping it in its string and in order."""
+    a = a.copy()
+    k = next(k for k in range(a.size) if a[k] - 1 >= (a[k - 1] if k else 1))
+    a[k] -= 1
+    return a
+
+
+@pytest.mark.parametrize("tamper", ["tau_min lowered", "cum plausible", "pos moved"])
+def test_load_rejects_a_plausible_tamper_by_its_digest(tamper, genome, collection, tmp_path):
+    # each change keeps every load check happy, and each changes an answer
+    if tamper == "tau_min lowered":
+        path = str(tmp_path / "x.usi")
+        save_container(build_container([genome], 0.1, m_short=2), path)
+        entries = _entries(path)
+        manifest = json.loads(entries["manifest.json"]) | {"tau_min": "0.05"}
+        _rewrite(path, {**entries, "manifest.json": json.dumps(manifest).encode()})
+    elif tamper == "cum plausible":
+        path = _tampered("substring", "cum", lambda a: np.where(a > 0, a / 2, a), genome, collection, tmp_path)
+    else:
+        path = _tampered("substring", "pos", _lower_first_factor_start, genome, collection, tmp_path)
+    with pytest.raises(ContainerError, match="does not match its digest"):
+        load_container(path)
+
+
+@pytest.mark.parametrize(
+    "change, what",
+    [
+        (lambda e: {**e, "extra.npy": e["cum.npy"]}, "member extra.npy has no digest"),
+        (lambda e: {**e, "sa.npy": e["sa.npy"] + b" "}, "sa.npy does not match its digest"),
+        (lambda e: {**e, "manifest.json": e["manifest.json"].replace(b"ustr genome", b"ustr genomE")}, "source does"),
+    ],
+    ids=["member without a digest", "member padded", "source renamed"],
+)
+def test_load_rejects_a_member_or_source_that_differs_from_its_digest(change, what, genome, tmp_path):
+    path = str(tmp_path / "d.usi")
+    save_container(build_container([genome], 0.1, epsilon=0.05), path)
+    _rewrite(path, change(_entries(path)))
+    with pytest.raises(ContainerError, match=what):
+        load_container(path)
+
+
+def _with_documents(kind: str, documents, genome, collection, tmp_path) -> str:
+    path = str(tmp_path / "n.usi")
+    if kind == "substring":
+        container = build_container([genome], 0.1, epsilon=0.05)
+    else:
+        container = build_container(list(collection.docs), 0.1, metric="max")
+    save_container(container, path)
+    entries = _entries(path)
+    manifest = json.loads(entries["manifest.json"])
+    manifest["documents"] = documents(manifest["documents"])
+    _rewrite(path, {**entries, "manifest.json": json.dumps(manifest).encode()})
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind, documents, what",
+    [
+        ("substring", lambda d: "genome", "manifest documents 'genome' is of the wrong type"),
+        ("substring", lambda d: {"genome": 11}, "manifest documents .* is of the wrong type"),
+        ("substring", lambda d: [["genome", "11"]], "not a \\[name, length\\] pair"),
+        ("substring", lambda d: [["genome", True]], "not a \\[name, length\\] pair"),
+        ("listing", lambda d: [[name, n] for name, n, *_ in d] + [["d4"]], "not a \\[name, length\\] pair"),
+        ("listing", lambda d: [d[0], d[0], d[2]], "names a document twice"),
+        ("substring", lambda d: [["genome", 0]], "a length below 1"),
+        ("listing", lambda d: d[:2] + [["d3", -3]], "a length below 1"),
+        ("substring", lambda d: [], "one source string, not 0"),
+        ("substring", lambda d: d + [["other", 4]], "one source string, not 2"),
+        ("listing", lambda d: [], "names no document"),
+        ("listing", lambda d: d[:2], "array doc_factors has shape \\(3,\\), expected \\(2,\\)"),
+        ("listing", lambda d: d + [["d4", 2]], "array doc_factors has shape \\(3,\\), expected \\(4,\\)"),
+    ],
+    ids=[
+        "a string",
+        "an object",
+        "a length as a string",
+        "a length as a boolean",
+        "a pair cut short",
+        "a name twice",
+        "a zero length",
+        "a negative length",
+        "no substring document",
+        "two substring documents",
+        "no listing document",
+        "fewer than doc_factors",
+        "more than doc_factors",
+    ],
+)
+def test_load_rejects_bad_manifest_documents(kind, documents, what, genome, collection, tmp_path):
+    path = _with_documents(kind, documents, genome, collection, tmp_path)
+    with pytest.raises(ContainerError, match=what):
+        load_container(path)
+
+
+@pytest.mark.parametrize("kind", ["links", "listing"])
+@pytest.mark.parametrize("fault", ["unparsable", "renamed", "shorter"])
+def test_a_bad_source_loads_and_raises_on_first_read(kind, fault, genome, collection, tmp_path):
+    path = str(tmp_path / "s.usi")
+    if kind == "links":
+        docs = [genome]
+        container = build_container(docs, 0.1, epsilon=0.05)
+    else:
+        docs = list(collection.docs)
+        container = build_container(docs, 0.1, metric="or")
+    save_container(container, path)
+    entries = _entries(path)
+    manifest = json.loads(entries["manifest.json"])
+    if fault == "unparsable":
+        manifest["source"] = "ustr x\npos a\nend\n"
+    elif fault == "renamed":
+        manifest["source"] = serialize_ust([replace(docs[0], name="zz"), *docs[1:]])
+    else:
+        manifest["source"] = serialize_ust([replace(docs[0], positions=docs[0].positions[:-1]), *docs[1:]])
+    _rewrite(path, _resealed({**entries, "manifest.json": json.dumps(manifest).encode()}))
+
+    back = load_container(path)
+    what = "does not parse" if fault == "unparsable" else "does not hold the documents the manifest names"
+    if kind == "links":
+        idx = back.substring
+        assert query_items(idx, "AT", 0.1) == query_items(container.substring, "AT", 0.1)
+        assert approx_items(back.links, "AT", 0.1) == approx_items(container.links, "AT", 0.1)
+        readers = [lambda: idx.u, lambda: idx.tt.source, lambda: partition_links(build_links(idx.tt, idx.saidx, 0.1), 0.05)]
+    else:
+        assert list_items(back.listing, "BF", 0.1) == list_items(container.listing, "BF", 0.1)
+        readers = [lambda: back.listing.collection]
+    for read in readers:
+        for _ in range(2):  # a failed read caches nothing, so it fails alike again
+            with pytest.raises(ContainerError, match=f"the stored source {what}"):
+                read()
+
+
+def _one_query_of_each_kind(c, short: str, long: str, tau: float) -> list:
+    """Answers (values as ``float.hex``) and work counters of one short and one long query, and an approx one."""
+    hexed = lambda items: [(k, v.hex()) for k, v in items]
+    out = []
+    for p in (short, long):
+        if c.listing is not None:
+            out.append((hexed(list_items(c.listing, p, tau)), list_with_stats(c.listing, p, tau)[1]))
+        else:
+            out.append((hexed(query_items(c.substring, p, tau)), query_with_stats(c.substring, p, tau)[1]))
+    if c.links is not None:
+        out.append(hexed(approx_items(c.links, short, tau)))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["substring", "links", "listing-max", "listing-or", "listing-orx", "empty"])
+def test_a_load_never_parses_the_source(kind, genome, collection, tmp_path, monkeypatch):
+    tau = 0.1
+    if kind.startswith("listing"):
+        container = build_container(list(collection.docs), tau, metric=kind.split("-")[1], m_short=1)
+        short, long = "B", "BF"
+    elif kind == "empty":
+        tau = 0.9
+        u = UncertainString("flat", ({"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5}))
+        container = build_container([u], tau, epsilon=0.05, m_short=3)
+        short, long = "a", "ab"
+    else:
+        container = build_container([genome], tau, epsilon=0.05 if kind == "links" else None, m_short=1)
+        short, long = "A", "AT"
+    path, again = str(tmp_path / "p.usi"), str(tmp_path / "again.usi")
+    save_container(container, path)
+    calls = []
+    real = container_module.parse_ust
+    monkeypatch.setattr(container_module, "parse_ust", lambda *a, **k: calls.append(1) or real(*a, **k))
+
+    back = load_container(path)
+    answers = _one_query_of_each_kind(back, short, long, tau)
+    save_container(back, again)
+    assert calls == []
+    assert answers == _one_query_of_each_kind(container, short, long, tau)
+    assert kind == "empty" or all(items for items, _ in answers[:2])
+    assert _entries(again) == _entries(path)
+
+    if back.listing is not None:
+        read, want = lambda: back.listing.collection, container.listing.collection
+    else:
+        read, want = lambda: back.substring.u, container.substring.u
+    assert read() == want and len(calls) == 1
+    assert read() == want and len(calls) == 1
+
+
+def test_load_rejects_a_version_6_container_that_parses_its_source_on_load(genome, tmp_path):
+    path = str(tmp_path / "v6.usi")
+    save_container(build_container([genome], 0.1, epsilon=0.05), path)
+    entries = _entries(path)
+    manifest = json.loads(entries["manifest.json"])
+    # version 6 kept no document names or lengths and no digests, and parsed the source on load
+    manifest = {k: v for k, v in manifest.items() if k not in ("documents", "digests")} | {"format_version": 6}
+    _rewrite(path, {**entries, "manifest.json": json.dumps(manifest).encode()})
+    with pytest.raises(ContainerError, match="unsupported container version 6"):
+        load_container(path)

@@ -1,7 +1,8 @@
-"""The README's Python examples run as written, and its container table names the members."""
+"""The README's Python examples run as written, and its container tables name the members and manifest fields."""
 
 from __future__ import annotations
 
+import json
 import re
 import zipfile
 from pathlib import Path
@@ -39,3 +40,18 @@ def test_readme_member_table_names_every_saved_member_and_nothing_else(genome, c
     assert saved
     assert sorted(saved - documented) == [], "members missing from the README table"
     assert sorted(documented - saved) == [], "the README table names members no container holds"
+
+
+def test_readme_manifest_table_names_every_manifest_field(genome, collection, tmp_path):
+    table = re.search(r"^\| Field \| JSON type \|.*?\n\n", README.read_text(encoding="utf-8"), re.S | re.M)
+    assert table is not None
+    rows = table.group(0).strip().splitlines()[2:]
+    documented = {name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    for k, container in enumerate([build_container([genome], 0.1), build_container(list(collection.docs), 0.1)]):
+        path = str(tmp_path / f"{k}.usi")
+        save_container(container, path)
+        with zipfile.ZipFile(path) as zf:
+            manifest = json.loads(zf.read("manifest.json"))
+            members = set(zf.namelist()) - {"manifest.json"}
+        assert set(manifest) == documented
+        assert set(manifest["digests"]) == members | {"source", "manifest"}
