@@ -4,11 +4,13 @@ Every original position d marks its suffix-tree leaves and the LCAs of
 d-marked leaf pairs; a link runs from each marked node to its nearest
 d-marked proper ancestor (the root stands in for every position).  Nodes are
 LCP intervals (Abouelhoda, Kurtz & Ohlebusch 2004), found as nearest smaller
-values, and a link's origin is the slot of a d-leaf inside its node.  Chains
-are cut over ``cum`` slices so that the probabilities inside one segment span
-at most epsilon; a query stabs the segments whose depth interval brackets the
-pattern length inside the pattern's slot range.  Reported positions match at
-probability at least tau - epsilon while nothing at or above tau is missed.
+values over the LCPs of consecutive d-leaves, each lifted for its pair from
+the suffix sort's ranks; a link's origin is the slot of a d-leaf inside its
+node.  Chains are cut over ``cum`` slices so that the probabilities inside
+one segment span at most epsilon; a query stabs the segments whose depth
+interval brackets the pattern length inside the pattern's slot range.
+Reported positions match at probability at least tau - epsilon while nothing
+at or above tau is missed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .factorize import TransformedText, batch_prefix_probabilities
 from .qindex import _FEW, _locate
-from .textcore import SuffixArrayIndex, locus  # noqa: F401 - locus is unused here; perfbench/tracer.py wraps this name
+from .textcore import SuffixArrayIndex, _lift, _prefix_doubling, locus  # noqa: F401 - perfbench/tracer.py wraps locus
 
 __all__ = [
     "Link",
@@ -119,12 +121,14 @@ def _nearest_smaller(h: np.ndarray, pair: np.ndarray, reach: int) -> tuple[np.nd
     return left - 1, right
 
 
-def build_links(tt: TransformedText, saidx: SuffixArrayIndex, tau_min: float) -> RawLinks:
+def build_links(tt: TransformedText, saidx: SuffixArrayIndex, tau_min: float, *, _rounds=None) -> RawLinks:
     """Mark nodes per original position and link each mark to its nearest marked ancestor.
 
     With ``h_i`` the LCP of the i-th and (i+1)-th d-leaf in slot order, a leaf
     links to depth ``max(h_{i-1}, h_i)``, capped at the room before its
-    separator.  The internal nodes, the Cartesian tree over ``h`` (nearest
+    separator; each ``h_i`` is lifted for its pair alone from the ranks that
+    the build's sort kept in ``_rounds`` (emptied once read), or a rerun
+    sort's.  The internal nodes, the Cartesian tree over ``h`` (nearest
     smaller values; Berkman, Schieber & Vishkin 1993), start at each pair whose
     nearest left pair at most as deep is shallower and link to the larger
     nearest smaller depth on either side (0 when none), the left leaf of their
@@ -133,20 +137,23 @@ def build_links(tt: TransformedText, saidx: SuffixArrayIndex, tau_min: float) ->
     """
     slot_pos = tt.pos[saidx.sa - 1]
     slots = np.flatnonzero(slot_pos) + 1
-    slots = slots[np.argsort(slot_pos[slots - 1], kind="stable")]  # by position, then slot
     d_of = slot_pos[slots - 1]
+    # by position, then slot; a stable sort of 16-bit positions is a radix sort
+    by_pos = np.argsort(d_of.astype(np.min_scalar_type(d_of.max(initial=0))), kind="stable")
+    slots, d_of = slots[by_pos], d_of[by_pos]
+    witness = saidx.sa[slots - 1] - 1
+    if _rounds is None:
+        _prefix_doubling(saidx.codes, _rounds := [])
     # h[j]: LCP of leaves j and j + 1 of one position; -1 after a position's last leaf
     h = np.full(slots.size, -1, dtype=np.int64)
-    bounds = np.flatnonzero(np.diff(d_of, prepend=-1, append=-1))
-    for a, b in zip(bounds.tolist(), bounds[1:].tolist()):
-        s = slots[a:b]
-        h[a : b - 1] = np.minimum.reduceat(saidx.lcp[s[0] : s[-1]], s[:-1] - s[0])
+    same = np.flatnonzero(d_of[1:] == d_of[:-1])
+    h[same] = _lift(_rounds, witness[same], witness[same + 1])
+    _rounds.clear()
     # h ends in -1, so index -1 reads as no pair: h[j - 1] at j = 0, and h[prev] when nothing is left
     pair = np.flatnonzero(h > 0)
-    prev, close = _nearest_smaller(h, pair, int(np.diff(bounds).max(initial=0)))
+    prev, close = _nearest_smaller(h, pair, int(np.bincount(d_of).max(initial=0)))
     head = h[prev] < h[pair]
     pair, prev, close = pair[head], prev[head], close[head]
-    witness = saidx.sa[slots - 1] - 1
     room = tt.room(witness)
     leaf_t = np.maximum(np.maximum(np.roll(h, 1), h), 0)
     leaf = np.flatnonzero(room > leaf_t)

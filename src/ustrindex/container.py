@@ -105,10 +105,11 @@ def build_container(
             ListingConfig(m_short=m_short, length_cap=length_cap),
         )
         return IndexContainer("listing", tau_min, listing=idx, metric=idx.metric)
-    sub = build(docs[0], tau_min, IndexConfig(m_short=m_short, length_cap=length_cap))
+    rounds = None if epsilon is None else []  # the sort's ranks, dropped once the links have read them
+    sub = build(docs[0], tau_min, IndexConfig(m_short=m_short, length_cap=length_cap), _rounds=rounds)
     links = None
     if epsilon is not None:
-        links = partition_links(build_links(sub.tt, sub.saidx, tau_min), epsilon)
+        links = partition_links(build_links(sub.tt, sub.saidx, tau_min, _rounds=rounds), epsilon)
     return IndexContainer("substring", tau_min, substring=sub, links=links, epsilon=epsilon)
 
 

@@ -411,8 +411,8 @@ class TransformedText:
 
     def room(self, offsets: np.ndarray) -> np.ndarray:
         """Characters from each 0-based offset to its factor's separator; 0 at a separator."""
-        ends = self.factor_runs()[1]
-        return ends[np.searchsorted(ends, offsets)] - offsets
+        starts, ends = self.factor_runs()
+        return (np.repeat(ends, ends - starts + 1) - np.arange(self.n))[offsets]
 
 
 def _factor_order(parents: list[np.ndarray], maximal: list[np.ndarray], starts: int) -> list[np.ndarray]:

@@ -233,8 +233,8 @@ def _fold(values: np.ndarray, starts: np.ndarray, metric: str) -> np.ndarray:
     return np.where(sizes == 1, total, total - prod)
 
 
-def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None) -> SubstringIndex:
-    """Construct the substring index; the transform's capacity error propagates."""
+def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None, *, _rounds=None) -> SubstringIndex:
+    """Construct the substring index; the transform's capacity error propagates; ``_rounds`` gets the sort's ranks."""
     problems = validate(u)
     if problems:
         raise ValueError("invalid uncertain string: " + "; ".join(problems))
@@ -244,7 +244,7 @@ def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None)
 
     tt = transform(u, tau_min, cfg.length_cap)
     m_short = _pick_m_short(cfg.m_short, tt.n)
-    return SubstringIndex(tt, build_suffix_array(tt.codes), tau_min, m_short)
+    return SubstringIndex(tt, build_suffix_array(tt.codes, _rounds=_rounds), tau_min, m_short)
 
 
 def _pick_m_short(m_short: int | None, n: int) -> int:

@@ -9,11 +9,12 @@ by ``bisect`` over a ``memoryview`` of each slot's packed first letters (a
 prefix table, after Manber and Myers); a pattern longer than those letters
 is then bisected inside their range over a byte encoding of the text.  All
 comparisons run in C, and a str pattern makes no numpy call.
-Builds sort the suffixes by prefix doubling (``build_suffix_array``), and
-the ranks of its rounds give the LCP array by binary lifting in the same
-pass; loads never sort, they accept a stored suffix array after the linear
-check of ``check_suffix_array``, and only a read of its ``lcp`` reruns the
-pass (no load or query reads it).
+Builds sort the suffixes by prefix doubling (``build_suffix_array``) and
+keep no LCP array; loads never sort, they accept a stored suffix array after
+the linear check of ``check_suffix_array``.  The ranks of the sort's rounds
+give the LCP of any two suffixes by binary lifting (``_lift``): a build that
+marks approximate links keeps them for the pairs it reads, and a read of
+``lcp``, which no build, load or query makes, reruns the sort to keep them.
 ``SparseDepth`` is the one format of a sparse short table: the nonzero
 entries of a per-length table in slot order, which ``rmq_report`` reports
 block by block, each with the label a query reports it under; a range inside
@@ -28,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContainerError
+from .errors import CapacityError, ContainerError
 
 __all__ = [
     "RmqIndex",
@@ -53,7 +54,7 @@ def _encode_text(text) -> np.ndarray:
 
 @dataclass(eq=False)
 class SuffixArrayIndex:
-    """Sorted suffixes of an integer-coded text with LCP information.
+    """Sorted suffixes of an integer-coded text.
 
     ``sa`` holds 1-based text positions in suffix order, and ``lcp[k - 1]``
     is the common-prefix length of the suffixes at slots ``k - 1`` and ``k``
@@ -62,18 +63,18 @@ class SuffixArrayIndex:
 
     codes: np.ndarray
     sa: np.ndarray
-    _lcp: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.codes)
 
-    @property
+    @cached_property
     def lcp(self) -> np.ndarray:
-        """The LCP array, from the sorting pass; a checked suffix array reruns it on first read."""
-        if self._lcp is None:
-            self._lcp = _prefix_doubling(self.codes)[1]
-        return self._lcp
+        """The LCP array, lifted on first read from the ranks of a rerun sort; no build, load or query reads it."""
+        _prefix_doubling(self.codes, rounds := [])
+        lcp = np.zeros(self.n, dtype=np.int64)
+        lcp[1:] = _lift(rounds, self.sa[:-1] - 1, self.sa[1:] - 1)
+        return lcp
 
     @cached_property
     def byte_text(self) -> bytes:
@@ -129,55 +130,66 @@ def _byte_words(codes: np.ndarray) -> bytes:
     return (codes + _OFFSET).astype(">u4").tobytes()
 
 
-# Slots per step of the LCP lift: bounds its n-sized temporaries.
+# Pairs per step of the lift: bounds its temporaries.
 _LIFT_BLOCK = 1 << 15
 
 
-def _prefix_doubling(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """0-based suffix order and LCP array of ``codes``.
+def _prefix_doubling(codes: np.ndarray, rounds: list[np.ndarray] | None = None) -> np.ndarray:
+    """0-based suffix order of ``codes``; a ``rounds`` list receives every round's ranks, for ``_lift``.
 
-    Manber and Myers: round j ranks every suffix by its first 2^j codes, one
-    ``argsort`` of ``rank * (n + 1) + rank of the suffix 2^j further``, until
-    all ranks differ.  Each round's ranks are kept (int32, with -1 for the
-    empty suffix), and the LCP of two suffixes a and b is then lifted top
-    down: add 2^j while ``rank_j[a + h] == rank_j[b + h]``, in O(n log L) for a
-    longest common prefix L.
+    Manber and Myers: round j ranks every suffix by its first 2^j codes, as
+    the first slot of the suffixes sharing them, until all ranks differ.  A
+    round sorts only the groups of more than one suffix, by ``argsort`` of
+    ``rank * (n + 1) + rank of the suffix 2^j further`` (Larsson and Sadakane).
+    Without ``rounds`` only the current ranks (int32) are kept.
     """
     n = codes.size
-    # rank[i]: rank of suffix i by its first 2^j codes in round j; rank[n] = -1, the empty suffix
-    rank = np.append(np.unique(codes, return_inverse=True)[1], -1).astype(np.int32)
-    order = np.argsort(rank[:n])
-    ranks: list[np.ndarray] = []
-    while rank.max() < n - 1:
-        ranks.append(rank)
-        k = 1 << (len(ranks) - 1)
-        key = rank[:n].astype(np.int64)
+    if n >= 1 << 31:
+        raise CapacityError(f"a text of {n} codes does not fit the suffix sort's int32 ranks", cap=(1 << 31) - 1)
+    order = np.argsort(codes)
+    # rank[i]: the first slot of the suffixes sharing suffix i's first 2^j codes; rank[n] = -1, the empty suffix
+    rank = np.full(n + 1, -1, dtype=np.int32)
+    # live: the ascending slots of groups of more than one suffix, sub: their suffixes; int32 like the ranks
+    live, sub, key, k = np.arange(n, dtype=np.int32), order.astype(np.int32), codes[order], 1
+    while True:
+        head = np.append(True, key[1:] != key[:-1])[: key.size]
+        rank[sub] = np.maximum.accumulate(np.where(head, live, 0))
+        more = ~(head & np.append(head[1:], True))
+        live, sub = live[more], sub[more]
+        if not live.size:
+            return order
+        if rounds is not None:
+            rounds.append(rank.copy())
+        key = rank[sub].astype(np.int64)
         key *= n + 1
-        key[: n - k] += rank[k:n]
-        key[: n - k] += 1
-        order = np.argsort(key)
-        key = key[order]
-        rank = np.empty(n + 1, dtype=np.int32)
-        rank[n] = -1
-        rank[order[0]] = 0
-        rank[order[1:]] = np.cumsum(key[1:] != key[:-1], dtype=np.int32)
-        del key  # the last round's key goes before the lift starts
-
-    lcp = np.zeros(n, dtype=np.int64)
-    for lo in range(1, n, _LIFT_BLOCK):
-        hi = min(lo + _LIFT_BLOCK, n)
-        a, b = order[lo - 1 : hi - 1], order[lo:hi]
-        h = lcp[lo:hi]
-        for j in reversed(range(len(ranks))):
-            h += (ranks[j][a + h] == ranks[j][b + h]) << j
-    return order, lcp
+        key += rank[np.minimum(sub, n - k) + k] + 1
+        by_key = np.argsort(key)
+        order[live] = sub = sub[by_key]  # one gather at a time: the peak holds one new array
+        key = key[by_key]
+        del by_key
+        k *= 2
 
 
-def build_suffix_array(text) -> SuffixArrayIndex:
-    """Sort all suffixes of ``text`` by prefix doubling, which yields the LCP array too."""
+def _lift(rounds: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """LCP of the suffixes at each pair of 0-based offsets ``a != b``, from ``_prefix_doubling``'s ``rounds``.
+
+    Binary lifting top down: add 2^j while ``rounds[j][a + h] == rounds[j][b + h]``,
+    in O(pairs * rounds); two different suffixes share fewer than
+    ``2 ** len(rounds)`` codes, as the round after the last kept one ranks all apart.
+    """
+    h = np.zeros(a.size, dtype=np.int64)
+    for lo in range(0, a.size, _LIFT_BLOCK):
+        part = slice(lo, lo + _LIFT_BLOCK)
+        aa, bb, hh = a[part], b[part], h[part]
+        for j in reversed(range(len(rounds))):
+            hh += (rounds[j][aa + hh] == rounds[j][bb + hh]) << j
+    return h
+
+
+def build_suffix_array(text, *, _rounds: list[np.ndarray] | None = None) -> SuffixArrayIndex:
+    """Sort all suffixes of ``text`` by prefix doubling; ``_rounds`` receives the ranks for ``_lift``."""
     codes = _encode_text(text)
-    order, lcp = _prefix_doubling(codes)
-    return SuffixArrayIndex(codes, order + 1, lcp)
+    return SuffixArrayIndex(codes, _prefix_doubling(codes, _rounds) + 1)
 
 
 def check_suffix_array(codes: np.ndarray, sa: np.ndarray) -> SuffixArrayIndex:

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ustrindex import approx as approx_module
 from ustrindex import container as container_module
 from ustrindex import textcore
 from ustrindex import (
@@ -369,9 +370,37 @@ def test_a_loaded_index_answers_without_the_lcp_array(kind, genome, collection, 
             assert approx_items(back.links, p, 0.1) == approx_items(container.links, p, 0.1)
         else:
             assert query_items(back.substring, p, 0.1) == query_items(container.substring, p, 0.1)
-    # a built index holds the LCP from its sorting pass; a loaded one never computes it
-    assert (container.substring or container.listing).saidx._lcp is not None
-    assert (back.substring or back.listing).saidx._lcp is None
+    # neither a built nor a loaded index computes the LCP array
+    assert "lcp" not in vars((container.substring or container.listing).saidx)
+    assert "lcp" not in vars((back.substring or back.listing).saidx)
+
+
+def test_builds_read_no_lcp_array_and_keep_no_ranks(genome, collection, monkeypatch):
+    def no_lcp(self):
+        raise AssertionError("a build read the LCP array")
+
+    monkeypatch.setattr(textcore.SuffixArrayIndex, "lcp", property(no_lcp))
+    # the link build lifts from the ranks that the build's sort kept, and empties them
+    lifted = []
+
+    def lift(rounds, a, b):
+        lifted.append((rounds, len(rounds)))
+        return textcore._lift(rounds, a, b)
+
+    def no_sorting(codes, rounds=None):
+        raise AssertionError("the link build sorted the suffixes again")
+
+    monkeypatch.setattr(approx_module, "_lift", lift)
+    monkeypatch.setattr(approx_module, "_prefix_doubling", no_sorting)
+    built = [
+        build(genome, 0.1),
+        build_listing(collection, 0.1, "or"),
+        build_container([genome], 0.1, epsilon=0.05).substring,
+        build_container(list(collection.docs), 0.1, metric="max").listing,
+    ]
+    assert [(rounds, kept > 0) for rounds, kept in lifted] == [([], True)]
+    for idx in built:
+        assert set(vars(idx.saidx)) == {"codes", "sa"}
 
 
 def test_load_rejects_a_truncated_array_member(genome, tmp_path):

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ustrindex import ContainerError
+from ustrindex import CapacityError, ContainerError
 from ustrindex.qindex import QueryStats
 from ustrindex.textcore import (
     SparseDepth,
+    _lift,
+    _prefix_doubling,
     TreeView,
     build_suffix_array,
     check_suffix_array,
@@ -99,6 +101,42 @@ def separator_text(rng: random.Random) -> list[int]:
     for k in range(rng.randint(1, 4)):
         out += unit * rng.randint(1, 12) + [-(k + 1)]
     return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_pair_lift_matches_brute_force(seed):
+    rng = random.Random(seed)
+    # a separator text around a one-letter run, which ends the text half of the time
+    head, run = separator_text(rng), [rng.choice((97, 98))] * rng.randint(2, 70)
+    codes = head + run + ([] if rng.random() < 0.5 else separator_text(rng))
+    n = len(codes)
+    rounds: list[np.ndarray] = []
+    order = _prefix_doubling(np.asarray(codes, dtype=np.int64), rounds)
+    # random pairs, pairs inside the run, and pairs with the last offsets, whose suffixes reach the end
+    pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(60)}
+    pairs |= {(a, a + d) for a in range(len(head), len(head) + len(run)) for d in (1, 2, 3, 5) if a + d < n}
+    pairs |= {(a, b) for a in range(max(0, n - 4), n) for b in range(n)}
+    a, b = (np.array(c, dtype=np.int64) for c in zip(*((a, b) for a, b in pairs if a != b)))
+    want = [common_prefix(codes[i:], codes[j:]) for i, j in zip(a.tolist(), b.tolist())]
+    assert _lift(rounds, a, b).tolist() == want
+    # the LCP array is the lift over consecutive slots, for a built and a checked suffix array
+    consecutive = [0] + _lift(rounds, order[:-1], order[1:]).tolist()
+    # the top round is lifted: two neighbours share at least 2^(rounds - 1) codes
+    assert not rounds or max(consecutive) >= 1 << (len(rounds) - 1)
+    assert build_suffix_array(codes).lcp.tolist() == consecutive
+    assert check_suffix_array(np.asarray(codes, dtype=np.int64), order + 1).lcp.tolist() == consecutive
+
+
+def test_a_text_too_long_for_int32_ranks_raises_a_capacity_error(monkeypatch):
+    def no_sorting(*args, **kwargs):
+        raise AssertionError("a text too long for int32 ranks reached the sort")
+
+    monkeypatch.setattr(np, "argsort", no_sorting)
+    # a zero-stride view: 2**31 codes without allocating them
+    codes = np.broadcast_to(np.int64(97), 1 << 31)
+    with pytest.raises(CapacityError, match="int32"):
+        build_suffix_array(codes)
 
 
 @settings(max_examples=100, deadline=None)
