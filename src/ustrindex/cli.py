@@ -2,8 +2,8 @@
 
 Results print one line per query: ascending whitespace-separated positions
 (or document names in collection order).  With ``--json`` each result becomes
-its own JSON object line.  Exit codes: 0 ok, 2 parse or usage, 3 threshold
-below the index floor, 4 capacity guard, 5 verification mismatch.
+its own JSON object line.  ``ustr --help`` ends with the exit codes
+(``EXIT_CODES``), as README does.
 """
 
 from __future__ import annotations
@@ -227,8 +227,14 @@ def _add_query_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--json", action="store_true", help="one JSON object per result")
 
 
+EXIT_CODES = (
+    "exit codes: 0 success, 2 usage or input errors, 3 query threshold below the index floor, "
+    "4 transformed-text capacity exceeded, 5 verification mismatch"
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ustr", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="ustr", description=__doc__.splitlines()[0], epilog=EXIT_CODES)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen", help="generate an uncertain string from a corpus file")

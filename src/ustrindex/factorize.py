@@ -6,6 +6,12 @@ tau_min.  Concatenating every factor with unique separators yields a plain
 text whose substrings, mapped back through ``pos``, conserve exactly the
 pattern occurrences with probability >= tau_min.
 
+A transform reads its input once: ``model._flatten`` turns the string, or
+a collection's documents back to back, into flat arrays (alternatives per
+position, code, probability).  A numpy screen of them checks what
+``validate`` checks, and ``_alternatives`` sorts them into the lookup tables
+the growth rule reads, with one loop over the correlations alone.
+
 The windows grow level-synchronously: ``_levels`` holds, for one window
 length k at a time, the windows of every start whose optimistic bound still
 reaches tau_min, as ``(start, code, prob, bound)`` rows, and extends all of
@@ -25,12 +31,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapacityError
-from .model import Correlation, DocumentCollection, Documents, UncertainString, occurrence_probability
+from .model import (
+    Correlation,
+    DocumentCollection,
+    Documents,
+    UncertainString,
+    _Flat,
+    _first_invalid,
+    _flatten,
+    occurrence_probability,
+)
 
 __all__ = [
     "MaximalFactor",
@@ -94,30 +110,34 @@ class _Alternatives:
         return np.where(self.key[at] == want, at, self.key.size - 1)
 
 
-def _alternatives(u: UncertainString, lo: int = 1, hi: int | None = None) -> _Alternatives:
-    """The alternatives of positions ``lo..hi`` (default all of them)."""
-    first = [0]
-    rows: list[tuple] = []
-    fwd: list[tuple[int, int, int]] = []
-    for q in range(lo, (u.n if hi is None else hi) + 1):
-        dist = u.positions[q - 1]
-        for sym in sorted(dist):
-            key = q << _CODE_BITS | ord(sym)
-            c = u.by_source.get((q, sym))
-            if c is None:
-                rows.append((key, dist[sym], dist[sym], 0, 0, 0.0, 0.0))
-                continue
-            marginal = c.marginal(u.pr(c.cond_pos, c.cond_sym))
-            bound = max(marginal, c.p_plus, c.p_minus)
-            rows.append((key, marginal, bound, c.cond_pos, ord(c.cond_sym), c.p_plus, c.p_minus))
-            if c.cond_pos > q:
-                fwd.append((c.cond_pos, q, ord(sym)))
-        first.append(len(rows))
-    rows.append((1 << 62, 0.0, 0.0, 0, 0, 0.0, 0.0))
-    key, m, mb, cond, cond_code, p_plus, p_minus = (np.array(col) for col in zip(*rows))
-    fwd_cond, fwd_src, fwd_code = np.array(sorted(fwd), dtype=np.int64).reshape(-1, 3).T
+def _alternatives(u: UncertainString, flat: _Flat) -> _Alternatives:
+    """The alternatives of the positions ``flat`` holds, sorted from its arrays.
+
+    Only the correlated ones are filled in one by one, from ``u.by_source``.
+    """
+    hi = flat.lo + flat.first.size - 2
+    key = flat.pos << _CODE_BITS | flat.code
+    by_key = np.argsort(key)
+    key = np.append(key[by_key], 1 << 62)
+    m = np.append(flat.prob[by_key], 0.0)
+    mb, p_plus, p_minus = m.copy(), np.zeros_like(m), np.zeros_like(m)
+    cond, cond_code = np.zeros_like(key), np.zeros_like(key)
+    corrs = [(q, sym, c) for (q, sym), c in u.by_source.items() if flat.lo <= q <= hi]
+    want = np.array([q << _CODE_BITS | ord(sym) for q, sym, _ in corrs], dtype=np.int64)
+    at = key.searchsorted(want)  # the sentinel's key is above every other
+    rows = [(a, q, sym, c) for a, hit, (q, sym, c) in zip(at.tolist(), (key[at] == want).tolist(), corrs) if hit]
+    fwd = sorted((c.cond_pos, q, ord(sym)) for _, q, sym, c in rows if c.cond_pos > q)
+    if rows:
+        at, marginal, c_pos, c_code, c_plus, c_minus = map(list, zip(
+            *((a, c.marginal(u.pr(c.cond_pos, c.cond_sym)), c.cond_pos, ord(c.cond_sym), c.p_plus, c.p_minus)
+              for a, _, _, c in rows)
+        ))
+        m[at] = marginal
+        mb[at] = list(map(max, marginal, c_plus, c_minus))
+        cond[at], cond_code[at], p_plus[at], p_minus[at] = c_pos, c_code, c_plus, c_minus
+    fwd_cond, fwd_src, fwd_code = np.array(fwd, dtype=np.int64).reshape(-1, 3).T
     return _Alternatives(
-        np.array(first), key, (key & ((1 << _CODE_BITS) - 1)).astype(np.int32), m, mb,
+        flat.first - flat.first[0], key, (key & ((1 << _CODE_BITS) - 1)).astype(np.int32), m, mb,
         cond, cond_code, p_plus, p_minus, fwd_cond, fwd_src, fwd_code,
     )
 
@@ -231,6 +251,7 @@ class _Level(NamedTuple):
 
 def _levels(
     u: UncertainString,
+    alts: _Alternatives,
     tau_min: float,
     starts: np.ndarray,
     last: np.ndarray | None = None,
@@ -243,9 +264,9 @@ def _levels(
     correlation-free strings is just its product; maximality is checked
     against the actual extensions, so it does not assume that the product
     shrinks as the window grows.  ``halt``, when given, flags the rows of each
-    level that grow no further once the level has been consumed.
+    level that grow no further once the level has been consumed.  ``alts``
+    holds the alternatives of every position of ``u``.
     """
-    alts = _alternatives(u)
     count = np.append(np.diff(alts.first), 0)  # alternatives per position; none past the end
     start = np.asarray(starts, dtype=np.int64)
     last = np.full(start.size, u.n) if last is None else last
@@ -291,7 +312,7 @@ def maximal_factors(u: UncertainString, tau_min: float, start: int) -> set[Maxim
         raise ValueError(f"start {start} outside [1, {u.n}]")
     found = set()
     words = [""]
-    for level in _levels(u, tau_min, np.array([start])):
+    for level in _levels(u, _alternatives(u, _flatten(u.positions)), tau_min, np.array([start])):
         words = [words[p] + chr(c) for p, c in zip(level.parent.tolist(), level.code.tolist())]
         found.update(
             MaximalFactor(start, words[r], float(level.prob[r])) for r in np.flatnonzero(level.maximal).tolist()
@@ -313,7 +334,8 @@ def batch_prefix_probabilities(
     ends, live = starts + lengths - 1, lengths > 0
     if np.any(live & ((starts < 1) | (ends > u.n))):
         raise ValueError(f"a window lies outside the string of length {u.n}")
-    alts = _alternatives(u, int(starts[live].min(initial=1)), int(ends[live].max(initial=0)))
+    lo, hi = int(starts[live].min(initial=1)), int(ends[live].max(initial=0))
+    alts = _alternatives(u, _flatten(u.positions[lo - 1 : hi], lo))
     out = np.empty(int(lengths.sum()))
     # longest first, so the windows still growing at step k are the first rows
     order = np.argsort(-lengths, kind="stable")
@@ -442,15 +464,14 @@ def _factor_order(parents: list[np.ndarray], maximal: list[np.ndarray], starts: 
     return ranks
 
 
-def _joined(docs: Sequence[UncertainString]) -> UncertainString:
-    """The documents back to back as one string, each correlation moved with its document."""
-    positions: list[dict[str, float]] = []
+def _joined(docs: Sequence[UncertainString], positions: tuple[dict[str, float], ...]) -> UncertainString:
+    """The documents back to back as one string of ``positions``, each correlation moved with its document."""
     corrs: list[Correlation] = []
+    shift = 0
     for d in docs:
-        shift = len(positions)
         corrs.extend(replace(c, src_pos=c.src_pos + shift, cond_pos=c.cond_pos + shift) for c in d.correlations)
-        positions.extend(d.positions)
-    return UncertainString("joined", tuple(positions), tuple(corrs))
+        shift += d.n
+    return UncertainString("joined", positions, tuple(corrs))
 
 
 def transform(
@@ -470,9 +491,21 @@ def transform(
     as soon as the factors found so far plus k + 1 codes per such window do.
     Such a document grows no further, and a collection reports the first of
     them in document order, as if its documents were transformed one by one.
+
+    The input is read once, into flat arrays (``model._flatten``): they are
+    screened for what ``validate`` faults, and an invalid string, or the first
+    invalid document of a collection, raises ValueError with its issues.
     """
-    _check_tau_min(tau_min)
     docs = u.docs if isinstance(u, DocumentCollection) else (u,)
+    positions = tuple(chain.from_iterable(d.positions for d in docs))
+    flat = _flatten(positions)
+    invalid = _first_invalid(docs, flat)
+    if invalid is not None:
+        doc, issues = invalid
+        what = f"document {doc.name!r}" if isinstance(u, DocumentCollection) else "uncertain string"
+        raise ValueError(f"invalid {what}: " + "; ".join(issues))
+    _check_tau_min(tau_min)
+    whole = docs[0] if len(docs) == 1 else _joined(docs, positions)
     sizes = np.array([d.n for d in docs], dtype=np.int64)
     first = np.cumsum(sizes) - sizes  # positions ahead of each document
     caps = np.array(
@@ -480,7 +513,6 @@ def transform(
         dtype=np.int64,
     )
     doc_at = np.repeat(np.arange(len(docs)), sizes)  # document of each position
-    whole = docs[0] if len(docs) == 1 else _joined(docs)
 
     parents: list[np.ndarray] = []
     maximal: list[np.ndarray] = []
@@ -489,7 +521,12 @@ def transform(
     total = factors = np.zeros(len(docs), dtype=np.int64)
     over = np.zeros(len(docs), dtype=bool)  # documents whose text outgrows their cap; they grow no further
     levels = _levels(
-        whole, tau_min, np.arange(1, whole.n + 1), (first + sizes)[doc_at], lambda level: over[doc_at[level.start - 1]]
+        whole,
+        _alternatives(whole, flat),
+        tau_min,
+        np.arange(1, whole.n + 1),
+        (first + sizes)[doc_at],
+        lambda level: over[doc_at[level.start - 1]],
     )
     for k, level in enumerate(levels, start=1):
         doc = doc_at[level.start - 1]
@@ -556,7 +593,7 @@ def conservation_check(
     for b in tt.factor_runs()[0].tolist():
         heads.setdefault(int(tt.pos[b]), []).append(b)
     words = [""] * u.n
-    for level in _levels(u, tau_min, np.arange(1, u.n + 1)):
+    for level in _levels(u, _alternatives(u, _flatten(u.positions)), tau_min, np.arange(1, u.n + 1)):
         words = [words[p] + chr(c) for p, c in zip(level.parent.tolist(), level.code.tolist())]
         for r in np.flatnonzero(level.prob >= tau_min).tolist():
             p, start = words[r], int(level.start[r])

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .factorize import TransformedText, transform
-from .model import DocumentCollection, UncertainString, occurrence_probability, validate
+from .model import DocumentCollection, UncertainString, occurrence_probability
 from .qindex import _FEW, QueryStats, _collect, _FactorStarts, _fold, _locate, _pick_m_short
 from .textcore import (
     SuffixArrayIndex,
@@ -115,15 +115,15 @@ def build_listing(
     metric: str = "max",
     config: ListingConfig | None = None,
 ) -> ListingIndex:
-    """Construct the listing index for one relevance metric."""
+    """Construct the listing index for one relevance metric.
+
+    The transform screens the whole collection at once and raises ValueError
+    naming the first invalid document.
+    """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     if not 0.0 < tau_min <= 1.0:
         raise ValueError(f"tau_min {tau_min!r} not in (0, 1]")
-    for d in collection.docs:
-        problems = validate(d)
-        if problems:
-            raise ValueError(f"invalid document {d.name!r}: " + "; ".join(problems))
     cfg = config or ListingConfig()
 
     tt = transform(collection, tau_min, cfg.length_cap)

@@ -9,9 +9,14 @@ pairwise correlations corrected as documented on ``occurrence_probability``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import CapacityError
 
@@ -26,6 +31,11 @@ __all__ = [
 ]
 
 SUM_TOLERANCE = 1e-9
+
+# The screen's sum tolerance, a hair tighter than SUM_TOLERANCE.  ``np.bincount``
+# adds a position's probabilities in the loop's order, so the two sums agree bit
+# for bit; the hair keeps the screen's flags a superset of the loop's regardless.
+_SCREEN_TOLERANCE = SUM_TOLERANCE - 1e-12
 
 # Exhaustive world enumeration is refused beyond this length unless a
 # positive floor bounds the output.
@@ -128,30 +138,113 @@ class Documents:
         return tuple(self._read())
 
 
-def validate(u: UncertainString) -> list[str]:
-    """Check the structural invariants of ``u``; an empty list means valid.
+class _Flat(NamedTuple):
+    """Positions ``lo..`` of a string as flat arrays, one entry per alternative in dict order.
 
-    Each violation names the position or correlation it concerns.
+    Position ``lo + i`` owns entries ``first[i] : first[i + 1]``.  ``pos`` holds
+    each entry's 1-based position, ``code`` its symbol's code point (-1 for a
+    symbol that is not a single character) and ``prob`` its probability.  When
+    some probability is not a plain float, each one that is not a real number
+    in (0, 1] reads NaN: ``np.fromiter`` alone would take ``'1.0'`` for 1.0.
     """
+
+    lo: int
+    first: np.ndarray
+    pos: np.ndarray
+    code: np.ndarray
+    prob: np.ndarray
+
+
+def _flatten(dists: Sequence[dict], lo: int = 1) -> _Flat:
+    """The alternatives of the positions ``dists``, the first of them at ``lo``, read from their dicts in one pass."""
+    count = np.fromiter(map(len, dists), dtype=np.int64, count=len(dists))
+    first = np.zeros(count.size + 1, dtype=np.int64)
+    np.cumsum(count, out=first[1:])
+    syms = list(chain.from_iterable(dists))
+    probs = list(chain.from_iterable(map(dict.values, dists)))
+    try:
+        text = "".join(syms)
+    except TypeError:
+        text = ""
+    if len(text) == len(syms) and "" not in syms:  # every symbol is one character
+        code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32).astype(np.int64)
+    else:
+        code = np.fromiter((ord(s) if _symbol(s) else -1 for s in syms), dtype=np.int64, count=len(syms))
+    if set(map(type, probs)) <= {float}:
+        prob = np.fromiter(probs, dtype=np.float64, count=len(probs))
+    else:
+        prob = np.fromiter(
+            (float(p) if _real(p) is not None and 0 < p <= 1 else math.nan for p in probs),
+            dtype=np.float64,
+            count=len(probs),
+        )
+    return _Flat(lo, first, np.repeat(np.arange(lo, lo + count.size), count), code, prob)
+
+
+def _symbol(sym) -> bool:
+    return isinstance(sym, str) and len(sym) == 1
+
+
+def _real(p) -> float | None:
+    """``p`` as a float, or None when it is not a real number within the float range."""
+    if isinstance(p, numbers.Real):
+        try:
+            return float(p)
+        except OverflowError:
+            pass
+    return None
+
+
+def _suspects(flat: _Flat) -> np.ndarray:
+    """Ascending 1-based positions of ``flat`` where ``_issues`` may find a fault.
+
+    A superset of the positions it faults: no alternatives, a symbol that is
+    not a single character, a probability outside (0, 1] or of the wrong type,
+    or a sum off 1 by the screen's tolerance.
+    """
+    at, n = flat.pos - flat.lo, flat.first.size - 1
+    with np.errstate(invalid="ignore"):
+        off = ~(np.abs(np.bincount(at, weights=flat.prob, minlength=n) - 1.0) <= _SCREEN_TOLERANCE)
+        bad = (flat.code < 0) | ~((flat.prob > 0.0) & (flat.prob <= 1.0))
+    off[flat.first[:-1] == flat.first[1:]] = True
+    off[at[bad]] = True
+    return np.flatnonzero(off) + flat.lo
+
+
+def _issues(u: UncertainString, suspects: Sequence[int]) -> list[str]:
+    """``validate``'s messages: the positions ``suspects`` checked one by one, then every correlation."""
     issues: list[str] = []
     if u.n < 1:
         issues.append("string is empty")
-    for k, dist in enumerate(u.positions, start=1):
+    for k in suspects:
+        dist = u.positions[k - 1]
         if not dist:
             issues.append(f"position {k}: no alternatives")
             continue
-        total = 0.0
+        total, typed = 0.0, True
         for sym, p in dist.items():
-            if len(sym) != 1:
+            if not _symbol(sym):
                 issues.append(f"position {k}: symbol {sym!r} is not a single character")
+            value = _real(p)
+            if value is None:
+                issues.append(f"position {k}: probability {p!r} of {sym!r} is not a real number")
+                typed = False
+                continue
             if not 0.0 < p <= 1.0:
                 issues.append(f"position {k}: probability {p!r} of {sym!r} not in (0, 1]")
-            total += p
-        if abs(total - 1.0) > SUM_TOLERANCE:
+            total += value
+        if typed and abs(total - 1.0) > SUM_TOLERANCE:
             issues.append(f"position {k}: probabilities sum to {total:.12g}")
     seen_src: set[tuple[int, str]] = set()
     for c in u.correlations:
         tag = f"correlation ({c.src_pos},{c.src_sym!r})"
+        if not (
+            all(isinstance(x, numbers.Integral) for x in (c.src_pos, c.cond_pos))
+            and all(isinstance(x, str) for x in (c.src_sym, c.cond_sym))
+            and all(isinstance(x, numbers.Real) for x in (c.p_plus, c.p_minus))
+        ):
+            issues.append(f"{tag}: a field has the wrong type")
+            continue
         if not (1 <= c.src_pos <= u.n) or not (1 <= c.cond_pos <= u.n):
             issues.append(f"{tag}: position out of range")
             continue
@@ -159,7 +252,8 @@ def validate(u: UncertainString) -> list[str]:
             issues.append(f"{tag}: conditions on its own position")
         if c.src_sym not in u.positions[c.src_pos - 1]:
             issues.append(f"{tag}: {c.src_sym!r} absent at position {c.src_pos}")
-        if u.positions[c.cond_pos - 1].get(c.cond_sym, 0.0) <= 0.0:
+        pr_cond = u.positions[c.cond_pos - 1].get(c.cond_sym, 0.0)
+        if isinstance(pr_cond, numbers.Real) and pr_cond <= 0.0:
             issues.append(f"{tag}: conditioner {c.cond_sym!r} has no probability at position {c.cond_pos}")
         if not (0.0 <= c.p_plus <= 1.0 and 0.0 <= c.p_minus <= 1.0):
             issues.append(f"{tag}: conditional probabilities not in [0, 1]")
@@ -167,6 +261,33 @@ def validate(u: UncertainString) -> list[str]:
             issues.append(f"{tag}: more than one correlation for this (position, symbol)")
         seen_src.add((c.src_pos, c.src_sym))
     return issues
+
+
+def validate(u: UncertainString) -> list[str]:
+    """Check the structural invariants of ``u``; an empty list means valid.
+
+    Each violation names the position or correlation it concerns.  A numpy
+    screen of the flat arrays (``_flatten``) picks the positions to check one
+    by one; correlations are checked one by one.
+    """
+    return _issues(u, _suspects(_flatten(u.positions)).tolist())
+
+
+def _first_invalid(docs: Sequence[UncertainString], flat: _Flat) -> tuple[UncertainString, list[str]] | None:
+    """The first of ``docs`` that ``validate`` faults, with its issues; None when all pass.
+
+    ``flat`` holds the documents' positions back to back, and one screen of it
+    picks the positions to check in every document.
+    """
+    suspects = _suspects(flat)
+    ahead = np.cumsum([0] + [d.n for d in docs])
+    cut = np.searchsorted(suspects, ahead, side="right").tolist()
+    for k, d in enumerate(docs):
+        if cut[k] < cut[k + 1] or d.correlations or not d.n:
+            issues = _issues(d, (suspects[cut[k] : cut[k + 1]] - ahead[k]).tolist())
+            if issues:
+                return d, issues
+    return None
 
 
 def occurrence_probability(u: UncertainString, p: str, start: int) -> float:

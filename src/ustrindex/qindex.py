@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ThresholdError
 from .factorize import TransformedText, transform
-from .model import UncertainString, validate
+from .model import UncertainString
 from .textcore import (
     RmqIndex,
     SparseDepth,
@@ -234,12 +234,11 @@ def _fold(values: np.ndarray, starts: np.ndarray, metric: str) -> np.ndarray:
 
 
 def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None, *, _rounds=None) -> SubstringIndex:
-    """Construct the substring index; the transform's capacity error propagates; ``_rounds`` gets the sort's ranks."""
-    problems = validate(u)
-    if problems:
-        raise ValueError("invalid uncertain string: " + "; ".join(problems))
-    if not 0.0 < tau_min <= 1.0:
-        raise ValueError(f"tau_min {tau_min!r} not in (0, 1]")
+    """Construct the substring index; ``_rounds`` gets the sort's ranks.
+
+    The transform's errors propagate: ValueError for an invalid string or
+    tau_min, CapacityError for a text over its cap.
+    """
     cfg = config or IndexConfig()
 
     tt = transform(u, tau_min, cfg.length_cap)

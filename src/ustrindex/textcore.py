@@ -9,9 +9,11 @@ by ``bisect`` over a ``memoryview`` of each slot's packed first letters (a
 prefix table, after Manber and Myers); a pattern longer than those letters
 is then bisected inside their range over a byte encoding of the text.  All
 comparisons run in C, and a str pattern makes no numpy call.
-Builds sort the suffixes by prefix doubling (``build_suffix_array``) and
-keep no LCP array; loads never sort, they accept a stored suffix array after
-the linear check of ``check_suffix_array``.  The ranks of the sort's rounds
+Builds sort the suffixes by prefix doubling (``build_suffix_array``),
+starting from one sort of each offset's first letters packed into a
+``uint64`` (``_pack_letters``, which packs the search keys too), and keep no
+LCP array; loads never sort, they accept a stored suffix array after the
+linear check of ``check_suffix_array``.  The ranks of the sort's rounds
 give the LCP of any two suffixes by binary lifting (``_lift``): a build that
 marks approximate links keeps them for the pairs it reads, and a read of
 ``lcp``, which no build, load or query makes, reruns the sort to keep them.
@@ -26,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,35 +93,85 @@ class SuffixArrayIndex:
     def prefix_keys(self) -> tuple[memoryview, dict, int]:
         """Each slot's packed first letters (a ``memoryview`` for ``bisect``), each letter's rank, bits per rank.
 
-        Built on first search.  A letter packs as its 1-based rank among the
-        text's letters (code points) in ``bits = (number of letters).bit_length()``
-        bits, ``32 // bits`` to a ``uint32``, first letter highest; a separator
-        and the end of the text pack as 0.  Letters past a separator stay, so
-        keys ascend with their slots only up to their first 0; but a pattern
-        has no 0, so bisection compares it with any key by then.  Ranks are
-        keyed by code, and by character too below 0x110000.
+        Built on first search by ``_pack_letters``: ``32 // bits`` letters to a
+        ``uint32``, first letter highest, 0 from a separator or the end of the
+        text on, so keys ascend with their slots.  Ranks are keyed by code,
+        and by character too below 0x110000.
         """
-        top, seps = int(self.codes.max(initial=-1)), -int(self.codes.min(initial=0))
-        # separators index the last ``seps`` entries, which stay unranked (0)
-        present = np.zeros(top + 1 + seps, dtype=bool)
-        present[self.codes] = True
-        sigma = int(present[: top + 1].sum())
-        bits = max(sigma, 1).bit_length()
-        per = 32 // bits
-        lut = np.zeros(top + 1 + seps, dtype=np.uint32)
-        np.cumsum(present[: top + 1], out=lut[: top + 1])
-        # key[i]: the ranks of the w letters from offset i, 0 at a separator and past the end (enough
-        # past it that each doubling step's shorter result keeps n entries)
-        key = np.zeros(self.n + 2 * per, dtype=np.uint32)
-        np.take(lut, self.codes, out=key[: self.n])
-        w = 1
-        while w < per:
-            step = min(w, per - w)  # the first ``step`` letters of the key w letters further
-            key = key[: key.size - w] << np.uint32(bits * step) | key[w:] >> np.uint32(bits * (w - step))
-            w += step
-        rank_of = dict(zip(np.flatnonzero(present[: top + 1]).tolist(), range(1, sigma + 1)))
+        packed = _pack_letters(self.codes, np.uint32)
+        rank_of = dict(zip(packed.alphabet.tolist(), range(1, packed.alphabet.size + 1)))
         rank_of |= {chr(c): r for c, r in rank_of.items() if c < 0x110000}
-        return memoryview(key[self.sa - 1]), rank_of, bits
+        return memoryview(packed.keys[self.sa - 1]), rank_of, packed.bits
+
+
+class _Packed(NamedTuple):
+    """Each text offset's first ``per`` letters in one key (``_pack_letters``)."""
+
+    keys: np.ndarray
+    bits: int  # per letter
+    per: int  # letters per key
+    low: int  # bits below the letters: the tie field
+    alphabet: np.ndarray  # the letters' codes, ascending: letter rank r is alphabet[r - 1]
+
+
+def _pack_letters(codes: np.ndarray, dtype: type, ties: bool = False) -> _Packed:
+    """Each text offset's first letters packed into one unsigned ``dtype`` key, first letter highest.
+
+    A letter packs as its 1-based rank among the text's letters in ``bits =
+    (number of letters).bit_length()`` bits; a stop, the end of the text and
+    every field after either pack as 0.  Without ``ties`` (``prefix_keys``)
+    the stops are the separators (negative codes), and letters fill the key.
+    With them (the suffix sort) the stops are the codes below every code that
+    occurs twice, each of which occurs once: every separator of a transformed
+    text.  Letters then take the largest power of two of fields that leaves
+    ``low = (number of stops).bit_length()`` bits below them, for a tie field:
+    the stop's order by code, or 0 for none or for the end of the text, and
+    keys compare as the suffixes' first ``per`` codes.
+    """
+    n = codes.size
+    base = min(int(codes.min(initial=0)), 0)
+    at = codes - base  # nonnegative, for bincount
+    count = np.bincount(at)
+    repeats = np.flatnonzero(count > 1)
+    # codes below ``cut`` are stops
+    cut = (int(repeats[0]) if repeats.size else count.size) if ties else min(-base, count.size)
+    is_letter = count[cut:] > 0
+    alphabet = np.flatnonzero(is_letter) + cut + base
+    bits = max(alphabet.size, 1).bit_length()
+    low = int(np.count_nonzero(count[:cut])).bit_length() if ties else 0
+    per = (8 * np.dtype(dtype).itemsize - low) // bits
+    if ties:
+        per = 1 << (per.bit_length() - 1)
+    lut = np.zeros(count.size, dtype=dtype)
+    lut[cut:] = np.cumsum(is_letter)
+    # key[i]: the ranks of the w letters from offset i; padded past the end so each step keeps n entries
+    key = np.zeros(n + 2 * per, dtype=dtype)
+    key[:n] = lut[at]
+    w = 1
+    while w < per:
+        step = min(w, per - w)
+        more = key[w:] >> dtype(bits * (w - step))  # the first ``step`` letters of the key w letters further
+        key = key[: key.size - w]
+        key <<= dtype(bits * step)
+        key |= more
+        w += step
+    key = key[:n]
+    stops = np.flatnonzero(at < cut)
+    if ties:
+        lut[:cut] = np.cumsum(count[:cut] > 0)
+        order = lut[at[stops]]
+        tie = np.zeros(n, dtype=dtype)
+    # a stop t letters on zeroes the fields from its own on and, the nearest writing last, names the tie
+    for t in reversed(range(per)):
+        first = np.searchsorted(stops, t)
+        before = stops[first:] - t
+        key[before] &= dtype(((1 << bits * per) - 1) ^ ((1 << bits * (per - t)) - 1))
+        if ties:
+            tie[before] = order[first:]
+    if ties:
+        key <<= dtype(low)
+        key |= tie
+    return _Packed(key, bits, per, low, alphabet)
 
 
 # Shifts every code into uint32 so that separators (negative) sort below
@@ -138,19 +191,35 @@ def _prefix_doubling(codes: np.ndarray, rounds: list[np.ndarray] | None = None) 
     """0-based suffix order of ``codes``; a ``rounds`` list receives every round's ranks, for ``_lift``.
 
     Manber and Myers: round j ranks every suffix by its first 2^j codes, as
-    the first slot of the suffixes sharing them, until all ranks differ.  A
-    round sorts only the groups of more than one suffix, by ``argsort`` of
-    ``rank * (n + 1) + rank of the suffix 2^j further`` (Larsson and Sadakane).
-    Without ``rounds`` only the current ranks (int32) are kept.
+    the first slot of the suffixes sharing them, until all ranks differ.  One
+    ``argsort`` of each offset's packed first w codes (``_pack_letters``)
+    ranks them all at once, where round j = log2 w would.  The rounds before
+    it are read off that order, with no sort: a round's groups are the runs
+    of equal keys cut to their first 2^j letters, except that a cut key whose
+    last letter is 0 is alone: its first 2^j codes hold a stop, which no
+    other suffix holds, or reach the end of the text.  Each later round
+    sorts only the groups of more than one suffix, by ``argsort`` of
+    ``rank * (n + 1) + rank of the suffix 2^j further`` (Larsson and
+    Sadakane).  Without ``rounds`` only the current ranks (int32) are kept.
     """
     n = codes.size
     if n >= 1 << 31:
         raise CapacityError(f"a text of {n} codes does not fit the suffix sort's int32 ranks", cap=(1 << 31) - 1)
-    order = np.argsort(codes)
+    packed = _pack_letters(codes, np.uint64, ties=True)
+    order = np.argsort(packed.keys)
+    key = packed.keys[order]
     # rank[i]: the first slot of the suffixes sharing suffix i's first 2^j codes; rank[n] = -1, the empty suffix
     rank = np.full(n + 1, -1, dtype=np.int32)
     # live: the ascending slots of groups of more than one suffix, sub: their suffixes; int32 like the ranks
-    live, sub, key, k = np.arange(n, dtype=np.int32), order.astype(np.int32), codes[order], 1
+    live, sub, k = np.arange(n, dtype=np.int32), order.astype(np.int32), packed.per
+    if rounds is not None:
+        for j in range(k.bit_length() - 1):
+            cut = key >> np.uint64(packed.low + packed.bits * (k - (1 << j)))
+            head = np.append(True, cut[1:] != cut[:-1])[:n] | ((cut & np.uint64((1 << packed.bits) - 1)) == 0)
+            if head.all():
+                break
+            rank[sub] = np.maximum.accumulate(np.where(head, live, 0))
+            rounds.append(rank.copy())
     while True:
         head = np.append(True, key[1:] != key[:-1])[: key.size]
         rank[sub] = np.maximum.accumulate(np.where(head, live, 0))

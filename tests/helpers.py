@@ -9,8 +9,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ustrindex import CapacityError, QueryStats, TransformedText, UncertainString, occurrence_probability
-from ustrindex.factorize import batch_prefix_probabilities
-from ustrindex.model import Documents
+from ustrindex.factorize import _CODE_BITS, _Alternatives, batch_prefix_probabilities
+from ustrindex.model import SUM_TOLERANCE, Documents
 from ustrindex.qindex import _fold
 from ustrindex.textcore import TreeView, rmq_report, suffix_range
 from ustrindex.datagen import _inject_correlations
@@ -566,3 +566,102 @@ def reference_transform(u: UncertainString, tau_min: float, length_cap: int | No
         tau_min=tau_min,
         documents=Documents.of((u,)),
     )
+
+
+def reference_validate(u: UncertainString) -> list[str]:
+    """``validate`` as one plain loop over every position and correlation.
+
+    The form ``model._issues`` keeps for the positions its screen flags.  It
+    assumes well-typed entries: a non-``str`` symbol or a probability that is
+    not a number raises TypeError.
+    """
+    issues: list[str] = []
+    if u.n < 1:
+        issues.append("string is empty")
+    for k, dist in enumerate(u.positions, start=1):
+        if not dist:
+            issues.append(f"position {k}: no alternatives")
+            continue
+        total = 0.0
+        for sym, p in dist.items():
+            if len(sym) != 1:
+                issues.append(f"position {k}: symbol {sym!r} is not a single character")
+            if not 0.0 < p <= 1.0:
+                issues.append(f"position {k}: probability {p!r} of {sym!r} not in (0, 1]")
+            total += p
+        if abs(total - 1.0) > SUM_TOLERANCE:
+            issues.append(f"position {k}: probabilities sum to {total:.12g}")
+    seen_src: set[tuple[int, str]] = set()
+    for c in u.correlations:
+        tag = f"correlation ({c.src_pos},{c.src_sym!r})"
+        if not (1 <= c.src_pos <= u.n) or not (1 <= c.cond_pos <= u.n):
+            issues.append(f"{tag}: position out of range")
+            continue
+        if c.src_pos == c.cond_pos:
+            issues.append(f"{tag}: conditions on its own position")
+        if c.src_sym not in u.positions[c.src_pos - 1]:
+            issues.append(f"{tag}: {c.src_sym!r} absent at position {c.src_pos}")
+        if u.positions[c.cond_pos - 1].get(c.cond_sym, 0.0) <= 0.0:
+            issues.append(f"{tag}: conditioner {c.cond_sym!r} has no probability at position {c.cond_pos}")
+        if not (0.0 <= c.p_plus <= 1.0 and 0.0 <= c.p_minus <= 1.0):
+            issues.append(f"{tag}: conditional probabilities not in [0, 1]")
+        if (c.src_pos, c.src_sym) in seen_src:
+            issues.append(f"{tag}: more than one correlation for this (position, symbol)")
+        seen_src.add((c.src_pos, c.src_sym))
+    return issues
+
+
+def reference_alternatives(u: UncertainString, lo: int = 1, hi: int | None = None) -> _Alternatives:
+    """``factorize._alternatives`` of positions ``lo..hi`` by one row tuple per alternative, walking the dicts."""
+    first = [0]
+    rows: list[tuple] = []
+    fwd: list[tuple[int, int, int]] = []
+    for q in range(lo, (u.n if hi is None else hi) + 1):
+        dist = u.positions[q - 1]
+        for sym in sorted(dist):
+            key = q << _CODE_BITS | ord(sym)
+            c = u.by_source.get((q, sym))
+            if c is None:
+                rows.append((key, dist[sym], dist[sym], 0, 0, 0.0, 0.0))
+                continue
+            marginal = c.marginal(u.pr(c.cond_pos, c.cond_sym))
+            bound = max(marginal, c.p_plus, c.p_minus)
+            rows.append((key, marginal, bound, c.cond_pos, ord(c.cond_sym), c.p_plus, c.p_minus))
+            if c.cond_pos > q:
+                fwd.append((c.cond_pos, q, ord(sym)))
+        first.append(len(rows))
+    rows.append((1 << 62, 0.0, 0.0, 0, 0, 0.0, 0.0))
+    key, m, mb, cond, cond_code, p_plus, p_minus = (np.array(col) for col in zip(*rows))
+    fwd_cond, fwd_src, fwd_code = np.array(sorted(fwd), dtype=np.int64).reshape(-1, 3).T
+    return _Alternatives(
+        np.array(first), key, (key & ((1 << _CODE_BITS) - 1)).astype(np.int32), m, mb,
+        cond, cond_code, p_plus, p_minus, fwd_cond, fwd_src, fwd_code,
+    )
+
+
+def reference_prefix_doubling(codes: np.ndarray, rounds: list[np.ndarray] | None = None) -> np.ndarray:
+    """``textcore._prefix_doubling`` from one ``argsort`` of the codes, doubling from one code.
+
+    Every round, the first ones included, sorts the groups of more than one
+    suffix by ``rank * (n + 1) + rank of the suffix 2^j further``.
+    """
+    n = codes.size
+    order = np.argsort(codes)
+    rank = np.full(n + 1, -1, dtype=np.int32)
+    live, sub, key, k = np.arange(n, dtype=np.int32), order.astype(np.int32), codes[order], 1
+    while True:
+        head = np.append(True, key[1:] != key[:-1])[: key.size]
+        rank[sub] = np.maximum.accumulate(np.where(head, live, 0))
+        more = ~(head & np.append(head[1:], True))
+        live, sub = live[more], sub[more]
+        if not live.size:
+            return order
+        if rounds is not None:
+            rounds.append(rank.copy())
+        key = rank[sub].astype(np.int64)
+        key *= n + 1
+        key += rank[np.minimum(sub, n - k) + k] + 1
+        by_key = np.argsort(key)
+        order[live] = sub = sub[by_key]
+        key = key[by_key]
+        k *= 2

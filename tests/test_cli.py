@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
+import re
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ustrindex import parse_ust_file, write_ust_file
+from ustrindex import UncertainString, cli, parse_ust_file, write_ust_file
 from ustrindex.cli import main
 
 CORPUS = "abracadabra melon banana cabana almanac sonata" * 3
@@ -243,3 +246,28 @@ def test_verify_reports_mismatches(genome_file, capsys, monkeypatch):
     assert main(["verify", genome_file, "--tau-min", "0.1"]) == 5
     assert "mismatch" in capsys.readouterr().out
 
+
+
+def _codes(text: str) -> list[int]:
+    """The exit codes a sentence lists: each digit that a word follows."""
+    return sorted(int(c) for c in re.findall(r"\b(\d) [a-z]", text))
+
+
+def test_exit_codes_agree_between_readme_help_and_main(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    documented = re.search(r"^Exit codes: (.*?)\n\n", readme, re.S | re.M)
+    assert documented is not None
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    shown = capsys.readouterr().out
+    assert "exit codes:" in shown
+    returned = {int(c) for c in re.findall(r"^\s+return (\d+)$", inspect.getsource(cli), re.M)}
+    assert _codes(documented.group(1)) == _codes(shown[shown.index("exit codes:") :]) == sorted(returned)
+
+
+def test_a_wrongly_typed_string_exits_two(tmp_path, capsys, monkeypatch):
+    """A probability that is not a number reaches ``build`` from Python callers; the CLI maps its ValueError to 2."""
+    monkeypatch.setattr(cli, "parse_ust_file", lambda path: [UncertainString("x", ({"a": "1.0"},))])
+    assert main(["build", "x.ust", "--tau-min", "0.5", "-o", str(tmp_path / "x.usi")]) == 2
+    assert "is not a real number" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -21,8 +22,10 @@ from ustrindex import (
     prefix_probabilities,
     transform,
 )
+from ustrindex.factorize import _alternatives
+from ustrindex.model import _flatten
 
-from helpers import random_ustring, reference_transform
+from helpers import random_ustring, reference_alternatives, reference_transform
 
 
 def brute_maximal_factors(u: UncertainString, tau_min: float, start: int) -> set[tuple[str, float]]:
@@ -310,3 +313,26 @@ def test_conservation_check_refuses_large_strings():
     big = UncertainString("big", tuple({"a": 1.0} for _ in range(41)))
     with pytest.raises(ValueError):
         conservation_check(big, 0.5, transform(big, 0.5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_alternatives_from_flat_arrays_match_the_dict_walk(seed):
+    """Every array of ``_alternatives``, dtype and bytes, for the whole string and for positions lo..hi."""
+    rng = random.Random(seed)
+    u = random_ustring(
+        rng,
+        n=rng.randint(1, 40),
+        alphabet=rng.choice(("abcd", "aé中\U0001F600")),
+        correlation_rate=rng.choice((0.0, 0.3, 0.8)),
+    )
+    if rng.random() < 0.3:  # integer probabilities are valid too
+        ints = tuple({s: 1 for s in d} if list(d.values()) == [1.0] else d for d in u.positions)
+        u = UncertainString(u.name, ints, u.correlations)
+    lo = rng.randint(1, u.n)
+    for lo, hi in ((1, None), (lo, rng.randint(lo - 1, u.n))):
+        got = _alternatives(u, _flatten(u.positions[lo - 1 : hi], lo))
+        want = reference_alternatives(u, lo, hi)
+        for f in dataclasses.fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (f.name, lo, hi)

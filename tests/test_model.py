@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,12 +14,15 @@ from ustrindex import (
     Correlation,
     DocumentCollection,
     UncertainString,
+    build,
+    build_listing,
     enumerate_worlds,
     occurrence_probability,
     validate,
 )
+from ustrindex.model import SUM_TOLERANCE
 
-from helpers import random_ustring
+from helpers import random_ustring, reference_validate
 
 
 def test_validate_accepts_fixtures(worlds_example, genome, correlated, collection):
@@ -57,6 +61,81 @@ def test_validate_flags_correlation_problems():
         )
     )
     assert any("more than one correlation" in s for s in dup)
+
+
+# well-typed symbols and probabilities, valid or not
+SYMBOLS = ("a", "b", "c", "ab", "", "é", "\U0001F600")
+ODD_PROBABILITIES = (0.0, -0.5, 1.5, math.nan, math.inf, -math.inf, float("1e309"), 1e-300)
+# sums just inside and just outside SUM_TOLERANCE, on either side of 1
+NEAR_ONE = (0.0, SUM_TOLERANCE - 1e-12, SUM_TOLERANCE + 1e-12, -SUM_TOLERANCE + 1e-12, -SUM_TOLERANCE - 1e-12)
+
+
+def _odd_string(rng: random.Random) -> UncertainString:
+    """A random string whose entries are well typed but may break any invariant ``validate`` checks."""
+    n = rng.randint(0, 12)
+    positions = []
+    for _ in range(n):
+        syms = rng.sample(SYMBOLS, rng.randint(0, 3)) if rng.random() < 0.3 else rng.sample("abcd", rng.randint(1, 3))
+        weights = [rng.random() + 0.05 for _ in syms]
+        dist = {s: w / sum(weights) for s, w in zip(syms, weights)}
+        if dist and rng.random() < 0.3:
+            sym = rng.choice(list(dist))
+            dist[sym] = 1.0 - sum(v for k, v in dist.items() if k != sym) + rng.choice(NEAR_ONE)
+        if dist and rng.random() < 0.15:
+            dist[rng.choice(list(dist))] = rng.choice(ODD_PROBABILITIES)
+        positions.append(dist)
+    corrs = tuple(
+        Correlation(
+            rng.randint(0, n + 1), rng.choice(SYMBOLS), rng.randint(0, n + 1), rng.choice(SYMBOLS),
+            rng.choice((0.2, 0.9, 1.0, 1.5, math.nan)), rng.choice((0.0, 0.5, -0.1)),
+        )
+        for _ in range(rng.choice((0, 0, 1, 3)))
+    )
+    return UncertainString("x", tuple(positions), corrs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6))
+def test_validate_words_the_same_issues_as_the_plain_loop(seed):
+    """The numpy screen picks every position the loop faults: the message lists are identical."""
+    u = _odd_string(random.Random(seed))
+    assert validate(u) == reference_validate(u)
+
+
+@pytest.mark.parametrize("delta", NEAR_ONE)
+def test_validate_sums_at_the_tolerance_edge(delta):
+    u = UncertainString("x", ({"a": 0.25, "b": 0.75 + delta}, {"c": 1.0}))
+    assert validate(u) == reference_validate(u)
+    assert bool(validate(u)) == (abs(0.25 + (0.75 + delta) - 1.0) > SUM_TOLERANCE)
+
+
+@pytest.mark.parametrize(
+    "positions, corrs, fragment",
+    [
+        (({1: 1.0},), (), "symbol 1 is not a single character"),
+        (({"a": "1.0"},), (), "probability '1.0' of 'a' is not a real number"),
+        (({"a": None},), (), "probability None of 'a' is not a real number"),
+        (({"a": 0.5, "b": 10**400},), (), "is not a real number"),
+        (({"a": 1.0}, {"b": 1.0}), (Correlation("1", "a", 2, "b", 0.5, 0.5),), "a field has the wrong type"),
+        (({"a": 1.0}, {"b": 1.0}), (Correlation(1, "a", 2, ["b"], 0.5, 0.5),), "a field has the wrong type"),
+        (({"a": 1.0}, {"b": 1.0}), (Correlation(1, "a", 2, "b", "0.5", 0.5),), "a field has the wrong type"),
+        (({"a": 1.0}, {"b": "1"}), (Correlation(1, "a", 2, "b", 0.5, 0.5),), "probability '1' of 'b'"),
+    ],
+)
+def test_validate_reports_wrongly_typed_entries(positions, corrs, fragment):
+    """A mistyped symbol, probability or correlation field is an issue, and a build a ValueError, not a TypeError."""
+    u = UncertainString("x", positions, corrs)
+    assert any(fragment in issue for issue in validate(u)), validate(u)
+    with pytest.raises(ValueError, match="invalid uncertain string"):
+        build(u, 0.5)
+    good = UncertainString("good", ({"a": 1.0},))
+    with pytest.raises(ValueError, match="invalid document 'x'"):
+        build_listing(DocumentCollection((good, u)), 0.5)
+
+
+def test_validate_accepts_other_real_numbers():
+    u = UncertainString("x", ({"a": 1}, {"a": True}, {"a": 0.5, "b": np.float64(0.5)}))
+    assert validate(u) == []
 
 
 def test_world_enumeration_counts_and_masses(worlds_example):

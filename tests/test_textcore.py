@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ustrindex import CapacityError, ContainerError
+from ustrindex import CapacityError, ContainerError, textcore
 from ustrindex.qindex import QueryStats
 from ustrindex.textcore import (
     SparseDepth,
@@ -24,7 +26,7 @@ from ustrindex.textcore import (
     suffix_range,
 )
 
-from helpers import reference_report, reference_suffix_order
+from helpers import reference_prefix_doubling, reference_report, reference_suffix_order
 
 
 def random_codes(rng: random.Random, max_len: int = 60) -> list[int]:
@@ -126,6 +128,77 @@ def test_pair_lift_matches_brute_force(seed):
     assert not rounds or max(consecutive) >= 1 << (len(rounds) - 1)
     assert build_suffix_array(codes).lcp.tolist() == consecutive
     assert check_suffix_array(np.asarray(codes, dtype=np.int64), order + 1).lcp.tolist() == consecutive
+
+
+def _sort_text(rng: random.Random, kind: str) -> list[int]:
+    """A separator text of one kind: see ``test_prefix_doubling_matches_doubling_from_one_code``."""
+    if kind == "separators":
+        return separator_text(rng)
+    if kind == "unterminated":  # ends inside a factor, or on letters only
+        codes = separator_text(rng)
+        return codes[: rng.randint(0, len(codes))] + [rng.choice((97, 98))] * rng.randint(0, 9)
+    if kind == "repeated":  # separator codes that occur more than once
+        return separator_text(rng) + separator_text(rng)
+    letters = [97 + k for k in range(rng.randint(4, 7))]  # "3-bit": 4 to 7 letters pack in 3 bits
+    out, sep = [], 0
+    for _ in range(rng.randint(0, 80)):
+        if rng.random() < 0.1:
+            sep += 1
+            out.append(-sep)
+        else:
+            out += [rng.choice(letters[:2])] * rng.randint(1, 6) if rng.random() < 0.2 else [rng.choice(letters)]
+    return out
+
+
+def _narrow_keys(codes, dtype, ties=False, pack=textcore._pack_letters):
+    """``_pack_letters`` with the narrowest sort keys that hold one letter and the tie field: few letters to a key."""
+    if ties:
+        wide = pack(codes, np.uint64, ties)
+        dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if wide.bits + wide.low <= 8 * t().itemsize)
+    return pack(codes, dtype, ties)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(("separators", "unterminated", "repeated", "3-bit")), st.booleans())
+def test_prefix_doubling_matches_doubling_from_one_code(seed, kind, narrow):
+    """The order and every round's ranks (int32, bytes) equal those of a sort that starts from one code.
+
+    ``narrow`` packs the first sort's keys into as few bytes as hold one
+    letter, so that a key often holds one or two; 64-bit keys hold 8 to 32
+    of these letters.
+    """
+    rng = random.Random(seed)
+    codes = np.asarray(_sort_text(rng, kind), dtype=np.int64)
+    want_rounds: list[np.ndarray] = []
+    want = reference_prefix_doubling(codes, want_rounds)
+    with mock.patch.object(textcore, "_pack_letters", _narrow_keys) if narrow else contextlib.nullcontext():
+        rounds: list[np.ndarray] = []
+        got = _prefix_doubling(codes, rounds)
+        assert _prefix_doubling(codes).tolist() == got.tolist()
+    assert got.tolist() == want.tolist() == reference_suffix_order(codes.tolist())
+    assert len(rounds) == len(want_rounds)
+    for a, b in zip(rounds, want_rounds):
+        assert (a.dtype, a.tobytes()) == (np.dtype(np.int32), b.tobytes())
+
+
+def test_prefix_doubling_packs_as_many_letters_as_fit():
+    """Eight letters and 2**13 separators pack 8 to a key, 3-bit letters 16, 2**16 letters 2; one in a byte."""
+    rng = np.random.default_rng(3)
+    eight = np.where(np.arange(40_000) % 5 == 4, -1 - np.arange(40_000) // 5, rng.integers(97, 105, 40_000))
+    three = eight.copy()
+    three[three >= 0] = rng.integers(97, 101, int((three >= 0).sum()))
+    # every code point from 0x20 on once, then runs of two letters: sorts of long repeats
+    wide = np.concatenate((np.arange(0x20, 0x20 + (1 << 16)), rng.integers(0x20, 0x22, 5_000), [-1], [0x20] * 40))
+    # five letters and five separators: a 3-bit letter and a 3-bit tie fill a byte
+    one = np.where(np.arange(300) % 60 == 59, -1 - np.arange(300) // 60, rng.integers(97, 102, 300))
+    for codes, per, pack in ((eight, 8, None), (three, 16, None), (wide, 2, None), (one, 1, _narrow_keys)):
+        with mock.patch.object(textcore, "_pack_letters", pack) if pack else contextlib.nullcontext():
+            assert textcore._pack_letters(codes, np.uint64, ties=True).per == per
+            rounds: list[np.ndarray] = []
+            got = _prefix_doubling(codes, rounds)
+        want_rounds: list[np.ndarray] = []
+        assert got.tolist() == reference_prefix_doubling(codes, want_rounds).tolist()
+        assert [r.tobytes() for r in rounds] == [r.tobytes() for r in want_rounds]
 
 
 def test_a_text_too_long_for_int32_ranks_raises_a_capacity_error(monkeypatch):
