@@ -13,28 +13,12 @@ all on the command line.
 
 from __future__ import annotations
 
-from .approx import Link, LinkIndex, RawLinks, approx_items, approx_query, build_links, partition_links
+from .approx import LinkIndex, RawLinks, approx_items, approx_query, build_links, partition_links
 from .container import IndexContainer, build_container, load_container, save_container
 from .datagen import GenConfig, generate, generate_collection, sample_world
 from .errors import CapacityError, ContainerError, ParseError, ThresholdError
-from .factorize import (
-    MaximalFactor,
-    TransformedText,
-    conservation_check,
-    maximal_factors,
-    prefix_probabilities,
-    transform,
-)
-from .listing import (
-    METRICS,
-    ListingConfig,
-    ListingIndex,
-    build_listing,
-    list_docs,
-    list_items,
-    list_with_stats,
-    relevance,
-)
+from .factorize import TransformedText, transform
+from .listing import METRICS, ListingIndex, build_listing, list_docs, list_items, list_with_stats
 from .model import (
     Correlation,
     DocumentCollection,
@@ -44,15 +28,7 @@ from .model import (
     validate,
 )
 from .oracle import oracle_list, oracle_relevance, oracle_search
-from .qindex import (
-    IndexConfig,
-    QueryStats,
-    SubstringIndex,
-    build,
-    query,
-    query_items,
-    query_with_stats,
-)
+from .qindex import QueryStats, SubstringIndex, build, query, query_items, query_with_stats
 from .ustformat import parse_ust, parse_ust_file, serialize_ust, write_ust_file
 
 __version__ = "0.1.0"
@@ -63,14 +39,10 @@ __all__ = [
     "Correlation",
     "DocumentCollection",
     "GenConfig",
-    "IndexConfig",
     "IndexContainer",
-    "Link",
     "LinkIndex",
-    "ListingConfig",
     "ListingIndex",
     "METRICS",
-    "MaximalFactor",
     "ParseError",
     "QueryStats",
     "RawLinks",
@@ -84,7 +56,6 @@ __all__ = [
     "build_container",
     "build_links",
     "build_listing",
-    "conservation_check",
     "enumerate_worlds",
     "generate",
     "generate_collection",
@@ -92,7 +63,6 @@ __all__ = [
     "list_items",
     "list_with_stats",
     "load_container",
-    "maximal_factors",
     "occurrence_probability",
     "oracle_list",
     "oracle_relevance",
@@ -100,11 +70,9 @@ __all__ = [
     "parse_ust",
     "parse_ust_file",
     "partition_links",
-    "prefix_probabilities",
     "query",
     "query_items",
     "query_with_stats",
-    "relevance",
     "sample_world",
     "save_container",
     "serialize_ust",

@@ -10,7 +10,9 @@ node.  Chains are cut over ``cum`` slices so that the probabilities inside
 one segment span at most epsilon; a query stabs the segments whose depth
 interval brackets the pattern length inside the pattern's slot range.
 Reported positions match at probability at least tau - epsilon while nothing
-at or above tau is missed.
+at or above tau is missed.  Links and segments are rows of flat arrays, and
+their floor is the text's: ``build_links`` takes none, and a query rejects a
+tau below ``tt.tau_min`` of the text the links were built over.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ from .qindex import _FEW, _locate
 from .textcore import SuffixArrayIndex, _lift, _prefix_doubling, locus  # noqa: F401 - perfbench/tracer.py wraps locus
 
 __all__ = [
-    "Link",
     "LinkIndex",
-    "RawLink",
     "RawLinks",
     "approx_items",
     "approx_query",
@@ -37,57 +37,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RawLink:
-    """One uncut link: a position mark, its depth interval, and the witness leaf's 0-based offset."""
-
-    pos_id: int
-    origin_depth: int
-    target_depth: int
-    witness_off: int
-
-
 @dataclass(eq=False)
 class RawLinks:
-    """Uncut links in flat arrays, plus the structures needed to partition and query them."""
+    """Uncut links in flat arrays, plus the structures needed to partition them.
+
+    Link r marks position ``pos_id[r]`` on depths ``t_depth[r] + 1 .. o_depth[r]`` at text offset ``witness_off[r]``.
+    """
 
     tt: TransformedText
     saidx: SuffixArrayIndex
-    tau_min: float
     pos_id: np.ndarray = field(repr=False)
     o_depth: np.ndarray = field(repr=False)
     t_depth: np.ndarray = field(repr=False)
     witness_off: np.ndarray = field(repr=False)
     factor_off: np.ndarray = field(repr=False)  # a factor start among the node's d-leaves; -1 when none
 
-    def links(self) -> list[RawLink]:
-        cols = (self.pos_id, self.o_depth, self.t_depth, self.witness_off)
-        return [RawLink(*row) for row in zip(*(c.tolist() for c in cols))]
-
-
-@dataclass(frozen=True)
-class Link:
-    """A chain segment: prefixes of length target_depth+1 .. origin_depth.
-
-    ``origin`` is the slot of the witness leaf.  ``stored_prob`` is the
-    occurrence probability of the shallowest of those prefixes at ``pos_id``,
-    the largest value inside the segment.
-    """
-
-    origin: int
-    pos_id: int
-    stored_prob: float
-    origin_depth: int
-    target_depth: int
-
 
 @dataclass(eq=False)
 class LinkIndex:
-    """Chain segments in flat arrays ordered by origin slot."""
+    """Chain segments in flat arrays, one row per segment, ordered by origin slot.
+
+    Segment r covers the prefixes of lengths ``t_depth[r] + 1 .. o_depth[r]``
+    at position ``pos_id[r]``; ``origin[r]`` is the 1-based slot of its
+    witness leaf, and ``stored[r]`` the occurrence probability of the
+    shallowest of those prefixes there, the largest value inside the segment.
+    """
 
     tt: TransformedText
     saidx: SuffixArrayIndex
-    tau_min: float
     eps: float
     origin: np.ndarray = field(repr=False)
     pos_id: np.ndarray = field(repr=False)
@@ -97,10 +74,6 @@ class LinkIndex:
 
     def __len__(self) -> int:
         return len(self.origin)
-
-    def links(self) -> list[Link]:
-        cols = (self.origin, self.pos_id, self.stored, self.o_depth, self.t_depth)
-        return [Link(*row) for row in zip(*(c.tolist() for c in cols))]
 
     @cached_property
     def views(self) -> tuple[memoryview, ...]:
@@ -121,7 +94,7 @@ def _nearest_smaller(h: np.ndarray, pair: np.ndarray, reach: int) -> tuple[np.nd
     return left - 1, right
 
 
-def build_links(tt: TransformedText, saidx: SuffixArrayIndex, tau_min: float, *, _rounds=None) -> RawLinks:
+def build_links(tt: TransformedText, saidx: SuffixArrayIndex, *, _rounds=None) -> RawLinks:
     """Mark nodes per original position and link each mark to its nearest marked ancestor.
 
     With ``h_i`` the LCP of the i-th and (i+1)-th d-leaf in slot order, a leaf
@@ -167,7 +140,7 @@ def build_links(tt: TransformedText, saidx: SuffixArrayIndex, tau_min: float, *,
     first = np.append(starts, slots.size)[np.searchsorted(starts, lo[order])]
     factor_off = np.where(first <= hi[order], np.append(witness, -1)[first], -1)
     mark = mark[order]
-    return RawLinks(tt, saidx, tau_min, d_of[mark], o_depth[order], t_depth[order], witness[mark], factor_off)
+    return RawLinks(tt, saidx, d_of[mark], o_depth[order], t_depth[order], witness[mark], factor_off)
 
 
 def partition_links(raw: RawLinks, eps: float) -> LinkIndex:
@@ -205,7 +178,7 @@ def partition_links(raw: RawLinks, eps: float) -> LinkIndex:
     origin = slot_of[raw.witness_off[link]]
     order = np.lexsort((-o_depth, link, origin))
     cols = (origin, raw.pos_id[link], vals[at], o_depth, t_depth)
-    return LinkIndex(raw.tt, raw.saidx, raw.tau_min, eps, *(c[order] for c in cols))
+    return LinkIndex(raw.tt, raw.saidx, eps, *(c[order] for c in cols))
 
 
 def approx_items(idx: LinkIndex, p: str, tau: float) -> list[tuple[int, float]]:
@@ -216,7 +189,7 @@ def approx_items(idx: LinkIndex, p: str, tau: float) -> list[tuple[int, float]]:
     ``bisect`` finds the links with an origin in the range; a few are tested
     one by one, many by numpy.
     """
-    rng = _locate(idx.saidx, idx.tau_min, p, tau)
+    rng = _locate(idx.saidx, idx.tt.tau_min, p, tau)
     if rng is None:
         return []
     origin, pos_id, stored, o_depth, t_depth = idx.views

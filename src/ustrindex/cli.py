@@ -14,7 +14,7 @@ import random
 import sys
 
 from .approx import approx_items
-from .container import IndexContainer, build_container, load_container, save_container
+from .container import build_container, load_container, save_container
 from .datagen import GenConfig, generate, generate_collection, sample_world
 from .errors import CapacityError, ParseError, ThresholdError
 from .listing import build_listing, list_docs, list_items
@@ -71,53 +71,29 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_kind(path: str, want: str) -> IndexContainer:
-    container = load_container(path)
-    if want == "substring" and container.substring is None:
-        raise ValueError(f"{path} holds a {container.kind} index; this command needs a substring index")
-    if want == "listing" and container.listing is None:
-        raise ValueError(f"{path} holds a {container.kind} index; this command needs a listing index")
-    if want == "links" and container.links is None:
-        raise ValueError(f"{path} was built without --epsilon; rebuild it to use approx")
-    return container
+# subcommand -> (the container field it reads, its answer function, the JSON keys of a result's pair)
+_ANSWERS = {
+    "query": ("substring", query_items, ("position", "probability")),
+    "list": ("listing", list_items, ("doc", "relevance")),
+    "approx": ("links", approx_items, ("position", "probability")),
+}
 
 
-def cmd_query(args: argparse.Namespace) -> int:
-    container = _load_kind(args.index, "substring")
-    assert container.substring is not None
+def cmd_answer(args: argparse.Namespace) -> int:
+    field, answer, (key_name, value_name) = _ANSWERS[args.command]
+    container = load_container(args.index)
+    idx = getattr(container, field)
+    if idx is None and field == "links":
+        raise ValueError(f"{args.index} was built without --epsilon; rebuild it to use approx")
+    if idx is None:
+        raise ValueError(f"{args.index} holds a {container.kind} index; this command needs a {field} index")
     for p in args.pattern:
-        items = query_items(container.substring, p, args.tau)
+        items = answer(idx, p, args.tau)
         if args.json:
-            for pos, prob in items:
-                print(json.dumps({"pattern": p, "position": pos, "probability": prob}))
+            for key, value in items:
+                print(json.dumps({"pattern": p, key_name: key, value_name: value}))
         else:
-            print(" ".join(str(pos) for pos, _ in items))
-    return 0
-
-
-def cmd_list(args: argparse.Namespace) -> int:
-    container = _load_kind(args.index, "listing")
-    assert container.listing is not None
-    for p in args.pattern:
-        items = list_items(container.listing, p, args.tau)
-        if args.json:
-            for name, rel in items:
-                print(json.dumps({"pattern": p, "doc": name, "relevance": rel}))
-        else:
-            print(" ".join(name for name, _ in items))
-    return 0
-
-
-def cmd_approx(args: argparse.Namespace) -> int:
-    container = _load_kind(args.index, "links")
-    assert container.links is not None
-    for p in args.pattern:
-        items = approx_items(container.links, p, args.tau)
-        if args.json:
-            for pos, prob in items:
-                print(json.dumps({"pattern": p, "position": pos, "probability": prob}))
-        else:
-            print(" ".join(str(pos) for pos, _ in items))
+            print(" ".join(str(key) for key, _ in items))
     return 0
 
 
@@ -220,13 +196,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_query_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("index", help="index container file")
-    sp.add_argument("--pattern", action="append", required=True, help="pattern (repeatable)")
-    sp.add_argument("--tau", type=float, required=True, help="probability threshold")
-    sp.add_argument("--json", action="store_true", help="one JSON object per result")
-
-
 EXIT_CODES = (
     "exit codes: 0 success, 2 usage or input errors, 3 query threshold below the index floor, "
     "4 transformed-text capacity exceeded, 5 verification mismatch"
@@ -260,17 +229,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cap", type=int, help="transformed-text length cap")
     sp.set_defaults(func=cmd_build)
 
-    sp = sub.add_parser("query", help="threshold substring search")
-    _add_query_flags(sp)
-    sp.set_defaults(func=cmd_query)
-
-    sp = sub.add_parser("list", help="document listing by relevance")
-    _add_query_flags(sp)
-    sp.set_defaults(func=cmd_list)
-
-    sp = sub.add_parser("approx", help="approximate substring search over links")
-    _add_query_flags(sp)
-    sp.set_defaults(func=cmd_approx)
+    for name, what in (
+        ("query", "threshold substring search"),
+        ("list", "document listing by relevance"),
+        ("approx", "approximate substring search over links"),
+    ):
+        sp = sub.add_parser(name, help=what)
+        sp.add_argument("index", help="index container file")
+        sp.add_argument("--pattern", action="append", required=True, help="pattern (repeatable)")
+        sp.add_argument("--tau", type=float, required=True, help="probability threshold")
+        sp.add_argument("--json", action="store_true", help="one JSON object per result")
+        sp.set_defaults(func=cmd_answer)
 
     sp = sub.add_parser("verify", help="cross-check indexes against the brute-force oracle")
     sp.add_argument("file", nargs="?", help="UST file to verify (default: seeded random suite)")

@@ -8,10 +8,12 @@ in ``doc_factors``; approximate links keep their origin as a suffix-array
 slot in ``link_origin``.  The manifest holds the source UST text and, in
 ``documents``, each document's name and length in collection order, and
 ``digests`` the SHA-256 of every ``.npy`` member, of the source and of the
-other manifest fields.  No table is stored: both index kinds build a short table, and a
-substring index a long one, per length the first time a query reads it,
-from ``cum`` at the slot-sorted factor starts, so a reopened index answers
-queries bit for bit like the one that was saved.
+other manifest fields.  A save reads ``tau_min``, ``epsilon`` and ``metric``
+from the one place each lives (the text, the links, the listing index), and
+a load puts each back there.  No table is stored: both index kinds build a
+short table, and a substring index a long one, per length the first time a
+query reads it, from ``cum`` at the slot-sorted factor starts, so a reopened
+index answers queries bit for bit like the one that was saved.
 
 A load never parses the source: queries and the load checks read only the
 names and lengths, and the text is parsed, once, the first time something
@@ -46,9 +48,9 @@ import numpy as np
 from .approx import LinkIndex, build_links, partition_links
 from .errors import ContainerError, ParseError
 from .factorize import TransformedText
-from .listing import METRICS, ListingConfig, ListingIndex, build_listing
+from .listing import METRICS, ListingIndex, build_listing
 from .model import DocumentCollection, Documents, UncertainString
-from .qindex import IndexConfig, SubstringIndex, build
+from .qindex import SubstringIndex, build
 from .textcore import (  # noqa: F401 - perfbench wraps TreeView, build_suffix_array and rmq_build
     TreeView,
     build_suffix_array,
@@ -68,15 +70,20 @@ _LINK_ARRAYS = ("origin", "pos", "stored", "odepth", "tdepth")
 
 @dataclass(eq=False)
 class IndexContainer:
-    """One built index plus the metadata needed to reopen and route queries."""
+    """One built substring or listing index, plus the links of a substring index.
 
-    kind: str
-    tau_min: float
+    It holds no copy of their parameters: tau_min is the text's, epsilon the
+    links' ``eps`` and the metric the listing index's.
+    """
+
     substring: SubstringIndex | None = None
     listing: ListingIndex | None = None
     links: LinkIndex | None = None
-    epsilon: float | None = None
-    metric: str | None = None
+
+    @property
+    def kind(self) -> str:
+        """``listing`` or ``substring``, by the index held."""
+        return "listing" if self.listing is not None else "substring"
 
 
 def build_container(
@@ -98,45 +105,42 @@ def build_container(
     if metric is not None or len(docs) > 1:
         if epsilon is not None:
             raise ValueError("approximate links apply to single-string indexes only")
-        idx = build_listing(
-            DocumentCollection(tuple(docs)),
-            tau_min,
-            metric or "max",
-            ListingConfig(m_short=m_short, length_cap=length_cap),
-        )
-        return IndexContainer("listing", tau_min, listing=idx, metric=idx.metric)
+        collection = DocumentCollection(tuple(docs))
+        lidx = build_listing(collection, tau_min, metric or "max", m_short=m_short, length_cap=length_cap)
+        return IndexContainer(listing=lidx)
     rounds = None if epsilon is None else []  # the sort's ranks, dropped once the links have read them
-    sub = build(docs[0], tau_min, IndexConfig(m_short=m_short, length_cap=length_cap), _rounds=rounds)
-    links = None
-    if epsilon is not None:
-        links = partition_links(build_links(sub.tt, sub.saidx, tau_min, _rounds=rounds), epsilon)
-    return IndexContainer("substring", tau_min, substring=sub, links=links, epsilon=epsilon)
+    sub = build(docs[0], tau_min, m_short=m_short, length_cap=length_cap, _rounds=rounds)
+    links = None if epsilon is None else partition_links(build_links(sub.tt, sub.saidx, _rounds=rounds), epsilon)
+    return IndexContainer(substring=sub, links=links)
 
 
 def save_container(container: IndexContainer, path: str) -> None:
+    """Write ``container`` to ``path``; a container that no load would give back raises ValueError.
+
+    That is one without an index or with both kinds, or with links beside no
+    substring index or over another text than the substring index's.
+    """
+    sub, lidx, links = container.substring, container.listing, container.links
+    if (sub is None) == (lidx is None):
+        raise ValueError("a container holds exactly one substring or listing index")
+    if links is not None and sub is None:
+        raise ValueError("approximate links need the substring index they were built over")
+    if links is not None and links.tt is not sub.tt:
+        raise ValueError("the approximate links were built over another text than the substring index's")
+    idx = sub or lidx
+    tt, saidx = idx.tt, idx.saidx
     arrays: dict[str, np.ndarray] = {}
     manifest: dict[str, object] = {
         "format_version": FORMAT_VERSION,
         "kind": container.kind,
-        "tau_min": repr(container.tau_min),
-        "epsilon": None if container.epsilon is None else repr(container.epsilon),
-        "metric": container.metric,
+        "tau_min": repr(tt.tau_min),
+        "epsilon": None if links is None else repr(links.eps),
+        "metric": None if lidx is None else lidx.metric,
+        "m_short": idx.m_short,
     }
-
-    if container.kind == "substring":
-        idx = container.substring
-        assert idx is not None
-        manifest["m_short"] = idx.m_short
-        tt, saidx = idx.tt, idx.saidx
-    elif container.kind == "listing":
-        lidx = container.listing
-        assert lidx is not None
-        manifest["m_short"] = lidx.m_short
-        tt, saidx = lidx.tt, lidx.saidx
+    if lidx is not None:
         # documents are concatenated in order, so a count per document places every factor
         arrays["doc_factors"] = tt.doc_factors
-    else:
-        raise ValueError(f"unknown container kind {container.kind!r}")
     docs = tt.documents
     manifest["documents"] = [[name, n] for name, n in zip(docs.names, docs.lengths)]
     # a loaded index keeps the text it was read from, so saving it again parses nothing
@@ -148,9 +152,8 @@ def save_container(container: IndexContainer, path: str) -> None:
     arrays["sa"] = saidx.sa.astype(np.int32)
     arrays["pos"] = tt.pos[tt.factor_runs()[0]]
     arrays["cum"] = tt.cum
-    if container.links is not None:
-        ln = container.links
-        for a, arr in zip(_LINK_ARRAYS, (ln.origin, ln.pos_id, ln.stored, ln.o_depth, ln.t_depth)):
+    if links is not None:
+        for a, arr in zip(_LINK_ARRAYS, (links.origin, links.pos_id, links.stored, links.o_depth, links.t_depth)):
             arrays[f"link_{a}"] = arr
 
     members = {}
@@ -349,14 +352,9 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray], members: dict[str, 
     docs = Documents(names, lengths, partial(_parse_source, source, names, lengths), text=source)
     tt = TransformedText(codes, pos, cum, tau_min, docs, arrays["doc_factors"] if kind == "listing" else None)
 
-    if kind == "substring":
-        idx = SubstringIndex(tt, saidx, tau_min, m_short)
-        links = None
-        epsilon = None
-        if manifest["epsilon"] is not None:
-            epsilon = float(manifest["epsilon"])
-            links = LinkIndex(tt, saidx, tau_min, epsilon, *(arrays[f"link_{a}"] for a in _LINK_ARRAYS))
-        return IndexContainer("substring", tau_min, substring=idx, links=links, epsilon=epsilon)
-
-    lidx = ListingIndex(manifest["metric"], tau_min, tt, tt.doc_of(), saidx, m_short)
-    return IndexContainer("listing", tau_min, listing=lidx, metric=lidx.metric)
+    if kind == "listing":
+        return IndexContainer(listing=ListingIndex(manifest["metric"], tt, tt.doc_of(), saidx, m_short))
+    links = None
+    if manifest["epsilon"] is not None:
+        links = LinkIndex(tt, saidx, float(manifest["epsilon"]), *(arrays[f"link_{a}"] for a in _LINK_ARRAYS))
+    return IndexContainer(substring=SubstringIndex(tt, saidx, m_short), links=links)

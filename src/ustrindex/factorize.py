@@ -18,8 +18,8 @@ reaches tau_min, as ``(start, code, prob, bound)`` rows, and extends all of
 them by one character in a few numpy steps.  Each row keeps only its last
 code and a link to the window it extends (``_Trie``), so a level costs its
 row count, not its rows times k.  ``_extend`` is the single copy of the
-growth rule; ``prefix_probabilities`` drives it along given symbols instead
-of along every alternative.  The ``prob`` of a maximal window's ancestors
+growth rule; ``batch_prefix_probabilities`` drives it along given symbols
+instead of along every alternative.  The ``prob`` of a maximal window's ancestors
 become its ``cum``.  Those are left-to-right products of the same
 multiplicands
 ``model.occurrence_probability`` uses, so threshold comparisons downstream
@@ -52,9 +52,6 @@ __all__ = [
     "MaximalFactor",
     "TransformedText",
     "batch_prefix_probabilities",
-    "conservation_check",
-    "maximal_factors",
-    "prefix_probabilities",
     "transform",
 ]
 
@@ -301,25 +298,6 @@ def _check_tau_min(tau_min: float) -> None:
         raise ValueError(f"tau_min {tau_min!r} not in (0, 1]")
 
 
-def _spell(codes: np.ndarray) -> str:
-    return "".join(map(chr, codes.tolist()))
-
-
-def maximal_factors(u: UncertainString, tau_min: float, start: int) -> set[MaximalFactor]:
-    """Every maximal factor aligned at ``start``: the rows ``_levels`` flags maximal."""
-    _check_tau_min(tau_min)
-    if not 1 <= start <= u.n:
-        raise ValueError(f"start {start} outside [1, {u.n}]")
-    found = set()
-    words = [""]
-    for level in _levels(u, _alternatives(u, _flatten(u.positions)), tau_min, np.array([start])):
-        words = [words[p] + chr(c) for p, c in zip(level.parent.tolist(), level.code.tolist())]
-        found.update(
-            MaximalFactor(start, words[r], float(level.prob[r])) for r in np.flatnonzero(level.maximal).tolist()
-        )
-    return found
-
-
 def batch_prefix_probabilities(
     u: UncertainString, starts: np.ndarray, codes: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
@@ -354,16 +332,6 @@ def batch_prefix_probabilities(
     return out
 
 
-def prefix_probabilities(u: UncertainString, symbols: str, start: int) -> list[float]:
-    """Occurrence probability of every prefix of ``symbols`` at ``start``.
-
-    Grows the window with ``_extend``, the rule the transform uses, so entry k
-    equals ``occurrence_probability(u, symbols[: k + 1], start)`` bit for bit.
-    """
-    codes = np.fromiter(map(ord, symbols), dtype=np.int64, count=len(symbols))
-    return batch_prefix_probabilities(u, [start], codes, [0], [len(symbols)]).tolist()
-
-
 @dataclass(eq=False)
 class TransformedText:
     """Concatenated maximal factors with their original positions and prefix probabilities.
@@ -393,11 +361,6 @@ class TransformedText:
         if self.documents is None or self.doc_factors is not None:
             return None
         return self.documents.strings[0]
-
-    @property
-    def text(self) -> str:
-        """Readable rendering; every separator prints as '$'."""
-        return "".join(chr(c) if c >= 0 else "$" for c in self.codes.tolist())
 
     def factor_runs(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based ``starts`` and ``ends`` of the factors.
@@ -429,7 +392,7 @@ class TransformedText:
 
     def window_text(self, offset: int, length: int) -> str:
         """Decode ``length`` characters at 0-based ``offset`` (no separators allowed)."""
-        return _spell(self.codes[offset : offset + length])
+        return "".join(map(chr, self.codes[offset : offset + length].tolist()))
 
     def room(self, offsets: np.ndarray) -> np.ndarray:
         """Characters from each 0-based offset to its factor's separator; 0 at a separator."""
@@ -574,32 +537,3 @@ def transform(
     return TransformedText(
         codes, pos, cum, tau_min, Documents.of(docs), factors if isinstance(u, DocumentCollection) else None
     )
-
-
-def conservation_check(
-    u: UncertainString, tau_min: float, tt: TransformedText
-) -> tuple[str, int] | None:
-    """Exhaustively verify the transform's conservation contract on a small string.
-
-    Returns None when every qualifying (pattern, start) is a prefix of a factor
-    aligned at that start, with the stored ``cum`` equal to the model's
-    ``occurrence_probability`` bit for bit; otherwise a failing pair, shortest first.
-    """
-    if u.n > 40:
-        raise ValueError("exhaustive conservation check is limited to n <= 40")
-    codes = tt.codes.tolist()
-    cum = tt.cum.tolist()
-    heads: dict[int, list[int]] = {}
-    for b in tt.factor_runs()[0].tolist():
-        heads.setdefault(int(tt.pos[b]), []).append(b)
-    words = [""] * u.n
-    for level in _levels(u, _alternatives(u, _flatten(u.positions)), tau_min, np.arange(1, u.n + 1)):
-        words = [words[p] + chr(c) for p, c in zip(level.parent.tolist(), level.code.tolist())]
-        for r in np.flatnonzero(level.prob >= tau_min).tolist():
-            p, start = words[r], int(level.start[r])
-            want = list(map(ord, p))
-            L = len(want)
-            o = next((b for b in heads.get(start, ()) if codes[b : b + L] == want), None)
-            if o is None or cum[o + L - 1] != occurrence_probability(u, p, start):
-                return p, start
-    return None

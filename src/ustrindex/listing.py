@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .factorize import TransformedText, transform
-from .model import DocumentCollection, UncertainString, occurrence_probability
+from .model import DocumentCollection
 from .qindex import _FEW, QueryStats, _collect, _FactorStarts, _fold, _locate, _pick_m_short
 from .textcore import (
     SuffixArrayIndex,
@@ -39,41 +39,13 @@ from .textcore import (
 
 __all__ = [
     "METRICS",
-    "ListingConfig",
     "ListingIndex",
     "build_listing",
     "list_docs",
     "list_items",
-    "relevance",
 ]
 
 METRICS = ("max", "or", "orx")
-
-
-def relevance(d: UncertainString, p: str, metric: str) -> float:
-    """Full-support relevance of one document: every positive occurrence counts.
-
-    Indexed queries use the tau_min-restricted variant instead; the two can
-    differ under the additive metrics.
-    """
-    if not p:
-        raise ValueError("pattern is empty")
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    values = []
-    for i in range(1, d.n - len(p) + 2):
-        v = occurrence_probability(d, p, i)
-        if v > 0.0:
-            values.append(v)
-    if not values:
-        return 0.0
-    return float(_fold(np.array(values), np.zeros(1, dtype=np.intp), metric)[0])
-
-
-@dataclass(frozen=True)
-class ListingConfig:
-    m_short: int | None = None
-    length_cap: int | None = None
 
 
 @dataclass(eq=False)
@@ -86,7 +58,6 @@ class ListingIndex(_FactorStarts):
     """
 
     metric: str
-    tau_min: float
     tt: TransformedText
     doc_of: np.ndarray
     saidx: SuffixArrayIndex
@@ -113,27 +84,24 @@ def build_listing(
     collection: DocumentCollection,
     tau_min: float,
     metric: str = "max",
-    config: ListingConfig | None = None,
+    *,
+    m_short: int | None = None,
+    length_cap: int | None = None,
 ) -> ListingIndex:
-    """Construct the listing index for one relevance metric.
+    """Construct the listing index for one relevance metric; None picks the default ``m_short`` and ``length_cap``.
 
     The transform screens the whole collection at once and raises ValueError
     naming the first invalid document.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    if not 0.0 < tau_min <= 1.0:
-        raise ValueError(f"tau_min {tau_min!r} not in (0, 1]")
-    cfg = config or ListingConfig()
-
-    tt = transform(collection, tau_min, cfg.length_cap)
-    m_short = _pick_m_short(cfg.m_short, tt.n)
-    return ListingIndex(metric, tau_min, tt, tt.doc_of(), build_suffix_array(tt.codes), m_short)
+    tt = transform(collection, tau_min, length_cap)
+    return ListingIndex(metric, tt, tt.doc_of(), build_suffix_array(tt.codes), _pick_m_short(m_short, tt.n))
 
 
 def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]], QueryStats]:
     stats = QueryStats()
-    rng = _locate(idx.saidx, idx.tau_min, p, tau)
+    rng = _locate(idx.saidx, idx.tt.tau_min, p, tau)
     if rng is None:
         return [], stats
     sp, ep = rng
@@ -148,7 +116,7 @@ def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]]
             _, vals, labels = depth.views
             found = {labels[k]: vals[k] for k in hits}
     else:
-        hits = _collect(idx, [(sp, ep)], m, idx.tau_min, lambda s: (idx.doc_of.item(s), idx.tt.pos.item(s)))
+        hits = _collect(idx, [(sp, ep)], m, idx.tt.tau_min, lambda s: (idx.doc_of.item(s), idx.tt.pos.item(s)))
         # ascending (document, position) order, which _fold needs
         occ = sorted(hits)
         starts = [k for k, (d, _) in enumerate(occ) if not k or d != occ[k - 1][0]]

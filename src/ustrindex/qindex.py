@@ -42,7 +42,6 @@ from .textcore import (
 )
 
 __all__ = [
-    "IndexConfig",
     "QueryStats",
     "SubstringIndex",
     "build",
@@ -62,22 +61,19 @@ class QueryStats:
     slots_scanned: int = 0
 
 
-@dataclass(frozen=True)
-class IndexConfig:
-    """Build-time overrides; None picks the documented defaults."""
-
-    m_short: int | None = None
-    length_cap: int | None = None
-
-
 class _FactorStarts:
-    """What an index with ``tt``, ``saidx``, ``tau_min`` and ``m_short`` builds on first use and keeps.
+    """What an index with ``tt``, ``saidx`` and ``m_short`` builds on first use and keeps.
 
     Its factor starts in slot order, and each depth's short table in ``_short`` (None until read).
     """
 
     def __post_init__(self) -> None:
         self._short: list[tuple[np.ndarray, SparseDepth] | None] = [None] * self.m_short
+
+    @property
+    def tau_min(self) -> float:
+        """The construction floor, which only the transformed text stores."""
+        return self.tt.tau_min
 
     @cached_property
     def sorted_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,7 +106,6 @@ class SubstringIndex(_FactorStarts):
 
     tt: TransformedText
     saidx: SuffixArrayIndex
-    tau_min: float
     m_short: int
     long_tables: dict[int, tuple[np.ndarray, RmqIndex]] = field(default_factory=dict, repr=False)
 
@@ -233,17 +228,17 @@ def _fold(values: np.ndarray, starts: np.ndarray, metric: str) -> np.ndarray:
     return np.where(sizes == 1, total, total - prod)
 
 
-def build(u: UncertainString, tau_min: float, config: IndexConfig | None = None, *, _rounds=None) -> SubstringIndex:
-    """Construct the substring index; ``_rounds`` gets the sort's ranks.
+def build(
+    u: UncertainString, tau_min: float, *, m_short: int | None = None, length_cap: int | None = None, _rounds=None
+) -> SubstringIndex:
+    """Construct the substring index; None picks the default ``m_short`` and ``length_cap``.
 
-    The transform's errors propagate: ValueError for an invalid string or
-    tau_min, CapacityError for a text over its cap.
+    ``_rounds`` gets the sort's ranks.  The transform's errors propagate:
+    ValueError for an invalid string or tau_min, CapacityError for a text
+    over its cap.
     """
-    cfg = config or IndexConfig()
-
-    tt = transform(u, tau_min, cfg.length_cap)
-    m_short = _pick_m_short(cfg.m_short, tt.n)
-    return SubstringIndex(tt, build_suffix_array(tt.codes, _rounds=_rounds), tau_min, m_short)
+    tt = transform(u, tau_min, length_cap)
+    return SubstringIndex(tt, build_suffix_array(tt.codes, _rounds=_rounds), _pick_m_short(m_short, tt.n))
 
 
 def _pick_m_short(m_short: int | None, n: int) -> int:
@@ -293,7 +288,7 @@ _FEW = 32  # more hits (or links) are read by numpy, fewer one by one: about whe
 def _run(idx: SubstringIndex, p: str, tau: float) -> tuple[list[int], list[float], QueryStats]:
     """Ascending qualifying positions, their probabilities, and the work counters."""
     stats = QueryStats()
-    rng = _locate(idx.saidx, idx.tau_min, p, tau)
+    rng = _locate(idx.saidx, idx.tt.tau_min, p, tau)
     if rng is None:
         return [], [], stats
     sp, ep = rng

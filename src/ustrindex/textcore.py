@@ -436,10 +436,6 @@ class TreeView:
     def node_count(self) -> int:
         return len(self.parent)
 
-    def is_ancestor(self, a: int, b: int) -> bool:
-        """Whether node ``a`` is an ancestor of or equal to node ``b`` (preorder ids)."""
-        return a <= b <= self.subtree_end[a]
-
 
 def locus(tree: TreeView, p) -> int | None:
     """Preorder id of the shallowest node whose range is the suffix range of ``p``."""
@@ -468,7 +464,6 @@ class RmqIndex:
     """
 
     values: np.ndarray
-    _block_pos: np.ndarray = field(repr=False)
     _table: list[np.ndarray] = field(repr=False)
 
     @property
@@ -480,14 +475,12 @@ def rmq_build(values) -> RmqIndex:
     v = np.asarray(values, dtype=np.float64)
     n = len(v)
     if n == 0:
-        return RmqIndex(v, np.zeros(0, dtype=np.int64), [])
+        return RmqIndex(v, [])
     nb = (n + _BLOCK - 1) // _BLOCK
     padded = np.full(nb * _BLOCK, -np.inf)
     padded[:n] = v
     grid = padded.reshape(nb, _BLOCK)
-    block_pos = grid.argmax(axis=1) + np.arange(nb) * _BLOCK
-
-    table = [block_pos]
+    table = [grid.argmax(axis=1) + np.arange(nb) * _BLOCK]
     span = 1
     while 2 * span <= nb:
         prev = table[-1]
@@ -496,7 +489,7 @@ def rmq_build(values) -> RmqIndex:
         # >= keeps the left (smaller-index) argmax on ties
         table.append(np.where(v[left] >= v[right], left, right))
         span *= 2
-    return RmqIndex(v, block_pos, table)
+    return RmqIndex(v, table)
 
 
 def rmq_query(rmq: RmqIndex, l: int, r: int) -> int:

@@ -9,8 +9,16 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ustrindex import CapacityError, QueryStats, TransformedText, UncertainString, occurrence_probability
-from ustrindex.factorize import _CODE_BITS, _Alternatives, batch_prefix_probabilities
-from ustrindex.model import SUM_TOLERANCE, Documents
+from ustrindex.factorize import (
+    _CODE_BITS,
+    MaximalFactor,
+    _Alternatives,
+    _alternatives,
+    _check_tau_min,
+    _levels,
+    batch_prefix_probabilities,
+)
+from ustrindex.model import SUM_TOLERANCE, Documents, _flatten
 from ustrindex.qindex import _fold
 from ustrindex.textcore import TreeView, rmq_report, suffix_range
 from ustrindex.datagen import _inject_correlations
@@ -156,6 +164,11 @@ def reference_build_links(tt, saidx) -> list[tuple[int, int, int, int, int]]:
     return out
 
 
+def link_rows(raw) -> list[tuple[int, int, int, int]]:
+    """(position, origin depth, target depth, witness offset) of every ``RawLinks`` row, in link order."""
+    return list(zip(*(c.tolist() for c in (raw.pos_id, raw.o_depth, raw.t_depth, raw.witness_off))))
+
+
 def reference_partition_links(raw, eps: float) -> tuple[np.ndarray, ...]:
     """``LinkIndex`` arrays (origin, pos_id, stored, o_depth, t_depth) from the scalar cut rule.
 
@@ -167,25 +180,25 @@ def reference_partition_links(raw, eps: float) -> tuple[np.ndarray, ...]:
     flat = batch_prefix_probabilities(u, raw.pos_id, raw.tt.codes, raw.witness_off, raw.o_depth)
     witness, pos_id, stored, o_depth, t_depth = [], [], [], [], []
 
-    def emit(rl, prob: float, deep: int, shallow: int) -> None:
-        witness.append(rl.witness_off)
-        pos_id.append(rl.pos_id)
+    def emit(d: int, woff: int, prob: float, deep: int, shallow: int) -> None:
+        witness.append(woff)
+        pos_id.append(d)
         stored.append(prob)
         o_depth.append(deep)
         t_depth.append(shallow)
 
     base = 0
-    for rl in raw.links():
-        probs = flat[base : base + rl.origin_depth].tolist()
-        base += rl.origin_depth
-        seg_deep = rl.origin_depth
+    for d, origin_depth, target_depth, woff in link_rows(raw):
+        probs = flat[base : base + origin_depth].tolist()
+        base += origin_depth
+        seg_deep = origin_depth
         anchor = probs[seg_deep - 1]
-        for ell in range(rl.origin_depth - 1, rl.target_depth, -1):
+        for ell in range(origin_depth - 1, target_depth, -1):
             if probs[ell - 1] - anchor > eps:
-                emit(rl, probs[ell], seg_deep, ell)
+                emit(d, woff, probs[ell], seg_deep, ell)
                 seg_deep = ell
                 anchor = probs[ell - 1]
-        emit(rl, probs[rl.target_depth], seg_deep, rl.target_depth)
+        emit(d, woff, probs[target_depth], seg_deep, target_depth)
 
     origin = slot_of(raw.saidx)[np.asarray(witness, dtype=np.int64)]
     order = np.argsort(origin, kind="stable")
@@ -665,3 +678,62 @@ def reference_prefix_doubling(codes: np.ndarray, rounds: list[np.ndarray] | None
         order[live] = sub = sub[by_key]
         key = key[by_key]
         k *= 2
+
+
+def readable_text(tt: TransformedText) -> str:
+    """Readable rendering; every separator prints as '$'."""
+    return "".join(chr(c) if c >= 0 else "$" for c in tt.codes.tolist())
+
+
+def maximal_factors(u: UncertainString, tau_min: float, start: int) -> set[MaximalFactor]:
+    """Every maximal factor aligned at ``start``: the rows ``_levels`` flags maximal."""
+    _check_tau_min(tau_min)
+    if not 1 <= start <= u.n:
+        raise ValueError(f"start {start} outside [1, {u.n}]")
+    found = set()
+    words = [""]
+    for level in _levels(u, _alternatives(u, _flatten(u.positions)), tau_min, np.array([start])):
+        words = [words[p] + chr(c) for p, c in zip(level.parent.tolist(), level.code.tolist())]
+        found.update(
+            MaximalFactor(start, words[r], float(level.prob[r])) for r in np.flatnonzero(level.maximal).tolist()
+        )
+    return found
+
+
+def prefix_probabilities(u: UncertainString, symbols: str, start: int) -> list[float]:
+    """Occurrence probability of every prefix of ``symbols`` at ``start``.
+
+    Grows the window with ``_extend``, the rule the transform uses, so entry k
+    equals ``occurrence_probability(u, symbols[: k + 1], start)`` bit for bit.
+    """
+    codes = np.fromiter(map(ord, symbols), dtype=np.int64, count=len(symbols))
+    return batch_prefix_probabilities(u, [start], codes, [0], [len(symbols)]).tolist()
+
+
+def conservation_check(
+    u: UncertainString, tau_min: float, tt: TransformedText
+) -> tuple[str, int] | None:
+    """Exhaustively verify the transform's conservation contract on a small string.
+
+    Returns None when every qualifying (pattern, start) is a prefix of a factor
+    aligned at that start, with the stored ``cum`` equal to the model's
+    ``occurrence_probability`` bit for bit; otherwise a failing pair, shortest first.
+    """
+    if u.n > 40:
+        raise ValueError("exhaustive conservation check is limited to n <= 40")
+    codes = tt.codes.tolist()
+    cum = tt.cum.tolist()
+    heads: dict[int, list[int]] = {}
+    for b in tt.factor_runs()[0].tolist():
+        heads.setdefault(int(tt.pos[b]), []).append(b)
+    words = [""] * u.n
+    for level in _levels(u, _alternatives(u, _flatten(u.positions)), tau_min, np.arange(1, u.n + 1)):
+        words = [words[p] + chr(c) for p, c in zip(level.parent.tolist(), level.code.tolist())]
+        for r in np.flatnonzero(level.prob >= tau_min).tolist():
+            p, start = words[r], int(level.start[r])
+            want = list(map(ord, p))
+            L = len(want)
+            o = next((b for b in heads.get(start, ()) if codes[b : b + L] == want), None)
+            if o is None or cum[o + L - 1] != occurrence_probability(u, p, start):
+                return p, start
+    return None

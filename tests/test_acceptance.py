@@ -22,14 +22,12 @@ from ustrindex import (
     build_container,
     build_links,
     build_listing,
-    conservation_check,
     enumerate_worlds,
     generate,
     generate_collection,
     list_docs,
     list_items,
     load_container,
-    maximal_factors,
     occurrence_probability,
     oracle_list,
     oracle_relevance,
@@ -43,7 +41,7 @@ from ustrindex import (
     transform,
 )
 
-from helpers import max_segment_spread
+from helpers import conservation_check, max_segment_spread, maximal_factors
 
 
 @contextmanager
@@ -211,7 +209,7 @@ def test_criterion_5_approximate_sandwich(instances):
             rng = random.Random(7000 + j)
             sub = rng.sample(pats, 30) if len(pats) > 30 else pats
             idx = build(u, tau_min)
-            raw = build_links(idx.tt, idx.saidx, tau_min)
+            raw = build_links(idx.tt, idx.saidx)
 
             for eps in (0.01, 0.05, 0.2):
                 ln = partition_links(raw, eps)

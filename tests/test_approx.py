@@ -27,6 +27,7 @@ from ustrindex import (
 )
 
 from helpers import (
+    link_rows,
     max_segment_spread,
     random_ustring,
     reference_build_links,
@@ -40,7 +41,7 @@ LINK_ARRAYS = ("origin", "pos_id", "stored", "o_depth", "t_depth")
 
 def _linked(u, tau_min, eps):
     idx = build(u, tau_min)
-    return idx, partition_links(build_links(idx.tt, idx.saidx, tau_min), eps)
+    return idx, partition_links(build_links(idx.tt, idx.saidx), eps)
 
 
 def sample_patterns(u, rng, lengths=(1, 2, 3, 5)):
@@ -110,7 +111,7 @@ def test_stab_reports_each_position_once_ascending(seed):
 
 def test_partition_links_validates_epsilon(genome):
     idx = build(genome, 0.1)
-    raw = build_links(idx.tt, idx.saidx, 0.1)
+    raw = build_links(idx.tt, idx.saidx)
     for eps in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             partition_links(raw, eps)
@@ -118,7 +119,7 @@ def test_partition_links_validates_epsilon(genome):
 
 def test_partition_links_needs_a_source(genome):
     idx = build(genome, 0.1)
-    raw = build_links(idx.tt, idx.saidx, 0.1)
+    raw = build_links(idx.tt, idx.saidx)
     orphaned = replace(raw, tt=replace(idx.tt, documents=None))
     with pytest.raises(ValueError, match="source"):
         partition_links(orphaned, 0.1)
@@ -137,8 +138,8 @@ def test_link_marking_matches_the_suffix_tree_reference(seed):
     u = random_ustring(rng, n=rng.randint(3, 30), correlation_rate=rng.choice((0.3, 0.6)))
     tau_min = rng.choice((0.05, 0.15, 0.35))
     idx = build(u, tau_min)
-    raw = build_links(idx.tt, idx.saidx, tau_min)
-    got = sorted((r.pos_id, r.origin_depth, r.target_depth, r.witness_off) for r in raw.links())
+    raw = build_links(idx.tt, idx.saidx)
+    got = sorted(link_rows(raw))
     assert got == reference_link_marks(idx.tt, idx.saidx)
 
 
@@ -160,14 +161,14 @@ def test_vectorized_links_match_the_scalar_references(seed):
     u = random_ustring(rng, n=rng.randint(3, 30), correlation_rate=rng.choice((0.3, 0.6)))
     tau_min = rng.choice((0.05, 0.15, 0.35))
     idx = build(u, tau_min)
-    _assert_links_match_references(idx, build_links(idx.tt, idx.saidx, tau_min), (1e-9, 0.01, 0.05, 0.2))
+    _assert_links_match_references(idx, build_links(idx.tt, idx.saidx), (1e-9, 0.01, 0.05, 0.2))
 
 
 @pytest.mark.parametrize("lost", ["every third", "all"])
 def test_links_without_a_factor_start_read_the_growth_rule(lost):
     u = random_ustring(random.Random(5), n=24, correlation_rate=0.6)
     idx = build(u, 0.05)
-    raw = build_links(idx.tt, idx.saidx, 0.05)
+    raw = build_links(idx.tt, idx.saidx)
     assert np.all(raw.factor_off >= 0)
     mask = np.arange(raw.pos_id.size) % 3 == 0 if lost == "every third" else np.ones(raw.pos_id.size, dtype=bool)
     orphaned = replace(raw, factor_off=np.where(mask, -1, raw.factor_off))
@@ -192,7 +193,7 @@ def test_a_window_below_its_factor_links_without_a_factor_start():
     )
     assert validate(u) == []
     idx = build(u, 0.5)
-    raw = build_links(idx.tt, idx.saidx, 0.5)
+    raw = build_links(idx.tt, idx.saidx)
     lost = np.flatnonzero(raw.factor_off == -1)
     assert lost.size == 1
     (k,) = lost
@@ -228,9 +229,9 @@ EDGE_STRINGS = {
 def test_link_marking_edge_cases(name):
     u = EDGE_STRINGS[name]
     idx = build(u, 0.2)
-    raw = build_links(idx.tt, idx.saidx, 0.2)
+    raw = build_links(idx.tt, idx.saidx)
     assert raw.pos_id.size > 0
-    assert sorted((r.pos_id, r.origin_depth, r.target_depth, r.witness_off) for r in raw.links()) == (
+    assert sorted(link_rows(raw)) == (
         reference_link_marks(idx.tt, idx.saidx)
     )
     _assert_links_match_references(idx, raw, (1e-9, 0.05, 0.5, 1.0))
@@ -240,13 +241,28 @@ def test_a_text_without_factors_gives_typed_empty_links():
     # no symbol reaches tau_min, so the text is empty and nothing is marked
     u = UncertainString("flat", ({"a": 0.3, "b": 0.3, "c": 0.4},) * 3)
     idx = build(u, 0.5)
-    raw = build_links(idx.tt, idx.saidx, 0.5)
-    assert idx.tt.n == 0 and raw.pos_id.size == 0 and raw.links() == []
+    raw = build_links(idx.tt, idx.saidx)
+    assert idx.tt.n == 0 and raw.pos_id.size == 0 and link_rows(raw) == []
     _assert_links_match_references(idx, raw, (0.05,))
     ln = partition_links(raw, 0.05)
     assert len(ln) == 0
     assert [getattr(ln, a).dtype for a in LINK_ARRAYS] == [np.int64, np.int64, np.float64, np.int64, np.int64]
     assert approx_query(ln, "a", 0.5) == []
+
+
+def test_links_answer_only_at_or_above_their_text_s_floor():
+    # build_links once took a floor of its own, which could claim 0.05 over a 0.2 text
+    u = random_ustring(random.Random(26), n=60, alphabet="abc", theta=0.6)
+    idx = build(u, 0.2)
+    with pytest.raises(TypeError):
+        build_links(idx.tt, idx.saidx, 0.05)
+    ln = partition_links(build_links(idx.tt, idx.saidx), 0.05)
+    assert ln.tt is idx.tt and ln.tt.tau_min == 0.2
+    for p in ("a", "ab", "bca", "abca"):
+        with pytest.raises(ThresholdError):
+            approx_items(ln, p, 0.1)
+        got = set(approx_query(ln, p, 0.2))
+        assert oracle_search(u, p, 0.2) <= got <= oracle_search(u, p, 0.15)
 
 
 def test_approx_query_guards(genome):

@@ -22,7 +22,7 @@ from ustrindex import (
 )
 from ustrindex import qindex
 
-from helpers import random_ustring, reference_factor_hits, reference_long_listing, reference_long_query
+from helpers import random_ustring, readable_text, reference_factor_hits, reference_long_listing, reference_long_query
 
 
 def _hex(items) -> list[tuple]:
@@ -30,7 +30,7 @@ def _hex(items) -> list[tuple]:
 
 
 def _long_patterns(idx, lengths=(2, 3, 4, 5)) -> list[str]:
-    runs = idx.tt.text.split("$")
+    runs = readable_text(idx.tt).split("$")
     return sorted({r[b : b + m] for r in runs for m in lengths for b in range(len(r) - m + 1)})
 
 

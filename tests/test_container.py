@@ -7,7 +7,7 @@ import json
 import random
 import time
 import zipfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,9 +19,8 @@ from ustrindex import (
     ContainerError,
     DocumentCollection,
     GenConfig,
-    IndexConfig,
     IndexContainer,
-    ListingConfig,
+    ThresholdError,
     UncertainString,
     approx_items,
     build,
@@ -33,7 +32,9 @@ from ustrindex import (
     list_items,
     list_with_stats,
     load_container,
+    oracle_search,
     partition_links,
+    query,
     query_items,
     query_with_stats,
     sample_world,
@@ -41,7 +42,7 @@ from ustrindex import (
     serialize_ust,
 )
 
-from helpers import check_short_tables
+from helpers import check_short_tables, random_ustring
 
 
 def patterns_for(u, seed: int) -> list[str]:
@@ -59,7 +60,7 @@ def test_substring_round_trip_answers_identically(genome, tmp_path):
     back = load_container(path)
 
     assert back.kind == "substring"
-    assert back.tau_min == 0.1 and back.epsilon == 0.05
+    assert back.substring.tt.tau_min == 0.1 and back.links.eps == 0.05
     # long tables are built on first read, so nothing about them is stored
     manifest = json.loads(_entries(path)["manifest.json"])
     assert set(manifest) == {
@@ -83,7 +84,7 @@ def test_listing_round_trip_answers_identically(collection, tmp_path):
     save_container(container, path)
     back = load_container(path)
 
-    assert back.kind == "listing" and back.metric == "or"
+    assert back.kind == "listing" and back.listing.metric == "or"
     for p in ("A", "B", "BF", "BFA", "FJ", "Z"):
         for tau in (0.05, 0.1, 0.3):
             assert list_items(back.listing, p, tau) == list_items(container.listing, p, tau)
@@ -103,7 +104,7 @@ def test_build_container_kind_routing(genome, collection):
     assert build_container([genome], 0.1, metric="max").kind == "listing"
     assert build_container(list(collection.docs), 0.1).kind == "listing"
     single = build_container([genome], 0.1)
-    assert single.links is None and single.epsilon is None
+    assert single.links is None and single.listing is None
 
 
 def test_build_container_rejects_bad_combinations(genome, collection):
@@ -115,9 +116,51 @@ def test_build_container_rejects_bad_combinations(genome, collection):
         build_container(list(collection.docs), 0.1, epsilon=0.05)
 
 
-def test_save_rejects_unknown_kind(tmp_path):
-    with pytest.raises(ValueError):
-        save_container(IndexContainer("weird", 0.1), str(tmp_path / "w.usi"))
+def test_the_container_holds_indexes_and_no_copy_of_their_parameters():
+    assert [f.name for f in fields(IndexContainer)] == ["substring", "listing", "links"]
+
+
+@pytest.mark.parametrize("shape", ["empty", "both", "links-on-listing", "links-on-other-text"])
+def test_save_rejects_inconsistent_containers(genome, collection, shape, tmp_path):
+    sub, lidx = build(genome, 0.1), build_listing(collection, 0.1)
+    links = build_container([genome], 0.1, epsilon=0.05).links  # over an equal text, but not sub's
+    container, message = {
+        "empty": (IndexContainer(), "exactly one substring or listing index"),
+        "both": (IndexContainer(substring=sub, listing=lidx), "exactly one substring or listing index"),
+        "links-on-listing": (IndexContainer(listing=lidx, links=links), "need the substring index"),
+        "links-on-other-text": (IndexContainer(substring=sub, links=links), "built over another text"),
+    }[shape]
+    path = tmp_path / "bad.usi"
+    with pytest.raises(ValueError, match=message):
+        save_container(container, str(path))
+    assert not path.exists()
+
+
+def test_a_saved_floor_is_the_one_the_text_was_built_at(tmp_path):
+    # a container once carried its own tau_min, which could claim 0.05 over a 0.2 text
+    u = random_ustring(random.Random(26), n=60, alphabet="abc", theta=0.6)
+    path = str(tmp_path / "floor.usi")
+    save_container(IndexContainer(substring=build(u, 0.2)), path)
+    back = load_container(path)
+    assert json.loads(_entries(path)["manifest.json"])["tau_min"] == "0.2"
+    assert back.substring.tau_min == back.substring.tt.tau_min == 0.2
+    with pytest.raises(ThresholdError):
+        query_items(back.substring, "ab", 0.1)
+    for p in ("a", "ab", "bca", "abca"):
+        assert set(query(back.substring, p, 0.2)) == oracle_search(u, p, 0.2)
+
+
+def test_a_saved_metric_is_the_listing_index_s(collection, tmp_path):
+    # a container once carried its own metric, which could claim "or" over a "max" index
+    lidx = build_listing(collection, 0.05, "max")
+    path = str(tmp_path / "max.usi")
+    save_container(IndexContainer(listing=lidx), path)
+    back = load_container(path)
+    assert json.loads(_entries(path)["manifest.json"])["metric"] == "max"
+    assert back.listing.metric == "max"
+    for p in ("A", "B", "BF", "BFA", "FJ"):
+        for tau in (0.05, 0.1, 0.3):
+            assert list_items(back.listing, p, tau) == list_items(lidx, p, tau)
 
 
 def _entries(path: str) -> dict[str, bytes]:
@@ -295,10 +338,9 @@ def test_an_empty_transformed_text_round_trips_and_answers_nothing(kind, tmp_pat
     # every window of two even positions is below tau_min 0.9, so no factor survives
     u = UncertainString("flat", ({"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5}))
     if kind == "substring":
-        container = IndexContainer("substring", 0.9, substring=build(u, 0.9, IndexConfig(m_short=3)))
+        container = IndexContainer(substring=build(u, 0.9, m_short=3))
     elif kind == "listing":
-        lidx = build_listing(DocumentCollection((u,)), 0.9, "or", ListingConfig(m_short=3))
-        container = IndexContainer("listing", 0.9, listing=lidx, metric="or")
+        container = IndexContainer(listing=build_listing(DocumentCollection((u,)), 0.9, "or", m_short=3))
     else:
         container = build_container([u], 0.9, epsilon=0.05, m_short=3)
     path = str(tmp_path / "empty.usi")
@@ -911,7 +953,7 @@ def test_a_bad_source_loads_and_raises_on_first_read(kind, fault, genome, collec
         idx = back.substring
         assert query_items(idx, "AT", 0.1) == query_items(container.substring, "AT", 0.1)
         assert approx_items(back.links, "AT", 0.1) == approx_items(container.links, "AT", 0.1)
-        readers = [lambda: idx.u, lambda: idx.tt.source, lambda: partition_links(build_links(idx.tt, idx.saidx, 0.1), 0.05)]
+        readers = [lambda: idx.u, lambda: idx.tt.source, lambda: partition_links(build_links(idx.tt, idx.saidx), 0.05)]
     else:
         assert list_items(back.listing, "BF", 0.1) == list_items(container.listing, "BF", 0.1)
         readers = [lambda: back.listing.collection]

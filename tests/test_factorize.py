@@ -16,16 +16,21 @@ from ustrindex import (
     TransformedText,
     UncertainString,
     build_listing,
-    conservation_check,
-    maximal_factors,
     occurrence_probability,
-    prefix_probabilities,
     transform,
 )
 from ustrindex.factorize import _alternatives
 from ustrindex.model import _flatten
 
-from helpers import random_ustring, reference_alternatives, reference_transform
+from helpers import (
+    conservation_check,
+    maximal_factors,
+    prefix_probabilities,
+    random_ustring,
+    readable_text,
+    reference_alternatives,
+    reference_transform,
+)
 
 
 def brute_maximal_factors(u: UncertainString, tau_min: float, start: int) -> set[tuple[str, float]]:
@@ -123,7 +128,7 @@ def test_transform_layout(worlds_example):
         assert cum[o + len(fac) - 1] == fac.prob
         assert fac.prob >= tt.tau_min
         assert codes[o + len(fac)] < 0
-    assert tt.text.count("$") == len(tt.factor_table)
+    assert readable_text(tt).count("$") == len(tt.factor_table)
 
 
 @settings(max_examples=80, deadline=None)

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from ustrindex import (
     METRICS,
     DocumentCollection,
-    ListingConfig,
     ThresholdError,
     UncertainString,
     build_container,
@@ -22,9 +21,9 @@ from ustrindex import (
     list_items,
     list_with_stats,
     load_container,
+    occurrence_probability,
     oracle_list,
     oracle_relevance,
-    relevance,
     sample_world,
     save_container,
     transform,
@@ -61,12 +60,11 @@ def test_listing_reports_in_collection_order(collection):
 
 
 def test_full_support_relevance(relevance_doc):
-    assert relevance(relevance_doc, "BFA", "max") == oracle_relevance(relevance_doc, "BFA", "max")
-    assert relevance(relevance_doc, "BFA", "or") == pytest.approx(0.1828056, abs=1e-7)
+    occurrences = [occurrence_probability(relevance_doc, "BFA", i) for i in (1, 2, 4)]
+    assert oracle_relevance(relevance_doc, "BFA", "max") == max(occurrences)
+    assert oracle_relevance(relevance_doc, "BFA", "or") == pytest.approx(0.1828056, abs=1e-7)
     with pytest.raises(ValueError):
-        relevance(relevance_doc, "BFA", "sum")
-    with pytest.raises(ValueError):
-        relevance(relevance_doc, "", "max")
+        oracle_relevance(relevance_doc, "BFA", "sum")
 
 
 def test_build_listing_validates_inputs(collection):
@@ -79,7 +77,7 @@ def test_build_listing_validates_inputs(collection):
         build_listing(broken, 0.1, "max")
     for m_short in (0, -1):
         with pytest.raises(ValueError, match="m_short must be at least 1"):
-            build_listing(collection, 0.1, "max", ListingConfig(m_short=m_short))
+            build_listing(collection, 0.1, "max", m_short=m_short)
 
 
 def test_listing_query_guards(collection):
@@ -112,8 +110,7 @@ def test_listing_matches_oracle_on_random_collections(seed):
     collection = DocumentCollection(docs)
     tau_min = rng.choice((0.1, 0.2))
     metric = rng.choice(("max", "or", "orx"))
-    config = rng.choice((None, ListingConfig(m_short=1)))
-    idx = build_listing(collection, tau_min, metric, config)
+    idx = build_listing(collection, tau_min, metric, m_short=rng.choice((None, 1)))
 
     patterns = {"zz"}
     for d in docs:

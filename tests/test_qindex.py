@@ -16,8 +16,6 @@ from ustrindex import (
     METRICS,
     Correlation,
     DocumentCollection,
-    IndexConfig,
-    ListingConfig,
     QueryStats,
     ThresholdError,
     UncertainString,
@@ -44,6 +42,7 @@ from helpers import (
     partition_entries,
     random_distribution,
     random_ustring,
+    readable_text,
     reference_dedup_depth,
     reference_long_tables,
     slot_depth_values,
@@ -71,7 +70,7 @@ def test_build_validates_inputs():
     with pytest.raises(ValueError):
         build(ok, 1.5)
     with pytest.raises(ValueError):
-        build(ok, 0.5, IndexConfig(m_short=0))
+        build(ok, 0.5, m_short=0)
 
 
 def test_query_guards(genome):
@@ -88,7 +87,7 @@ def test_query_guards(genome):
 def test_deterministic_string_is_plain_substring_search():
     s = "abcabcabcabc"
     u = UncertainString("det", tuple({c: 1.0} for c in s))
-    idx = build(u, 0.9, IndexConfig(m_short=2))
+    idx = build(u, 0.9, m_short=2)
     for m in range(1, 11):
         for start in range(len(s) - m + 1):
             p = s[start : start + m]
@@ -105,7 +104,7 @@ def test_a_long_periodic_string_builds_and_answers():
     n = 3000
     s = "ab" * (n // 2)
     text = n * (n + 1) // 2 + n
-    idx = build(UncertainString("abab", tuple({c: 1.0} for c in s)), 0.5, IndexConfig(length_cap=text))
+    idx = build(UncertainString("abab", tuple({c: 1.0} for c in s)), 0.5, length_cap=text)
     assert idx.tt.n == text
     assert int(idx.saidx.lcp.max()) == n - 1
     for m in (1, 2, 7, idx.m_short + 1, 100, n - 1, n):
@@ -126,8 +125,7 @@ def test_query_matches_oracle(seed):
     rng = random.Random(seed)
     u = random_ustring(rng, n=rng.randint(4, 18), correlation_rate=0.3)
     tau_min = rng.choice((0.1, 0.2, 0.3))
-    config = rng.choice((None, IndexConfig(m_short=1), IndexConfig(m_short=2)))
-    idx = build(u, tau_min, config)
+    idx = build(u, tau_min, m_short=rng.choice((None, 1, 2)))
 
     w = sample_world(u, rng)
     patterns = {
@@ -167,7 +165,7 @@ def test_short_queries_stay_within_the_probe_budget(seed):
 def test_substring_tables_match_the_dedup_reference(seed):
     rng = random.Random(seed)
     u = random_ustring(rng, n=rng.randint(3, 24), alphabet="abc", correlation_rate=0.3)
-    idx = build(u, rng.choice((0.1, 0.2, 0.3)), rng.choice((None, IndexConfig(m_short=6))))
+    idx = build(u, rng.choice((0.1, 0.2, 0.3)), m_short=rng.choice((None, 6)))
     depths = slot_depth_values(idx.tt, idx.saidx, lambda _o: u, idx.m_short)
     orig = idx.tt.pos[idx.saidx.sa - 1]
     lcp = idx.saidx.lcp
@@ -257,7 +255,7 @@ def test_a_short_query_builds_its_depth_once_and_no_other(genome, collection, tm
         save_container(build_container(docs, 0.1, m_short=3), path)
         loaded = load_container(path)
         idx = loaded.substring or loaded.listing
-        runs = idx.tt.text.split("$")
+        runs = readable_text(idx.tt).split("$")
         patterns = sorted({r[b : b + 2] for r in runs for b in range(len(r) - 1)})
         for q in range(100):
             p = patterns[q % len(patterns)]
@@ -305,9 +303,9 @@ def test_a_non_monotone_string_stores_nothing_below_tau_min():
     )
     assert occurrence_probability(u, "a", 1) == pytest.approx(0.1)
     # m_short=1 sends lengths 2 and 3 down the long paths, past windows inside a factor below tau_min
-    indexes = [build(u, 0.3), build(u, 0.3, IndexConfig(m_short=1))]
+    indexes = [build(u, 0.3), build(u, 0.3, m_short=1)]
     listings = [
-        build_listing(DocumentCollection((u,)), 0.3, metric, ListingConfig(m_short=m_short))
+        build_listing(DocumentCollection((u,)), 0.3, metric, m_short=m_short)
         for metric in METRICS
         for m_short in (None, 1)
     ]
@@ -338,7 +336,7 @@ def test_long_queries_of_built_and_loaded_indexes_never_recompute_a_probability(
         path = str(tmp_path / f"{k}.usi")
         save_container(container, path)
         idx = container.substring or container.listing
-        runs = idx.tt.text.split("$")
+        runs = readable_text(idx.tt).split("$")
         patterns = {r[b : b + m] for r in runs for m in (2, 3, 4) for b in range(len(r) - m + 1)} | {"ZZ"}
         for p, tau in itertools.product(sorted(patterns), (0.1, 0.25)):
             if container.substring:

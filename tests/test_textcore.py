@@ -411,7 +411,7 @@ def test_tree_view_structure(seed):
             assert par == -1
         else:
             assert tree.depth[par] < tree.depth[v]
-            assert tree.is_ancestor(par, v)
+            assert par <= v <= tree.subtree_end[par]
             assert tree.sp[par] <= tree.sp[v] and tree.ep[v] <= tree.ep[par]
 
 
