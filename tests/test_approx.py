@@ -251,7 +251,7 @@ def test_a_text_without_factors_gives_typed_empty_links():
 
 
 def test_links_answer_only_at_or_above_their_text_s_floor():
-    # build_links once took a floor of its own, which could claim 0.05 over a 0.2 text
+    # links take their floor from the text, so none can answer below 0.2 over a 0.2 text
     u = random_ustring(random.Random(26), n=60, alphabet="abc", theta=0.6)
     idx = build(u, 0.2)
     with pytest.raises(TypeError):

@@ -137,7 +137,7 @@ def test_save_rejects_inconsistent_containers(genome, collection, shape, tmp_pat
 
 
 def test_a_saved_floor_is_the_one_the_text_was_built_at(tmp_path):
-    # a container once carried its own tau_min, which could claim 0.05 over a 0.2 text
+    # the floor is read from the text, so no container can claim 0.05 over a 0.2 text and answer below it
     u = random_ustring(random.Random(26), n=60, alphabet="abc", theta=0.6)
     path = str(tmp_path / "floor.usi")
     save_container(IndexContainer(substring=build(u, 0.2)), path)
@@ -151,7 +151,7 @@ def test_a_saved_floor_is_the_one_the_text_was_built_at(tmp_path):
 
 
 def test_a_saved_metric_is_the_listing_index_s(collection, tmp_path):
-    # a container once carried its own metric, which could claim "or" over a "max" index
+    # the metric is read from the listing index, so no container can claim "or" over a "max" index
     lidx = build_listing(collection, 0.05, "max")
     path = str(tmp_path / "max.usi")
     save_container(IndexContainer(listing=lidx), path)
