@@ -56,14 +56,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     docs: list[UncertainString] = []
     for path in args.inputs:
         docs.extend(parse_ust_file(path))
-    container = build_container(
-        docs,
-        args.tau_min,
-        epsilon=args.epsilon,
-        metric=args.metric,
-        m_short=args.m_short,
-        length_cap=args.cap,
-    )
+    container = build_container(docs, args.tau_min, epsilon=args.epsilon, metric=args.metric, length_cap=args.cap)
     save_container(container, args.out)
     idx = container.substring or container.listing
     assert idx is not None
@@ -225,7 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau-min", type=float, required=True, help="construction threshold floor")
     sp.add_argument("--epsilon", type=float, help="also build approximate links with this epsilon")
     sp.add_argument("--metric", choices=("max", "or", "orx"), help="build a listing index with this relevance metric")
-    sp.add_argument("--m-short", type=int, help="short-pattern cutoff override")
     sp.add_argument("--cap", type=int, help="transformed-text length cap")
     sp.set_defaults(func=cmd_build)
 

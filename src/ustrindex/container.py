@@ -1,37 +1,38 @@
 """Self-describing on-disk container for built indexes.
 
-The file is a zip archive holding ``manifest.json`` plus one ``.npy`` entry
-per stored array.  Format version 7 stores only what a load cannot derive
-cheaply: ``codes`` and the suffix array ``sa`` as ``int32``, ``cum``, one
-start per factor in ``pos`` and, for listing, one factor count per document
-in ``doc_factors``; approximate links keep their origin as a suffix-array
-slot in ``link_origin``.  The manifest holds the source UST text and, in
-``documents``, each document's name and length in collection order, and
-``digests`` the SHA-256 of every ``.npy`` member, of the source and of the
-other manifest fields.  A save reads ``tau_min``, ``epsilon`` and ``metric``
-from the one place each lives (the text, the links, the listing index), and
-a load puts each back there.  No table is stored: both index kinds build a
-short table, and a substring index a long one, per length the first time a
-query reads it, from ``cum`` at the slot-sorted factor starts, so a reopened
-index answers queries bit for bit like the one that was saved.
+The file is a zip archive holding ``manifest.json``, the UTF-8 source UST
+text ``source.ust`` and one ``.npy`` entry per stored array.  Format version
+8 stores only what a load cannot derive cheaply: ``codes`` and the suffix
+array ``sa`` as ``int32``, ``cum``, one start per factor in ``pos`` and, for
+listing, one factor count per document in ``doc_factors``; approximate links
+keep their origin as a suffix-array slot in ``link_origin``.  The manifest
+holds no derivable field (a null ``metric`` makes a substring index): in
+``documents`` each document's name and length in collection order, and in
+``digests`` the SHA-256 of every member and of the other fields.  A save
+reads ``tau_min``, ``epsilon`` and ``metric`` from the one place each lives
+(the text, the links, the listing index), and a load puts each back there.
+No table is stored: both index kinds build a short table, and a substring
+index a long one, per length the first time a query reads it, from ``cum``
+at the slot-sorted factor starts, so a reopened index answers queries bit
+for bit like the one that was saved.
 
-A load never parses the source: queries and the load checks read only the
-names and lengths, and the text is parsed, once, the first time something
-reads the strings (``SubstringIndex.u``, ``ListingIndex.collection`` or
-``TransformedText.source``).  A source that does not parse, or whose names
-and lengths differ from ``documents``, raises ``ContainerError`` then.
-Loading never sorts: it accepts ``sa`` after the linear check of
-``textcore.check_suffix_array`` and rebuilds the per-code positions (and
-documents) from the factor runs.  A load builds no table, no LCP array and no
-suffix-tree view.  A file that is not such an archive, is of another
-version, lacks a member, holds an unreadable member, a manifest with a field
-of the wrong JSON type, an ``m_short`` below 1 or above the stored text
-length (at least 1), a ``tau_min`` or ``epsilon`` outside (0, 1], an
-unknown listing metric or ``documents`` that repeat a name or hold a length
-below 1, or an array whose dtype, length or contents do not fit the index
-raises ``ContainerError`` before anything is built; so does a member or
-manifest field that differs from its digest, checked after the rest so that
-a damaged member is named by what is wrong with it.
+A load decodes the source but never parses it: queries and the load checks
+read only the names and lengths, and the text is parsed, once, the first
+time something reads the strings (``SubstringIndex.u``,
+``ListingIndex.collection`` or ``TransformedText.source``).  A source that
+does not parse, or whose names and lengths differ from ``documents``, raises
+``ContainerError`` then.  Loading never sorts: it accepts ``sa`` after the
+linear check of ``textcore.check_suffix_array`` and rebuilds the per-code
+positions (and documents) from the factor runs.  A load builds no table, no
+LCP array and no suffix-tree view.  A file that is not such an archive, is
+of another version, lacks a member, holds an unreadable member or a source
+that is not UTF-8, a manifest with a field of the wrong JSON type, a
+``tau_min`` or ``epsilon`` outside (0, 1], an unknown listing metric or
+``documents`` that repeat a name or hold a length below 1, or an array whose
+dtype, length or contents do not fit the index raises ``ContainerError``
+before anything is built; so does a member or manifest field that differs
+from its digest, checked after the rest so that a damaged member is named by
+what is wrong with it.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .ustformat import parse_ust, serialize_ust
 
 __all__ = ["FORMAT_VERSION", "IndexContainer", "build_container", "load_container", "save_container"]
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 _MAX_CODE = 0x10FFFF  # the largest code point; separators are -1 down to -n
 # member suffixes of the link arrays, in ``LinkIndex`` field order
@@ -91,7 +92,6 @@ def build_container(
     tau_min: float,
     epsilon: float | None = None,
     metric: str | None = None,
-    m_short: int | None = None,
     length_cap: int | None = None,
 ) -> IndexContainer:
     """Build the right kind of index for ``docs``.
@@ -106,10 +106,10 @@ def build_container(
         if epsilon is not None:
             raise ValueError("approximate links apply to single-string indexes only")
         collection = DocumentCollection(tuple(docs))
-        lidx = build_listing(collection, tau_min, metric or "max", m_short=m_short, length_cap=length_cap)
+        lidx = build_listing(collection, tau_min, metric or "max", length_cap=length_cap)
         return IndexContainer(listing=lidx)
     rounds = None if epsilon is None else []  # the sort's ranks, dropped once the links have read them
-    sub = build(docs[0], tau_min, m_short=m_short, length_cap=length_cap, _rounds=rounds)
+    sub = build(docs[0], tau_min, length_cap=length_cap, _rounds=rounds)
     links = None if epsilon is None else partition_links(build_links(sub.tt, sub.saidx, _rounds=rounds), epsilon)
     return IndexContainer(substring=sub, links=links)
 
@@ -132,11 +132,9 @@ def save_container(container: IndexContainer, path: str) -> None:
     arrays: dict[str, np.ndarray] = {}
     manifest: dict[str, object] = {
         "format_version": FORMAT_VERSION,
-        "kind": container.kind,
         "tau_min": repr(tt.tau_min),
         "epsilon": None if links is None else repr(links.eps),
         "metric": None if lidx is None else lidx.metric,
-        "m_short": idx.m_short,
     }
     if lidx is not None:
         # documents are concatenated in order, so a count per document places every factor
@@ -144,7 +142,7 @@ def save_container(container: IndexContainer, path: str) -> None:
     docs = tt.documents
     manifest["documents"] = [[name, n] for name, n in zip(docs.names, docs.lengths)]
     # a loaded index keeps the text it was read from, so saving it again parses nothing
-    manifest["source"] = serialize_ust(docs.strings) if docs.text is None else docs.text
+    source = (serialize_ust(docs.strings) if docs.text is None else docs.text).encode()
 
     if tt.n > np.iinfo(np.int32).max:
         raise ValueError(f"a transformed text of {tt.n} codes does not fit the int32 members")
@@ -156,9 +154,10 @@ def save_container(container: IndexContainer, path: str) -> None:
         for a, arr in zip(_LINK_ARRAYS, (links.origin, links.pos_id, links.stored, links.o_depth, links.t_depth)):
             arrays[f"link_{a}"] = arr
 
-    members = {}
+    members = {"source.ust": _sha256(source)}
     # stored uncompressed so file size reflects the structures themselves
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        zf.writestr("source.ust", source)
         for name, arr in arrays.items():
             buf = io.BytesIO()
             np.save(buf, arr, allow_pickle=False)
@@ -174,40 +173,46 @@ def _sha256(data: bytes) -> str:
 
 
 def _digests(manifest: dict, members: dict[str, str]) -> dict[str, str]:
-    """The members' SHA-256 plus that of the stored source and of every other manifest field but the digests."""
-    fields = {k: v for k, v in manifest.items() if k not in ("source", "digests")}
-    return {
-        **members,
-        "source": _sha256(manifest["source"].encode()),
-        "manifest": _sha256(json.dumps(fields, sort_keys=True).encode()),
-    }
+    """The members' SHA-256 plus one over every manifest field but the digests."""
+    fields = {k: v for k, v in manifest.items() if k != "digests"}
+    return {**members, "manifest": _sha256(json.dumps(fields, sort_keys=True).encode())}
 
 
 def load_container(path: str) -> IndexContainer:
     """Reopen a saved index; a file that is not a sound container raises ContainerError."""
     try:
         with zipfile.ZipFile(path) as zf:
-            manifest = json.loads(zf.read("manifest.json"))
-            arrays, members = {}, {}
+            manifest = _manifest(zf.read("manifest.json"))
+            source = zf.read("source.ust")
+            members, arrays = {"source.ust": _sha256(source)}, {}
             for name in zf.namelist():
                 if name.endswith(".npy"):
                     # one member's bytes at a time, so a load holds no second copy of the arrays
                     data = zf.read(name)
                     members[name] = _sha256(data)
                     arrays[name[: -len(".npy")]] = np.load(io.BytesIO(data), allow_pickle=False)
-        return _assemble(manifest, arrays, members)
+        return _assemble(manifest, arrays, source.decode(), members)
     except (zipfile.BadZipFile, KeyError, ValueError) as exc:
         raise ContainerError(f"{path} is not a sound index container: {exc}") from exc
 
 
-def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], lengths: list[int]) -> np.ndarray:
+def _manifest(data: bytes) -> dict:
+    """The manifest object of a container of this format version, read before any member."""
+    manifest = json.loads(data)
+    if not isinstance(manifest, dict):
+        raise ContainerError("the container manifest is not a JSON object")
+    if manifest.get("format_version") != FORMAT_VERSION:
+        raise ContainerError(f"unsupported container version {manifest.get('format_version')!r}")
+    return manifest
+
+
+def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], lengths: list[int], listing: bool) -> np.ndarray:
     """Every stored array has the dtype, length and contents the index layout implies.
 
     Runs before anything is built, so a tampered array raises ContainerError
     instead of a traceback or a silently wrong answer later.  ``lengths`` are
     the documents' lengths.  Returns each factor's 0-based text offset.
     """
-    listing = manifest["kind"] == "listing"
     dtypes = {"codes": np.int32, "sa": np.int32, "pos": np.int64, "cum": np.float64}
     if listing:
         dtypes["doc_factors"] = np.int64
@@ -274,7 +279,7 @@ def _field(manifest: dict, name: str, *types: type):
     return value
 
 
-def _documents(manifest: dict, kind: str) -> tuple[list[str], list[int]]:
+def _documents(manifest: dict, listing: bool) -> tuple[list[str], list[int]]:
     """The names and lengths the ``documents`` pairs hold: each name once, each length at least 1."""
     pairs = _field(manifest, "documents", list)
     if not all(isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and type(p[1]) is int for p in pairs):
@@ -284,15 +289,15 @@ def _documents(manifest: dict, kind: str) -> tuple[list[str], list[int]]:
         raise ContainerError("manifest documents names a document twice")
     if not all(n >= 1 for n in lengths):
         raise ContainerError("manifest documents holds a length below 1")
-    if kind == "substring" and len(pairs) != 1:
-        raise ContainerError(f"a substring container holds one source string, not {len(pairs)}")
+    if not listing and len(pairs) != 1:
+        raise ContainerError(f"manifest metric null names a substring index of one source string, not {len(pairs)}")
     if not pairs:
         raise ContainerError("manifest documents names no document")
     return names, lengths
 
 
 def _check_digests(manifest: dict, members: dict[str, str]) -> None:
-    """The manifest records the digest of each member, of the source and of its other fields."""
+    """The manifest records the digest of each member and of its other fields."""
     want = _field(manifest, "digests", dict)
     found = _digests(manifest, members)
     for name in sorted(want.keys() | found.keys()):
@@ -313,34 +318,21 @@ def _parse_source(text: str, names: list[str], lengths: list[int]) -> list[Uncer
     return docs
 
 
-def _assemble(manifest: dict, arrays: dict[str, np.ndarray], members: dict[str, str]) -> IndexContainer:
-    """Reopen the index a manifest and its arrays describe; a missing entry raises KeyError.
+def _assemble(manifest: dict, arrays: dict[str, np.ndarray], source: str, members: dict[str, str]) -> IndexContainer:
+    """Reopen the index a manifest, its arrays and its ``source`` text describe; a missing entry raises KeyError.
 
-    ``members`` maps each ``.npy`` member's name to its SHA-256.
+    ``members`` maps each member's name to its SHA-256.
     """
-    if not isinstance(manifest, dict):
-        raise ContainerError("the container manifest is not a JSON object")
-    version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ContainerError(f"unsupported container version {version!r}")
-    kind = _field(manifest, "kind", str)
-    if kind not in ("substring", "listing"):
-        raise ContainerError(f"unknown container kind {kind!r}")
     tau_min = float(_field(manifest, "tau_min", str, int, float))
     _field(manifest, "epsilon", str, int, float, type(None))
-    source = _field(manifest, "source", str)
-    m_short = _field(manifest, "m_short", int)
-    # a build takes no deeper tables than the text has codes (see qindex._pick_m_short)
-    top = max(1, arrays["codes"].size)
-    if not 1 <= m_short <= top:
-        raise ContainerError(f"manifest m_short {m_short} is not in [1, {top}]")
     for name in ("tau_min", "epsilon"):
         if manifest[name] is not None and not 0.0 < float(manifest[name]) <= 1.0:
             raise ContainerError(f"manifest {name} {manifest[name]!r} is not in (0, 1]")
-    if kind == "listing" and manifest["metric"] not in METRICS:
+    listing = manifest["metric"] is not None  # a substring index has no metric
+    if listing and manifest["metric"] not in METRICS:
         raise ContainerError(f"manifest metric {manifest['metric']!r} is not one of {', '.join(METRICS)}")
-    names, lengths = _documents(manifest, kind)
-    starts = _check_shapes(manifest, arrays, lengths)
+    names, lengths = _documents(manifest, listing)
+    starts = _check_shapes(manifest, arrays, lengths, listing)
     # widened, so a loaded index holds the dtypes a built one does
     codes, cum = arrays["codes"].astype(np.int64), arrays["cum"]
     saidx = check_suffix_array(codes, arrays["sa"].astype(np.int64))
@@ -350,11 +342,11 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray], members: dict[str, 
     pos = np.arange(codes.size) - np.repeat(starts - arrays["pos"], width)
     pos[codes < 0] = 0
     docs = Documents(names, lengths, partial(_parse_source, source, names, lengths), text=source)
-    tt = TransformedText(codes, pos, cum, tau_min, docs, arrays["doc_factors"] if kind == "listing" else None)
+    tt = TransformedText(codes, pos, cum, tau_min, docs, arrays["doc_factors"] if listing else None)
 
-    if kind == "listing":
-        return IndexContainer(listing=ListingIndex(manifest["metric"], tt, tt.doc_of(), saidx, m_short))
+    if listing:
+        return IndexContainer(listing=ListingIndex(manifest["metric"], tt, saidx))
     links = None
     if manifest["epsilon"] is not None:
         links = LinkIndex(tt, saidx, float(manifest["epsilon"]), *(arrays[f"link_{a}"] for a in _LINK_ARRAYS))
-    return IndexContainer(substring=SubstringIndex(tt, saidx, m_short), links=links)
+    return IndexContainer(substring=SubstringIndex(tt, saidx), links=links)

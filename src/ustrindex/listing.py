@@ -28,7 +28,7 @@ import numpy as np
 
 from .factorize import TransformedText, transform
 from .model import DocumentCollection
-from .qindex import _FEW, QueryStats, _collect, _FactorStarts, _fold, _locate, _pick_m_short
+from .qindex import _FEW, QueryStats, _collect, _FactorStarts, _fold, _locate
 from .textcore import (
     SuffixArrayIndex,
     TreeView,
@@ -59,9 +59,12 @@ class ListingIndex(_FactorStarts):
 
     metric: str
     tt: TransformedText
-    doc_of: np.ndarray
     saidx: SuffixArrayIndex
-    m_short: int
+
+    @cached_property
+    def doc_of(self) -> np.ndarray:
+        """The document of every text offset, derived from the text on first read."""
+        return self.tt.doc_of()
 
     @cached_property
     def collection(self) -> DocumentCollection:
@@ -85,10 +88,9 @@ def build_listing(
     tau_min: float,
     metric: str = "max",
     *,
-    m_short: int | None = None,
     length_cap: int | None = None,
 ) -> ListingIndex:
-    """Construct the listing index for one relevance metric; None picks the default ``m_short`` and ``length_cap``.
+    """Construct the listing index for one relevance metric; None picks the default ``length_cap``.
 
     The transform screens the whole collection at once and raises ValueError
     naming the first invalid document.
@@ -96,7 +98,7 @@ def build_listing(
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     tt = transform(collection, tau_min, length_cap)
-    return ListingIndex(metric, tt, tt.doc_of(), build_suffix_array(tt.codes), _pick_m_short(m_short, tt.n))
+    return ListingIndex(metric, tt, build_suffix_array(tt.codes))
 
 
 def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]], QueryStats]:
@@ -108,7 +110,7 @@ def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]]
     m = len(p)
 
     if m <= idx.m_short:
-        values, depth = idx._short[m - 1] or idx.short_table(m)
+        values, depth = idx._short.get(m) or idx.short_table(m)
         hits = depth.report(sp, ep, tau, stats)
         if len(hits) > _FEW:
             found = dict(zip(depth.labels[hits].tolist(), values[hits].tolist()))

@@ -1,10 +1,12 @@
 """Threshold substring search over uncertain strings (Problem 1).
 
-Short patterns are answered by one sparse table per length (the nonzero
-entries in slot order, see ``textcore.SparseDepth``), reported block by block
-with ``textcore.rmq_report``; long patterns by block maxima, reported the
-same way, whose ranges ``_collect`` reads at the slot-sorted factor starts.
-So reported positions always carry their exact occurrence probability.  Every
+Patterns up to ``m_short = max(1, bit_length(n) - 1)`` codes long (n codes
+in the text) are short, which picks a table but never changes an answer.
+They are answered by one sparse table per length (the nonzero entries in
+slot order, see ``textcore.SparseDepth``), reported block by block with
+``textcore.rmq_report``; long patterns by block maxima, reported the same
+way, whose ranges ``_collect`` reads at the slot-sorted factor starts.  So
+reported positions always carry their exact occurrence probability.  Every
 table value is a factor's own ``cum`` prefix, the same left-to-right product
 the model computes, which keeps threshold comparisons bitwise faithful.
 
@@ -62,13 +64,14 @@ class QueryStats:
 
 
 class _FactorStarts:
-    """What an index with ``tt``, ``saidx`` and ``m_short`` builds on first use and keeps.
+    """What an index with ``tt`` and ``saidx`` derives: its short/long cut, and what it builds on first use and keeps.
 
-    Its factor starts in slot order, and each depth's short table in ``_short`` (None until read).
+    Its factor starts in slot order, and each depth's short table in ``_short`` by depth, once read.
     """
 
     def __post_init__(self) -> None:
-        self._short: list[tuple[np.ndarray, SparseDepth] | None] = [None] * self.m_short
+        self.m_short = max(1, self.tt.n.bit_length() - 1)
+        self._short: dict[int, tuple[np.ndarray, SparseDepth]] = {}
 
     @property
     def tau_min(self) -> float:
@@ -81,12 +84,12 @@ class _FactorStarts:
 
     def short_table(self, i: int) -> tuple[np.ndarray, SparseDepth]:
         """Depth ``i``'s entry values and their ``SparseDepth``; built on first call."""
-        table = self._short[i - 1]
+        table = self._short.get(i)
         if table is None:
             slots, starts, values = _factor_rows(self, i)
             occ, group, metric = self._short_keys(starts)
             kept_slots, kept, labels = _group_depth(self.tt.codes, slots, starts, values, i, occ, group, metric)
-            table = self._short[i - 1] = (kept, SparseDepth(kept_slots, rmq_build(kept), labels))
+            table = self._short[i] = (kept, SparseDepth(kept_slots, rmq_build(kept), labels))
         return table
 
     @property
@@ -106,7 +109,6 @@ class SubstringIndex(_FactorStarts):
 
     tt: TransformedText
     saidx: SuffixArrayIndex
-    m_short: int
     long_tables: dict[int, tuple[np.ndarray, RmqIndex]] = field(default_factory=dict, repr=False)
 
     @property
@@ -228,26 +230,15 @@ def _fold(values: np.ndarray, starts: np.ndarray, metric: str) -> np.ndarray:
     return np.where(sizes == 1, total, total - prod)
 
 
-def build(
-    u: UncertainString, tau_min: float, *, m_short: int | None = None, length_cap: int | None = None, _rounds=None
-) -> SubstringIndex:
-    """Construct the substring index; None picks the default ``m_short`` and ``length_cap``.
+def build(u: UncertainString, tau_min: float, *, length_cap: int | None = None, _rounds=None) -> SubstringIndex:
+    """Construct the substring index; None picks the default ``length_cap``.
 
     ``_rounds`` gets the sort's ranks.  The transform's errors propagate:
     ValueError for an invalid string or tau_min, CapacityError for a text
     over its cap.
     """
     tt = transform(u, tau_min, length_cap)
-    return SubstringIndex(tt, build_suffix_array(tt.codes, _rounds=_rounds), _pick_m_short(m_short, tt.n))
-
-
-def _pick_m_short(m_short: int | None, n: int) -> int:
-    """The short-table depth for ``n`` codes, the default for None; never above ``max(1, n)``: no pattern is longer."""
-    if m_short is None:
-        return max(1, n.bit_length() - 1)
-    if m_short < 1:
-        raise ValueError("m_short must be at least 1")
-    return min(m_short, max(1, n))
+    return SubstringIndex(tt, build_suffix_array(tt.codes, _rounds=_rounds))
 
 
 def _collect(idx, ranges: list[tuple[int, int]], m: int, floor: float, key) -> dict:
@@ -295,7 +286,7 @@ def _run(idx: SubstringIndex, p: str, tau: float) -> tuple[list[int], list[float
     m = len(p)
 
     if m <= idx.m_short:
-        values, depth = idx._short[m - 1] or idx.short_table(m)
+        values, depth = idx._short.get(m) or idx.short_table(m)
         hits = depth.report(sp, ep, tau, stats)
         if len(hits) > _FEW:
             found = depth.labels[hits]

@@ -94,9 +94,10 @@ class SuffixArrayIndex:
         """Each slot's packed first letters (a ``memoryview`` for ``bisect``), each letter's rank, bits per rank.
 
         Built on first search by ``_pack_letters``: ``32 // bits`` letters to a
-        ``uint32``, first letter highest, 0 from a separator or the end of the
-        text on, so keys ascend with their slots.  Ranks are keyed by code,
-        and by character too below 0x110000.
+        ``uint32``, first letter highest, 0 at a separator and past the end of
+        the text.  Keys cut at their first 0 field ascend with their slots, and
+        ``suffix_range`` compares no further.  Ranks are keyed by code, and by
+        character too below 0x110000.
         """
         packed = _pack_letters(self.codes, np.uint32)
         rank_of = dict(zip(packed.alphabet.tolist(), range(1, packed.alphabet.size + 1)))
@@ -118,15 +119,17 @@ def _pack_letters(codes: np.ndarray, dtype: type, ties: bool = False) -> _Packed
     """Each text offset's first letters packed into one unsigned ``dtype`` key, first letter highest.
 
     A letter packs as its 1-based rank among the text's letters in ``bits =
-    (number of letters).bit_length()`` bits; a stop, the end of the text and
-    every field after either pack as 0.  Without ``ties`` (``prefix_keys``)
-    the stops are the separators (negative codes), and letters fill the key.
-    With them (the suffix sort) the stops are the codes below every code that
-    occurs twice, each of which occurs once: every separator of a transformed
-    text.  Letters then take the largest power of two of fields that leaves
-    ``low = (number of stops).bit_length()`` bits below them, for a tie field:
-    the stop's order by code, or 0 for none or for the end of the text, and
-    keys compare as the suffixes' first ``per`` codes.
+    (number of letters).bit_length()`` bits; a stop and every field past the
+    end of the text pack as 0.  Without ``ties`` (``prefix_keys``) the stops
+    are the separators (negative codes), letters fill the key, and the fields
+    after a stop keep their letters: a search compares a key only up to its
+    first 0 field.  With them (the suffix sort) the stops are the codes below
+    every code that occurs twice, each of which occurs once: every separator
+    of a transformed text.  Every field after a stop then packs as 0, and
+    letters take the largest power of two of fields that leaves ``low =
+    (number of stops).bit_length()`` bits below them, for a tie field: the
+    stop's order by code, or 0 for none or for the end of the text, and keys
+    compare as the suffixes' first ``per`` codes.
     """
     n = codes.size
     base = min(int(codes.min(initial=0)), 0)
@@ -156,21 +159,20 @@ def _pack_letters(codes: np.ndarray, dtype: type, ties: bool = False) -> _Packed
         key |= more
         w += step
     key = key[:n]
+    if not ties:
+        return _Packed(key, bits, per, low, alphabet)
     stops = np.flatnonzero(at < cut)
-    if ties:
-        lut[:cut] = np.cumsum(count[:cut] > 0)
-        order = lut[at[stops]]
-        tie = np.zeros(n, dtype=dtype)
+    lut[:cut] = np.cumsum(count[:cut] > 0)
+    order = lut[at[stops]]
+    tie = np.zeros(n, dtype=dtype)
     # a stop t letters on zeroes the fields from its own on and, the nearest writing last, names the tie
     for t in reversed(range(per)):
         first = np.searchsorted(stops, t)
         before = stops[first:] - t
         key[before] &= dtype(((1 << bits * per) - 1) ^ ((1 << bits * (per - t)) - 1))
-        if ties:
-            tie[before] = order[first:]
-    if ties:
-        key <<= dtype(low)
-        key |= tie
+        tie[before] = order[first:]
+    key <<= dtype(low)
+    key |= tie
     return _Packed(key, bits, per, low, alphabet)
 
 
@@ -290,10 +292,12 @@ def suffix_range(idx: SuffixArrayIndex, p) -> tuple[int, int] | None:
 
     Two ``bisect`` calls over the slots' packed keys (``idx.prefix_keys``)
     find the slots whose keys start with ``p``'s first letters, which is the
-    answer for a ``p`` no longer than a key.  A longer ``p`` is bisected
-    further inside that range over bytes: a suffix's first ``len(p)`` codes,
-    as order-preserving big-endian words, compare against ``p``'s in C, and a
-    suffix shorter than ``p`` is a proper prefix of its key, so below it.
+    answer for a ``p`` no longer than a key: ``p`` has no 0 field, so each
+    comparison is decided by a key's fields up to its first 0.  A longer ``p``
+    is bisected further inside that range over bytes: a suffix's first
+    ``len(p)`` codes, as order-preserving big-endian words, compare against
+    ``p``'s in C, and a suffix shorter than ``p`` is a proper prefix of its
+    key, so below it.
     """
     keys, rank_of, bits = idx.prefix_keys
     m = len(p)

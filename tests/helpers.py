@@ -8,7 +8,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ustrindex import CapacityError, QueryStats, TransformedText, UncertainString, occurrence_probability
+from ustrindex import (
+    CapacityError,
+    IndexContainer,
+    QueryStats,
+    TransformedText,
+    UncertainString,
+    occurrence_probability,
+)
 from ustrindex.factorize import (
     _CODE_BITS,
     MaximalFactor,
@@ -266,6 +273,19 @@ def reference_dedup_depth(values, lcp, orig, depth: int, n_orig: int):
     _, first = np.unique(pid[valid] * np.int64(n_orig + 1) + orig[valid], return_index=True)
     keep = np.sort(valid[first])
     return (keep + 1).astype(np.int32), values[keep]
+
+
+def with_m_short(built, m_short: int | None):
+    """``built``, an index or a container, with its index's short/long cut set to ``m_short``; None keeps it.
+
+    The cut is derived from the text length and changes only which table
+    answers a pattern, never an answer, so tests move it to send lengths down
+    the short or the long path.  A loaded index derives the cut anew.
+    """
+    idx = built.substring or built.listing if isinstance(built, IndexContainer) else built
+    if m_short is not None:
+        idx.m_short = m_short
+    return built
 
 
 def _reference_factor_starts(tt, saidx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -71,6 +71,15 @@ def test_build_and_query_pipeline(genome_file, tmp_path, capsys):
     assert capsys.readouterr().out == "7 9\n\n"
 
 
+def test_build_takes_no_short_cut_override(genome_file, tmp_path, capsys):
+    # the short/long cut is derived from the text length, so no option sets it
+    with pytest.raises(SystemExit) as exc:
+        main(["build", genome_file, "-o", str(tmp_path / "g.usi"), "--tau-min", "0.1", "--m-short", "3"])
+    assert exc.value.code == 2
+    assert "--m-short" in capsys.readouterr().err
+    assert not (tmp_path / "g.usi").exists()
+
+
 def test_query_json_output(genome_file, tmp_path, capsys):
     idx = str(tmp_path / "g.usi")
     main(["build", genome_file, "-o", idx, "--tau-min", "0.1"])

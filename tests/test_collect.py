@@ -22,7 +22,14 @@ from ustrindex import (
 )
 from ustrindex import qindex
 
-from helpers import random_ustring, readable_text, reference_factor_hits, reference_long_listing, reference_long_query
+from helpers import (
+    random_ustring,
+    readable_text,
+    reference_factor_hits,
+    reference_long_listing,
+    reference_long_query,
+    with_m_short,
+)
 
 
 def _hex(items) -> list[tuple]:
@@ -39,8 +46,8 @@ def _match_the_reference(containers, path: str, taus=(0.1, 0.25)) -> Counter:
     seen: Counter = Counter()
     for k, container in enumerate(containers):
         save_container(container, f"{path}.{k}")
-        loaded = load_container(f"{path}.{k}")
         idx = container.substring or container.listing
+        loaded = with_m_short(load_container(f"{path}.{k}"), idx.m_short)
         for p in _long_patterns(idx):
             for tau in taus:
                 for c in (container, loaded):
@@ -61,8 +68,8 @@ def _match_the_reference(containers, path: str, taus=(0.1, 0.25)) -> Counter:
 
 
 def test_long_queries_match_the_sa_scan_reference(genome, correlated, collection, tmp_path):
-    containers = [build_container([u], 0.1, m_short=1) for u in (genome, correlated)]
-    containers += [build_container(list(collection.docs), 0.1, metric=metric, m_short=1) for metric in METRICS]
+    containers = [with_m_short(build_container([u], 0.1), 1) for u in (genome, correlated)]
+    containers += [with_m_short(build_container(list(collection.docs), 0.1, metric=metric), 1) for metric in METRICS]
     seen = _match_the_reference(containers, str(tmp_path / "i.usi"))
     # both query routes are taken, and some position is reached from two factor starts
     assert seen["scan"] and seen["blocks"] and seen["blocks+ends"] and seen["twice"], seen
@@ -78,8 +85,8 @@ def test_long_queries_match_the_sa_scan_reference_on_random_strings(seed):
         random_ustring(rng, n=rng.randint(3, 24), alphabet="abc", correlation_rate=0.3, name=f"d{k}") for k in range(3)
     ]
     containers = [
-        build_container(docs[:1], tau_min, m_short=1),
-        build_container(docs, tau_min, metric=rng.choice(METRICS), m_short=1),
+        with_m_short(build_container(docs[:1], tau_min), 1),
+        with_m_short(build_container(docs, tau_min, metric=rng.choice(METRICS)), 1),
     ]
     with tempfile.TemporaryDirectory() as tmp:
         _match_the_reference(containers, f"{tmp}/r.usi", taus=(tau_min, max(tau_min, 0.35)))
@@ -96,8 +103,8 @@ def test_sorted_factors_are_built_once_per_index(genome, collection, tmp_path, m
     monkeypatch.setattr(qindex, "_sorted_factors", counted)
     for k, docs in enumerate(([genome], list(collection.docs))):
         path = str(tmp_path / f"{k}.usi")
-        save_container(build_container(docs, 0.1, m_short=1), path)
-        loaded = load_container(path)
+        save_container(build_container(docs, 0.1), path)
+        loaded = with_m_short(load_container(path), 1)
         idx = loaded.substring or loaded.listing
         assert not any(tt is idx.tt for tt in calls)
         patterns = _long_patterns(idx)

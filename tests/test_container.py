@@ -42,7 +42,7 @@ from ustrindex import (
     serialize_ust,
 )
 
-from helpers import check_short_tables, random_ustring
+from helpers import check_short_tables, random_ustring, with_m_short
 
 
 def patterns_for(u, seed: int) -> list[str]:
@@ -63,10 +63,9 @@ def test_substring_round_trip_answers_identically(genome, tmp_path):
     assert back.substring.tt.tau_min == 0.1 and back.links.eps == 0.05
     # long tables are built on first read, so nothing about them is stored
     manifest = json.loads(_entries(path)["manifest.json"])
-    assert set(manifest) == {
-        "format_version", "kind", "tau_min", "epsilon", "metric", "m_short", "documents", "source", "digests"
-    }
+    assert set(manifest) == {"format_version", "tau_min", "epsilon", "metric", "documents", "digests"}
     assert manifest["documents"] == [[genome.name, genome.n]]
+    assert _entries(path)["source.ust"].decode() == serialize_ust([genome])
     a, b = container.substring, back.substring
     assert b.tt.factor_table == a.tt.factor_table
     assert b.m_short == a.m_short and b.l_max == a.l_max
@@ -85,6 +84,9 @@ def test_listing_round_trip_answers_identically(collection, tmp_path):
     back = load_container(path)
 
     assert back.kind == "listing" and back.listing.metric == "or"
+    # the document map is derived from the text, never handed in
+    assert np.array_equal(back.listing.doc_of, back.listing.tt.doc_of())
+    assert np.array_equal(back.listing.doc_of, container.listing.doc_of)
     for p in ("A", "B", "BF", "BFA", "FJ", "Z"):
         for tau in (0.05, 0.1, 0.3):
             assert list_items(back.listing, p, tau) == list_items(container.listing, p, tau)
@@ -194,7 +196,7 @@ def test_load_rejects_other_format_versions(genome, tmp_path):
 
 def test_load_rejects_a_version_5_container_with_stored_short_tables(genome, tmp_path):
     path = str(tmp_path / "v5.usi")
-    container = build_container([genome], 0.1, m_short=2)
+    container = with_m_short(build_container([genome], 0.1), 2)
     save_container(container, path)
     entries = _entries(path)
     manifest = json.loads(entries["manifest.json"])
@@ -275,17 +277,15 @@ def test_load_rejects_a_manifest_threshold_or_metric_out_of_range(
     "field, value",
     [
         ("tau_min", [1]),
-        ("m_short", None),
-        ("m_short", True),
-        ("source", 5),
+        ("metric", 5),
+        ("metric", ["max"]),
+        ("digests", ["manifest"]),
         ("epsilon", [0.05]),
-        ("m_short", "2"),
-        ("kind", ["substring"]),
     ],
 )
 def test_load_rejects_a_manifest_field_of_the_wrong_type(field, value, genome, tmp_path):
     path = str(tmp_path / "t.usi")
-    save_container(build_container([genome], 0.1, epsilon=0.05, m_short=2), path)
+    save_container(build_container([genome], 0.1, epsilon=0.05), path)
     entries = _entries(path)
     manifest = json.loads(entries["manifest.json"])
     manifest[field] = value
@@ -298,9 +298,11 @@ def test_load_rejects_a_manifest_field_of_the_wrong_type(field, value, genome, t
 @pytest.mark.parametrize("kind", ["substring", "listing"])
 @pytest.mark.parametrize("m_short", [0, -3, 10**12])
 def test_load_rejects_a_manifest_m_short_out_of_range_at_once(kind, m_short, genome, collection, tmp_path):
+    # no manifest field holds the short/long cut, so a written one fails the manifest's digest, at once;
+    # resealed, it is not read: the load derives the cut from the text and builds no table list
     path = str(tmp_path / "s.usi")
     if kind == "substring":
-        container = build_container([genome], 0.1, epsilon=0.05, m_short=2)
+        container = build_container([genome], 0.1, epsilon=0.05)
     else:
         container = build_container(list(collection.docs), 0.1, metric="max")
     save_container(container, path)
@@ -310,27 +312,24 @@ def test_load_rejects_a_manifest_m_short_out_of_range_at_once(kind, m_short, gen
     entries["manifest.json"] = json.dumps(manifest).encode()
     _rewrite(path, entries)
     start = time.perf_counter()
-    with pytest.raises(ContainerError, match=f"manifest m_short {m_short} is not in"):
+    with pytest.raises(ContainerError, match="manifest does not match its digest"):
         load_container(path)
+    _rewrite(path, _resealed(entries))
+    idx = getattr(load_container(path), kind)
+    assert idx.m_short == (container.substring or container.listing).m_short and idx._short == {}
     assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("kind", ["substring", "listing"])
 def test_m_short_is_bounded_by_the_text_length(kind, genome, collection, tmp_path):
-    container = build_container([genome] if kind == "substring" else list(collection.docs), 0.1, m_short=10**6)
-    n = (container.substring or container.listing).tt.n
+    container = build_container([genome] if kind == "substring" else list(collection.docs), 0.1)
     path = str(tmp_path / "b.usi")
     save_container(container, path)
-    # a build lowers the override to the text length, so the container it writes loads
+    # built or loaded, the cut is bit_length(n) - 1 for a text of n codes, at least 1: never above max(1, n)
     for c in (container, load_container(path)):
-        assert (c.substring or c.listing).m_short == n
-    entries = _entries(path)
-    manifest = json.loads(entries["manifest.json"])
-    manifest["m_short"] = n + 1
-    entries["manifest.json"] = json.dumps(manifest).encode()
-    _rewrite(path, entries)
-    with pytest.raises(ContainerError, match=rf"manifest m_short {n + 1} is not in \[1, {n}\]"):
-        load_container(path)
+        idx = c.substring or c.listing
+        assert idx.m_short == max(1, idx.tt.n.bit_length() - 1) <= max(1, idx.tt.n)
+    assert "m_short" not in json.loads(_entries(path)["manifest.json"])
 
 
 @pytest.mark.parametrize("kind", ["substring", "listing", "links"])
@@ -338,16 +337,16 @@ def test_an_empty_transformed_text_round_trips_and_answers_nothing(kind, tmp_pat
     # every window of two even positions is below tau_min 0.9, so no factor survives
     u = UncertainString("flat", ({"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5}))
     if kind == "substring":
-        container = IndexContainer(substring=build(u, 0.9, m_short=3))
+        container = IndexContainer(substring=build(u, 0.9))
     elif kind == "listing":
-        container = IndexContainer(listing=build_listing(DocumentCollection((u,)), 0.9, "or", m_short=3))
+        container = IndexContainer(listing=build_listing(DocumentCollection((u,)), 0.9, "or"))
     else:
-        container = build_container([u], 0.9, epsilon=0.05, m_short=3)
+        container = build_container([u], 0.9, epsilon=0.05)
     path = str(tmp_path / "empty.usi")
     save_container(container, path)
     for c in (container, load_container(path)):
         idx = c.substring or c.listing
-        # no table is deeper than the text has codes, or 1
+        # the cut of an empty text is 1, the least there is
         assert idx.tt.n == 0 and idx.m_short == 1
         assert [(v.size, d.slots.size) for v, d in idx.short_tables] == [(0, 0)]
         for p in ("a", "ab", "aba", "abab"):
@@ -460,7 +459,7 @@ def test_load_rejects_a_substring_manifest_with_two_sources(genome, correlated, 
     save_container(build_container([genome], 0.1), path)
     entries = _entries(path)
     manifest = json.loads(entries["manifest.json"])
-    manifest["source"] = serialize_ust(DocumentCollection((genome, correlated)))
+    entries["source.ust"] = serialize_ust(DocumentCollection((genome, correlated))).encode()
     manifest["documents"] = [[d.name, d.n] for d in (genome, correlated)]
     entries["manifest.json"] = json.dumps(manifest).encode()
     _rewrite(path, entries)
@@ -483,7 +482,7 @@ def test_load_rejects_a_substring_manifest_with_two_sources(genome, correlated, 
 def test_load_rejects_an_array_of_the_wrong_length(kind, member, genome, collection, tmp_path):
     path = str(tmp_path / "l.usi")
     if kind == "substring":
-        container = build_container([genome], 0.1, epsilon=0.05, m_short=2)
+        container = build_container([genome], 0.1, epsilon=0.05)
     else:
         container = build_container(list(collection.docs), 0.1, metric="max")
     save_container(container, path)
@@ -574,9 +573,9 @@ def _tampered(kind: str, member: str, change, genome, collection, tmp_path) -> s
     """
     path = str(tmp_path / "x.usi")
     if kind == "substring":
-        container = build_container([genome], 0.1, m_short=2)
+        container = build_container([genome], 0.1)
     elif kind == "links":
-        container = build_container([genome], 0.1, epsilon=0.05, m_short=2)
+        container = build_container([genome], 0.1, epsilon=0.05)
     else:
         container = build_container(list(collection.docs), 0.1, metric="max")
     save_container(container, path)
@@ -795,7 +794,7 @@ def test_a_load_never_sorts_suffixes(kind, genome, collection, tmp_path, monkeyp
     elif kind == "empty":
         # every window of two even positions is below tau_min 0.9, so no factor survives
         u = UncertainString("flat", ({"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5}))
-        container = build_container([u], 0.9, epsilon=0.05, m_short=3)
+        container = build_container([u], 0.9, epsilon=0.05)
     else:
         container = build_container([genome], 0.1, epsilon=0.05 if kind == "links" else None)
     path = str(tmp_path / "sorted.usi")
@@ -826,7 +825,7 @@ def test_a_load_never_sorts_suffixes(kind, genome, collection, tmp_path, monkeyp
 def _resealed(entries: dict[str, bytes]) -> dict[str, bytes]:
     """``entries`` with the manifest's digests rewritten to fit them, as a tamperer who knows the format would."""
     manifest = json.loads(entries["manifest.json"])
-    members = {name: container_module._sha256(data) for name, data in entries.items() if name.endswith(".npy")}
+    members = {name: container_module._sha256(data) for name, data in entries.items() if name != "manifest.json"}
     manifest["digests"] = container_module._digests(manifest, members)
     return {**entries, "manifest.json": json.dumps(manifest).encode()}
 
@@ -844,7 +843,7 @@ def test_load_rejects_a_plausible_tamper_by_its_digest(tamper, genome, collectio
     # each change keeps every load check happy, and each changes an answer
     if tamper == "tau_min lowered":
         path = str(tmp_path / "x.usi")
-        save_container(build_container([genome], 0.1, m_short=2), path)
+        save_container(build_container([genome], 0.1), path)
         entries = _entries(path)
         manifest = json.loads(entries["manifest.json"]) | {"tau_min": "0.05"}
         _rewrite(path, {**entries, "manifest.json": json.dumps(manifest).encode()})
@@ -861,7 +860,7 @@ def test_load_rejects_a_plausible_tamper_by_its_digest(tamper, genome, collectio
     [
         (lambda e: {**e, "extra.npy": e["cum.npy"]}, "member extra.npy has no digest"),
         (lambda e: {**e, "sa.npy": e["sa.npy"] + b" "}, "sa.npy does not match its digest"),
-        (lambda e: {**e, "manifest.json": e["manifest.json"].replace(b"ustr genome", b"ustr genomE")}, "source does"),
+        (lambda e: {**e, "source.ust": e["source.ust"].replace(b"ustr genome", b"ustr genomE")}, "source.ust does"),
     ],
     ids=["member without a digest", "member padded", "source renamed"],
 )
@@ -937,15 +936,13 @@ def test_a_bad_source_loads_and_raises_on_first_read(kind, fault, genome, collec
         docs = list(collection.docs)
         container = build_container(docs, 0.1, metric="or")
     save_container(container, path)
-    entries = _entries(path)
-    manifest = json.loads(entries["manifest.json"])
     if fault == "unparsable":
-        manifest["source"] = "ustr x\npos a\nend\n"
+        source = "ustr x\npos a\nend\n"
     elif fault == "renamed":
-        manifest["source"] = serialize_ust([replace(docs[0], name="zz"), *docs[1:]])
+        source = serialize_ust([replace(docs[0], name="zz"), *docs[1:]])
     else:
-        manifest["source"] = serialize_ust([replace(docs[0], positions=docs[0].positions[:-1]), *docs[1:]])
-    _rewrite(path, _resealed({**entries, "manifest.json": json.dumps(manifest).encode()}))
+        source = serialize_ust([replace(docs[0], positions=docs[0].positions[:-1]), *docs[1:]])
+    _rewrite(path, _resealed({**_entries(path), "source.ust": source.encode()}))
 
     back = load_container(path)
     what = "does not parse" if fault == "unparsable" else "does not hold the documents the manifest names"
@@ -981,15 +978,15 @@ def _one_query_of_each_kind(c, short: str, long: str, tau: float) -> list:
 def test_a_load_never_parses_the_source(kind, genome, collection, tmp_path, monkeypatch):
     tau = 0.1
     if kind.startswith("listing"):
-        container = build_container(list(collection.docs), tau, metric=kind.split("-")[1], m_short=1)
+        container = with_m_short(build_container(list(collection.docs), tau, metric=kind.split("-")[1]), 1)
         short, long = "B", "BF"
     elif kind == "empty":
         tau = 0.9
         u = UncertainString("flat", ({"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5}))
-        container = build_container([u], tau, epsilon=0.05, m_short=3)
+        container = build_container([u], tau, epsilon=0.05)
         short, long = "a", "ab"
     else:
-        container = build_container([genome], tau, epsilon=0.05 if kind == "links" else None, m_short=1)
+        container = with_m_short(build_container([genome], tau, epsilon=0.05 if kind == "links" else None), 1)
         short, long = "A", "AT"
     path, again = str(tmp_path / "p.usi"), str(tmp_path / "again.usi")
     save_container(container, path)
@@ -997,7 +994,7 @@ def test_a_load_never_parses_the_source(kind, genome, collection, tmp_path, monk
     real = container_module.parse_ust
     monkeypatch.setattr(container_module, "parse_ust", lambda *a, **k: calls.append(1) or real(*a, **k))
 
-    back = load_container(path)
+    back = with_m_short(load_container(path), (container.substring or container.listing).m_short)
     answers = _one_query_of_each_kind(back, short, long, tau)
     save_container(back, again)
     assert calls == []
@@ -1022,4 +1019,27 @@ def test_load_rejects_a_version_6_container_that_parses_its_source_on_load(genom
     manifest = {k: v for k, v in manifest.items() if k not in ("documents", "digests")} | {"format_version": 6}
     _rewrite(path, {**entries, "manifest.json": json.dumps(manifest).encode()})
     with pytest.raises(ContainerError, match="unsupported container version 6"):
+        load_container(path)
+
+
+def test_load_rejects_a_version_7_container_with_derivable_manifest_fields(genome, tmp_path):
+    path = str(tmp_path / "v7.usi")
+    container = build_container([genome], 0.1, epsilon=0.05)
+    save_container(container, path)
+    entries = _entries(path)
+    # version 7 kept the kind, the short/long cut and the source text in the manifest, and no source.ust member
+    source = entries.pop("source.ust").decode()
+    manifest = json.loads(entries["manifest.json"])
+    manifest |= {"format_version": 7, "kind": "substring", "m_short": container.substring.m_short, "source": source}
+    _rewrite(path, {**entries, "manifest.json": json.dumps(manifest).encode()})
+    with pytest.raises(ContainerError, match="unsupported container version 7"):
+        load_container(path)
+
+
+def test_load_rejects_a_source_that_is_not_utf8(genome, tmp_path):
+    path = str(tmp_path / "u.usi")
+    save_container(build_container([genome], 0.1), path)
+    entries = _entries(path)
+    _rewrite(path, _resealed({**entries, "source.ust": entries["source.ust"] + b"\xff"}))
+    with pytest.raises(ContainerError, match="not a sound index container"):
         load_container(path)

@@ -46,6 +46,7 @@ from helpers import (
     reference_dedup_depth,
     reference_long_tables,
     slot_depth_values,
+    with_m_short,
 )
 
 
@@ -69,8 +70,6 @@ def test_build_validates_inputs():
         build(ok, 0.0)
     with pytest.raises(ValueError):
         build(ok, 1.5)
-    with pytest.raises(ValueError):
-        build(ok, 0.5, m_short=0)
 
 
 def test_query_guards(genome):
@@ -87,7 +86,7 @@ def test_query_guards(genome):
 def test_deterministic_string_is_plain_substring_search():
     s = "abcabcabcabc"
     u = UncertainString("det", tuple({c: 1.0} for c in s))
-    idx = build(u, 0.9, m_short=2)
+    idx = with_m_short(build(u, 0.9), 2)
     for m in range(1, 11):
         for start in range(len(s) - m + 1):
             p = s[start : start + m]
@@ -125,7 +124,7 @@ def test_query_matches_oracle(seed):
     rng = random.Random(seed)
     u = random_ustring(rng, n=rng.randint(4, 18), correlation_rate=0.3)
     tau_min = rng.choice((0.1, 0.2, 0.3))
-    idx = build(u, tau_min, m_short=rng.choice((None, 1, 2)))
+    idx = with_m_short(build(u, tau_min), rng.choice((None, 1, 2)))
 
     w = sample_world(u, rng)
     patterns = {
@@ -165,7 +164,7 @@ def test_short_queries_stay_within_the_probe_budget(seed):
 def test_substring_tables_match_the_dedup_reference(seed):
     rng = random.Random(seed)
     u = random_ustring(rng, n=rng.randint(3, 24), alphabet="abc", correlation_rate=0.3)
-    idx = build(u, rng.choice((0.1, 0.2, 0.3)), m_short=rng.choice((None, 6)))
+    idx = with_m_short(build(u, rng.choice((0.1, 0.2, 0.3))), rng.choice((None, 6)))
     depths = slot_depth_values(idx.tt, idx.saidx, lambda _o: u, idx.m_short)
     orig = idx.tt.pos[idx.saidx.sa - 1]
     lcp = idx.saidx.lcp
@@ -193,7 +192,7 @@ def _long_tables_match_the_eager_reference(container, path: str) -> None:
 
 def test_long_tables_on_demand_match_the_eager_reference(genome, correlated, tmp_path):
     for k, u in enumerate((genome, correlated)):
-        container = build_container([u], 0.1, m_short=1)
+        container = with_m_short(build_container([u], 0.1), 1)
         assert container.substring.l_max > 2
         _long_tables_match_the_eager_reference(container, str(tmp_path / f"{k}.usi"))
 
@@ -203,16 +202,16 @@ def test_long_tables_on_demand_match_the_eager_reference(genome, correlated, tmp
 def test_long_tables_on_demand_match_the_eager_reference_on_random_strings(seed):
     rng = random.Random(seed)
     u = random_ustring(rng, n=rng.randint(3, 24), alphabet="abc", correlation_rate=0.3)
-    container = build_container([u], rng.choice((0.1, 0.2, 0.3)), m_short=rng.choice((None, 1, 2)))
+    container = with_m_short(build_container([u], rng.choice((0.1, 0.2, 0.3))), rng.choice((None, 1, 2)))
     with tempfile.TemporaryDirectory() as tmp:
         _long_tables_match_the_eager_reference(container, f"{tmp}/r.usi")
 
 
 def test_a_long_table_is_built_only_when_a_query_reads_it(genome, tmp_path):
     path = str(tmp_path / "g.usi")
-    container = build_container([genome], 0.1, m_short=1)
+    container = with_m_short(build_container([genome], 0.1), 1)
     save_container(container, path)
-    for idx in (container.substring, load_container(path).substring):
+    for idx in (container.substring, with_m_short(load_container(path), 1).substring):
         assert idx.long_tables == {}
         # each of these slot ranges fits inside one block of its length, which no table can prune
         for p in ("AIA", "FFPQ", "PSFPT", "QPP", "TATA"):
@@ -237,7 +236,7 @@ def test_neither_a_build_nor_a_load_builds_a_short_table(kind, genome, collectio
     save_container(container, path)
     for c in (container, load_container(path)):
         idx = c.substring or c.listing
-        assert idx._short == [None] * idx.m_short
+        assert idx._short == {}
     assert calls == []
 
 
@@ -252,8 +251,8 @@ def test_a_short_query_builds_its_depth_once_and_no_other(genome, collection, tm
     monkeypatch.setattr(qindex, "_group_depth", counted)
     for k, docs in enumerate(([genome], list(collection.docs))):
         path = str(tmp_path / f"{k}.usi")
-        save_container(build_container(docs, 0.1, m_short=3), path)
-        loaded = load_container(path)
+        save_container(build_container(docs, 0.1), path)
+        loaded = with_m_short(load_container(path), 3)
         idx = loaded.substring or loaded.listing
         runs = readable_text(idx.tt).split("$")
         patterns = sorted({r[b : b + 2] for r in runs for b in range(len(r) - 1)})
@@ -264,7 +263,7 @@ def test_a_short_query_builds_its_depth_once_and_no_other(genome, collection, tm
             else:
                 list_items(idx, p, 0.1)
         assert calls == [2]
-        assert [t is not None for t in idx._short] == [False, True, False]
+        assert list(idx._short) == [2]
         calls.clear()
 
 
@@ -285,12 +284,12 @@ def test_short_tables_on_demand_match_the_eager_reference_on_long_runs(seed):
     docs = [_one_letter_runs(rng, f"d{k}") for k in range(3)]
     tau_min = rng.choice((0.1, 0.2, 0.3))
     m_short = rng.choice((None, 1, 2))
-    containers = [build_container(docs[:1], tau_min, m_short=m_short)]
-    containers += [build_container(docs, tau_min, metric=metric, m_short=m_short) for metric in METRICS]
+    containers = [with_m_short(build_container(docs[:1], tau_min), m_short)]
+    containers += [with_m_short(build_container(docs, tau_min, metric=metric), m_short) for metric in METRICS]
     with tempfile.TemporaryDirectory() as tmp:
         for k, container in enumerate(containers):
             save_container(container, f"{tmp}/{k}.usi")
-            for c in (container, load_container(f"{tmp}/{k}.usi")):
+            for c in (container, with_m_short(load_container(f"{tmp}/{k}.usi"), m_short)):
                 check_short_tables(c.substring or c.listing)
 
 
@@ -303,9 +302,9 @@ def test_a_non_monotone_string_stores_nothing_below_tau_min():
     )
     assert occurrence_probability(u, "a", 1) == pytest.approx(0.1)
     # m_short=1 sends lengths 2 and 3 down the long paths, past windows inside a factor below tau_min
-    indexes = [build(u, 0.3), build(u, 0.3, m_short=1)]
+    indexes = [build(u, 0.3), with_m_short(build(u, 0.3), 1)]
     listings = [
-        build_listing(DocumentCollection((u,)), 0.3, metric, m_short=m_short)
+        with_m_short(build_listing(DocumentCollection((u,)), 0.3, metric), m_short)
         for metric in METRICS
         for m_short in (None, 1)
     ]
@@ -329,8 +328,8 @@ def test_long_queries_of_built_and_loaded_indexes_never_recompute_a_probability(
     genome, correlated, collection, tmp_path, monkeypatch
 ):
     # m_short=1 sends every longer pattern down the long paths, which read the stored cum
-    built = [build_container([u], 0.1, m_short=1) for u in (genome, correlated)]
-    built += [build_container(list(collection.docs), 0.1, metric=metric, m_short=1) for metric in METRICS]
+    built = [with_m_short(build_container([u], 0.1), 1) for u in (genome, correlated)]
+    built += [with_m_short(build_container(list(collection.docs), 0.1, metric=metric), 1) for metric in METRICS]
     cases = []
     for k, container in enumerate(built):
         path = str(tmp_path / f"{k}.usi")
@@ -355,7 +354,7 @@ def test_long_queries_of_built_and_loaded_indexes_never_recompute_a_probability(
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "ustrindex" and hasattr(module, "occurrence_probability"):
             monkeypatch.setattr(module, "occurrence_probability", refuse)
-    loaded = {path: load_container(path) for path, *_ in cases}
+    loaded = {path: with_m_short(load_container(path), 1) for path, *_ in cases}
     for path, container, p, tau, want in cases:
         for c in (container, loaded[path]):
             got = query_items(c.substring, p, tau) if c.substring else list_items(c.listing, p, tau)

@@ -386,6 +386,30 @@ def test_suffix_range_edge_cases_around_one_key():
             assert suffix_range(idx, "".join(map(chr, pattern))) == want
 
 
+def test_suffix_range_with_letters_after_a_separator_inside_a_key():
+    """Search keys keep the letters after a separator, so they need not ascend with their slots.
+
+    Each "ab" ends at a separator and is followed by other letters within
+    the same key; the separators order these suffixes apart from what follows
+    them, yet every range equals the brute-force one.
+    """
+    rng = random.Random(27)
+    codes: list[int] = []
+    for k in range(40):
+        codes += [97, 98, -1 - k] + [97 + rng.randrange(8) for _ in range(rng.randint(1, 9))]
+    codes += [97 + k for k in range(8)] + [-41]
+    idx = build_suffix_array(codes)
+    order = reference_suffix_order(codes)
+    keys = idx.prefix_keys[0].tolist()
+    per = 32 // idx.prefix_keys[2]
+    assert per == 8 and any(a > b for a, b in zip(keys, keys[1:]))
+    windows = {tuple(codes[s : s + m]) for m in range(1, per + 3) for s in range(len(codes) - m + 1)}
+    for pattern in sorted(w for w in windows if min(w) >= 0) + [[97, 98, 97], [98, 104, 104]]:
+        pattern = list(pattern)
+        assert suffix_range(idx, pattern) == brute_range(codes, order, pattern), pattern
+        assert suffix_range(idx, "".join(map(chr, pattern))) == brute_range(codes, order, pattern)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_tree_view_structure(seed):
