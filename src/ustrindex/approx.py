@@ -55,7 +55,7 @@ class RawLinks:
 
 @dataclass(eq=False)
 class LinkIndex:
-    """Chain segments in flat arrays, one row per segment, ordered by origin slot.
+    """Chain segments in flat arrays, one row per segment, ordered by origin slot; ``stored`` float64, the rest int32.
 
     Segment r covers the prefixes of lengths ``t_depth[r] + 1 .. o_depth[r]``
     at position ``pos_id[r]``; ``origin[r]`` is the 1-based slot of its
@@ -173,12 +173,12 @@ def partition_links(raw: RawLinks, eps: float) -> LinkIndex:
         seg_deep[cut], anchor[cut] = top[cut] - k, above[cut]
     segs.append((rows, seg_deep, shallow[rows], base[rows]))
     link, o_depth, t_depth, at = (np.concatenate(a) for a in zip(*segs))
-    slot_of = np.empty_like(raw.saidx.sa)  # each 0-based text offset's 1-based slot
-    slot_of[raw.saidx.sa - 1] = np.arange(1, raw.saidx.n + 1)
+    slot_of = np.empty(raw.saidx.n, dtype=np.int32)  # each 0-based text offset's 1-based slot
+    slot_of[raw.saidx.sa - 1] = np.arange(1, raw.saidx.n + 1, dtype=np.int32)
     origin = slot_of[raw.witness_off[link]]
     order = np.lexsort((-o_depth, link, origin))
-    cols = (origin, raw.pos_id[link], vals[at], o_depth, t_depth)
-    return LinkIndex(raw.tt, raw.saidx, eps, *(c[order] for c in cols))
+    origin, pos_id, o_depth, t_depth = (a[order].astype(np.int32) for a in (origin, raw.pos_id[link], o_depth, t_depth))
+    return LinkIndex(raw.tt, raw.saidx, eps, origin, pos_id, vals[at][order], o_depth, t_depth)
 
 
 def approx_items(idx: LinkIndex, p: str, tau: float) -> list[tuple[int, float]]:

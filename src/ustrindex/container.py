@@ -2,11 +2,17 @@
 
 The file is a zip archive holding ``manifest.json``, the UTF-8 source UST
 text ``source.ust`` and one ``.npy`` entry per stored array.  Format version
-8 stores only what a load cannot derive cheaply: ``codes`` and the suffix
-array ``sa`` as ``int32``, ``cum``, one start per factor in ``pos`` and, for
-listing, one factor count per document in ``doc_factors``; approximate links
-keep their origin as a suffix-array slot in ``link_origin``.  The manifest
-holds no derivable field (a null ``metric`` makes a substring index): in
+9 stores only what a load cannot derive cheaply, in narrow dtypes: ``codes``
+as each letter's code point + 1 and each separator as 0, in the narrowest
+unsigned dtype that holds them (``uint8`` for ASCII text), the suffix array
+``sa``, ``cum`` at the letters alone, one start per factor in ``pos`` and,
+for listing, one factor count per document in ``doc_factors``; approximate
+links keep their origin as a suffix-array slot in ``link_origin``.  Integer
+arrays other than ``codes`` are ``int32``.  A load numbers the separators -1, -2, ... in text
+order and puts -1.0 back in ``cum`` at each, so a loaded index holds the
+arrays, dtypes included, that a built one does.  The manifest holds exactly
+the fields a save writes and no derivable one (a null ``metric`` makes a
+substring index, and a listing index has a null ``epsilon``): in
 ``documents`` each document's name and length in collection order, and in
 ``digests`` the SHA-256 of every member and of the other fields.  A save
 reads ``tau_min``, ``epsilon`` and ``metric`` from the one place each lives
@@ -26,10 +32,11 @@ linear check of ``textcore.check_suffix_array`` and rebuilds the per-code
 positions (and documents) from the factor runs.  A load builds no table, no
 LCP array and no suffix-tree view.  A file that is not such an archive, is
 of another version, lacks a member, holds an unreadable member or a source
-that is not UTF-8, a manifest with a field of the wrong JSON type, a
-``tau_min`` or ``epsilon`` outside (0, 1], an unknown listing metric or
-``documents`` that repeat a name or hold a length below 1, or an array whose
-dtype, length or contents do not fit the index raises ``ContainerError``
+that is not UTF-8, a manifest with a missing or unknown field or a field of
+the wrong JSON type, a ``tau_min`` or ``epsilon`` outside (0, 1], an
+``epsilon`` on a listing index, an unknown listing metric or ``documents``
+that repeat a name or hold a length below 1, or an array whose dtype, length
+or contents do not fit the index raises ``ContainerError``
 before anything is built; so does a member or manifest field that differs
 from its digest, checked after the rest so that a damaged member is named by
 what is wrong with it.
@@ -62,9 +69,11 @@ from .ustformat import parse_ust, serialize_ust
 
 __all__ = ["FORMAT_VERSION", "IndexContainer", "build_container", "load_container", "save_container"]
 
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 _MAX_CODE = 0x10FFFF  # the largest code point; separators are -1 down to -n
+# the manifest fields a save writes, for every kind
+_FIELDS = ("format_version", "tau_min", "epsilon", "metric", "documents", "digests")
 # member suffixes of the link arrays, in ``LinkIndex`` field order
 _LINK_ARRAYS = ("origin", "pos", "stored", "odepth", "tdepth")
 
@@ -144,12 +153,13 @@ def save_container(container: IndexContainer, path: str) -> None:
     # a loaded index keeps the text it was read from, so saving it again parses nothing
     source = (serialize_ust(docs.strings) if docs.text is None else docs.text).encode()
 
-    if tt.n > np.iinfo(np.int32).max:
-        raise ValueError(f"a transformed text of {tt.n} codes does not fit the int32 members")
-    arrays["codes"] = tt.codes.astype(np.int32)
-    arrays["sa"] = saidx.sa.astype(np.int32)
+    # a letter as its code point + 1, a separator as 0, in the narrowest unsigned dtype that holds them
+    codes = np.maximum(tt.codes, -1)
+    codes += 1
+    arrays["codes"] = codes.astype(np.min_scalar_type(int(codes.max(initial=0))))
+    arrays["sa"] = saidx.sa
     arrays["pos"] = tt.pos[tt.factor_runs()[0]]
-    arrays["cum"] = tt.cum
+    arrays["cum"] = tt.cum[tt.codes >= 0]
     if links is not None:
         for a, arr in zip(_LINK_ARRAYS, (links.origin, links.pos_id, links.stored, links.o_depth, links.t_depth)):
             arrays[f"link_{a}"] = arr
@@ -203,6 +213,11 @@ def _manifest(data: bytes) -> dict:
         raise ContainerError("the container manifest is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise ContainerError(f"unsupported container version {manifest.get('format_version')!r}")
+    if set(manifest) != set(_FIELDS):
+        extra, missing = sorted(manifest.keys() - set(_FIELDS)), [f for f in _FIELDS if f not in manifest]
+        raise ContainerError(
+            f"the manifest fields differ from a format {FORMAT_VERSION} save's: unknown {extra}, missing {missing}"
+        )
     return manifest
 
 
@@ -211,21 +226,24 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], lengths: list[i
 
     Runs before anything is built, so a tampered array raises ContainerError
     instead of a traceback or a silently wrong answer later.  ``lengths`` are
-    the documents' lengths.  Returns each factor's 0-based text offset.
+    the documents' lengths.  Returns each factor's 0-based text offset and
+    its separator's.
     """
-    dtypes = {"codes": np.int32, "sa": np.int32, "pos": np.int64, "cum": np.float64}
+    codes = arrays["codes"]
+    # a letter is its code point + 1 and a separator 0, in the narrowest unsigned dtype that holds them
+    top = int(codes.max(initial=0)) if codes.dtype.kind == "u" else 0
+    dtypes = {"codes": np.min_scalar_type(top), "sa": np.int32, "pos": np.int32, "cum": np.float64}
     if listing:
-        dtypes["doc_factors"] = np.int64
+        dtypes["doc_factors"] = np.int32
     elif manifest["epsilon"] is not None:
-        dtypes |= {f"link_{a}": np.float64 if a == "stored" else np.int64 for a in _LINK_ARRAYS}
+        dtypes |= {f"link_{a}": np.float64 if a == "stored" else np.int32 for a in _LINK_ARRAYS}
     for name, dtype in dtypes.items():
         if arrays[name].dtype != dtype:
             raise ContainerError(f"array {name} has dtype {arrays[name].dtype}, expected {np.dtype(dtype)}")
 
-    codes = arrays["codes"]
     n = codes.size
-    ends = np.flatnonzero(codes < 0)
-    want = {"codes": n, "sa": n, "cum": n, "pos": ends.size}
+    ends = np.flatnonzero(codes == 0)
+    want = {"codes": n, "sa": n, "cum": n - ends.size, "pos": ends.size}
     if listing:
         want["doc_factors"] = len(lengths)
     elif manifest["epsilon"] is not None:
@@ -237,16 +255,13 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], lengths: list[i
     def bad(name: str, what: str) -> ContainerError:
         return ContainerError(f"array {name} holds {what}")
 
-    if n and codes.max() > _MAX_CODE:
+    if top > _MAX_CODE + 1:
         raise bad("codes", "a code that no text holds")
     starts = np.concatenate(([0], ends[:-1] + 1))[: ends.size]
-    if n and (codes[-1] >= 0 or np.any(codes[ends] != -1 - np.arange(ends.size)) or np.any(ends <= starts)):
-        raise bad("codes", "separators that are not -1, -2, ... in text order, each ending a nonempty factor")
-    sep = codes < 0
+    if n and (codes[-1] != 0 or np.any(ends <= starts)):
+        raise bad("codes", "separators that are not each the end of a nonempty factor, the last ending the text")
     cum = arrays["cum"]
-    if np.any(cum[sep] != -1.0):
-        raise bad("cum", "a probability at a separator")
-    if not np.all(sep | ((cum >= 0.0) & (cum <= 1.0))):
+    if not np.all((cum >= 0.0) & (cum <= 1.0)):
         raise bad("cum", "a probability outside [0, 1] or NaN at a letter")
     counts = arrays["doc_factors"] if listing else np.array([ends.size])
     if np.any((counts < 0) | (counts > ends.size)) or counts.sum() != ends.size:
@@ -268,7 +283,7 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], lengths: list[i
             raise bad("link_tdepth", "a depth interval that is not 0 <= target < origin")
         if not np.all((arrays["link_stored"] > 0.0) & (arrays["link_stored"] <= 1.0)):
             raise bad("link_stored", "a value outside (0, 1] or NaN")
-    return starts
+    return starts, ends
 
 
 def _field(manifest: dict, name: str, *types: type):
@@ -331,16 +346,23 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray], source: str, member
     listing = manifest["metric"] is not None  # a substring index has no metric
     if listing and manifest["metric"] not in METRICS:
         raise ContainerError(f"manifest metric {manifest['metric']!r} is not one of {', '.join(METRICS)}")
+    if listing and manifest["epsilon"] is not None:
+        raise ContainerError(f"manifest epsilon {manifest['epsilon']!r} on a listing index, which has no links")
     names, lengths = _documents(manifest, listing)
-    starts = _check_shapes(manifest, arrays, lengths, listing)
-    # widened, so a loaded index holds the dtypes a built one does
-    codes, cum = arrays["codes"].astype(np.int64), arrays["cum"]
-    saidx = check_suffix_array(codes, arrays["sa"].astype(np.int64))
+    starts, ends = _check_shapes(manifest, arrays, lengths, listing)
+    # the arrays a build makes: separators -1, -2, ... in text order, and -1.0 in cum at each
+    codes = arrays["codes"].astype(np.int32)
+    codes -= 1
+    codes[ends] = -1 - np.arange(ends.size, dtype=np.int32)
+    cum = np.full(codes.size, -1.0)
+    cum[codes >= 0] = arrays["cum"]
+    saidx = check_suffix_array(codes, arrays["sa"])
     _check_digests(manifest, members)
     # each factor run and its separator: positions count up from the factor's start, 0 at the separator
     width = np.diff(starts, append=codes.size)
-    pos = np.arange(codes.size) - np.repeat(starts - arrays["pos"], width)
-    pos[codes < 0] = 0
+    pos = np.repeat((starts - arrays["pos"]).astype(np.int32), width)
+    np.subtract(np.arange(codes.size, dtype=np.int32), pos, out=pos)
+    pos[ends] = 0
     docs = Documents(names, lengths, partial(_parse_source, source, names, lengths), text=source)
     tt = TransformedText(codes, pos, cum, tau_min, docs, arrays["doc_factors"] if listing else None)
 

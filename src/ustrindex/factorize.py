@@ -338,7 +338,8 @@ class TransformedText:
 
     ``pos[i]`` maps a 0-based text offset to its original 1-based position (0
     at separators); ``cum[i]`` is the factor-prefix probability product ending
-    at ``i`` (-1 at separators).  Each factor is one separator-delimited run of
+    at ``i`` (-1 at separators).  ``codes``, ``pos`` and ``doc_factors`` are
+    ``int32``, built or loaded.  Each factor is one separator-delimited run of
     the text, so ``factor_table`` is derived from these arrays on demand.  A
     collection's text counts the factors of each document in ``doc_factors``.
     ``documents`` names the strings the text was made from.
@@ -371,10 +372,10 @@ class TransformedText:
         return np.concatenate(([0], ends[:-1] + 1))[: ends.size], ends
 
     def doc_of(self) -> np.ndarray:
-        """The document of every text offset, a separator's being its factor's; all 0 for one string."""
+        """The document (int32) of every text offset, a separator's being its factor's; all 0 for one string."""
         starts, ends = self.factor_runs()
         counts = [ends.size] if self.doc_factors is None else self.doc_factors
-        return np.repeat(np.repeat(np.arange(len(counts)), counts), ends - starts + 1)
+        return np.repeat(np.repeat(np.arange(len(counts), dtype=np.int32), counts), ends - starts + 1)
 
     @property
     def factor_table(self) -> tuple[tuple[int, MaximalFactor], ...]:
@@ -454,6 +455,8 @@ def transform(
     as soon as the factors found so far plus k + 1 codes per such window do.
     Such a document grows no further, and a collection reports the first of
     them in document order, as if its documents were transformed one by one.
+    A text of 2**31 codes or more, which int32 offsets cannot address, raises
+    CapacityError too.
 
     The input is read once, into flat arrays (``model._flatten``): they are
     screened for what ``validate`` faults, and an invalid string, or the first
@@ -517,9 +520,11 @@ def transform(
     ends = np.cumsum(lens + 1) - 1
     heads = ends - lens
     n = int(total.sum())
-    codes = np.empty(n, dtype=np.int64)
+    if n >= 1 << 31:
+        raise CapacityError(f"a transformed text of {n} codes does not fit int32 offsets", cap=(1 << 31) - 1)
+    codes = np.empty(n, dtype=np.int32)
     cum = np.full(n, -1.0)
-    codes[ends] = -1 - np.arange(lens.size)
+    codes[ends] = -1 - np.arange(lens.size, dtype=np.int32)
     # deep to shallow: every factor of length >= k is spelled at its ancestor on level k
     fac = row = np.zeros(0, dtype=np.int64)
     for k in reversed(range(len(ranks))):
@@ -532,8 +537,8 @@ def transform(
     start = np.empty(lens.size, dtype=np.int64)
     start[fac] = row + 1  # the level-1 parents index the starts 1..n
     start -= first[doc_at[start - 1]]
-    pos = np.repeat(start - heads, lens + 1) + np.arange(n)
+    pos = np.repeat((start - heads).astype(np.int32), lens + 1)
+    pos += np.arange(n, dtype=np.int32)
     pos[ends] = 0
-    return TransformedText(
-        codes, pos, cum, tau_min, Documents.of(docs), factors if isinstance(u, DocumentCollection) else None
-    )
+    doc_factors = factors.astype(np.int32) if isinstance(u, DocumentCollection) else None
+    return TransformedText(codes, pos, cum, tau_min, Documents.of(docs), doc_factors)

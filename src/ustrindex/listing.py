@@ -79,8 +79,9 @@ class ListingIndex(_FactorStarts):
     def _short_keys(self, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
         """Each row is one (document, original position) occurrence, ordered by document first."""
         doc = self.doc_of[starts]
-        span = np.int64(max(self.tt.documents.lengths, default=0) + 1)
-        return doc * span + self.tt.pos[starts], doc, self.metric
+        span = max(self.tt.documents.lengths, default=0) + 1
+        # widened first: document times span passes 2**31 long before either does
+        return doc.astype(np.int64) * span + self.tt.pos[starts], doc, self.metric
 
 
 def build_listing(

@@ -1,8 +1,9 @@
 """Suffix arrays with pattern search, a suffix-tree view, and range-max queries.
 
-Text is a sequence of integer codes.  Alphabet characters map to their code
-points; separator sentinels are the negative integers, each occurring at most
-once, so they sort below every character and no common prefix ever spans one.
+Text is a sequence of ``int32`` codes.  Alphabet characters map to their
+code points; separator sentinels are the negative integers, each occurring at
+most once, so they sort below every character and no common prefix ever spans
+one.  The suffix array is ``int32`` too, built or checked.
 Slots (positions in suffix-array order) and text positions are 1-based in the
 public API; ``sa[k - 1]`` is the suffix at slot ``k``.  Patterns are located
 by ``bisect`` over a ``memoryview`` of each slot's packed first letters (a
@@ -50,16 +51,23 @@ __all__ = [
 
 
 def _encode_text(text) -> np.ndarray:
+    """``text`` as ``int32`` codes: an ``int32`` array as it is, anything else converted.
+
+    A text of 2**31 codes or more raises CapacityError before any conversion.
+    """
+    if len(text) >= 1 << 31:
+        raise CapacityError(f"a text of {len(text)} codes does not fit int32 offsets and ranks", cap=(1 << 31) - 1)
     if isinstance(text, str):
-        return np.fromiter((ord(c) for c in text), dtype=np.int64, count=len(text))
-    return np.asarray(text, dtype=np.int64)
+        return np.fromiter(map(ord, text), dtype=np.int32, count=len(text))
+    return np.asarray(text, dtype=np.int32)
 
 
 @dataclass(eq=False)
 class SuffixArrayIndex:
     """Sorted suffixes of an integer-coded text.
 
-    ``sa`` holds 1-based text positions in suffix order, and ``lcp[k - 1]``
+    ``sa`` holds 1-based text positions in suffix order (``int32``, like
+    ``codes``, when built or checked), and ``lcp[k - 1]``
     is the common-prefix length of the suffixes at slots ``k - 1`` and ``k``
     (``lcp[0] == 0``).
     """
@@ -87,7 +95,9 @@ class SuffixArrayIndex:
     @cached_property
     def byte_starts(self) -> memoryview:
         """Each slot's suffix start in ``byte_text``, narrowest unsigned; indexable without a list of n ints."""
-        return memoryview((4 * (self.sa - 1)).astype(np.min_scalar_type(4 * self.n)))
+        starts = (self.sa - 1).astype(np.min_scalar_type(4 * self.n))
+        starts *= 4  # in a dtype that holds 4 * n, where int32 would wrap from n = 2**29 on
+        return memoryview(starts)
 
     @cached_property
     def prefix_keys(self) -> tuple[memoryview, dict, int]:
@@ -133,7 +143,7 @@ def _pack_letters(codes: np.ndarray, dtype: type, ties: bool = False) -> _Packed
     """
     n = codes.size
     base = min(int(codes.min(initial=0)), 0)
-    at = codes - base  # nonnegative, for bincount
+    at = np.subtract(codes, base, dtype=np.int64)  # nonnegative, for bincount; int32 codes minus -n may pass 2**31
     count = np.bincount(at)
     repeats = np.flatnonzero(count > 1)
     # codes below ``cut`` are stops
@@ -182,7 +192,20 @@ _OFFSET = 1 << 31
 
 
 def _byte_words(codes: np.ndarray) -> bytes:
-    return (codes + _OFFSET).astype(">u4").tobytes()
+    words = codes.astype(np.int64)  # widened: the shifted codes reach 2**32 - 1
+    words += _OFFSET
+    return words.astype(">u4").tobytes()
+
+
+def _pair_key(major: np.ndarray, minor, n: int) -> np.ndarray:
+    """``major * (n + 1) + minor`` in int64: ascending as the pairs are, for ``-1 <= minor <= n``.
+
+    Exact for ``|major| < 2**31`` and ``n < 2**31``, so int32 inputs are widened before the product.
+    """
+    key = major.astype(np.int64)
+    key *= n + 1
+    key += minor
+    return key
 
 
 # Pairs per step of the lift: bounds its temporaries.
@@ -203,17 +226,16 @@ def _prefix_doubling(codes: np.ndarray, rounds: list[np.ndarray] | None = None) 
     sorts only the groups of more than one suffix, by ``argsort`` of
     ``rank * (n + 1) + rank of the suffix 2^j further`` (Larsson and
     Sadakane).  Without ``rounds`` only the current ranks (int32) are kept.
+    The order is ``int32`` too.
     """
     n = codes.size
-    if n >= 1 << 31:
-        raise CapacityError(f"a text of {n} codes does not fit the suffix sort's int32 ranks", cap=(1 << 31) - 1)
     packed = _pack_letters(codes, np.uint64, ties=True)
-    order = np.argsort(packed.keys)
+    order = np.argsort(packed.keys).astype(np.int32)
     key = packed.keys[order]
     # rank[i]: the first slot of the suffixes sharing suffix i's first 2^j codes; rank[n] = -1, the empty suffix
     rank = np.full(n + 1, -1, dtype=np.int32)
     # live: the ascending slots of groups of more than one suffix, sub: their suffixes; int32 like the ranks
-    live, sub, k = np.arange(n, dtype=np.int32), order.astype(np.int32), packed.per
+    live, sub, k = np.arange(n, dtype=np.int32), order.copy(), packed.per
     if rounds is not None:
         for j in range(k.bit_length() - 1):
             cut = key >> np.uint64(packed.low + packed.bits * (k - (1 << j)))
@@ -231,9 +253,7 @@ def _prefix_doubling(codes: np.ndarray, rounds: list[np.ndarray] | None = None) 
             return order
         if rounds is not None:
             rounds.append(rank.copy())
-        key = rank[sub].astype(np.int64)
-        key *= n + 1
-        key += rank[np.minimum(sub, n - k) + k] + 1
+        key = _pair_key(rank[sub], rank[np.minimum(sub, n - k) + k] + 1, n)
         by_key = np.argsort(key)
         order[live] = sub = sub[by_key]  # one gather at a time: the peak holds one new array
         key = key[by_key]
@@ -260,7 +280,9 @@ def _lift(rounds: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def build_suffix_array(text, *, _rounds: list[np.ndarray] | None = None) -> SuffixArrayIndex:
     """Sort all suffixes of ``text`` by prefix doubling; ``_rounds`` receives the ranks for ``_lift``."""
     codes = _encode_text(text)
-    return SuffixArrayIndex(codes, _prefix_doubling(codes, _rounds) + 1)
+    sa = _prefix_doubling(codes, _rounds)
+    sa += 1
+    return SuffixArrayIndex(codes, sa)
 
 
 def check_suffix_array(codes: np.ndarray, sa: np.ndarray) -> SuffixArrayIndex:
@@ -270,19 +292,20 @@ def check_suffix_array(codes: np.ndarray, sa: np.ndarray) -> SuffixArrayIndex:
     permutation of 1..n, and every two consecutive slots holding suffixes a
     and b must satisfy ``(codes[a], rank[a + 1]) < (codes[b], rank[b + 1])``,
     where ``rank`` is the slot ``sa`` gives a suffix and the empty suffix past
-    the end ranks -1.  Only the true suffix array passes, so a stored one
-    needs no checksum.  Both arrays are int64.
+    the end ranks -1.  Both parts of a pair go into one int64 key
+    (``_pair_key``), which must strictly ascend.  Only the true suffix array
+    passes, so a stored one needs no checksum.  Codes lie in [-n, 0x10FFFF].
     """
     n = codes.size
     if sa.shape != (n,) or (n and (sa.min() < 1 or sa.max() > n)):
         raise ContainerError(f"the stored suffix array is not a permutation of 1..{n}")
     # rank[i]: 0-based slot of the suffix at 0-based offset i; rank[n] = -1 for the empty suffix
-    rank = np.full(n + 1, -1, dtype=np.int64)
-    rank[sa - 1] = np.arange(n)
+    rank = np.full(n + 1, -1, dtype=np.int32)
+    rank[sa - 1] = np.arange(n, dtype=np.int32)
     if np.any(rank[:n] < 0):
         raise ContainerError(f"the stored suffix array is not a permutation of 1..{n}")
-    head, after = codes[sa - 1], rank[sa]
-    if np.any((head[1:] < head[:-1]) | ((head[1:] == head[:-1]) & (after[1:] <= after[:-1]))):
+    key = _pair_key(codes[sa - 1], rank[sa], n)
+    if np.any(key[1:] <= key[:-1]):
         raise ContainerError("the stored suffix array does not sort the suffixes of the text")
     return SuffixArrayIndex(codes, sa)
 

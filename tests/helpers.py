@@ -10,6 +10,7 @@ import numpy as np
 
 from ustrindex import (
     CapacityError,
+    ContainerError,
     IndexContainer,
     QueryStats,
     TransformedText,
@@ -207,14 +208,14 @@ def reference_partition_links(raw, eps: float) -> tuple[np.ndarray, ...]:
                 anchor = probs[ell - 1]
         emit(d, woff, probs[target_depth], seg_deep, target_depth)
 
-    origin = slot_of(raw.saidx)[np.asarray(witness, dtype=np.int64)]
+    origin = slot_of(raw.saidx)[np.asarray(witness, dtype=np.int64)].astype(np.int32)
     order = np.argsort(origin, kind="stable")
     return (
         origin[order],
-        np.asarray(pos_id, dtype=np.int64)[order],
+        np.asarray(pos_id, dtype=np.int32)[order],
         np.asarray(stored, dtype=np.float64)[order],
-        np.asarray(o_depth, dtype=np.int64)[order],
-        np.asarray(t_depth, dtype=np.int64)[order],
+        np.asarray(o_depth, dtype=np.int32)[order],
+        np.asarray(t_depth, dtype=np.int32)[order],
     )
 
 
@@ -593,8 +594,8 @@ def reference_transform(u: UncertainString, tau_min: float, length_cap: int | No
             pos.append(0)
             cum.append(-1.0)
     return TransformedText(
-        codes=np.asarray(codes, dtype=np.int64),
-        pos=np.asarray(pos, dtype=np.int64),
+        codes=np.asarray(codes, dtype=np.int32),
+        pos=np.asarray(pos, dtype=np.int32),
         cum=np.asarray(cum, dtype=np.float64),
         tau_min=tau_min,
         documents=Documents.of((u,)),
@@ -698,6 +699,24 @@ def reference_prefix_doubling(codes: np.ndarray, rounds: list[np.ndarray] | None
         order[live] = sub = sub[by_key]
         key = key[by_key]
         k *= 2
+
+
+def reference_check_suffix_array(codes: np.ndarray, sa: np.ndarray) -> None:
+    """``textcore.check_suffix_array`` with two compare chains in place of one fused key; raises alike.
+
+    Consecutive slots holding suffixes a and b must satisfy ``codes[a] <
+    codes[b]``, or equal codes and ``rank[a + 1] < rank[b + 1]``.
+    """
+    n = codes.size
+    if sa.shape != (n,) or (n and (sa.min() < 1 or sa.max() > n)):
+        raise ContainerError(f"the stored suffix array is not a permutation of 1..{n}")
+    rank = np.full(n + 1, -1, dtype=np.int64)
+    rank[sa - 1] = np.arange(n)
+    if np.any(rank[:n] < 0):
+        raise ContainerError(f"the stored suffix array is not a permutation of 1..{n}")
+    head, after = codes[sa - 1], rank[sa]
+    if np.any((head[1:] < head[:-1]) | ((head[1:] == head[:-1]) & (after[1:] <= after[:-1]))):
+        raise ContainerError("the stored suffix array does not sort the suffixes of the text")
 
 
 def readable_text(tt: TransformedText) -> str:

@@ -146,7 +146,9 @@ def test_link_marking_matches_the_suffix_tree_reference(seed):
 def _assert_links_match_references(idx, raw, eps_values) -> None:
     got = list(zip(*(a.tolist() for a in (raw.pos_id, raw.o_depth, raw.t_depth, raw.witness_off, raw.factor_off))))
     assert got == reference_build_links(idx.tt, idx.saidx)
-    assert all(a.dtype == np.int64 for a in (raw.pos_id, raw.o_depth, raw.t_depth, raw.witness_off, raw.factor_off))
+    # positions and offsets keep the int32 of the text's pos and sa; depths are lifted in int64
+    dtypes = [a.dtype for a in (raw.pos_id, raw.o_depth, raw.t_depth, raw.witness_off, raw.factor_off)]
+    assert dtypes == [np.int32, np.int64, np.int64, np.int32, np.int64]
     for eps in eps_values:
         ln = partition_links(raw, eps)
         for name, want in zip(LINK_ARRAYS, reference_partition_links(raw, eps)):
@@ -246,7 +248,7 @@ def test_a_text_without_factors_gives_typed_empty_links():
     _assert_links_match_references(idx, raw, (0.05,))
     ln = partition_links(raw, 0.05)
     assert len(ln) == 0
-    assert [getattr(ln, a).dtype for a in LINK_ARRAYS] == [np.int64, np.int64, np.float64, np.int64, np.int64]
+    assert [getattr(ln, a).dtype for a in LINK_ARRAYS] == [np.int32, np.int32, np.float64, np.int32, np.int32]
     assert approx_query(ln, "a", 0.5) == []
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ustrindex import UncertainString, cli, parse_ust_file, write_ust_file
+from ustrindex import UncertainString, cli, container, parse_ust_file, write_ust_file
 from ustrindex.cli import main
 
 CORPUS = "abracadabra melon banana cabana almanac sonata" * 3
@@ -228,6 +228,32 @@ def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, ca
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("kind", ["listing", "substring"])
+def test_a_manifest_field_no_save_writes_exits_two(kind, genome_file, collection_file, tmp_path, capsys):
+    # resealed, so only the field itself is at fault
+    path = str(tmp_path / "f.usi")
+    if kind == "listing":
+        main(["build", collection_file, "-o", path, "--tau-min", "0.1", "--metric", "or"])
+        command, extra = "list", {"epsilon": "0.05"}
+    else:
+        main(["build", genome_file, "-o", path, "--tau-min", "0.1"])
+        command, extra = "query", {"m_short": 3}  # a field of format 7
+    with zipfile.ZipFile(path) as zf:
+        entries = {name: zf.read(name) for name in zf.namelist()}
+    manifest = json.loads(entries["manifest.json"]) | extra
+    members = {name: container._sha256(data) for name, data in entries.items() if name != "manifest.json"}
+    manifest["digests"] = container._digests(manifest, members)
+    entries["manifest.json"] = json.dumps(manifest).encode()
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in entries.items():
+            zf.writestr(name, data)
+    capsys.readouterr()
+    assert main([command, path, "--pattern", "A", "--tau", "0.1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "manifest" in err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -298,8 +298,8 @@ def test_load_rejects_a_manifest_field_of_the_wrong_type(field, value, genome, t
 @pytest.mark.parametrize("kind", ["substring", "listing"])
 @pytest.mark.parametrize("m_short", [0, -3, 10**12])
 def test_load_rejects_a_manifest_m_short_out_of_range_at_once(kind, m_short, genome, collection, tmp_path):
-    # no manifest field holds the short/long cut, so a written one fails the manifest's digest, at once;
-    # resealed, it is not read: the load derives the cut from the text and builds no table list
+    # no manifest field holds the short/long cut, so a written one is a field no save writes,
+    # sealed or resealed, rejected at once: the load derives the cut from the text and builds no table list
     path = str(tmp_path / "s.usi")
     if kind == "substring":
         container = build_container([genome], 0.1, epsilon=0.05)
@@ -310,13 +310,11 @@ def test_load_rejects_a_manifest_m_short_out_of_range_at_once(kind, m_short, gen
     manifest = json.loads(entries["manifest.json"])
     manifest["m_short"] = m_short
     entries["manifest.json"] = json.dumps(manifest).encode()
-    _rewrite(path, entries)
     start = time.perf_counter()
-    with pytest.raises(ContainerError, match="manifest does not match its digest"):
-        load_container(path)
-    _rewrite(path, _resealed(entries))
-    idx = getattr(load_container(path), kind)
-    assert idx.m_short == (container.substring or container.listing).m_short and idx._short == {}
+    for sealed in (entries, _resealed(entries)):
+        _rewrite(path, sealed)
+        with pytest.raises(ContainerError, match=r"manifest fields differ .* unknown \['m_short'\], missing \[\]"):
+            load_container(path)
     assert time.perf_counter() - start < 1.0
 
 
@@ -603,16 +601,19 @@ def _set_first(mask, value):
     [
         ("substring", "codes", np.float64),
         ("substring", "codes", np.int64),
+        ("substring", "codes", np.int32),
+        ("substring", "codes", np.uint16),
         ("substring", "sa", np.int64),
-        ("substring", "pos", np.int32),
+        ("substring", "pos", np.int64),
         ("substring", "cum", np.float32),
         ("listing", "cum", np.float32),
-        ("listing", "pos", np.int32),
+        ("listing", "pos", np.int64),
         ("listing", "doc_factors", np.float64),
-        ("links", "link_origin", np.int32),
+        ("listing", "doc_factors", np.int64),
+        ("links", "link_origin", np.int64),
         ("links", "link_pos", np.float64),
         ("links", "link_stored", np.float32),
-        ("links", "link_odepth", np.int32),
+        ("links", "link_odepth", np.int64),
         ("links", "link_tdepth", np.uint64),
     ],
 )
@@ -681,23 +682,20 @@ def test_listing_or_scores_may_exceed_one_but_not_be_nan(tmp_path):
 
 
 def _empty_first_factor(a):
-    """Move the first separator to the front, leaving an empty first factor."""
-    e = np.flatnonzero(a < 0)[0]
+    """Move the first separator (a stored 0) to the front, leaving an empty first factor."""
+    e = np.flatnonzero(a == 0)[0]
     return np.concatenate([a[e : e + 1], a[:e], a[e + 1 :]])
 
 
-def _swap_first_separators(a):
-    a = a.copy()
-    i, j = np.flatnonzero(a < 0)[:2]
-    a[i], a[j] = a[j], a[i]
-    return a
+def _past_the_code_points(a):
+    """The first letter stored as code point 0x110000, in the uint32 that can hold it."""
+    return _set_first(lambda a: a > 0, 0x110000 + 1)(a.astype(np.uint32))
 
 
 @pytest.mark.parametrize(
     "kind, member, change, what",
     [
         ("substring", "pos", lambda a: a[::-1].copy(), "factor starts that decrease within a document"),
-        ("substring", "cum", _set_first(lambda a: a == -1.0, 0.5), "a probability at a separator"),
         ("substring", "cum", _set_first(lambda a: a > 0, np.nan), "a probability outside"),
         ("listing", "cum", _set_first(lambda a: a > 0, 1.5), "a probability outside"),
         ("substring", "cum", _set_first(lambda a: a > 0, -0.25), "a probability outside"),
@@ -705,16 +703,14 @@ def _swap_first_separators(a):
         ("substring", "pos", lambda a: a + 1, "a factor start outside its source"),
         ("substring", "pos", lambda a: np.full_like(a, 11), "a factor start outside its source"),
         ("listing", "pos", lambda a: a + 3, "a factor start outside its source"),
-        ("substring", "codes", _set_first(lambda a: a > 0, 0x110000), "a code that no text holds"),
+        ("substring", "codes", _past_the_code_points, "a code that no text holds"),
         ("substring", "codes", lambda a: np.roll(a, -1), "separators that are not"),
-        ("substring", "codes", _swap_first_separators, "separators that are not"),
         ("listing", "codes", _empty_first_factor, "separators that are not"),
         ("listing", "doc_factors", _set_first(lambda a: a == a, -1), "factor counts that are negative"),
         ("listing", "doc_factors", lambda a: a + 1, "factor counts that are negative or do not sum"),
     ],
     ids=[
         "pos reversed",
-        "cum at a separator",
         "cum NaN at a letter",
         "cum above 1",
         "cum negative",
@@ -724,7 +720,6 @@ def _swap_first_separators(a):
         "pos past its document",
         "codes past the code points",
         "codes without a trailing separator",
-        "codes separators out of order",
         "codes with an empty factor",
         "doc_factors negative",
         "doc_factors not summing to the factors",
@@ -816,7 +811,7 @@ def test_a_load_never_sorts_suffixes(kind, genome, collection, tmp_path, monkeyp
                 assert approx_items(back.links, p, tau) == approx_items(container.links, p, tau)
     idx, built = back.substring or back.listing, container.substring or container.listing
     assert np.array_equal(idx.saidx.sa, built.saidx.sa)
-    assert idx.tt.codes.dtype == idx.saidx.sa.dtype == np.int64
+    assert idx.tt.codes.dtype == idx.saidx.sa.dtype == np.int32
     assert np.array_equal(idx.tt.pos, built.tt.pos)
     if kind == "listing":
         assert np.array_equal(back.listing.doc_of, container.listing.doc_of)
@@ -1042,4 +1037,103 @@ def test_load_rejects_a_source_that_is_not_utf8(genome, tmp_path):
     entries = _entries(path)
     _rewrite(path, _resealed({**entries, "source.ust": entries["source.ust"] + b"\xff"}))
     with pytest.raises(ContainerError, match="not a sound index container"):
+        load_container(path)
+
+
+@pytest.mark.parametrize("kind", ["substring", "links", "listing", "empty"])
+def test_a_built_and_a_loaded_index_hold_the_same_arrays_and_dtypes(kind, genome, collection, tmp_path):
+    if kind == "listing":
+        built = build_container(list(collection.docs), 0.1, metric="or")
+    elif kind == "empty":
+        u = UncertainString("flat", ({"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5}))
+        built = build_container([u], 0.9, epsilon=0.05)
+    else:
+        built = build_container([genome], 0.1, epsilon=0.05 if kind == "links" else None)
+    path = str(tmp_path / "b.usi")
+    save_container(built, path)
+    loaded = load_container(path)
+
+    def arrays(c: IndexContainer) -> dict[str, np.ndarray]:
+        idx = c.substring or c.listing
+        out = {"codes": idx.tt.codes, "sa": idx.saidx.sa, "pos": idx.tt.pos, "cum": idx.tt.cum}
+        if c.listing is not None:
+            out |= {"doc_factors": idx.tt.doc_factors, "doc_of": c.listing.doc_of}
+        if c.links is not None:
+            out |= {a: getattr(c.links, a) for a in ("origin", "pos_id", "stored", "o_depth", "t_depth")}
+        return out
+
+    want, got = arrays(built), arrays(loaded)
+    assert got.keys() == want.keys()
+    for name, a in want.items():
+        assert (got[name].dtype, got[name].tobytes()) == (a.dtype, a.tobytes()), name
+    floats = {"cum", "stored"}
+    assert {name: a.dtype for name, a in want.items()} == {
+        name: np.dtype(np.float64 if name in floats else np.int32) for name in want
+    }
+
+
+@pytest.mark.parametrize(
+    "letters, dtype",
+    [("ab", np.uint8), ("þÿ", np.uint16), ("αβ", np.uint16), ("a\U0001f600", np.uint32)],
+    ids=["ascii", "latin-1 top", "greek", "astral"],
+)
+def test_codes_are_stored_narrow_and_cum_at_the_letters_alone(letters, dtype, tmp_path):
+    x, y = letters
+    u = UncertainString("w", ({x: 0.6, y: 0.4}, {x: 1.0}, {y: 0.7, x: 0.3}, {x: 1.0}))
+    container = build_container([u], 0.2, epsilon=0.05)
+    path = str(tmp_path / "w.usi")
+    save_container(container, path)
+    entries = _entries(path)
+    codes, cum = (np.load(io.BytesIO(entries[f"{name}.npy"])) for name in ("codes", "cum"))
+    tt = container.substring.tt
+    # a letter is its code point + 1 and a separator 0, in the narrowest unsigned dtype that holds them
+    assert codes.dtype == dtype and codes.tolist() == [c + 1 if c >= 0 else 0 for c in tt.codes.tolist()]
+    assert cum.tobytes() == tt.cum[tt.codes >= 0].tobytes()
+    back = load_container(path)
+    assert back.substring.tt.codes.tolist() == tt.codes.tolist()
+    for p in (x, y, x + y, y + x, x + x + y, x + y + x + x):
+        for tau in (0.2, 0.5):
+            assert query_items(back.substring, p, tau) == query_items(container.substring, p, tau)
+            assert approx_items(back.links, p, tau) == approx_items(container.links, p, tau)
+
+
+def test_load_rejects_a_version_8_container(genome, tmp_path):
+    path = str(tmp_path / "v8.usi")
+    container = build_container([genome], 0.1, epsilon=0.05)
+    save_container(container, path)
+    entries = _entries(path)
+    # version 8 stored codes as int32 with its negative separators, cum at every code, pos and links as int64
+    tt, links = container.substring.tt, container.links
+    version_8 = {"codes": tt.codes, "cum": tt.cum, "pos": tt.pos[tt.factor_runs()[0]].astype(np.int64)}
+    version_8 |= {f"link_{a}": getattr(links, f).astype(np.int64) for a, f in
+                  (("origin", "origin"), ("pos", "pos_id"), ("odepth", "o_depth"), ("tdepth", "t_depth"))}
+    for name, arr in version_8.items():
+        buf = io.BytesIO()
+        np.save(buf, arr)
+        entries[f"{name}.npy"] = buf.getvalue()
+    manifest = json.loads(entries["manifest.json"]) | {"format_version": 8}
+    _rewrite(path, _resealed({**entries, "manifest.json": json.dumps(manifest).encode()}))
+    with pytest.raises(ContainerError, match="unsupported container version 8"):
+        load_container(path)
+
+
+@pytest.mark.parametrize(
+    "kind, change, what",
+    [
+        ("listing", lambda m: m | {"epsilon": "0.05"}, "manifest epsilon '0.05' on a listing index"),
+        ("substring", lambda m: m | {"m_short": 3}, r"unknown \['m_short'\], missing \[\]"),
+        ("listing", lambda m: m | {"kind": "listing"}, r"unknown \['kind'\], missing \[\]"),
+        ("substring", lambda m: {k: v for k, v in m.items() if k != "metric"}, r"unknown \[\], missing \['metric'\]"),
+    ],
+    ids=["listing given epsilon", "substring given m_short", "listing given kind", "substring without metric"],
+)
+def test_load_rejects_manifest_fields_a_save_does_not_write(kind, change, what, genome, collection, tmp_path):
+    # resealed, so the digests hold and only the fields themselves can be at fault
+    path = str(tmp_path / "f.usi")
+    container = build_container([genome], 0.1) if kind == "substring" else build_container(list(collection.docs), 0.1)
+    save_container(container, path)
+    entries = _entries(path)
+    manifest = change(json.loads(entries["manifest.json"]))
+    _rewrite(path, _resealed({**entries, "manifest.json": json.dumps(manifest).encode()}))
+    with pytest.raises(ContainerError, match=what):
         load_container(path)

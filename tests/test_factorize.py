@@ -232,7 +232,7 @@ def test_a_collection_transforms_like_its_documents_one_after_another(seed):
     counts = [int((part.codes < 0).sum()) for part in parts]
     assert tt.doc_factors.tolist() == counts
     # each document's separators continue the numbering of the documents before it
-    shifts = np.cumsum([0] + counts)
+    shifts = np.cumsum([0] + counts).tolist()  # Python ints keep the int32 codes int32
     want = TransformedText(
         np.concatenate([np.where(p.codes < 0, p.codes - k, p.codes) for p, k in zip(parts, shifts)]),
         np.concatenate([p.pos for p in parts]),

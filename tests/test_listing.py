@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from ustrindex import (
     transform,
 )
 
+from ustrindex.listing import ListingIndex
 from ustrindex.qindex import _fold
 
 from helpers import partition_entries, reference_aggregate_depth, random_ustring, slot_depth_values, with_m_short
@@ -161,3 +163,16 @@ def test_group_depth_matches_the_loop_reference(seed):
     assert sizes == {1, 2}
     with pytest.raises(ValueError, match="unknown metric"):
         _fold(np.array([0.5]), np.array([0]), "sum")
+
+
+def test_occurrence_keys_are_exact_past_int32():
+    # int32 documents and positions: document times (longest length + 1) passes 2**31 unless widened first
+    big = (1 << 31) - 1
+    stand_in = SimpleNamespace(
+        doc_of=np.array([0, 5, big - 1], dtype=np.int32),
+        tt=SimpleNamespace(pos=np.array([1, big, big], dtype=np.int32), documents=SimpleNamespace(lengths=[3, big])),
+        metric="or",
+    )
+    occ, doc, metric = ListingIndex._short_keys(stand_in, np.arange(3))
+    assert occ.tolist() == [d * (big + 1) + p for d, p in ((0, 1), (5, big), (big - 1, big))]
+    assert doc.tolist() == [0, 5, big - 1] and metric == "or"

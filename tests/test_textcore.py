@@ -26,7 +26,12 @@ from ustrindex.textcore import (
     suffix_range,
 )
 
-from helpers import reference_prefix_doubling, reference_report, reference_suffix_order
+from helpers import (
+    reference_check_suffix_array,
+    reference_prefix_doubling,
+    reference_report,
+    reference_suffix_order,
+)
 
 
 def random_codes(rng: random.Random, max_len: int = 60) -> list[int]:
@@ -242,6 +247,80 @@ def test_check_suffix_array_accepts_the_suffix_array_and_nothing_else(seed):
     for wrong in bad:
         with pytest.raises(ContainerError, match="stored suffix array"):
             check_suffix_array(codes, wrong)
+
+
+def _verdict(check, codes: np.ndarray, sa: np.ndarray) -> str | None:
+    """The message a check raises for ``sa``, or None when it accepts it."""
+    try:
+        check(codes, sa)
+    except ContainerError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_the_fused_check_gives_the_verdict_of_the_two_compare_chains(seed):
+    rng = random.Random(seed)
+    codes = np.asarray(separator_text(rng), dtype=np.int32)
+    n = codes.size
+    sa = build_suffix_array(codes).sa
+    cases = [(codes, sa)]
+    if n > 1:
+        i, j = rng.sample(range(n), 2)
+        k = rng.randrange(n - 1)
+        for a, b in ((i, j), (k, k + 1)):
+            swapped = sa.copy()
+            swapped[[a, b]] = sa[[b, a]]
+            cases.append((codes, swapped))
+        duplicated = sa.copy()
+        duplicated[i] = sa[j]
+        cases.append((codes, duplicated))
+    if n:
+        for bad in (0, n + 1):
+            out = sa.copy()
+            out[rng.randrange(n)] = bad
+            cases.append((codes, out))
+        # another letter under the same array: the sort may or may not still hold
+        changed = codes.copy()
+        changed[rng.randrange(n)] = rng.choice((97, 98, 99))
+        cases.append((changed, sa))
+    for text, cand in cases:
+        want = _verdict(reference_check_suffix_array, text.astype(np.int64), cand.astype(np.int64))
+        assert _verdict(check_suffix_array, text, cand) == want
+    assert _verdict(check_suffix_array, codes, sa) is None
+
+
+def test_a_built_suffix_array_is_int32_over_int32_codes():
+    codes = np.array([98, 97, -1, 97, 98, -2], dtype=np.int32)
+    idx = build_suffix_array(codes)
+    assert idx.codes is codes and idx.sa.dtype == np.int32
+    assert build_suffix_array("abracadabra").codes.dtype == np.int32
+
+
+def test_byte_words_shift_extreme_int32_codes_in_order():
+    codes = np.array([-(1 << 31), -(1 << 31) + 1, -1, 0, 0x10FFFF, (1 << 31) - 1], dtype=np.int32)
+    words = np.frombuffer(textcore._byte_words(codes), dtype=">u4")
+    assert words.tolist() == [c + (1 << 31) for c in codes.tolist()]
+
+
+def test_byte_starts_do_not_wrap_from_2_to_the_29_on():
+    # a zero-stride text of 2**30 codes allocates nothing; 4 * (sa - 1) in int32 wraps from sa = 2**29 + 1 on
+    n = 1 << 30
+    sa = np.array([1, (1 << 29) + 1, n], dtype=np.int32)
+    idx = textcore.SuffixArrayIndex(np.broadcast_to(np.int32(97), n), sa)
+    assert idx.byte_starts.tolist() == [0, 1 << 31, 4 * (n - 1)]
+
+
+def test_pair_keys_are_exact_at_the_int32_extremes():
+    n = (1 << 31) - 1
+    # the check pairs a code in [-n, 0x10FFFF] with a rank in [-1, n - 1], the sort a rank with a rank + 1 in [0, n]
+    major = np.array([-n, -n, -1, 0, 0x10FFFF, n - 1, n - 1], dtype=np.int32)
+    minor = np.array([-1, n - 1, n, 0, -1, n - 1, n], dtype=np.int32)
+    key = textcore._pair_key(major, minor, n)
+    assert key.dtype == np.int64
+    assert key.tolist() == [a * (n + 1) + b for a, b in zip(major.tolist(), minor.tolist())]
+    assert np.all(np.diff(key) > 0)  # the pairs ascend
 
 
 @settings(max_examples=100, deadline=None)
