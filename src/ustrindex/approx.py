@@ -5,10 +5,12 @@ d-marked leaf pairs; a link runs from each marked node to its nearest
 d-marked proper ancestor (the root stands in for every position).  Nodes are
 LCP intervals (Abouelhoda, Kurtz & Ohlebusch 2004), found as nearest smaller
 values over the LCPs of consecutive d-leaves, each lifted for its pair from
-the suffix sort's ranks; a link's origin is the slot of a d-leaf inside its
-node.  Chains are cut over ``cum`` slices so that the probabilities inside
-one segment span at most epsilon; a query stabs the segments whose depth
-interval brackets the pattern length inside the pattern's slot range.
+the ranks of a sort of every suffix.  A link's origin is the rank, in the
+index's order of the factor starts, of a factor start inside its node: every
+d-leaf of the node spells the node's string, and so does that start.  Chains
+are cut over ``cum`` slices so that the probabilities inside one segment span
+at most epsilon; a query stabs the segments whose depth interval brackets
+the pattern length inside the pattern's rank range.
 Reported positions match at probability at least tau - epsilon while nothing
 at or above tau is missed.  Links and segments are rows of flat arrays, and
 their floor is the text's: ``build_links`` takes none, and a query rejects a
@@ -41,7 +43,9 @@ __all__ = [
 class RawLinks:
     """Uncut links in flat arrays, plus the structures needed to partition them.
 
-    Link r marks position ``pos_id[r]`` on depths ``t_depth[r] + 1 .. o_depth[r]`` at text offset ``witness_off[r]``.
+    Link r marks position ``pos_id[r]`` on depths ``t_depth[r] + 1 .. o_depth[r]`` at text offset ``witness_off[r]``,
+    and is stabbed at the 1-based rank ``origin[r]`` in ``saidx``, a factor start sharing ``reach[r]`` codes with the
+    witness: ``o_depth[r]`` or more, or fewer for a link whose node holds no factor start.
     """
 
     tt: TransformedText
@@ -51,16 +55,19 @@ class RawLinks:
     t_depth: np.ndarray = field(repr=False)
     witness_off: np.ndarray = field(repr=False)
     factor_off: np.ndarray = field(repr=False)  # a factor start among the node's d-leaves; -1 when none
+    origin: np.ndarray = field(repr=False)
+    reach: np.ndarray = field(repr=False)
 
 
 @dataclass(eq=False)
 class LinkIndex:
-    """Chain segments in flat arrays, one row per segment, ordered by origin slot; ``stored`` float64, the rest int32.
+    """Chain segments in flat arrays, one row per segment, ordered by origin rank; ``stored`` float64, the rest int32.
 
     Segment r covers the prefixes of lengths ``t_depth[r] + 1 .. o_depth[r]``
-    at position ``pos_id[r]``; ``origin[r]`` is the 1-based slot of its
-    witness leaf, and ``stored[r]`` the occurrence probability of the
-    shallowest of those prefixes there, the largest value inside the segment.
+    at position ``pos_id[r]``; ``origin[r]`` is the 1-based rank in
+    ``saidx`` of a factor start that spells them, and ``stored[r]`` the
+    occurrence probability of the shallowest of those prefixes at the
+    position, the largest value inside the segment.
     """
 
     tt: TransformedText
@@ -97,31 +104,36 @@ def _nearest_smaller(h: np.ndarray, pair: np.ndarray, reach: int) -> tuple[np.nd
 def build_links(tt: TransformedText, saidx: SuffixArrayIndex, *, _rounds=None) -> RawLinks:
     """Mark nodes per original position and link each mark to its nearest marked ancestor.
 
-    With ``h_i`` the LCP of the i-th and (i+1)-th d-leaf in slot order, a leaf
-    links to depth ``max(h_{i-1}, h_i)``, capped at the room before its
-    separator; each ``h_i`` is lifted for its pair alone from the ranks that
-    the build's sort kept in ``_rounds`` (emptied once read), or a rerun
-    sort's.  The internal nodes, the Cartesian tree over ``h`` (nearest
-    smaller values; Berkman, Schieber & Vishkin 1993), start at each pair whose
-    nearest left pair at most as deep is shallower and link to the larger
-    nearest smaller depth on either side (0 when none), the left leaf of their
-    leftmost pair the witness.  Each link names a factor start among its
-    node's d-leaves, whose ``cum`` holds its values.
+    ``saidx`` orders the factor starts of ``tt``, and the marks come from the
+    order of every suffix, the last of the ranks that the build's sort kept
+    in ``_rounds`` (emptied once read), or a rerun sort's.  With ``h_i`` the
+    LCP of the i-th and (i+1)-th d-leaf in slot order, a leaf links to depth
+    ``max(h_{i-1}, h_i)``, capped at the room before its separator; each
+    ``h_i`` is lifted for its pair alone from the ranks.  The internal nodes,
+    the Cartesian tree over ``h`` (nearest smaller values; Berkman, Schieber &
+    Vishkin 1993), start at each pair whose nearest left pair at most as deep
+    is shallower and link to the larger nearest smaller depth on either side
+    (0 when none), the left leaf of their leftmost pair the witness.  Each
+    link names a factor start among its node's d-leaves, whose ``cum`` holds
+    its values and whose rank in ``saidx`` is its origin.  A link whose node
+    holds none (possible only on correlated input) takes the factor start
+    next to its witness in slot order, on the side that shares more codes
+    with it, and reaches only as deep as they share.
     """
-    slot_pos = tt.pos[saidx.sa - 1]
-    slots = np.flatnonzero(slot_pos) + 1
-    d_of = slot_pos[slots - 1]
-    # by position, then slot; a stable sort of 16-bit positions is a radix sort
-    by_pos = np.argsort(d_of.astype(np.min_scalar_type(d_of.max(initial=0))), kind="stable")
-    slots, d_of = slots[by_pos], d_of[by_pos]
-    witness = saidx.sa[slots - 1] - 1
     if _rounds is None:
         _prefix_doubling(saidx.codes, _rounds := [])
+    slot = _rounds.pop()  # each suffix's 0-based slot in the order of every suffix; -1 past the end
+    sa = np.empty(tt.n, dtype=np.int32)  # that order's 0-based offsets
+    sa[slot[:-1]] = np.arange(tt.n, dtype=np.int32)
+    leaves = sa[tt.pos[sa] > 0]
+    d_of = tt.pos[leaves]
+    # by position, then slot; a stable sort of 16-bit positions is a radix sort
+    by_pos = np.argsort(d_of.astype(np.min_scalar_type(d_of.max(initial=0))), kind="stable")
+    witness, d_of = leaves[by_pos], d_of[by_pos]
     # h[j]: LCP of leaves j and j + 1 of one position; -1 after a position's last leaf
-    h = np.full(slots.size, -1, dtype=np.int64)
+    h = np.full(witness.size, -1, dtype=np.int64)
     same = np.flatnonzero(d_of[1:] == d_of[:-1])
     h[same] = _lift(_rounds, witness[same], witness[same + 1])
-    _rounds.clear()
     # h ends in -1, so index -1 reads as no pair: h[j - 1] at j = 0, and h[prev] when nothing is left
     pair = np.flatnonzero(h > 0)
     prev, close = _nearest_smaller(h, pair, int(np.bincount(d_of).max(initial=0)))
@@ -137,17 +149,35 @@ def build_links(tt: TransformedText, saidx: SuffixArrayIndex, *, _rounds=None) -
     order = np.lexsort((-o_depth, np.arange(mark.size) >= leaf.size, hi))  # a stack's order: leaf, then deeper
     # the first factor-start d-leaf at or after lo, unless it lies past hi
     starts = np.flatnonzero((witness == 0) | (tt.codes[witness - 1] < 0))
-    first = np.append(starts, slots.size)[np.searchsorted(starts, lo[order])]
+    first = np.append(starts, witness.size)[np.searchsorted(starts, lo[order])]
     factor_off = np.where(first <= hi[order], np.append(witness, -1)[first], -1)
-    mark = mark[order]
-    return RawLinks(tt, saidx, d_of[mark], o_depth[order], t_depth[order], witness[mark], factor_off)
+    mark, o_depth = mark[order], o_depth[order]
+    rank_of = np.zeros(tt.n, dtype=np.int32)  # each factor start's 1-based rank in saidx, by 0-based offset
+    rank_of[saidx.sa - 1] = np.arange(1, saidx.sa.size + 1, dtype=np.int32)
+    origin, reach = rank_of[np.maximum(factor_off, 0)], o_depth.copy()
+    lost = np.flatnonzero(factor_off < 0)
+    if lost.size:
+        # the factor starts at ranks r and r + 1 lie on either side of the witness; 0 and F + 1 name none
+        below = np.searchsorted(slot[saidx.sa - 1], slot[witness[mark[lost]]]).astype(np.int32)
+        shared = []
+        for r in (below, below + 1):
+            has = (r >= 1) & (r <= saidx.sa.size)
+            off = saidx.sa[np.where(has, r, 1) - 1] - 1
+            shared.append(np.where(has, _lift(_rounds, witness[mark[lost]], off), -1))
+        right = shared[1] > shared[0]
+        origin[lost], reach[lost] = np.where(right, below + 1, below), np.maximum(*shared)
+    _rounds.clear()
+    return RawLinks(tt, saidx, d_of[mark], o_depth, t_depth[order], witness[mark], factor_off, origin, reach)
 
 
 def partition_links(raw: RawLinks, eps: float) -> LinkIndex:
     """Cut each raw link into segments whose inside probabilities span at most ``eps``.
 
     A link reads its values from ``cum`` at its factor start, or from the
-    growth rule when it has none (possible only on correlated input).
+    growth rule when it has none (possible only on correlated input).  Each
+    segment of a link is stabbed at the link's origin and ends at its reach:
+    deeper, no factor start spells the link's string, so no pattern finds it,
+    and a segment wholly below the reach is dropped.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"epsilon {eps!r} not in (0, 1]")
@@ -173,9 +203,10 @@ def partition_links(raw: RawLinks, eps: float) -> LinkIndex:
         seg_deep[cut], anchor[cut] = top[cut] - k, above[cut]
     segs.append((rows, seg_deep, shallow[rows], base[rows]))
     link, o_depth, t_depth, at = (np.concatenate(a) for a in zip(*segs))
-    slot_of = np.empty(raw.saidx.n, dtype=np.int32)  # each 0-based text offset's 1-based slot
-    slot_of[raw.saidx.sa - 1] = np.arange(1, raw.saidx.n + 1, dtype=np.int32)
-    origin = slot_of[raw.witness_off[link]]
+    o_depth = np.minimum(o_depth, raw.reach[link])
+    kept = np.flatnonzero(t_depth < o_depth)
+    link, o_depth, t_depth, at = link[kept], o_depth[kept], t_depth[kept], at[kept]
+    origin = raw.origin[link]
     order = np.lexsort((-o_depth, link, origin))
     origin, pos_id, o_depth, t_depth = (a[order].astype(np.int32) for a in (origin, raw.pos_id[link], o_depth, t_depth))
     return LinkIndex(raw.tt, raw.saidx, eps, origin, pos_id, vals[at][order], o_depth, t_depth)
@@ -184,10 +215,10 @@ def partition_links(raw: RawLinks, eps: float) -> LinkIndex:
 def approx_items(idx: LinkIndex, p: str, tau: float) -> list[tuple[int, float]]:
     """Stabbed (position, stored probability) pairs in ascending position order.
 
-    A node holding a slot of ``p``'s range lies in the locus subtree or is an
-    ancestor of the locus, shallower than ``len(p)``; the depth test drops it.
-    ``bisect`` finds the links with an origin in the range; a few are tested
-    one by one, many by numpy.
+    A node holding a factor start of ``p``'s range lies in the locus subtree
+    or is an ancestor of the locus, shallower than ``len(p)``; the depth test
+    drops it.  ``bisect`` finds the links with an origin in the range; a few
+    are tested one by one, many by numpy.
     """
     rng = _locate(idx.saidx, idx.tt.tau_min, p, tau)
     if rng is None:

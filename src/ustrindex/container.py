@@ -2,16 +2,20 @@
 
 The file is a zip archive holding ``manifest.json``, the UTF-8 source UST
 text ``source.ust`` and one ``.npy`` entry per stored array.  Format version
-9 stores only what a load cannot derive cheaply, in narrow dtypes: ``codes``
+10 stores only what a load cannot derive cheaply, in narrow dtypes: ``codes``
 as each letter's code point + 1 and each separator as 0, in the narrowest
-unsigned dtype that holds them (``uint8`` for ASCII text), the suffix array
-``sa``, ``cum`` at the letters alone, one start per factor in ``pos`` and,
-for listing, one factor count per document in ``doc_factors``; approximate
-links keep their origin as a suffix-array slot in ``link_origin``.  Integer
-arrays other than ``codes`` are ``int32``.  A load numbers the separators -1, -2, ... in text
-order and puts -1.0 back in ``cum`` at each, so a loaded index holds the
-arrays, dtypes included, that a built one does.  The manifest holds exactly
-the fields a save writes and no derivable one (a null ``metric`` makes a
+unsigned dtype that holds them (``uint8`` for ASCII text), the order of the
+factor starts ``order`` as factor ids (k for the k-th factor in text order)
+in the narrowest unsigned dtype that holds them, ``cum`` at the letters
+alone, one start per factor in ``pos`` and, for listing, one factor count
+per document in ``doc_factors``; approximate links keep their origin as a
+rank in ``order`` in ``link_origin``.  No member holds the order of every
+suffix: no index reads it.  Integer arrays other than ``codes`` and
+``order`` are ``int32``.  A load numbers the separators -1, -2, ... in text
+order, puts -1.0 back in ``cum`` at each and turns the ids into ``int32``
+text offsets, so a loaded index holds the arrays, dtypes included, that a
+built one does.  The manifest holds exactly the fields a save writes and no
+derivable one (a null ``metric`` makes a
 substring index, and a listing index has a null ``epsilon``): in
 ``documents`` each document's name and length in collection order, and in
 ``digests`` the SHA-256 of every member and of the other fields.  A save
@@ -19,7 +23,7 @@ reads ``tau_min``, ``epsilon`` and ``metric`` from the one place each lives
 (the text, the links, the listing index), and a load puts each back there.
 No table is stored: both index kinds build a short table, and a substring
 index a long one, per length the first time a query reads it, from ``cum``
-at the slot-sorted factor starts, so a reopened index answers queries bit
+at the factor starts in rank order, so a reopened index answers queries bit
 for bit like the one that was saved.
 
 A load decodes the source but never parses it: queries and the load checks
@@ -27,17 +31,18 @@ read only the names and lengths, and the text is parsed, once, the first
 time something reads the strings (``SubstringIndex.u``,
 ``ListingIndex.collection`` or ``TransformedText.source``).  A source that
 does not parse, or whose names and lengths differ from ``documents``, raises
-``ContainerError`` then.  Loading never sorts: it accepts ``sa`` after the
-linear check of ``textcore.check_suffix_array`` and rebuilds the per-code
+``ContainerError`` then.  Loading never sorts: it accepts ``order`` after the
+linear check of ``textcore.check_factor_order`` and rebuilds the per-code
 positions (and documents) from the factor runs.  A load builds no table, no
 LCP array and no suffix-tree view.  A file that is not such an archive, is
-of another version, lacks a member, holds an unreadable member or a source
-that is not UTF-8, a manifest with a missing or unknown field or a field of
-the wrong JSON type, a ``tau_min`` or ``epsilon`` outside (0, 1], an
-``epsilon`` on a listing index, an unknown listing metric or ``documents``
-that repeat a name or hold a length below 1, or an array whose dtype, length
-or contents do not fit the index raises ``ContainerError``
-before anything is built; so does a member or manifest field that differs
+of another version, lacks a member, holds an unreadable member (a ``.npy``
+header that claims another size than the bytes after it is rejected before
+anything is allocated) or a source that is not UTF-8, a manifest with a
+missing or unknown field or a field of the wrong JSON type, a ``tau_min`` or
+``epsilon`` outside (0, 1], an ``epsilon`` on a listing index, an unknown
+listing metric or ``documents`` that repeat a name or hold a length below 1,
+or an array whose dtype, length or contents do not fit the index raises
+``ContainerError`` before anything is built; so does a member or manifest field that differs
 from its digest, checked after the rest so that a damaged member is named by
 what is wrong with it.
 """
@@ -47,7 +52,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
+import tokenize
 import zipfile
+import zlib
 from dataclasses import dataclass
 from functools import partial
 
@@ -62,14 +70,14 @@ from .qindex import SubstringIndex, build
 from .textcore import (  # noqa: F401 - perfbench wraps TreeView, build_suffix_array and rmq_build
     TreeView,
     build_suffix_array,
-    check_suffix_array,
+    check_factor_order,
     rmq_build,
 )
 from .ustformat import parse_ust, serialize_ust
 
 __all__ = ["FORMAT_VERSION", "IndexContainer", "build_container", "load_container", "save_container"]
 
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 
 _MAX_CODE = 0x10FFFF  # the largest code point; separators are -1 down to -n
 # the manifest fields a save writes, for every kind
@@ -157,8 +165,11 @@ def save_container(container: IndexContainer, path: str) -> None:
     codes = np.maximum(tt.codes, -1)
     codes += 1
     arrays["codes"] = codes.astype(np.min_scalar_type(int(codes.max(initial=0))))
-    arrays["sa"] = saidx.sa
-    arrays["pos"] = tt.pos[tt.factor_runs()[0]]
+    starts = tt.factor_runs()[0]
+    # each factor's id, k for the k-th in text order, in suffix order and the narrowest unsigned dtype
+    ids = np.searchsorted(starts, saidx.sa - 1)
+    arrays["order"] = ids.astype(np.min_scalar_type(max(ids.size - 1, 0)))
+    arrays["pos"] = tt.pos[starts]
     arrays["cum"] = tt.cum[tt.codes >= 0]
     if links is not None:
         for a, arr in zip(_LINK_ARRAYS, (links.origin, links.pos_id, links.stored, links.o_depth, links.t_depth)):
@@ -188,22 +199,50 @@ def _digests(manifest: dict, members: dict[str, str]) -> dict[str, str]:
     return {**members, "manifest": _sha256(json.dumps(fields, sort_keys=True).encode())}
 
 
+# what zipfile raises for a damaged archive besides BadZipFile: a member cut short or placed past the end of
+# the file, stored bytes read as deflated ones, and flag bits, methods or versions it does not read (an
+# encrypted member raises RuntimeError)
+_DAMAGED_ZIP = (zipfile.BadZipFile, EOFError, OSError, zlib.error, NotImplementedError, RuntimeError)
+
+
 def load_container(path: str) -> IndexContainer:
-    """Reopen a saved index; a file that is not a sound container raises ContainerError."""
+    """Reopen a saved index; a file that is not a sound container raises ContainerError, one that cannot open OSError."""
+    with open(path, "rb") as fh:
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                manifest = _manifest(zf.read("manifest.json"))
+                source = zf.read("source.ust")
+                members, arrays = {"source.ust": _sha256(source)}, {}
+                for name in zf.namelist():
+                    if name.endswith(".npy"):
+                        # one member's bytes at a time, so a load holds no second copy of the arrays
+                        data = zf.read(name)
+                        members[name] = _sha256(data)
+                        arrays[name[: -len(".npy")]] = _read_array(name, data)
+            return _assemble(manifest, arrays, source.decode(), members)
+        except (*_DAMAGED_ZIP, KeyError, ValueError) as exc:
+            raise ContainerError(f"{path} is not a sound index container: {exc}") from exc
+
+
+def _read_array(name: str, data: bytes) -> np.ndarray:
+    """The array of the ``.npy`` member ``name``, once its header is found to describe exactly the bytes after it.
+
+    So a header that claims more elements than the member holds raises
+    ContainerError before anything is allocated for them.
+    """
+    fh = io.BytesIO(data)
+    version = np.lib.format.read_magic(fh)
+    if version not in ((1, 0), (2, 0)):
+        raise ContainerError(f"member {name} is a .npy file of version {version}, not 1.0 or 2.0")
+    read_header = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
     try:
-        with zipfile.ZipFile(path) as zf:
-            manifest = _manifest(zf.read("manifest.json"))
-            source = zf.read("source.ust")
-            members, arrays = {"source.ust": _sha256(source)}, {}
-            for name in zf.namelist():
-                if name.endswith(".npy"):
-                    # one member's bytes at a time, so a load holds no second copy of the arrays
-                    data = zf.read(name)
-                    members[name] = _sha256(data)
-                    arrays[name[: -len(".npy")]] = np.load(io.BytesIO(data), allow_pickle=False)
-        return _assemble(manifest, arrays, source.decode(), members)
-    except (zipfile.BadZipFile, KeyError, ValueError) as exc:
-        raise ContainerError(f"{path} is not a sound index container: {exc}") from exc
+        shape, _, dtype = read_header(fh)
+    except (SyntaxError, TypeError, tokenize.TokenError) as exc:  # numpy's checks raise ValueError, its parse these
+        raise ContainerError(f"member {name} has a .npy header that does not parse: {exc!r}") from exc
+    size, held = math.prod(shape) * dtype.itemsize, len(data) - fh.tell()
+    if size != held:
+        raise ContainerError(f"member {name} claims {size} bytes of {dtype} in shape {shape}, and holds {held}")
+    return np.load(io.BytesIO(data), allow_pickle=False)
 
 
 def _manifest(data: bytes) -> dict:
@@ -232,7 +271,11 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], lengths: list[i
     codes = arrays["codes"]
     # a letter is its code point + 1 and a separator 0, in the narrowest unsigned dtype that holds them
     top = int(codes.max(initial=0)) if codes.dtype.kind == "u" else 0
-    dtypes = {"codes": np.min_scalar_type(top), "sa": np.int32, "pos": np.int32, "cum": np.float64}
+    n = codes.size
+    ends = np.flatnonzero(codes == 0)
+    # factor ids in the narrowest unsigned dtype, as for codes
+    order = np.min_scalar_type(max(ends.size - 1, 0))
+    dtypes = {"codes": np.min_scalar_type(top), "order": order, "pos": np.int32, "cum": np.float64}
     if listing:
         dtypes["doc_factors"] = np.int32
     elif manifest["epsilon"] is not None:
@@ -241,9 +284,7 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], lengths: list[i
         if arrays[name].dtype != dtype:
             raise ContainerError(f"array {name} has dtype {arrays[name].dtype}, expected {np.dtype(dtype)}")
 
-    n = codes.size
-    ends = np.flatnonzero(codes == 0)
-    want = {"codes": n, "sa": n, "cum": n - ends.size, "pos": ends.size}
+    want = {"codes": n, "order": ends.size, "cum": n - ends.size, "pos": ends.size}
     if listing:
         want["doc_factors"] = len(lengths)
     elif manifest["epsilon"] is not None:
@@ -275,8 +316,8 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], lengths: list[i
         raise bad("pos", "a factor start outside its source string")
     if not listing and manifest["epsilon"] is not None:
         origin = arrays["link_origin"]
-        if origin.size and (origin[0] < 1 or origin[-1] > n or np.any(origin[1:] < origin[:-1])):
-            raise bad("link_origin", "origins that are not non-decreasing within [1, n]")
+        if origin.size and (origin[0] < 1 or origin[-1] > ends.size or np.any(origin[1:] < origin[:-1])):
+            raise bad("link_origin", "origins that are not non-decreasing ranks within [1, F]")
         if np.any((arrays["link_pos"] < 1) | (arrays["link_pos"] > lengths[0])):
             raise bad("link_pos", "a position outside its source string")
         if np.any((arrays["link_tdepth"] < 0) | (arrays["link_tdepth"] >= arrays["link_odepth"])):
@@ -356,7 +397,7 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray], source: str, member
     codes[ends] = -1 - np.arange(ends.size, dtype=np.int32)
     cum = np.full(codes.size, -1.0)
     cum[codes >= 0] = arrays["cum"]
-    saidx = check_suffix_array(codes, arrays["sa"])
+    saidx = check_factor_order(codes, starts, arrays["order"])
     _check_digests(manifest, members)
     # each factor run and its separator: positions count up from the factor's start, 0 at the separator
     width = np.diff(starts, append=codes.size)

@@ -3,17 +3,18 @@
 One transform covers the whole collection: the documents' factors follow
 one another in one text (separators stay globally unique), and for every
 short depth a sparse table (``textcore.SparseDepth``) holds each document's
-aggregated score once per locus partition, at the partition's first slot of
-that document; queries report it block by block like short substring
-queries.  A depth's table is built the first time a query of that length
-reads it, by the one builder the substring index uses
+aggregated score once per locus partition, at the partition's first rank of
+that document in the order of the factor starts that every index keeps;
+queries report it block by block like short substring queries.  A depth's
+table is built the first time a query of that length reads it, by the one
+builder the substring index uses
 (``qindex._FactorStarts.short_table``), keyed by document instead of
 original position.  Aggregation (``qindex._fold``) visits a document's
 occurrences in ascending original position, which is also the order an
 exhaustive scan visits them, so scores match such a scan bit for bit.  The
 rows are the factor-start windows of ``qindex._factor_rows``, whose values
 are the documents' own ``cum`` prefixes.  A long query reads the same values
-at the slot-sorted factor starts of its whole slot range
+at the factor starts of its whole rank range
 (``qindex._collect``, the collect the substring index uses), with no block
 maxima to prune it as in the substring index, and groups them the same way,
 by document.
@@ -53,7 +54,7 @@ class ListingIndex(_FactorStarts):
     """Listing index over a document collection; its answers never change.
 
     Like ``qindex.SubstringIndex``, it builds the short table of a depth and
-    the factor starts in slot order on first use, and keeps them.  Queries
+    the factor starts in rank order on first use, and keeps them.  Queries
     read only the documents' names and lengths from ``tt.documents``.
     """
 
@@ -73,8 +74,8 @@ class ListingIndex(_FactorStarts):
 
     @cached_property
     def tree(self) -> TreeView:
-        """Suffix-tree view, built on first use; listing queries never read it."""
-        return TreeView(self.saidx)
+        """Suffix-tree view over a full sort of the text, built on first use; listing queries never read it."""
+        return TreeView(build_suffix_array(self.tt.codes))
 
     def _short_keys(self, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
         """Each row is one (document, original position) occurrence, ordered by document first."""
@@ -99,7 +100,7 @@ def build_listing(
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     tt = transform(collection, tau_min, length_cap)
-    return ListingIndex(metric, tt, build_suffix_array(tt.codes))
+    return ListingIndex(metric, tt, build_suffix_array(tt.codes, starts=tt.factor_runs()[0]))
 
 
 def _run(idx: ListingIndex, p: str, tau: float) -> tuple[list[tuple[str, float]], QueryStats]:

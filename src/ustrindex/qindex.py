@@ -2,28 +2,31 @@
 
 Patterns up to ``m_short = max(1, bit_length(n) - 1)`` codes long (n codes
 in the text) are short, which picks a table but never changes an answer.
-They are answered by one sparse table per length (the nonzero entries in
-slot order, see ``textcore.SparseDepth``), reported block by block with
-``textcore.rmq_report``; long patterns by block maxima, reported the same
-way, whose ranges ``_collect`` reads at the slot-sorted factor starts.  So
-reported positions always carry their exact occurrence probability.  Every
-table value is a factor's own ``cum`` prefix, the same left-to-right product
-the model computes, which keeps threshold comparisons bitwise faithful.
+Every index orders only the factor starts (``textcore.build_suffix_array``
+with ``starts``): every qualifying occurrence is a prefix of a factor aligned
+at its position, so a pattern's range of ranks in that order holds every
+factor start it can report.  They are answered by one sparse table per
+length (the nonzero entries in rank order, see ``textcore.SparseDepth``),
+reported block by block with ``textcore.rmq_report``; long patterns by block
+maxima of m ranks, reported the same way, whose ranges ``_collect`` reads at
+the factor starts in rank order.  So reported positions always carry their
+exact occurrence probability.  Every table value is a factor's own ``cum``
+prefix, the same left-to-right product the model computes, which keeps
+threshold comparisons bitwise faithful.
 
 A table is built for one length the first time a query of that length reads
 it.  ``_factor_rows`` lists, per depth, the factor-start windows reaching
 tau_min, and ``_group_depth`` makes the short tables of both index kinds from
 them (``_FactorStarts.short_table``): one entry per (locus partition, key) at
-the first factor-start slot of that key in the partition, where the key is an
-original position here and a document in ``listing``, whose several
-occurrences ``_fold`` combines into one score.  A long table keeps the block
-maxima of the same rows; its first query covers a whole block.
+the first rank of that key in the partition, where the key is an original
+position here and a document in ``listing``, whose several occurrences
+``_fold`` combines into one score.  A long table keeps the block maxima of
+the same rows; its first query covers a whole block.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -66,7 +69,7 @@ class QueryStats:
 class _FactorStarts:
     """What an index with ``tt`` and ``saidx`` derives: its short/long cut, and what it builds on first use and keeps.
 
-    Its factor starts in slot order, and each depth's short table in ``_short`` by depth, once read.
+    Its factor starts in rank order with their run lengths, and each depth's short table in ``_short`` by depth, once read.
     """
 
     def __post_init__(self) -> None:
@@ -79,17 +82,17 @@ class _FactorStarts:
         return self.tt.tau_min
 
     @cached_property
-    def sorted_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def sorted_factors(self) -> tuple[np.ndarray, np.ndarray]:
         return _sorted_factors(self.tt, self.saidx)
 
     def short_table(self, i: int) -> tuple[np.ndarray, SparseDepth]:
         """Depth ``i``'s entry values and their ``SparseDepth``; built on first call."""
         table = self._short.get(i)
         if table is None:
-            slots, starts, values = _factor_rows(self, i)
+            ranks, starts, values = _factor_rows(self, i)
             occ, group, metric = self._short_keys(starts)
-            kept_slots, kept, labels = _group_depth(self.tt.codes, slots, starts, values, i, occ, group, metric)
-            table = self._short[i] = (kept, SparseDepth(kept_slots, rmq_build(kept), labels))
+            kept_ranks, kept, labels = _group_depth(self.tt.codes, ranks, starts, values, i, occ, group, metric)
+            table = self._short[i] = (kept, SparseDepth(kept_ranks, rmq_build(kept), labels))
         return table
 
     @property
@@ -103,7 +106,7 @@ class SubstringIndex(_FactorStarts):
     """Search index over one uncertain string.
 
     Its answers never change, but it caches what queries build on first use:
-    the short and the long table of a depth, and the factor starts in slot
+    the short and the long table of a depth, and the factor starts in rank
     order that long queries and both kinds of table read.
     """
 
@@ -123,8 +126,8 @@ class SubstringIndex(_FactorStarts):
 
     @cached_property
     def tree(self) -> TreeView:
-        """Suffix-tree view, built on first use; no query or link build reads it."""
-        return TreeView(self.saidx)
+        """Suffix-tree view over a full sort of the text, built on first use; no query or link build reads it."""
+        return TreeView(build_suffix_array(self.tt.codes))
 
     def _short_keys(self, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
         """Each row is one occurrence, reported under its original position; a partition keeps the largest."""
@@ -132,47 +135,46 @@ class SubstringIndex(_FactorStarts):
         return orig, orig, "max"
 
     def long_table(self, m: int) -> tuple[np.ndarray, RmqIndex]:
-        """Depth ``m``'s block maxima, one per ``m`` slots, and their RMQ; built on first call."""
+        """Depth ``m``'s block maxima, one per ``m`` ranks, and their RMQ; built on first call."""
         table = self.long_tables.get(m)
         if table is None:
-            slots, _, values = _factor_rows(self, m)
-            pb = np.zeros(-(-self.tt.n // m))
-            np.maximum.at(pb, slots // m, values)
+            ranks, _, values = _factor_rows(self, m)
+            pb = np.zeros(-(-self.saidx.sa.size // m))
+            np.maximum.at(pb, ranks // m, values)
             table = self.long_tables[m] = (pb, rmq_build(pb))
         return table
 
 
-def _sorted_factors(tt: TransformedText, saidx: SuffixArrayIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending 0-based slots of the factor starts, the starts at them and their run lengths."""
+def _sorted_factors(tt: TransformedText, saidx: SuffixArrayIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based factor starts in rank order, and their run lengths."""
     starts, ends = tt.factor_runs()
-    room = np.zeros(tt.n + 1, dtype=np.int32)  # room[b + 1]: the run length of a factor starting at offset b, else 0
+    room = np.zeros(tt.n + 1, dtype=np.int32)  # room[b + 1]: the run length of a factor starting at offset b
     room[starts + 1] = ends - starts
-    slots = np.flatnonzero(room[saidx.sa])  # factors are nonempty
-    return slots, saidx.sa[slots] - 1, room[saidx.sa[slots]]
+    return saidx.sa - 1, room[saidx.sa]
 
 
 def _factor_rows(idx, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The factor-start windows of length ``i`` reaching the index's tau_min, from ``sorted_factors``.
 
-    Gives ascending 0-based slots, the factor starts at them and their ``cum``
+    Gives ascending 0-based ranks, the factor starts at them and their ``cum``
     values.  Every (pattern, position) pair at or above tau_min is a prefix of
     a maximal factor aligned there, with ``cum`` its exact probability, so
     these rows hold every such pair and its value, inside the locus partition
     of any other offset that spells it.
     """
-    slots, starts, room = idx.sorted_factors
-    live = room >= i
+    starts, room = idx.sorted_factors
+    live = np.flatnonzero(room >= i)
     values = idx.tt.cum[starts[live] + i - 1]
     keep = values >= idx.tau_min
-    return slots[live][keep], starts[live][keep], values[keep]
+    return live[keep], starts[live[keep]], values[keep]
 
 
 def _group_depth(
-    codes: np.ndarray, slots: np.ndarray, starts: np.ndarray, values: np.ndarray, depth: int, occ, group, metric: str
+    codes: np.ndarray, ranks: np.ndarray, starts: np.ndarray, values: np.ndarray, depth: int, occ, group, metric: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slots, folded values and groups of one entry per (depth partition, group), at the group's first slot.
+    """1-based ranks, folded values and groups of one entry per (depth partition, group), at the group's first rank.
 
-    ``slots`` are the rows' ascending 0-based slots, ``starts`` the factor
+    ``ranks`` are the rows' ascending 0-based ranks, ``starts`` the factor
     starts at them and ``values`` their values; ``occ`` names the occurrence
     a row stands for and ``group`` the key it is reported under, and ``occ``
     must order by group first and by original position within a group.
@@ -182,7 +184,7 @@ def _group_depth(
     """
     # a row opens a partition when its first depth codes differ from the row
     # before it; every row has room for depth letters, so no read leaves its factor
-    opens = np.zeros(slots.size, dtype=bool)
+    opens = np.zeros(ranks.size, dtype=bool)
     for t in range(depth):
         opens[1:] |= codes[starts[1:] + t] != codes[starts[:-1] + t]
     pid = np.cumsum(opens)
@@ -192,9 +194,9 @@ def _group_depth(
     head = np.ones(first.size, dtype=bool)
     head[1:] = (p[1:] != p[:-1]) | (g[1:] != g[:-1])
     starts = np.flatnonzero(head)
-    first_slot = np.minimum.reduceat(slots[first], starts)
-    order = np.argsort(first_slot)
-    kept = (first_slot[order] + 1).astype(np.int32)
+    first_rank = np.minimum.reduceat(ranks[first], starts)
+    order = np.argsort(first_rank)
+    kept = (first_rank[order] + 1).astype(np.int32)
     return kept, _fold(values[first], starts, metric)[order], g[starts][order].astype(np.int32)
 
 
@@ -233,29 +235,28 @@ def _fold(values: np.ndarray, starts: np.ndarray, metric: str) -> np.ndarray:
 def build(u: UncertainString, tau_min: float, *, length_cap: int | None = None, _rounds=None) -> SubstringIndex:
     """Construct the substring index; None picks the default ``length_cap``.
 
-    ``_rounds`` gets the sort's ranks.  The transform's errors propagate:
-    ValueError for an invalid string or tau_min, CapacityError for a text
-    over its cap.
+    Only the factor starts are sorted, unless ``_rounds`` asks for the ranks
+    of a sort of every suffix, which a link build reads.  The transform's
+    errors propagate: ValueError for an invalid string or tau_min,
+    CapacityError for a text over its cap.
     """
     tt = transform(u, tau_min, length_cap)
-    return SubstringIndex(tt, build_suffix_array(tt.codes, _rounds=_rounds))
+    return SubstringIndex(tt, build_suffix_array(tt.codes, starts=tt.factor_runs()[0], _rounds=_rounds))
 
 
 def _collect(idx, ranges: list[tuple[int, int]], m: int, floor: float, key) -> dict:
-    """The first value >= ``floor`` per ``key(start)`` over the factor starts in the slot ranges ``[lo, hi]``.
+    """The first value >= ``floor`` per ``key(start)`` over the factor starts at the ranks ``[lo, hi]``.
 
-    One bisection per range end in ``idx.sorted_factors``, then a plain loop
-    over the few starts between, range by range in the order given.  A factor
-    start in the ranges has room for the length-``m`` pattern, and ``cum`` at
-    its m-th character is the pattern's exact probability there; by
-    conservation each position reaching tau_min has such a start in the range.
+    A plain loop over the few starts of each range, range by range in the
+    order given.  A factor start in the ranges has room for the length-``m``
+    pattern, and ``cum`` at its m-th character is the pattern's exact
+    probability there; by conservation each position reaching tau_min has
+    such a start in the range.
     """
-    slots, starts, _ = idx.sorted_factors
-    at, cum = memoryview(slots), idx.tt.cum
+    starts, cum = idx.sorted_factors[0], idx.tt.cum
     found: dict = {}
     for lo, hi in ranges:
-        a = bisect_left(at, lo - 1)
-        for s in starts[a : bisect_left(at, hi, a)].tolist():
+        for s in starts[lo - 1 : hi].tolist():
             v = cum.item(s + m - 1)
             if v >= floor:
                 found.setdefault(key(s), v)
@@ -263,7 +264,7 @@ def _collect(idx, ranges: list[tuple[int, int]], m: int, floor: float, key) -> d
 
 
 def _locate(saidx: SuffixArrayIndex, tau_min: float, p: str, tau: float) -> tuple[int, int] | None:
-    """Reject an empty pattern, a NaN threshold or one below the floor; else ``p``'s slot range or None."""
+    """Reject an empty pattern, a NaN threshold or one below the floor; else ``p``'s rank range or None."""
     if not p:
         raise ValueError("pattern is empty")
     if math.isnan(tau):

@@ -1,25 +1,29 @@
-"""Suffix arrays with pattern search, a suffix-tree view, and range-max queries.
+"""Sparse suffix arrays with pattern search, a suffix-tree view, and range-max queries.
 
 Text is a sequence of ``int32`` codes.  Alphabet characters map to their
 code points; separator sentinels are the negative integers, each occurring at
 most once, so they sort below every character and no common prefix ever spans
-one.  The suffix array is ``int32`` too, built or checked.
-Slots (positions in suffix-array order) and text positions are 1-based in the
-public API; ``sa[k - 1]`` is the suffix at slot ``k``.  Patterns are located
-by ``bisect`` over a ``memoryview`` of each slot's packed first letters (a
+one.  A ``SuffixArrayIndex`` orders a chosen set of suffixes (a sparse
+suffix array; Kärkkäinen and Ukkonen, COCOON 1996), all of them or, in every
+index, the factor starts alone, as ``int32`` like the codes.
+Ranks (positions in that order) and text positions are 1-based in the
+public API; ``sa[k - 1]`` is the suffix at rank ``k``.  Patterns are located
+by ``bisect`` over a ``memoryview`` of each rank's packed first letters (a
 prefix table, after Manber and Myers); a pattern longer than those letters
 is then bisected inside their range over a byte encoding of the text.  All
 comparisons run in C, and a str pattern makes no numpy call.
-Builds sort the suffixes by prefix doubling (``build_suffix_array``),
-starting from one sort of each offset's first letters packed into a
-``uint64`` (``_pack_letters``, which packs the search keys too), and keep no
-LCP array; loads never sort, they accept a stored suffix array after the
-linear check of ``check_suffix_array``.  The ranks of the sort's rounds
-give the LCP of any two suffixes by binary lifting (``_lift``): a build that
-marks approximate links keeps them for the pairs it reads, and a read of
-``lcp``, which no build, load or query makes, reruns the sort to keep them.
+``build_suffix_array`` sorts all suffixes by prefix doubling, starting from
+one sort of each offset's first letters packed into a ``uint64``
+(``_pack_letters``, which packs the search keys too), or only some of them
+by those keys, re-sorting the tied groups on the keys further on
+(``_sort_starts``); it keeps no LCP array.  Loads never sort: they accept a
+stored order of the factors after the linear check of
+``check_factor_order``.  The ranks of the full sort's rounds give the LCP of
+any two suffixes by binary lifting (``_lift``): a build that marks
+approximate links keeps them for the pairs it reads, and a read of ``lcp``,
+which no build, load or query makes, reruns the sort to keep them.
 ``SparseDepth`` is the one format of a sparse short table: the nonzero
-entries of a per-length table in slot order, which ``rmq_report`` reports
+entries of a per-length table in rank order, which ``rmq_report`` reports
 block by block, each with the label a query reports it under; a range inside
 one block is compared entry by entry in a plain loop.
 """
@@ -41,7 +45,7 @@ __all__ = [
     "SuffixArrayIndex",
     "TreeView",
     "build_suffix_array",
-    "check_suffix_array",
+    "check_factor_order",
     "locus",
     "rmq_build",
     "rmq_query",
@@ -64,11 +68,11 @@ def _encode_text(text) -> np.ndarray:
 
 @dataclass(eq=False)
 class SuffixArrayIndex:
-    """Sorted suffixes of an integer-coded text.
+    """Sorted suffixes of an integer-coded text: all of them, or a chosen set.
 
     ``sa`` holds 1-based text positions in suffix order (``int32``, like
     ``codes``, when built or checked), and ``lcp[k - 1]``
-    is the common-prefix length of the suffixes at slots ``k - 1`` and ``k``
+    is the common-prefix length of the suffixes at ranks ``k - 1`` and ``k``
     (``lcp[0] == 0``).
     """
 
@@ -83,7 +87,7 @@ class SuffixArrayIndex:
     def lcp(self) -> np.ndarray:
         """The LCP array, lifted on first read from the ranks of a rerun sort; no build, load or query reads it."""
         _prefix_doubling(self.codes, rounds := [])
-        lcp = np.zeros(self.n, dtype=np.int64)
+        lcp = np.zeros(self.sa.size, dtype=np.int64)
         lcp[1:] = _lift(rounds, self.sa[:-1] - 1, self.sa[1:] - 1)
         return lcp
 
@@ -94,18 +98,18 @@ class SuffixArrayIndex:
 
     @cached_property
     def byte_starts(self) -> memoryview:
-        """Each slot's suffix start in ``byte_text``, narrowest unsigned; indexable without a list of n ints."""
+        """Each rank's suffix start in ``byte_text``, narrowest unsigned; indexable without a list of ints."""
         starts = (self.sa - 1).astype(np.min_scalar_type(4 * self.n))
         starts *= 4  # in a dtype that holds 4 * n, where int32 would wrap from n = 2**29 on
         return memoryview(starts)
 
     @cached_property
     def prefix_keys(self) -> tuple[memoryview, dict, int]:
-        """Each slot's packed first letters (a ``memoryview`` for ``bisect``), each letter's rank, bits per rank.
+        """Each rank's packed first letters (a ``memoryview`` for ``bisect``), each letter's rank, bits per letter.
 
         Built on first search by ``_pack_letters``: ``32 // bits`` letters to a
         ``uint32``, first letter highest, 0 at a separator and past the end of
-        the text.  Keys cut at their first 0 field ascend with their slots, and
+        the text.  Keys cut at their first 0 field ascend with their ranks, and
         ``suffix_range`` compares no further.  Ranks are keyed by code, and by
         character too below 0x110000.
         """
@@ -225,8 +229,9 @@ def _prefix_doubling(codes: np.ndarray, rounds: list[np.ndarray] | None = None) 
     other suffix holds, or reach the end of the text.  Each later round
     sorts only the groups of more than one suffix, by ``argsort`` of
     ``rank * (n + 1) + rank of the suffix 2^j further`` (Larsson and
-    Sadakane).  Without ``rounds`` only the current ranks (int32) are kept.
-    The order is ``int32`` too.
+    Sadakane).  Without ``rounds`` only the current ranks (int32) are kept;
+    with them, the last one kept ranks every suffix apart, at its slot.  The
+    order is ``int32`` too.
     """
     n = codes.size
     packed = _pack_letters(codes, np.uint64, ties=True)
@@ -250,6 +255,8 @@ def _prefix_doubling(codes: np.ndarray, rounds: list[np.ndarray] | None = None) 
         more = ~(head & np.append(head[1:], True))
         live, sub = live[more], sub[more]
         if not live.size:
+            if rounds is not None:
+                rounds.append(rank)  # all apart: each suffix's own 0-based slot
             return order
         if rounds is not None:
             rounds.append(rank.copy())
@@ -266,7 +273,7 @@ def _lift(rounds: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Binary lifting top down: add 2^j while ``rounds[j][a + h] == rounds[j][b + h]``,
     in O(pairs * rounds); two different suffixes share fewer than
-    ``2 ** len(rounds)`` codes, as the round after the last kept one ranks all apart.
+    ``2 ** len(rounds)`` codes, as the last round, or the one after it, ranks all apart.
     """
     h = np.zeros(a.size, dtype=np.int64)
     for lo in range(0, a.size, _LIFT_BLOCK):
@@ -277,44 +284,111 @@ def _lift(rounds: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return h
 
 
-def build_suffix_array(text, *, _rounds: list[np.ndarray] | None = None) -> SuffixArrayIndex:
-    """Sort all suffixes of ``text`` by prefix doubling; ``_rounds`` receives the ranks for ``_lift``."""
+def _sort_starts(codes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The distinct 0-based offsets ``starts`` in the order of their suffixes, as ``int32``.
+
+    One ``argsort`` of their packed first ``per`` codes (``_pack_letters``
+    with ties) orders them up to ties; each round then re-sorts only the
+    groups of equal keys, on the key ``per`` codes further on, as
+    ``_prefix_doubling`` re-sorts only its live groups.  Equal keys hold
+    letters alone, so the key further on lies inside the text or at its end,
+    which packs as 0.  The work is one key per offset plus one per ``per``
+    codes that tied offsets share: for factor starts, whose suffixes each
+    reach their own separator, at most the factors' total length over
+    ``per``.
+    """
+    packed = _pack_letters(codes, np.uint64, ties=True)
+    keys = np.append(packed.keys, np.uint64(0))  # keys[n]: the end of the text
+    order = np.asarray(starts, dtype=np.int32)
+    order = order[np.argsort(keys[order])]
+    key, group = keys[order], np.zeros(order.size, dtype=np.int32)
+    # live: the positions in order of the offsets still tied; all share their first ``near`` codes
+    live, near = np.arange(order.size), 0
+    while True:
+        head = np.append(True, (key[1:] != key[:-1]) | (group[1:] != group[:-1]))[: key.size]
+        tied = ~(head & np.append(head[1:], True))
+        live = live[tied]
+        if not live.size:
+            return order
+        group = np.cumsum(head)[tied]
+        near += packed.per
+        key = keys[order[live] + near]
+        by_key = np.lexsort((key, group))
+        order[live] = order[live][by_key]
+        key, group = key[by_key], group[by_key]
+
+
+def build_suffix_array(text, *, starts=None, _rounds: list[np.ndarray] | None = None) -> SuffixArrayIndex:
+    """Sort the suffixes of ``text`` that begin at the 0-based offsets ``starts``, every suffix for None.
+
+    Only they are sorted (``_sort_starts``), unless ``_rounds`` asks for the
+    ranks for ``_lift``: then every suffix is sorted by prefix doubling, the
+    rounds end with each suffix's own 0-based rank, and the order is then cut
+    to ``starts``.
+    """
     codes = _encode_text(text)
-    sa = _prefix_doubling(codes, _rounds)
+    if starts is None or _rounds is not None:
+        sa = _prefix_doubling(codes, _rounds)
+        if starts is not None:
+            keep = np.zeros(codes.size, dtype=bool)
+            keep[starts] = True
+            sa = sa[keep[sa]]
+    else:
+        sa = _sort_starts(codes, starts)
     sa += 1
     return SuffixArrayIndex(codes, sa)
 
 
-def check_suffix_array(codes: np.ndarray, sa: np.ndarray) -> SuffixArrayIndex:
-    """Accept ``sa`` as the suffix array of ``codes`` in linear time, or raise ContainerError.
+def check_factor_order(codes: np.ndarray, starts: np.ndarray, order: np.ndarray) -> SuffixArrayIndex:
+    """Accept ``order``, factor ids in suffix order, as the order of the factors of ``codes``, or raise ContainerError.
 
-    The check of Burkhardt and Kärkkäinen (CPM 2003): ``sa`` must be a
-    permutation of 1..n, and every two consecutive slots holding suffixes a
-    and b must satisfy ``(codes[a], rank[a + 1]) < (codes[b], rank[b + 1])``,
-    where ``rank`` is the slot ``sa`` gives a suffix and the empty suffix past
-    the end ranks -1.  Both parts of a pair go into one int64 key
-    (``_pair_key``), which must strictly ascend.  Only the true suffix array
-    passes, so a stored one needs no checksum.  Codes lie in [-n, 0x10FFFF].
+    ``starts`` holds each factor's 0-based offset in text order, and id k
+    names the k-th of them.  The ids must be a permutation of 0..F-1, and
+    every two consecutive factors must strictly ascend when their codes are
+    compared up to and including the first separator, which compares by its
+    code: distinct factors end at distinct separators, so a comparison
+    decides there at the latest, and only the true order passes.  A round
+    compares one code of every pair still tied, and from the eighth code on
+    as many codes as the pairs have shared so far, so the work stays within
+    twice the codes the pairs share plus eight per pair, in a few rounds
+    even where factors share thousands of codes.  Returns the index over the
+    factor starts in that order.
     """
-    n = codes.size
-    if sa.shape != (n,) or (n and (sa.min() < 1 or sa.max() > n)):
-        raise ContainerError(f"the stored suffix array is not a permutation of 1..{n}")
-    # rank[i]: 0-based slot of the suffix at 0-based offset i; rank[n] = -1 for the empty suffix
-    rank = np.full(n + 1, -1, dtype=np.int32)
-    rank[sa - 1] = np.arange(n, dtype=np.int32)
-    if np.any(rank[:n] < 0):
-        raise ContainerError(f"the stored suffix array is not a permutation of 1..{n}")
-    key = _pair_key(codes[sa - 1], rank[sa], n)
-    if np.any(key[1:] <= key[:-1]):
-        raise ContainerError("the stored suffix array does not sort the suffixes of the text")
+    f = starts.size
+    if order.shape != (f,) or (f and int(order.max()) >= f) or np.any(np.bincount(order, minlength=f) != 1):
+        raise ContainerError(f"the stored order is not a permutation of the {f} factor ids")
+    sa = starts[order].astype(np.int32)
+    # the offsets of each consecutive pair still tied after ``near`` codes, which are letters
+    a, b, near = sa[:-1], sa[1:], 0
+    while a.size:
+        width = 1 if near < 8 else near
+        if width == 1:
+            ca, cb = codes[a + near], codes[b + near]
+            decided = ca != cb
+            ca, cb = ca[decided], cb[decided]
+        else:
+            # reads clipped at the end of the text lie past the first difference, which decides
+            ahead = np.arange(near, near + width)
+            ca = codes[np.minimum(a[:, None] + ahead, codes.size - 1)]
+            cb = codes[np.minimum(b[:, None] + ahead, codes.size - 1)]
+            differ = ca != cb
+            decided = differ.any(axis=1)
+            rows = np.flatnonzero(decided)
+            at = differ.argmax(axis=1)[rows]
+            ca, cb = ca[rows, at], cb[rows, at]
+        if np.any(ca > cb):
+            raise ContainerError("the stored order does not sort the factors of the text")
+        a, b = a[~decided], b[~decided]
+        near += width
+    sa += 1
     return SuffixArrayIndex(codes, sa)
 
 
 def suffix_range(idx: SuffixArrayIndex, p) -> tuple[int, int] | None:
-    """Maximal slot range [sp, ep] of suffixes prefixed by ``p``; None when absent.
+    """Maximal rank range [sp, ep] of the suffixes in ``idx`` prefixed by ``p``; None when absent.
 
-    Two ``bisect`` calls over the slots' packed keys (``idx.prefix_keys``)
-    find the slots whose keys start with ``p``'s first letters, which is the
+    Two ``bisect`` calls over the ranks' packed keys (``idx.prefix_keys``)
+    find the ranks whose keys start with ``p``'s first letters, which is the
     answer for a ``p`` no longer than a key: ``p`` has no 0 field, so each
     comparison is decided by a key's fields up to its first 0.  A longer ``p``
     is bisected further inside that range over bytes: a suffix's first
@@ -368,12 +442,15 @@ class TreeView:
     Nodes are identified by 0-based preorder id.  A node's subtree is the
     contiguous preorder interval [pre, subtree_end[pre]]; leaves carry their
     full suffix length as string depth.  No index reads it: approximate
-    links work on LCP intervals of the suffix array instead.
+    links work on LCP intervals of the suffix array instead.  It needs the
+    order of every suffix: a sparse one raises ValueError.
     """
 
     def __init__(self, saidx: SuffixArrayIndex):
         self.saidx = saidx
         n = saidx.n
+        if saidx.sa.size != n:
+            raise ValueError(f"a suffix-tree view needs all {n} suffixes in order, not {saidx.sa.size}")
         if n == 0:
             self.parent = np.zeros(0, dtype=np.int64)
             self.depth = np.zeros(0, dtype=np.int64)
@@ -586,13 +663,13 @@ def rmq_report(rmq: RmqIndex, l: int, r: int, tau: float, stats) -> np.ndarray:
 
 @dataclass(eq=False)
 class SparseDepth:
-    """The nonzero entries of one short depth, in slot order.
+    """The nonzero entries of one short depth, in rank order.
 
-    ``slots`` holds strictly increasing 1-based suffix-array slots as
-    ``int32``; ``rmq`` is built over their values, one per slot.  ``labels``
-    (``int32``) names what each entry reports: the original position
-    (substring index) or the document (listing index) of the text offset at
-    its slot.  A depth without entries holds empty arrays.  Nothing of it is
+    ``slots`` holds strictly increasing 1-based ranks in the index's order of
+    the factor starts as ``int32``; ``rmq`` is built over their values, one
+    per rank.  ``labels`` (``int32``) names what each entry reports: the
+    original position (substring index) or the document (listing index) of
+    the factor start at its rank.  A depth without entries holds empty arrays.  Nothing of it is
     stored: ``qindex._FactorStarts.short_table`` builds it the first time a
     query of its length reads it.
     """
@@ -607,7 +684,7 @@ class SparseDepth:
         return memoryview(self.slots), memoryview(self.rmq.values), memoryview(self.labels)
 
     def report(self, sp: int, ep: int, tau: float, stats) -> list[int] | np.ndarray:
-        """0-based indices of the entries with a slot in [sp, ep] and a value of at least ``tau``, ascending.
+        """0-based indices of the entries with a rank in [sp, ep] and a value of at least ``tau``, ascending.
 
         Entries bounded by ``bisect`` inside one ``_BLOCK``-entry block make
         ``rmq_report``'s one-block probe as a plain loop, with the same counts,

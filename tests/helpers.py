@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from ustrindex import (
     CapacityError,
-    ContainerError,
     IndexContainer,
     QueryStats,
     TransformedText,
@@ -28,7 +28,7 @@ from ustrindex.factorize import (
 )
 from ustrindex.model import SUM_TOLERANCE, Documents, _flatten
 from ustrindex.qindex import _fold
-from ustrindex.textcore import TreeView, rmq_report, suffix_range
+from ustrindex.textcore import TreeView, build_suffix_array, rmq_report, suffix_range
 from ustrindex.datagen import _inject_correlations
 
 
@@ -67,6 +67,22 @@ def slot_of(saidx) -> np.ndarray:
     return np.argsort(saidx.sa) + 1
 
 
+_FULL_ORDERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def full_order(tt):
+    """The order of every suffix of ``tt``'s codes, which no index holds: sorted once per text, kept while it lives."""
+    full = _FULL_ORDERS.get(tt)
+    if full is None:
+        full = _FULL_ORDERS[tt] = build_suffix_array(tt.codes)
+    return full
+
+
+def full_slots(idx, ranks) -> np.ndarray:
+    """The 1-based slots in the order of every suffix of the factor starts at 1-based ``ranks`` of ``idx.saidx``."""
+    return slot_of(full_order(idx.tt))[idx.saidx.sa[np.asarray(ranks) - 1] - 1]
+
+
 def reference_report(depth, sp: int, ep: int, tau: float, stats) -> np.ndarray:
     """``SparseDepth.report`` by numpy alone: an ``int32`` needle, ``searchsorted`` and ``rmq_report``."""
     # entries before slot sp and before slot ep + 1; an int32 needle spares a cast of slots
@@ -79,15 +95,16 @@ def reference_suffix_order(codes: list[int]) -> list[int]:
     return sorted(range(len(codes)), key=lambda i: codes[i:])
 
 
-def reference_link_marks(tt, saidx) -> list[tuple[int, int, int, int]]:
+def reference_link_marks(tt) -> list[tuple[int, int, int, int]]:
     """Sorted (position, origin depth, target depth, witness) of every raw link.
 
-    The marking over an explicit suffix tree that ``build_links`` replaces:
+    The marking over an explicit suffix tree of every suffix that ``build_links`` replaces:
     leaves and the LCAs of consecutive d-leaves (found by climbing parent
     pointers) are marked d, and each mark links to its nearest d-marked
     proper ancestor.  The witness of an LCA is the left leaf of its leftmost
     pair.
     """
+    saidx = full_order(tt)
     tree = TreeView(saidx)
     room = tt.room(np.arange(tt.n))
     marks: dict[tuple[int, int], int] = {}
@@ -120,7 +137,7 @@ def reference_link_marks(tt, saidx) -> list[tuple[int, int, int, int]]:
     return sorted(out)
 
 
-def reference_build_links(tt, saidx) -> list[tuple[int, int, int, int, int]]:
+def reference_build_links(tt) -> list[tuple[int, int, int, int, int]]:
     """(position, origin depth, target depth, witness, factor start) of every raw link, in link order.
 
     The scalar marking ``build_links`` replaced: one left-to-right stack pass
@@ -129,6 +146,7 @@ def reference_build_links(tt, saidx) -> list[tuple[int, int, int, int, int]]:
     closes, deepest first.  The factor start of a link is the first d-leaf in
     slot order that starts a factor and spells the link's origin-depth string.
     """
+    saidx = full_order(tt)
     sa0 = saidx.sa - 1
     slot_pos = tt.pos[sa0]
     slots = np.flatnonzero(slot_pos) + 1
@@ -177,60 +195,128 @@ def link_rows(raw) -> list[tuple[int, int, int, int]]:
     return list(zip(*(c.tolist() for c in (raw.pos_id, raw.o_depth, raw.t_depth, raw.witness_off))))
 
 
-def reference_partition_links(raw, eps: float) -> tuple[np.ndarray, ...]:
-    """``LinkIndex`` arrays (origin, pos_id, stored, o_depth, t_depth) from the scalar cut rule.
+def reference_link_origins(raw) -> tuple[np.ndarray, np.ndarray]:
+    """Each raw link's origin, a 1-based rank among the factor starts in suffix order, and its reach, by brute force.
+
+    A link with a factor start is stabbed at that start's rank and reaches
+    its origin depth.  One without takes the factor start next to its
+    witness in the order of every suffix (``reference_suffix_order``), on
+    the side that shares more codes with it, the left on a tie, and reaches
+    as far as they share.
+    """
+    codes = raw.tt.codes.tolist()
+    heads = set(raw.tt.factor_runs()[0].tolist())
+    order = reference_suffix_order(codes)
+    rank_of, seen = {}, 0  # each slot's count of factor starts at it or before
+    for k, o in enumerate(order):
+        seen += o in heads
+        rank_of[o] = seen
+    factors = [o for o in order if o in heads]
+
+    def shared(a: int, b: int) -> int:
+        h = 0
+        while a + h < len(codes) and b + h < len(codes) and codes[a + h] == codes[b + h]:
+            h += 1
+        return h
+
+    origin, reach = [], []
+    for woff, f, deep in zip(raw.witness_off.tolist(), raw.factor_off.tolist(), raw.o_depth.tolist()):
+        if f >= 0:
+            origin.append(rank_of[f])
+            reach.append(deep)
+            continue
+        r = rank_of[woff]
+        left = shared(woff, factors[r - 1]) if r >= 1 else -1
+        right = shared(woff, factors[r]) if r < len(factors) else -1
+        origin.append(r + 1 if right > left else r)
+        reach.append(max(left, right))
+    return np.asarray(origin, dtype=np.int32), np.asarray(reach, dtype=np.int64)
+
+
+def _reference_segments(raw, eps: float) -> list[tuple[int, int, int, float, int, int]]:
+    """(link, position, witness, stored value, origin depth, target depth) of every segment, from the scalar cut rule.
 
     Every link's window comes from the growth rule at its witness; each
-    link is cut in Python, deep to shallow, and the segments are ordered by
-    origin slot, stably.
+    link is cut in Python, deep to shallow.
     """
     u = raw.tt.source
     flat = batch_prefix_probabilities(u, raw.pos_id, raw.tt.codes, raw.witness_off, raw.o_depth)
-    witness, pos_id, stored, o_depth, t_depth = [], [], [], [], []
-
-    def emit(d: int, woff: int, prob: float, deep: int, shallow: int) -> None:
-        witness.append(woff)
-        pos_id.append(d)
-        stored.append(prob)
-        o_depth.append(deep)
-        t_depth.append(shallow)
-
+    segments = []
     base = 0
-    for d, origin_depth, target_depth, woff in link_rows(raw):
+    for link, (d, origin_depth, target_depth, woff) in enumerate(link_rows(raw)):
         probs = flat[base : base + origin_depth].tolist()
         base += origin_depth
         seg_deep = origin_depth
         anchor = probs[seg_deep - 1]
         for ell in range(origin_depth - 1, target_depth, -1):
             if probs[ell - 1] - anchor > eps:
-                emit(d, woff, probs[ell], seg_deep, ell)
+                segments.append((link, d, woff, probs[ell], seg_deep, ell))
                 seg_deep = ell
                 anchor = probs[ell - 1]
-        emit(d, woff, probs[target_depth], seg_deep, target_depth)
+        segments.append((link, d, woff, probs[target_depth], seg_deep, target_depth))
+    return segments
 
-    origin = slot_of(raw.saidx)[np.asarray(witness, dtype=np.int64)].astype(np.int32)
+
+def _link_arrays(origin, rows) -> tuple[np.ndarray, ...]:
+    """``LinkIndex`` arrays (origin, pos_id, stored, o_depth, t_depth) of segment ``rows``, ordered by origin stably."""
+    origin = np.asarray(origin, dtype=np.int32)
     order = np.argsort(origin, kind="stable")
-    return (
-        origin[order],
-        np.asarray(pos_id, dtype=np.int32)[order],
-        np.asarray(stored, dtype=np.float64)[order],
-        np.asarray(o_depth, dtype=np.int32)[order],
-        np.asarray(t_depth, dtype=np.int32)[order],
-    )
+    columns = [np.asarray([r[k] for r in rows], dtype=t)[order] for k, t in enumerate((np.int32, np.float64, np.int32, np.int32))]
+    return (origin[order], *columns)
+
+
+def reference_partition_links(raw, eps: float) -> tuple[np.ndarray, ...]:
+    """``LinkIndex`` arrays (origin, pos_id, stored, o_depth, t_depth) from the scalar cut rule.
+
+    Each segment takes its link's origin from ``reference_link_origins`` and
+    ends at the link's reach; a segment wholly past the reach is dropped.
+    """
+    origin, reach = (a.tolist() for a in reference_link_origins(raw))
+    segments = [s for s in _reference_segments(raw, eps) if s[5] < reach[s[0]]]
+    rows = [(d, prob, min(deep, reach[link]), shallow) for link, d, _, prob, deep, shallow in segments]
+    return _link_arrays([origin[s[0]] for s in segments], rows)
+
+
+def reference_full_order_approx(raw, eps: float):
+    """``approx_items`` as a ``LinkIndex`` over the order of every suffix answers: (p, tau) -> items.
+
+    Segments keep their witness's slot in that order as their origin and
+    stab within the pattern's slot range there, with nothing clipped.
+    """
+    full = full_order(raw.tt)
+    segments = _reference_segments(raw, eps)
+    slots = slot_of(full)
+    origin = [int(slots[woff]) for _, _, woff, *_ in segments]
+    rows = [(d, prob, deep, shallow) for _, d, _, prob, deep, shallow in segments]
+    origin, pos_id, stored, o_depth, t_depth = _link_arrays(origin, rows)
+
+    def items(p: str, tau: float) -> list[tuple[int, float]]:
+        rng = suffix_range(full, p)
+        if rng is None:
+            return []
+        m = len(p)
+        hit = (origin >= rng[0]) & (origin <= rng[1]) & (t_depth < m) & (m <= o_depth) & (stored >= tau)
+        best: dict[int, float] = {}
+        for d, v in zip(pos_id[hit].tolist(), stored[hit].tolist()):
+            best[d] = max(best.get(d, v), v)
+        return sorted(best.items())
+
+    return items
 
 
 def max_segment_spread(u: UncertainString, idx, ln) -> float:
-    """Largest within-segment probability spread of a ``LinkIndex``, recomputed at the witnesses.
+    """Largest within-segment probability spread of a ``LinkIndex``, recomputed at the origins' factor starts.
 
     One ``batch_prefix_probabilities`` call, the growth rule, yields every
-    segment's window at its witness leaf.  Asserts on the way that each
-    witness belongs to the segment's position and has room for its origin
-    depth, that the depths are ordered, and that each segment stores the
-    probability of its shallowest prefix bit for bit.
+    segment's window at its position, spelled by the factor start at its
+    origin.  Asserts on the way that each such start has room for the
+    origin depth, that the depths are ordered, and that each segment stores
+    the probability of its shallowest prefix bit for bit.  The start is of
+    the segment's position unless its link's node holds no factor start,
+    where any start that spells the window serves.
     """
     tt, sa = idx.tt, idx.saidx.sa
     witness = sa[ln.origin - 1] - 1
-    assert np.array_equal(tt.pos[witness], ln.pos_id)
     assert np.all(tt.room(witness) >= ln.o_depth)
     assert np.all((0 <= ln.t_depth) & (ln.t_depth < ln.o_depth))
     probs = batch_prefix_probabilities(u, ln.pos_id, tt.codes, witness, ln.o_depth)
@@ -289,45 +375,52 @@ def with_m_short(built, m_short: int | None):
     return built
 
 
-def _reference_factor_starts(tt, saidx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending 0-based slots of the factor starts, the starts and their run lengths, via the inverse suffix array."""
+def _reference_factor_starts(tt) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The factor starts in suffix order, their 0-based slots in the order of every suffix, their run lengths, and its LCP array.
+
+    A factor start's rank in the index's order is its place here, 0-based.
+    """
+    full = full_order(tt)
     starts, ends = tt.factor_runs()
-    slots = slot_of(saidx)[starts] - 1
+    slots = slot_of(full)[starts] - 1
     order = np.argsort(slots)
-    return slots[order], starts[order], (ends - starts)[order]
+    return starts[order], slots[order], (ends - starts)[order], full.lcp
 
 
-def reference_long_tables(tt, saidx, tau_min: float, m_short: int) -> dict[int, np.ndarray]:
+def reference_long_tables(tt, tau_min: float, m_short: int) -> dict[int, np.ndarray]:
     """Block maxima of every depth m_short < i <= the longest factor, all built at once.
 
     The eager loop of the substring build before long tables were built on
     first read: per depth, the factor-start windows reaching tau_min, folded
-    into one maximum per i slots by ``np.maximum.at``.
+    into one maximum per i ranks by ``np.maximum.at``.
     """
-    slots, starts, room = _reference_factor_starts(tt, saidx)
+    starts, _, room, _ = _reference_factor_starts(tt)
+    ranks = np.arange(starts.size)
     tables = {}
     for i in range(m_short + 1, tt.longest_factor + 1):
         live = room >= i
         values = tt.cum[starts[live] + i - 1]
         keep = values >= tau_min
-        pb = np.zeros(-(-tt.n // i))
-        np.maximum.at(pb, slots[live][keep] // i, values[keep])
+        pb = np.zeros(-(-starts.size // i))
+        np.maximum.at(pb, ranks[live][keep] // i, values[keep])
         tables[i] = pb
     return tables
 
 
 def reference_short_tables(idx) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Values, slots and labels of every short depth 1..m_short of either index kind, all built at once.
+    """Values, ranks and labels of every short depth 1..m_short of either index kind, all built at once.
 
     The eager loop of both builds before short tables were built on first
-    read: per depth, the factor-start windows reaching tau_min in slot order;
-    a row opens a partition when an LCP between it and the row before falls
-    below the depth; one entry per (partition, key) at the key's first slot,
-    its occurrences folded in ascending original position.  The key is the
-    original position (substring, metric ``max``) or the document (listing).
+    read, over the order of every suffix: per depth, the factor-start windows
+    reaching tau_min in slot order; a row opens a partition when an LCP
+    between it and the row before falls below the depth; one entry per
+    (partition, key) at the key's first slot, its occurrences folded in
+    ascending original position, and that slot's rank among the factor
+    starts.  The key is the original position (substring, metric ``max``)
+    or the document (listing).
     """
-    tt, lcp = idx.tt, idx.saidx.lcp
-    all_slots, all_starts, room = _reference_factor_starts(tt, idx.saidx)
+    tt = idx.tt
+    all_starts, all_slots, room, lcp = _reference_factor_starts(tt)
     listing = hasattr(idx, "doc_of")
     span = np.int64(max((d.n for d in idx.collection.docs), default=0) + 1) if listing else None
     tables = []
@@ -352,13 +445,13 @@ def reference_short_tables(idx) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
         heads = np.flatnonzero(head)
         first_slot = np.minimum.reduceat(slots[first], heads)
         order = np.argsort(first_slot)
-        kept = (first_slot[order] + 1).astype(np.int32)
+        kept = (np.searchsorted(all_slots, first_slot[order]) + 1).astype(np.int32)
         tables.append((_fold(values[first], heads, metric)[order], kept, g[heads][order].astype(np.int32)))
     return tables
 
 
 def check_short_tables(idx) -> None:
-    """Every short depth of ``idx`` equals ``reference_short_tables``' bit for bit, values, slots and labels."""
+    """Every short depth of ``idx`` equals ``reference_short_tables``' bit for bit, values, ranks and labels."""
     want = reference_short_tables(idx)
     assert len(idx.short_tables) == len(want) == idx.m_short
     for (values, depth), (w_values, w_slots, w_labels) in zip(idx.short_tables, want):
@@ -369,11 +462,11 @@ def check_short_tables(idx) -> None:
 
 
 def reference_factor_hits(tt, sa, ranges: list[tuple[int, int]], m: int, floor: float):
-    """Factor starts in the slot ranges ``[lo, hi]`` of a length-``m`` pattern, and their values >= ``floor``.
+    """Factor starts in the ranges ``[lo, hi]`` of ``sa`` of a length-``m`` pattern, and their values >= ``floor``.
 
-    The long-query scan before queries read the slot-sorted factor starts:
-    every suffix-array slot of the ranges in order, kept where the offset
-    follows a separator or opens the text.
+    The long-query scan before queries read the factor starts alone: every
+    slot of the ranges in order, kept where the offset follows a separator
+    or opens the text.  ``sa`` orders every suffix, or only factor starts.
     """
     pieces = [sa[lo - 1 : hi] for lo, hi in ranges]
     off = np.concatenate(pieces) - 1 if pieces else np.zeros(0, dtype=np.int64)
@@ -384,9 +477,10 @@ def reference_factor_hits(tt, sa, ranges: list[tuple[int, int]], m: int, floor: 
 
 
 def reference_long_query(idx, p: str, tau: float):
-    """A long substring query through ``reference_factor_hits``: items, stats, the slot ranges read and the path.
+    """A long substring query through ``reference_factor_hits``: items, stats, the rank ranges read and the path.
 
-    The ranges are the partial end blocks, then the blocks ``rmq_report``
+    The ranges, in ranks of the index's order of the factor starts, are the
+    partial end blocks, then the blocks ``rmq_report``
     finds ("blocks+ends", or "blocks" without partial ends), or the whole
     range when no block lies inside it ("scan"); repeated positions keep their
     first value, as ``np.unique(return_index=True)`` does.
@@ -420,11 +514,12 @@ def reference_long_query(idx, p: str, tau: float):
 
 
 def reference_long_listing(idx, p: str, tau: float) -> list[tuple[str, float]]:
-    """A long listing query through ``reference_factor_hits`` over the pattern's whole slot range."""
-    rng = suffix_range(idx.saidx, p)
+    """A long listing query through ``reference_factor_hits`` over the pattern's whole slot range in the full order."""
+    full = full_order(idx.tt)
+    rng = suffix_range(full, p)
     if rng is None:
         return []
-    off, values = reference_factor_hits(idx.tt, idx.saidx.sa, [rng], len(p), idx.tau_min)
+    off, values = reference_factor_hits(idx.tt, full.sa, [rng], len(p), idx.tau_min)
     doc, orig = idx.doc_of[off], idx.tt.pos[off]
     _, first = np.unique(doc * (orig.max(initial=0) + 1) + orig, return_index=True)
     doc = doc[first]
@@ -677,7 +772,8 @@ def reference_prefix_doubling(codes: np.ndarray, rounds: list[np.ndarray] | None
     """``textcore._prefix_doubling`` from one ``argsort`` of the codes, doubling from one code.
 
     Every round, the first ones included, sorts the groups of more than one
-    suffix by ``rank * (n + 1) + rank of the suffix 2^j further``.
+    suffix by ``rank * (n + 1) + rank of the suffix 2^j further``; the last
+    of the ``rounds`` ranks every suffix apart.
     """
     n = codes.size
     order = np.argsort(codes)
@@ -688,10 +784,10 @@ def reference_prefix_doubling(codes: np.ndarray, rounds: list[np.ndarray] | None
         rank[sub] = np.maximum.accumulate(np.where(head, live, 0))
         more = ~(head & np.append(head[1:], True))
         live, sub = live[more], sub[more]
-        if not live.size:
-            return order
         if rounds is not None:
             rounds.append(rank.copy())
+        if not live.size:
+            return order
         key = rank[sub].astype(np.int64)
         key *= n + 1
         key += rank[np.minimum(sub, n - k) + k] + 1
@@ -699,24 +795,6 @@ def reference_prefix_doubling(codes: np.ndarray, rounds: list[np.ndarray] | None
         order[live] = sub = sub[by_key]
         key = key[by_key]
         k *= 2
-
-
-def reference_check_suffix_array(codes: np.ndarray, sa: np.ndarray) -> None:
-    """``textcore.check_suffix_array`` with two compare chains in place of one fused key; raises alike.
-
-    Consecutive slots holding suffixes a and b must satisfy ``codes[a] <
-    codes[b]``, or equal codes and ``rank[a + 1] < rank[b + 1]``.
-    """
-    n = codes.size
-    if sa.shape != (n,) or (n and (sa.min() < 1 or sa.max() > n)):
-        raise ContainerError(f"the stored suffix array is not a permutation of 1..{n}")
-    rank = np.full(n + 1, -1, dtype=np.int64)
-    rank[sa - 1] = np.arange(n)
-    if np.any(rank[:n] < 0):
-        raise ContainerError(f"the stored suffix array is not a permutation of 1..{n}")
-    head, after = codes[sa - 1], rank[sa]
-    if np.any((head[1:] < head[:-1]) | ((head[1:] == head[:-1]) & (after[1:] <= after[:-1]))):
-        raise ContainerError("the stored suffix array does not sort the suffixes of the text")
 
 
 def readable_text(tt: TransformedText) -> str:

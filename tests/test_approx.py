@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -30,10 +31,12 @@ from helpers import (
     link_rows,
     max_segment_spread,
     random_ustring,
+    readable_text,
     reference_build_links,
+    reference_full_order_approx,
     reference_link_marks,
+    reference_link_origins,
     reference_partition_links,
-    slot_of,
 )
 
 LINK_ARRAYS = ("origin", "pos_id", "stored", "o_depth", "t_depth")
@@ -140,15 +143,17 @@ def test_link_marking_matches_the_suffix_tree_reference(seed):
     idx = build(u, tau_min)
     raw = build_links(idx.tt, idx.saidx)
     got = sorted(link_rows(raw))
-    assert got == reference_link_marks(idx.tt, idx.saidx)
+    assert got == reference_link_marks(idx.tt)
 
 
 def _assert_links_match_references(idx, raw, eps_values) -> None:
     got = list(zip(*(a.tolist() for a in (raw.pos_id, raw.o_depth, raw.t_depth, raw.witness_off, raw.factor_off))))
-    assert got == reference_build_links(idx.tt, idx.saidx)
-    # positions and offsets keep the int32 of the text's pos and sa; depths are lifted in int64
-    dtypes = [a.dtype for a in (raw.pos_id, raw.o_depth, raw.t_depth, raw.witness_off, raw.factor_off)]
-    assert dtypes == [np.int32, np.int64, np.int64, np.int32, np.int64]
+    assert got == reference_build_links(idx.tt)
+    origin, reach = reference_link_origins(raw)
+    assert np.array_equal(raw.origin, origin) and np.array_equal(raw.reach, reach)
+    # positions, offsets and ranks keep the int32 of the text's pos and sa; depths are lifted in int64
+    dtypes = [a.dtype for a in (raw.pos_id, raw.o_depth, raw.t_depth, raw.witness_off, raw.factor_off, raw.origin)]
+    assert dtypes == [np.int32, np.int64, np.int64, np.int32, np.int64, np.int32] and raw.reach.dtype == np.int64
     for eps in eps_values:
         ln = partition_links(raw, eps)
         for name, want in zip(LINK_ARRAYS, reference_partition_links(raw, eps)):
@@ -164,6 +169,30 @@ def test_vectorized_links_match_the_scalar_references(seed):
     tau_min = rng.choice((0.05, 0.15, 0.35))
     idx = build(u, tau_min)
     _assert_links_match_references(idx, build_links(idx.tt, idx.saidx), (1e-9, 0.01, 0.05, 0.2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_approx_over_the_factor_order_answers_as_over_every_suffix(seed):
+    """``approx_items`` stabs factor-start ranks exactly as segments at their witnesses' slots stab in the full order.
+
+    Every window of the text up to five codes long, and some longer, is a
+    pattern; the values compare by ``float.hex``.
+    """
+    rng = random.Random(seed)
+    u = random_ustring(rng, n=rng.randint(3, 30), correlation_rate=rng.choice((0.3, 0.6)))
+    tau_min = rng.choice((0.05, 0.15, 0.35))
+    eps = rng.choice((1e-9, 0.05, 0.2))
+    idx = build(u, tau_min)
+    raw = build_links(idx.tt, idx.saidx)
+    ln, want = partition_links(raw, eps), reference_full_order_approx(raw, eps)
+    runs = readable_text(idx.tt).split("$")
+    patterns = {r[b : b + m] for r in runs for m in range(1, 6) for b in range(len(r) - m + 1)}
+    patterns |= {r[b:] for r in runs for b in range(len(r))} | {"zq"}
+    for p in sorted(patterns - {""}):
+        for tau in (tau_min, 0.5):
+            got = approx_items(ln, p, tau)
+            assert [(d, v.hex()) for d, v in got] == [(d, v.hex()) for d, v in want(p, tau)], (p, tau)
 
 
 @pytest.mark.parametrize("lost", ["every third", "all"])
@@ -200,9 +229,12 @@ def test_a_window_below_its_factor_links_without_a_factor_start():
     assert lost.size == 1
     (k,) = lost
     assert (raw.pos_id[k], raw.o_depth[k], raw.t_depth[k]) == (3, 1, 0)
-    exact = partition_links(raw, 1e-9)
-    at = np.flatnonzero(exact.origin == slot_of(idx.saidx)[raw.witness_off[k]])
-    assert exact.stored[at].tolist() == [0.2] and exact.pos_id[at].tolist() == [3]
+    # no factor start begins with "s", so the link reaches no depth and no segment of it is kept; kept to its
+    # origin depth, it stores the growth rule's 0.2, below tau_min, where no query reads it
+    assert raw.reach[k] == 0
+    kept, whole = (partition_links(r, 1e-9) for r in (raw, replace(raw, reach=raw.o_depth)))
+    rows = [Counter(zip(*(getattr(ln, a).tolist() for a in LINK_ARRAYS))) for ln in (whole, kept)]
+    assert list((rows[0] - rows[1]).elements()) == [(raw.origin[k], 3, 0.2, 1, 0)]
     patterns = ["".join(w) for m in (1, 2, 3) for w in itertools.product("cdstx", repeat=m)]
     for eps in (1e-9, 0.05, 0.3):
         ln = partition_links(raw, eps)
@@ -233,9 +265,7 @@ def test_link_marking_edge_cases(name):
     idx = build(u, 0.2)
     raw = build_links(idx.tt, idx.saidx)
     assert raw.pos_id.size > 0
-    assert sorted(link_rows(raw)) == (
-        reference_link_marks(idx.tt, idx.saidx)
-    )
+    assert sorted(link_rows(raw)) == reference_link_marks(idx.tt)
     _assert_links_match_references(idx, raw, (1e-9, 0.05, 0.5, 1.0))
 
 

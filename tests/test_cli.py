@@ -179,7 +179,7 @@ def test_tampered_listing_manifest_exits_two(field, value, collection_file, tmp_
         "link value NaN",
         "cum NaN",
         "link origins reversed",
-        "sa swapped",
+        "order swapped",
     ],
 )
 def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, capsys):
@@ -207,12 +207,12 @@ def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, ca
             buf = io.BytesIO()
             np.save(buf, np.load(io.BytesIO(entries["link_origin.npy"]))[::-1])
             entries["link_origin.npy"] = buf.getvalue()
-        elif damage == "sa swapped":
-            sa = np.load(io.BytesIO(entries["sa.npy"]))
-            sa[[0, 1]] = sa[[1, 0]]
+        elif damage == "order swapped":
+            order = np.load(io.BytesIO(entries["order.npy"]))
+            order[[0, 1]] = order[[1, 0]]
             buf = io.BytesIO()
-            np.save(buf, sa)
-            entries["sa.npy"] = buf.getvalue()
+            np.save(buf, order)
+            entries["order.npy"] = buf.getvalue()
         elif damage in ("manifest tau_min a list", "manifest documents a string"):
             manifest = json.loads(entries["manifest.json"])
             manifest |= {"tau_min": [1]} if "tau_min" in damage else {"documents": "genome"}

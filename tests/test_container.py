@@ -5,14 +5,17 @@ from __future__ import annotations
 import io
 import json
 import random
+import tempfile
 import time
 import zipfile
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ustrindex import approx as approx_module
+from ustrindex import cli
 from ustrindex import container as container_module
 from ustrindex import textcore
 from ustrindex import (
@@ -473,7 +476,7 @@ def test_load_rejects_a_substring_manifest_with_two_sources(genome, correlated, 
         ("substring", "cum"),
         ("listing", "pos"),
         ("substring", "link_tdepth"),
-        ("substring", "sa"),
+        ("substring", "order"),
         ("listing", "doc_factors"),
     ],
 )
@@ -603,7 +606,8 @@ def _set_first(mask, value):
         ("substring", "codes", np.int64),
         ("substring", "codes", np.int32),
         ("substring", "codes", np.uint16),
-        ("substring", "sa", np.int64),
+        ("substring", "order", np.int64),
+        ("substring", "order", np.uint16),
         ("substring", "pos", np.int64),
         ("substring", "cum", np.float32),
         ("listing", "cum", np.float32),
@@ -623,21 +627,26 @@ def test_load_rejects_an_array_of_the_wrong_dtype(kind, member, dtype, genome, c
         load_container(path)
 
 
+def _past_the_ids(a):
+    """The largest factor id raised to the number of factors n, one past the last id."""
+    return np.where(a == a.max(), a.size, a).astype(a.dtype)
+
+
 @pytest.mark.parametrize(
     "change, what",
     [
-        (lambda a: a[::-1].copy(), "does not sort the suffixes"),
-        (lambda a: np.concatenate([a[:1], a[:-1]]), "is not a permutation"),  # a repeated offset
-        (_set_first(lambda a: a == a, 0), "is not a permutation"),
-        (_set_first(lambda a: a == a.max(), 10**6), "is not a permutation"),
+        (lambda a: a[::-1].copy(), "does not sort the factors"),
+        (lambda a: np.concatenate([a[:1], a[:-1]]), "is not a permutation"),  # a repeated id
+        (_set_first(lambda a: a != 0, 0), "is not a permutation"),
+        (_past_the_ids, "is not a permutation"),
     ],
     ids=["reversed", "repeated", "zero", "past n"],
 )
 def test_load_rejects_slots_out_of_order_or_range(change, what, genome, collection, tmp_path):
-    # a short table's slots are the ranks ``sa`` gives the factor starts, so a
-    # suffix array that puts slots out of order or range is rejected before any table is built
-    path = _tampered("substring", "sa", change, genome, collection, tmp_path)
-    with pytest.raises(ContainerError, match=f"the stored suffix array {what}"):
+    # a short table's ranks are the places ``order`` gives the factor starts, so an
+    # order that puts ranks out of order or range is rejected before any table is built
+    path = _tampered("substring", "order", change, genome, collection, tmp_path)
+    with pytest.raises(ContainerError, match=f"the stored order {what}"):
         load_container(path)
 
 
@@ -769,16 +778,17 @@ def test_load_rejects_tampered_link_arrays(member, change, what, genome, collect
     [
         ("substring", lambda a: np.concatenate([a[1::-1], a[2:]])),
         ("links", lambda a: np.roll(a, 1)),
-        ("substring", _set_first(lambda a: a == a.max(), 10**6)),
-        ("substring", _set_first(lambda a: a == a.min(), 0)),
+        ("substring", _past_the_ids),
+        ("substring", _set_first(lambda a: a == a.max(), 0)),
         ("listing", lambda a: np.concatenate([a[:1], a[:-1]])),
         ("listing", lambda a: np.concatenate([a[:-2], a[:-3:-1]])),
     ],
     ids=["swapped", "rotated", "past n", "zero", "duplicated", "last two swapped"],
 )
 def test_load_rejects_a_tampered_suffix_array(kind, change, genome, collection, tmp_path):
-    path = _tampered(kind, "sa", change, genome, collection, tmp_path)
-    with pytest.raises(ContainerError, match="stored suffix array"):
+    # ``order`` is the sparse suffix array of the factor starts, as factor ids
+    path = _tampered(kind, "order", change, genome, collection, tmp_path)
+    with pytest.raises(ContainerError, match="stored order"):
         load_container(path)
 
 
@@ -854,7 +864,7 @@ def test_load_rejects_a_plausible_tamper_by_its_digest(tamper, genome, collectio
     "change, what",
     [
         (lambda e: {**e, "extra.npy": e["cum.npy"]}, "member extra.npy has no digest"),
-        (lambda e: {**e, "sa.npy": e["sa.npy"] + b" "}, "sa.npy does not match its digest"),
+        (lambda e: {**e, "order.npy": e["order.npy"].replace(b" \n", b"\t\n", 1)}, "order.npy does not match its digest"),
         (lambda e: {**e, "source.ust": e["source.ust"].replace(b"ustr genome", b"ustr genomE")}, "source.ust does"),
     ],
     ids=["member without a digest", "member padded", "source renamed"],
@@ -1137,3 +1147,146 @@ def test_load_rejects_manifest_fields_a_save_does_not_write(kind, change, what, 
     _rewrite(path, _resealed({**entries, "manifest.json": json.dumps(manifest).encode()}))
     with pytest.raises(ContainerError, match=what):
         load_container(path)
+
+
+def test_load_rejects_a_version_9_container(genome, tmp_path):
+    path = str(tmp_path / "v9.usi")
+    container = build_container([genome], 0.1, epsilon=0.05)
+    save_container(container, path)
+    entries = _entries(path)
+    # version 9 stored the order of every suffix as sa, and link origins as slots in it
+    sub = container.substring
+    full = textcore.build_suffix_array(sub.tt.codes)
+    slot_of = np.argsort(full.sa).astype(np.int32) + 1
+    version_9 = {"sa": full.sa, "link_origin": slot_of[sub.saidx.sa[container.links.origin - 1] - 1]}
+    del entries["order.npy"]
+    for name, arr in version_9.items():
+        entries[f"{name}.npy"] = _npy(arr)
+    manifest = json.loads(entries["manifest.json"]) | {"format_version": 9}
+    _rewrite(path, _resealed({**entries, "manifest.json": json.dumps(manifest).encode()}))
+    with pytest.raises(ContainerError, match="unsupported container version 9"):
+        load_container(path)
+
+
+def _npy(arr: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["substring", "links", "listing", "empty", "many factors"])
+def test_a_container_stores_the_factor_order_narrow_and_no_suffix_array(kind, genome, collection, tmp_path):
+    if kind == "listing":
+        container = build_container(list(collection.docs), 0.1, metric="or")
+    elif kind == "empty":
+        u = UncertainString("flat", ({"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5}))
+        container = build_container([u], 0.9, epsilon=0.05)
+    elif kind == "many factors":
+        corpus = "".join(random.Random(5).choice("abcdefgh") for _ in range(400))
+        container = build_container([generate(corpus, GenConfig(theta=0.3, seed=5))], 0.2)
+    else:
+        container = build_container([genome], 0.1, epsilon=0.05 if kind == "links" else None)
+    path = str(tmp_path / "o.usi")
+    save_container(container, path)
+    entries = _entries(path)
+    assert "sa.npy" not in entries
+    order = np.load(io.BytesIO(entries["order.npy"]))
+    idx = container.substring or container.listing
+    starts = idx.tt.factor_runs()[0]
+    assert order.dtype == (np.uint16 if kind == "many factors" else np.uint8) == np.min_scalar_type(max(starts.size - 1, 0))
+    # the ids of the factor starts in the index's order, which a load turns back into int32 offsets
+    assert np.array_equal(starts[order] + 1, idx.saidx.sa)
+    back = load_container(path)
+    assert (back.substring or back.listing).saidx.sa.dtype == np.int32
+    assert np.array_equal((back.substring or back.listing).saidx.sa, idx.saidx.sa)
+
+
+def _order_cases(ids: np.ndarray, texts: list[tuple], rng: random.Random) -> dict[str, list[np.ndarray]]:
+    """Mutations of the true ``ids``, by the part of the load check each must fail, given each factor's codes."""
+    f = ids.size
+    cases: dict[str, list[np.ndarray]] = {"permutation": [], "sort": [], "shape": [ids[:-1]]}
+    if f > 1:
+        k = rng.randrange(f - 1)
+        swapped = ids.copy()
+        swapped[[k, k + 1]] = ids[[k + 1, k]]
+        cases["sort"].append(swapped)
+        repeated = ids.copy()
+        i, j = rng.sample(range(f), 2)
+        repeated[i] = ids[j]
+        cases["permutation"].append(repeated)
+    unknown = ids.copy()
+    unknown[rng.randrange(f)] = min(f, np.iinfo(ids.dtype).max)  # an id past the last, or the last one repeated
+    cases["permutation"].append(unknown)
+    # equal factors stand later-first, by their separators; put back in text order they do not sort
+    for k in range(f - 1):
+        if texts[ids[k]] == texts[ids[k + 1]]:
+            equal = ids.copy()
+            equal[[k, k + 1]] = ids[[k + 1, k]]
+            assert equal[k] < equal[k + 1]
+            cases["sort"].append(equal)
+    return cases
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_a_resealed_order_loads_only_when_it_is_the_true_one(seed, several):
+    """The true order loads; swapped neighbours, a repeated, missing or unknown id, and equal factors in text order,
+    each with the digests rewritten, raise ContainerError."""
+    rng = random.Random(seed)
+    u = random_ustring(rng, n=rng.randint(3, 20), alphabet="abc", correlation_rate=0.3)
+    # a document twice under two names, so that equal factors occur
+    docs = [u, UncertainString("twin", u.positions, u.correlations), random_ustring(rng, n=8, name="other")]
+    container = build_container(docs if several else [u], rng.choice((0.1, 0.3)), metric="or" if several else None)
+    idx = container.substring or container.listing
+    starts, ends = idx.tt.factor_runs()
+    texts = [tuple(idx.tt.codes[a:b].tolist()) for a, b in zip(starts.tolist(), ends.tolist())]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/r.usi"
+        save_container(container, path)
+        entries = _entries(path)
+        ids = np.load(io.BytesIO(entries["order.npy"]))
+        _rewrite(path, _resealed({**entries, "order.npy": _npy(ids)}))
+        back = load_container(path)
+        assert np.array_equal((back.substring or back.listing).saidx.sa, idx.saidx.sa)
+        cases = _order_cases(ids, texts, rng)
+        assert not several or len(cases["sort"]) > 1  # the twin's factors equal the first document's
+        for what, mutants in cases.items():
+            for wrong in mutants:
+                _rewrite(path, _resealed({**entries, "order.npy": _npy(wrong)}))
+                with pytest.raises(ContainerError, match="has shape" if what == "shape" else f"stored order .*{what}"):
+                    load_container(path)
+
+
+def _claiming(data: bytes, shape: tuple) -> bytes:
+    """A ``.npy`` member's bytes under a header that claims ``shape``."""
+    fh = io.BytesIO(data)
+    np.lib.format.read_magic(fh)
+    _, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+    head = io.BytesIO()
+    header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": fortran, "shape": shape}
+    np.lib.format.write_array_header_1_0(head, header)
+    return head.getvalue() + data[fh.tell() :]
+
+
+@pytest.mark.parametrize("claim", ["2**40", "one more", "one fewer"])
+def test_load_rejects_a_npy_header_that_claims_another_count(claim, genome, tmp_path):
+    # the header is read first: a count of 2**40 no longer asks numpy for 4 TiB, and one more than the
+    # member holds is no longer allocated before the read fails
+    path = str(tmp_path / "h.usi")
+    save_container(build_container([genome], 0.1), path)
+    entries = _entries(path)
+    count = np.load(io.BytesIO(entries["pos.npy"])).size
+    shape = {"2**40": 1 << 40, "one more": count + 1, "one fewer": count - 1}[claim]
+    _rewrite(path, {**entries, "pos.npy": _claiming(entries["pos.npy"], (shape,))})
+    with pytest.raises(ContainerError, match=rf"member pos.npy claims {4 * shape} bytes of int32 in shape \({shape},\)"):
+        load_container(path)
+
+
+def test_a_npy_header_claiming_2_to_the_40_exits_two_from_ustr_query(genome, tmp_path, capsys):
+    path = str(tmp_path / "h.usi")
+    save_container(build_container([genome], 0.1), path)
+    entries = _entries(path)
+    _rewrite(path, {**entries, "pos.npy": _claiming(entries["pos.npy"], (1 << 40,))})
+    assert cli.main(["query", path, "--pattern", "A", "--tau", "0.1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "claims" in err

@@ -1,12 +1,28 @@
-"""Mutated UST text, parsed and built: only typed errors come out, never a traceback."""
+"""Mutated UST text, parsed and built, and damaged containers, loaded: only typed errors come out, never a traceback."""
 
 from __future__ import annotations
 
+import io
+import json
 import random
+import tempfile
+import zipfile
+from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ustrindex import CapacityError, ParseError, build_container, parse_ust, serialize_ust
+from ustrindex import (
+    CapacityError,
+    ContainerError,
+    ParseError,
+    build_container,
+    container,
+    load_container,
+    parse_ust,
+    save_container,
+    serialize_ust,
+)
 
 from helpers import random_ustring
 
@@ -68,3 +84,91 @@ def test_mutated_ust_text_ends_in_a_typed_error(seed):
         build_container(docs, rng.choice((0.1, 0.3)), epsilon=rng.choice((None, 0.05)) if len(docs) == 1 else None)
     except (ValueError, CapacityError):
         pass
+
+
+def _containers() -> dict[str, bytes]:
+    """Small format-10 containers of the three kinds, as file bytes."""
+    rng = random.Random(0)
+    docs = [random_ustring(rng, n=12, correlation_rate=0.3, name=f"d{k}") for k in range(3)]
+    built = {
+        "substring": build_container(docs[:1], 0.1),
+        "links": build_container(docs[:1], 0.1, epsilon=0.05),
+        "listing": build_container(docs, 0.1, metric="or"),
+    }
+    saved = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, container in built.items():
+            save_container(container, f"{tmp}/{kind}.usi")
+            saved[kind] = Path(f"{tmp}/{kind}.usi").read_bytes()
+    return saved
+
+
+CONTAINERS = _containers()
+
+
+def _members(data: bytes) -> dict[str, bytes]:
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        return {name: zf.read(name) for name in zf.namelist()}
+
+
+def _zipped(members: dict[str, bytes], reseal: bool) -> bytes:
+    """``members`` as a valid zip, with the manifest's digests rewritten to fit them when ``reseal``."""
+    if reseal:
+        try:
+            manifest = json.loads(members["manifest.json"])
+            found = {name: container._sha256(data) for name, data in members.items() if name != "manifest.json"}
+            manifest["digests"] = container._digests(manifest, found)
+            members = {**members, "manifest.json": json.dumps(manifest).encode()}
+        except (ValueError, TypeError, AttributeError):
+            pass  # a manifest the rewrite broke stays as it is
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+    return buf.getvalue()
+
+
+def _huge_count(data: bytes, rng: random.Random) -> bytes:
+    """A ``.npy`` member under a header that claims a huge or an off-by-one count."""
+    fh = io.BytesIO(data)
+    np.lib.format.read_magic(fh)
+    shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+    count = rng.choice((1 << 40, 1 << 62, 2**31 + 1, shape[0] + 1, max(shape[0] - 1, 0), -1))
+    head = io.BytesIO()
+    header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": fortran, "shape": (count,)}
+    np.lib.format.write_array_header_1_0(head, header)
+    return head.getvalue() + data[fh.tell() :]
+
+
+def _damage(rng: random.Random, data: bytes) -> bytes:
+    """Bit flips or a truncation of the file, or one member rewritten in a valid zip, resealed or not."""
+    what = rng.random()
+    if what < 0.25:
+        out = bytearray(data)
+        for _ in range(rng.randint(1, 3)):
+            out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+        return bytes(out)
+    if what < 0.35:
+        return data[: rng.randrange(len(data))]
+    members = _members(data)
+    name = rng.choice(sorted(members))
+    if what < 0.5 and name.endswith(".npy"):
+        members[name] = _huge_count(members[name], rng)
+    elif members[name]:
+        out = bytearray(members[name])
+        out[rng.randrange(len(out))] = rng.randrange(256)
+        members[name] = bytes(out)
+    return _zipped(members, reseal=rng.random() < 0.5)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(sorted(CONTAINERS)))
+def test_a_damaged_container_ends_in_a_container_error(seed, kind):
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/d.usi"
+        Path(path).write_bytes(_damage(rng, CONTAINERS[kind]))
+        try:
+            load_container(path)
+        except ContainerError:
+            pass

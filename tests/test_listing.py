@@ -29,8 +29,16 @@ from ustrindex import (
 
 from ustrindex.listing import ListingIndex
 from ustrindex.qindex import _fold
+from ustrindex.textcore import build_suffix_array
 
-from helpers import partition_entries, reference_aggregate_depth, random_ustring, slot_depth_values, with_m_short
+from helpers import (
+    full_slots,
+    partition_entries,
+    random_ustring,
+    reference_aggregate_depth,
+    slot_depth_values,
+    with_m_short,
+)
 
 
 def test_worked_example_listing(collection):
@@ -147,13 +155,14 @@ def test_group_depth_matches_the_loop_reference(seed):
     sizes: set[int] = set()
     for metric in METRICS:
         idx = build_listing(collection, tau_min, metric)
-        sa0 = idx.saidx.sa - 1
+        full = build_suffix_array(idx.tt.codes)
+        sa0 = full.sa - 1
         slot_doc, orig = idx.doc_of[sa0], idx.tt.pos[sa0]
-        lcp = idx.saidx.lcp
-        depths = slot_depth_values(idx.tt, idx.saidx, lambda o: docs[int(idx.doc_of[o])], idx.m_short)
+        lcp = full.lcp
+        depths = slot_depth_values(idx.tt, full, lambda o: docs[int(idx.doc_of[o])], idx.m_short)
         for i, (c, (values, depth)) in enumerate(zip(depths, idx.short_tables), start=1):
             c = np.where(c < tau_min, 0.0, c)
-            got = partition_entries(depth.slots, values, lcp, i, slot_doc)
+            got = partition_entries(full_slots(idx, depth.slots), values, lcp, i, slot_doc)
             assert len({(p, k) for p, k, _ in got}) == len(got)
             want = reference_aggregate_depth(c, lcp, slot_doc, orig, i, len(docs), max(d.n for d in docs), metric)
             assert set(got) == set(partition_entries(*want, lcp, i, slot_doc))

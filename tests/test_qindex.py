@@ -17,6 +17,7 @@ from ustrindex import (
     Correlation,
     DocumentCollection,
     QueryStats,
+    ContainerError,
     ThresholdError,
     UncertainString,
     build,
@@ -36,9 +37,11 @@ from ustrindex import (
 )
 
 from ustrindex import qindex
+from ustrindex.textcore import build_suffix_array, check_factor_order
 
 from helpers import (
     check_short_tables,
+    full_slots,
     partition_entries,
     random_distribution,
     random_ustring,
@@ -105,7 +108,14 @@ def test_a_long_periodic_string_builds_and_answers():
     text = n * (n + 1) // 2 + n
     idx = build(UncertainString("abab", tuple({c: 1.0} for c in s)), 0.5, length_cap=text)
     assert idx.tt.n == text
-    assert int(idx.saidx.lcp.max()) == n - 1
+    assert int(build_suffix_array(idx.tt.codes).lcp.max()) == n - 1
+    # a load's check of the factor order, where consecutive factors share up to 2,998 codes, in linear work
+    starts = idx.tt.factor_runs()[0]
+    ids = np.searchsorted(starts, idx.saidx.sa - 1).astype(np.uint16)
+    assert np.array_equal(check_factor_order(idx.tt.codes, starts, ids).sa, idx.saidx.sa)
+    ids[[0, 1]] = ids[[1, 0]]
+    with pytest.raises(ContainerError, match="does not sort"):
+        check_factor_order(idx.tt.codes, starts, ids)
     for m in (1, 2, 7, idx.m_short + 1, 100, n - 1, n):
         for p in (s[:m], s[1 : m + 1]):
             want = [i + 1 for i in range(n - len(p) + 1) if s.startswith(p, i)]
@@ -165,12 +175,13 @@ def test_substring_tables_match_the_dedup_reference(seed):
     rng = random.Random(seed)
     u = random_ustring(rng, n=rng.randint(3, 24), alphabet="abc", correlation_rate=0.3)
     idx = with_m_short(build(u, rng.choice((0.1, 0.2, 0.3))), rng.choice((None, 6)))
-    depths = slot_depth_values(idx.tt, idx.saidx, lambda _o: u, idx.m_short)
-    orig = idx.tt.pos[idx.saidx.sa - 1]
-    lcp = idx.saidx.lcp
+    full = build_suffix_array(idx.tt.codes)
+    depths = slot_depth_values(idx.tt, full, lambda _o: u, idx.m_short)
+    orig = idx.tt.pos[full.sa - 1]
+    lcp = full.lcp
     for i, (c, (values, depth)) in enumerate(zip(depths, idx.short_tables), start=1):
         c = np.where(c < idx.tau_min, 0.0, c)
-        got = partition_entries(depth.slots, values, lcp, i, orig)
+        got = partition_entries(full_slots(idx, depth.slots), values, lcp, i, orig)
         assert len({(p, k) for p, k, _ in got}) == len(got)
         want = partition_entries(*reference_dedup_depth(c, lcp, orig, i, u.n), lcp, i, orig)
         assert set(got) == set(want)
@@ -180,7 +191,7 @@ def _long_tables_match_the_eager_reference(container, path: str) -> None:
     """Every long table a built and a loaded index make equals the eager loop's, bit for bit."""
     save_container(container, path)
     built = container.substring
-    want = reference_long_tables(built.tt, built.saidx, built.tau_min, built.m_short)
+    want = reference_long_tables(built.tt, built.tau_min, built.m_short)
     assert sorted(want) == list(range(built.m_short + 1, built.l_max + 1))
     for idx in (built, load_container(path).substring):
         for m, pb in want.items():
@@ -213,16 +224,16 @@ def test_a_long_table_is_built_only_when_a_query_reads_it(genome, tmp_path):
     save_container(container, path)
     for idx in (container.substring, with_m_short(load_container(path), 1).substring):
         assert idx.long_tables == {}
-        # each of these slot ranges fits inside one block of its length, which no table can prune
+        # each of these rank ranges fits inside one block of its length, which no table can prune
         for p in ("AIA", "FFPQ", "PSFPT", "QPP", "TATA"):
             assert query_with_stats(idx, p, 0.1)[1].block_scans == 1
         assert idx.long_tables == {}
-        # the range of "FP" covers whole blocks of two slots; counters as when every table was stored
-        want = QueryStats(rmq_calls=2, block_scans=6, outputs=1, slots_scanned=9)
+        # the range of "FP" covers whole blocks of two ranks; counters as when every table was stored
+        want = QueryStats(rmq_calls=1, block_scans=3, outputs=1, slots_scanned=3)
         assert query_with_stats(idx, "FP", 0.1) == ([3], want)
         assert list(idx.long_tables) == [2]
-        want = QueryStats(rmq_calls=1, block_scans=5, outputs=1, slots_scanned=3)
-        assert query_with_stats(idx, "PQP", 0.3) == ([4], want)
+        want = QueryStats(rmq_calls=1, block_scans=1, outputs=1, slots_scanned=1)
+        assert query_with_stats(idx, "PTP", 0.3) == ([4], want)
         assert sorted(idx.long_tables) == [2, 3]
 
 

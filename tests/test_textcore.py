@@ -1,4 +1,4 @@
-"""Suffix array, suffix range, tree view, and RMQ against brute-force references."""
+"""Suffix arrays full and sparse, the factor-order check, suffix range, tree view, and RMQ against brute-force references."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from ustrindex.textcore import (
     _prefix_doubling,
     TreeView,
     build_suffix_array,
-    check_suffix_array,
+    check_factor_order,
     locus,
     rmq_build,
     rmq_query,
@@ -27,7 +27,6 @@ from ustrindex.textcore import (
 )
 
 from helpers import (
-    reference_check_suffix_array,
     reference_prefix_doubling,
     reference_report,
     reference_suffix_order,
@@ -84,19 +83,18 @@ def test_lcp_of_one_long_periodic_factor():
         want[k] = int(np.argmin(np.append(a[:m] == b[:m], False)))
     assert idx.lcp.tolist() == want
     assert max(want) == 2998
-    # a checked array reruns the same pass for its LCP
-    assert check_suffix_array(codes, idx.sa).lcp.tolist() == want
 
 
 def test_suffix_array_handles_empty_text():
     idx = build_suffix_array([])
     assert idx.n == 0
     assert idx.sa.tolist() == []
+    assert build_suffix_array([], starts=[]).sa.tolist() == []
     empty = np.zeros(0, dtype=np.int64)
-    checked = check_suffix_array(empty, empty)
+    checked = check_factor_order(empty, empty, np.zeros(0, dtype=np.uint8))
     assert checked.n == 0 and checked.sa.tolist() == []
     with pytest.raises(ContainerError, match="not a permutation"):
-        check_suffix_array(empty, np.ones(1, dtype=np.int64))
+        check_factor_order(empty, empty, np.zeros(1, dtype=np.uint8))
 
 
 def separator_text(rng: random.Random) -> list[int]:
@@ -127,12 +125,14 @@ def test_pair_lift_matches_brute_force(seed):
     a, b = (np.array(c, dtype=np.int64) for c in zip(*((a, b) for a, b in pairs if a != b)))
     want = [common_prefix(codes[i:], codes[j:]) for i, j in zip(a.tolist(), b.tolist())]
     assert _lift(rounds, a, b).tolist() == want
-    # the LCP array is the lift over consecutive slots, for a built and a checked suffix array
+    # the LCP array is the lift over consecutive slots, for a full sort and a sparse sort of every suffix
     consecutive = [0] + _lift(rounds, order[:-1], order[1:]).tolist()
-    # the top round is lifted: two neighbours share at least 2^(rounds - 1) codes
-    assert not rounds or max(consecutive) >= 1 << (len(rounds) - 1)
+    # the last round ranks every suffix apart, and the one before it is lifted: two neighbours share at
+    # least 2^(rounds - 2) codes
+    assert np.array_equal(rounds[-1][order], np.arange(n)) and rounds[-1][n] == -1
+    assert len(rounds) < 2 or max(consecutive) >= 1 << (len(rounds) - 2)
     assert build_suffix_array(codes).lcp.tolist() == consecutive
-    assert check_suffix_array(np.asarray(codes, dtype=np.int64), order + 1).lcp.tolist() == consecutive
+    assert build_suffix_array(codes, starts=np.arange(n)).lcp.tolist() == consecutive
 
 
 def _sort_text(rng: random.Random, kind: str) -> list[int]:
@@ -217,78 +217,126 @@ def test_a_text_too_long_for_int32_ranks_raises_a_capacity_error(monkeypatch):
         build_suffix_array(codes)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10**6))
-def test_check_suffix_array_accepts_the_suffix_array_and_nothing_else(seed):
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(("separators", "unterminated", "repeated", "3-bit")), st.booleans())
+def test_a_sort_of_some_starts_is_the_full_order_cut_to_them(seed, kind, narrow):
+    """Any set of starts, on any text, sorts as the full order keeps them; its ranges are the brute-force ones.
+
+    ``narrow`` packs as few letters to a key as hold one, so that tied
+    groups re-sort over many rounds.
+    """
     rng = random.Random(seed)
-    codes = np.asarray(separator_text(rng), dtype=np.int64)
-    n = codes.size
-    sa = build_suffix_array(codes).sa
-    idx = check_suffix_array(codes, sa)
-    assert idx.sa.tolist() == [i + 1 for i in reference_suffix_order(codes.tolist())]
-
-    def swapped(i: int, j: int) -> np.ndarray:
-        out = sa.copy()
-        out[[i, j]] = out[[j, i]]
-        return out
-
-    bad = [swapped(k, k + 1) for k in range(n - 1)]
-    if n > 1:
-        bad += [swapped(*rng.sample(range(n), 2)) for _ in range(5)]
-        bad.append(np.roll(sa, 1))
-        duplicated = sa.copy()
-        i, j = rng.sample(range(n), 2)
-        duplicated[i] = sa[j]
-        bad.append(duplicated)
-    if n:
-        out_of_range = sa.copy()
-        out_of_range[rng.randrange(n)] = rng.choice((0, -1, n + 1))
-        bad.append(out_of_range)
-    for wrong in bad:
-        with pytest.raises(ContainerError, match="stored suffix array"):
-            check_suffix_array(codes, wrong)
+    codes = _sort_text(rng, kind)
+    n = len(codes)
+    starts = np.array(sorted(rng.sample(range(n), rng.randint(0, n))), dtype=np.int64)
+    with mock.patch.object(textcore, "_pack_letters", _narrow_keys) if narrow else contextlib.nullcontext():
+        idx = build_suffix_array(codes, starts=starts)
+    want = [i for i in reference_suffix_order(codes) if i in set(starts.tolist())]
+    assert idx.sa.dtype == np.int32 and (idx.sa - 1).tolist() == want
+    # keeping the rounds sorts every suffix and cuts the order to the starts
+    rounds: list[np.ndarray] = []
+    assert np.array_equal(build_suffix_array(codes, starts=starts, _rounds=rounds).sa, idx.sa)
+    assert rounds and np.array_equal(rounds[-1][:n], np.argsort(reference_suffix_order(codes)))
+    for _ in range(8):
+        if not want:
+            break
+        s = rng.choice(want)
+        pattern = [c for c in codes[s : s + rng.randint(1, 12)] if c >= 0] or [97]
+        if rng.random() < 0.3:
+            pattern = pattern + [rng.choice((97, 98))]
+        ranks = [k + 1 for k, i in enumerate(want) if codes[i : i + len(pattern)] == pattern]
+        assert suffix_range(idx, pattern) == ((ranks[0], ranks[-1]) if ranks else None)
 
 
-def _verdict(check, codes: np.ndarray, sa: np.ndarray) -> str | None:
-    """The message a check raises for ``sa``, or None when it accepts it."""
-    try:
-        check(codes, sa)
-    except ContainerError as exc:
-        return str(exc)
-    return None
+def factor_text(rng: random.Random) -> np.ndarray:
+    """A transformed text's codes: letters in factors, each ended by its own separator -1, -2, ... in text order."""
+    codes: list[int] = []
+    unit = [rng.choice((97, 98)) for _ in range(rng.randint(1, 3))]
+    for k in range(rng.randint(1, 12)):
+        if rng.random() < 0.3:  # a repeat of an earlier factor, or a long periodic one
+            body = rng.choice((unit * rng.randint(1, 30), codes[: max(1, codes.index(-1) if -1 in codes else 1)]))
+        else:
+            body = [rng.choice((97, 98, 99)) for _ in range(rng.randint(1, 8))]
+        codes += [c for c in body if c >= 0] or [97]
+        codes.append(-1 - k)
+    return np.asarray(codes, dtype=np.int32)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**6))
-def test_the_fused_check_gives_the_verdict_of_the_two_compare_chains(seed):
+def test_check_factor_order_accepts_the_order_and_nothing_else(seed):
+    """The true order passes; swapped ranks, a repeated, a missing or an unknown id, and equal factors in text order fail."""
     rng = random.Random(seed)
-    codes = np.asarray(separator_text(rng), dtype=np.int32)
-    n = codes.size
-    sa = build_suffix_array(codes).sa
-    cases = [(codes, sa)]
-    if n > 1:
-        i, j = rng.sample(range(n), 2)
-        k = rng.randrange(n - 1)
-        for a, b in ((i, j), (k, k + 1)):
-            swapped = sa.copy()
-            swapped[[a, b]] = sa[[b, a]]
-            cases.append((codes, swapped))
-        duplicated = sa.copy()
-        duplicated[i] = sa[j]
-        cases.append((codes, duplicated))
-    if n:
-        for bad in (0, n + 1):
-            out = sa.copy()
-            out[rng.randrange(n)] = bad
-            cases.append((codes, out))
-        # another letter under the same array: the sort may or may not still hold
-        changed = codes.copy()
-        changed[rng.randrange(n)] = rng.choice((97, 98, 99))
-        cases.append((changed, sa))
-    for text, cand in cases:
-        want = _verdict(reference_check_suffix_array, text.astype(np.int64), cand.astype(np.int64))
-        assert _verdict(check_suffix_array, text, cand) == want
-    assert _verdict(check_suffix_array, codes, sa) is None
+    codes = factor_text(rng)
+    ends = np.flatnonzero(codes < 0)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    ids = np.searchsorted(starts, build_suffix_array(codes, starts=starts).sa - 1).astype(np.uint8)
+    idx = check_factor_order(codes, starts, ids)
+    assert (idx.sa - 1).tolist() == [i for i in reference_suffix_order(codes.tolist()) if i in set(starts.tolist())]
+    f = ids.size
+
+    def swapped(i: int, j: int) -> np.ndarray:
+        out = ids.copy()
+        out[[i, j]] = out[[j, i]]
+        return out
+
+    bad = {"sort": [swapped(k, k + 1) for k in range(f - 1)]}
+    bad["permutation"] = [np.append(ids, 0), ids[:-1]]
+    if f > 1:
+        bad["sort"] += [swapped(*rng.sample(range(f), 2)), np.roll(ids, 1)]
+        repeated = ids.copy()
+        i, j = rng.sample(range(f), 2)
+        repeated[i] = ids[j]
+        bad["permutation"].append(repeated)
+    unknown = ids.copy()
+    unknown[rng.randrange(f)] = f
+    bad["permutation"].append(unknown)
+    # equal factors sort later-first, by their separators; text order puts them the wrong way round
+    text = [tuple(codes[a:b].tolist()) for a, b in zip(starts.tolist(), ends.tolist())]
+    for k in range(f - 1):
+        if text[ids[k]] == text[ids[k + 1]]:
+            bad["sort"].append(swapped(k, k + 1))
+            assert ids[k] > ids[k + 1]
+    for what, cases in bad.items():
+        for wrong in cases:
+            with pytest.raises(ContainerError, match=what):
+                check_factor_order(codes, starts, wrong)
+
+
+class _Reads(np.ndarray):
+    """Codes that count the gathers made from them and the codes those read."""
+
+    gathers = cells = 0
+
+    def __getitem__(self, key):
+        out = np.asarray(self)[key]
+        _Reads.gathers += 1
+        _Reads.cells += np.size(out)
+        return out
+
+
+def test_check_factor_order_compares_long_shared_factors_in_few_rounds():
+    """Factors sharing up to 2,998 codes pass and fail in a few dozen rounds and linear work, not thousands of rounds."""
+    s = [97, 98] * 1500
+    codes = np.asarray([c for k in range(0, 3000, 7) for c in s[k:] + [-1 - k // 7]], dtype=np.int32)
+    ends = np.flatnonzero(codes < 0)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    ids = np.searchsorted(starts, build_suffix_array(codes, starts=starts).sa - 1).astype(np.uint16)
+    wrong = ids.copy()
+    wrong[[-2, -1]] = wrong[[-1, -2]]
+    for order in (ids, wrong):
+        _Reads.gathers = _Reads.cells = 0
+        with pytest.raises(ContainerError, match="sort") if order is wrong else contextlib.nullcontext():
+            check_factor_order(codes.view(_Reads), starts, order)
+        # two gathers a round; each pair reads at most 8 codes plus twice those it shares, on each side
+        assert _Reads.gathers <= 2 * 30 and _Reads.cells <= 2 * (8 * ids.size + 2 * codes.size)
+
+
+def test_a_tree_view_needs_the_order_of_every_suffix():
+    codes = [97, 98, -1, 98, 97, -2]
+    assert TreeView(build_suffix_array(codes)).node_count > len(codes)
+    with pytest.raises(ValueError, match="all 6 suffixes"):
+        TreeView(build_suffix_array(codes, starts=[0, 3]))
 
 
 def test_a_built_suffix_array_is_int32_over_int32_codes():
@@ -314,7 +362,7 @@ def test_byte_starts_do_not_wrap_from_2_to_the_29_on():
 
 def test_pair_keys_are_exact_at_the_int32_extremes():
     n = (1 << 31) - 1
-    # the check pairs a code in [-n, 0x10FFFF] with a rank in [-1, n - 1], the sort a rank with a rank + 1 in [0, n]
+    # the sort pairs a rank in [-1, n - 1] with a rank + 1 in [0, n], and a code in [-n, 0x10FFFF] too is exact
     major = np.array([-n, -n, -1, 0, 0x10FFFF, n - 1, n - 1], dtype=np.int32)
     minor = np.array([-1, n - 1, n, 0, -1, n - 1, n], dtype=np.int32)
     key = textcore._pair_key(major, minor, n)
