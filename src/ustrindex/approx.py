@@ -5,11 +5,13 @@ d-marked leaf pairs; a link runs from each marked node to its nearest
 d-marked proper ancestor (the root stands in for every position).  Nodes are
 LCP intervals (Abouelhoda, Kurtz & Ohlebusch 2004), found as nearest smaller
 values over the LCPs of consecutive d-leaves, each lifted for its pair from
-the ranks of a sort of every suffix.  A link's origin is the rank, in the
-index's order of the factor starts, of a factor start inside its node: every
-d-leaf of the node spells the node's string, and so does that start.  Chains
-are cut over ``cum`` slices so that the probabilities inside one segment span
-at most epsilon; a query stabs the segments whose depth interval brackets
+the ranks of a sort of every suffix that the link build makes.  A link's
+origin is the rank, in the index's order of the factor starts, of a factor
+start inside its node: every d-leaf of the node spells the node's string,
+and so does that start; a node without one stores nothing a query could
+report, and gets no link.  Chains are cut over ``cum`` slices so that the
+probabilities inside one segment span at most epsilon, and each segment
+stores its largest; a query stabs the segments whose depth interval brackets
 the pattern length inside the pattern's rank range.
 Reported positions match at probability at least tau - epsilon while nothing
 at or above tau is missed.  Links and segments are rows of flat arrays, and
@@ -25,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .factorize import TransformedText, batch_prefix_probabilities
+from .factorize import TransformedText
 from .qindex import _FEW, _locate
 from .textcore import SuffixArrayIndex, _lift, _prefix_doubling, locus  # noqa: F401 - perfbench/tracer.py wraps locus
 
@@ -43,9 +45,8 @@ __all__ = [
 class RawLinks:
     """Uncut links in flat arrays, plus the structures needed to partition them.
 
-    Link r marks position ``pos_id[r]`` on depths ``t_depth[r] + 1 .. o_depth[r]`` at text offset ``witness_off[r]``,
-    and is stabbed at the 1-based rank ``origin[r]`` in ``saidx``, a factor start sharing ``reach[r]`` codes with the
-    witness: ``o_depth[r]`` or more, or fewer for a link whose node holds no factor start.
+    Link r marks position ``pos_id[r]`` on depths ``t_depth[r] + 1 .. o_depth[r]``, spelled at the 0-based text offset
+    ``factor_off[r]`` by a factor start of its node, and is stabbed at that start's 1-based rank ``origin[r]`` in ``saidx``.
     """
 
     tt: TransformedText
@@ -53,10 +54,8 @@ class RawLinks:
     pos_id: np.ndarray = field(repr=False)
     o_depth: np.ndarray = field(repr=False)
     t_depth: np.ndarray = field(repr=False)
-    witness_off: np.ndarray = field(repr=False)
-    factor_off: np.ndarray = field(repr=False)  # a factor start among the node's d-leaves; -1 when none
+    factor_off: np.ndarray = field(repr=False)
     origin: np.ndarray = field(repr=False)
-    reach: np.ndarray = field(repr=False)
 
 
 @dataclass(eq=False)
@@ -66,8 +65,8 @@ class LinkIndex:
     Segment r covers the prefixes of lengths ``t_depth[r] + 1 .. o_depth[r]``
     at position ``pos_id[r]``; ``origin[r]`` is the 1-based rank in
     ``saidx`` of a factor start that spells them, and ``stored[r]`` the
-    occurrence probability of the shallowest of those prefixes at the
-    position, the largest value inside the segment.
+    largest occurrence probability of those prefixes at the position: the
+    shallowest one's, unless a longer prefix is the more likely.
     """
 
     tt: TransformedText
@@ -101,45 +100,44 @@ def _nearest_smaller(h: np.ndarray, pair: np.ndarray, reach: int) -> tuple[np.nd
     return left - 1, right
 
 
-def build_links(tt: TransformedText, saidx: SuffixArrayIndex, *, _rounds=None) -> RawLinks:
+def build_links(tt: TransformedText, saidx: SuffixArrayIndex) -> RawLinks:
     """Mark nodes per original position and link each mark to its nearest marked ancestor.
 
-    ``saidx`` orders the factor starts of ``tt``, and the marks come from the
-    order of every suffix, the last of the ranks that the build's sort kept
-    in ``_rounds`` (emptied once read), or a rerun sort's.  With ``h_i`` the
-    LCP of the i-th and (i+1)-th d-leaf in slot order, a leaf links to depth
-    ``max(h_{i-1}, h_i)``, capped at the room before its separator; each
-    ``h_i`` is lifted for its pair alone from the ranks.  The internal nodes,
-    the Cartesian tree over ``h`` (nearest smaller values; Berkman, Schieber &
-    Vishkin 1993), start at each pair whose nearest left pair at most as deep
-    is shallower and link to the larger nearest smaller depth on either side
-    (0 when none), the left leaf of their leftmost pair the witness.  Each
-    link names a factor start among its node's d-leaves, whose ``cum`` holds
-    its values and whose rank in ``saidx`` is its origin.  A link whose node
-    holds none (possible only on correlated input) takes the factor start
-    next to its witness in slot order, on the side that shares more codes
-    with it, and reaches only as deep as they share.
+    ``saidx`` orders the factor starts of ``tt``; the marks come from the
+    order of every suffix, which this build sorts itself, keeping the ranks
+    of the sort's rounds.  With ``h_i`` the LCP of the i-th and (i+1)-th
+    d-leaf in slot order, a leaf links to depth ``max(h_{i-1}, h_i)``, capped
+    at the room before its separator; each ``h_i`` is lifted for its pair
+    alone from the ranks.  The internal nodes, the Cartesian tree over ``h``
+    (nearest smaller values; Berkman, Schieber & Vishkin 1993), start at
+    each pair whose nearest left pair at most as deep is shallower and link
+    to the larger nearest smaller depth on either side (0 when none).  Each
+    link names the first factor start among its node's d-leaves, whose
+    ``cum`` holds its values and whose rank in ``saidx`` is its origin.  A
+    node that holds none (possible only on correlated input) gets no link:
+    by conservation a prefix reaching tau_min at d lies in a factor aligned
+    at d, whose start would share more than the target depth with the
+    node's d-leaves and so lie among them; every value of such a link lies
+    below tau_min, where no query reads it.
     """
-    if _rounds is None:
-        _prefix_doubling(saidx.codes, _rounds := [])
-    slot = _rounds.pop()  # each suffix's 0-based slot in the order of every suffix; -1 past the end
-    sa = np.empty(tt.n, dtype=np.int32)  # that order's 0-based offsets
-    sa[slot[:-1]] = np.arange(tt.n, dtype=np.int32)
+    rounds: list[np.ndarray] = []
+    sa = _prefix_doubling(tt.codes, rounds)  # 0-based offsets in the order of every suffix
+    del rounds[-1]  # each suffix's own slot: no two suffixes share it, so no lift reads it
     leaves = sa[tt.pos[sa] > 0]
     d_of = tt.pos[leaves]
     # by position, then slot; a stable sort of 16-bit positions is a radix sort
     by_pos = np.argsort(d_of.astype(np.min_scalar_type(d_of.max(initial=0))), kind="stable")
-    witness, d_of = leaves[by_pos], d_of[by_pos]
+    leaves, d_of = leaves[by_pos], d_of[by_pos]
     # h[j]: LCP of leaves j and j + 1 of one position; -1 after a position's last leaf
-    h = np.full(witness.size, -1, dtype=np.int64)
+    h = np.full(leaves.size, -1, dtype=np.int64)
     same = np.flatnonzero(d_of[1:] == d_of[:-1])
-    h[same] = _lift(_rounds, witness[same], witness[same + 1])
+    h[same] = _lift(rounds, leaves[same], leaves[same + 1])
     # h ends in -1, so index -1 reads as no pair: h[j - 1] at j = 0, and h[prev] when nothing is left
     pair = np.flatnonzero(h > 0)
     prev, close = _nearest_smaller(h, pair, int(np.bincount(d_of).max(initial=0)))
     head = h[prev] < h[pair]
     pair, prev, close = pair[head], prev[head], close[head]
-    room = tt.room(witness)
+    room = tt.room(leaves)
     leaf_t = np.maximum(np.maximum(np.roll(h, 1), h), 0)
     leaf = np.flatnonzero(room > leaf_t)
     # a mark's d-leaves are lo..hi, and its link is emitted when index hi closes it
@@ -147,69 +145,52 @@ def build_links(tt: TransformedText, saidx: SuffixArrayIndex, *, _rounds=None) -
     o_depth = np.concatenate((room[leaf], h[pair]))
     t_depth = np.concatenate((leaf_t[leaf], np.maximum(np.maximum(h[prev], h[close]), 0)))
     order = np.lexsort((-o_depth, np.arange(mark.size) >= leaf.size, hi))  # a stack's order: leaf, then deeper
-    # the first factor-start d-leaf at or after lo, unless it lies past hi
-    starts = np.flatnonzero((witness == 0) | (tt.codes[witness - 1] < 0))
-    first = np.append(starts, witness.size)[np.searchsorted(starts, lo[order])]
-    factor_off = np.where(first <= hi[order], np.append(witness, -1)[first], -1)
-    mark, o_depth = mark[order], o_depth[order]
+    # the first factor-start d-leaf at or after lo, kept when it lies at or before hi
+    starts = np.flatnonzero((leaves == 0) | (tt.codes[leaves - 1] < 0))
+    first = np.append(starts, leaves.size)[np.searchsorted(starts, lo[order])]
+    kept = np.flatnonzero(first <= hi[order])
+    order, factor_off = order[kept], leaves[first[kept]]
     rank_of = np.zeros(tt.n, dtype=np.int32)  # each factor start's 1-based rank in saidx, by 0-based offset
     rank_of[saidx.sa - 1] = np.arange(1, saidx.sa.size + 1, dtype=np.int32)
-    origin, reach = rank_of[np.maximum(factor_off, 0)], o_depth.copy()
-    lost = np.flatnonzero(factor_off < 0)
-    if lost.size:
-        # the factor starts at ranks r and r + 1 lie on either side of the witness; 0 and F + 1 name none
-        below = np.searchsorted(slot[saidx.sa - 1], slot[witness[mark[lost]]]).astype(np.int32)
-        shared = []
-        for r in (below, below + 1):
-            has = (r >= 1) & (r <= saidx.sa.size)
-            off = saidx.sa[np.where(has, r, 1) - 1] - 1
-            shared.append(np.where(has, _lift(_rounds, witness[mark[lost]], off), -1))
-        right = shared[1] > shared[0]
-        origin[lost], reach[lost] = np.where(right, below + 1, below), np.maximum(*shared)
-    _rounds.clear()
-    return RawLinks(tt, saidx, d_of[mark], o_depth, t_depth[order], witness[mark], factor_off, origin, reach)
+    return RawLinks(tt, saidx, d_of[mark[order]], o_depth[order], t_depth[order], factor_off, rank_of[factor_off])
 
 
 def partition_links(raw: RawLinks, eps: float) -> LinkIndex:
     """Cut each raw link into segments whose inside probabilities span at most ``eps``.
 
-    A link reads its values from ``cum`` at its factor start, or from the
-    growth rule when it has none (possible only on correlated input).  Each
-    segment of a link is stabbed at the link's origin and ends at its reach:
-    deeper, no factor start spells the link's string, so no pattern finds it,
-    and a segment wholly below the reach is dropped.
+    A link reads its values from ``cum`` at its factor start.  The cut runs
+    deep to shallow and keeps the largest and smallest value of the open
+    segment; a value that would set them more than ``eps`` apart opens the
+    next segment.  Each segment stores its largest value, so a pattern at
+    or above tau is reported and one below tau - eps is not, also where a
+    longer prefix is the more likely; segments are stabbed at their link's
+    origin.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"epsilon {eps!r} not in (0, 1]")
-    if raw.tt.source is None:
-        raise ValueError("partitioning needs the transform's source string")
-    deep, shallow, lost = raw.o_depth, raw.t_depth, raw.factor_off < 0
+    deep, shallow = raw.o_depth, raw.t_depth
     span = deep - shallow
-    flat = batch_prefix_probabilities(raw.tt.source, raw.pos_id[lost], raw.tt.codes, raw.witness_off[lost], deep[lost])
-    start = raw.factor_off + shallow
-    start[lost] = raw.tt.n + np.cumsum(deep[lost]) - span[lost]  # flat follows cum
     # probs[ell] of link r, for shallow <= ell < deep, at vals[base[r] + ell - shallow[r]]
     base = np.cumsum(span) - span
-    vals = np.concatenate((raw.tt.cum, flat))[np.repeat(start - base, span) + np.arange(span.sum())]
+    vals = raw.tt.cum[np.repeat(raw.factor_off + shallow - base, span) + np.arange(span.sum())]
     # the cut rule deep to shallow, step k testing ell = deep - 1 - k; longest first, so open links lead
     rows = np.argsort(-span, kind="stable")
     last, top = (base + span - 1)[rows], deep[rows] - 1  # vals index of probs[deep - 1]
-    anchor, seg_deep = vals[last], top + 1
-    segs = []  # (link, deep, shallow, vals index of the stored value)
+    high, low, seg_deep = vals[last], vals[last], top + 1  # the open segments' largest and smallest values
+    segs = []  # (link, deep, shallow, stored value)
     for k, n in enumerate(np.searchsorted(-span[rows], -np.arange(2, span.max(initial=1) + 1), "right").tolist()):
         above = vals[last[:n] - 1 - k]  # probs[ell - 1]
-        cut = np.flatnonzero(above - anchor[:n] > eps)
-        segs.append((rows[cut], seg_deep[cut], top[cut] - k, last[cut] - k))
-        seg_deep[cut], anchor[cut] = top[cut] - k, above[cut]
-    segs.append((rows, seg_deep, shallow[rows], base[rows]))
-    link, o_depth, t_depth, at = (np.concatenate(a) for a in zip(*segs))
-    o_depth = np.minimum(o_depth, raw.reach[link])
-    kept = np.flatnonzero(t_depth < o_depth)
-    link, o_depth, t_depth, at = link[kept], o_depth[kept], t_depth[kept], at[kept]
+        up, down = np.maximum(high[:n], above), np.minimum(low[:n], above)
+        cut = np.flatnonzero(up - down > eps)
+        segs.append((rows[cut], seg_deep[cut], top[cut] - k, high[cut]))
+        high[:n], low[:n] = up, down
+        seg_deep[cut], high[cut], low[cut] = top[cut] - k, above[cut], above[cut]
+    segs.append((rows, seg_deep, shallow[rows], high))
+    link, o_depth, t_depth, stored = (np.concatenate(a) for a in zip(*segs))
     origin = raw.origin[link]
     order = np.lexsort((-o_depth, link, origin))
     origin, pos_id, o_depth, t_depth = (a[order].astype(np.int32) for a in (origin, raw.pos_id[link], o_depth, t_depth))
-    return LinkIndex(raw.tt, raw.saidx, eps, origin, pos_id, vals[at][order], o_depth, t_depth)
+    return LinkIndex(raw.tt, raw.saidx, eps, origin, pos_id, stored[order], o_depth, t_depth)
 
 
 def approx_items(idx: LinkIndex, p: str, tau: float) -> list[tuple[int, float]]:

@@ -125,9 +125,8 @@ def build_container(
         collection = DocumentCollection(tuple(docs))
         lidx = build_listing(collection, tau_min, metric or "max", length_cap=length_cap)
         return IndexContainer(listing=lidx)
-    rounds = None if epsilon is None else []  # the sort's ranks, dropped once the links have read them
-    sub = build(docs[0], tau_min, length_cap=length_cap, _rounds=rounds)
-    links = None if epsilon is None else partition_links(build_links(sub.tt, sub.saidx, _rounds=rounds), epsilon)
+    sub = build(docs[0], tau_min, length_cap=length_cap)
+    links = None if epsilon is None else partition_links(build_links(sub.tt, sub.saidx), epsilon)
     return IndexContainer(substring=sub, links=links)
 
 

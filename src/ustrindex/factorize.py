@@ -18,10 +18,8 @@ reaches tau_min, as ``(start, code, prob, bound)`` rows, and extends all of
 them by one character in a few numpy steps.  Each row keeps only its last
 code and a link to the window it extends (``_Trie``), so a level costs its
 row count, not its rows times k.  ``_extend`` is the single copy of the
-growth rule; ``batch_prefix_probabilities`` drives it along given symbols
-instead of along every alternative.  The ``prob`` of a maximal window's ancestors
-become its ``cum``.  Those are left-to-right products of the same
-multiplicands
+growth rule.  The ``prob`` of a maximal window's ancestors become its
+``cum``.  Those are left-to-right products of the same multiplicands
 ``model.occurrence_probability`` uses, so threshold comparisons downstream
 agree bitwise with the model; the index tables and the long queries of both
 index kinds read them straight from ``cum`` at the factor starts.
@@ -51,7 +49,6 @@ from .model import (
 __all__ = [
     "MaximalFactor",
     "TransformedText",
-    "batch_prefix_probabilities",
     "transform",
 ]
 
@@ -296,40 +293,6 @@ def _levels(
 def _check_tau_min(tau_min: float) -> None:
     if not 0.0 < tau_min <= 1.0:
         raise ValueError(f"tau_min {tau_min!r} not in (0, 1]")
-
-
-def batch_prefix_probabilities(
-    u: UncertainString, starts: np.ndarray, codes: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Occurrence probability of every prefix of many windows, in one frontier.
-
-    Window r spells ``codes[offsets[r] : offsets[r] + lengths[r]]`` at
-    ``starts[r]``.  Returns the windows' prefix probabilities back to back,
-    ``lengths[r]`` values for window r, each equal bit for bit to
-    ``occurrence_probability`` of that prefix.
-    """
-    starts, offsets, lengths = (np.asarray(a, dtype=np.int64) for a in (starts, offsets, lengths))
-    ends, live = starts + lengths - 1, lengths > 0
-    if np.any(live & ((starts < 1) | (ends > u.n))):
-        raise ValueError(f"a window lies outside the string of length {u.n}")
-    lo, hi = int(starts[live].min(initial=1)), int(ends[live].max(initial=0))
-    alts = _alternatives(u, _flatten(u.positions[lo - 1 : hi], lo))
-    out = np.empty(int(lengths.sum()))
-    # longest first, so the windows still growing at step k are the first rows
-    order = np.argsort(-lengths, kind="stable")
-    start, offsets, base = starts[order], offsets[order], (np.cumsum(lengths) - lengths)[order]
-    growing = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
-    trie = _Trie()
-    prob = bound = np.ones(start.size)
-    for k, rows in enumerate(growing.tolist()):
-        start, offsets, base = start[:rows], offsets[:rows], base[:rows]
-        code = codes[offsets + k].astype(np.int32)
-        alt = alts.lookup(start + k, code)
-        same = np.arange(rows)
-        prob, bound = _extend(u, alts, trie, start, prob[:rows], bound[:rows], same, alt, code)
-        out[base + k] = prob
-        trie.add(same, code)
-    return out
 
 
 @dataclass(eq=False)

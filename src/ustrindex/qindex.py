@@ -232,16 +232,15 @@ def _fold(values: np.ndarray, starts: np.ndarray, metric: str) -> np.ndarray:
     return np.where(sizes == 1, total, total - prod)
 
 
-def build(u: UncertainString, tau_min: float, *, length_cap: int | None = None, _rounds=None) -> SubstringIndex:
+def build(u: UncertainString, tau_min: float, *, length_cap: int | None = None) -> SubstringIndex:
     """Construct the substring index; None picks the default ``length_cap``.
 
-    Only the factor starts are sorted, unless ``_rounds`` asks for the ranks
-    of a sort of every suffix, which a link build reads.  The transform's
-    errors propagate: ValueError for an invalid string or tau_min,
-    CapacityError for a text over its cap.
+    Only the factor starts are sorted.  The transform's errors propagate:
+    ValueError for an invalid string or tau_min, CapacityError for a text
+    over its cap.
     """
     tt = transform(u, tau_min, length_cap)
-    return SubstringIndex(tt, build_suffix_array(tt.codes, starts=tt.factor_runs()[0], _rounds=_rounds))
+    return SubstringIndex(tt, build_suffix_array(tt.codes, starts=tt.factor_runs()[0]))
 
 
 def _collect(idx, ranges: list[tuple[int, int]], m: int, floor: float, key) -> dict:

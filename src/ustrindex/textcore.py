@@ -19,9 +19,9 @@ by those keys, re-sorting the tied groups on the keys further on
 (``_sort_starts``); it keeps no LCP array.  Loads never sort: they accept a
 stored order of the factors after the linear check of
 ``check_factor_order``.  The ranks of the full sort's rounds give the LCP of
-any two suffixes by binary lifting (``_lift``): a build that marks
-approximate links keeps them for the pairs it reads, and a read of ``lcp``,
-which no build, load or query makes, reruns the sort to keep them.
+any two suffixes by binary lifting (``_lift``): a link build sorts every
+suffix to keep them for the pairs it reads, and a read of ``lcp``, which no
+build, load or query makes, sorts every suffix again.
 ``SparseDepth`` is the one format of a sparse short table: the nonzero
 entries of a per-length table in rank order, which ``rmq_report`` reports
 block by block, each with the label a query reports it under; a range inside
@@ -318,23 +318,14 @@ def _sort_starts(codes: np.ndarray, starts: np.ndarray) -> np.ndarray:
         key, group = key[by_key], group[by_key]
 
 
-def build_suffix_array(text, *, starts=None, _rounds: list[np.ndarray] | None = None) -> SuffixArrayIndex:
+def build_suffix_array(text, *, starts=None) -> SuffixArrayIndex:
     """Sort the suffixes of ``text`` that begin at the 0-based offsets ``starts``, every suffix for None.
 
-    Only they are sorted (``_sort_starts``), unless ``_rounds`` asks for the
-    ranks for ``_lift``: then every suffix is sorted by prefix doubling, the
-    rounds end with each suffix's own 0-based rank, and the order is then cut
-    to ``starts``.
+    Every suffix sorts by prefix doubling (``_prefix_doubling``), a chosen
+    set alone by its keys (``_sort_starts``).
     """
     codes = _encode_text(text)
-    if starts is None or _rounds is not None:
-        sa = _prefix_doubling(codes, _rounds)
-        if starts is not None:
-            keep = np.zeros(codes.size, dtype=bool)
-            keep[starts] = True
-            sa = sa[keep[sa]]
-    else:
-        sa = _sort_starts(codes, starts)
+    sa = _prefix_doubling(codes) if starts is None else _sort_starts(codes, starts)
     sa += 1
     return SuffixArrayIndex(codes, sa)
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from ustrindex import (
     CapacityError,
+    Correlation,
     IndexContainer,
     QueryStats,
     TransformedText,
@@ -23,8 +24,9 @@ from ustrindex.factorize import (
     _Alternatives,
     _alternatives,
     _check_tau_min,
+    _extend,
     _levels,
-    batch_prefix_probabilities,
+    _Trie,
 )
 from ustrindex.model import SUM_TOLERANCE, Documents, _flatten
 from ustrindex.qindex import _fold
@@ -62,6 +64,59 @@ def random_ustring(
     return UncertainString(name, tuple(positions), corrs)
 
 
+def batch_prefix_probabilities(
+    u: UncertainString, starts: np.ndarray, codes: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Occurrence probability of every prefix of many windows, in one frontier.
+
+    Window r spells ``codes[offsets[r] : offsets[r] + lengths[r]]`` at
+    ``starts[r]``.  Returns the windows' prefix probabilities back to back,
+    ``lengths[r]`` values for window r, each equal bit for bit to
+    ``occurrence_probability`` of that prefix.
+    """
+    starts, offsets, lengths = (np.asarray(a, dtype=np.int64) for a in (starts, offsets, lengths))
+    ends, live = starts + lengths - 1, lengths > 0
+    if np.any(live & ((starts < 1) | (ends > u.n))):
+        raise ValueError(f"a window lies outside the string of length {u.n}")
+    lo, hi = int(starts[live].min(initial=1)), int(ends[live].max(initial=0))
+    alts = _alternatives(u, _flatten(u.positions[lo - 1 : hi], lo))
+    out = np.empty(int(lengths.sum()))
+    # longest first, so the windows still growing at step k are the first rows
+    order = np.argsort(-lengths, kind="stable")
+    start, offsets, base = starts[order], offsets[order], (np.cumsum(lengths) - lengths)[order]
+    growing = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
+    trie = _Trie()
+    prob = bound = np.ones(start.size)
+    for k, rows in enumerate(growing.tolist()):
+        start, offsets, base = start[:rows], offsets[:rows], base[:rows]
+        code = codes[offsets + k].astype(np.int32)
+        alt = alts.lookup(start + k, code)
+        same = np.arange(rows)
+        prob, bound = _extend(u, alts, trie, start, prob[:rows], bound[:rows], same, alt, code)
+        out[base + k] = prob
+        trie.add(same, code)
+    return out
+
+
+def correlation_chain(rng: random.Random, n: int) -> UncertainString:
+    """A valid random string over ``abc`` whose correlations need not keep worlds summing to 1.
+
+    Each position, with probability 0.7, conditions one of its symbols on a
+    symbol 1-3 positions to its left or 1-2 to its right, with conditional
+    probabilities drawn apart from the base ones: a marginal need not match,
+    a longer prefix can be more likely than a shorter one, and one position
+    may condition several.
+    """
+    positions = [random_distribution(rng, "abc", 3) if rng.random() < 0.7 else {rng.choice("abc"): 1.0} for _ in range(n)]
+    corrs = []
+    for i in range(1, n + 1):
+        j = i + rng.choice((-3, -2, -1, 1, 2))
+        if rng.random() < 0.7 and 1 <= j <= n:
+            src, cond = (rng.choice(sorted(positions[k - 1])) for k in (i, j))
+            corrs.append(Correlation(i, src, j, cond, rng.random() ** 0.3, rng.choice((0.0, rng.random()))))
+    return UncertainString("chain", tuple(positions), tuple(corrs))
+
+
 def slot_of(saidx) -> np.ndarray:
     """Each 0-based text offset's 1-based slot: the inverse suffix array."""
     return np.argsort(saidx.sa) + 1
@@ -95,18 +150,21 @@ def reference_suffix_order(codes: list[int]) -> list[int]:
     return sorted(range(len(codes)), key=lambda i: codes[i:])
 
 
-def reference_link_marks(tt) -> list[tuple[int, int, int, int]]:
-    """Sorted (position, origin depth, target depth, witness) of every raw link.
+def reference_link_marks(tt) -> list[tuple[int, int, int, int, int]]:
+    """Sorted (position, origin depth, target depth, witness, factor start) of every mark's link.
 
     The marking over an explicit suffix tree of every suffix that ``build_links`` replaces:
     leaves and the LCAs of consecutive d-leaves (found by climbing parent
     pointers) are marked d, and each mark links to its nearest d-marked
     proper ancestor.  The witness of an LCA is the left leaf of its leftmost
-    pair.
+    pair.  The factor start is the first d-leaf of the node, in preorder,
+    that starts a factor, or -1 for none: ``build_links`` keeps only the
+    links that have one.
     """
     saidx = full_order(tt)
     tree = TreeView(saidx)
     room = tt.room(np.arange(tt.n))
+    codes = tt.codes.tolist()
     marks: dict[tuple[int, int], int] = {}
     by_pos: dict[int, list[tuple[int, int]]] = {}
     for k in range(1, saidx.n + 1):
@@ -132,19 +190,22 @@ def reference_link_marks(tt) -> list[tuple[int, int, int, int]]:
         o_depth = int(tree.depth[node])
         if tree.subtree_end[node] == node:
             o_depth = min(o_depth, int(room[woff]))
+        inside = (o for leaf, o in by_pos[d] if node <= leaf <= tree.subtree_end[node])
+        factor = next((o for o in inside if o == 0 or codes[o - 1] < 0), -1)
         if o_depth > tree.depth[anc]:
-            out.append((d, o_depth, int(tree.depth[anc]), woff))
+            out.append((d, o_depth, int(tree.depth[anc]), woff, factor))
     return sorted(out)
 
 
-def reference_build_links(tt) -> list[tuple[int, int, int, int, int]]:
-    """(position, origin depth, target depth, witness, factor start) of every raw link, in link order.
+def reference_build_links(tt) -> list[tuple[int, int, int, int]]:
+    """(position, origin depth, target depth, factor start) of every raw link, in link order.
 
     The scalar marking ``build_links`` replaced: one left-to-right stack pass
     over ``h``, the LCPs of consecutive d-leaves (-1 after a position's last
     leaf), emitting a leaf mark before the Cartesian-tree nodes that index
     closes, deepest first.  The factor start of a link is the first d-leaf in
-    slot order that starts a factor and spells the link's origin-depth string.
+    slot order that starts a factor and spells the link's origin-depth string;
+    a mark without one has no link.
     """
     saidx = full_order(tt)
     sa0 = saidx.sa - 1
@@ -185,75 +246,50 @@ def reference_build_links(tt) -> list[tuple[int, int, int, int, int]]:
     for j, origin, target in marks:
         d, w = d_of[j], witness[j]
         spelled = codes[w : w + origin]
-        factor = next((b for b in starts.get(d, ()) if codes[b : b + origin] == spelled), -1)
-        out.append((d, origin, target, w, factor))
+        factor = next((b for b in starts.get(d, ()) if codes[b : b + origin] == spelled), None)
+        if factor is not None:
+            out.append((d, origin, target, factor))
     return out
 
 
 def link_rows(raw) -> list[tuple[int, int, int, int]]:
-    """(position, origin depth, target depth, witness offset) of every ``RawLinks`` row, in link order."""
-    return list(zip(*(c.tolist() for c in (raw.pos_id, raw.o_depth, raw.t_depth, raw.witness_off))))
+    """(position, origin depth, target depth, factor start) of every ``RawLinks`` row, in link order."""
+    return list(zip(*(c.tolist() for c in (raw.pos_id, raw.o_depth, raw.t_depth, raw.factor_off))))
 
 
-def reference_link_origins(raw) -> tuple[np.ndarray, np.ndarray]:
-    """Each raw link's origin, a 1-based rank among the factor starts in suffix order, and its reach, by brute force.
-
-    A link with a factor start is stabbed at that start's rank and reaches
-    its origin depth.  One without takes the factor start next to its
-    witness in the order of every suffix (``reference_suffix_order``), on
-    the side that shares more codes with it, the left on a tie, and reaches
-    as far as they share.
-    """
-    codes = raw.tt.codes.tolist()
+def reference_link_origins(raw) -> np.ndarray:
+    """Each raw link's origin by brute force: the 1-based rank of its factor start among the factor starts in suffix order."""
     heads = set(raw.tt.factor_runs()[0].tolist())
-    order = reference_suffix_order(codes)
-    rank_of, seen = {}, 0  # each slot's count of factor starts at it or before
-    for k, o in enumerate(order):
-        seen += o in heads
-        rank_of[o] = seen
-    factors = [o for o in order if o in heads]
-
-    def shared(a: int, b: int) -> int:
-        h = 0
-        while a + h < len(codes) and b + h < len(codes) and codes[a + h] == codes[b + h]:
-            h += 1
-        return h
-
-    origin, reach = [], []
-    for woff, f, deep in zip(raw.witness_off.tolist(), raw.factor_off.tolist(), raw.o_depth.tolist()):
-        if f >= 0:
-            origin.append(rank_of[f])
-            reach.append(deep)
-            continue
-        r = rank_of[woff]
-        left = shared(woff, factors[r - 1]) if r >= 1 else -1
-        right = shared(woff, factors[r]) if r < len(factors) else -1
-        origin.append(r + 1 if right > left else r)
-        reach.append(max(left, right))
-    return np.asarray(origin, dtype=np.int32), np.asarray(reach, dtype=np.int64)
+    factors = [o for o in reference_suffix_order(raw.tt.codes.tolist()) if o in heads]
+    rank_of = {o: r for r, o in enumerate(factors, 1)}
+    return np.asarray([rank_of[f] for f in raw.factor_off.tolist()], dtype=np.int32)
 
 
 def _reference_segments(raw, eps: float) -> list[tuple[int, int, int, float, int, int]]:
-    """(link, position, witness, stored value, origin depth, target depth) of every segment, from the scalar cut rule.
+    """(link, position, factor start, stored value, origin depth, target depth) of every segment, from the scalar cut rule.
 
-    Every link's window comes from the growth rule at its witness; each
-    link is cut in Python, deep to shallow.
+    Every link's window comes from the growth rule at its factor start; each
+    link is cut in Python, deep to shallow.  A segment keeps its largest and
+    smallest value, ends before a value that would set them more than
+    ``eps`` apart, and stores its largest.
     """
     u = raw.tt.source
-    flat = batch_prefix_probabilities(u, raw.pos_id, raw.tt.codes, raw.witness_off, raw.o_depth)
+    flat = batch_prefix_probabilities(u, raw.pos_id, raw.tt.codes, raw.factor_off, raw.o_depth)
     segments = []
     base = 0
-    for link, (d, origin_depth, target_depth, woff) in enumerate(link_rows(raw)):
+    for link, (d, origin_depth, target_depth, f) in enumerate(link_rows(raw)):
         probs = flat[base : base + origin_depth].tolist()
         base += origin_depth
         seg_deep = origin_depth
-        anchor = probs[seg_deep - 1]
+        high = low = probs[seg_deep - 1]
         for ell in range(origin_depth - 1, target_depth, -1):
-            if probs[ell - 1] - anchor > eps:
-                segments.append((link, d, woff, probs[ell], seg_deep, ell))
-                seg_deep = ell
-                anchor = probs[ell - 1]
-        segments.append((link, d, woff, probs[target_depth], seg_deep, target_depth))
+            v = probs[ell - 1]
+            if max(high, v) - min(low, v) > eps:
+                segments.append((link, d, f, high, seg_deep, ell))
+                seg_deep, high, low = ell, v, v
+            else:
+                high, low = max(high, v), min(low, v)
+        segments.append((link, d, f, high, seg_deep, target_depth))
     return segments
 
 
@@ -268,25 +304,24 @@ def _link_arrays(origin, rows) -> tuple[np.ndarray, ...]:
 def reference_partition_links(raw, eps: float) -> tuple[np.ndarray, ...]:
     """``LinkIndex`` arrays (origin, pos_id, stored, o_depth, t_depth) from the scalar cut rule.
 
-    Each segment takes its link's origin from ``reference_link_origins`` and
-    ends at the link's reach; a segment wholly past the reach is dropped.
+    Each segment takes its link's origin from ``reference_link_origins``.
     """
-    origin, reach = (a.tolist() for a in reference_link_origins(raw))
-    segments = [s for s in _reference_segments(raw, eps) if s[5] < reach[s[0]]]
-    rows = [(d, prob, min(deep, reach[link]), shallow) for link, d, _, prob, deep, shallow in segments]
+    origin = reference_link_origins(raw).tolist()
+    segments = _reference_segments(raw, eps)
+    rows = [(d, prob, deep, shallow) for _, d, _, prob, deep, shallow in segments]
     return _link_arrays([origin[s[0]] for s in segments], rows)
 
 
 def reference_full_order_approx(raw, eps: float):
     """``approx_items`` as a ``LinkIndex`` over the order of every suffix answers: (p, tau) -> items.
 
-    Segments keep their witness's slot in that order as their origin and
-    stab within the pattern's slot range there, with nothing clipped.
+    Segments keep their factor start's slot in that order as their origin
+    and stab within the pattern's slot range there.
     """
     full = full_order(raw.tt)
     segments = _reference_segments(raw, eps)
     slots = slot_of(full)
-    origin = [int(slots[woff]) for _, _, woff, *_ in segments]
+    origin = [int(slots[f]) for _, _, f, *_ in segments]
     rows = [(d, prob, deep, shallow) for _, d, _, prob, deep, shallow in segments]
     origin, pos_id, stored, o_depth, t_depth = _link_arrays(origin, rows)
 
@@ -311,19 +346,22 @@ def max_segment_spread(u: UncertainString, idx, ln) -> float:
     segment's window at its position, spelled by the factor start at its
     origin.  Asserts on the way that each such start has room for the
     origin depth, that the depths are ordered, and that each segment stores
-    the probability of its shallowest prefix bit for bit.  The start is of
-    the segment's position unless its link's node holds no factor start,
-    where any start that spells the window serves.
+    its largest value bit for bit.
     """
     tt, sa = idx.tt, idx.saidx.sa
-    witness = sa[ln.origin - 1] - 1
-    assert np.all(tt.room(witness) >= ln.o_depth)
+    start = sa[ln.origin - 1] - 1
+    assert np.all(tt.room(start) >= ln.o_depth)
     assert np.all((0 <= ln.t_depth) & (ln.t_depth < ln.o_depth))
-    probs = batch_prefix_probabilities(u, ln.pos_id, tt.codes, witness, ln.o_depth)
-    base = np.cumsum(ln.o_depth) - ln.o_depth
-    top, bottom = probs[base + ln.t_depth], probs[base + ln.o_depth - 1]
-    assert ln.stored.tobytes() == top.tobytes()
-    return float((top - bottom).max(initial=0.0))
+    if not len(ln):
+        return 0.0
+    probs = batch_prefix_probabilities(u, ln.pos_id, tt.codes, start, ln.o_depth)
+    # segment r's values are probs[base[r] + t_depth[r] : base[r] + o_depth[r]], at vals[first[r]:] in vals
+    base, span = np.cumsum(ln.o_depth) - ln.o_depth, ln.o_depth - ln.t_depth
+    first = np.cumsum(span) - span
+    vals = probs[np.repeat(base + ln.t_depth - first, span) + np.arange(span.sum())]
+    high, low = np.maximum.reduceat(vals, first), np.minimum.reduceat(vals, first)
+    assert ln.stored.tobytes() == high.tobytes()
+    return float((high - low).max())
 
 
 def slot_depth_values(tt, saidx, doc_at, depths: int) -> list:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +19,7 @@ from ustrindex import (
     approx_query,
     build,
     build_links,
+    occurrence_probability,
     oracle_search,
     partition_links,
     query,
@@ -28,6 +28,7 @@ from ustrindex import (
 )
 
 from helpers import (
+    correlation_chain,
     link_rows,
     max_segment_spread,
     random_ustring,
@@ -120,18 +121,26 @@ def test_partition_links_validates_epsilon(genome):
             partition_links(raw, eps)
 
 
-def test_partition_links_needs_a_source(genome):
+def test_partition_links_reads_no_source(genome):
+    """Links read their values from ``cum`` alone: a text without its source string partitions as the built one."""
     idx = build(genome, 0.1)
     raw = build_links(idx.tt, idx.saidx)
     orphaned = replace(raw, tt=replace(idx.tt, documents=None))
-    with pytest.raises(ValueError, match="source"):
-        partition_links(orphaned, 0.1)
+    assert orphaned.tt.source is None
+    want, got = partition_links(raw, 0.1), partition_links(orphaned, 0.1)
+    for name in LINK_ARRAYS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_links_build_no_tree_view(genome):
     idx, ln = _linked(genome, 0.1, 0.05)
     approx_query(ln, "A", 0.1)
     assert "tree" not in idx.__dict__
+
+
+def _linked_marks(tt) -> list[tuple[int, int, int, int]]:
+    """Sorted (position, origin depth, target depth, factor start) of the reference marks that hold a factor start."""
+    return sorted((d, o, t, f) for d, o, t, _, f in reference_link_marks(tt) if f >= 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,18 +151,15 @@ def test_link_marking_matches_the_suffix_tree_reference(seed):
     tau_min = rng.choice((0.05, 0.15, 0.35))
     idx = build(u, tau_min)
     raw = build_links(idx.tt, idx.saidx)
-    got = sorted(link_rows(raw))
-    assert got == reference_link_marks(idx.tt)
+    assert sorted(link_rows(raw)) == _linked_marks(idx.tt)
 
 
 def _assert_links_match_references(idx, raw, eps_values) -> None:
-    got = list(zip(*(a.tolist() for a in (raw.pos_id, raw.o_depth, raw.t_depth, raw.witness_off, raw.factor_off))))
-    assert got == reference_build_links(idx.tt)
-    origin, reach = reference_link_origins(raw)
-    assert np.array_equal(raw.origin, origin) and np.array_equal(raw.reach, reach)
+    assert link_rows(raw) == reference_build_links(idx.tt)
+    assert np.array_equal(raw.origin, reference_link_origins(raw))
     # positions, offsets and ranks keep the int32 of the text's pos and sa; depths are lifted in int64
-    dtypes = [a.dtype for a in (raw.pos_id, raw.o_depth, raw.t_depth, raw.witness_off, raw.factor_off, raw.origin)]
-    assert dtypes == [np.int32, np.int64, np.int64, np.int32, np.int64, np.int32] and raw.reach.dtype == np.int64
+    dtypes = [a.dtype for a in (raw.pos_id, raw.o_depth, raw.t_depth, raw.factor_off, raw.origin)]
+    assert dtypes == [np.int32, np.int64, np.int64, np.int32, np.int32]
     for eps in eps_values:
         ln = partition_links(raw, eps)
         for name, want in zip(LINK_ARRAYS, reference_partition_links(raw, eps)):
@@ -174,7 +180,7 @@ def test_vectorized_links_match_the_scalar_references(seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_approx_over_the_factor_order_answers_as_over_every_suffix(seed):
-    """``approx_items`` stabs factor-start ranks exactly as segments at their witnesses' slots stab in the full order.
+    """``approx_items`` stabs factor-start ranks exactly as segments at those starts' slots stab in the full order.
 
     Every window of the text up to five codes long, and some longer, is a
     pattern; the values compare by ``float.hex``.
@@ -195,27 +201,13 @@ def test_approx_over_the_factor_order_answers_as_over_every_suffix(seed):
             assert [(d, v.hex()) for d, v in got] == [(d, v.hex()) for d, v in want(p, tau)], (p, tau)
 
 
-@pytest.mark.parametrize("lost", ["every third", "all"])
-def test_links_without_a_factor_start_read_the_growth_rule(lost):
-    u = random_ustring(random.Random(5), n=24, correlation_rate=0.6)
-    idx = build(u, 0.05)
-    raw = build_links(idx.tt, idx.saidx)
-    assert np.all(raw.factor_off >= 0)
-    mask = np.arange(raw.pos_id.size) % 3 == 0 if lost == "every third" else np.ones(raw.pos_id.size, dtype=bool)
-    orphaned = replace(raw, factor_off=np.where(mask, -1, raw.factor_off))
-    for eps in (1e-9, 0.05, 0.2):
-        want, got = partition_links(raw, eps), partition_links(orphaned, eps)
-        for name in LINK_ARRAYS:
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (name, eps)
-
-
 def test_a_window_below_its_factor_links_without_a_factor_start():
     """A correlated window inside a factor can be less likely than the factor.
 
     ``cs`` at 2 holds 0.9 (c given x, s given c), but ``s`` at 3 alone takes
-    the marginal over c's base probability, 0.2, below tau_min 0.5: the link
-    of that leaf has no factor start, and partitioning reads it through the
-    growth rule.
+    the marginal over c's base probability, 0.2, below tau_min 0.5.  The
+    leaf of that ``s`` holds no factor start, so it gets no link; position 3
+    keeps the one link of its factor ``t``.
     """
     u = UncertainString(
         "chain",
@@ -225,16 +217,11 @@ def test_a_window_below_its_factor_links_without_a_factor_start():
     assert validate(u) == []
     idx = build(u, 0.5)
     raw = build_links(idx.tt, idx.saidx)
-    lost = np.flatnonzero(raw.factor_off == -1)
-    assert lost.size == 1
-    (k,) = lost
-    assert (raw.pos_id[k], raw.o_depth[k], raw.t_depth[k]) == (3, 1, 0)
-    # no factor start begins with "s", so the link reaches no depth and no segment of it is kept; kept to its
-    # origin depth, it stores the growth rule's 0.2, below tau_min, where no query reads it
-    assert raw.reach[k] == 0
-    kept, whole = (partition_links(r, 1e-9) for r in (raw, replace(raw, reach=raw.o_depth)))
-    rows = [Counter(zip(*(getattr(ln, a).tolist() for a in LINK_ARRAYS))) for ln in (whole, kept)]
-    assert list((rows[0] - rows[1]).elements()) == [(raw.origin[k], 3, 0.2, 1, 0)]
+    text = readable_text(idx.tt)
+    # position 3's leaves spell "s$" inside the factors of 1 and 2, and "t$", its own factor
+    assert sorted(text[o : o + 2] for o in np.flatnonzero(idx.tt.pos == 3).tolist()) == ["s$", "s$", "t$"]
+    assert occurrence_probability(u, "s", 3) == 0.2
+    assert [row for row in link_rows(raw) if row[0] == 3] == [(3, 1, 0, text.index("$t$") + 1)]
     patterns = ["".join(w) for m in (1, 2, 3) for w in itertools.product("cdstx", repeat=m)]
     for eps in (1e-9, 0.05, 0.3):
         ln = partition_links(raw, eps)
@@ -244,6 +231,66 @@ def test_a_window_below_its_factor_links_without_a_factor_start():
                 assert set(query(idx, p, tau)) == want
                 got = set(approx_query(ln, p, tau))
                 assert want <= got <= oracle_search(u, p, tau - eps)
+
+
+# "a" at 2 alone takes the marginal over b's base probability, 0.3 * 0.95; "ab" there takes 0.95 * 0.9
+FORWARD = UncertainString(
+    "fwd",
+    ({"x": 1.0}, {"a": 1.0}, {"b": 0.3, "c": 0.7}),
+    (Correlation(2, "a", 3, "b", 0.95, 0.0), Correlation(3, "b", 1, "x", 0.9, 0.0)),
+)
+
+
+def test_a_prefix_more_likely_than_its_shorter_prefix_is_reported():
+    """A segment stores its largest value, so "ab" at 2 is reported at tau 0.5 though "a" there is 0.285."""
+    assert validate(FORWARD) == []
+    _, ln = _linked(FORWARD, 0.1, 0.05)
+    assert occurrence_probability(FORWARD, "a", 2) < 0.5 <= occurrence_probability(FORWARD, "ab", 2)
+    assert approx_items(ln, "ab", 0.5) == [(2, occurrence_probability(FORWARD, "ab", 2))]
+
+
+def _chain_patterns(u, rng) -> list[str]:
+    """Every word over ``abc`` of up to three letters, and a few longer windows of sampled worlds."""
+    pats = {"".join(w) for m in (1, 2, 3) for w in itertools.product("abc", repeat=m)}
+    for _ in range(3):
+        w = sample_world(u, rng)
+        m = rng.randint(4, max(4, len(w)))
+        pats |= {w[s : s + m] for s in range(len(w) - m + 1)}
+    return sorted(pats)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_sandwich_over_correlation_chains(seed):
+    """Nothing at or above tau is missed and nothing below tau - eps is reported, also where a longer prefix is more likely."""
+    rng = random.Random(seed)
+    u = correlation_chain(rng, rng.randint(3, 10))
+    assert validate(u) == []
+    tau_min = rng.choice((0.05, 0.1, 0.2))
+    eps = rng.choice((1e-9, 0.01, 0.05, 0.2))
+    _, ln = _linked(u, tau_min, eps)
+    for p in _chain_patterns(u, rng):
+        for tau in (tau_min, 0.3, 0.5, 0.8):
+            got = set(approx_query(ln, p, tau))
+            assert oracle_search(u, p, tau) <= got <= oracle_search(u, p, tau - eps), (p, tau)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_a_mark_without_a_factor_start_holds_no_value_at_tau_min(seed):
+    """Every depth of a reference mark whose node holds no factor start lies below tau_min at its position.
+
+    So the links ``build_links`` leaves out would store nothing a query reports.
+    """
+    rng = random.Random(seed)
+    u = correlation_chain(rng, rng.randint(3, 12))
+    tau_min = rng.choice((0.05, 0.1, 0.2))
+    tt = build(u, tau_min).tt
+    text = readable_text(tt)
+    for d, o_depth, t_depth, witness, factor in reference_link_marks(tt):
+        if factor < 0:
+            for m in range(t_depth + 1, o_depth + 1):
+                assert occurrence_probability(u, text[witness : witness + m], d) < tau_min, (d, m)
 
 
 SPREAD = {"a": 0.1, **{c: 0.15 for c in "bcdefg"}}  # every symbol below tau_min 0.2
@@ -265,7 +312,7 @@ def test_link_marking_edge_cases(name):
     idx = build(u, 0.2)
     raw = build_links(idx.tt, idx.saidx)
     assert raw.pos_id.size > 0
-    assert sorted(link_rows(raw)) == reference_link_marks(idx.tt)
+    assert sorted(link_rows(raw)) == _linked_marks(idx.tt)
     _assert_links_match_references(idx, raw, (1e-9, 0.05, 0.5, 1.0))
 
 

@@ -422,25 +422,24 @@ def test_builds_read_no_lcp_array_and_keep_no_ranks(genome, collection, monkeypa
         raise AssertionError("a build read the LCP array")
 
     monkeypatch.setattr(textcore.SuffixArrayIndex, "lcp", property(no_lcp))
-    # the link build lifts from the ranks that the build's sort kept, and empties them
-    lifted = []
+    # a link build sorts every suffix once and keeps its rounds' ranks; search and listing builds sort no suffix but the factor starts
+    sorts, sort = [], textcore._prefix_doubling
 
-    def lift(rounds, a, b):
-        lifted.append((rounds, len(rounds)))
-        return textcore._lift(rounds, a, b)
+    def counted(codes, rounds=None):
+        sorts.append(rounds is not None)
+        return sort(codes, rounds)
 
-    def no_sorting(codes, rounds=None):
-        raise AssertionError("the link build sorted the suffixes again")
-
-    monkeypatch.setattr(approx_module, "_lift", lift)
-    monkeypatch.setattr(approx_module, "_prefix_doubling", no_sorting)
+    monkeypatch.setattr(approx_module, "_prefix_doubling", counted)
+    monkeypatch.setattr(textcore, "_prefix_doubling", counted)
     built = [
         build(genome, 0.1),
         build_listing(collection, 0.1, "or"),
-        build_container([genome], 0.1, epsilon=0.05).substring,
+        build_container([genome], 0.1).substring,
         build_container(list(collection.docs), 0.1, metric="max").listing,
     ]
-    assert [(rounds, kept > 0) for rounds, kept in lifted] == [([], True)]
+    assert sorts == []
+    built.append(build_container([genome], 0.1, epsilon=0.05).substring)
+    assert sorts == [True]
     for idx in built:
         assert set(vars(idx.saidx)) == {"codes", "sa"}
 
@@ -955,7 +954,11 @@ def test_a_bad_source_loads_and_raises_on_first_read(kind, fault, genome, collec
         idx = back.substring
         assert query_items(idx, "AT", 0.1) == query_items(container.substring, "AT", 0.1)
         assert approx_items(back.links, "AT", 0.1) == approx_items(container.links, "AT", 0.1)
-        readers = [lambda: idx.u, lambda: idx.tt.source, lambda: partition_links(build_links(idx.tt, idx.saidx), 0.05)]
+        # links read no source: they partition over the loaded text as they did over the built one
+        ln = partition_links(build_links(idx.tt, idx.saidx), 0.05)
+        arrays = ("origin", "pos_id", "stored", "o_depth", "t_depth")
+        assert all(getattr(ln, a).tobytes() == getattr(container.links, a).tobytes() for a in arrays)
+        readers = [lambda: idx.u, lambda: idx.tt.source]
     else:
         assert list_items(back.listing, "BF", 0.1) == list_items(container.listing, "BF", 0.1)
         readers = [lambda: back.listing.collection]
