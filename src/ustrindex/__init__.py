@@ -14,7 +14,7 @@ all on the command line.
 from __future__ import annotations
 
 from .approx import LinkIndex, RawLinks, approx_items, approx_query, build_links, partition_links
-from .container import IndexContainer, build_container, load_container, save_container
+from .container import IndexContainer, build_container, container_info, load_container, save_container
 from .datagen import GenConfig, generate, generate_collection, sample_world
 from .errors import CapacityError, ContainerError, ParseError, ThresholdError
 from .factorize import TransformedText, transform
@@ -56,6 +56,7 @@ __all__ = [
     "build_container",
     "build_links",
     "build_listing",
+    "container_info",
     "enumerate_worlds",
     "generate",
     "generate_collection",

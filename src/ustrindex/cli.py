@@ -1,4 +1,4 @@
-"""Command-line surface: generate data, build indexes, query, verify.
+"""Command-line surface: generate data, build indexes, query, inspect, verify.
 
 Results print one line per query: ascending whitespace-separated positions
 (or document names in collection order).  With ``--json`` each result becomes
@@ -14,7 +14,7 @@ import random
 import sys
 
 from .approx import approx_items
-from .container import build_container, load_container, save_container
+from .container import build_container, container_info, load_container, save_container
 from .datagen import GenConfig, generate, generate_collection, sample_world
 from .errors import CapacityError, ParseError, ThresholdError
 from .listing import build_listing, list_docs, list_items
@@ -41,7 +41,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     with open(args.corpus, encoding="utf-8") as fh:
         corpus = "".join(fh.read().split())
     cfg = _gen_config(args)
-    if args.docs > 1:
+    if args.docs != 1:
         items: DocumentCollection | UncertainString = generate_collection(corpus, cfg, args.docs)
     else:
         items = generate(corpus, cfg, name=args.name)
@@ -87,6 +87,11 @@ def cmd_answer(args: argparse.Namespace) -> int:
                 print(json.dumps({"pattern": p, key_name: key, value_name: value}))
         else:
             print(" ".join(str(key) for key, _ in items))
+    return 0
+
+
+def cmd_info(args: argparse.Namespace) -> int:
+    print(json.dumps(container_info(args.index)))
     return 0
 
 
@@ -162,6 +167,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"verify: {args.file} consistent with the oracle at tau_min {args.tau_min}")
         return 0
 
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, not {args.count}")
     alphabet = "abcd"
     for k in range(args.count):
         n = rng.randint(8, 40)
@@ -232,6 +239,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tau", type=float, required=True, help="probability threshold")
         sp.add_argument("--json", action="store_true", help="one JSON object per result")
         sp.set_defaults(func=cmd_answer)
+
+    sp = sub.add_parser("info", help="print a container's manifest and the bytes of each member, as JSON")
+    sp.add_argument("index", help="index container file")
+    sp.set_defaults(func=cmd_info)
 
     sp = sub.add_parser("verify", help="cross-check indexes against the brute-force oracle")
     sp.add_argument("file", nargs="?", help="UST file to verify (default: seeded random suite)")

@@ -2,26 +2,31 @@
 
 The file is a zip archive holding ``manifest.json``, the UTF-8 source UST
 text ``source.ust`` and one ``.npy`` entry per stored array.  Format version
-10 stores only what a load cannot derive cheaply, in narrow dtypes: ``codes``
-as each letter's code point + 1 and each separator as 0, in the narrowest
-unsigned dtype that holds them (``uint8`` for ASCII text), the order of the
-factor starts ``order`` as factor ids (k for the k-th factor in text order)
-in the narrowest unsigned dtype that holds them, ``cum`` at the letters
-alone, one start per factor in ``pos`` and, for listing, one factor count
-per document in ``doc_factors``; approximate links keep their origin as a
-rank in ``order`` in ``link_origin``.  No member holds the order of every
-suffix: no index reads it.  Integer arrays other than ``codes`` and
-``order`` are ``int32``.  A load numbers the separators -1, -2, ... in text
-order, puts -1.0 back in ``cum`` at each and turns the ids into ``int32``
-text offsets, so a loaded index holds the arrays, dtypes included, that a
-built one does.  The manifest holds exactly the fields a save writes and no
-derivable one (a null ``metric`` makes a
-substring index, and a listing index has a null ``epsilon``): in
-``documents`` each document's name and length in collection order, and in
-``digests`` the SHA-256 of every member and of the other fields.  A save
-reads ``tau_min``, ``epsilon`` and ``metric`` from the one place each lives
-(the text, the links, the listing index), and a load puts each back there.
-No table is stored: both index kinds build a short table, and a substring
+11 stores only what a load cannot derive cheaply, in narrow dtypes.  Every
+integer member is in the narrowest unsigned dtype that holds its largest
+value: ``codes`` as each letter's code point + 1 and each separator as 0
+(``uint8`` for ASCII text), one start per factor in ``pos``, for listing one
+factor count per document in ``doc_factors``, and the approximate links'
+``link_origin`` (a rank in ``order``), ``link_pos``, ``link_odepth`` and
+``link_tdepth``.  The order of the factor starts ``order`` holds factor ids
+(k for the k-th factor in text order) in the narrowest unsigned dtype that
+holds them.  Each probability is stored once: ``probs`` is the ``float64``
+table of the distinct values of ``cum`` at the letters (every link value is
+one of them), ascending by bit pattern, and ``cum`` and ``link_stored`` hold
+indexes into it, in the narrowest unsigned dtype that addresses it.  No
+member holds the order of every suffix: no index reads it.  A load numbers
+the separators -1, -2, ... in text order, puts the values the indexes
+address back in ``cum`` (-1.0 at each separator) and ``LinkIndex.stored``,
+widens the other integer members to ``int32`` and turns the ids into
+``int32`` text offsets, so a loaded index holds the arrays, dtypes and bits
+included, that a built one does.  The manifest holds exactly the fields a
+save writes and no derivable one (a null ``metric`` makes a substring index,
+and a listing index has a null ``epsilon``): in ``documents`` each
+document's name and length in collection order, and in ``digests`` the
+SHA-256 of every member and of the other fields.  A save reads ``tau_min``,
+``epsilon`` and ``metric`` from the one place each lives (the text, the
+links, the listing index), and a load puts each back there.  No table of
+answers is stored: both index kinds build a short table, and a substring
 index a long one, per length the first time a query reads it, from ``cum``
 at the factor starts in rank order, so a reopened index answers queries bit
 for bit like the one that was saved.
@@ -41,7 +46,9 @@ anything is allocated) or a source that is not UTF-8, a manifest with a
 missing or unknown field or a field of the wrong JSON type, a ``tau_min`` or
 ``epsilon`` outside (0, 1], an ``epsilon`` on a listing index, an unknown
 listing metric or ``documents`` that repeat a name or hold a length below 1,
-or an array whose dtype, length or contents do not fit the index raises
+or an array whose dtype, length or contents do not fit the index (an
+integer past ``int32``, a table entry outside [0, 1] or out of order, or an
+index past the table among them) raises
 ``ContainerError`` before anything is built; so does a member or manifest field that differs
 from its digest, checked after the rest so that a damaged member is named by
 what is wrong with it.
@@ -75,9 +82,9 @@ from .textcore import (  # noqa: F401 - perfbench wraps TreeView, build_suffix_a
 )
 from .ustformat import parse_ust, serialize_ust
 
-__all__ = ["FORMAT_VERSION", "IndexContainer", "build_container", "load_container", "save_container"]
+__all__ = ["FORMAT_VERSION", "IndexContainer", "build_container", "container_info", "load_container", "save_container"]
 
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 
 _MAX_CODE = 0x10FFFF  # the largest code point; separators are -1 down to -n
 # the manifest fields a save writes, for every kind
@@ -154,25 +161,26 @@ def save_container(container: IndexContainer, path: str) -> None:
     }
     if lidx is not None:
         # documents are concatenated in order, so a count per document places every factor
-        arrays["doc_factors"] = tt.doc_factors
+        arrays["doc_factors"] = _narrow(tt.doc_factors)
     docs = tt.documents
     manifest["documents"] = [[name, n] for name, n in zip(docs.names, docs.lengths)]
     # a loaded index keeps the text it was read from, so saving it again parses nothing
     source = (serialize_ust(docs.strings) if docs.text is None else docs.text).encode()
 
-    # a letter as its code point + 1, a separator as 0, in the narrowest unsigned dtype that holds them
+    # a letter as its code point + 1, a separator as 0
     codes = np.maximum(tt.codes, -1)
     codes += 1
-    arrays["codes"] = codes.astype(np.min_scalar_type(int(codes.max(initial=0))))
+    arrays["codes"] = _narrow(codes)
     starts = tt.factor_runs()[0]
-    # each factor's id, k for the k-th in text order, in suffix order and the narrowest unsigned dtype
-    ids = np.searchsorted(starts, saidx.sa - 1)
-    arrays["order"] = ids.astype(np.min_scalar_type(max(ids.size - 1, 0)))
-    arrays["pos"] = tt.pos[starts]
-    arrays["cum"] = tt.cum[tt.codes >= 0]
+    # each factor's id, k for the k-th in text order, in suffix order
+    arrays["order"] = _narrow(np.searchsorted(starts, saidx.sa - 1))
+    arrays["pos"] = _narrow(tt.pos[starts])
+    # each probability once: cum at the letters and the link values index one table of their distinct values
+    values = [tt.cum[tt.codes >= 0]] + ([] if links is None else [links.stored])
+    arrays["probs"], arrays["cum"], *stored = _tabled(values)
     if links is not None:
-        for a, arr in zip(_LINK_ARRAYS, (links.origin, links.pos_id, links.stored, links.o_depth, links.t_depth)):
-            arrays[f"link_{a}"] = arr
+        for a, arr in zip(_LINK_ARRAYS, (links.origin, links.pos_id, *stored, links.o_depth, links.t_depth)):
+            arrays[f"link_{a}"] = arr if a == "stored" else _narrow(arr)
 
     members = {"source.ust": _sha256(source)}
     # stored uncompressed so file size reflects the structures themselves
@@ -190,6 +198,44 @@ def save_container(container: IndexContainer, path: str) -> None:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _narrowest(a: np.ndarray) -> np.dtype:
+    """The narrowest unsigned dtype that holds the largest of the integers ``a``; ``uint8`` if it holds no integer."""
+    top = int(a.max(initial=0)) if a.dtype.kind in "iu" else 0
+    return np.min_scalar_type(max(top, 0))
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """The non-negative integers ``a`` in the narrowest unsigned dtype that holds them."""
+    return a.astype(_narrowest(a))
+
+
+def _index_dtype(size: int) -> np.dtype:
+    """The narrowest unsigned dtype that addresses a table of ``size`` entries."""
+    return np.min_scalar_type(max(size - 1, 0))
+
+
+def _tabled(columns: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The distinct values of the ``float64`` ``columns`` ascending by bit pattern, then each column as indexes into
+    that table, in the narrowest unsigned dtype that addresses it."""
+    bits, inverse = np.unique(np.concatenate(columns).view(np.uint64), return_inverse=True)
+    inverse = inverse.astype(_index_dtype(bits.size))
+    return bits.view(np.float64), *np.split(inverse, np.cumsum([c.size for c in columns[:-1]]))
+
+
+def _untabled(table: np.ndarray, indexes: np.ndarray, name: str) -> np.ndarray:
+    """The ``float64`` values that member ``name``'s ``indexes`` address in ``table``.
+
+    Indexes of another dtype than the narrowest that addresses the table, or
+    past its end, raise ContainerError.
+    """
+    want = _index_dtype(table.size)
+    if indexes.dtype != want:
+        raise ContainerError(f"array {name} has dtype {indexes.dtype}, expected {want}")
+    if indexes.size and int(indexes.max()) >= table.size:
+        raise ContainerError(f"array {name} holds an index past the table of {table.size} probabilities")
+    return table[indexes]
 
 
 def _digests(manifest: dict, members: dict[str, str]) -> dict[str, str]:
@@ -221,6 +267,40 @@ def load_container(path: str) -> IndexContainer:
             return _assemble(manifest, arrays, source.decode(), members)
         except (*_DAMAGED_ZIP, KeyError, ValueError) as exc:
             raise ContainerError(f"{path} is not a sound index container: {exc}") from exc
+
+
+def container_info(path: str) -> dict:
+    """What ``ustr info`` prints: the manifest but its digests, the index kind, and each member's stored bytes.
+
+    Bytes are given as a count and per source symbol (the documents' summed
+    lengths), per member and in total.  Reads only the zip directory and the
+    manifest: no other member, no digest and no source.  A file that is not a
+    container of this format, or whose members are not those its digests
+    name, raises ContainerError; one that cannot open raises OSError.
+    """
+    with open(path, "rb") as fh:
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                manifest = _manifest(zf.read("manifest.json"))
+                sizes = {info.filename: info.compress_size for info in zf.infolist()}
+            _, listing, _, lengths = _parameters(manifest)
+            named, held = _field(manifest, "digests", dict).keys() - {"manifest"}, sizes.keys() - {"manifest.json"}
+            if named != held:
+                raise ContainerError(f"the members differ from those the digests name: {sorted(named ^ held)}")
+        except (*_DAMAGED_ZIP, KeyError, ValueError) as exc:
+            raise ContainerError(f"{path} is not a sound index container: {exc}") from exc
+    symbols = sum(lengths)
+
+    def cost(size: int) -> dict[str, float]:
+        return {"bytes": size, "bytes_per_symbol": size / symbols}
+
+    return {
+        **{k: v for k, v in manifest.items() if k != "digests"},
+        "kind": "listing" if listing else "substring",
+        "symbols": symbols,
+        "members": {name: cost(size) for name, size in sizes.items()},
+        "total": cost(sum(sizes.values())),
+    }
 
 
 def _read_array(name: str, data: bytes) -> np.ndarray:
@@ -264,21 +344,23 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], lengths: list[i
 
     Runs before anything is built, so a tampered array raises ContainerError
     instead of a traceback or a silently wrong answer later.  ``lengths`` are
-    the documents' lengths.  Returns each factor's 0-based text offset and
-    its separator's.
+    the documents' lengths.  In ``arrays`` it widens the integer members other
+    than ``codes`` and ``order`` to ``int32`` and puts the ``float64`` values
+    of the table ``probs`` in place of the indexes ``cum`` and
+    ``link_stored``.  Returns each factor's 0-based text offset and its
+    separator's.
     """
     codes = arrays["codes"]
-    # a letter is its code point + 1 and a separator 0, in the narrowest unsigned dtype that holds them
-    top = int(codes.max(initial=0)) if codes.dtype.kind == "u" else 0
     n = codes.size
     ends = np.flatnonzero(codes == 0)
-    # factor ids in the narrowest unsigned dtype, as for codes
-    order = np.min_scalar_type(max(ends.size - 1, 0))
-    dtypes = {"codes": np.min_scalar_type(top), "order": order, "pos": np.int32, "cum": np.float64}
-    if listing:
-        dtypes["doc_factors"] = np.int32
-    elif manifest["epsilon"] is not None:
-        dtypes |= {f"link_{a}": np.float64 if a == "stored" else np.int32 for a in _LINK_ARRAYS}
+    links = not listing and manifest["epsilon"] is not None
+    # integer members in the narrowest unsigned dtype that holds their largest value, factor ids in the
+    # narrowest that holds the largest id; the indexes into probs are checked with the table (_untabled)
+    ints = ["pos"] + (["doc_factors"] if listing else [])
+    if links:
+        ints += [f"link_{a}" for a in _LINK_ARRAYS if a != "stored"]
+    dtypes = {"codes": _narrowest(codes), "order": _index_dtype(ends.size), "probs": np.float64}
+    dtypes |= {name: _narrowest(arrays[name]) for name in ints}
     for name, dtype in dtypes.items():
         if arrays[name].dtype != dtype:
             raise ContainerError(f"array {name} has dtype {arrays[name].dtype}, expected {np.dtype(dtype)}")
@@ -286,23 +368,33 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], lengths: list[i
     want = {"codes": n, "order": ends.size, "cum": n - ends.size, "pos": ends.size}
     if listing:
         want["doc_factors"] = len(lengths)
-    elif manifest["epsilon"] is not None:
+    elif links:
         want |= {f"link_{a}": arrays["link_origin"].size for a in _LINK_ARRAYS}
     for name, length in want.items():
         if arrays[name].shape != (length,):
             raise ContainerError(f"array {name} has shape {arrays[name].shape}, expected ({length},)")
+    if arrays["probs"].ndim != 1:
+        raise ContainerError(f"array probs has shape {arrays['probs'].shape}, expected one dimension")
 
     def bad(name: str, what: str) -> ContainerError:
         return ContainerError(f"array {name} holds {what}")
 
-    if top > _MAX_CODE + 1:
+    for name in ints:
+        if int(arrays[name].max(initial=0)) > np.iinfo(np.int32).max:
+            raise bad(name, "a value past int32")
+        arrays[name] = arrays[name].astype(np.int32)
+    if int(codes.max(initial=0)) > _MAX_CODE + 1:
         raise bad("codes", "a code that no text holds")
     starts = np.concatenate(([0], ends[:-1] + 1))[: ends.size]
     if n and (codes[-1] != 0 or np.any(ends <= starts)):
         raise bad("codes", "separators that are not each the end of a nonempty factor, the last ending the text")
-    cum = arrays["cum"]
-    if not np.all((cum >= 0.0) & (cum <= 1.0)):
-        raise bad("cum", "a probability outside [0, 1] or NaN at a letter")
+    probs = arrays["probs"]
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):
+        raise bad("probs", "a probability outside [0, 1] or NaN")
+    bits = probs.view(np.uint64)
+    if np.any(bits[1:] <= bits[:-1]):
+        raise bad("probs", "probabilities that do not strictly ascend by bit pattern")
+    arrays["cum"] = _untabled(probs, arrays["cum"], "cum")
     counts = arrays["doc_factors"] if listing else np.array([ends.size])
     if np.any((counts < 0) | (counts > ends.size)) or counts.sum() != ends.size:
         raise bad("doc_factors", "factor counts that are negative or do not sum to the factors")
@@ -313,7 +405,7 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], lengths: list[i
         raise bad("pos", "factor starts that decrease within a document")
     if np.any((first < 1) | (first > last)):
         raise bad("pos", "a factor start outside its source string")
-    if not listing and manifest["epsilon"] is not None:
+    if links:
         origin = arrays["link_origin"]
         if origin.size and (origin[0] < 1 or origin[-1] > ends.size or np.any(origin[1:] < origin[:-1])):
             raise bad("link_origin", "origins that are not non-decreasing ranks within [1, F]")
@@ -321,6 +413,7 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], lengths: list[i
             raise bad("link_pos", "a position outside its source string")
         if np.any((arrays["link_tdepth"] < 0) | (arrays["link_tdepth"] >= arrays["link_odepth"])):
             raise bad("link_tdepth", "a depth interval that is not 0 <= target < origin")
+        arrays["link_stored"] = _untabled(probs, arrays["link_stored"], "link_stored")
         if not np.all((arrays["link_stored"] > 0.0) & (arrays["link_stored"] <= 1.0)):
             raise bad("link_stored", "a value outside (0, 1] or NaN")
     return starts, ends
@@ -373,11 +466,9 @@ def _parse_source(text: str, names: list[str], lengths: list[int]) -> list[Uncer
     return docs
 
 
-def _assemble(manifest: dict, arrays: dict[str, np.ndarray], source: str, members: dict[str, str]) -> IndexContainer:
-    """Reopen the index a manifest, its arrays and its ``source`` text describe; a missing entry raises KeyError.
-
-    ``members`` maps each member's name to its SHA-256.
-    """
+def _parameters(manifest: dict) -> tuple[float, bool, list[str], list[int]]:
+    """``tau_min``, whether the index is a listing one, and the documents' names and lengths, once the manifest's
+    fields are found to be of their types and in their ranges."""
     tau_min = float(_field(manifest, "tau_min", str, int, float))
     _field(manifest, "epsilon", str, int, float, type(None))
     for name in ("tau_min", "epsilon"):
@@ -388,7 +479,15 @@ def _assemble(manifest: dict, arrays: dict[str, np.ndarray], source: str, member
         raise ContainerError(f"manifest metric {manifest['metric']!r} is not one of {', '.join(METRICS)}")
     if listing and manifest["epsilon"] is not None:
         raise ContainerError(f"manifest epsilon {manifest['epsilon']!r} on a listing index, which has no links")
-    names, lengths = _documents(manifest, listing)
+    return (tau_min, listing, *_documents(manifest, listing))
+
+
+def _assemble(manifest: dict, arrays: dict[str, np.ndarray], source: str, members: dict[str, str]) -> IndexContainer:
+    """Reopen the index a manifest, its arrays and its ``source`` text describe; a missing entry raises KeyError.
+
+    ``members`` maps each member's name to its SHA-256.
+    """
+    tau_min, listing, names, lengths = _parameters(manifest)
     starts, ends = _check_shapes(manifest, arrays, lengths, listing)
     # the arrays a build makes: separators -1, -2, ... in text order, and -1.0 in cum at each
     codes = arrays["codes"].astype(np.int32)

@@ -419,7 +419,7 @@ def transform(
     Such a document grows no further, and a collection reports the first of
     them in document order, as if its documents were transformed one by one.
     A text of 2**31 codes or more, which int32 offsets cannot address, raises
-    CapacityError too.
+    CapacityError too.  A negative cap raises ValueError.
 
     The input is read once, into flat arrays (``model._flatten``): they are
     screened for what ``validate`` faults, and an invalid string, or the first
@@ -434,6 +434,8 @@ def transform(
         what = f"document {doc.name!r}" if isinstance(u, DocumentCollection) else "uncertain string"
         raise ValueError(f"invalid {what}: " + "; ".join(issues))
     _check_tau_min(tau_min)
+    if length_cap is not None and length_cap < 0:
+        raise ValueError(f"length cap {length_cap} is negative")
     whole = docs[0] if len(docs) == 1 else _joined(docs, positions)
     sizes = np.array([d.n for d in docs], dtype=np.int64)
     first = np.cumsum(sizes) - sizes  # positions ahead of each document

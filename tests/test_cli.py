@@ -197,12 +197,13 @@ def test_bad_container_exits_two_with_one_line(damage, genome_file, tmp_path, ca
             np.save(buf, np.arange(3, dtype=np.int64))
             entries["codes.npy"] = buf.getvalue()
         elif damage in ("link value NaN", "cum NaN"):
+            # the probability that the first link or letter indexes in the table of probabilities
             member = "link_stored.npy" if damage == "link value NaN" else "cum.npy"
-            values = np.load(io.BytesIO(entries[member]))
-            values[0] = np.nan
+            probs = np.load(io.BytesIO(entries["probs.npy"]))
+            probs[np.load(io.BytesIO(entries[member]))[0]] = np.nan
             buf = io.BytesIO()
-            np.save(buf, values)
-            entries[member] = buf.getvalue()
+            np.save(buf, probs)
+            entries["probs.npy"] = buf.getvalue()
         elif damage == "link origins reversed":
             buf = io.BytesIO()
             np.save(buf, np.load(io.BytesIO(entries["link_origin.npy"]))[::-1])
@@ -306,3 +307,84 @@ def test_a_wrongly_typed_string_exits_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "parse_ust_file", lambda path: [UncertainString("x", ({"a": "1.0"},))])
     assert main(["build", "x.ust", "--tau-min", "0.5", "-o", str(tmp_path / "x.usi")]) == 2
     assert "is not a real number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["gen", "{corpus}", "--docs", "0"], "docs must be at least 1"),
+        (["gen", "{corpus}", "--docs", "-2", "-o", "{out}"], "docs must be at least 1"),
+        (["build", "{genome}", "-o", "{out}", "--tau-min", "0.1", "--cap", "-5"], "length cap -5 is negative"),
+        (["verify", "--count", "0"], "--count must be at least 1, not 0"),
+        (["verify", "--count", "-1"], "--count must be at least 1, not -1"),
+    ],
+    ids=["gen no documents", "gen negative documents", "build negative cap", "verify no instance", "verify negative"],
+)
+def test_a_usage_error_that_once_ended_silently_exits_two(argv, what, corpus_file, genome_file, tmp_path, capsys):
+    # each once exited 0 (one document written, or nothing verified) or 4 (a cap no text can meet)
+    out_path = tmp_path / "out"
+    argv = [a.format(corpus=corpus_file, genome=genome_file, out=out_path) for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {what}\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("kind", ["substring", "links", "listing"])
+def test_info_prints_the_manifest_kind_and_member_bytes_and_reads_no_member(
+    kind, genome_file, collection_file, tmp_path, capsys, monkeypatch
+):
+    path = str(tmp_path / "i.usi")
+    extra = {"substring": [], "links": ["--epsilon", "0.05"], "listing": ["--metric", "or"]}[kind]
+    main(["build", collection_file if kind == "listing" else genome_file, "-o", path, "--tau-min", "0.1", *extra])
+    with zipfile.ZipFile(path) as zf:
+        manifest = json.loads(zf.read("manifest.json"))
+        stored = {info.filename: info.compress_size for info in zf.infolist()}
+    capsys.readouterr()
+
+    read = []
+    real_read = zipfile.ZipFile.read
+    monkeypatch.setattr(zipfile.ZipFile, "read", lambda zf, name, *a: read.append(name) or real_read(zf, name, *a))
+    for name in ("parse_ust", "_sha256", "_read_array"):
+        monkeypatch.setattr(container, name, lambda *a, **k: pytest.fail("info read a member, a digest or the source"))
+    assert main(["info", path]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and read == ["manifest.json"]
+
+    info = json.loads(out)
+    symbols = sum(n for _, n in manifest["documents"])
+    assert {k: v for k, v in info.items() if k not in ("kind", "symbols", "members", "total")} == {
+        k: v for k, v in manifest.items() if k != "digests"
+    }
+    assert info["kind"] == ("listing" if kind == "listing" else "substring") and info["symbols"] == symbols
+    assert {name: m["bytes"] for name, m in info["members"].items()} == stored
+    assert sum(m["bytes"] for m in info["members"].values()) == info["total"]["bytes"] == sum(stored.values())
+    for m in [*info["members"].values(), info["total"]]:
+        assert m["bytes_per_symbol"] == m["bytes"] / symbols
+    assert {"probs.npy", "cum.npy"} <= info["members"].keys()
+
+
+@pytest.mark.parametrize("what", ["not a zip", "version 10", "missing file", "no manifest", "member missing"])
+def test_info_on_anything_but_a_format_11_container_exits_two(what, genome_file, tmp_path, capsys):
+    path = tmp_path / "x.usi"
+    main(["build", genome_file, "-o", str(path), "--tau-min", "0.1"])
+    with zipfile.ZipFile(path) as zf:
+        entries = {name: zf.read(name) for name in zf.namelist()}
+    if what == "not a zip":
+        path.write_bytes(b"not a container")
+    elif what == "missing file":
+        path.unlink()
+    else:
+        if what == "version 10":
+            entries["manifest.json"] = json.dumps(json.loads(entries["manifest.json"]) | {"format_version": 10}).encode()
+        else:
+            del entries["manifest.json" if what == "no manifest" else "cum.npy"]
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, data in entries.items():
+                zf.writestr(name, data)
+    capsys.readouterr()
+    assert main(["info", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert what != "version 10" or "unsupported container version 10" in err
+    assert what != "member missing" or "differ from those the digests name: ['cum.npy']" in err

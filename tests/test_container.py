@@ -598,6 +598,31 @@ def _set_first(mask, value):
     return change
 
 
+def _tampered_values(kind: str, member: str, change, genome, collection, tmp_path) -> str:
+    """A saved container of ``kind`` whose probabilities at ``member`` (``cum`` or ``link_stored``) went through
+    ``change``, and whose table and indexes were then written as a save writes them."""
+    path = _tampered(kind, member, lambda a: a, genome, collection, tmp_path)
+    entries = _entries(path)
+    probs = np.load(io.BytesIO(entries["probs.npy"]))
+    tabled = [name for name in ("cum", "link_stored") if f"{name}.npy" in entries]
+    values = [probs[np.load(io.BytesIO(entries[f"{name}.npy"]))] for name in tabled]
+    values[tabled.index(member)] = change(values[tabled.index(member)])
+    table, *indexes = container_module._tabled(values)
+    entries |= {"probs.npy": _npy(table)} | {f"{name}.npy": _npy(a) for name, a in zip(tabled, indexes)}
+    _rewrite(path, entries)
+    return path
+
+
+def _negative_first(a):
+    """The integers ``a`` as ``int32`` with the first one -1, a value that no unsigned dtype holds."""
+    return _set_first(lambda b: b == b, -1)(a.astype(np.int32))
+
+
+def _renarrowed(change):
+    """``change`` applied to an integer member as ``int64``, its result stored in the narrowest unsigned dtype."""
+    return lambda a: container_module._narrow(change(a.astype(np.int64)))
+
+
 @pytest.mark.parametrize(
     "kind, member, dtype",
     [
@@ -608,16 +633,28 @@ def _set_first(mask, value):
         ("substring", "order", np.int64),
         ("substring", "order", np.uint16),
         ("substring", "pos", np.int64),
+        ("substring", "pos", np.int32),
+        ("substring", "pos", np.uint32),
         ("substring", "cum", np.float32),
+        ("substring", "cum", np.uint32),
+        ("substring", "probs", np.float32),
         ("listing", "cum", np.float32),
+        ("listing", "cum", np.uint64),
+        ("listing", "probs", np.uint64),
         ("listing", "pos", np.int64),
         ("listing", "doc_factors", np.float64),
         ("listing", "doc_factors", np.int64),
+        ("listing", "doc_factors", np.int32),
         ("links", "link_origin", np.int64),
+        ("links", "link_origin", np.int32),
         ("links", "link_pos", np.float64),
         ("links", "link_stored", np.float32),
+        ("links", "link_stored", np.uint32),
+        ("links", "link_stored", np.int16),
         ("links", "link_odepth", np.int64),
+        ("links", "link_odepth", np.uint16),
         ("links", "link_tdepth", np.uint64),
+        ("links", "link_tdepth", np.int32),
     ],
 )
 def test_load_rejects_an_array_of_the_wrong_dtype(kind, member, dtype, genome, collection, tmp_path):
@@ -664,9 +701,10 @@ def test_short_tables_of_a_built_and_a_loaded_index_equal_the_eager_reference(ki
 @pytest.mark.parametrize("kind", ["substring", "listing"])
 @pytest.mark.parametrize("bad", [-0.25, 1.5, np.inf, np.nan])
 def test_load_rejects_a_factor_start_cum_outside_the_unit_interval(kind, bad, genome, collection, tmp_path):
-    # cum at the text's first offset is the first factor's depth-1 value, which a short table reads
-    path = _tampered(kind, "cum", _set_first(lambda a: a == a, bad), genome, collection, tmp_path)
-    with pytest.raises(ContainerError, match="array cum holds a probability outside"):
+    # cum at the text's first offset is the first factor's depth-1 value, which a short table reads; as every
+    # probability, it is an entry of the table probs
+    path = _tampered_values(kind, "cum", _set_first(lambda a: a == a, bad), genome, collection, tmp_path)
+    with pytest.raises(ContainerError, match="array probs holds a probability outside"):
         load_container(path)
 
 
@@ -682,10 +720,10 @@ def test_listing_or_scores_may_exceed_one_but_not_be_nan(tmp_path):
         assert list_items(c.listing, "a", 0.5) == [("aaaa", 3.0)]
     entries = _entries(path)
     for bad in (np.inf, np.nan):
-        buf = io.BytesIO()
-        np.save(buf, _set_first(lambda a: a == a, bad)(np.load(io.BytesIO(entries["cum.npy"]))))
-        _rewrite(path, {**entries, "cum.npy": buf.getvalue()})
-        with pytest.raises(ContainerError, match="array cum holds a probability outside"):
+        probs = np.load(io.BytesIO(entries["probs.npy"]))
+        probs[np.load(io.BytesIO(entries["cum.npy"]))[0]] = bad
+        _rewrite(path, {**entries, "probs.npy": _npy(probs)})
+        with pytest.raises(ContainerError, match="array probs holds a probability outside"):
             load_container(path)
 
 
@@ -703,19 +741,21 @@ def _past_the_code_points(a):
 @pytest.mark.parametrize(
     "kind, member, change, what",
     [
-        ("substring", "pos", lambda a: a[::-1].copy(), "factor starts that decrease within a document"),
-        ("substring", "cum", _set_first(lambda a: a > 0, np.nan), "a probability outside"),
-        ("listing", "cum", _set_first(lambda a: a > 0, 1.5), "a probability outside"),
-        ("substring", "cum", _set_first(lambda a: a > 0, -0.25), "a probability outside"),
-        ("substring", "pos", _set_first(lambda a: a > 0, 0), "a factor start outside its source"),
-        ("substring", "pos", lambda a: a + 1, "a factor start outside its source"),
-        ("substring", "pos", lambda a: np.full_like(a, 11), "a factor start outside its source"),
-        ("listing", "pos", lambda a: a + 3, "a factor start outside its source"),
-        ("substring", "codes", _past_the_code_points, "a code that no text holds"),
-        ("substring", "codes", lambda a: np.roll(a, -1), "separators that are not"),
-        ("listing", "codes", _empty_first_factor, "separators that are not"),
-        ("listing", "doc_factors", _set_first(lambda a: a == a, -1), "factor counts that are negative"),
-        ("listing", "doc_factors", lambda a: a + 1, "factor counts that are negative or do not sum"),
+        ("substring", "pos", lambda a: a[::-1].copy(), "array pos holds factor starts that decrease within a document"),
+        ("substring", "cum", _set_first(lambda a: a > 0, np.nan), "array probs holds a probability outside"),
+        ("listing", "cum", _set_first(lambda a: a > 0, 1.5), "array probs holds a probability outside"),
+        ("substring", "cum", _set_first(lambda a: a > 0, -0.25), "array probs holds a probability outside"),
+        ("substring", "pos", _set_first(lambda a: a > 0, 0), "array pos holds a factor start outside its source"),
+        ("substring", "pos", lambda a: a + 1, "array pos holds a factor start outside its source"),
+        ("substring", "pos", lambda a: np.full_like(a, 11), "array pos holds a factor start outside its source"),
+        ("listing", "pos", lambda a: a + 3, "array pos holds a factor start outside its source"),
+        ("substring", "codes", _past_the_code_points, "array codes holds a code that no text holds"),
+        ("substring", "codes", lambda a: np.roll(a, -1), "array codes holds separators that are not"),
+        ("listing", "codes", _empty_first_factor, "array codes holds separators that are not"),
+        # a negative count can only be stored in a signed dtype, which no load accepts
+        ("listing", "doc_factors", _negative_first, "array doc_factors has dtype int32"),
+        ("listing", "doc_factors", lambda a: a + 1, "array doc_factors holds factor counts that are negative or do not sum"),
+        ("substring", "pos", _renarrowed(_set_first(lambda a: a == a, 2**31)), "array pos holds a value past int32"),
     ],
     ids=[
         "pos reversed",
@@ -731,27 +771,40 @@ def _past_the_code_points(a):
         "codes with an empty factor",
         "doc_factors negative",
         "doc_factors not summing to the factors",
+        "pos past int32",
     ],
 )
 def test_load_rejects_tampered_text_arrays(kind, member, change, what, genome, collection, tmp_path):
-    path = _tampered(kind, member, change, genome, collection, tmp_path)
-    with pytest.raises(ContainerError, match=f"array {member} holds {what}"):
+    # a probability is an entry of the table probs: a changed one is rejected there
+    tamper = _tampered_values if member == "cum" else _tampered
+    path = tamper(kind, member, change, genome, collection, tmp_path)
+    with pytest.raises(ContainerError, match=what):
         load_container(path)
 
 
 @pytest.mark.parametrize(
     "member, change, what",
     [
-        ("link_origin", lambda a: a[::-1].copy(), "origins that are not non-decreasing"),
-        ("link_origin", _set_first(lambda a: a == a, 0), "origins that are not non-decreasing"),
-        ("link_origin", _set_first(lambda a: a == a.max(), 10**6), "origins that are not non-decreasing"),
-        ("link_pos", lambda a: a + 10**6, "a position outside its source"),
-        ("link_pos", _set_first(lambda a: a == a, 0), "a position outside its source"),
-        ("link_tdepth", _set_first(lambda a: a == a, -1), "a depth interval"),
-        ("link_tdepth", lambda a: a + 10**6, "a depth interval"),
-        ("link_stored", _set_first(lambda a: a == a, 0.0), "a value outside"),
-        ("link_stored", _set_first(lambda a: a == a, 1.5), "a value outside"),
-        ("link_stored", lambda a: np.where(np.arange(a.size) % 2 == 0, np.nan, a), "a value outside"),
+        ("link_origin", lambda a: a[::-1].copy(), "array link_origin holds origins that are not non-decreasing"),
+        ("link_origin", _set_first(lambda a: a == a, 0), "array link_origin holds origins that are not non-decreasing"),
+        (
+            "link_origin",
+            _renarrowed(_set_first(lambda a: a == a.max(), 10**6)),
+            "array link_origin holds origins that are not non-decreasing",
+        ),
+        ("link_pos", _renarrowed(lambda a: a + 10**6), "array link_pos holds a position outside its source"),
+        ("link_pos", _set_first(lambda a: a == a, 0), "array link_pos holds a position outside its source"),
+        # a negative depth can only be stored in a signed dtype, which no load accepts
+        ("link_tdepth", _negative_first, "array link_tdepth has dtype int32"),
+        ("link_tdepth", _renarrowed(lambda a: a + 10**6), "array link_tdepth holds a depth interval"),
+        # a link value is an entry of the table probs, which holds only probabilities in [0, 1]
+        ("link_stored", _set_first(lambda a: a == a, 0.0), "array link_stored holds a value outside"),
+        ("link_stored", _set_first(lambda a: a == a, 1.5), "array probs holds a probability outside"),
+        (
+            "link_stored",
+            lambda a: np.where(np.arange(a.size) % 2 == 0, np.nan, a),
+            "array probs holds a probability outside",
+        ),
     ],
     ids=[
         "origin reversed",
@@ -767,8 +820,9 @@ def test_load_rejects_tampered_text_arrays(kind, member, change, what, genome, c
     ],
 )
 def test_load_rejects_tampered_link_arrays(member, change, what, genome, collection, tmp_path):
-    path = _tampered("links", member, change, genome, collection, tmp_path)
-    with pytest.raises(ContainerError, match=f"array {member} holds {what}"):
+    tamper = _tampered_values if member == "link_stored" else _tampered
+    path = tamper("links", member, change, genome, collection, tmp_path)
+    with pytest.raises(ContainerError, match=what):
         load_container(path)
 
 
@@ -852,7 +906,7 @@ def test_load_rejects_a_plausible_tamper_by_its_digest(tamper, genome, collectio
         manifest = json.loads(entries["manifest.json"]) | {"tau_min": "0.05"}
         _rewrite(path, {**entries, "manifest.json": json.dumps(manifest).encode()})
     elif tamper == "cum plausible":
-        path = _tampered("substring", "cum", lambda a: np.where(a > 0, a / 2, a), genome, collection, tmp_path)
+        path = _tampered_values("substring", "cum", lambda a: np.where(a > 0, a / 2, a), genome, collection, tmp_path)
     else:
         path = _tampered("substring", "pos", _lower_first_factor_start, genome, collection, tmp_path)
     with pytest.raises(ContainerError, match="does not match its digest"):
@@ -1097,11 +1151,11 @@ def test_codes_are_stored_narrow_and_cum_at_the_letters_alone(letters, dtype, tm
     path = str(tmp_path / "w.usi")
     save_container(container, path)
     entries = _entries(path)
-    codes, cum = (np.load(io.BytesIO(entries[f"{name}.npy"])) for name in ("codes", "cum"))
+    codes, probs, cum = (np.load(io.BytesIO(entries[f"{name}.npy"])) for name in ("codes", "probs", "cum"))
     tt = container.substring.tt
     # a letter is its code point + 1 and a separator 0, in the narrowest unsigned dtype that holds them
     assert codes.dtype == dtype and codes.tolist() == [c + 1 if c >= 0 else 0 for c in tt.codes.tolist()]
-    assert cum.tobytes() == tt.cum[tt.codes >= 0].tobytes()
+    assert probs[cum].tobytes() == tt.cum[tt.codes >= 0].tobytes()
     back = load_container(path)
     assert back.substring.tt.codes.tolist() == tt.codes.tolist()
     for p in (x, y, x + y, y + x, x + x + y, x + y + x + x):
@@ -1278,10 +1332,11 @@ def test_load_rejects_a_npy_header_that_claims_another_count(claim, genome, tmp_
     path = str(tmp_path / "h.usi")
     save_container(build_container([genome], 0.1), path)
     entries = _entries(path)
-    count = np.load(io.BytesIO(entries["pos.npy"])).size
-    shape = {"2**40": 1 << 40, "one more": count + 1, "one fewer": count - 1}[claim]
+    pos = np.load(io.BytesIO(entries["pos.npy"]))
+    shape = {"2**40": 1 << 40, "one more": pos.size + 1, "one fewer": pos.size - 1}[claim]
     _rewrite(path, {**entries, "pos.npy": _claiming(entries["pos.npy"], (shape,))})
-    with pytest.raises(ContainerError, match=rf"member pos.npy claims {4 * shape} bytes of int32 in shape \({shape},\)"):
+    size = pos.itemsize * shape
+    with pytest.raises(ContainerError, match=rf"member pos.npy claims {size} bytes of {pos.dtype} in shape \({shape},\)"):
         load_container(path)
 
 
@@ -1293,3 +1348,160 @@ def test_a_npy_header_claiming_2_to_the_40_exits_two_from_ustr_query(genome, tmp
     assert cli.main(["query", path, "--pattern", "A", "--tau", "0.1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "claims" in err
+
+
+# 0, 1, the smallest subnormal, the largest subnormal and the smallest normal, and the largest value below 1
+_EDGE_PROBABILITIES = [0.0, 1.0, 5e-324, float(np.nextafter(2.2250738585072014e-308, 0.0)), 2.2250738585072014e-308,
+                       float(np.nextafter(1.0, 0.0))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**6), st.sampled_from(["substring", "links", "listing"]), st.lists(st.floats(0.0, 1.0), max_size=30)
+)
+def test_every_probability_comes_back_bit_for_bit(seed, kind, drawn):
+    """Letters and links holding 0, 1, subnormals and values one ulp apart save and load to the same bits."""
+    rng = random.Random(seed)
+    docs = [random_ustring(rng, n=rng.randint(4, 16), correlation_rate=0.3, name=f"d{k}") for k in range(3)]
+    if kind == "listing":
+        container = build_container(docs, 0.1, metric="or")
+    else:
+        container = build_container(docs[:1], 0.1, epsilon=0.05 if kind == "links" else None)
+    tt = (container.substring or container.listing).tt
+    # each drawn value and the one an ulp above it
+    values = _EDGE_PROBABILITIES + drawn + [float(np.nextafter(x, 1.0)) for x in drawn]
+    rng.shuffle(values)
+    letters = tt.codes >= 0
+    tt.cum[letters] = np.resize(values, int(letters.sum()))
+    if container.links is not None:
+        container.links.stored[:] = np.resize([v for v in values if v > 0.0], len(container.links))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = f"{tmp}/p.usi", f"{tmp}/again.usi"
+        save_container(container, path)
+        probs = np.load(io.BytesIO(_entries(path)["probs.npy"]))
+        held = [tt.cum[letters]] + ([] if container.links is None else [container.links.stored])
+        assert probs.view(np.uint64).tolist() == sorted(set(np.concatenate(held).view(np.uint64).tolist()))
+        back = load_container(path)
+        save_container(back, again)
+        assert _entries(again) == _entries(path)
+    assert (back.substring or back.listing).tt.cum.tobytes() == tt.cum.tobytes()
+    if container.links is not None:
+        assert back.links.stored.tobytes() == container.links.stored.tobytes()
+
+
+@pytest.mark.parametrize(
+    "size, dtype", [(256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)]
+)
+def test_the_table_indexes_widen_at_exactly_256_and_65536_distinct_values(size, dtype):
+    # ``size`` distinct values one ulp apart, each at two letters, and three of them at links
+    distinct = (np.float64(0.5).view(np.uint64) + np.arange(size, dtype=np.uint64)).view(np.float64)
+    values = np.random.default_rng(size).permutation(np.repeat(distinct, 2))
+    table, cum, stored = container_module._tabled([values, distinct[-3:]])
+    assert table.tobytes() == distinct.tobytes()
+    assert cum.dtype == stored.dtype == dtype
+    assert container_module._untabled(table, cum, "cum").tobytes() == values.tobytes()
+    assert container_module._untabled(table, stored, "link_stored").tobytes() == distinct[-3:].tobytes()
+    for other in {np.uint8, np.uint16, np.uint32} - {dtype}:
+        with pytest.raises(ContainerError, match=f"array cum has dtype {np.dtype(other)}, expected {np.dtype(dtype)}"):
+            container_module._untabled(table, cum.astype(other), "cum")
+    past = stored.copy()
+    if size <= np.iinfo(dtype).max:  # a uint8 index cannot point past a table of 256
+        past[0] = size
+        with pytest.raises(ContainerError, match=f"array link_stored holds an index past the table of {size}"):
+            container_module._untabled(table, past, "link_stored")
+    # one value fewer fits the narrower dtype again
+    assert container_module._tabled([values[values != distinct[-1]]])[1].dtype == np.min_scalar_type(size - 2)
+
+
+def _past_the_table(a):
+    """The largest index raised by one, to the table's size."""
+    return _set_first(lambda b: b == b.max(), int(a.max()) + 1)(a)
+
+
+@pytest.mark.parametrize("reseal", [False, True], ids=["digests stale", "resealed"])
+@pytest.mark.parametrize(
+    "kind, member, change, what",
+    [
+        ("substring", "cum", _past_the_table, "array cum holds an index past the table"),
+        ("links", "link_stored", lambda a: np.full_like(a, a.max() + 1), "array link_stored holds an index past the table"),
+        ("substring", "probs", _set_first(lambda a: a == a.max(), np.nan), "array probs holds a probability outside"),
+        ("substring", "probs", _set_first(lambda a: a == a.min(), -0.5), "array probs holds a probability outside"),
+        ("listing", "probs", _set_first(lambda a: a == a.max(), 1.5), "array probs holds a probability outside"),
+        ("substring", "cum", lambda a: a.astype(np.uint16), "array cum has dtype uint16, expected uint8"),
+        ("links", "link_stored", lambda a: a.astype(np.uint32), "array link_stored has dtype uint32, expected uint8"),
+        ("substring", "probs", lambda a: a[::-1].copy(), "array probs holds probabilities that do not strictly ascend"),
+        ("substring", "probs", lambda a: np.concatenate([a[:1], a[:-1]]), "array probs holds probabilities that do not"),
+        ("substring", "probs", lambda a: a.reshape(1, -1), r"array probs has shape \(1, \d+\), expected one dimension"),
+    ],
+    ids=[
+        "cum index past the table",
+        "link index past the table",
+        "entry NaN",
+        "entry negative",
+        "entry above one",
+        "cum index wider than the narrowest",
+        "link index wider than the narrowest",
+        "entries descending",
+        "entry repeated",
+        "table of two dimensions",
+    ],
+)
+def test_load_rejects_a_tampered_table_or_index(kind, member, change, what, reseal, genome, collection, tmp_path):
+    path = _tampered(kind, member, change, genome, collection, tmp_path)
+    if reseal:
+        _rewrite(path, _resealed(_entries(path)))
+    with pytest.raises(ContainerError, match=what):
+        load_container(path)
+
+
+# the LinkIndex fields, in the order of container._LINK_ARRAYS
+LINK_FIELDS = ("origin", "pos_id", "stored", "o_depth", "t_depth")
+
+
+def test_load_rejects_a_version_10_container(genome, tmp_path):
+    path = str(tmp_path / "v10.usi")
+    container = build_container([genome], 0.1, epsilon=0.05)
+    save_container(container, path)
+    entries = _entries(path)
+    # version 10 stored cum and link values as float64, and pos and the link columns as int32
+    tt, links = container.substring.tt, container.links
+    version_10 = {"cum": tt.cum[tt.codes >= 0], "pos": tt.pos[tt.factor_runs()[0]]}
+    version_10 |= {f"link_{a}": getattr(links, f) for a, f in zip(container_module._LINK_ARRAYS, LINK_FIELDS)}
+    del entries["probs.npy"]
+    entries |= {f"{name}.npy": _npy(arr) for name, arr in version_10.items()}
+    manifest = json.loads(entries["manifest.json"]) | {"format_version": 10}
+    _rewrite(path, _resealed({**entries, "manifest.json": json.dumps(manifest).encode()}))
+    with pytest.raises(ContainerError, match="unsupported container version 10"):
+        load_container(path)
+    assert cli.main(["query", path, "--pattern", "A", "--tau", "0.1"]) == 2
+
+
+@pytest.mark.parametrize("kind", ["substring", "links", "listing", "empty", "many factors"])
+def test_every_integer_member_is_stored_in_the_narrowest_unsigned_dtype(kind, genome, collection, tmp_path):
+    if kind == "listing":
+        container = build_container(list(collection.docs), 0.1, metric="or")
+    elif kind == "empty":
+        u = UncertainString("flat", ({"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5}))
+        container = build_container([u], 0.9, epsilon=0.05)
+    elif kind == "many factors":
+        corpus = "".join(random.Random(5).choice("abcdefgh") for _ in range(400))
+        container = build_container([generate(corpus, GenConfig(theta=0.3, seed=5))], 0.2, epsilon=0.05)
+    else:
+        container = build_container([genome], 0.1, epsilon=0.05 if kind == "links" else None)
+    path = str(tmp_path / "w.usi")
+    save_container(container, path)
+    entries = _entries(path)
+    tt = (container.substring or container.listing).tt
+    want = {"pos": tt.pos[tt.factor_runs()[0]]}
+    if container.listing is not None:
+        want["doc_factors"] = tt.doc_factors
+    if container.links is not None:
+        want |= {f"link_{a}": getattr(container.links, f) for a, f in zip(container_module._LINK_ARRAYS, LINK_FIELDS)}
+        del want["link_stored"]
+    widest = set()
+    for name, built in want.items():
+        stored = np.load(io.BytesIO(entries[f"{name}.npy"]))
+        assert stored.dtype == np.min_scalar_type(int(built.max(initial=0))) and stored.dtype.kind == "u", name
+        assert stored.tolist() == built.tolist(), name
+        widest.add(stored.dtype)
+    assert kind != "many factors" or np.dtype(np.uint16) in widest  # positions past 255

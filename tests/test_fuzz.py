@@ -87,7 +87,7 @@ def test_mutated_ust_text_ends_in_a_typed_error(seed):
 
 
 def _containers() -> dict[str, bytes]:
-    """Small format-10 containers of the three kinds, as file bytes."""
+    """Small format-11 containers of the three kinds, as file bytes."""
     rng = random.Random(0)
     docs = [random_ustring(rng, n=12, correlation_rate=0.3, name=f"d{k}") for k in range(3)]
     built = {
