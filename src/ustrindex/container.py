@@ -61,6 +61,7 @@ import io
 import json
 import math
 import tokenize
+import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -315,7 +316,12 @@ def _read_array(name: str, data: bytes) -> np.ndarray:
         raise ContainerError(f"member {name} is a .npy file of version {version}, not 1.0 or 2.0")
     read_header = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
     try:
-        shape, _, dtype = read_header(fh)
+        with warnings.catch_warnings():
+            # a bad escape in a header string warns as it parses (DeprecationWarning, from 3.12 SyntaxWarning);
+            # raised, the parse turns it into a SyntaxError, which numpy reports as a ValueError
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error", SyntaxWarning)
+            shape, _, dtype = read_header(fh)
     except (SyntaxError, TypeError, tokenize.TokenError) as exc:  # numpy's checks raise ValueError, its parse these
         raise ContainerError(f"member {name} has a .npy header that does not parse: {exc!r}") from exc
     size, held = math.prod(shape) * dtype.itemsize, len(data) - fh.tell()
@@ -396,8 +402,8 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], lengths: list[i
         raise bad("probs", "probabilities that do not strictly ascend by bit pattern")
     arrays["cum"] = _untabled(probs, arrays["cum"], "cum")
     counts = arrays["doc_factors"] if listing else np.array([ends.size])
-    if np.any((counts < 0) | (counts > ends.size)) or counts.sum() != ends.size:
-        raise bad("doc_factors", "factor counts that are negative or do not sum to the factors")
+    if counts.sum() != ends.size:
+        raise bad("doc_factors", "factor counts that do not sum to the factors")
     doc = np.repeat(np.arange(len(lengths)), counts)
     # a factor's run must fit its document: start in [1, n_doc - run length + 1]
     first, last = arrays["pos"], np.array(lengths, dtype=np.int64)[doc] - (ends - starts) + 1
@@ -411,8 +417,8 @@ def _check_shapes(manifest: dict, arrays: dict[str, np.ndarray], lengths: list[i
             raise bad("link_origin", "origins that are not non-decreasing ranks within [1, F]")
         if np.any((arrays["link_pos"] < 1) | (arrays["link_pos"] > lengths[0])):
             raise bad("link_pos", "a position outside its source string")
-        if np.any((arrays["link_tdepth"] < 0) | (arrays["link_tdepth"] >= arrays["link_odepth"])):
-            raise bad("link_tdepth", "a depth interval that is not 0 <= target < origin")
+        if np.any(arrays["link_tdepth"] >= arrays["link_odepth"]):
+            raise bad("link_tdepth", "a depth interval that is not target < origin")
         arrays["link_stored"] = _untabled(probs, arrays["link_stored"], "link_stored")
         if not np.all((arrays["link_stored"] > 0.0) & (arrays["link_stored"] <= 1.0)):
             raise bad("link_stored", "a value outside (0, 1] or NaN")

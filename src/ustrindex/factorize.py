@@ -12,12 +12,24 @@ position, code, probability).  A numpy screen of them checks what
 ``validate`` checks, and ``_alternatives`` sorts them into the lookup tables
 the growth rule reads, with one loop over the correlations alone.
 
+Windows grow only at the starts that are not certain.  A certain position
+has one alternative, of probability exactly 1.0, and no correlation names
+it; its factors are its letter followed by each factor of the next position,
+with the same ``cum`` bit for bit, since 1.0 * a == a (``_Runs``).  Its
+letter stands alone as a factor in two cases: when it is the last position of
+its document, and when no one-letter window at the next position reaches
+tau_min (without correlations: when the next position has no factor).  So a
+run of certain positions copies the factors of the uncertain start after it,
+each with the run's letters before it, and ``transform`` writes those copies
+with a few numpy gathers; the run's letters alone come first where the
+second case holds.
+
 The windows grow level-synchronously: ``_levels`` holds, for one window
-length k at a time, the windows of every start whose optimistic bound still
-reaches tau_min, as ``(start, code, prob, bound)`` rows, and extends all of
-them by one character in a few numpy steps.  Each row keeps only its last
-code and a link to the window it extends (``_Trie``), so a level costs its
-row count, not its rows times k.  ``_extend`` is the single copy of the
+length k at a time, the windows of every given start whose optimistic bound
+still reaches tau_min, as ``(start, code, prob, bound)`` rows, and extends
+all of them by one character in a few numpy steps.  Each row keeps only its
+last code and a link to the window it extends (``_Trie``), so a level costs
+its row count, not its rows times k.  ``_extend`` is the single copy of the
 growth rule.  The ``prob`` of a maximal window's ancestors become its
 ``cum``.  Those are left-to-right products of the same multiplicands
 ``model.occurrence_probability`` uses, so threshold comparisons downstream
@@ -253,7 +265,9 @@ def _levels(
 ) -> Iterator[_Level]:
     """Levels 1, 2, ... of the windows at ``starts``, each grown from the last in one step.
 
-    A window at ``starts[r]`` ends at ``last[r]`` at the latest (default n).
+    ``transform`` passes only the starts that are not certain: a certain
+    start's windows are its letter before those of the next start.  A window
+    at ``starts[r]`` ends at ``last[r]`` at the latest (default n).
     It is kept while its optimistic bound reaches tau_min, which on
     correlation-free strings is just its product; maximality is checked
     against the actual extensions, so it does not assume that the product
@@ -401,6 +415,63 @@ def _joined(docs: Sequence[UncertainString], positions: tuple[dict[str, float], 
     return UncertainString("joined", positions, tuple(corrs))
 
 
+def _per_doc(doc: np.ndarray, weights: np.ndarray, docs: int) -> np.ndarray:
+    """The ``weights`` summed per document, as int64."""
+    return np.bincount(doc, weights, docs).astype(np.int64)
+
+
+@dataclass(frozen=True)
+class _Runs:
+    """The certain starts, and where each start's factors are copied from.
+
+    Position d is certain when it has one alternative, of probability exactly
+    1.0, that no correlation names as source or conditioner.  Its windows are
+    then its letter followed by the windows at d + 1, with the same products
+    bit for bit: no multiplicand depends on d, and 1.0 * a == a.  So a
+    certain d's factors are, in order:
+
+    - its letter alone, when d is the last position of its document or no
+      one-letter window at d + 1 reaches tau_min (without correlations: when
+      d + 1 has no factor);
+    - unless d is last, its letter followed by each factor of d + 1.
+
+    Over a run of certain positions d..b only b can have the letter-alone
+    factor, so each start d of the run has the run's letters d..b alone when
+    b has its letter alone, then those letters followed by each factor of
+    ``to`` = b + 1, which is not certain.  An uncertain start copies its own
+    factors, with no letters before them.  Arrays are indexed by 0-based
+    position; ``to`` is n, past every factor, where a run ends a document.
+    """
+
+    certain: np.ndarray  # bool
+    letter: np.ndarray  # int32: a certain position's letter
+    to: np.ndarray  # the 0-based start whose factors the start copies
+    letters: np.ndarray  # the run's letters a start puts before them: b + 1 - d, 0 at an uncertain start
+    alone: np.ndarray  # int64, 0 or 1: the start has the factor of the run's letters alone
+    copies: np.ndarray  # the certain starts that copy an uncertain start's factors
+
+    @classmethod
+    def of(cls, u: UncertainString, flat: _Flat, alts: _Alternatives, tau_min: float, last: np.ndarray) -> _Runs:
+        """The runs of ``u``, whose documents end at the 0-based positions ``last``."""
+        n = u.n
+        named = np.zeros(n, dtype=bool)
+        named[[c.src_pos - 1 for c in u.correlations] + [c.cond_pos - 1 for c in u.correlations]] = True
+        head = flat.first[:-1]
+        certain = (np.diff(flat.first) == 1) & (flat.prob[head] == 1.0) & ~named
+        is_last = np.zeros(n + 1, dtype=bool)
+        is_last[last] = True
+        here = np.arange(n)
+        run_ends = np.flatnonzero(certain & (is_last[:-1] | ~np.append(certain[1:], False)))
+        b = np.append(run_ends, n)[run_ends.searchsorted(here)]  # the end of a certain start's run
+        letters = np.where(certain, b + 1 - here, 0)
+        to = np.where(certain, np.where(is_last[b], n, b + 1), here)
+        # a one-letter window's product is its multiplicand, whose conditioner lies outside it
+        reach = np.append(np.maximum.reduceat(alts.m[:-1], alts.first[:-1]) >= tau_min, False)
+        alone = (certain & ~reach[to]).astype(np.int64)
+        copies = np.bincount(to[certain], minlength=n + 1)[:n]
+        return cls(certain, flat.code[head].astype(np.int32), to, letters, alone, copies)
+
+
 def transform(
     u: UncertainString | DocumentCollection, tau_min: float, length_cap: int | None = None
 ) -> TransformedText:
@@ -412,12 +483,24 @@ def transform(
     collection's documents follow one another in one frontier: ``pos`` counts
     within each document and ``doc_factors`` holds each one's factor count.
 
+    Windows grow only at the starts that are not certain (``_levels``).  A
+    certain start's factors are copied: its letter before each factor of the
+    next start, after its letter alone when it ends its document or no
+    one-letter window at the next start reaches tau_min (``_Runs``).  Over a
+    run of certain starts that unrolls to the run's letters before each
+    factor of the uncertain start after it.
+
     Each document's text is guarded by ``length_cap`` (default 64 * n /
-    tau_min^2), checked level by level: each window reaching tau_min at level
-    k leads to its own factor of length at least k, so a text outgrows its cap
-    as soon as the factors found so far plus k + 1 codes per such window do.
-    Such a document grows no further, and a collection reports the first of
-    them in document order, as if its documents were transformed one by one.
+    tau_min^2), which counts every code, copies included, and is checked
+    level by level.  Each window reaching tau_min at level k at a start e
+    leads to its own factor of length at least k there, and to one more, a
+    letter longer each, at each of the r certain starts that copy e's
+    factors: (r + 1)(k + 1) + r(r + 1)/2 codes at least.  A text outgrows its
+    cap as soon as the factors found so far plus that many codes per such
+    window do.  Such a document grows no further, and a collection reports
+    the first of them in document order, as if its documents were
+    transformed one by one.  Once every level is read the count is exact, and
+    the text is allocated only after it passes.
     A text of 2**31 codes or more, which int32 offsets cannot address, raises
     CapacityError too.  A negative cap raises ValueError.
 
@@ -444,66 +527,93 @@ def transform(
         dtype=np.int64,
     )
     doc_at = np.repeat(np.arange(len(docs)), sizes)  # document of each position
+    alts = _alternatives(whole, flat)
+    runs = _Runs.of(whole, flat, alts, tau_min, first + sizes - 1)
+    ustarts = np.flatnonzero(~runs.certain) + 1
 
     parents: list[np.ndarray] = []
     maximal: list[np.ndarray] = []
     last_codes: list[np.ndarray] = []
     probs: list[np.ndarray] = []
-    total = factors = np.zeros(len(docs), dtype=np.int64)
+    # codes per document so far, separators included: the factors of the runs' letters alone first
+    alone = np.flatnonzero(runs.alone)
+    total = _per_doc(doc_at[alone], runs.letters[alone] + 1, len(docs))
     over = np.zeros(len(docs), dtype=bool)  # documents whose text outgrows their cap; they grow no further
     levels = _levels(
-        whole,
-        _alternatives(whole, flat),
-        tau_min,
-        np.arange(1, whole.n + 1),
-        (first + sizes)[doc_at],
-        lambda level: over[doc_at[level.start - 1]],
+        whole, alts, tau_min, ustarts, (first + sizes)[doc_at[ustarts - 1]], lambda level: over[doc_at[level.start - 1]]
     )
     for k, level in enumerate(levels, start=1):
         doc = doc_at[level.start - 1]
-        over |= total + np.bincount(doc[level.prob >= tau_min], minlength=len(docs)) * (k + 1) > caps
+        copies = runs.copies[level.start - 1]
+        # the least codes a window reaching tau_min leads to, separators included: see the docstring
+        weight = (copies + 1) * (k + 1) + copies * (copies + 1) // 2
+        reach = level.prob >= tau_min
+        over |= total + _per_doc(doc[reach], weight[reach], len(docs)) > caps
         # report the first overflowing document once no document ahead of it still grows
         if over.any() and over.argmax() < doc[~over[doc]].min(initial=len(docs)):
             break
         rows = np.flatnonzero(level.maximal)
-        per_doc = np.bincount(doc[rows], minlength=len(docs))
-        total, factors = total + per_doc * (k + 1), factors + per_doc
+        total = total + _per_doc(doc[rows], weight[rows], len(docs))
         parents.append(level.parent)
         maximal.append(level.maximal)
         last_codes.append(level.code)
         probs.append(level.prob)
+    over |= total > caps  # the lengths are exact once every level has been read
     if over.any():
         cap = int(caps[over.argmax()])
         raise CapacityError(
             f"transformed text would exceed the length cap {cap} (raise it via --cap / length_cap)", cap=cap
         )
-
-    ranks = _factor_order(parents, maximal, whole.n)
-    lens = np.zeros(int(factors.sum()), dtype=np.int64)
-    for k, rank in enumerate(ranks, start=1):
-        lens[rank] = k
-    ends = np.cumsum(lens + 1) - 1
-    heads = ends - lens
     n = int(total.sum())
     if n >= 1 << 31:
         raise CapacityError(f"a transformed text of {n} codes does not fit int32 offsets", cap=(1 << 31) - 1)
-    codes = np.empty(n, dtype=np.int32)
-    cum = np.full(n, -1.0)
-    codes[ends] = -1 - np.arange(lens.size, dtype=np.int32)
+
+    # the factors of the uncertain starts, letters only, in (start, symbols) order
+    ranks = _factor_order(parents, maximal, ustarts.size)
+    ulen = np.zeros(sum(rank.size for rank in ranks) + 1, dtype=np.int64)  # and a last, empty one
+    for k, rank in enumerate(ranks, start=1):
+        ulen[rank] = k
+    uhead = np.cumsum(ulen) - ulen
+    ucodes = np.empty(int(ulen.sum()), dtype=np.int32)
+    ucum = np.empty(ucodes.size)
     # deep to shallow: every factor of length >= k is spelled at its ancestor on level k
     fac = row = np.zeros(0, dtype=np.int64)
     for k in reversed(range(len(ranks))):
         fac = np.concatenate((fac, ranks[k]))
         row = np.concatenate((row, np.flatnonzero(maximal[k])))
-        at = heads[fac] + k
-        codes[at] = last_codes[k][row]
-        cum[at] = probs[k][row]
+        at = uhead[fac] + k
+        ucodes[at] = last_codes[k][row]
+        ucum[at] = probs[k][row]
         row = parents[k][row]
-    start = np.empty(lens.size, dtype=np.int64)
-    start[fac] = row + 1  # the level-1 parents index the starts 1..n
-    start -= first[doc_at[start - 1]]
+    ustart = np.empty(ulen.size - 1, dtype=np.int64)
+    ustart[fac] = ustarts[row] - 1  # the level-1 parents index the uncertain starts
+
+    # every start's factors: its run's letters alone, then those letters before each factor it copies
+    per_start = np.bincount(ustart, minlength=whole.n + 1)
+    ufirst = np.cumsum(per_start) - per_start
+    count = runs.alone + per_start[runs.to]
+    at = np.repeat(np.arange(whole.n), count)
+    nth = np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)
+    nth -= runs.alone[at]  # -1 for the letters alone, else the rank among the factors copied
+    copied = np.where(nth < 0, ulen.size - 1, ufirst[runs.to[at]] + nth)
+    plen, tail = runs.letters[at], ulen[copied]
+    lens = plen + tail
+    ends = np.cumsum(lens + 1) - 1
+    heads = ends - lens
+    # each factor is three pieces: its run's letters, the copied letters, and a separator
+    piece = np.stack((plen, tail, np.ones_like(tail)), axis=1).ravel()
+    src = np.stack((at, whole.n + uhead[copied], np.zeros_like(at)), axis=1).ravel()
+    src = np.repeat((src - (np.cumsum(piece) - piece)).astype(np.int32), piece)
+    src += np.arange(n, dtype=np.int32)
+    codes = np.concatenate((runs.letter, ucodes))[src]
+    codes[ends] = -1 - np.arange(lens.size, dtype=np.int32)
+    cum = np.concatenate((np.ones(whole.n), ucum))[src]
+    cum[ends] = -1.0
+    start = at + 1 - first[doc_at[at]]
     pos = np.repeat((start - heads).astype(np.int32), lens + 1)
     pos += np.arange(n, dtype=np.int32)
     pos[ends] = 0
-    doc_factors = factors.astype(np.int32) if isinstance(u, DocumentCollection) else None
+    doc_factors = None
+    if isinstance(u, DocumentCollection):
+        doc_factors = np.bincount(doc_at[at], minlength=len(docs)).astype(np.int32)
     return TransformedText(codes, pos, cum, tau_min, Documents.of(docs), doc_factors)

@@ -7,6 +7,7 @@ import json
 import random
 import tempfile
 import time
+import warnings
 import zipfile
 from dataclasses import fields, replace
 
@@ -754,7 +755,7 @@ def _past_the_code_points(a):
         ("listing", "codes", _empty_first_factor, "array codes holds separators that are not"),
         # a negative count can only be stored in a signed dtype, which no load accepts
         ("listing", "doc_factors", _negative_first, "array doc_factors has dtype int32"),
-        ("listing", "doc_factors", lambda a: a + 1, "array doc_factors holds factor counts that are negative or do not sum"),
+        ("listing", "doc_factors", lambda a: a + 1, "array doc_factors holds factor counts that do not sum"),
         ("substring", "pos", _renarrowed(_set_first(lambda a: a == a, 2**31)), "array pos holds a value past int32"),
     ],
     ids=[
@@ -1338,6 +1339,22 @@ def test_load_rejects_a_npy_header_that_claims_another_count(claim, genome, tmp_
     size = pos.itemsize * shape
     with pytest.raises(ContainerError, match=rf"member pos.npy claims {size} bytes of {pos.dtype} in shape \({shape},\)"):
         load_container(path)
+
+
+def test_a_npy_header_with_a_bad_escape_is_rejected_without_a_warning(genome, tmp_path):
+    # parsing the header string '\\d4' warns of an invalid escape sequence unless the warning is raised
+    path = str(tmp_path / "h.usi")
+    save_container(build_container([genome], 0.1), path)
+    entries = _entries(path)
+    data = entries["pos.npy"]
+    descr = repr(np.lib.format.dtype_to_descr(np.load(io.BytesIO(data)).dtype)).encode()
+    assert len(descr) == len(b"'\\d4'") and data.count(descr) == 1
+    _rewrite(path, {**entries, "pos.npy": data.replace(descr, b"'\\d4'")})
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ContainerError):
+            load_container(path)
+    assert [str(w.message) for w in seen] == []
 
 
 def test_a_npy_header_claiming_2_to_the_40_exits_two_from_ustr_query(genome, tmp_path, capsys):

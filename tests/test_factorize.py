@@ -19,7 +19,8 @@ from ustrindex import (
     occurrence_probability,
     transform,
 )
-from ustrindex.factorize import _alternatives
+from ustrindex import factorize
+from ustrindex.factorize import _alternatives, _levels
 from ustrindex.model import _flatten
 
 from helpers import (
@@ -206,6 +207,116 @@ def test_a_non_monotone_transform_is_byte_identical_to_the_walker(tau_min):
     assert _same_arrays(transform(NON_MONOTONE, tau_min), reference_transform(NON_MONOTONE, tau_min))
 
 
+@st.composite
+def mostly_certain(draw, docs: int = 1) -> list[UncertainString]:
+    """Strings whose positions are mostly certain (one letter of probability 1.0), so runs of them are long."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    theta = draw(st.sampled_from((0.0, 0.05, 0.15, 0.3)))
+    return [
+        random_ustring(
+            rng,
+            n=rng.randint(1, 30),
+            alphabet=rng.choice(("ab", "abcd")),
+            theta=theta,
+            correlation_rate=rng.choice((0.0, 0.0, 0.5)),
+            name=f"d{k}",
+        )
+        for k in range(docs)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(mostly_certain())
+def test_long_certain_runs_transform_byte_identically_to_the_walker(docs):
+    (u,) = docs
+    for tau_min in TAU_MINS:
+        assert _same_arrays(transform(u, tau_min), reference_transform(u, tau_min)), tau_min
+
+
+@settings(max_examples=40, deadline=None)
+@given(mostly_certain(docs=3), st.sampled_from(TAU_MINS))
+def test_a_collection_of_long_certain_runs_transforms_like_its_documents(docs, tau_min):
+    assert _same_as_its_documents(docs, tau_min)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mostly_certain(docs=3), st.sampled_from(TAU_MINS), st.integers(0, 10**6))
+def test_a_cap_on_long_certain_runs_fires_for_the_first_document_past_it(docs, tau_min, seed):
+    lengths = [reference_transform(d, tau_min).n for d in docs]
+    cap = random.Random(seed).randint(max(min(lengths) - 1, 0), max(lengths))
+    collection = DocumentCollection(tuple(docs))
+    if max(lengths) <= cap:
+        assert transform(collection, tau_min, length_cap=cap).n == sum(lengths)
+        return
+    with pytest.raises(CapacityError) as exc:
+        transform(collection, tau_min, length_cap=cap)
+    assert exc.value.cap == cap
+
+
+def _certain(*letters: str) -> tuple[dict[str, float], ...]:
+    return tuple({c: 1.0} for c in letters)
+
+
+UNCERTAIN = ({"a": 0.6, "b": 0.4}, {"a": 0.3, "c": 0.7})
+# five letters of 0.2 each: no one-letter window there reaches tau_min 0.3 or more
+FLAT = ({c: 0.2 for c in "abcde"},)
+
+RUN_CASES = {
+    "runs at the start and at the end": UncertainString("s", _certain(*"xyz") + UNCERTAIN + _certain(*"uvw")),
+    "only certain positions": UncertainString("s", _certain(*"abcab")),
+    "a run before a position with no factor": UncertainString("s", _certain(*"xy") + FLAT + _certain("z") + UNCERTAIN),
+    "a run before no one-letter window, and a longer window": UncertainString(
+        "s",
+        # at 3, "a" has the marginal 0.1 and "b" 0.2, while "ac" has 1.0: the run keeps both its
+        # letters alone and its letters before "ace"
+        _certain("x", "y") + ({"a": 0.8, "b": 0.2}, {"c": 0.1, "d": 0.9}) + _certain("e"),
+        (Correlation(3, "a", 4, "c", 1.0, 0.0), Correlation(4, "c", 3, "a", 1.0, 0.0)),
+    ),
+    "a certain source": UncertainString(
+        "s", _certain("x", "y") + UNCERTAIN + _certain("z"), (Correlation(2, "y", 3, "a", 0.6, 0.9),)
+    ),
+    "a certain conditioner on the left": UncertainString(
+        "s", _certain("x", "y") + UNCERTAIN + _certain("z"), (Correlation(4, "c", 2, "y", 0.5, 0.1),)
+    ),
+    "a certain conditioner on the right": UncertainString(
+        "s", _certain("x") + UNCERTAIN + _certain("y", "z"), (Correlation(2, "a", 5, "z", 0.9, 0.2),)
+    ),
+}
+
+
+@pytest.mark.parametrize("tau_min", TAU_MINS)
+@pytest.mark.parametrize("u", RUN_CASES.values(), ids=RUN_CASES.keys())
+def test_certain_runs_transform_byte_identically_to_the_walker(u, tau_min):
+    assert _same_arrays(transform(u, tau_min), reference_transform(u, tau_min))
+
+
+def test_a_run_keeps_its_letters_alone_and_before_the_next_factors_where_a_longer_window_reaches_tau_min():
+    u = RUN_CASES["a run before no one-letter window, and a longer window"]
+    assert readable_text(transform(u, 0.3)) == "xy$xyace$y$yace$ace$ce$de$e$"
+
+
+@pytest.mark.parametrize("tau_min", TAU_MINS)
+def test_a_run_ending_a_document_copies_nothing_from_the_next(tau_min):
+    first = UncertainString("d1", UNCERTAIN + _certain("x", "y"))
+    second = UncertainString("d2", _certain("z") + UNCERTAIN + _certain("w"))
+    third = UncertainString("d3", _certain("v") + UNCERTAIN)
+    assert _same_as_its_documents([first, second, third], tau_min)
+
+
+def test_windows_grow_only_at_uncertain_starts(monkeypatch):
+    u = RUN_CASES["a certain source"]
+    grown = []
+
+    def recording(u, alts, tau_min, starts, *args):
+        grown.extend(starts.tolist())
+        return _levels(u, alts, tau_min, starts, *args)
+
+    monkeypatch.setattr(factorize, "_levels", recording)
+    transform(u, 0.2)
+    # 1 (x) is certain; 2 (y) is named by a correlation, 3 and 4 have two letters each
+    assert grown == [2, 3, 4]
+
+
 @pytest.mark.parametrize("correlation_rate", [0.0, 0.6])
 def test_the_length_cap_admits_exactly_the_text_length(correlation_rate):
     rng = random.Random(7)
@@ -218,19 +329,11 @@ def test_the_length_cap_admits_exactly_the_text_length(correlation_rate):
     assert exc.value.cap == N - 1
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_a_collection_transforms_like_its_documents_one_after_another(seed):
-    rng = random.Random(seed)
-    docs = [
-        random_ustring(rng, n=rng.randint(1, 10), theta=0.7, correlation_rate=rng.random() * 0.8, name=f"d{k}")
-        for k in range(rng.randint(1, 4))
-    ]
-    tau_min = rng.choice(TAU_MINS)
+def _same_as_its_documents(docs: list[UncertainString], tau_min: float) -> bool:
+    """The collection's text is the walker's texts of its documents one after another."""
     tt = transform(DocumentCollection(tuple(docs)), tau_min)
     parts = [reference_transform(d, tau_min) for d in docs]
     counts = [int((part.codes < 0).sum()) for part in parts]
-    assert tt.doc_factors.tolist() == counts
     # each document's separators continue the numbering of the documents before it
     shifts = np.cumsum([0] + counts).tolist()  # Python ints keep the int32 codes int32
     want = TransformedText(
@@ -239,7 +342,18 @@ def test_a_collection_transforms_like_its_documents_one_after_another(seed):
         np.concatenate([p.cum for p in parts]),
         tau_min,
     )
-    assert _same_arrays(tt, want)
+    return tt.doc_factors.tolist() == counts and _same_arrays(tt, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_a_collection_transforms_like_its_documents_one_after_another(seed):
+    rng = random.Random(seed)
+    docs = [
+        random_ustring(rng, n=rng.randint(1, 10), theta=0.7, correlation_rate=rng.random() * 0.8, name=f"d{k}")
+        for k in range(rng.randint(1, 4))
+    ]
+    assert _same_as_its_documents(docs, rng.choice(TAU_MINS))
 
 
 def test_each_document_of_a_collection_has_its_own_cap():
