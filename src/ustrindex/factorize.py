@@ -486,9 +486,7 @@ def transform(
     Windows grow only at the starts that are not certain (``_levels``).  A
     certain start's factors are copied: its letter before each factor of the
     next start, after its letter alone when it ends its document or no
-    one-letter window at the next start reaches tau_min (``_Runs``).  Over a
-    run of certain starts that unrolls to the run's letters before each
-    factor of the uncertain start after it.
+    one-letter window at the next start reaches tau_min (``_Runs``).
 
     Each document's text is guarded by ``length_cap`` (default 64 * n /
     tau_min^2), which counts every code, copies included, and is checked
@@ -570,7 +568,8 @@ def transform(
 
     # the factors of the uncertain starts, letters only, in (start, symbols) order
     ranks = _factor_order(parents, maximal, ustarts.size)
-    ulen = np.zeros(sum(rank.size for rank in ranks) + 1, dtype=np.int64)  # and a last, empty one
+    # and one more, empty, which the runs' letters alone take as the factor they copy
+    ulen = np.zeros(sum(rank.size for rank in ranks) + 1, dtype=np.int64)
     for k, rank in enumerate(ranks, start=1):
         ulen[rank] = k
     uhead = np.cumsum(ulen) - ulen
@@ -596,12 +595,12 @@ def transform(
     nth = np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)
     nth -= runs.alone[at]  # -1 for the letters alone, else the rank among the factors copied
     copied = np.where(nth < 0, ulen.size - 1, ufirst[runs.to[at]] + nth)
-    plen, tail = runs.letters[at], ulen[copied]
-    lens = plen + tail
+    letters, tail = runs.letters[at], ulen[copied]
+    lens = letters + tail
     ends = np.cumsum(lens + 1) - 1
     heads = ends - lens
     # each factor is three pieces: its run's letters, the copied letters, and a separator
-    piece = np.stack((plen, tail, np.ones_like(tail)), axis=1).ravel()
+    piece = np.stack((letters, tail, np.ones_like(tail)), axis=1).ravel()
     src = np.stack((at, whole.n + uhead[copied], np.zeros_like(at)), axis=1).ravel()
     src = np.repeat((src - (np.cumsum(piece) - piece)).astype(np.int32), piece)
     src += np.arange(n, dtype=np.int32)
